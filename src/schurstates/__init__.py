@@ -41,6 +41,7 @@ from .kernel import (
     kernel_matrix,
     product_kernel_gram_matrix,
     product_kernel_matrix,
+    transfer_matrix,
 )
 from .limit import (
     BoundaryMatrix,
@@ -55,7 +56,6 @@ from .limit import (
     interaction_matrix,
     limit_state_eval,
     right_square_root,
-    transfer_matrix,
 )
 from .linalg import (
     PsdReport,

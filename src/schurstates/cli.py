@@ -40,6 +40,7 @@ from .homogeneous import (
 )
 from .kernel import certify_cp, kernel_gram_matrix, product_kernel_gram_matrix
 from .limit import boundary_matrix, check_projectivity, default_exhaustion, limit_state_eval
+from .linalg import psd_report
 from .mixing import mixing_scan
 from .modelfile import encode_matrix, load_model, load_observable, parse_region
 from .sampling import random_observable, rng_from_seed
@@ -130,11 +131,9 @@ def cmd_check_kernel(args, out) -> int:
         gram_ok = True
         for n in range(1, 5):
             bs = [random_observable(rng, family.d) for _ in range(n)]
-            k = kernel_gram_matrix(family, x, bs)
-            eigs = np.linalg.eigvalsh(0.5 * (k + k.conj().T))
-            gram_eigs[str(n)] = float(eigs[0])
-            scale = max(1.0, float(np.max(np.abs(eigs))))
-            gram_ok = gram_ok and float(eigs[0]) >= -tol * scale
+            gram = psd_report(kernel_gram_matrix(family, x, bs), tol)
+            gram_eigs[str(n)] = gram.min_eigenvalue
+            gram_ok = gram_ok and gram.is_psd
         all_pass = all_pass and rep.is_cp and gram_ok
         site_reports.append(
             {
@@ -153,15 +152,13 @@ def cmd_check_kernel(args, out) -> int:
         tuples = [
             tuple(random_observable(rng, family.d) for _ in group) for _ in range(3)
         ]
-        k = product_kernel_gram_matrix(family, group, tuples)
-        eigs = np.linalg.eigvalsh(0.5 * (k + k.conj().T))
-        ok = float(eigs[0]) >= -tol * max(1.0, float(np.max(np.abs(eigs))))
-        all_pass = all_pass and ok
+        prod = psd_report(product_kernel_gram_matrix(family, group, tuples), tol)
+        all_pass = all_pass and prod.is_psd
         product_reports.append(
             {
                 "sites": [str(s) for s in group],
-                "min_eigenvalue": float(eigs[0]),
-                "pass": ok,
+                "min_eigenvalue": prod.min_eigenvalue,
+                "pass": prod.is_psd,
             }
         )
     emit(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
-from .kernel import FiberFamily, ZERO_VECTOR_TOL
+from .kernel import FiberFamily, ZERO_VECTOR_TOL, product_kernel_matrix
 from .state import LocalObservable
 
 #: Relative tolerance for membership in the maximal-overlap set.
@@ -116,16 +116,8 @@ def detect_product(ov: OverlapMatrix, tol: float = 1e-10) -> bool:
 
 def _local_products(model: HomogeneousModel, obs: LocalObservable) -> np.ndarray:
     """prod_x Tr(h_i h_j* b_x) over the observable factors, as a matrix."""
-    v = model.vectors
-    out = np.ones((model.size, model.size), dtype=np.complex128)
-    for f in obs.factors:
-        f = np.asarray(f, dtype=np.complex128)
-        if f.shape != (model.d, model.d):
-            raise DimensionError(
-                f"factor shape {f.shape} does not match fiber dim {model.d}"
-            )
-        out = out * (v.conj() @ f @ v.T).T
-    return out
+    family = model.as_family(sites=obs.region)
+    return product_kernel_matrix(family, obs.region, obs.factors)
 
 
 def finite_volume_normalized(
@@ -146,7 +138,8 @@ def finite_volume_normalized(
             )
     else:
         full = tuple(full_region)
-        missing = [s for s in obs.region if s not in set(full)]
+        inside = set(full)
+        missing = [s for s in obs.region if s not in inside]
         if missing:
             raise PreconditionError(
                 f"observable sites {missing!r} are outside the evaluation region"

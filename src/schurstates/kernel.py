@@ -8,8 +8,11 @@ indices gives a linear functional on d x d matrices,
 
 and collecting all pairs gives a d_I x d_I matrix-valued map per site.
 This module certifies the positivity structure of those maps (Choi
-matrix, Gram matrices over observable tuples) and forms their
-multi-site entrywise products.
+matrix, Gram matrices over observable tuples) and owns both forms of
+their multi-site entrywise (Schur) products: ``product_kernel_matrix``
+with one observable factor per site, and ``transfer_matrix``, the
+product of plain overlaps (kernels at the identity) over a region minus
+a subregion.  Every other module builds its site products from these two.
 
 Index layout, fixed once for the whole package:
 
@@ -28,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
-from .linalg import as_cmatrix
+from .errors import DimensionError, GeometryError, ValidationError
+from .linalg import as_cmatrix, psd_report
 
 #: Vectors with norm at or below this are rejected as zero.
 ZERO_VECTOR_TOL = 1e-14
@@ -108,20 +111,23 @@ class FiberFamily:
         self.d_I = int(d_I)
         self._provider = provider
         self.sites = tuple(sites) if sites is not None else None
-        if self.sites is not None and len(set(self.sites)) != len(self.sites):
+        self._site_set = frozenset(self.sites) if sites is not None else None
+        if self._site_set is not None and len(self._site_set) != len(self.sites):
             raise ValidationError("site list contains duplicates")
         self.lattice_dim = lattice_dim
         self.tail = tail
         self.label = label
         self._vcache: dict = {}
         self._gcache: dict = {}
+        # owned here, filled by ``limit.boundary_matrix``
+        self._boundary_cache: dict = {}
 
     @property
     def is_lattice(self) -> bool:
         return self.lattice_dim is not None
 
     def _check_site(self, site):
-        if self.sites is not None and site not in set(self.sites):
+        if self._site_set is not None and site not in self._site_set:
             raise ValidationError(f"unknown site {site!r}")
         if self.is_lattice:
             if not (isinstance(site, tuple) and len(site) == self.lattice_dim):
@@ -305,11 +311,8 @@ class CpReport:
 
 def certify_cp(family: FiberFamily, site, tol: float = 1e-10) -> CpReport:
     """PSD-certify the Choi matrix of the site's kernel map."""
-    c = choi_matrix(family, site)
-    eigs = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-    min_eig = float(eigs[0])
-    max_abs = float(np.max(np.abs(eigs)))
-    return CpReport(min_eig >= -tol * max(1.0, max_abs), min_eig, max_abs)
+    rep = psd_report(choi_matrix(family, site), tol)
+    return CpReport(rep.is_psd, rep.min_eigenvalue, rep.max_abs_eigenvalue)
 
 
 def kernel_gram_matrix(family: FiberFamily, site, bs) -> np.ndarray:
@@ -340,12 +343,11 @@ def product_kernel_matrix(family: FiberFamily, sites, bs) -> np.ndarray:
     """Entrywise product of per-site kernel matrices over distinct sites.
 
     This is the matrix form of the multi-site kernel on elementary
-    tensor observables; a single site reduces to ``kernel_matrix``.
+    tensor observables; a single site reduces to ``kernel_matrix`` and an
+    empty site list gives the all-ones matrix (the empty product).
     """
     sites = list(sites)
     bs = list(bs)
-    if not sites:
-        raise ValidationError("product_kernel_matrix: empty site list")
     if len(sites) != len(bs):
         raise DimensionError(
             f"product_kernel_matrix: {len(sites)} sites vs {len(bs)} observables"
@@ -355,6 +357,25 @@ def product_kernel_matrix(family: FiberFamily, sites, bs) -> np.ndarray:
     out = np.ones((family.d_I, family.d_I), dtype=np.complex128)
     for x, b in zip(sites, bs):
         out = out * kernel_matrix(family, x, b)
+    return out
+
+
+def transfer_matrix(family: FiberFamily, region, subregion) -> np.ndarray:
+    """Entrywise product of overlaps over region minus subregion.
+
+    Equal regions give the all-ones matrix (empty product).
+    """
+    region = tuple(region)
+    subregion = tuple(subregion)
+    inside = set(region)
+    extra = [s for s in subregion if s not in inside]
+    if extra:
+        raise GeometryError(f"subregion sites {extra!r} are not inside the region")
+    out = np.ones((family.d_I, family.d_I), dtype=np.complex128)
+    sub = set(subregion)
+    for x in region:
+        if x not in sub:
+            out = out * family.gram(x)
     return out
 
 

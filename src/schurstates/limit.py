@@ -13,6 +13,7 @@ limit is zero is a converged result, not a failure.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -28,7 +29,14 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .kernel import ConstantTail, FiberFamily, IdentityTail, OnesTail, kernel_matrix
+from .kernel import (
+    ConstantTail,
+    FiberFamily,
+    IdentityTail,
+    OnesTail,
+    product_kernel_matrix,
+    transfer_matrix,  # re-exported as schurstates.limit.transfer_matrix
+)
 from .linalg import (
     LOG_EIG_FLOOR,
     as_cmatrix,
@@ -153,24 +161,6 @@ class BoundaryMatrix:
     rigorous: bool
 
 
-def transfer_matrix(family: FiberFamily, region, subregion) -> np.ndarray:
-    """Entrywise product of overlaps over region minus subregion.
-
-    Equal regions give the all-ones matrix (empty product).
-    """
-    region = tuple(region)
-    subregion = tuple(subregion)
-    extra = [s for s in subregion if s not in set(region)]
-    if extra:
-        raise GeometryError(f"subregion sites {extra!r} are not inside the region")
-    out = np.ones((family.d_I, family.d_I), dtype=np.complex128)
-    sub = set(subregion)
-    for x in region:
-        if x not in sub:
-            out = out * family.gram(x)
-    return out
-
-
 def _ones_tail_bound(p: np.ndarray, remaining: float) -> float:
     growth = math.expm1(min(remaining, 700.0))
     return float(np.max(np.abs(p)) * growth)
@@ -210,10 +200,7 @@ def boundary_matrix(
         return _boundary_walk(family, region, exhaustion, tail_tol, site_cap)
     # canonical-exhaustion results are cached on the family; repeated
     # limit evaluations over the same region dominate scan runtimes
-    cache = getattr(family, "_boundary_cache", None)
-    if cache is None:
-        cache = {}
-        family._boundary_cache = cache
+    cache = family._boundary_cache
     key = (frozenset(region), tail_tol, site_cap)
     hit = cache.get(key)
     if hit is None:
@@ -313,9 +300,7 @@ def limit_state_eval(
     sum_{i,j} [prod_{x in region} Tr(h_i h_j* b_x)] * boundary[i, j].
     """
     beta = boundary_matrix(family, obs.region, exhaustion, tail_tol)
-    m = np.ones((family.d_I, family.d_I), dtype=np.complex128)
-    for x, b in zip(obs.region, obs.factors):
-        m = m * kernel_matrix(family, x, b)
+    m = product_kernel_matrix(family, obs.region, obs.factors)
     return complex((m * beta.matrix).sum())
 
 
@@ -345,7 +330,8 @@ def check_projectivity(
     two agree.
     """
     region = tuple(region)
-    missing = [s for s in obs.region if s not in set(region)]
+    inside = set(region)
+    missing = [s for s in obs.region if s not in inside]
     if missing:
         raise GeometryError(f"observable sites {missing!r} outside region")
     extended_factors = []
@@ -494,20 +480,20 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
 
     # remaining deviation mass strictly beyond radius r: declared sites
     # only, since undeclared sites contribute exactly nothing
-    radii = sorted({lattice.norm1(s) for s in deviations})
-    cumulative = {}
+    by_radius: dict = {}
+    for s, v in deviations.items():
+        by_radius.setdefault(lattice.norm1(s), []).append(v)
+    radii = sorted(by_radius)
     total = sum(deviations.values())
+    beyond = []  # beyond[k]: mass strictly outside radius radii[k]
     running = 0.0
     for r in radii:
-        running += sum(v for s, v in deviations.items() if lattice.norm1(s) == r)
-        cumulative[r] = total - running
+        running += sum(by_radius[r])
+        beyond.append(max(total - running, 0.0))
 
     def remaining(r: int) -> float:
-        out = total
-        for rr in radii:
-            if rr <= r:
-                out = cumulative[rr]
-        return max(out, 0.0)
+        k = bisect.bisect_right(radii, r)
+        return beyond[k - 1] if k else max(total, 0.0)
 
     family = FiberFamily(
         d,

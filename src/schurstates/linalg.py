@@ -62,16 +62,6 @@ def hadamard(a, b) -> np.ndarray:
     return am * bm
 
 
-def all_ones(n: int) -> np.ndarray:
-    """The n x n all-ones matrix (identity of the entrywise product)."""
-    return np.ones((n, n), dtype=np.complex128)
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=np.complex128).conj().T
-
-
 def hermitian_defect(a) -> float:
     """Largest entrywise deviation of ``a`` from its conjugate transpose."""
     m = as_cmatrix(a)
@@ -101,10 +91,11 @@ def psd_report(a, tol: float = PSD_TOL) -> PsdReport:
         raise DimensionError(f"psd_report: matrix must be square, got {m.shape}")
     if m.size == 0:
         return PsdReport(True, True, 0.0, 0.0, 0.0)
-    defect = hermitian_defect(m)
+    mh = m.conj().T
+    defect = float(np.max(np.abs(m - mh)))
     entry_scale = max(1.0, float(np.max(np.abs(m))))
     hermitian = defect <= tol * entry_scale
-    eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    eigs = np.linalg.eigvalsh(0.5 * (m + mh))
     min_eig = float(eigs[0])
     max_abs = float(np.max(np.abs(eigs)))
     positive = min_eig >= -tol * max(1.0, max_abs)

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .kernel import FiberFamily, OnesTail, kernel_matrix
+from .kernel import FiberFamily, OnesTail, product_kernel_matrix
 from .limit import Exhaustion, boundary_matrix, limit_state_eval
 from .state import LocalObservable
 
@@ -137,10 +137,7 @@ class AlphaLimitReport:
 def _transported_products(family: FiberFamily, obs: LocalObservable, t: int) -> np.ndarray:
     emb = embed(obs.region, t, strategy="translate", nu=family.lattice_dim)
     far = emb.transport(obs)
-    out = np.ones((family.d_I, family.d_I), dtype=np.complex128)
-    for z, f in zip(far.region, far.factors):
-        out = out * kernel_matrix(family, z, f)
-    return out
+    return product_kernel_matrix(family, far.region, far.factors)
 
 
 def alpha_limit(

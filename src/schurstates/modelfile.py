@@ -75,10 +75,6 @@ def decode_matrix(rows, where: str, errors: list) -> np.ndarray:
     return out
 
 
-def encode_vector(v) -> list:
-    return [encode_complex(z) for z in np.asarray(v, dtype=np.complex128)]
-
-
 def decode_vector(entries, where: str, errors: list) -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         errors.append(f"{where}: expected a non-empty array")
@@ -123,9 +119,20 @@ class ModelSpec:
     payload: dict = field(default_factory=dict)
     normalized: bool = False
     path: str = ""
+    _family: FiberFamily | None = field(default=None, init=False, repr=False, compare=False)
 
     def family(self) -> FiberFamily:
-        """Instantiate the fiber family this specification describes."""
+        """The fiber family this specification describes.
+
+        Built on the first call; later calls return the same object, so
+        the load-time normalization check and the command share its
+        vector, Gram and boundary caches.
+        """
+        if self._family is None:
+            self._family = self._build_family()
+        return self._family
+
+    def _build_family(self) -> FiberFamily:
         if self.mode == "explicit":
             return FiberFamily.explicit(self.payload["vectors_by_site"])
         if self.mode == "homogeneous":
@@ -417,16 +424,6 @@ def load_observable(path, nu: int | None) -> LocalObservable:
             f"column {exc.colno}: {exc.msg}"
         ) from exc
     return parse_observable(data, nu)
-
-
-def save_observable(path, obs: LocalObservable, nu: int | None):
-    data = {
-        "region": [list(s) if nu is not None else s for s in obs.region],
-        "factors": [encode_matrix(f) for f in obs.factors],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
 
 
 def parse_region(text: str, nu: int | None) -> tuple:

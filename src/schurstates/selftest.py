@@ -23,13 +23,13 @@ from .kernel import (
     certify_cp,
     kernel_gram_matrix,
     kernel_matrix,
+    transfer_matrix,
 )
 from .limit import (
     boundary_matrix,
     build_from_generators,
     check_projectivity,
     right_square_root,
-    transfer_matrix,
 )
 from .linalg import hadamard, matrix_exp, matrix_log, psd_report
 from .sampling import (
@@ -87,9 +87,8 @@ def _kernel_section(seed: int) -> dict:
         rep = certify_cp(fam, "a")
         worst = max(worst, -rep.min_eigenvalue / max(1.0, rep.max_abs_eigenvalue))
         bs = [random_observable(rng, d) for _ in range(3)]
-        k = kernel_gram_matrix(fam, "a", bs)
-        eigs = np.linalg.eigvalsh(0.5 * (k + k.conj().T))
-        worst = max(worst, -float(eigs[0]) / max(1.0, float(np.max(np.abs(eigs)))))
+        rep = psd_report(kernel_gram_matrix(fam, "a", bs))
+        worst = max(worst, -rep.min_eigenvalue / max(1.0, rep.max_abs_eigenvalue))
         slow = SchurKernelMap.from_family(fam, "b").apply(bs[0])
         fast = kernel_matrix(fam, "b", bs[0])
         worst = max(worst, float(np.max(np.abs(slow - fast))))

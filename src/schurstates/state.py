@@ -27,7 +27,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .kernel import FiberFamily, product_kernel_matrix
+from .kernel import FiberFamily, product_kernel_matrix, transfer_matrix
 
 #: Regions larger than this are refused by the dense path.
 DEFAULT_DENSE_CAP = 8
@@ -171,14 +171,8 @@ def expectation_extended(
         raise GeometryError(
             f"observable sites {missing!r} are outside the evaluation region"
         )
-    m = product_kernel_matrix(family, obs.region, obs.factors) if obs.region else None
-    if m is None:
-        m = np.ones((family.d_I, family.d_I), dtype=np.complex128)
-    obs_sites = set(obs.region)
-    for y in full_region:
-        if y not in obs_sites:
-            m = m * family.gram(y)
-    return complex(m.sum())
+    outside = transfer_matrix(family, full_region, obs.region)
+    return complex((product_kernel_matrix(family, obs.region, obs.factors) * outside).sum())
 
 
 def expectation_normalized(family: FiberFamily, obs: LocalObservable) -> complex:

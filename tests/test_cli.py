@@ -147,6 +147,20 @@ class TestLimit:
         assert res["projectivity"]["gap"] <= 1e-9
         assert res["summability_certificate"] > 0
 
+    def test_empty_region_value_is_boundary_sum(self, tmp_path, capsys):
+        obs = write_json(tmp_path, "empty.json", {"region": [], "factors": []})
+        code, out, _ = run_cli(
+            ["limit", "--model", str(MODELS / "generator_decay.json"), "--observable", obs],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        validate_against(payload, "report.limit.schema.json")
+        res = payload["results"]
+        assert res["observable_region"] == []
+        boundary = np.array([[complex(*z) for z in row] for row in res["boundary"]])
+        assert complex(*res["value"]) == pytest.approx(boundary.sum(), rel=1e-15, abs=1e-300)
+
     def test_divergent_model_exits_2(self, tmp_path, capsys):
         model = write_json(
             tmp_path,

@@ -258,6 +258,10 @@ class TestProductKernel:
         with pytest.raises(DimensionError):
             product_kernel_matrix(fam, ["a", "b"], [np.eye(2)])
 
+    def test_empty_site_list_is_all_ones(self):
+        fam = make_family(59, ["a", "b"], 2, 3)
+        np.testing.assert_array_equal(product_kernel_matrix(fam, [], []), np.ones((3, 3)))
+
     def test_multi_site_gram_psd(self):
         rng = rng_from_seed(61)
         for count in (2, 3):

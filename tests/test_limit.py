@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,23 @@ class TestGeneratorBuild:
         # one site at the origin plus two per shell, each with mass 2^-r
         expected = 1.0 + 2.0 * sum(2.0 ** (-r) for r in range(1, 5))
         assert fam.summability == pytest.approx(expected)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_tail_remaining_matches_brute_force(self, reverse):
+        from schurstates import lattice
+        from schurstates.limit import GeneratorSpec
+
+        spec = decaying_generator_spec(seed=11, radius=4, d=2, nu=2)
+        # declaration order must not matter, so also try outermost first
+        records = spec.records[::-1] if reverse else spec.records
+        spec = GeneratorSpec(records=records, tail_radius=spec.tail_radius, nu=spec.nu)
+        remaining = build_from_generators(spec).tail.remaining
+        deviation = {rec.site: math.expm1(rec.trace_abs()) for rec in records}
+        total = sum(deviation.values())
+        for r in range(-1, spec.tail_radius + 2):
+            # definition: deviation mass of declared sites with 1-norm > r
+            oracle = sum(v for s, v in deviation.items() if lattice.norm1(s) > r)
+            assert remaining(r) == pytest.approx(oracle, rel=1e-12, abs=1e-14 * total)
 
     def test_rejects_non_unitary(self):
         from schurstates.limit import GeneratorSite, GeneratorSpec

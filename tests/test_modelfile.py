@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from schurstates import modelfile
 from schurstates.errors import ValidationError
 from schurstates.modelfile import (
     encode_matrix,
@@ -151,6 +152,35 @@ class TestLoadModel:
         }
         spec = load_model(write(tmp_path, "p.json", data))
         assert spec.lattice_dim == 1
+
+    def test_family_built_once_per_load(self, tmp_path, monkeypatch):
+        walked = []
+        walk = modelfile.boundary_matrix
+
+        def recording(family, *args, **kwargs):
+            walked.append(family)
+            return walk(family, *args, **kwargs)
+
+        monkeypatch.setattr(modelfile, "boundary_matrix", recording)
+        # d_I = 1 with unit vectors: the total boundary weight is 1
+        s = 1.0 / np.sqrt(2.0)
+        data = {
+            "lattice": {"kind": "sites", "sites": ["a", "b"]},
+            "fiber_dim": 2,
+            "index_size": 1,
+            "vectors": {
+                "mode": "explicit",
+                "by_site": [
+                    {"site": "a", "vectors": encode_matrix([[1.0, 0.0]])},
+                    {"site": "b", "vectors": encode_matrix([[s, 1j * s]])},
+                ],
+            },
+            "normalized": True,
+        }
+        spec = load_model(write(tmp_path, "n.json", data))
+        assert spec.family() is spec.family()
+        assert len(walked) == 1
+        assert walked[0] is spec.family()
 
 
 class TestObservable:

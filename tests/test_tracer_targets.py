@@ -1,0 +1,48 @@
+"""The benchmark tracer (``perfbench/tracer.py``) wraps package functions
+by module and attribute name.  These tests read its ``TARGETS`` table
+without importing or changing it, so a rename inside the package fails
+here instead of only in a traced benchmark run."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+from schurstates.kernel import FiberFamily
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def tracer_targets():
+    tree = ast.parse(TRACER.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"TARGETS not found in {TRACER}")
+
+
+TARGETS = tracer_targets()
+
+
+@pytest.mark.parametrize("module, attr", [(t[0], t[1]) for t in TARGETS])
+def test_target_resolves(module, attr):
+    owner = importlib.import_module(f"schurstates.{module}")
+    for part in attr.split("."):
+        assert hasattr(owner, part), f"schurstates.{module}.{attr} is gone"
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_family_init_takes_provider_and_tail():
+    params = inspect.signature(FiberFamily.__init__).parameters
+    assert "provider" in params
+    assert "tail" in params
+
+
+def test_cli_parser_builder_exists():
+    cli = importlib.import_module("schurstates.cli")
+    assert callable(cli.build_parser)
