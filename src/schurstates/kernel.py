@@ -170,6 +170,23 @@ class FiberFamily:
         self._gcache[site] = g
         return g
 
+    def reuse_site_caches(self, source: "FiberFamily", exclude=()) -> None:
+        """Take over ``source``'s built vectors and Gram matrices.
+
+        For a family whose provider agrees with ``source``'s at every site
+        outside ``exclude``: those sites' validated, read-only arrays are
+        shared instead of being built and checked a second time, and the
+        excluded sites are built from this family's own provider on first
+        use.  The boundary cache is not shared, since a boundary matrix
+        depends on every site's overlaps.
+        """
+        shape = (self.d, self.d_I, self.sites, self.lattice_dim)
+        if (source.d, source.d_I, source.sites, source.lattice_dim) != shape:
+            raise ValidationError("families differ in fiber dimensions or site set")
+        skip = frozenset(exclude)
+        for mine, theirs in ((self._vcache, source._vcache), (self._gcache, source._gcache)):
+            mine.update((s, a) for s, a in theirs.items() if s not in skip)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

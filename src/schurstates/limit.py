@@ -80,7 +80,7 @@ class Exhaustion:
         def gen() -> Iterator[tuple[int, tuple]]:
             r = 0
             while True:
-                yield r, tuple(lattice.shell(nu, r))
+                yield r, lattice.shell_sites(nu, r)
                 r += 1
 
         return cls(gen, finite=False, nu=nu)

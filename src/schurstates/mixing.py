@@ -15,6 +15,7 @@ the excluded ball.  Both guarantee the image clears the ball.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -392,22 +393,28 @@ def decaying_perturbation_family(
             return float(near_amplitude)
         return epsilon0 * decay**r
 
-    def raw_vectors(site):
-        eps = amplitude(lattice.norm1(site))
+    # every per-site quantity depends on the site only through |x|_1, so
+    # vectors, deviations and tail sums are memoised per radius
+    @functools.cache
+    def vectors_at(r: int) -> np.ndarray:
+        eps = amplitude(r)
         vecs = h[None, :] + eps * dirs
         norms = np.linalg.norm(vecs, axis=1)
-        return vecs / norms[:, None]
+        vecs = vecs / norms[:, None]
+        vecs.setflags(write=False)
+        return vecs
 
-    def gram_of(vecs):
-        return vecs @ vecs.conj().T
+    def raw_vectors(site):
+        return vectors_at(lattice.norm1(site))
 
+    @functools.cache
     def site_deviation(r: int) -> float:
-        probe = raw_vectors((r,) + (0,) * (nu - 1))
-        return float(np.max(np.abs(gram_of(probe) - 1.0)))
+        probe = vectors_at(r)
+        return float(np.max(np.abs(probe @ probe.conj().T - 1.0)))
 
+    @functools.cache
     def remaining(r: int) -> float:
-        # sum of per-site deviations over all shells beyond radius r; the
-        # per-site value depends on the site only through its 1-norm
+        # sum of per-site deviations over all shells beyond radius r
         total = 0.0
         rr = r + 1
         while True:
@@ -438,7 +445,7 @@ def decaying_perturbation_family(
         vecs = raw_vectors(site)
         return scale * vecs if site == origin else vecs
 
-    return FiberFamily(
+    family = FiberFamily(
         d,
         d_I,
         provider,
@@ -446,3 +453,8 @@ def decaying_perturbation_family(
         tail=OnesTail(remaining=remaining),
         label="decaying perturbation",
     )
+    if normalize:
+        # only the origin differs from the probe: every other site's
+        # vectors and Gram matrix were built and validated by its walk
+        family.reuse_site_caches(probe, exclude=(origin,))
+    return family

@@ -271,6 +271,25 @@ class TestMixingScanCli:
         validate_against(payload, "report.mixing-scan.schema.json")
         assert payload["results"]["alpha_independent"] is True
 
+    def test_readme_scan_matches_golden_csv(self, tmp_path):
+        # captured from the README command before shells were emitted
+        # directly and the walk's caches were shared; any change in the
+        # order of the floating-point products shows up here
+        out = tmp_path / "scan.csv"
+        code = main(
+            [
+                "mixing-scan",
+                "--model", str(MODELS / "perturbed_z2.json"),
+                "--observable", str(MODELS / "observable_near.json"),
+                "--observable-far", str(MODELS / "observable_far.json"),
+                "--format", "csv", "--tmax", "40", "--tail-tol", "1e-14",
+                "--output", str(out),
+            ]
+        )
+        assert code == 0
+        golden = REPO / "tests" / "data" / "mixing_scan_perturbed_z2.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
 
 class TestDeterminism:
     def test_eval_byte_identical(self, tmp_path, orthonormal_model, identity_obs):

@@ -49,6 +49,27 @@ class TestFiberFamily:
         assert g[0, 1] == pytest.approx(np.vdot(vecs[1], vecs[0]))
         assert g[1, 0] == pytest.approx(np.conj(g[0, 1]))
 
+    def test_reuse_site_caches_skips_excluded_sites(self):
+        source = orthonormal_family(("a", "b"))
+        source.gram("a")
+        source.gram("b")
+        calls = []
+
+        def provider(s):
+            calls.append(s)
+            return 2 * np.eye(2, dtype=complex)
+
+        fam = FiberFamily(2, 2, provider, sites=("a", "b"))
+        fam.reuse_site_caches(source, exclude=("b",))
+        assert fam.gram("a") is source.gram("a")
+        assert np.array_equal(fam.gram("b"), 4 * np.eye(2))
+        assert calls == ["b"]
+
+    def test_reuse_site_caches_rejects_other_site_set(self):
+        fam = orthonormal_family(("a", "b"))
+        with pytest.raises(ValidationError, match="differ"):
+            fam.reuse_site_caches(orthonormal_family(("a", "c")))
+
 
 class TestKernelEntry:
     def test_identity_gives_inner_product(self, rng):

@@ -1,3 +1,6 @@
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -258,3 +261,59 @@ class TestMixingScan:
         # never decays
         assert min(gaps) >= 0.9 * max(gaps)
         assert min(gaps) > 0.1
+
+
+class TestPerturbationFamilyCaches:
+    """The normalized family shares the probe walk's vectors and Gram
+    matrices; a fresh family with empty caches and the same provider is
+    the oracle."""
+
+    REGIONS = ((), ((0, 0),), ((0, 0), (1, 0)))
+
+    def test_shared_caches_match_fresh_family(self):
+        fam = decaying_perturbation_family()
+        fresh = FiberFamily(
+            fam.d, fam.d_I, fam._provider, lattice_dim=fam.lattice_dim, tail=fam.tail
+        )
+        for region in self.REGIONS:
+            got = boundary_matrix(fam, region, tail_tol=1e-14)
+            want = boundary_matrix(fresh, region, tail_tol=1e-14)
+            assert np.array_equal(got.matrix, want.matrix)
+            assert (got.tail_bound, got.sites_consumed, got.rigorous) == (
+                want.tail_bound, want.sites_consumed, want.rigorous,
+            )
+        for site in ((0, 0), (1, 0), (0, -7), (30, 2)):
+            assert np.array_equal(fam.gram(site), fresh.gram(site))
+
+    def test_normalized_family_builds_each_site_once(self, monkeypatch):
+        builds = []  # one Counter per constructed family, in build order
+        init = FiberFamily.__init__
+        signature = inspect.signature(init)
+
+        def counting_init(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            provider = bound.arguments["provider"]
+            counter = Counter()
+            builds.append(counter)
+
+            def build(site):
+                counter[site] += 1
+                return provider(site)
+
+            bound.arguments["provider"] = build
+            init(*bound.args, **bound.kwargs)
+
+        monkeypatch.setattr(FiberFamily, "__init__", counting_init)
+        fam = decaying_perturbation_family()
+        boundary_matrix(fam, ())
+        probe, returned = builds
+        assert max(probe.values()) == 1
+        # only the rescaled origin is built again
+        assert dict(returned) == {(0, 0): 1}
+
+    def test_remaining_does_not_depend_on_call_order(self):
+        fam = decaying_perturbation_family(normalize=False)
+        radii = (60, 0, 30, 60)
+        got = [fam.tail.remaining(r) for r in radii]
+        want = [decaying_perturbation_family(normalize=False).tail.remaining(r) for r in radii]
+        assert got == want
