@@ -42,7 +42,7 @@ from .kernel import certify_cp, kernel_gram_matrix, product_kernel_gram_matrix
 from .limit import boundary_matrix, check_projectivity, default_exhaustion, limit_state_eval
 from .linalg import psd_report
 from .mixing import mixing_scan
-from .modelfile import encode_matrix, load_model, load_observable, parse_region
+from .modelfile import encode_complex, encode_matrix, load_model, load_observable, parse_region
 from .sampling import random_observable, rng_from_seed
 from .selftest import run_selftest
 from .state import (
@@ -59,10 +59,6 @@ SCAN_T_LIST = (5, 10, 20, 40)
 def fmt(x: float) -> str:
     """17-significant-digit rendering used in every CSV cell."""
     return format(float(x), ".17g")
-
-
-def cpair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 def emit_json(payload: dict, stream) -> None:
@@ -187,13 +183,13 @@ def cmd_eval(args, out) -> int:
     results = {
         "observable_region": [str(s) for s in obs.region],
         "region": [str(s) for s in region],
-        "schur": cpair(fast),
-        "extended": cpair(extended),
+        "schur": encode_complex(fast),
+        "extended": encode_complex(extended),
     }
     if len(region) <= DEFAULT_DENSE_CAP:
         dense = expectation_dense(family, region, obs)
         dense_small = expectation_dense(family, obs.region, obs)
-        results["dense"] = cpair(dense)
+        results["dense"] = encode_complex(dense)
         results["schur_vs_dense"] = abs(fast - dense_small)
         results["extended_vs_dense"] = abs(extended - dense)
     emit(_envelope(args, "eval", results), args.format, out)
@@ -212,7 +208,7 @@ def cmd_limit(args, out) -> int:
         "tail_bound": beta.tail_bound,
         "sites_consumed": beta.sites_consumed,
         "rigorous": beta.rigorous,
-        "value": cpair(value),
+        "value": encode_complex(value),
     }
     if spec.summability_certificate() is not None:
         results["summability_certificate"] = spec.summability_certificate()
@@ -257,13 +253,13 @@ def cmd_homog(args, out) -> int:
     if args.observable:
         obs = load_observable(args.observable, spec.lattice_dim)
         if args.total_sites:
-            results["finite_normalized"] = cpair(
+            results["finite_normalized"] = encode_complex(
                 finite_volume_normalized(model, args.total_sites, obs)
             )
         if generic:
-            results["generic_limit"] = cpair(generic_limit(model, obs))
+            results["generic_limit"] = encode_complex(generic_limit(model, obs))
         elif float(np.max(np.abs(np.imag(ov.matrix)))) <= 1e-12 * max(1.0, ov.beta_max):
-            results["real_overlap_limit"] = cpair(real_overlap_limit(model, obs))
+            results["real_overlap_limit"] = encode_complex(real_overlap_limit(model, obs))
     emit(_envelope(args, "homog", results), args.format, out)
     return 0
 

@@ -26,12 +26,13 @@ Index layout, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, GeometryError, ValidationError
+from .errors import ConvergenceError, DimensionError, GeometryError, ValidationError
 from .linalg import as_cmatrix, psd_report
 
 #: Vectors with norm at or below this are rejected as zero.
@@ -41,10 +42,16 @@ ZERO_VECTOR_TOL = 1e-14
 # ---------------------------------------------------------------------------
 # Tail certificates
 #
-# Families defined on an infinite lattice may declare how their per-site
-# Gram matrices behave far from the origin.  The limit machinery uses
-# these declarations to stop tail products with a rigorous bound.
+# Families defined on an infinite lattice declare how their per-site
+# Gram matrices behave far from the origin.  Each certificate owns its
+# stopping rule: ``settle(p, r)`` takes the entrywise product ``p`` of
+# every site within 1-norm ``r`` and returns the limit estimate with a
+# rigorous bound on each entry's remaining change.  The boundary walk
+# stops at the first radius whose bound meets its tolerance.
 # ---------------------------------------------------------------------------
+
+#: Treat a constant tail factor as exactly 1 when within this of 1.
+CONSTANT_ONE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,10 +59,15 @@ class OnesTail:
     """Far Gram matrices approach the all-ones pattern.
 
     ``remaining(r)`` bounds the sum over all sites with 1-norm > r of
-    ``max_ij |G_x[i,j] - 1|``.
+    ``max_ij |G_x[i,j] - 1|``, for every ``r >= -1``: the walk asks for
+    ``remaining(-1)``, the mass of every site, origin included.
     """
 
     remaining: Callable[[int], float]
+
+    def settle(self, p: np.ndarray, r: int) -> tuple[np.ndarray, float]:
+        growth = math.expm1(min(self.remaining(r), 700.0))
+        return p, float(np.max(np.abs(p)) * growth)
 
 
 @dataclass(frozen=True)
@@ -63,12 +75,30 @@ class IdentityTail:
     """Far Gram matrices approach the identity pattern.
 
     ``remaining(r)`` bounds the sum over sites with 1-norm > r of
-    ``max_ij |G_x[i,j] - delta_ij|``; ``exact_beyond`` marks a radius past
-    which every Gram matrix is exactly the identity.
+    ``max_ij |G_x[i,j] - delta_ij|`` for every ``r >= -1`` (origin
+    included at ``r = -1``); ``exact_beyond`` marks a radius past which
+    every Gram matrix is exactly the identity.
     """
 
     remaining: Callable[[int], float]
     exact_beyond: int | None = None
+
+    def settle(self, p: np.ndarray, r: int) -> tuple[np.ndarray, float]:
+        if self.exact_beyond is not None and r >= self.exact_beyond:
+            # every remaining factor is exactly the identity pattern:
+            # diagonals freeze, off-diagonals are annihilated
+            return np.diag(np.diag(p)), 0.0
+        remaining = self.remaining(r)
+        growth = math.expm1(min(remaining, 700.0))
+        diag = float(np.max(np.abs(np.diag(p)))) * growth
+        off = p - np.diag(np.diag(p))
+        if off.size and np.any(np.abs(off) > 0):
+            # off-diagonal factors collapse toward 0; the entry itself must
+            # shrink below tolerance before the product can be frozen
+            off_bound = float(np.max(np.abs(off))) * (1.0 + min(remaining, 1.0) + growth)
+        else:
+            off_bound = 0.0
+        return p, max(diag, off_bound)
 
 
 @dataclass(frozen=True)
@@ -76,6 +106,23 @@ class ConstantTail:
     """Every site shares one Gram matrix (homogeneous families)."""
 
     gram: np.ndarray
+
+    def settle(self, p: np.ndarray, r: int) -> tuple[np.ndarray, float]:
+        """The closed form, whatever has been walked: each entry's infinite
+        product of one factor ends at 1 (factor 1), 0 (modulus below 1) or
+        does not converge."""
+        g = as_cmatrix(self.gram)
+        one = np.abs(g - 1.0) <= CONSTANT_ONE_TOL
+        bad = np.argwhere(~one & ~(np.abs(g) < 1.0 - CONSTANT_ONE_TOL))
+        if bad.size:
+            i, j = (int(k) for k in bad[0])
+            raise ConvergenceError(
+                f"constant tail factor {g[i, j]} at entry ({i}, {j}) has "
+                "modulus >= 1 and is not 1: the tail product does not converge",
+                last_partial=g.copy(),
+                tail_estimate=float(abs(abs(g[i, j]) - 1.0)),
+            )
+        return one.astype(np.complex128), 0.0
 
 
 # ---------------------------------------------------------------------------

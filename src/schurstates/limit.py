@@ -9,6 +9,12 @@ site in exhaustion order; entrywise logarithms exist only as a
 diagnostic (overlaps may be zero or have argument near +-pi, where a
 principal-branch log sum misrepresents the product).  A product whose
 limit is zero is a converged result, not a failure.
+
+On an infinite lattice the walk stops only on the family's tail
+certificate (``kernel.OnesTail``, ``IdentityTail`` or ``ConstantTail``),
+so every such result is rigorous; an infinite family without one is
+refused.  A finite exhaustion that leaves sites outside the region
+unwalked gives a truncated, non-rigorous product.
 """
 
 from __future__ import annotations
@@ -30,10 +36,8 @@ from .errors import (
     ValidationError,
 )
 from .kernel import (
-    ConstantTail,
     FiberFamily,
     IdentityTail,
-    OnesTail,
     product_kernel_matrix,
     transfer_matrix,  # re-exported as schurstates.limit.transfer_matrix
 )
@@ -45,9 +49,6 @@ from .linalg import (
     require_hermitian,
 )
 from .state import LocalObservable
-
-#: Treat a constant tail factor as exactly 1 when within this of 1.
-CONSTANT_ONE_TOL = 1e-12
 
 #: Hard cap on the number of sites a tail product may consume.
 SITE_CAP = 10**6
@@ -78,7 +79,7 @@ class Exhaustion:
             raise ValidationError(f"lattice dimension must be >= 1, got {nu}")
 
         def gen() -> Iterator[tuple[int, tuple]]:
-            r = 0
+            r = -1  # the empty shell: a closed-form tail settles before any site
             while True:
                 yield r, lattice.shell_sites(nu, r)
                 r += 1
@@ -152,31 +153,17 @@ def interaction_matrix(family: FiberFamily, site) -> InteractionMatrix:
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Converged tail products over the complement of a region."""
+    """Converged tail products over the complement of a region.
+
+    ``tail_bound`` bounds every entry's distance from the limit; it is
+    ``inf``, and ``rigorous`` false, only for a truncated finite walk.
+    """
 
     region: tuple
     matrix: np.ndarray
     tail_bound: float
     sites_consumed: int
     rigorous: bool
-
-
-def _ones_tail_bound(p: np.ndarray, remaining: float) -> float:
-    growth = math.expm1(min(remaining, 700.0))
-    return float(np.max(np.abs(p)) * growth)
-
-
-def _identity_tail_bound(p: np.ndarray, remaining: float) -> float:
-    growth = math.expm1(min(remaining, 700.0))
-    diag = float(np.max(np.abs(np.diag(p)))) * growth
-    off = p - np.diag(np.diag(p))
-    if off.size and np.any(np.abs(off) > 0):
-        # off-diagonal factors collapse toward 0; the entry itself must
-        # shrink below tolerance before the product can be frozen
-        off_bound = float(np.max(np.abs(off))) * (1.0 + min(remaining, 1.0) + growth)
-    else:
-        off_bound = 0.0
-    return max(diag, off_bound)
 
 
 def boundary_matrix(
@@ -189,11 +176,13 @@ def boundary_matrix(
     """Tail products of overlaps over all sites outside ``region``.
 
     Walks the exhaustion, multiplying per-entry partial products in
-    order, and stops once the family's tail certificate bounds every
-    entry's remaining change below ``tail_tol``.  Families without a
-    certificate fall back to an empirical stopping rule (three
-    consecutive shells moving every entry by less than ``tail_tol``),
-    reported as non-rigorous.
+    order.  An infinite exhaustion stops after the first shell at which
+    the family's tail certificate bounds every entry's remaining change
+    by at most ``tail_tol``; an infinite family without a certificate
+    raises ``PreconditionError``.  A finite exhaustion walks all its
+    sites and is exact (bound 0) only if it covered every site outside
+    the region; otherwise the product is truncated, with bound ``inf``
+    and ``rigorous`` false.
     """
     region = tuple(region)
     if exhaustion is not None:
@@ -219,37 +208,17 @@ def _boundary_walk(
     tail_tol: float,
     site_cap: int,
 ) -> BoundaryMatrix:
-    d_I = family.d_I
-    skip = set(region)
-    p = np.ones((d_I, d_I), dtype=np.complex128)
     tail = family.tail
-
-    # Homogeneous infinite tails resolve analytically: every factor is
-    # the same matrix, so each entry ends at 1 (factor 1), 0 (|factor|<1)
-    # or fails to converge.
-    if isinstance(tail, ConstantTail):
-        g = as_cmatrix(tail.gram)
-        out = np.zeros((d_I, d_I), dtype=np.complex128)
-        for i in range(d_I):
-            for j in range(d_I):
-                gij = g[i, j]
-                if abs(gij - 1.0) <= CONSTANT_ONE_TOL:
-                    out[i, j] = 1.0
-                elif abs(gij) < 1.0 - CONSTANT_ONE_TOL:
-                    out[i, j] = 0.0
-                else:
-                    raise ConvergenceError(
-                        f"constant tail factor {gij} at entry ({i}, {j}) has "
-                        "modulus >= 1 and is not 1: the tail product does not converge",
-                        last_partial=g.copy(),
-                        tail_estimate=float(abs(abs(gij) - 1.0)),
-                    )
-        return BoundaryMatrix(region, out, 0.0, 0, True)
-
+    if tail is None and not exhaustion.finite:
+        raise PreconditionError(
+            f"{family.label or 'family'} has infinitely many sites but no tail "
+            "certificate: its boundary products cannot be stopped rigorously"
+        )
+    skip = set(region)
+    p = np.ones((family.d_I, family.d_I), dtype=np.complex128)
     consumed = 0
-    window: list[float] = []
     for label, block in exhaustion.shells():
-        before = p.copy()
+        before = p
         for x in block:
             if x in skip:
                 continue
@@ -261,32 +230,14 @@ def _boundary_walk(
                     last_partial=p,
                     tail_estimate=float(np.max(np.abs(p - before))),
                 )
-
-        if exhaustion.finite:
-            continue
-
-        if isinstance(tail, IdentityTail):
-            if tail.exact_beyond is not None and label >= tail.exact_beyond:
-                # every remaining factor is exactly the identity pattern:
-                # diagonals freeze, off-diagonals are annihilated
-                out = np.zeros_like(p)
-                np.fill_diagonal(out, np.diag(p))
-                return BoundaryMatrix(region, out, 0.0, consumed, True)
-            bound = _identity_tail_bound(p, tail.remaining(label))
+        if not exhaustion.finite:
+            matrix, bound = tail.settle(p, label)
             if bound <= tail_tol:
-                return BoundaryMatrix(region, p.copy(), bound, consumed, True)
-        elif isinstance(tail, OnesTail):
-            bound = _ones_tail_bound(p, tail.remaining(label))
-            if bound <= tail_tol:
-                return BoundaryMatrix(region, p.copy(), bound, consumed, True)
-        else:
-            drift = float(np.max(np.abs(p - before)))
-            window.append(drift)
-            if len(window) >= 3 and max(window[-3:]) <= tail_tol:
-                return BoundaryMatrix(region, p.copy(), max(window[-3:]), consumed, False)
+                return BoundaryMatrix(region, matrix, bound, consumed, True)
 
-    # complement exhausted: the product is complete and exact
-    return BoundaryMatrix(region, p.copy(), 0.0, consumed, True)
+    # a finite walk is exact only if it covered every site outside the region
+    exact = family.sites is not None and consumed == len(family._site_set - skip)
+    return BoundaryMatrix(region, p, 0.0 if exact else math.inf, consumed, exact)
 
 
 def limit_state_eval(

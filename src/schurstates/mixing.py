@@ -60,9 +60,6 @@ class Embedding:
                 f"of radius {self.clearance}"
             )
 
-    def __getitem__(self, site):
-        return self.image[self.source.index(site)]
-
     def transport(self, obs: LocalObservable) -> LocalObservable:
         """The observable carried to the embedded region."""
         if tuple(obs.region) != self.source:
@@ -277,10 +274,6 @@ class ScanResult:
     alpha_independent: bool
     decrease_fraction: dict  # strategy -> fraction of consecutive decreases
 
-    def final_over_first(self, strategy: str) -> float:
-        gaps = [r.mixing_gap for r in self.rows if r.strategy == strategy]
-        return gaps[-1] / gaps[0] if gaps and gaps[0] else float("nan")
-
 
 def mixing_scan(
     family: FiberFamily,
@@ -445,12 +438,23 @@ def decaying_perturbation_family(
         vecs = raw_vectors(site)
         return scale * vecs if site == origin else vecs
 
+    tail = OnesTail(remaining=remaining)
+    if normalize:
+        # remaining(r < 0) counts the origin, whose vectors were rescaled
+        g0 = provider(origin) @ provider(origin).conj().T
+        origin_deviation = float(np.max(np.abs(g0 - 1.0)))
+
+        def normalized_remaining(r: int) -> float:
+            return remaining(r) if r >= 0 else remaining(0) + origin_deviation
+
+        tail = OnesTail(remaining=normalized_remaining)
+
     family = FiberFamily(
         d,
         d_I,
         provider,
         lattice_dim=nu,
-        tail=OnesTail(remaining=remaining),
+        tail=tail,
         label="decaying perturbation",
     )
     if normalize:

@@ -367,19 +367,24 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
     return spec
 
 
-def load_model(path) -> ModelSpec:
-    """Read and validate a model file."""
+def _read_json(path, what: str):
+    """The parsed contents of a JSON file; an unreadable or malformed
+    file is a validation error naming ``what`` the file holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read model file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
-            f"model file {path} is not valid JSON: line {exc.lineno}, "
+            f"{what} file {path} is not valid JSON: line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_model(data, path=str(path))
+
+
+def load_model(path) -> ModelSpec:
+    """Read and validate a model file."""
+    return parse_model(_read_json(path, "model"), path=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +418,7 @@ def parse_observable(data: dict, nu: int | None) -> LocalObservable:
 
 
 def load_observable(path, nu: int | None) -> LocalObservable:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read observable file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"observable file {path} is not valid JSON: line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}"
-        ) from exc
-    return parse_observable(data, nu)
+    return parse_observable(_read_json(path, "observable"), nu)
 
 
 def parse_region(text: str, nu: int | None) -> tuple:

@@ -69,9 +69,6 @@ class LocalObservable:
     def factor_at(self, site) -> np.ndarray:
         return self.factors[self.region.index(site)]
 
-    def restricted(self, region) -> "LocalObservable":
-        return LocalObservable(tuple(region), tuple(self.factor_at(s) for s in region))
-
 
 @dataclass(frozen=True)
 class DenseState:

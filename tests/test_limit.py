@@ -10,7 +10,8 @@ from schurstates.errors import (
     PreconditionError,
     ValidationError,
 )
-from schurstates.kernel import FiberFamily
+from schurstates import lattice
+from schurstates.kernel import FiberFamily, OnesTail
 from schurstates.limit import (
     Exhaustion,
     boundary_matrix,
@@ -22,6 +23,7 @@ from schurstates.limit import (
     transfer_matrix,
 )
 from schurstates.linalg import matrix_exp
+from schurstates.mixing import decaying_perturbation_family
 from schurstates.sampling import (
     complex_gaussian,
     decaying_generator_spec,
@@ -117,6 +119,8 @@ class TestBoundaryMatrix:
         np.testing.assert_allclose(bm.matrix, np.eye(2))
         assert bm.tail_bound == 0.0
         assert bm.rigorous
+        # the closed form settles on the empty shell, before any site
+        assert bm.sites_consumed == 0
 
     def test_single_perturbed_site(self, rng):
         # complement consists of exactly one non-orthonormal site: the
@@ -199,28 +203,88 @@ class TestBoundaryMatrix:
         b = boundary_matrix(generator_family, ((0,),), exhaustion=shuffled)
         assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-10
 
-    def test_uncertified_family_stops_empirically(self):
-        # no tail certificate: the empirical window rule stops once three
-        # consecutive shells stand still, and flags the result
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_ones_tail_validated_by_longer_run(self, nu, normalize):
+        # walking ten more shells than the certificate needed may not move
+        # any entry by more than the reported tail bound (+ roundoff); the
+        # empty region puts the (rescaled, if normalized) origin in the walk
+        fam = decaying_perturbation_family(nu=nu, normalize=normalize)
+        region = ()
+        bm = boundary_matrix(fam, region, tail_tol=1e-12)
+        assert bm.rigorous and bm.tail_bound <= 1e-12
+        walked = Exhaustion.lattice(nu).prefix(bm.sites_consumed + 1)
+        radius = max(lattice.norm1(s) for s in walked)
+        longer = Exhaustion.from_sites(
+            Exhaustion.lattice(nu).prefix(len(lattice.ball(nu, radius + 10)))
+        )
+        ref = boundary_matrix(fam, region, exhaustion=longer)
+        assert ref.sites_consumed > bm.sites_consumed
+        assert np.max(np.abs(ref.matrix - bm.matrix)) <= bm.tail_bound + 1e-13
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_normalized_tiny_perturbation_walks_origin(self, nu):
+        # the certificate at radius -1 must count the rescaled origin: with
+        # a negligible perturbation every other site is nearly all-ones,
+        # but the origin carries the whole normalization
+        fam = decaying_perturbation_family(nu=nu, epsilon0=1e-20, near_amplitude=None)
+        bm = boundary_matrix(fam, ())
+        assert bm.rigorous and bm.sites_consumed >= 1
+        assert abs(complex(bm.matrix.sum()) - 1.0) <= 1e-12
+        np.testing.assert_allclose(bm.matrix, np.full((2, 2), 0.25), atol=1e-12)
+
+    def test_truncated_walk_not_rigorous(self, generator_family):
+        # three sites of an infinite lattice leave the product unfinished
+        prefix = Exhaustion.from_sites(Exhaustion.lattice(1).prefix(3))
+        bm = boundary_matrix(generator_family, (), exhaustion=prefix)
+        assert not bm.rigorous
+        assert bm.tail_bound == math.inf
+        assert bm.sites_consumed == 3
+        certified = boundary_matrix(generator_family, ())
+        assert np.max(np.abs(bm.matrix - certified.matrix)) > 0.1
+
+    def test_finite_walk_rigorous_only_when_complete(self, rng):
+        fam = FiberFamily.explicit({k: complex_gaussian(rng, (2, 2)) for k in range(3)})
+        full = boundary_matrix(fam, (0,), exhaustion=Exhaustion.from_sites((2, 0, 1)))
+        assert full.rigorous and full.tail_bound == 0.0
+        np.testing.assert_allclose(full.matrix, fam.gram(1) * fam.gram(2))
+        part = boundary_matrix(fam, (0,), exhaustion=Exhaustion.from_sites((0, 1)))
+        assert not part.rigorous and part.tail_bound == math.inf
+
+    def test_uncertified_infinite_family_rejected(self):
+        # no tail certificate: nothing can stop the walk rigorously
         def provider(site):
             eps = 0.25 ** (abs(site[0]) + 1)
             return np.array([[1.0, 0.0], [eps, np.sqrt(1 - eps**2)]])
 
         fam = FiberFamily(2, 2, provider, lattice_dim=1, tail=None)
-        bm = boundary_matrix(fam, ((0,),), tail_tol=1e-13)
-        assert not bm.rigorous
-        assert bm.tail_bound <= 1e-13
+        with pytest.raises(PreconditionError, match="no tail certificate"):
+            boundary_matrix(fam, ((0,),), tail_tol=1e-13)
 
     def test_site_cap_raises(self):
-        # proportional unit vectors with a fixed relative phase: the
-        # off-diagonal partial products rotate forever without settling
-        phase = np.exp(2.4j)
-        vecs = np.array([[1.0, 0.0], [phase, 0.0]], dtype=complex)
+        # a certified family whose bound falls too slowly: unit vectors at
+        # angle theta_r with 1 - cos(theta_r) = c / (r + 1)^2, so the mass
+        # beyond radius r is 2 c sum_{k > r + 1} 1/k^2 <= 2 c / (r + 1)
+        c = 0.1
 
         def provider(site):
-            return vecs
+            cos = 1.0 - c / (abs(site[0]) + 1) ** 2
+            return np.array([[1.0, 0.0], [cos, math.sqrt(1.0 - cos**2)]])
 
-        fam = FiberFamily(2, 2, provider, lattice_dim=1, tail=None)
+        def remaining(r):
+            # all sites: c at the origin plus 2 c sum_{k >= 2} 1/k^2 <= 2 c
+            return 3.0 * c if r < 0 else 2.0 * c / (r + 1)
+
+        fam = FiberFamily(2, 2, provider, lattice_dim=1, tail=OnesTail(remaining))
+        # the certificate is no lie: it bounds the deviation mass out to a
+        # far radius for every r in a window
+        far = 5000
+        mass = {
+            k: float(np.max(np.abs(fam.gram((k,)) - 1.0)))
+            for k in range(-far, far + 1)
+        }
+        for r in range(-1, 40):
+            assert sum(v for k, v in mass.items() if abs(k) > r) <= remaining(r)
         with pytest.raises(ConvergenceError, match="did not settle"):
             boundary_matrix(fam, (), site_cap=60)
 

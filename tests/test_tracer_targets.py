@@ -4,13 +4,14 @@ without importing or changing it, so a rename inside the package fails
 here instead of only in a traced benchmark run."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
 import pytest
 
-from schurstates.kernel import FiberFamily
+from schurstates.kernel import FiberFamily, IdentityTail, OnesTail
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -46,3 +47,10 @@ def test_family_init_takes_provider_and_tail():
 def test_cli_parser_builder_exists():
     cli = importlib.import_module("schurstates.cli")
     assert callable(cli.build_parser)
+
+
+@pytest.mark.parametrize("tail", [OnesTail, IdentityTail])
+def test_tail_certificates_keep_remaining_field(tail):
+    # the tracer times certificates through dataclasses.replace(tail, remaining=...)
+    assert dataclasses.is_dataclass(tail)
+    assert "remaining" in {f.name for f in dataclasses.fields(tail)}
