@@ -64,7 +64,6 @@ from .linalg import (
     is_psd,
     matrix_exp,
     matrix_log,
-    matrix_sqrt,
     psd_report,
 )
 from .mixing import (

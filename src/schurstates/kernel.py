@@ -14,6 +14,11 @@ with one observable factor per site, and ``transfer_matrix``, the
 product of plain overlaps (kernels at the identity) over a region minus
 a subregion.  Every other module builds its site products from these two.
 
+A family validates each distinct array its provider hands out once and
+keeps it read-only beside its Gram matrix, so a provider that returns one
+shared array for a whole radius (or the whole lattice) pays for one
+check, not one per site.
+
 Index layout, fixed once for the whole package:
 
 * ``family.vectors(x)`` has shape (d_I, d); row i is h(x, i).
@@ -133,9 +138,14 @@ class ConstantTail:
 class FiberFamily:
     """Sites with per-site fiber vector tuples.
 
-    Vectors are produced lazily by ``provider(site)`` and cached, so the
-    same object serves finite enumerated models and infinite lattice
-    models.  All vectors must be non-zero and share one (d, d_I).
+    Vectors are produced lazily by ``provider(site)``, so the same object
+    serves finite enumerated models and infinite lattice models.  All
+    vectors must be non-zero and share one (d, d_I).
+
+    Provider contract: returning the same object for several sites means
+    the same vectors at each of them.  Each distinct object is validated
+    and squared into its Gram matrix once; a per-site index in front of
+    that cache makes every later ``vectors``/``gram`` call one lookup.
     """
 
     def __init__(
@@ -164,8 +174,10 @@ class FiberFamily:
         self.lattice_dim = lattice_dim
         self.tail = tail
         self.label = label
-        self._vcache: dict = {}
-        self._gcache: dict = {}
+        # id(provider result) -> (vectors, Gram, provider result); holding the
+        # result keeps its id from being reused while the entry is cached
+        self._arrays: dict = {}
+        self._by_site: dict = {}  # site -> its entry in ``_arrays``
         # owned here, filled by ``limit.boundary_matrix``
         self._boundary_cache: dict = {}
 
@@ -182,57 +194,39 @@ class FiberFamily:
                     f"site {site!r} is not a {self.lattice_dim}-tuple of ints"
                 )
 
+    def _entry(self, site) -> tuple:
+        self._check_site(site)
+        raw = self._provider(site)
+        entry = self._arrays.get(id(raw))
+        if entry is None:
+            v = np.asarray(raw, dtype=np.complex128)
+            if v.shape != (self.d_I, self.d):
+                raise DimensionError(
+                    f"site {site!r}: vectors have shape {v.shape}, "
+                    f"expected {(self.d_I, self.d)}"
+                )
+            if not np.all(np.isfinite(v)):
+                raise ValidationError(f"site {site!r}: non-finite vector entries")
+            norms = np.linalg.norm(v, axis=1)
+            small = np.nonzero(norms <= ZERO_VECTOR_TOL)[0]
+            if small.size:
+                raise ValidationError(
+                    f"site {site!r}: zero fiber vector at index {int(small[0])}"
+                )
+            v.setflags(write=False)
+            g = v @ v.conj().T
+            g.setflags(write=False)
+            entry = self._arrays[id(raw)] = (v, g, raw)
+        self._by_site[site] = entry
+        return entry
+
     def vectors(self, site) -> np.ndarray:
         """The (d_I, d) array whose row i is h(site, i)."""
-        cached = self._vcache.get(site)
-        if cached is not None:
-            return cached
-        self._check_site(site)
-        v = np.asarray(self._provider(site), dtype=np.complex128)
-        if v.shape != (self.d_I, self.d):
-            raise DimensionError(
-                f"site {site!r}: vectors have shape {v.shape}, "
-                f"expected {(self.d_I, self.d)}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError(f"site {site!r}: non-finite vector entries")
-        norms = np.linalg.norm(v, axis=1)
-        small = np.nonzero(norms <= ZERO_VECTOR_TOL)[0]
-        if small.size:
-            raise ValidationError(
-                f"site {site!r}: zero fiber vector at index {int(small[0])}"
-            )
-        v.setflags(write=False)
-        self._vcache[site] = v
-        return v
+        return (self._by_site.get(site) or self._entry(site))[0]
 
     def gram(self, site) -> np.ndarray:
         """Overlap matrix G[i, j] = Tr(h_i h_j*) = <h_j, h_i> at one site."""
-        cached = self._gcache.get(site)
-        if cached is not None:
-            return cached
-        v = self.vectors(site)
-        g = v @ v.conj().T
-        g.setflags(write=False)
-        self._gcache[site] = g
-        return g
-
-    def reuse_site_caches(self, source: "FiberFamily", exclude=()) -> None:
-        """Take over ``source``'s built vectors and Gram matrices.
-
-        For a family whose provider agrees with ``source``'s at every site
-        outside ``exclude``: those sites' validated, read-only arrays are
-        shared instead of being built and checked a second time, and the
-        excluded sites are built from this family's own provider on first
-        use.  The boundary cache is not shared, since a boundary matrix
-        depends on every site's overlaps.
-        """
-        shape = (self.d, self.d_I, self.sites, self.lattice_dim)
-        if (source.d, source.d_I, source.sites, source.lattice_dim) != shape:
-            raise ValidationError("families differ in fiber dimensions or site set")
-        skip = frozenset(exclude)
-        for mine, theirs in ((self._vcache, source._vcache), (self._gcache, source._gcache)):
-            mine.update((s, a) for s, a in theirs.items() if s not in skip)
+        return (self._by_site.get(site) or self._entry(site))[1]
 
     # -- constructors -------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -68,10 +68,9 @@ class Exhaustion:
     site lists are walked in their declared order.
     """
 
-    def __init__(self, shell_factory, finite: bool, nu: int | None = None):
+    def __init__(self, shell_factory, finite: bool):
         self._shell_factory = shell_factory
         self.finite = finite
-        self.nu = nu
 
     @classmethod
     def lattice(cls, nu: int) -> "Exhaustion":
@@ -84,7 +83,7 @@ class Exhaustion:
                 yield r, lattice.shell_sites(nu, r)
                 r += 1
 
-        return cls(gen, finite=False, nu=nu)
+        return cls(gen, finite=False)
 
     @classmethod
     def from_sites(cls, sites) -> "Exhaustion":
@@ -187,18 +186,16 @@ def boundary_matrix(
     region = tuple(region)
     if exhaustion is not None:
         return _boundary_walk(family, region, exhaustion, tail_tol, site_cap)
-    # canonical-exhaustion results are cached on the family; repeated
-    # limit evaluations over the same region dominate scan runtimes
-    cache = family._boundary_cache
+    # canonical-exhaustion results are cached on the family, read-only since
+    # every caller asking for the region shares them; repeated limit
+    # evaluations over the same region dominate scan runtimes
     key = (frozenset(region), tail_tol, site_cap)
-    hit = cache.get(key)
+    hit = family._boundary_cache.get(key)
     if hit is None:
-        result = _boundary_walk(
-            family, region, default_exhaustion(family), tail_tol, site_cap
-        )
-        hit = (result.matrix, result.tail_bound, result.sites_consumed, result.rigorous)
-        cache[key] = hit
-    return BoundaryMatrix(region, *hit)
+        hit = _boundary_walk(family, region, default_exhaustion(family), tail_tol, site_cap)
+        hit.matrix.setflags(write=False)
+        family._boundary_cache[key] = hit
+    return hit if hit.region == region else replace(hit, region=region)
 
 
 def _boundary_walk(
@@ -241,16 +238,13 @@ def _boundary_walk(
 
 
 def limit_state_eval(
-    family: FiberFamily,
-    obs: LocalObservable,
-    exhaustion: Exhaustion | None = None,
-    tail_tol: float = 1e-12,
+    family: FiberFamily, obs: LocalObservable, tail_tol: float = 1e-12
 ) -> complex:
     """Infinite-volume expectation of a tensor-product observable.
 
     sum_{i,j} [prod_{x in region} Tr(h_i h_j* b_x)] * boundary[i, j].
     """
-    beta = boundary_matrix(family, obs.region, exhaustion, tail_tol)
+    beta = boundary_matrix(family, obs.region, tail_tol=tail_tol)
     m = product_kernel_matrix(family, obs.region, obs.factors)
     return complex((m * beta.matrix).sum())
 
@@ -270,7 +264,6 @@ def check_projectivity(
     family: FiberFamily,
     region,
     obs: LocalObservable,
-    exhaustion: Exhaustion | None = None,
     tol: float = 1e-9,
     tail_tol: float = 1e-12,
 ) -> ProjectivityReport:
@@ -291,8 +284,8 @@ def check_projectivity(
     for s in region:
         extended_factors.append(obs_sites.get(s, eye))
     extended = LocalObservable(region, tuple(extended_factors))
-    large = limit_state_eval(family, extended, exhaustion, tail_tol)
-    small = limit_state_eval(family, obs, exhaustion, tail_tol)
+    large = limit_state_eval(family, extended, tail_tol)
+    small = limit_state_eval(family, obs, tail_tol)
     gap = abs(large - small)
     scale = max(1.0, abs(small), abs(large))
     return ProjectivityReport(
@@ -446,7 +439,7 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         k = bisect.bisect_right(radii, r)
         return beyond[k - 1] if k else max(total, 0.0)
 
-    family = FiberFamily(
+    return FiberFamily(
         d,
         d,
         provider,
@@ -454,5 +447,3 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         tail=IdentityTail(remaining=remaining, exact_beyond=spec.tail_radius),
         label="generator model",
     )
-    family.summability = spec.summability_certificate()
-    return family

@@ -37,16 +37,6 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_cvector(a, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D complex128 array."""
-    v = np.asarray(a, dtype=np.complex128)
-    if v.ndim != 1:
-        raise DimensionError(f"{name}: expected a 1-D array, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name}: non-finite entries")
-    return v
-
-
 def hadamard(a, b) -> np.ndarray:
     """Entrywise (Schur) product of two equal-shape matrices.
 
@@ -156,8 +146,3 @@ def matrix_exp(a) -> np.ndarray:
 def matrix_log(a) -> np.ndarray:
     """Principal log of a Hermitian positive-definite matrix."""
     return hermitian_function(a, np.log, eig_floor=LOG_EIG_FLOOR)
-
-
-def matrix_sqrt(a) -> np.ndarray:
-    """Square root of a Hermitian PSD matrix (tiny negatives clipped)."""
-    return hermitian_function(a, lambda w: np.sqrt(np.clip(w, 0.0, None)))

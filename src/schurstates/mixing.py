@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .kernel import FiberFamily, OnesTail, product_kernel_matrix
-from .limit import Exhaustion, boundary_matrix, limit_state_eval
+from .limit import boundary_matrix, limit_state_eval
 from .state import LocalObservable
 
 #: Default clearance sequence for tail-limit detection.
@@ -201,6 +201,16 @@ def _check_near_region(obs_a: LocalObservable, t: int):
         )
 
 
+def _row(family, obs_a, obs_b, t, strategy, seed, tail_tol):
+    """psi(a . transported b), psi(a) and the transported b at clearance t."""
+    _check_near_region(obs_a, t)
+    emb = embed(obs_b.region, t, strategy=strategy, nu=family.lattice_dim, seed=seed)
+    far = emb.transport(obs_b)
+    joint = _joint_observable(obs_a, far)
+    v_joint = limit_state_eval(family, joint, tail_tol)
+    return v_joint, limit_state_eval(family, obs_a, tail_tol), far
+
+
 def mixing_gap(
     family: FiberFamily,
     obs_a: LocalObservable,
@@ -208,7 +218,6 @@ def mixing_gap(
     t: int,
     strategy: str = "translate",
     seed: int = 0,
-    exhaustion: Exhaustion | None = None,
     tail_tol: float = 1e-14,
 ) -> float:
     """|psi(a . transported b) - psi(a) psi(transported b)|.
@@ -220,14 +229,8 @@ def mixing_gap(
     large clearance sit below 1e-12 and must not drown in boundary
     truncation error.
     """
-    _check_near_region(obs_a, t)
-    emb = embed(obs_b.region, t, strategy=strategy, nu=family.lattice_dim, seed=seed)
-    far = emb.transport(obs_b)
-    joint = _joint_observable(obs_a, far)
-    v_joint = limit_state_eval(family, joint, exhaustion, tail_tol)
-    v_a = limit_state_eval(family, obs_a, exhaustion, tail_tol)
-    v_b = limit_state_eval(family, far, exhaustion, tail_tol)
-    return abs(v_joint - v_a * v_b)
+    v_joint, v_a, far = _row(family, obs_a, obs_b, t, strategy, seed, tail_tol)
+    return abs(v_joint - v_a * limit_state_eval(family, far, tail_tol))
 
 
 def alpha_mixing_gap(
@@ -237,7 +240,6 @@ def alpha_mixing_gap(
     t: int,
     strategy: str = "translate",
     seed: int = 0,
-    exhaustion: Exhaustion | None = None,
     tail_tol: float = 1e-14,
     t_sequence=DEFAULT_T_SEQUENCE,
     alpha_tol: float = DEFAULT_ALPHA_TOL,
@@ -251,12 +253,7 @@ def alpha_mixing_gap(
     if alpha_report is None:
         alpha_report = alpha_limit(family, obs_b, t_sequence, alpha_tol)
     alpha_value = alpha_report.require_value()
-    _check_near_region(obs_a, t)
-    emb = embed(obs_b.region, t, strategy=strategy, nu=family.lattice_dim, seed=seed)
-    far = emb.transport(obs_b)
-    joint = _joint_observable(obs_a, far)
-    v_joint = limit_state_eval(family, joint, exhaustion, tail_tol)
-    v_a = limit_state_eval(family, obs_a, exhaustion, tail_tol)
+    v_joint, v_a, _ = _row(family, obs_a, obs_b, t, strategy, seed, tail_tol)
     return abs(v_joint - v_a * alpha_value)
 
 
@@ -299,12 +296,11 @@ def mixing_scan(
     rows = []
     for strategy in strategies:
         for t in ts:
-            gap = mixing_gap(family, obs_a, obs_b, t, strategy, seed, tail_tol=tail_tol)
+            # one evaluation of psi(joint) and psi(a) serves both gaps
+            v_joint, v_a, far = _row(family, obs_a, obs_b, t, strategy, seed, tail_tol)
+            gap = abs(v_joint - v_a * limit_state_eval(family, far, tail_tol))
             if report is not None and report.independent:
-                agap = alpha_mixing_gap(
-                    family, obs_a, obs_b, t, strategy, seed,
-                    tail_tol=tail_tol, alpha_report=report,
-                )
+                agap = abs(v_joint - v_a * report.value)
             else:
                 agap = float("nan")
             rows.append(ScanRow(t=t, strategy=strategy, mixing_gap=gap, alpha_mixing_gap=agap))
@@ -419,46 +415,31 @@ def decaying_perturbation_family(
             if rr > r + 4000:
                 return total + 1e-28
 
-    scale = 1.0
-    if normalize:
-        probe = FiberFamily(
-            d, d_I, raw_vectors, lattice_dim=nu, tail=OnesTail(remaining=remaining)
+    label = "decaying perturbation"
+    family = FiberFamily(
+        d, d_I, raw_vectors, lattice_dim=nu, tail=OnesTail(remaining), label=label
+    )
+    if not normalize:
+        return family
+    total = complex(boundary_matrix(family, (), tail_tol=tail_tol).matrix.sum())
+    if not (total.real > 1e-12 and abs(total.imag) <= 1e-9 * abs(total)):
+        raise ValidationError(
+            f"total boundary weight {total} cannot be normalized away"
         )
-        beta_total = boundary_matrix(probe, (), tail_tol=tail_tol).matrix
-        total = complex(beta_total.sum())
-        if not (total.real > 1e-12 and abs(total.imag) <= 1e-9 * abs(total)):
-            raise ValidationError(
-                f"total boundary weight {total} cannot be normalized away"
-            )
-        scale = 1.0 / np.sqrt(total.real)
-
     origin = (0,) * nu
+    origin_vectors = (1.0 / np.sqrt(total.real)) * vectors_at(0)
+    origin_vectors.setflags(write=False)
 
     def provider(site):
-        vecs = raw_vectors(site)
-        return scale * vecs if site == origin else vecs
+        return origin_vectors if site == origin else raw_vectors(site)
 
-    tail = OnesTail(remaining=remaining)
-    if normalize:
-        # remaining(r < 0) counts the origin, whose vectors were rescaled
-        g0 = provider(origin) @ provider(origin).conj().T
-        origin_deviation = float(np.max(np.abs(g0 - 1.0)))
+    # remaining(r < 0) counts the origin, whose vectors were rescaled
+    g0 = origin_vectors @ origin_vectors.conj().T
+    origin_deviation = float(np.max(np.abs(g0 - 1.0)))
 
-        def normalized_remaining(r: int) -> float:
-            return remaining(r) if r >= 0 else remaining(0) + origin_deviation
+    def normalized_remaining(r: int) -> float:
+        return remaining(r) if r >= 0 else remaining(0) + origin_deviation
 
-        tail = OnesTail(remaining=normalized_remaining)
-
-    family = FiberFamily(
-        d,
-        d_I,
-        provider,
-        lattice_dim=nu,
-        tail=tail,
-        label="decaying perturbation",
+    return FiberFamily(
+        d, d_I, provider, lattice_dim=nu, tail=OnesTail(normalized_remaining), label=label
     )
-    if normalize:
-        # only the origin differs from the probe: every other site's
-        # vectors and Gram matrix were built and validated by its walk
-        family.reuse_site_caches(probe, exclude=(origin,))
-    return family

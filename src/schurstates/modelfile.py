@@ -162,14 +162,22 @@ class ModelSpec:
         return spec.summability_certificate() if spec is not None else None
 
 
+def _is_number(value) -> bool:
+    """A JSON number: Python's bool is an int, but JSON's true is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(data: dict, key: str, types, where: str, errors: list, default=None):
     if key not in data:
         errors.append(f"{where}: missing required field {key!r}")
         return default
-    if types is not None and not isinstance(data[key], types):
+    value = data[key]
+    if types is not None and (
+        not isinstance(value, types) or (types is int and isinstance(value, bool))
+    ):
         errors.append(
             f"{where}.{key}: expected {getattr(types, '__name__', types)}, "
-            f"got {type(data[key]).__name__}"
+            f"got {type(value).__name__}"
         )
         return default
     return data[key]
@@ -267,6 +275,8 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         site_raw = _require(vectors, "sites", list, "model.vectors", errors, [])
         tail = _require(vectors, "tail", dict, "model.vectors", errors, {})
         radius = _require(tail, "beyond_radius", int, "model.vectors.tail", errors, 0)
+        if radius < 0:
+            errors.append(f"model.vectors.tail.beyond_radius: must be >= 0, got {radius}")
         if _require(tail, "D_H", str, "model.vectors.tail", errors, "zero") != "zero":
             errors.append("model.vectors.tail.D_H: only 'zero' tails are supported")
         records = []
@@ -315,19 +325,31 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         decay = vectors.get("decay", 0.78)
         near_amp = vectors.get("near_amplitude")
         near_radius = vectors.get("near_radius", 3)
-        if not isinstance(eps, (int, float)) or eps <= 0:
+        normalize = vectors.get("normalize", True)
+        if not _is_number(eps) or eps <= 0:
             errors.append(f"model.vectors.epsilon0: must be positive, got {eps!r}")
-        if not isinstance(decay, (int, float)) or not 0 < decay < 1:
+        if not _is_number(decay) or not 0 < decay < 1:
             errors.append(f"model.vectors.decay: must lie in (0, 1), got {decay!r}")
-        payload.update(
-            base=base,
-            directions=dirs,
-            epsilon0=float(eps) if isinstance(eps, (int, float)) else 6e-7,
-            decay=float(decay) if isinstance(decay, (int, float)) else 0.78,
-            near_amplitude=near_amp,
-            near_radius=near_radius,
-            normalize=bool(vectors.get("normalize", True)),
-        )
+        if near_amp is not None and not _is_number(near_amp):
+            errors.append(
+                f"model.vectors.near_amplitude: expected a number or null, got {near_amp!r}"
+            )
+        if type(near_radius) is not int or near_radius < 0:
+            errors.append(
+                f"model.vectors.near_radius: expected an integer >= 0, got {near_radius!r}"
+            )
+        if not isinstance(normalize, bool):
+            errors.append(f"model.vectors.normalize: expected a boolean, got {normalize!r}")
+        if not errors:
+            payload.update(
+                base=base,
+                directions=dirs,
+                epsilon0=float(eps),
+                decay=float(decay),
+                near_amplitude=near_amp,
+                near_radius=near_radius,
+                normalize=normalize,
+            )
 
     else:
         errors.append(

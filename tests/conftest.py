@@ -1,4 +1,9 @@
+import json
+from pathlib import Path
+
+import jsonschema
 import pytest
+from referencing import Registry, Resource
 
 from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
 
@@ -16,3 +21,14 @@ def gram_psd_matrix(rng, n):
     """Random Gram matrix (PSD by construction)."""
     m = complex_gaussian(rng, (n, n + 1))
     return m @ m.conj().T
+
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+
+
+def validate_against(payload, schema_name):
+    """Raise ``jsonschema.ValidationError`` unless ``payload`` fits the schema."""
+    schema = json.loads((SCHEMAS / schema_name).read_text())
+    defs = json.loads((SCHEMAS / "defs.schema.json").read_text())
+    registry = Registry().with_resource("defs.schema.json", Resource.from_contents(defs))
+    jsonschema.Draft202012Validator(schema, registry=registry).validate(payload)

@@ -1,15 +1,15 @@
 import json
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
 from schurstates.cli import main
 from schurstates.modelfile import encode_matrix
 
+from conftest import validate_against
+
 REPO = Path(__file__).resolve().parent.parent
-SCHEMAS = REPO / "schemas"
 MODELS = REPO / "models"
 
 
@@ -17,17 +17,6 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def validate_against(payload, schema_name):
-    schema = json.loads((SCHEMAS / schema_name).read_text())
-    defs = json.loads((SCHEMAS / "defs.schema.json").read_text())
-    from referencing import Registry, Resource
-
-    registry = Registry().with_resource(
-        "defs.schema.json", Resource.from_contents(defs)
-    )
-    jsonschema.Draft202012Validator(schema, registry=registry).validate(payload)
 
 
 def write_json(tmp_path, name, data):
@@ -112,6 +101,22 @@ class TestEval:
         )
         assert code == 1
         assert "zero vector at site 'a', index 0" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("near_amplitude", "abc"), ("near_radius", "x"), ("normalize", "no")],
+    )
+    def test_bad_perturbed_field_exits_1(self, tmp_path, field, value, capsys):
+        data = json.loads((MODELS / "perturbed_z2.json").read_text())
+        data["vectors"][field] = value
+        bad = write_json(tmp_path, "bad.json", data)
+        code, out, err = run_cli(
+            ["limit", "--model", bad, "--observable", str(MODELS / "observable_near.json")],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("validation error:")
+        assert f"model.vectors.{field}:" in err
 
 
 class TestCheckKernel:

@@ -49,26 +49,38 @@ class TestFiberFamily:
         assert g[0, 1] == pytest.approx(np.vdot(vecs[1], vecs[0]))
         assert g[1, 0] == pytest.approx(np.conj(g[0, 1]))
 
-    def test_reuse_site_caches_skips_excluded_sites(self):
-        source = orthonormal_family(("a", "b"))
-        source.gram("a")
-        source.gram("b")
+    def test_shared_array_is_built_once(self):
+        shared = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
         calls = []
 
         def provider(s):
             calls.append(s)
-            return 2 * np.eye(2, dtype=complex)
+            return shared
 
-        fam = FiberFamily(2, 2, provider, sites=("a", "b"))
-        fam.reuse_site_caches(source, exclude=("b",))
-        assert fam.gram("a") is source.gram("a")
-        assert np.array_equal(fam.gram("b"), 4 * np.eye(2))
-        assert calls == ["b"]
+        fam = FiberFamily(2, 2, provider, sites=("a", "b", "c"))
+        assert fam.gram("a") is fam.gram("b") is fam.gram("c")
+        assert fam.vectors("a") is fam.vectors("c")
+        # one provider call per site; later calls hit the per-site index
+        assert calls == ["a", "b", "c"]
 
-    def test_reuse_site_caches_rejects_other_site_set(self):
-        fam = orthonormal_family(("a", "b"))
-        with pytest.raises(ValidationError, match="differ"):
-            fam.reuse_site_caches(orthonormal_family(("a", "c")))
+    def test_fresh_objects_keep_their_own_vectors(self):
+        # the provider builds a new list per call: a freed list's id must
+        # never make a later site reuse another site's vectors
+        fam = FiberFamily(1, 1, lambda s: [[float(s)]], sites=(1, 2, 3, 4))
+        assert [fam.gram(s)[0, 0] for s in (1, 2, 3, 4)] == [1, 4, 9, 16]
+
+    def test_cached_arrays_are_read_only(self):
+        fam = orthonormal_family()
+        for arr in (fam.vectors("a"), fam.gram("a")):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 2.0
+
+    def test_validation_names_the_first_site(self):
+        bad = np.array([[1.0, 0.0], [0.0, 0.0]])
+        fam = FiberFamily(2, 2, lambda s: bad, sites=("a", "b"))
+        for site in ("b", "a"):
+            with pytest.raises(ValidationError, match=f"site '{site}': zero fiber vector"):
+                fam.gram(site)
 
 
 class TestKernelEntry:

@@ -24,6 +24,7 @@ from schurstates.limit import (
 )
 from schurstates.linalg import matrix_exp
 from schurstates.mixing import decaying_perturbation_family
+from schurstates.modelfile import ModelSpec
 from schurstates.sampling import (
     complex_gaussian,
     decaying_generator_spec,
@@ -137,6 +138,22 @@ class TestBoundaryMatrix:
         # factors annihilate the off-diagonal entries
         bm2 = boundary_matrix(fam, (0,))
         np.testing.assert_allclose(bm2.matrix, np.diag(np.diag(fam.gram(1))))
+
+    def test_cached_matrix_is_read_only(self):
+        fam = build_from_generators(decaying_generator_spec(seed=3, radius=6, d=2, nu=1))
+        first = boundary_matrix(fam, ())
+        want = first.matrix.copy()
+        with pytest.raises(ValueError):
+            first.matrix[0, 0] = 99
+        again = boundary_matrix(fam, ())
+        assert again is first
+        assert np.array_equal(again.matrix, want)
+
+    def test_cache_keeps_the_callers_region_order(self, generator_family):
+        ab = boundary_matrix(generator_family, ((0,), (1,)))
+        ba = boundary_matrix(generator_family, ((1,), (0,)))
+        assert (ab.region, ba.region) == (((0,), (1,)), ((1,), (0,)))
+        assert ba.matrix is ab.matrix
 
     def test_generator_model_converges(self, generator_family):
         bm = boundary_matrix(generator_family, ((0,),), tail_tol=1e-12)
@@ -445,10 +462,14 @@ class TestGeneratorBuild:
 
     def test_summability_certificate(self):
         spec = decaying_generator_spec(seed=9, radius=4, d=2, nu=1)
-        fam = build_from_generators(spec)
         # one site at the origin plus two per shell, each with mass 2^-r
         expected = 1.0 + 2.0 * sum(2.0 ** (-r) for r in range(1, 5))
-        assert fam.summability == pytest.approx(expected)
+        assert spec.summability_certificate() == pytest.approx(expected)
+        # the CLI reads it through the parsed model
+        model = ModelSpec(
+            d=2, d_I=2, mode="generators", lattice_dim=1, payload={"generator_spec": spec}
+        )
+        assert model.summability_certificate() == spec.summability_certificate()
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_tail_remaining_matches_brute_force(self, reverse):

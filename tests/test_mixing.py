@@ -286,30 +286,39 @@ class TestPerturbationFamilyCaches:
             assert np.array_equal(fam.gram(site), fresh.gram(site))
 
     def test_normalized_family_builds_each_site_once(self, monkeypatch):
-        builds = []  # one Counter per constructed family, in build order
+        builds = []  # per constructed family: provider calls per site, arrays by id
         init = FiberFamily.__init__
         signature = inspect.signature(init)
 
         def counting_init(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             provider = bound.arguments["provider"]
-            counter = Counter()
-            builds.append(counter)
+            calls, handed = Counter(), {}
+            builds.append((calls, handed))
 
             def build(site):
-                counter[site] += 1
-                return provider(site)
+                calls[site] += 1
+                out = provider(site)
+                handed[id(out)] = out  # holding it keeps ids distinct
+                return out
 
             bound.arguments["provider"] = build
             init(*bound.args, **bound.kwargs)
 
         monkeypatch.setattr(FiberFamily, "__init__", counting_init)
-        fam = decaying_perturbation_family()
-        boundary_matrix(fam, ())
-        probe, returned = builds
-        assert max(probe.values()) == 1
-        # only the rescaled origin is built again
-        assert dict(returned) == {(0, 0): 1}
+        fam = decaying_perturbation_family()  # the README model's family
+        walk = boundary_matrix(fam, ())
+        assert len(builds) == 2  # the normalization walk's family, then fam
+        for calls, handed in builds:
+            assert set(calls.values()) == {1}
+            radii = {lattice.norm1(s) for s in calls}
+            assert len(handed) <= len(radii) + 1
+        calls = builds[-1][0]
+        assert len(calls) == walk.sites_consumed
+        grams = {}
+        for site in calls:
+            grams.setdefault(lattice.norm1(site), set()).add(id(fam.gram(site)))
+        assert all(len(ids) == 1 for ids in grams.values())
 
     def test_remaining_does_not_depend_on_call_order(self):
         fam = decaying_perturbation_family(normalize=False)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from schurstates.modelfile import (
     parse_observable,
     parse_region,
 )
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def write(tmp_path, name, data):
@@ -152,6 +155,14 @@ class TestLoadModel:
         }
         spec = load_model(write(tmp_path, "p.json", data))
         assert spec.lattice_dim == 1
+
+    def test_perturbed_field_errors_are_collected(self, tmp_path):
+        data = json.loads((MODELS / "perturbed_z2.json").read_text())
+        data["vectors"].update(near_amplitude="abc", near_radius="x", normalize="no")
+        with pytest.raises(ValidationError) as exc:
+            load_model(write(tmp_path, "p.json", data))
+        for field in ("near_amplitude", "near_radius", "normalize"):
+            assert f"model.vectors.{field}:" in str(exc.value)
 
     def test_family_built_once_per_load(self, tmp_path, monkeypatch):
         walked = []
