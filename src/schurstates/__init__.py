@@ -45,18 +45,17 @@ from .kernel import (
 )
 from .limit import (
     BoundaryMatrix,
-    Exhaustion,
     GeneratorSite,
     GeneratorSpec,
     InteractionMatrix,
     boundary_matrix,
     build_from_generators,
     check_projectivity,
-    default_exhaustion,
     interaction_matrix,
     limit_state_eval,
     right_square_root,
 )
+from .lattice import Sites, Zd
 from .linalg import (
     PsdReport,
     hadamard,

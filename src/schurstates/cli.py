@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from . import lattice
 from .errors import (
     ConvergenceError,
     PreconditionError,
@@ -39,7 +40,7 @@ from .homogeneous import (
     real_overlap_limit,
 )
 from .kernel import certify_cp, kernel_gram_matrix, product_kernel_gram_matrix
-from .limit import boundary_matrix, check_projectivity, default_exhaustion, limit_state_eval
+from .limit import boundary_matrix, check_projectivity, limit_state_eval
 from .linalg import psd_report
 from .mixing import mixing_scan
 from .modelfile import encode_complex, encode_matrix, load_model, load_observable, parse_region
@@ -113,10 +114,7 @@ def _envelope(args, command: str, results: dict) -> dict:
 def cmd_check_kernel(args, out) -> int:
     spec = load_model(args.model)
     family = spec.family()
-    if spec.sites is not None:
-        sites = list(spec.sites)[:4]
-    else:
-        sites = default_exhaustion(family).prefix(4)
+    sites = spec.geometry.first(4)
     rng = rng_from_seed(args.seed, 11)
     tol = args.tol
     site_reports = []
@@ -176,8 +174,8 @@ def cmd_check_kernel(args, out) -> int:
 def cmd_eval(args, out) -> int:
     spec = load_model(args.model)
     family = spec.family()
-    obs = load_observable(args.observable, spec.lattice_dim)
-    region = parse_region(args.region, spec.lattice_dim) if args.region else obs.region
+    obs = load_observable(args.observable, spec.geometry)
+    region = parse_region(args.region, spec.geometry) if args.region else obs.region
     fast = expectation_schur(family, obs)
     extended = expectation_extended(family, region, obs)
     results = {
@@ -199,7 +197,7 @@ def cmd_eval(args, out) -> int:
 def cmd_limit(args, out) -> int:
     spec = load_model(args.model)
     family = spec.family()
-    obs = load_observable(args.observable, spec.lattice_dim)
+    obs = load_observable(args.observable, spec.geometry)
     beta = boundary_matrix(family, obs.region, tail_tol=args.tail_tol)
     value = limit_state_eval(family, obs, tail_tol=args.tail_tol)
     results = {
@@ -218,7 +216,7 @@ def cmd_limit(args, out) -> int:
                 "--check-projectivity needs --region with a superset of the "
                 "observable region"
             )
-        region = parse_region(args.region, spec.lattice_dim)
+        region = parse_region(args.region, spec.geometry)
         rep = check_projectivity(
             family, region, obs, tol=args.tol, tail_tol=args.tail_tol
         )
@@ -251,7 +249,7 @@ def cmd_homog(args, out) -> int:
         "constant_overlap": detect_product(ov, args.tol),
     }
     if args.observable:
-        obs = load_observable(args.observable, spec.lattice_dim)
+        obs = load_observable(args.observable, spec.geometry)
         if args.total_sites:
             results["finite_normalized"] = encode_complex(
                 finite_volume_normalized(model, args.total_sites, obs)
@@ -267,10 +265,10 @@ def cmd_homog(args, out) -> int:
 def cmd_mixing_scan(args, out) -> int:
     spec = load_model(args.model)
     family = spec.family()
-    if spec.lattice_dim is None:
+    if not isinstance(spec.geometry, lattice.Zd):
         raise PreconditionError("mixing scans need a lattice model")
-    obs_a = load_observable(args.observable, spec.lattice_dim)
-    obs_b = load_observable(args.observable_far, spec.lattice_dim)
+    obs_a = load_observable(args.observable, spec.geometry)
+    obs_b = load_observable(args.observable_far, spec.geometry)
     t_list = [t for t in SCAN_T_LIST if t <= args.tmax]
     if not t_list:
         raise ValidationError(f"--tmax {args.tmax} leaves no clearances to scan")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
 from .kernel import FiberFamily, ZERO_VECTOR_TOL, product_kernel_matrix
+from .lattice import Sites
 from .state import LocalObservable
 
 #: Relative tolerance for membership in the maximal-overlap set.
@@ -49,13 +50,9 @@ class HomogeneousModel:
     def d(self) -> int:
         return self.vectors.shape[1]
 
-    def as_family(self, sites=None, lattice_dim=None) -> FiberFamily:
-        """The induced fiber family on an explicit site list or a lattice."""
-        if sites is None and lattice_dim is None:
-            raise ValidationError("provide sites or a lattice dimension")
-        return FiberFamily.homogeneous(
-            self.vectors, sites=sites, lattice_dim=lattice_dim
-        )
+    def as_family(self, geometry) -> FiberFamily:
+        """The induced fiber family on a ``lattice.Zd`` or ``lattice.Sites``."""
+        return FiberFamily.homogeneous(self.vectors, geometry)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def detect_product(ov: OverlapMatrix, tol: float = 1e-10) -> bool:
 
 def _local_products(model: HomogeneousModel, obs: LocalObservable) -> np.ndarray:
     """prod_x Tr(h_i h_j* b_x) over the observable factors, as a matrix."""
-    family = model.as_family(sites=obs.region)
+    family = model.as_family(Sites(obs.region))
     return product_kernel_matrix(family, obs.region, obs.factors)
 
 

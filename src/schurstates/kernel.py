@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import lattice
 from .errors import ConvergenceError, DimensionError, GeometryError, ValidationError
 from .linalg import as_cmatrix, psd_report
 
@@ -138,9 +139,11 @@ class ConstantTail:
 class FiberFamily:
     """Sites with per-site fiber vector tuples.
 
-    Vectors are produced lazily by ``provider(site)``, so the same object
-    serves finite enumerated models and infinite lattice models.  All
-    vectors must be non-zero and share one (d, d_I).
+    ``geometry`` (``lattice.Zd`` or ``lattice.Sites``) says which sites
+    exist and in which order a boundary walk visits them.  Vectors are
+    produced lazily by ``provider(site)``, so the same object serves
+    finite enumerated models and infinite lattice models.  All vectors
+    must be non-zero and share one (d, d_I).
 
     Provider contract: returning the same object for several sites means
     the same vectors at each of them.  Each distinct object is validated
@@ -153,25 +156,16 @@ class FiberFamily:
         d: int,
         d_I: int,
         provider: Callable[[object], np.ndarray],
-        sites: tuple | None = None,
-        lattice_dim: int | None = None,
+        geometry: lattice.Zd | lattice.Sites,
         tail=None,
         label: str = "",
     ):
         if d < 1 or d_I < 1:
             raise ValidationError(f"fiber dims must be positive, got d={d}, d_I={d_I}")
-        if (sites is None) == (lattice_dim is None):
-            raise ValidationError(
-                "exactly one of an explicit site list or a lattice dimension is required"
-            )
         self.d = int(d)
         self.d_I = int(d_I)
         self._provider = provider
-        self.sites = tuple(sites) if sites is not None else None
-        self._site_set = frozenset(self.sites) if sites is not None else None
-        if self._site_set is not None and len(self._site_set) != len(self.sites):
-            raise ValidationError("site list contains duplicates")
-        self.lattice_dim = lattice_dim
+        self.geometry = geometry
         self.tail = tail
         self.label = label
         # id(provider result) -> (vectors, Gram, provider result); holding the
@@ -181,21 +175,8 @@ class FiberFamily:
         # owned here, filled by ``limit.boundary_matrix``
         self._boundary_cache: dict = {}
 
-    @property
-    def is_lattice(self) -> bool:
-        return self.lattice_dim is not None
-
-    def _check_site(self, site):
-        if self._site_set is not None and site not in self._site_set:
-            raise ValidationError(f"unknown site {site!r}")
-        if self.is_lattice:
-            if not (isinstance(site, tuple) and len(site) == self.lattice_dim):
-                raise ValidationError(
-                    f"site {site!r} is not a {self.lattice_dim}-tuple of ints"
-                )
-
     def _entry(self, site) -> tuple:
-        self._check_site(site)
+        self.geometry.check(site)
         raw = self._provider(site)
         entry = self._arrays.get(id(raw))
         if entry is None:
@@ -246,33 +227,17 @@ class FiberFamily:
                 raise DimensionError(
                     f"site {s!r}: vector block shape {a.shape} != {(d_I, d)}"
                 )
-        return cls(d, d_I, lambda s: arrays[s], sites=sites, label=label)
+        return cls(d, d_I, lambda s: arrays[s], lattice.Sites(sites), label=label)
 
     @classmethod
-    def homogeneous(
-        cls,
-        vectors,
-        sites: tuple | None = None,
-        lattice_dim: int | None = None,
-        label: str = "",
-    ) -> "FiberFamily":
-        """Same vector tuple at every site (finite list or full lattice)."""
+    def homogeneous(cls, vectors, geometry, label: str = "") -> "FiberFamily":
+        """Same vector tuple at every site of ``geometry``."""
         v = np.asarray(vectors, dtype=np.complex128)
         if v.ndim != 2:
             raise DimensionError("homogeneous reference vectors must be a 2-D array")
         d_I, d = v.shape
-        tail = None
-        if lattice_dim is not None:
-            tail = ConstantTail(gram=v @ v.conj().T)
-        return cls(
-            d,
-            d_I,
-            lambda s: v,
-            sites=sites,
-            lattice_dim=lattice_dim,
-            tail=tail,
-            label=label,
-        )
+        tail = None if geometry.finite else ConstantTail(gram=v @ v.conj().T)
+        return cls(d, d_I, lambda s: v, geometry, tail=tail, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Integer-lattice geometry in the 1-norm.
+"""Site geometries, and integer-lattice shells and balls in the 1-norm.
 
-Sites of the nu-dimensional lattice are tuples of ints; the metric is
-|z| = |z_1| + ... + |z_nu|.  Shells and balls are enumerated in a fixed
-lexicographic order so every caller sees the same site sequence.
+A geometry owns what depends on what a site is: checking it, decoding
+it from JSON, parsing it from ``--region``, and the order in which
+boundary products walk the sites (``blocks``).  ``Zd(nu)`` is the
+integer lattice, walked in 1-norm shells from the empty shell at radius
+-1; ``Sites`` is a finite list, walked one site per block as declared.
 
-Shells are emitted directly (first coordinate, then the shell of the
-remaining norm in one dimension less), never by filtering the
-(2r+1)^nu cube.  Each (nu, r) shell is built once per process and kept
-as a tuple in the cache of ``shell_sites``, which this module owns; the
-cache holds at most ``SHELL_CACHE_SIZE`` shells, least recently used
-first out.  ``shell`` and ``ball`` hand out fresh lists built from it.
+Shells are lexicographically ordered and emitted directly (first
+coordinate, then the shell of the remaining norm in one dimension less),
+never by filtering the (2r+1)^nu cube.  Each (nu, r) shell is built once
+per process and kept in the cache of ``shell_sites``, which this module
+owns (at most ``SHELL_CACHE_SIZE`` shells, least recently used first
+out); ``shell`` and ``ball`` hand out fresh lists built from it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Iterator
+
+from .errors import ValidationError
 
 #: Most (nu, r) shells ``shell_sites`` keeps at once.
 SHELL_CACHE_SIZE = 1024
@@ -67,3 +73,98 @@ def ball(nu: int, r: int) -> list[tuple[int, ...]]:
 
 def ball_size(nu: int, r: int) -> int:
     return sum(shell_size(nu, k) for k in range(r + 1))
+
+
+def json_int(value) -> int | None:
+    """``value`` as an int if it is a JSON integer, else None.
+
+    JSON Schema counts an integral float such as 2.0 as an integer;
+    Python's bool is an int, but JSON's ``true`` is not.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+
+@dataclass(frozen=True)
+class Zd:
+    """The nu-dimensional integer lattice."""
+
+    nu: int
+    finite = False
+
+    def __post_init__(self):
+        if self.nu < 1:
+            raise ValidationError(f"lattice dimension must be >= 1, got {self.nu}")
+
+    def check(self, site) -> None:
+        if not (isinstance(site, tuple) and len(site) == self.nu):
+            raise ValidationError(f"site {site!r} is not a {self.nu}-tuple of ints")
+
+    def decode(self, raw, where: str, errors: list) -> tuple:
+        """A site from a JSON array of nu integers; failures go to ``errors``."""
+        coords = [json_int(c) for c in raw] if isinstance(raw, list) else None
+        if coords is None or len(coords) != self.nu or None in coords:
+            errors.append(f"{where}: expected {self.nu} integer coordinates, got {raw!r}")
+            return (0,) * self.nu
+        return tuple(coords)
+
+    def parse(self, text: str) -> tuple:
+        """A site from comma-separated coordinates, as in ``--region``."""
+        coords = [c.strip() for c in text.split(",")]
+        if len(coords) != self.nu or not all(c.lstrip("+-").isdigit() for c in coords):
+            raise ValidationError(
+                f"region site {text!r}: expected {self.nu} integer coordinates"
+            )
+        return tuple(int(c) for c in coords)
+
+    def blocks(self) -> Iterator[tuple[int, tuple]]:
+        """(radius, shell) pairs from radius -1 (the empty shell) up."""
+        for r in itertools.count(-1):
+            yield r, shell_sites(self.nu, r)
+
+    def first(self, n: int) -> list:
+        """The first n sites in walk order."""
+        sites = itertools.chain.from_iterable(block for _, block in self.blocks())
+        return list(itertools.islice(sites, n))
+
+
+@dataclass(frozen=True)
+class Sites:
+    """A finite site list; site names are strings or ints."""
+
+    sites: tuple
+    finite = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "sites", tuple(self.sites))
+        object.__setattr__(self, "site_set", frozenset(self.sites))
+        if len(self.site_set) != len(self.sites):
+            raise ValidationError("site list contains duplicates")
+
+    def check(self, site) -> None:
+        if site not in self.site_set:
+            raise ValidationError(f"unknown site {site!r}")
+
+    @staticmethod
+    def decode(raw, where: str, errors: list):
+        """A site name from JSON; failures go to ``errors``.  Membership is
+        checked where the site is used."""
+        name = raw if isinstance(raw, str) else json_int(raw)
+        if name is None:
+            errors.append(f"{where}: site must be a string or int, got {raw!r}")
+            return str(raw)
+        return name
+
+    @staticmethod
+    def parse(text: str) -> str:
+        """A site name from ``--region``, as written."""
+        return text
+
+    def blocks(self) -> Iterator[tuple[int, tuple]]:
+        """(position, (site,)) pairs in declared order."""
+        return ((k, (s,)) for k, s in enumerate(self.sites))
+
+    def first(self, n: int) -> list:
+        """The first n sites (all of them if there are fewer)."""
+        return list(self.sites[:n])

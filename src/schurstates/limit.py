@@ -1,11 +1,11 @@
-"""Infinite-volume limits: exhaustions, boundary matrices, limit
-expectations, projectivity checks and the generator-driven model
-constructor.
+"""Infinite-volume limits: boundary matrices, limit expectations,
+projectivity checks and the generator-driven model constructor.
 
 The boundary matrix of a finite region collects, per index pair, the
 limit of the product of single-site overlaps over all sites outside the
 region.  Products are always formed directly from the overlaps, site by
-site in exhaustion order; entrywise logarithms exist only as a
+site in the walk order of the family's geometry (``lattice.Zd`` or
+``lattice.Sites``); entrywise logarithms exist only as a
 diagnostic (overlaps may be zero or have argument near +-pi, where a
 principal-branch log sum misrepresents the product).  A product whose
 limit is zero is a converged result, not a failure.
@@ -13,8 +13,9 @@ limit is zero is a converged result, not a failure.
 On an infinite lattice the walk stops only on the family's tail
 certificate (``kernel.OnesTail``, ``IdentityTail`` or ``ConstantTail``),
 so every such result is rigorous; an infinite family without one is
-refused.  A finite exhaustion that leaves sites outside the region
-unwalked gives a truncated, non-rigorous product.
+refused.  A finite walk order (a ``lattice.Sites`` passed as
+``exhaustion``) that leaves sites outside the region unwalked gives a
+truncated, non-rigorous product.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -52,66 +52,6 @@ from .state import LocalObservable
 
 #: Hard cap on the number of sites a tail product may consume.
 SITE_CAP = 10**6
-
-
-# ---------------------------------------------------------------------------
-# Exhaustions
-# ---------------------------------------------------------------------------
-
-
-class Exhaustion:
-    """A deterministic enumeration of the site set.
-
-    On the integer lattice the canonical order walks 1-norm shells of
-    increasing radius, lexicographically within each shell, so every
-    finite set is absorbed after finitely many shells.  Enumerated
-    site lists are walked in their declared order.
-    """
-
-    def __init__(self, shell_factory, finite: bool):
-        self._shell_factory = shell_factory
-        self.finite = finite
-
-    @classmethod
-    def lattice(cls, nu: int) -> "Exhaustion":
-        if nu < 1:
-            raise ValidationError(f"lattice dimension must be >= 1, got {nu}")
-
-        def gen() -> Iterator[tuple[int, tuple]]:
-            r = -1  # the empty shell: a closed-form tail settles before any site
-            while True:
-                yield r, lattice.shell_sites(nu, r)
-                r += 1
-
-        return cls(gen, finite=False)
-
-    @classmethod
-    def from_sites(cls, sites) -> "Exhaustion":
-        sites = tuple(sites)
-        if len(set(sites)) != len(sites):
-            raise ValidationError("exhaustion site list contains duplicates")
-        blocks = [(k, (s,)) for k, s in enumerate(sites)]
-        return cls(lambda: iter(blocks), finite=True)
-
-    def shells(self) -> Iterator[tuple[int, tuple]]:
-        """Yield (label, sites) blocks; stopping rules run between blocks."""
-        return self._shell_factory()
-
-    def prefix(self, n: int) -> list:
-        """The first n sites of the enumeration."""
-        out: list = []
-        for _, block in self.shells():
-            for s in block:
-                out.append(s)
-                if len(out) == n:
-                    return out
-        raise ValidationError(f"exhaustion has only {len(out)} sites, {n} requested")
-
-
-def default_exhaustion(family: FiberFamily) -> Exhaustion:
-    if family.is_lattice:
-        return Exhaustion.lattice(family.lattice_dim)
-    return Exhaustion.from_sites(family.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -168,31 +108,32 @@ class BoundaryMatrix:
 def boundary_matrix(
     family: FiberFamily,
     region,
-    exhaustion: Exhaustion | None = None,
+    exhaustion: lattice.Zd | lattice.Sites | None = None,
     tail_tol: float = 1e-12,
     site_cap: int = SITE_CAP,
 ) -> BoundaryMatrix:
     """Tail products of overlaps over all sites outside ``region``.
 
-    Walks the exhaustion, multiplying per-entry partial products in
-    order.  An infinite exhaustion stops after the first shell at which
-    the family's tail certificate bounds every entry's remaining change
-    by at most ``tail_tol``; an infinite family without a certificate
-    raises ``PreconditionError``.  A finite exhaustion walks all its
-    sites and is exact (bound 0) only if it covered every site outside
-    the region; otherwise the product is truncated, with bound ``inf``
-    and ``rigorous`` false.
+    Walks the blocks of ``exhaustion`` (default: the family's geometry),
+    multiplying per-entry partial products in order.  An infinite walk
+    stops after the first block at which the family's tail certificate
+    bounds every entry's remaining change by at most ``tail_tol``; an
+    infinite family without a certificate raises ``PreconditionError``.
+    A finite walk visits all its sites and is exact (bound 0) only if it
+    covered every site outside the region; otherwise the product is
+    truncated, with bound ``inf`` and ``rigorous`` false.  Another walk
+    order is an oracle for the canonical one, and is not cached.
     """
     region = tuple(region)
     if exhaustion is not None:
         return _boundary_walk(family, region, exhaustion, tail_tol, site_cap)
-    # canonical-exhaustion results are cached on the family, read-only since
+    # canonical-walk results are cached on the family, read-only since
     # every caller asking for the region shares them; repeated limit
     # evaluations over the same region dominate scan runtimes
     key = (frozenset(region), tail_tol, site_cap)
     hit = family._boundary_cache.get(key)
     if hit is None:
-        hit = _boundary_walk(family, region, default_exhaustion(family), tail_tol, site_cap)
+        hit = _boundary_walk(family, region, family.geometry, tail_tol, site_cap)
         hit.matrix.setflags(write=False)
         family._boundary_cache[key] = hit
     return hit if hit.region == region else replace(hit, region=region)
@@ -201,7 +142,7 @@ def boundary_matrix(
 def _boundary_walk(
     family: FiberFamily,
     region: tuple,
-    exhaustion: Exhaustion,
+    exhaustion: lattice.Zd | lattice.Sites,
     tail_tol: float,
     site_cap: int,
 ) -> BoundaryMatrix:
@@ -214,7 +155,7 @@ def _boundary_walk(
     skip = set(region)
     p = np.ones((family.d_I, family.d_I), dtype=np.complex128)
     consumed = 0
-    for label, block in exhaustion.shells():
+    for label, block in exhaustion.blocks():
         before = p
         for x in block:
             if x in skip:
@@ -233,7 +174,7 @@ def _boundary_walk(
                 return BoundaryMatrix(region, matrix, bound, consumed, True)
 
     # a finite walk is exact only if it covered every site outside the region
-    exact = family.sites is not None and consumed == len(family._site_set - skip)
+    exact = family.geometry.finite and consumed == len(family.geometry.site_set - skip)
     return BoundaryMatrix(region, p, 0.0 if exact else math.inf, consumed, exact)
 
 
@@ -365,6 +306,7 @@ class GeneratorSpec:
         if len(set(sites)) != len(sites):
             raise ValidationError("generator model declares a site twice")
         d = self.records[0].diag.shape[0]
+        zd = lattice.Zd(self.nu)
         for rec in self.records:
             if rec.diag.ndim != 1 or rec.diag.shape[0] != d:
                 raise ValidationError(
@@ -382,10 +324,7 @@ class GeneratorSpec:
                     raise ValidationError(
                         f"site {rec.site!r}: {name} deviates from isometry by {defect:.3e}"
                     )
-            if not (isinstance(rec.site, tuple) and len(rec.site) == self.nu):
-                raise ValidationError(
-                    f"site {rec.site!r} is not a {self.nu}-tuple"
-                )
+            zd.check(rec.site)
             if lattice.norm1(rec.site) > self.tail_radius:
                 raise ValidationError(
                     f"site {rec.site!r} lies beyond the declared tail radius "
@@ -443,7 +382,7 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         d,
         d,
         provider,
-        lattice_dim=spec.nu,
+        lattice.Zd(spec.nu),
         tail=IdentityTail(remaining=remaining, exact_beyond=spec.tail_radius),
         label="generator model",
     )

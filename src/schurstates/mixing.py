@@ -133,7 +133,7 @@ class AlphaLimitReport:
 
 
 def _transported_products(family: FiberFamily, obs: LocalObservable, t: int) -> np.ndarray:
-    emb = embed(obs.region, t, strategy="translate", nu=family.lattice_dim)
+    emb = embed(obs.region, t, strategy="translate", nu=family.geometry.nu)
     far = emb.transport(obs)
     return product_kernel_matrix(family, far.region, far.factors)
 
@@ -153,7 +153,7 @@ def alpha_limit(
     value is then a state value: positive on positive observables and 1
     at identity factors for unit-norm tails.
     """
-    if family.lattice_dim is None:
+    if not isinstance(family.geometry, lattice.Zd):
         raise PreconditionError("tail limits require a lattice model")
     ts = tuple(int(t) for t in t_sequence)
     if len(ts) < 2:
@@ -204,7 +204,7 @@ def _check_near_region(obs_a: LocalObservable, t: int):
 def _row(family, obs_a, obs_b, t, strategy, seed, tail_tol):
     """psi(a . transported b), psi(a) and the transported b at clearance t."""
     _check_near_region(obs_a, t)
-    emb = embed(obs_b.region, t, strategy=strategy, nu=family.lattice_dim, seed=seed)
+    emb = embed(obs_b.region, t, strategy=strategy, nu=family.geometry.nu, seed=seed)
     far = emb.transport(obs_b)
     joint = _joint_observable(obs_a, far)
     v_joint = limit_state_eval(family, joint, tail_tol)
@@ -416,9 +416,8 @@ def decaying_perturbation_family(
                 return total + 1e-28
 
     label = "decaying perturbation"
-    family = FiberFamily(
-        d, d_I, raw_vectors, lattice_dim=nu, tail=OnesTail(remaining), label=label
-    )
+    geometry = lattice.Zd(nu)
+    family = FiberFamily(d, d_I, raw_vectors, geometry, tail=OnesTail(remaining), label=label)
     if not normalize:
         return family
     total = complex(boundary_matrix(family, (), tail_tol=tail_tol).matrix.sum())
@@ -441,5 +440,5 @@ def decaying_perturbation_family(
         return remaining(r) if r >= 0 else remaining(0) + origin_deviation
 
     return FiberFamily(
-        d, d_I, provider, lattice_dim=nu, tail=OnesTail(normalized_remaining), label=label
+        d, d_I, provider, geometry, tail=OnesTail(normalized_remaining), label=label
     )

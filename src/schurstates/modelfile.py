@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lattice
 from .errors import ValidationError
 from .kernel import FiberFamily, ZERO_VECTOR_TOL
 from .limit import GeneratorSite, GeneratorSpec, boundary_matrix, build_from_generators
@@ -48,7 +49,7 @@ def decode_complex(pair, where: str, errors: list) -> complex:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(v, (int, float)) for v in pair)
+        or not all(_is_number(v) for v in pair)
     ):
         errors.append(f"{where}: expected [re, im], got {pair!r}")
         return 0j
@@ -85,23 +86,6 @@ def decode_vector(entries, where: str, errors: list) -> np.ndarray:
     )
 
 
-def _decode_site(raw, nu: int | None, where: str, errors: list):
-    """Lattice sites are int arrays; enumerated sites are strings or ints."""
-    if nu is not None:
-        if (
-            not isinstance(raw, list)
-            or len(raw) != nu
-            or not all(isinstance(c, int) for c in raw)
-        ):
-            errors.append(f"{where}: expected {nu} integer coordinates, got {raw!r}")
-            return (0,) * nu
-        return tuple(raw)
-    if isinstance(raw, (str, int)):
-        return raw
-    errors.append(f"{where}: site must be a string or int, got {raw!r}")
-    return str(raw)
-
-
 # ---------------------------------------------------------------------------
 # Model specification
 # ---------------------------------------------------------------------------
@@ -114,8 +98,7 @@ class ModelSpec:
     d: int
     d_I: int
     mode: str                      # explicit | homogeneous | generators | perturbed
-    lattice_dim: int | None = None
-    sites: tuple | None = None
+    geometry: lattice.Zd | lattice.Sites
     payload: dict = field(default_factory=dict)
     normalized: bool = False
     path: str = ""
@@ -136,17 +119,13 @@ class ModelSpec:
         if self.mode == "explicit":
             return FiberFamily.explicit(self.payload["vectors_by_site"])
         if self.mode == "homogeneous":
-            return FiberFamily.homogeneous(
-                self.payload["reference"],
-                sites=self.sites,
-                lattice_dim=self.lattice_dim,
-            )
+            return FiberFamily.homogeneous(self.payload["reference"], self.geometry)
         if self.mode == "generators":
             return build_from_generators(self.payload["generator_spec"])
         if self.mode == "perturbed":
             p = self.payload
             return decaying_perturbation_family(
-                nu=self.lattice_dim,
+                nu=self.geometry.nu,
                 epsilon0=p["epsilon0"],
                 decay=p["decay"],
                 near_amplitude=p["near_amplitude"],
@@ -172,15 +151,15 @@ def _require(data: dict, key: str, types, where: str, errors: list, default=None
         errors.append(f"{where}: missing required field {key!r}")
         return default
     value = data[key]
-    if types is not None and (
-        not isinstance(value, types) or (types is int and isinstance(value, bool))
-    ):
+    if types is int and lattice.json_int(value) is not None:
+        return lattice.json_int(value)
+    if types is int or (types is not None and not isinstance(value, types)):
         errors.append(
             f"{where}.{key}: expected {getattr(types, '__name__', types)}, "
             f"got {type(value).__name__}"
         )
         return default
-    return data[key]
+    return value
 
 
 def parse_model(data: dict, path: str = "") -> ModelSpec:
@@ -190,31 +169,36 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         raise ValidationError("model: top level must be a JSON object")
 
     lat = _require(data, "lattice", dict, "model", errors, {})
-    nu = None
-    sites = None
+    # the one switch on the kind of site; an invalid geometry leaves the
+    # one-dimensional lattice in place so the rest can still be checked
+    geometry = lattice.Zd(1)
     kind = _require(lat, "kind", str, "model.lattice", errors, "")
     if kind == "zd":
         nu = _require(lat, "nu", int, "model.lattice", errors, 1)
-        if nu is not None and nu < 1:
+        if nu < 1:
             errors.append(f"model.lattice.nu: must be >= 1, got {nu}")
+        else:
+            geometry = lattice.Zd(nu)
     elif kind == "sites":
         raw_sites = _require(lat, "sites", list, "model.lattice", errors, [])
-        sites = tuple(
-            _decode_site(s, None, f"model.lattice.sites[{k}]", errors)
+        sites = [
+            lattice.Sites.decode(s, f"model.lattice.sites[{k}]", errors)
             for k, s in enumerate(raw_sites)
-        )
+        ]
         if len(set(sites)) != len(sites):
             errors.append("model.lattice.sites: duplicate site names")
-        if not sites:
+        elif not sites:
             errors.append("model.lattice.sites: empty site list")
+        else:
+            geometry = lattice.Sites(sites)
     else:
         errors.append(f"model.lattice.kind: expected 'zd' or 'sites', got {kind!r}")
 
     d = _require(data, "fiber_dim", int, "model", errors, 1)
     d_I = _require(data, "index_size", int, "model", errors, 1)
-    if isinstance(d, int) and d < 1:
+    if d < 1:
         errors.append(f"model.fiber_dim: must be >= 1, got {d}")
-    if isinstance(d_I, int) and d_I < 1:
+    if d_I < 1:
         errors.append(f"model.index_size: must be >= 1, got {d_I}")
 
     vectors = _require(data, "vectors", dict, "model", errors, {})
@@ -222,7 +206,7 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
     payload: dict = {}
 
     if mode == "explicit":
-        if sites is None:
+        if kind != "sites":
             errors.append("model: explicit vectors require an enumerated site list")
         by_site_raw = _require(vectors, "by_site", list, "model.vectors", errors, [])
         by_site = {}
@@ -231,7 +215,7 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             if not isinstance(rec, dict):
                 errors.append(f"{where}: expected an object")
                 continue
-            site = _decode_site(rec.get("site"), None, f"{where}.site", errors)
+            site = lattice.Sites.decode(rec.get("site"), f"{where}.site", errors)
             block = decode_matrix(rec.get("vectors"), f"{where}.vectors", errors)
             if block.shape != (d_I, d):
                 errors.append(
@@ -242,8 +226,8 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             for i in np.nonzero(norms <= ZERO_VECTOR_TOL)[0]:
                 errors.append(f"{where}: zero vector at site {site!r}, index {int(i)}")
             by_site[site] = block
-        if sites is not None and not errors:
-            missing = [s for s in sites if s not in by_site]
+        if not errors:
+            missing = [s for s in geometry.sites if s not in by_site]
             if missing:
                 errors.append(f"model.vectors.by_site: no vectors for sites {missing!r}")
         payload["vectors_by_site"] = by_site
@@ -265,8 +249,9 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         payload["reference"] = ref
 
     elif mode == "generators":
-        if nu is None:
+        if kind != "zd":
             errors.append("model: generator vectors require a zd lattice")
+            geometry = lattice.Zd(1)  # still check the site coordinates
         if d != d_I:
             errors.append(
                 f"model: generator models need fiber_dim == index_size, "
@@ -285,11 +270,9 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             if not isinstance(rec, dict):
                 errors.append(f"{where}: expected an object")
                 continue
-            site = _decode_site(rec.get("site"), nu or 1, f"{where}.site", errors)
+            site = geometry.decode(rec.get("site"), f"{where}.site", errors)
             diag_raw = rec.get("D_H")
-            if not isinstance(diag_raw, list) or not all(
-                isinstance(v, (int, float)) for v in diag_raw
-            ):
+            if not isinstance(diag_raw, list) or not all(_is_number(v) for v in diag_raw):
                 errors.append(f"{where}.D_H: expected an array of reals")
                 continue
             u = decode_matrix(rec.get("U"), f"{where}.U", errors)
@@ -300,13 +283,13 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         if not errors:
             try:
                 payload["generator_spec"] = GeneratorSpec(
-                    records=tuple(records), tail_radius=radius, nu=nu
+                    records=tuple(records), tail_radius=radius, nu=geometry.nu
                 )
             except ValidationError as exc:
                 errors.append(f"model.vectors: {exc}")
 
     elif mode == "perturbed":
-        if nu is None:
+        if kind != "zd":
             errors.append("model: perturbed vectors require a zd lattice")
         base = decode_vector(
             _require(vectors, "base", list, "model.vectors", errors, []),
@@ -334,7 +317,7 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             errors.append(
                 f"model.vectors.near_amplitude: expected a number or null, got {near_amp!r}"
             )
-        if type(near_radius) is not int or near_radius < 0:
+        if lattice.json_int(near_radius) is None or near_radius < 0:
             errors.append(
                 f"model.vectors.near_radius: expected an integer >= 0, got {near_radius!r}"
             )
@@ -347,7 +330,7 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
                 epsilon0=float(eps),
                 decay=float(decay),
                 near_amplitude=near_amp,
-                near_radius=near_radius,
+                near_radius=int(near_radius),
                 normalize=normalize,
             )
 
@@ -371,8 +354,7 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         d=int(d),
         d_I=int(d_I),
         mode=mode,
-        lattice_dim=nu,
-        sites=sites,
+        geometry=geometry,
         payload=payload,
         normalized=normalized,
         path=path,
@@ -414,13 +396,13 @@ def load_model(path) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def parse_observable(data: dict, nu: int | None) -> LocalObservable:
+def parse_observable(data: dict, geometry) -> LocalObservable:
     errors: list[str] = []
     if not isinstance(data, dict):
         raise ValidationError("observable: top level must be a JSON object")
     region_raw = _require(data, "region", list, "observable", errors, [])
     region = tuple(
-        _decode_site(s, nu, f"observable.region[{k}]", errors)
+        geometry.decode(s, f"observable.region[{k}]", errors)
         for k, s in enumerate(region_raw)
     )
     factors_raw = _require(data, "factors", list, "observable", errors, [])
@@ -439,28 +421,14 @@ def parse_observable(data: dict, nu: int | None) -> LocalObservable:
     return LocalObservable(region, factors)
 
 
-def load_observable(path, nu: int | None) -> LocalObservable:
-    return parse_observable(_read_json(path, "observable"), nu)
+def load_observable(path, geometry) -> LocalObservable:
+    return parse_observable(_read_json(path, "observable"), geometry)
 
 
-def parse_region(text: str, nu: int | None) -> tuple:
-    """Parse the --region flag: sites separated by ';', coords by ','."""
-    sites = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if nu is not None:
-            coords = [c.strip() for c in part.split(",")]
-            if len(coords) != nu or not all(
-                c.lstrip("+-").isdigit() for c in coords
-            ):
-                raise ValidationError(
-                    f"region site {part!r}: expected {nu} integer coordinates"
-                )
-            sites.append(tuple(int(c) for c in coords))
-        else:
-            sites.append(part)
+def parse_region(text: str, geometry) -> tuple:
+    """Parse the --region flag: sites separated by ';' (lattice
+    coordinates by ',')."""
+    sites = tuple(geometry.parse(part.strip()) for part in text.split(";") if part.strip())
     if not sites:
         raise ValidationError(f"region {text!r} contains no sites")
-    return tuple(sites)
+    return sites

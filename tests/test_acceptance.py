@@ -27,13 +27,13 @@ from schurstates.kernel import (
     product_kernel_gram_matrix,
 )
 from schurstates.limit import (
-    Exhaustion,
     boundary_matrix,
     build_from_generators,
     check_projectivity,
     right_square_root,
     transfer_matrix,
 )
+from schurstates.lattice import Sites, Zd
 from schurstates.linalg import matrix_log
 from schurstates.mixing import (
     alpha_limit,
@@ -139,7 +139,7 @@ def test_criterion_3_limit_machinery():
         failures.append(("tail-bound", bm.tail_bound, bm.rigorous))
 
     rng = rng_from_seed(3000)
-    pool = Exhaustion.lattice(1).prefix(11)
+    pool = Zd(1).first(11)
     for case in range(20):
         k_small = int(rng.integers(1, 4))
         k_large = int(rng.integers(k_small + 1, 8))
@@ -292,7 +292,7 @@ def test_criterion_5_degenerate_product_regime():
         base = complex_gaussian(rng, (1, 2))[0]
         scales = rng.uniform(0.5, 2.0, size=2)
         model = HomogeneousModel(np.array([scales[0] * base, scales[1] * base]))
-        fam = model.as_family(sites=("a", "b"))
+        fam = model.as_family(Sites(("a", "b")))
         a = complex_gaussian(rng, (2, 2))
         b = complex_gaussian(rng, (2, 2))
         psi_ab = expectation_schur(fam, LocalObservable(("a", "b"), (a, b)))
@@ -358,7 +358,7 @@ def test_criterion_6_mixing():
     if not all(a > b > 0 for a, b in zip(profile, profile[1:])):
         failures.append(("gap-profile-not-decreasing", profile))
 
-    witness = FiberFamily.homogeneous(np.eye(2, dtype=complex), lattice_dim=2)
+    witness = FiberFamily.homogeneous(np.eye(2, dtype=complex), Zd(2))
     proj0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     proj1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     wa = LocalObservable(((0, 0),), (proj0,))

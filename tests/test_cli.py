@@ -166,7 +166,17 @@ class TestLimit:
         boundary = np.array([[complex(*z) for z in row] for row in res["boundary"]])
         assert complex(*res["value"]) == pytest.approx(boundary.sum(), rel=1e-15, abs=1e-300)
 
-    def test_divergent_model_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            np.diag([2.0, 1.0]),
+            # |G_01| = 1 but G_01 != 1: the constant off-diagonal factor
+            # spins on the unit circle and its product has no limit
+            np.array([[1.0, 0.0], [np.exp(0.7j), 0.0]]),
+        ],
+        ids=["norm-above-one", "unit-modulus-phase"],
+    )
+    def test_divergent_model_exits_2(self, tmp_path, capsys, reference):
         model = write_json(
             tmp_path,
             "divergent.json",
@@ -176,7 +186,7 @@ class TestLimit:
                 "index_size": 2,
                 "vectors": {
                     "mode": "homogeneous",
-                    "reference": encode_matrix(np.diag([2.0, 1.0])),
+                    "reference": encode_matrix(reference),
                 },
             },
         )

@@ -14,6 +14,7 @@ from schurstates.homogeneous import (
     overlaps,
     real_overlap_limit,
 )
+from schurstates.lattice import Sites
 from schurstates.sampling import complex_gaussian, random_observable, rng_from_seed
 from schurstates.state import LocalObservable, expectation_dense, expectation_schur
 
@@ -80,7 +81,7 @@ class TestDetectProduct:
         # product of its single-site restrictions
         model = HomogeneousModel(np.array([[0.8, 0.6], [0.8, 0.6]], dtype=complex))
         assert detect_product(overlaps(model))
-        fam = model.as_family(sites=("a", "b"))
+        fam = model.as_family(Sites(("a", "b")))
         a = random_observable(rng, 2)
         b = random_observable(rng, 2)
         eye = np.eye(2, dtype=complex)
@@ -116,7 +117,7 @@ class TestFiniteVolumeNormalized:
             size = int(rng.integers(2, 7))
             inner = int(rng.integers(1, size + 1))
             region = tuple(range(size))
-            fam = model.as_family(sites=region)
+            fam = model.as_family(Sites(region))
             obs = LocalObservable(
                 region[:inner], tuple(random_observable(rng, 2) for _ in range(inner))
             )

@@ -16,6 +16,7 @@ from schurstates.kernel import (
     product_kernel_gram_matrix,
     product_kernel_matrix,
 )
+from schurstates.lattice import Sites
 from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
 
 from conftest import make_family
@@ -57,7 +58,7 @@ class TestFiberFamily:
             calls.append(s)
             return shared
 
-        fam = FiberFamily(2, 2, provider, sites=("a", "b", "c"))
+        fam = FiberFamily(2, 2, provider, Sites(("a", "b", "c")))
         assert fam.gram("a") is fam.gram("b") is fam.gram("c")
         assert fam.vectors("a") is fam.vectors("c")
         # one provider call per site; later calls hit the per-site index
@@ -66,7 +67,7 @@ class TestFiberFamily:
     def test_fresh_objects_keep_their_own_vectors(self):
         # the provider builds a new list per call: a freed list's id must
         # never make a later site reuse another site's vectors
-        fam = FiberFamily(1, 1, lambda s: [[float(s)]], sites=(1, 2, 3, 4))
+        fam = FiberFamily(1, 1, lambda s: [[float(s)]], Sites((1, 2, 3, 4)))
         assert [fam.gram(s)[0, 0] for s in (1, 2, 3, 4)] == [1, 4, 9, 16]
 
     def test_cached_arrays_are_read_only(self):
@@ -77,7 +78,7 @@ class TestFiberFamily:
 
     def test_validation_names_the_first_site(self):
         bad = np.array([[1.0, 0.0], [0.0, 0.0]])
-        fam = FiberFamily(2, 2, lambda s: bad, sites=("a", "b"))
+        fam = FiberFamily(2, 2, lambda s: bad, Sites(("a", "b")))
         for site in ("b", "a"):
             with pytest.raises(ValidationError, match=f"site '{site}': zero fiber vector"):
                 fam.gram(site)

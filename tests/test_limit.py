@@ -11,9 +11,9 @@ from schurstates.errors import (
     ValidationError,
 )
 from schurstates import lattice
+from schurstates.lattice import Sites, Zd
 from schurstates.kernel import FiberFamily, OnesTail
 from schurstates.limit import (
-    Exhaustion,
     boundary_matrix,
     build_from_generators,
     check_projectivity,
@@ -42,31 +42,30 @@ def generator_family():
 
 
 def orthonormal_lattice_family(nu=1, d=2):
-    return FiberFamily.homogeneous(np.eye(d, dtype=complex), lattice_dim=nu)
+    return FiberFamily.homogeneous(np.eye(d, dtype=complex), Zd(nu))
 
 
 class TestExhaustion:
     def test_lattice_prefix_absorbs_shells(self):
-        ex = Exhaustion.lattice(2)
-        pre = ex.prefix(5)
+        pre = Zd(2).first(5)
         assert pre[0] == (0, 0)
         assert set(pre[1:]) == {(-1, 0), (0, -1), (0, 1), (1, 0)}
 
     def test_lattice_order_is_deterministic(self):
-        a = Exhaustion.lattice(2).prefix(30)
-        b = Exhaustion.lattice(2).prefix(30)
+        a = Zd(2).first(30)
+        b = Zd(2).first(30)
         assert a == b
         assert len(set(a)) == 30
 
     def test_from_sites(self):
-        ex = Exhaustion.from_sites(("u", "v", "w"))
-        assert ex.prefix(2) == ["u", "v"]
-        with pytest.raises(ValidationError):
-            ex.prefix(4)
+        ex = Sites(("u", "v", "w"))
+        assert ex.first(2) == ["u", "v"]
+        # asking for more sites than there are gives all of them
+        assert ex.first(4) == ["u", "v", "w"]
 
     def test_duplicate_sites_rejected(self):
         with pytest.raises(ValidationError):
-            Exhaustion.from_sites(("u", "u"))
+            Sites(("u", "u"))
 
 
 class TestInteractionMatrix:
@@ -111,6 +110,29 @@ class TestTransferMatrix:
         fam = FiberFamily.explicit({0: complex_gaussian(rng, (2, 2))})
         with pytest.raises(GeometryError):
             transfer_matrix(fam, (0,), (1,))
+
+
+def _shuffle_cases():
+    yield "generator", 1, False, ((0,),)
+    for nu in (1, 2):
+        origin = (0,) * nu
+        e1 = (1,) + origin[1:]
+        for normalize in (False, True):
+            for region in ((), (origin,), (e1, origin)):
+                yield "perturbed", nu, normalize, region
+
+
+SHUFFLE_CASES = list(_shuffle_cases())
+
+
+def shuffle_id(value):
+    if isinstance(value, bool):
+        return "normalized" if value else "raw"
+    if isinstance(value, int):
+        return f"nu{value}"
+    if isinstance(value, tuple):
+        return "region" + "".join(str(s).replace(" ", "") for s in value) if value else "empty"
+    return str(value)
 
 
 class TestBoundaryMatrix:
@@ -168,22 +190,21 @@ class TestBoundaryMatrix:
         # factors are exactly 1, off-diagonal products collapse to 0
         s = 1 / np.sqrt(2)
         fam = FiberFamily.homogeneous(
-            np.array([[1.0, 0.0], [s, s]]), lattice_dim=1
+            np.array([[1.0, 0.0], [s, s]]), Zd(1)
         )
         bm = boundary_matrix(fam, ((0,),))
         np.testing.assert_allclose(bm.matrix, np.eye(2))
 
     def test_homogeneous_diverging_rejected(self):
         fam = FiberFamily.homogeneous(
-            np.array([[2.0, 0.0], [0.0, 1.0]]), lattice_dim=1
+            np.array([[2.0, 0.0], [0.0, 1.0]]), Zd(1)
         )
         with pytest.raises(ConvergenceError, match="does not converge"):
             boundary_matrix(fam, ())
 
     def test_cocycle_identity(self, generator_family):
         rng = rng_from_seed(5)
-        ex = Exhaustion.lattice(1)
-        pool = ex.prefix(9)
+        pool = Zd(1).first(9)
         for _ in range(20):
             k_small = int(rng.integers(1, 4))
             k_large = int(rng.integers(k_small + 1, 7))
@@ -207,18 +228,26 @@ class TestBoundaryMatrix:
         # reported tail bound (+ roundoff)
         tail_tol = 1e-12
         bm = boundary_matrix(generator_family, ((0,),), tail_tol=tail_tol)
-        longer = Exhaustion.from_sites(Exhaustion.lattice(1).prefix(10 * bm.sites_consumed))
+        longer = Sites(Zd(1).first(10 * bm.sites_consumed))
         ref = boundary_matrix(generator_family, ((0,),), exhaustion=longer)
         assert np.max(np.abs(ref.matrix - bm.matrix)) <= bm.tail_bound + 1e-13
 
-    def test_shuffled_enumeration_agrees(self, generator_family):
-        rng = rng_from_seed(11)
-        sites = Exhaustion.lattice(1).prefix(40)
-        order = rng.permutation(len(sites))
-        shuffled = Exhaustion.from_sites([sites[i] for i in order])
-        a = boundary_matrix(generator_family, ((0,),))
-        b = boundary_matrix(generator_family, ((0,),), exhaustion=shuffled)
-        assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-10
+    @pytest.mark.parametrize("family, nu, normalize, region", SHUFFLE_CASES, ids=shuffle_id)
+    def test_shuffled_enumeration_agrees(self, generator_family, family, nu, normalize, region):
+        # the limit may not depend on the walk order: a seeded shuffle of
+        # the ball ten shells past the certified radius lands within the
+        # reported tail bound (+ roundoff) of the canonical walk
+        if family == "generator":
+            fam = generator_family
+        else:
+            fam = decaying_perturbation_family(nu=nu, normalize=normalize)
+        a = boundary_matrix(fam, region, tail_tol=1e-12)
+        radius = max(map(lattice.norm1, Zd(nu).first(a.sites_consumed + len(region))))
+        ball = lattice.ball(nu, radius + 10)
+        order = rng_from_seed(11).permutation(len(ball))
+        b = boundary_matrix(fam, region, exhaustion=Sites([ball[i] for i in order]))
+        assert b.sites_consumed == len(ball) - len(region)
+        assert np.max(np.abs(b.matrix - a.matrix)) <= a.tail_bound + 1e-13
 
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("nu", [1, 2])
@@ -230,11 +259,9 @@ class TestBoundaryMatrix:
         region = ()
         bm = boundary_matrix(fam, region, tail_tol=1e-12)
         assert bm.rigorous and bm.tail_bound <= 1e-12
-        walked = Exhaustion.lattice(nu).prefix(bm.sites_consumed + 1)
+        walked = Zd(nu).first(bm.sites_consumed + 1)
         radius = max(lattice.norm1(s) for s in walked)
-        longer = Exhaustion.from_sites(
-            Exhaustion.lattice(nu).prefix(len(lattice.ball(nu, radius + 10)))
-        )
+        longer = Sites(Zd(nu).first(len(lattice.ball(nu, radius + 10))))
         ref = boundary_matrix(fam, region, exhaustion=longer)
         assert ref.sites_consumed > bm.sites_consumed
         assert np.max(np.abs(ref.matrix - bm.matrix)) <= bm.tail_bound + 1e-13
@@ -252,7 +279,7 @@ class TestBoundaryMatrix:
 
     def test_truncated_walk_not_rigorous(self, generator_family):
         # three sites of an infinite lattice leave the product unfinished
-        prefix = Exhaustion.from_sites(Exhaustion.lattice(1).prefix(3))
+        prefix = Sites(Zd(1).first(3))
         bm = boundary_matrix(generator_family, (), exhaustion=prefix)
         assert not bm.rigorous
         assert bm.tail_bound == math.inf
@@ -262,10 +289,10 @@ class TestBoundaryMatrix:
 
     def test_finite_walk_rigorous_only_when_complete(self, rng):
         fam = FiberFamily.explicit({k: complex_gaussian(rng, (2, 2)) for k in range(3)})
-        full = boundary_matrix(fam, (0,), exhaustion=Exhaustion.from_sites((2, 0, 1)))
+        full = boundary_matrix(fam, (0,), exhaustion=Sites((2, 0, 1)))
         assert full.rigorous and full.tail_bound == 0.0
         np.testing.assert_allclose(full.matrix, fam.gram(1) * fam.gram(2))
-        part = boundary_matrix(fam, (0,), exhaustion=Exhaustion.from_sites((0, 1)))
+        part = boundary_matrix(fam, (0,), exhaustion=Sites((0, 1)))
         assert not part.rigorous and part.tail_bound == math.inf
 
     def test_uncertified_infinite_family_rejected(self):
@@ -274,7 +301,7 @@ class TestBoundaryMatrix:
             eps = 0.25 ** (abs(site[0]) + 1)
             return np.array([[1.0, 0.0], [eps, np.sqrt(1 - eps**2)]])
 
-        fam = FiberFamily(2, 2, provider, lattice_dim=1, tail=None)
+        fam = FiberFamily(2, 2, provider, Zd(1), tail=None)
         with pytest.raises(PreconditionError, match="no tail certificate"):
             boundary_matrix(fam, ((0,),), tail_tol=1e-13)
 
@@ -292,7 +319,7 @@ class TestBoundaryMatrix:
             # all sites: c at the origin plus 2 c sum_{k >= 2} 1/k^2 <= 2 c
             return 3.0 * c if r < 0 else 2.0 * c / (r + 1)
 
-        fam = FiberFamily(2, 2, provider, lattice_dim=1, tail=OnesTail(remaining))
+        fam = FiberFamily(2, 2, provider, Zd(1), tail=OnesTail(remaining))
         # the certificate is no lie: it bounds the deviation mass out to a
         # far radius for every r in a window
         far = 5000
@@ -321,7 +348,7 @@ class TestLimitState:
         total = complex(boundary_matrix(generator_family, ()).matrix.sum())
         vec0 = generator_family.vectors((0,)) / np.sqrt(total.real)
         retuned = {}
-        for site in Exhaustion.lattice(1).prefix(13):
+        for site in Zd(1).first(13):
             retuned[site] = (
                 vec0 if site == (0,) else generator_family.vectors(site)
             )
@@ -329,7 +356,7 @@ class TestLimitState:
         fam = FiberFamily(
             2, 2,
             lambda s, _r=retuned: _r.get(s, np.eye(2, dtype=complex)),
-            lattice_dim=1,
+            Zd(1),
             tail=generator_family.tail,
         )
         obs = LocalObservable.identity((((0,)), ((1,))), 2)
@@ -339,10 +366,9 @@ class TestLimitState:
         rng = rng_from_seed(31)
         obs = LocalObservable(((0,),), (random_observable(rng, 2),))
         lim = limit_state_eval(generator_family, obs)
-        ex = Exhaustion.lattice(1)
         gaps = []
         for n in (3, 7, 11, 15):
-            v = expectation_extended(generator_family, ex.prefix(n), obs)
+            v = expectation_extended(generator_family, Zd(1).first(n), obs)
             gaps.append(abs(v - lim))
         assert gaps[-1] <= 1e-8
         assert gaps[0] > gaps[-1]
@@ -373,7 +399,7 @@ class TestProjectivity:
 
     def test_generator_random_regions(self, generator_family):
         rng = rng_from_seed(43)
-        pool = Exhaustion.lattice(1).prefix(9)
+        pool = Zd(1).first(9)
         for _ in range(10):
             k_small = int(rng.integers(1, 3))
             k_large = int(rng.integers(k_small + 1, 6))
@@ -467,7 +493,7 @@ class TestGeneratorBuild:
         assert spec.summability_certificate() == pytest.approx(expected)
         # the CLI reads it through the parsed model
         model = ModelSpec(
-            d=2, d_I=2, mode="generators", lattice_dim=1, payload={"generator_spec": spec}
+            d=2, d_I=2, mode="generators", geometry=Zd(1), payload={"generator_spec": spec}
         )
         assert model.summability_certificate() == spec.summability_certificate()
 

@@ -43,7 +43,7 @@ def obs_pair():
 
 
 def orthonormal_homogeneous(nu=2):
-    return FiberFamily.homogeneous(np.eye(2, dtype=complex), lattice_dim=nu)
+    return FiberFamily.homogeneous(np.eye(2, dtype=complex), lattice.Zd(nu))
 
 
 class TestBall:
@@ -123,7 +123,7 @@ class TestAlphaLimit:
         def provider(site):
             return np.eye(2, dtype=complex) if site[0] % 3 == 0 else rot
 
-        fam = FiberFamily(2, 2, provider, lattice_dim=2, tail=None)
+        fam = FiberFamily(2, 2, provider, lattice.Zd(2), tail=None)
         proj = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         obs = LocalObservable(((0, 0),), (proj,))
         from schurstates.errors import ConvergenceError
@@ -156,7 +156,7 @@ class TestMixingGap:
         # one fiber vector per site, normalized total weight: the state
         # is a pure product state and every gap vanishes
         base = np.array([[1.0, 0.0]], dtype=complex)
-        fam = FiberFamily.homogeneous(base, lattice_dim=2)
+        fam = FiberFamily.homogeneous(base, lattice.Zd(2))
         a = LocalObservable(((0, 0),), (np.array([[0.5, 0.1], [0.1, 0.25]], dtype=complex),))
         b = LocalObservable(((0, 0),), (np.array([[0.3, 0.0], [0.0, 0.8]], dtype=complex),))
         for t in (3, 8):
@@ -273,7 +273,7 @@ class TestPerturbationFamilyCaches:
     def test_shared_caches_match_fresh_family(self):
         fam = decaying_perturbation_family()
         fresh = FiberFamily(
-            fam.d, fam.d_I, fam._provider, lattice_dim=fam.lattice_dim, tail=fam.tail
+            fam.d, fam.d_I, fam._provider, fam.geometry, tail=fam.tail
         )
         for region in self.REGIONS:
             got = boundary_matrix(fam, region, tail_tol=1e-14)

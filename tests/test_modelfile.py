@@ -6,6 +6,7 @@ import pytest
 
 from schurstates import modelfile
 from schurstates.errors import ValidationError
+from schurstates.lattice import Sites, Zd
 from schurstates.modelfile import (
     encode_matrix,
     load_model,
@@ -154,7 +155,7 @@ class TestLoadModel:
             "normalized": True,
         }
         spec = load_model(write(tmp_path, "p.json", data))
-        assert spec.lattice_dim == 1
+        assert spec.geometry == Zd(1)
 
     def test_perturbed_field_errors_are_collected(self, tmp_path):
         data = json.loads((MODELS / "perturbed_z2.json").read_text())
@@ -200,7 +201,7 @@ class TestObservable:
             "region": [[0, 0], [1, 0]],
             "factors": [encode_matrix(np.eye(2)), encode_matrix(1j * np.eye(2))],
         }
-        obs = load_observable(write(tmp_path, "o.json", data), nu=2)
+        obs = load_observable(write(tmp_path, "o.json", data), Zd(2))
         assert obs.region == ((0, 0), (1, 0))
         np.testing.assert_allclose(obs.factors[1], 1j * np.eye(2))
 
@@ -211,27 +212,27 @@ class TestObservable:
                     "region": [[0]],
                     "factors": [encode_matrix(np.eye(2)), encode_matrix(np.eye(2))],
                 },
-                nu=1,
+                Zd(1),
             )
 
     def test_bad_complex_pair(self):
         with pytest.raises(ValidationError, match=r"expected \[re, im\]"):
             parse_observable(
-                {"region": [[0]], "factors": [[[1.0, [0, 0]]]]}, nu=1
+                {"region": [[0]], "factors": [[[1.0, [0, 0]]]]}, Zd(1)
             )
 
 
 class TestParseRegion:
     def test_lattice_sites(self):
-        assert parse_region("0,0; 1,0;-1,2", 2) == ((0, 0), (1, 0), (-1, 2))
+        assert parse_region("0,0; 1,0;-1,2", Zd(2)) == ((0, 0), (1, 0), (-1, 2))
 
     def test_named_sites(self):
-        assert parse_region("a;b; c", None) == ("a", "b", "c")
+        assert parse_region("a;b; c", Sites(("a", "b", "c"))) == ("a", "b", "c")
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            parse_region("0,0;1", 2)
+            parse_region("0,0;1", Zd(2))
 
     def test_empty(self):
         with pytest.raises(ValidationError):
-            parse_region(" ; ", 2)
+            parse_region(" ; ", Zd(2))

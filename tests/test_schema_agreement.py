@@ -1,8 +1,10 @@
-"""``schemas/model.schema.json`` and ``modelfile.parse_model`` must agree.
+"""The model and observable schemas and their parsers must agree.
 
-Each case changes one constrained field of a model both accept; the
-schema and the parser must then both reject it, so neither can drift
-from the other unnoticed.
+Each case changes one constrained field of a file both accept; the
+schema and the parser must then both accept it again (``ACCEPTED``) or
+both reject it (``REJECTED``), so neither can drift from the other
+unnoticed.  JSON Schema counts an integral float such as 2.0 as an
+integer, and JSON's ``true`` as neither an integer nor a number.
 """
 
 import copy
@@ -14,7 +16,8 @@ import jsonschema
 import pytest
 
 from schurstates.errors import ValidationError
-from schurstates.modelfile import parse_model
+from schurstates.lattice import Sites, Zd
+from schurstates.modelfile import parse_model, parse_observable
 
 from conftest import validate_against
 
@@ -36,6 +39,14 @@ PERTURBED = {
     },
 }
 GENERATORS = json.loads((MODELS / "generator_decay.json").read_text())
+SITES = json.loads((MODELS / "orthonormal.json").read_text())
+OBSERVABLES = {
+    "z1": (json.loads((MODELS / "observable_site0_z1.json").read_text()), Zd(1)),
+    "sites": (
+        json.loads((MODELS / "observable_identity.json").read_text()),
+        Sites(tuple(SITES["lattice"]["sites"])),
+    ),
+}
 
 
 def with_field(model, path, value):
@@ -43,15 +54,28 @@ def with_field(model, path, value):
     *parents, last = path.split(".")
     node = data
     for key in parents:
-        node = node[key]
-    node[last] = value
+        node = node[int(key) if key.isdigit() else key]
+    node[int(last) if last.isdigit() else last] = value
     return data
+
+
+def field_name(prefix, path):
+    """The parser's name for the field at ``path``, less a trailing index."""
+    name = prefix + "".join(f"[{k}]" if k.isdigit() else f".{k}" for k in path.split("."))
+    return re.sub(r"(\[\d+\])+$", "", name)
 
 
 ACCEPTED = [
     (PERTURBED, "vectors.near_amplitude", None),
     (PERTURBED, "vectors.near_radius", 0),
     (PERTURBED, "vectors.normalize", True),
+    (PERTURBED, "fiber_dim", 2.0),
+    (PERTURBED, "index_size", 2.0),
+    (PERTURBED, "lattice.nu", 1.0),
+    (PERTURBED, "vectors.near_radius", 1.0),
+    (GENERATORS, "vectors.tail.beyond_radius", 6.0),
+    (GENERATORS, "vectors.sites.0.site", [0.0]),
+    (SITES, "lattice.sites.0", 7.0),
 ]
 
 REJECTED = [
@@ -81,6 +105,26 @@ REJECTED = [
     (PERTURBED, "vectors.normalize", None),
     (GENERATORS, "vectors.tail.beyond_radius", -1),
     (GENERATORS, "vectors.tail.D_H", "one"),
+    (GENERATORS, "vectors.sites.0.site", [True]),
+    (GENERATORS, "vectors.sites.0.site", [0.5]),
+    (GENERATORS, "vectors.sites.0.D_H.0", True),
+    (GENERATORS, "vectors.sites.0.U.0.0", [True, 0.0]),
+    (PERTURBED, "vectors.base.0", [1.0, True]),
+    (SITES, "lattice.sites.0", True),
+    (SITES, "lattice.sites.0", 1.5),
+]
+
+OBSERVABLE_ACCEPTED = [
+    ("z1", "region.0.0", 0.0),
+    ("sites", "region.0", 7.0),
+]
+
+OBSERVABLE_REJECTED = [
+    ("z1", "region.0.0", True),
+    ("z1", "region.0.0", 0.5),
+    ("z1", "factors.0.0.0", [True, 0.0]),
+    ("sites", "region.0", True),
+    ("sites", "region.0", 1.5),
 ]
 
 
@@ -89,7 +133,9 @@ def case_id(case):
     return f"{model['vectors']['mode']}:{path}={value!r}"
 
 
-@pytest.mark.parametrize("model", [PERTURBED, GENERATORS], ids=["perturbed", "generators"])
+@pytest.mark.parametrize(
+    "model", [PERTURBED, GENERATORS, SITES], ids=["perturbed", "generators", "sites"]
+)
 def test_base_models_pass_both(model):
     validate_against(model, "model.schema.json")
     parse_model(copy.deepcopy(model))
@@ -108,5 +154,32 @@ def test_both_reject(case):
     with pytest.raises(jsonschema.ValidationError):
         validate_against(data, "model.schema.json")
     # the parser names the field it rejects
-    with pytest.raises(ValidationError, match=re.escape(f"model.{case[1]}")):
+    with pytest.raises(ValidationError, match=re.escape(field_name("model", case[1]))):
         parse_model(data)
+
+
+def observable_case(case):
+    name, path, value = case
+    data, geometry = OBSERVABLES[name]
+    return with_field(data, path, value), geometry
+
+
+def observable_case_id(case):
+    name, path, value = case
+    return f"{name}:{path}={value!r}"
+
+
+@pytest.mark.parametrize("case", OBSERVABLE_ACCEPTED, ids=observable_case_id)
+def test_observable_both_accept(case):
+    data, geometry = observable_case(case)
+    validate_against(data, "observable.schema.json")
+    parse_observable(data, geometry)
+
+
+@pytest.mark.parametrize("case", OBSERVABLE_REJECTED, ids=observable_case_id)
+def test_observable_both_reject(case):
+    data, geometry = observable_case(case)
+    with pytest.raises(jsonschema.ValidationError):
+        validate_against(data, "observable.schema.json")
+    with pytest.raises(ValidationError, match=re.escape(field_name("observable", case[1]))):
+        parse_observable(data, geometry)
