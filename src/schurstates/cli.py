@@ -128,12 +128,12 @@ def cmd_check_kernel(args, out) -> int:
             gram = psd_report(kernel_gram_matrix(family, x, bs), tol)
             gram_eigs[str(n)] = gram.min_eigenvalue
             gram_ok = gram_ok and gram.is_psd
-        all_pass = all_pass and rep.is_cp and gram_ok
+        all_pass = all_pass and rep.is_psd and gram_ok
         site_reports.append(
             {
                 "site": str(x),
                 "choi_min_eigenvalue": rep.min_eigenvalue,
-                "cp_pass": rep.is_cp,
+                "cp_pass": rep.is_psd,
                 "tuple_gram_min_eigenvalues": gram_eigs,
                 "tuple_gram_pass": gram_ok,
             }
@@ -208,8 +208,8 @@ def cmd_limit(args, out) -> int:
         "rigorous": beta.rigorous,
         "value": encode_complex(value),
     }
-    if spec.summability_certificate() is not None:
-        results["summability_certificate"] = spec.summability_certificate()
+    if spec.summability_certificate is not None:
+        results["summability_certificate"] = spec.summability_certificate
     if args.check_projectivity:
         if not args.region:
             raise ValidationError(
@@ -234,11 +234,11 @@ def cmd_limit(args, out) -> int:
 
 def cmd_homog(args, out) -> int:
     spec = load_model(args.model)
-    if spec.mode != "homogeneous":
+    if spec.reference is None:
         raise PreconditionError(
             f"the homog command needs a homogeneous model, got mode {spec.mode!r}"
         )
-    model = HomogeneousModel(spec.payload["reference"])
+    model = HomogeneousModel(spec.reference)
     ov = overlaps(model)
     generic = check_generic(ov)
     results = {

@@ -50,10 +50,6 @@ class HomogeneousModel:
     def d(self) -> int:
         return self.vectors.shape[1]
 
-    def as_family(self, geometry) -> FiberFamily:
-        """The induced fiber family on a ``lattice.Zd`` or ``lattice.Sites``."""
-        return FiberFamily.homogeneous(self.vectors, geometry)
-
 
 @dataclass(frozen=True)
 class OverlapMatrix:
@@ -113,7 +109,7 @@ def detect_product(ov: OverlapMatrix, tol: float = 1e-10) -> bool:
 
 def _local_products(model: HomogeneousModel, obs: LocalObservable) -> np.ndarray:
     """prod_x Tr(h_i h_j* b_x) over the observable factors, as a matrix."""
-    family = model.as_family(Sites(obs.region))
+    family = FiberFamily.homogeneous(model.vectors, Sites(obs.region))
     return product_kernel_matrix(family, obs.region, obs.factors)
 
 

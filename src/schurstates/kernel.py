@@ -7,12 +7,13 @@ indices gives a linear functional on d x d matrices,
     b  ->  Tr(h(x,i) h(x,j)* b)  =  <h(x,j), b h(x,i)>,
 
 and collecting all pairs gives a d_I x d_I matrix-valued map per site.
-This module certifies the positivity structure of those maps (Choi
-matrix, Gram matrices over observable tuples) and owns both forms of
-their multi-site entrywise (Schur) products: ``product_kernel_matrix``
-with one observable factor per site, and ``transfer_matrix``, the
-product of plain overlaps (kernels at the identity) over a region minus
-a subregion.  Every other module builds its site products from these two.
+This module certifies the positivity structure of those maps (the Choi
+matrix by ``linalg.psd_report``, Gram matrices over observable tuples by
+``product_kernel_gram_matrix``) and owns both forms of their multi-site
+entrywise (Schur) products: ``product_kernel_matrix`` with one
+observable factor per site, and ``transfer_matrix``, the product of
+plain overlaps (kernels at the identity) over a region minus a
+subregion.  Every other module builds its site products from these two.
 
 A family validates each distinct array its provider hands out once and
 keeps it read-only beside its Gram matrix, so a provider that returns one
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import lattice
 from .errors import ConvergenceError, DimensionError, GeometryError, ValidationError
-from .linalg import as_cmatrix, psd_report
+from .linalg import PsdReport, as_cmatrix, psd_report
 
 #: Vectors with norm at or below this are rejected as zero.
 ZERO_VECTOR_TOL = 1e-14
@@ -323,19 +324,10 @@ def choi_matrix(family: FiberFamily, site) -> np.ndarray:
     return choi
 
 
-@dataclass(frozen=True)
-class CpReport:
-    """Complete-positivity certificate for a per-site kernel map."""
-
-    is_cp: bool
-    min_eigenvalue: float
-    max_abs_eigenvalue: float
-
-
-def certify_cp(family: FiberFamily, site, tol: float = 1e-10) -> CpReport:
-    """PSD-certify the Choi matrix of the site's kernel map."""
-    rep = psd_report(choi_matrix(family, site), tol)
-    return CpReport(rep.is_psd, rep.min_eigenvalue, rep.max_abs_eigenvalue)
+def certify_cp(family: FiberFamily, site, tol: float = 1e-10) -> PsdReport:
+    """PSD-certify the Choi matrix of the site's kernel map: the map is
+    completely positive when the report's ``is_psd`` holds."""
+    return psd_report(choi_matrix(family, site), tol)
 
 
 def kernel_gram_matrix(family: FiberFamily, site, bs) -> np.ndarray:
@@ -344,22 +336,13 @@ def kernel_gram_matrix(family: FiberFamily, site, bs) -> np.ndarray:
     For observables b_1, ..., b_n returns the (d_I*n) x (d_I*n) matrix
     with entry at row (j, h), column (i, k) equal to
     Tr(h_i h_j* b_h* b_k), composite index (i, k) -> i*n + k.  It equals
-    the Gram matrix of the vectors {b_k h_i} and is therefore PSD.
+    the Gram matrix of the vectors {b_k h_i} and is therefore PSD; it is
+    the one-site case of ``product_kernel_gram_matrix``.
     """
-    mats = [
-        _check_local_operator(family, b, f"observable {k}") for k, b in enumerate(bs)
-    ]
-    if not mats:
+    bs = list(bs)
+    if not bs:
         raise ValidationError("kernel_gram_matrix: empty observable list")
-    n = len(mats)
-    d_I = family.d_I
-    out = np.zeros((d_I * n, d_I * n), dtype=np.complex128)
-    for h, bh in enumerate(mats):
-        for k, bk in enumerate(mats):
-            block = kernel_matrix(family, site, bh.conj().T @ bk)
-            # block[i, j] = Tr(h_i h_j* bh* bk); row (j, h), col (i, k)
-            out[h::n, k::n] = block.T
-    return out
+    return product_kernel_gram_matrix(family, [site], [(b,) for b in bs])
 
 
 def product_kernel_matrix(family: FiberFamily, sites, bs) -> np.ndarray:
@@ -412,7 +395,10 @@ def product_kernel_gram_matrix(family: FiberFamily, sites, obs_tuples) -> np.nda
     same class as its single-site factors.
     """
     sites = list(sites)
-    tuples = [list(t) for t in obs_tuples]
+    tuples = [
+        [_check_local_operator(family, b, f"observable {k}") for b in t]
+        for k, t in enumerate(obs_tuples)
+    ]
     if not tuples:
         raise ValidationError("product_kernel_gram_matrix: empty tuple list")
     for t in tuples:
@@ -425,12 +411,9 @@ def product_kernel_gram_matrix(family: FiberFamily, sites, obs_tuples) -> np.nda
     out = np.zeros((d_I * n, d_I * n), dtype=np.complex128)
     for h, th in enumerate(tuples):
         for k, tk in enumerate(tuples):
-            bs = [
-                np.asarray(bh, dtype=np.complex128).conj().T @ np.asarray(bk, dtype=np.complex128)
-                for bh, bk in zip(th, tk)
-            ]
-            block = product_kernel_matrix(family, sites, bs)
-            out[h::n, k::n] = block.T
+            bs = [bh.conj().T @ bk for bh, bk in zip(th, tk)]
+            # block[i, j] = prod_x Tr(h_i h_j* bh* bk); row (j, h), col (i, k)
+            out[h::n, k::n] = product_kernel_matrix(family, sites, bs).T
     return out
 
 

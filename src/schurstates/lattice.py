@@ -9,9 +9,9 @@ integer lattice, walked in 1-norm shells from the empty shell at radius
 Shells are lexicographically ordered and emitted directly (first
 coordinate, then the shell of the remaining norm in one dimension less),
 never by filtering the (2r+1)^nu cube.  Each (nu, r) shell is built once
-per process and kept in the cache of ``shell_sites``, which this module
-owns (at most ``SHELL_CACHE_SIZE`` shells, least recently used first
-out); ``shell`` and ``ball`` hand out fresh lists built from it.
+per process and kept, as an immutable tuple, in the cache of ``shell``,
+which this module owns (at most ``SHELL_CACHE_SIZE`` shells, least
+recently used first out); ``ball`` and ``Zd.blocks`` read it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .errors import ValidationError
 
-#: Most (nu, r) shells ``shell_sites`` keeps at once.
+#: Most (nu, r) shells ``shell`` keeps at once.
 SHELL_CACHE_SIZE = 1024
 
 
@@ -46,7 +46,7 @@ def shell_size(nu: int, r: int) -> int:
 
 
 @functools.lru_cache(maxsize=SHELL_CACHE_SIZE)
-def shell_sites(nu: int, r: int) -> tuple[tuple[int, ...], ...]:
+def shell(nu: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Sites with 1-norm exactly r, lexicographically ordered (cached)."""
     if nu < 1:
         raise ValueError(f"lattice dimension must be >= 1, got {nu}")
@@ -57,18 +57,13 @@ def shell_sites(nu: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         (c,) + rest
         for c in range(-r, r + 1)
-        for rest in shell_sites(nu - 1, r - abs(c))
+        for rest in shell(nu - 1, r - abs(c))
     )
-
-
-def shell(nu: int, r: int) -> list[tuple[int, ...]]:
-    """Sites with 1-norm exactly r, lexicographically ordered."""
-    return list(shell_sites(nu, r))
 
 
 def ball(nu: int, r: int) -> list[tuple[int, ...]]:
     """Sites with 1-norm at most r, lexicographically ordered."""
-    return sorted(itertools.chain.from_iterable(shell_sites(nu, k) for k in range(r + 1)))
+    return sorted(itertools.chain.from_iterable(shell(nu, k) for k in range(r + 1)))
 
 
 def ball_size(nu: int, r: int) -> int:
@@ -121,7 +116,7 @@ class Zd:
     def blocks(self) -> Iterator[tuple[int, tuple]]:
         """(radius, shell) pairs from radius -1 (the empty shell) up."""
         for r in itertools.count(-1):
-            yield r, shell_sites(self.nu, r)
+            yield r, shell(self.nu, r)
 
     def first(self, n: int) -> list:
         """The first n sites in walk order."""
@@ -156,10 +151,14 @@ class Sites:
             return str(raw)
         return name
 
-    @staticmethod
-    def parse(text: str) -> str:
-        """A site name from ``--region``, as written."""
-        return text
+    def parse(self, text: str):
+        """A declared site from ``--region``: a string site by its text, an
+        int site by its digits."""
+        if text in self.site_set:
+            return text
+        site = next((s for s in self.sites if str(s) == text), text)
+        self.check(site)
+        return site
 
     def blocks(self) -> Iterator[tuple[int, tuple]]:
         """(position, (site,)) pairs in declared order."""

@@ -7,7 +7,8 @@ are nested arrays of those pairs.  A model file declares its geometry
 fiber dimension ``d`` and index count ``d_I``, and exactly one vector
 source:
 
-* ``explicit``     — per-site vector blocks on the enumerated sites;
+* ``explicit``     — one vector block for each enumerated site, walked
+                     in declared order;
 * ``homogeneous``  — one reference block copied to every site;
 * ``generators``   — per-site diagonal/unitary/isometry records with a
                      zero-beyond-radius tail rule;
@@ -15,13 +16,16 @@ source:
                      a base vector, direction vectors and decay profile.
 
 Validation collects every violation it can find (with site and field
-coordinates) instead of stopping at the first.
+coordinates) instead of stopping at the first.  ``parse_model`` switches
+on the mode once; each branch stores its family constructor as ``build``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -93,15 +97,17 @@ def decode_vector(entries, where: str, errors: list) -> np.ndarray:
 
 @dataclass
 class ModelSpec:
-    """Parsed, validated model file."""
+    """Parsed, validated model file; ``build`` makes its fiber family."""
 
     d: int
     d_I: int
     mode: str                      # explicit | homogeneous | generators | perturbed
     geometry: lattice.Zd | lattice.Sites
-    payload: dict = field(default_factory=dict)
+    build: Callable[[], FiberFamily]
     normalized: bool = False
     path: str = ""
+    reference: np.ndarray | None = None            # homogeneous models only
+    summability_certificate: float | None = None   # generator models only
     _family: FiberFamily | None = field(default=None, init=False, repr=False, compare=False)
 
     def family(self) -> FiberFamily:
@@ -112,33 +118,8 @@ class ModelSpec:
         vector, Gram and boundary caches.
         """
         if self._family is None:
-            self._family = self._build_family()
+            self._family = self.build()
         return self._family
-
-    def _build_family(self) -> FiberFamily:
-        if self.mode == "explicit":
-            return FiberFamily.explicit(self.payload["vectors_by_site"])
-        if self.mode == "homogeneous":
-            return FiberFamily.homogeneous(self.payload["reference"], self.geometry)
-        if self.mode == "generators":
-            return build_from_generators(self.payload["generator_spec"])
-        if self.mode == "perturbed":
-            p = self.payload
-            return decaying_perturbation_family(
-                nu=self.geometry.nu,
-                epsilon0=p["epsilon0"],
-                decay=p["decay"],
-                near_amplitude=p["near_amplitude"],
-                near_radius=p["near_radius"],
-                base=p["base"],
-                directions=p["directions"],
-                normalize=p["normalize"],
-            )
-        raise ValidationError(f"unknown model mode {self.mode!r}")
-
-    def summability_certificate(self) -> float | None:
-        spec = self.payload.get("generator_spec")
-        return spec.summability_certificate() if spec is not None else None
 
 
 def _is_number(value) -> bool:
@@ -203,7 +184,8 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
 
     vectors = _require(data, "vectors", dict, "model", errors, {})
     mode = _require(vectors, "mode", str, "model.vectors", errors, "")
-    payload: dict = {}
+    # each mode branch sets ``build`` and what else its model carries
+    build = reference = certificate = None
 
     if mode == "explicit":
         if kind != "sites":
@@ -215,8 +197,14 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             if not isinstance(rec, dict):
                 errors.append(f"{where}: expected an object")
                 continue
+            known = len(errors)
             site = lattice.Sites.decode(rec.get("site"), f"{where}.site", errors)
+            if site in by_site:
+                errors.append(f"{where}.site: second entry for site {site!r}")
+            elif geometry.finite and site not in geometry.site_set and len(errors) == known:
+                errors.append(f"{where}.site: {site!r} is not a declared site")
             block = decode_matrix(rec.get("vectors"), f"{where}.vectors", errors)
+            by_site[site] = block
             if block.shape != (d_I, d):
                 errors.append(
                     f"{where}.vectors: shape {block.shape} != ({d_I}, {d}) at site {site!r}"
@@ -225,12 +213,11 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             norms = np.linalg.norm(block, axis=1)
             for i in np.nonzero(norms <= ZERO_VECTOR_TOL)[0]:
                 errors.append(f"{where}: zero vector at site {site!r}, index {int(i)}")
-            by_site[site] = block
         if not errors:
             missing = [s for s in geometry.sites if s not in by_site]
             if missing:
                 errors.append(f"model.vectors.by_site: no vectors for sites {missing!r}")
-        payload["vectors_by_site"] = by_site
+        build = functools.partial(FiberFamily, d, d_I, by_site.__getitem__, geometry)
 
     elif mode == "homogeneous":
         ref = decode_matrix(
@@ -246,7 +233,8 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             norms = np.linalg.norm(ref, axis=1)
             for i in np.nonzero(norms <= ZERO_VECTOR_TOL)[0]:
                 errors.append(f"model.vectors.reference: zero vector at index {int(i)}")
-        payload["reference"] = ref
+        reference = ref
+        build = functools.partial(FiberFamily.homogeneous, ref, geometry)
 
     elif mode == "generators":
         if kind != "zd":
@@ -282,11 +270,14 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             )
         if not errors:
             try:
-                payload["generator_spec"] = GeneratorSpec(
+                gen = GeneratorSpec(
                     records=tuple(records), tail_radius=radius, nu=geometry.nu
                 )
             except ValidationError as exc:
                 errors.append(f"model.vectors: {exc}")
+            else:
+                certificate = gen.summability_certificate()
+                build = functools.partial(build_from_generators, gen)
 
     elif mode == "perturbed":
         if kind != "zd":
@@ -324,13 +315,15 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         if not isinstance(normalize, bool):
             errors.append(f"model.vectors.normalize: expected a boolean, got {normalize!r}")
         if not errors:
-            payload.update(
-                base=base,
-                directions=dirs,
+            build = functools.partial(
+                decaying_perturbation_family,
+                nu=geometry.nu,
                 epsilon0=float(eps),
                 decay=float(decay),
                 near_amplitude=near_amp,
                 near_radius=int(near_radius),
+                base=base,
+                directions=dirs,
                 normalize=normalize,
             )
 
@@ -355,9 +348,11 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         d_I=int(d_I),
         mode=mode,
         geometry=geometry,
-        payload=payload,
+        build=build,
         normalized=normalized,
         path=path,
+        reference=reference,
+        summability_certificate=certificate,
     )
 
     if normalized:

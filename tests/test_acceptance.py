@@ -292,7 +292,7 @@ def test_criterion_5_degenerate_product_regime():
         base = complex_gaussian(rng, (1, 2))[0]
         scales = rng.uniform(0.5, 2.0, size=2)
         model = HomogeneousModel(np.array([scales[0] * base, scales[1] * base]))
-        fam = model.as_family(Sites(("a", "b")))
+        fam = FiberFamily.homogeneous(model.vectors, Sites(("a", "b")))
         a = complex_gaussian(rng, (2, 2))
         b = complex_gaussian(rng, (2, 2))
         psi_ab = expectation_schur(fam, LocalObservable(("a", "b"), (a, b)))

@@ -119,6 +119,90 @@ class TestEval:
         assert f"model.vectors.{field}:" in err
 
 
+class TestSiteListModels:
+    """Explicit vectors and ``--region`` read the declared site list."""
+
+    @staticmethod
+    def explicit_model(tmp_path, sites, entries):
+        block = encode_matrix([[1.0, 0.0], [0.6, 0.8]])
+        return write_json(
+            tmp_path,
+            "explicit.json",
+            {
+                "lattice": {"kind": "sites", "sites": sites},
+                "fiber_dim": 2,
+                "index_size": 2,
+                "vectors": {
+                    "mode": "explicit",
+                    "by_site": [{"site": s, "vectors": block} for s in entries],
+                },
+            },
+        )
+
+    @pytest.fixture
+    def obs_a(self, tmp_path):
+        return write_json(
+            tmp_path,
+            "obs_a.json",
+            {"region": ["a"], "factors": [encode_matrix(np.eye(2))]},
+        )
+
+    @pytest.mark.parametrize(
+        "sites, entries, message",
+        [
+            (["a"], ["a", "b"], "by_site[1].site: 'b' is not a declared site"),
+            (["a", "b"], ["a", "b", "a"], "by_site[2].site: second entry for site 'a'"),
+        ],
+    )
+    def test_by_site_entries_must_match_declared_sites(
+        self, tmp_path, obs_a, capsys, sites, entries, message
+    ):
+        model = self.explicit_model(tmp_path, sites, entries)
+        code, out, err = run_cli(
+            ["limit", "--model", model, "--observable", obs_a], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("validation error: model validation failed:")
+        assert f"model.vectors.{message}" in err
+
+    @pytest.fixture
+    def int_site_model(self, tmp_path):
+        return write_json(
+            tmp_path,
+            "ints.json",
+            {
+                "lattice": {"kind": "sites", "sites": [1, 2]},
+                "fiber_dim": 2,
+                "index_size": 2,
+                "vectors": {"mode": "homogeneous", "reference": encode_matrix(np.eye(2))},
+            },
+        )
+
+    def test_region_names_integer_sites(self, tmp_path, int_site_model, capsys):
+        obs = write_json(
+            tmp_path, "obs1.json", {"region": [1], "factors": [encode_matrix(np.eye(2))]}
+        )
+        code, out, _ = run_cli(
+            ["eval", "--model", int_site_model, "--observable", obs, "--region", "1;2"],
+            capsys,
+        )
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["region"] == ["1", "2"]
+        # orthonormal vectors: every product state contributes 1
+        assert res["extended"] == [2.0, 0.0]
+
+    def test_unknown_region_site_exits_1(self, tmp_path, int_site_model, capsys):
+        obs = write_json(
+            tmp_path, "obs1.json", {"region": [1], "factors": [encode_matrix(np.eye(2))]}
+        )
+        code, out, err = run_cli(
+            ["eval", "--model", int_site_model, "--observable", obs, "--region", "1;q"],
+            capsys,
+        )
+        assert (code, out, err) == (1, "", "validation error: unknown site 'q'\n")
+
+
 class TestCheckKernel:
     def test_report_passes_and_validates(self, capsys):
         code, out, _ = run_cli(

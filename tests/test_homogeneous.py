@@ -14,6 +14,7 @@ from schurstates.homogeneous import (
     overlaps,
     real_overlap_limit,
 )
+from schurstates.kernel import FiberFamily
 from schurstates.lattice import Sites
 from schurstates.sampling import complex_gaussian, random_observable, rng_from_seed
 from schurstates.state import LocalObservable, expectation_dense, expectation_schur
@@ -81,7 +82,7 @@ class TestDetectProduct:
         # product of its single-site restrictions
         model = HomogeneousModel(np.array([[0.8, 0.6], [0.8, 0.6]], dtype=complex))
         assert detect_product(overlaps(model))
-        fam = model.as_family(Sites(("a", "b")))
+        fam = FiberFamily.homogeneous(model.vectors, Sites(("a", "b")))
         a = random_observable(rng, 2)
         b = random_observable(rng, 2)
         eye = np.eye(2, dtype=complex)
@@ -117,7 +118,7 @@ class TestFiniteVolumeNormalized:
             size = int(rng.integers(2, 7))
             inner = int(rng.integers(1, size + 1))
             region = tuple(range(size))
-            fam = model.as_family(Sites(region))
+            fam = FiberFamily.homogeneous(model.vectors, Sites(region))
             obs = LocalObservable(
                 region[:inner], tuple(random_observable(rng, 2) for _ in range(inner))
             )

@@ -197,13 +197,13 @@ class TestChoi:
         # d = 1: the Choi matrix is the rank-one Gram of the scalars
         assert np.linalg.matrix_rank(c, tol=1e-12) == 1
         rep = certify_cp(fam, "s")
-        assert rep.is_cp
+        assert rep.is_psd
 
     def test_orthonormal_psd(self):
         for d in (2, 3, 4):
             fam = orthonormal_family(d=d)
             rep = certify_cp(fam, "a")
-            assert rep.is_cp
+            assert rep.is_psd
             assert rep.min_eigenvalue >= -1e-12
 
     def test_hundred_random_families(self):

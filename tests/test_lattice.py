@@ -22,7 +22,7 @@ def cube_filter(nu, r, keep):
 class TestAgainstCubeFilter:
     def test_shell(self, nu, r):
         sites = lattice.shell(nu, r)
-        assert sites == cube_filter(nu, r, lambda n: n == r)
+        assert sites == tuple(cube_filter(nu, r, lambda n: n == r))
         assert len(sites) == lattice.shell_size(nu, r)
 
     def test_ball(self, nu, r):
@@ -32,8 +32,8 @@ class TestAgainstCubeFilter:
 
 
 def test_negative_radius_is_empty():
-    assert lattice.shell(1, -1) == []
-    assert lattice.shell(3, -2) == []
+    assert lattice.shell(1, -1) == ()
+    assert lattice.shell(3, -2) == ()
     assert lattice.ball(2, -1) == []
 
 
@@ -42,12 +42,10 @@ def test_dimension_below_one_is_rejected():
         lattice.shell(0, 1)
 
 
-def test_shell_hands_out_fresh_lists():
-    first = lattice.shell(2, 3)
-    first.clear()
-    assert len(lattice.shell(2, 3)) == lattice.shell_size(2, 3)
-
-
 def test_shell_cache_is_bounded():
-    assert lattice.shell_sites.cache_info().maxsize == lattice.SHELL_CACHE_SIZE
-    assert lattice.shell_sites(2, 5) is lattice.shell_sites(2, 5)
+    assert lattice.shell.cache_info().maxsize == lattice.SHELL_CACHE_SIZE
+    # every caller shares one immutable tuple per (nu, r), so none of them
+    # can change what the next one reads
+    first = lattice.shell(2, 5)
+    assert first is lattice.shell(2, 5)
+    assert isinstance(first, tuple) and all(isinstance(s, tuple) for s in first)

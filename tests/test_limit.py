@@ -24,7 +24,7 @@ from schurstates.limit import (
 )
 from schurstates.linalg import matrix_exp
 from schurstates.mixing import decaying_perturbation_family
-from schurstates.modelfile import ModelSpec
+from schurstates.modelfile import encode_matrix, parse_model
 from schurstates.sampling import (
     complex_gaussian,
     decaying_generator_spec,
@@ -457,6 +457,23 @@ class TestRightSquareRoot:
     def test_rejects_non_pd(self):
         with pytest.raises(DomainError):
             right_square_root(np.diag([1.0, 0.0]), np.eye(2))
+        # the floor is relative: 1e-12 of the largest eigenvalue
+        with pytest.raises(DomainError):
+            right_square_root(np.diag([1e6, 1e-7]), np.eye(2))
+        right_square_root(np.diag([1e6, 1e-5]), np.eye(2))
+
+    def test_one_eigendecomposition(self, monkeypatch):
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        right_square_root(np.diag([4.0, 1.0]), np.eye(2))
+        assert calls == ["eigh"]
 
     def test_rejects_non_isometry(self):
         with pytest.raises(PreconditionError):
@@ -491,11 +508,26 @@ class TestGeneratorBuild:
         # one site at the origin plus two per shell, each with mass 2^-r
         expected = 1.0 + 2.0 * sum(2.0 ** (-r) for r in range(1, 5))
         assert spec.summability_certificate() == pytest.approx(expected)
-        # the CLI reads it through the parsed model
-        model = ModelSpec(
-            d=2, d_I=2, mode="generators", geometry=Zd(1), payload={"generator_spec": spec}
-        )
-        assert model.summability_certificate() == spec.summability_certificate()
+        # the CLI reads it from the parsed model
+        data = {
+            "lattice": {"kind": "zd", "nu": 1},
+            "fiber_dim": 2,
+            "index_size": 2,
+            "vectors": {
+                "mode": "generators",
+                "sites": [
+                    {
+                        "site": list(rec.site),
+                        "D_H": rec.diag.tolist(),
+                        "U": encode_matrix(rec.u),
+                        "W": encode_matrix(rec.w),
+                    }
+                    for rec in spec.records
+                ],
+                "tail": {"beyond_radius": spec.tail_radius, "D_H": "zero"},
+            },
+        }
+        assert parse_model(data).summability_certificate == spec.summability_certificate()
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_tail_remaining_matches_brute_force(self, reverse):

@@ -108,7 +108,7 @@ class TestLoadModel:
             },
         }
         spec = load_model(write(tmp_path, "g.json", data))
-        assert spec.summability_certificate() == pytest.approx(
+        assert spec.summability_certificate == pytest.approx(
             spec0.summability_certificate()
         )
         fam = spec.family()
@@ -195,6 +195,49 @@ class TestLoadModel:
         assert walked[0] is spec.family()
 
 
+    def test_explicit_family_walks_declared_order(self, tmp_path):
+        blocks = {
+            "a": [[1.0, 0.0]],
+            "b": [[0.6, 0.8]],
+            "c": [[0.0, 1.0]],
+        }
+        data = {
+            "lattice": {"kind": "sites", "sites": ["a", "b", "c"]},
+            "fiber_dim": 2,
+            "index_size": 1,
+            "vectors": {
+                "mode": "explicit",
+                "by_site": [
+                    {"site": s, "vectors": encode_matrix(blocks[s])} for s in ("c", "a", "b")
+                ],
+            },
+        }
+        spec = load_model(write(tmp_path, "e.json", data))
+        assert spec.family().geometry == spec.geometry
+        assert spec.family().geometry.sites == ("a", "b", "c")
+        for s, block in blocks.items():
+            np.testing.assert_array_equal(spec.family().vectors(s), block)
+
+
+    def test_undecodable_explicit_site_reported_once(self, tmp_path):
+        data = {
+            "lattice": {"kind": "sites", "sites": ["a"]},
+            "fiber_dim": 2,
+            "index_size": 1,
+            "vectors": {
+                "mode": "explicit",
+                "by_site": [
+                    {"site": "a", "vectors": encode_matrix([[1.0, 0.0]])},
+                    {"site": [1], "vectors": encode_matrix([[1.0, 0.0]])},
+                ],
+            },
+        }
+        with pytest.raises(ValidationError) as exc:
+            load_model(write(tmp_path, "e.json", data))
+        assert str(exc.value).count("by_site[1].site") == 1
+        assert "site must be a string or int" in str(exc.value)
+
+
 class TestObservable:
     def test_roundtrip(self, tmp_path):
         data = {
@@ -228,6 +271,15 @@ class TestParseRegion:
 
     def test_named_sites(self):
         assert parse_region("a;b; c", Sites(("a", "b", "c"))) == ("a", "b", "c")
+
+    def test_integer_sites_by_digits(self):
+        assert parse_region("2;-1", Sites((-1, 2, "x"))) == (2, -1)
+        # a string site of the same text takes precedence
+        assert parse_region("1;x", Sites((1, "1", "x"))) == ("1", "x")
+
+    def test_unknown_site(self):
+        with pytest.raises(ValidationError, match="unknown site 'q'"):
+            parse_region("1;q", Sites((1, 2)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

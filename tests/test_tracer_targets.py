@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from schurstates import lattice
 from schurstates.kernel import FiberFamily, IdentityTail, OnesTail
+from schurstates.limit import boundary_matrix
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -54,3 +56,23 @@ def test_tail_certificates_keep_remaining_field(tail):
     # the tracer times certificates through dataclasses.replace(tail, remaining=...)
     assert dataclasses.is_dataclass(tail)
     assert "remaining" in {f.name for f in dataclasses.fields(tail)}
+
+
+def test_lattice_walks_read_shells_through_shell(monkeypatch):
+    # the tracer's lattice.shell_* figures cover boundary walks only if
+    # the walk looks its shells up by this module attribute
+    calls = []
+    shell = lattice.shell
+
+    def counting(nu, r):
+        calls.append((nu, r))
+        return shell(nu, r)
+
+    monkeypatch.setattr(lattice, "shell", counting)
+    vectors = [[1.0]]
+    # a certificate that settles only on its exact-identity radius, 3
+    tail = IdentityTail(remaining=lambda r: 1.0, exact_beyond=3)
+    family = FiberFamily(1, 1, lambda site: vectors, lattice.Zd(2), tail=tail)
+    result = boundary_matrix(family, ())
+    assert [(2, r) for r in range(-1, 4)] == calls
+    assert result.sites_consumed == lattice.ball_size(2, 3)
