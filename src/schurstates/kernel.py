@@ -18,7 +18,9 @@ subregion.  Every other module builds its site products from these two.
 A family validates each distinct array its provider hands out once and
 keeps it read-only beside its Gram matrix, so a provider that returns one
 shared array for a whole radius (or the whole lattice) pays for one
-check, not one per site.
+check, not one per site.  A radial family also names that array per
+radius, so a boundary walk takes a whole 1-norm shell's Gram matrix
+without visiting the shell's sites.
 
 Index layout, fixed once for the whole package:
 
@@ -150,6 +152,12 @@ class FiberFamily:
     the same vectors at each of them.  Each distinct object is validated
     and squared into its Gram matrix once; a per-site index in front of
     that cache makes every later ``vectors``/``gram`` call one lookup.
+
+    Radial contract: a family on ``lattice.Zd`` may pass ``radial(r)``,
+    the array of every site of 1-norm r outside the finite set
+    ``exceptional``; at each such site the provider returns that same
+    array.  ``shell_gram(r)`` then serves a whole shell from one
+    validated entry, without visiting or indexing its sites.
     """
 
     def __init__(
@@ -160,46 +168,61 @@ class FiberFamily:
         geometry: lattice.Zd | lattice.Sites,
         tail=None,
         label: str = "",
+        radial: Callable[[int], np.ndarray] | None = None,
+        exceptional=(),
     ):
         if d < 1 or d_I < 1:
             raise ValidationError(f"fiber dims must be positive, got d={d}, d_I={d_I}")
+        if radial is None and exceptional:
+            raise ValidationError("exceptional sites need a radial family")
+        if radial is not None and geometry.finite:
+            raise ValidationError("a radial family needs a lattice geometry")
         self.d = int(d)
         self.d_I = int(d_I)
         self._provider = provider
         self.geometry = geometry
         self.tail = tail
         self.label = label
+        self.radial = radial
+        self.exceptional = frozenset(exceptional)
+        for site in self.exceptional:
+            geometry.check(site)
         # id(provider result) -> (vectors, Gram, provider result); holding the
         # result keeps its id from being reused while the entry is cached
         self._arrays: dict = {}
         self._by_site: dict = {}  # site -> its entry in ``_arrays``
+        self._by_radius: dict = {}  # r -> the entry of ``radial(r)``
         # owned here, filled by ``limit.boundary_matrix``
         self._boundary_cache: dict = {}
 
     def _entry(self, site) -> tuple:
         self.geometry.check(site)
-        raw = self._provider(site)
+        entry = self._validated(self._provider(site), f"site {site!r}")
+        self._by_site[site] = entry
+        return entry
+
+    def _validated(self, raw, where: str) -> tuple:
+        """The read-only (vectors, Gram, raw) entry of one provided array."""
         entry = self._arrays.get(id(raw))
         if entry is None:
             v = np.asarray(raw, dtype=np.complex128)
             if v.shape != (self.d_I, self.d):
                 raise DimensionError(
-                    f"site {site!r}: vectors have shape {v.shape}, "
+                    f"{where}: vectors have shape {v.shape}, "
                     f"expected {(self.d_I, self.d)}"
                 )
             if not np.all(np.isfinite(v)):
-                raise ValidationError(f"site {site!r}: non-finite vector entries")
+                raise ValidationError(f"{where}: non-finite vector entries")
             norms = np.linalg.norm(v, axis=1)
             small = np.nonzero(norms <= ZERO_VECTOR_TOL)[0]
             if small.size:
                 raise ValidationError(
-                    f"site {site!r}: zero fiber vector at index {int(small[0])}"
+                    f"{where}: zero fiber vector at index {int(small[0])}"
                 )
             v.setflags(write=False)
             g = v @ v.conj().T
             g.setflags(write=False)
             entry = self._arrays[id(raw)] = (v, g, raw)
-        self._by_site[site] = entry
         return entry
 
     def vectors(self, site) -> np.ndarray:
@@ -209,6 +232,15 @@ class FiberFamily:
     def gram(self, site) -> np.ndarray:
         """Overlap matrix G[i, j] = Tr(h_i h_j*) = <h_j, h_i> at one site."""
         return (self._by_site.get(site) or self._entry(site))[1]
+
+    def shell_gram(self, r: int) -> np.ndarray:
+        """The Gram matrix shared by every non-exceptional site of 1-norm r
+        (radial families only)."""
+        entry = self._by_radius.get(r)
+        if entry is None:
+            entry = self._validated(self.radial(r), f"radius {r}")
+            self._by_radius[r] = entry
+        return entry[1]
 
     # -- constructors -------------------------------------------------
 

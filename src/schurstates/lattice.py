@@ -19,21 +19,27 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ValidationError
 
-#: Most (nu, r) shells ``shell`` keeps at once.
+#: Most (nu, r) shells ``shell`` keeps at once, and most shell sizes
+#: ``shell_size`` keeps.
 SHELL_CACHE_SIZE = 1024
+
+#: A ``--region`` coordinate: optional sign, then ASCII digits.
+INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def norm1(site) -> int:
     return sum(abs(int(c)) for c in site)
 
 
+@functools.lru_cache(maxsize=SHELL_CACHE_SIZE)
 def shell_size(nu: int, r: int) -> int:
-    """Number of lattice sites with 1-norm exactly r (exact count)."""
+    """Number of lattice sites with 1-norm exactly r (exact count, cached)."""
     if r < 0:
         return 0
     if r == 0:
@@ -107,7 +113,7 @@ class Zd:
     def parse(self, text: str) -> tuple:
         """A site from comma-separated coordinates, as in ``--region``."""
         coords = [c.strip() for c in text.split(",")]
-        if len(coords) != self.nu or not all(c.lstrip("+-").isdigit() for c in coords):
+        if len(coords) != self.nu or not all(INTEGER.fullmatch(c) for c in coords):
             raise ValidationError(
                 f"region site {text!r}: expected {self.nu} integer coordinates"
             )

@@ -3,12 +3,21 @@ projectivity checks and the generator-driven model constructor.
 
 The boundary matrix of a finite region collects, per index pair, the
 limit of the product of single-site overlaps over all sites outside the
-region.  Products are always formed directly from the overlaps, site by
-site in the walk order of the family's geometry (``lattice.Zd`` or
-``lattice.Sites``); entrywise logarithms exist only as a
-diagnostic (overlaps may be zero or have argument near +-pi, where a
+region.  Products are always formed directly from the overlaps, never
+through entrywise logarithms, which exist only as a diagnostic
+(overlaps may be zero or have argument near +-pi, where a
 principal-branch log sum misrepresents the product).  A product whose
 limit is zero is a converged result, not a failure.
+
+Two routes form the products.  The canonical walk of a radial family
+(``FiberFamily.radial``) goes shell by shell in the 1-norm: the shared
+Gram matrix of shell r enters as one entrywise power, once for each
+site of the shell outside the region and the family's exceptional
+sites, and each exceptional site outside the region follows on its
+own.  Every other walk, and any walk given an explicit ``exhaustion``,
+goes site by site in the walk order of that geometry (``lattice.Zd``
+or ``lattice.Sites``); for a radial family it is the oracle of the
+shell route.  Both count sites, not shells, against the site cap.
 
 On an infinite lattice the walk stops only on the family's tail
 certificate (``kernel.OnesTail``, ``IdentityTail`` or ``ConstantTail``),
@@ -21,7 +30,9 @@ truncated, non-rigorous product.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,8 +123,9 @@ def boundary_matrix(
 ) -> BoundaryMatrix:
     """Tail products of overlaps over all sites outside ``region``.
 
-    Walks the blocks of ``exhaustion`` (default: the family's geometry),
-    multiplying per-entry partial products in order.  An infinite walk
+    Walks the blocks of ``exhaustion`` (default: the family's geometry,
+    whole 1-norm shells at once for a radial family), multiplying
+    per-entry partial products in order.  An infinite walk
     stops after the first block at which the family's tail certificate
     bounds every entry's remaining change by at most ``tail_tol``; an
     infinite family without a certificate raises ``PreconditionError``.
@@ -131,7 +143,7 @@ def boundary_matrix(
     key = (frozenset(region), tail_tol, site_cap)
     hit = family._boundary_cache.get(key)
     if hit is None:
-        hit = _boundary_walk(family, region, family.geometry, tail_tol, site_cap)
+        hit = _boundary_walk(family, region, None, tail_tol, site_cap)
         hit.matrix.setflags(write=False)
         family._boundary_cache[key] = hit
     return hit if hit.region == region else replace(hit, region=region)
@@ -140,20 +152,25 @@ def boundary_matrix(
 def _boundary_walk(
     family: FiberFamily,
     region: tuple,
-    exhaustion: lattice.Zd | lattice.Sites,
+    exhaustion: lattice.Zd | lattice.Sites | None,
     tail_tol: float,
     site_cap: int,
 ) -> BoundaryMatrix:
+    """The walk behind ``boundary_matrix``; ``exhaustion`` None is the
+    canonical walk, shell by shell for a radial family."""
     tail = family.tail
-    if tail is None and not exhaustion.finite:
+    walk = family.geometry if exhaustion is None else exhaustion
+    if tail is None and not walk.finite:
         raise PreconditionError(
             f"{family.label or 'family'} has infinitely many sites but no tail "
             "certificate: its boundary products cannot be stopped rigorously"
         )
+    if exhaustion is None and family.radial is not None:
+        return _radial_walk(family, region, tail_tol, site_cap)
     skip = set(region)
     p = np.ones((family.d_I, family.d_I), dtype=np.complex128)
     consumed = 0
-    for label, block in exhaustion.blocks():
+    for label, block in walk.blocks():
         before = p
         for x in block:
             if x in skip:
@@ -166,7 +183,7 @@ def _boundary_walk(
                     last_partial=p,
                     tail_estimate=float(np.max(np.abs(p - before))),
                 )
-        if not exhaustion.finite:
+        if not walk.finite:
             matrix, bound = tail.settle(p, label)
             if bound <= tail_tol:
                 return BoundaryMatrix(region, matrix, bound, consumed, True)
@@ -174,6 +191,44 @@ def _boundary_walk(
     # a finite walk is exact only if it covered every site outside the region
     exact = family.geometry.finite and consumed == len(family.geometry.site_set - skip)
     return BoundaryMatrix(region, p, 0.0 if exact else math.inf, consumed, exact)
+
+
+def _radial_walk(
+    family: FiberFamily, region: tuple, tail_tol: float, site_cap: int
+) -> BoundaryMatrix:
+    """The site walk's product and stopping rule, one 1-norm shell at a
+    time: ``shell_gram(r) ** n`` stands for the shell's n plain sites
+    outside the region, and only exceptional sites are visited.  A shell
+    that would cross the site cap is refused before it is multiplied;
+    the error carries the certificate's bound after the last shell."""
+    nu = family.geometry.nu
+    skip = set(region)
+    for site in skip:
+        family.geometry.check(site)
+    held = Counter(lattice.norm1(x) for x in skip | family.exceptional)
+    extra: dict = {}  # radius -> exceptional sites outside the region
+    for x in sorted(family.exceptional - skip):
+        extra.setdefault(lattice.norm1(x), []).append(x)
+    p = np.ones((family.d_I, family.d_I), dtype=np.complex128)
+    consumed = 0
+    bound = math.inf
+    for r in itertools.count(-1):
+        n = lattice.shell_size(nu, r) - held[r]
+        visits = extra.get(r, ())
+        consumed += n + len(visits)
+        if consumed > site_cap:
+            raise ConvergenceError(
+                f"boundary product did not settle within {site_cap} sites",
+                last_partial=p,
+                tail_estimate=bound,
+            )
+        if n:
+            p = p * family.shell_gram(r) ** n
+        for x in visits:
+            p = p * family.gram(x)
+        matrix, bound = family.tail.settle(p, r)
+        if bound <= tail_tol:
+            return BoundaryMatrix(region, matrix, bound, consumed, True)
 
 
 def limit_state_eval(

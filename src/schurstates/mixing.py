@@ -347,7 +347,8 @@ def decaying_perturbation_family(
     keeps the mixing gap visible above roundoff through t ~ 40 while the
     far products settle fast enough for tail-limit detection.  With
     ``normalize`` the origin vectors are rescaled so the total boundary
-    weight is exactly 1.
+    weight is exactly 1.  The family is radial (``FiberFamily.radial``);
+    the rescaled origin is its one exceptional site.
 
     Default directions perturb the base along a complex phase and an
     orthogonal coordinate, giving overlap deviations first order in
@@ -417,7 +418,10 @@ def decaying_perturbation_family(
 
     label = "decaying perturbation"
     geometry = lattice.Zd(nu)
-    family = FiberFamily(d, d_I, raw_vectors, geometry, tail=OnesTail(remaining), label=label)
+    family = FiberFamily(
+        d, d_I, raw_vectors, geometry, tail=OnesTail(remaining), label=label,
+        radial=vectors_at,
+    )
     if not normalize:
         return family
     total = complex(boundary_matrix(family, (), tail_tol=tail_tol).matrix.sum())
@@ -440,5 +444,6 @@ def decaying_perturbation_family(
         return remaining(r) if r >= 0 else remaining(0) + origin_deviation
 
     return FiberFamily(
-        d, d_I, provider, geometry, tail=OnesTail(normalized_remaining), label=label
+        d, d_I, provider, geometry, tail=OnesTail(normalized_remaining), label=label,
+        radial=vectors_at, exceptional=(origin,),
     )

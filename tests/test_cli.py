@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,54 @@ class TestLimit:
         assert code == 2
         assert "does not converge" in err
 
+    @pytest.mark.parametrize("coordinate", ["+-1", "--1", "\u00b2"])
+    def test_malformed_region_coordinate_exits_1(self, capsys, coordinate):
+        code, out, err = run_cli(
+            [
+                "limit",
+                "--model", str(MODELS / "generator_decay.json"),
+                "--observable", str(MODELS / "observable_site0_z1.json"),
+                "--region", f"0;{coordinate}",
+                "--check-projectivity",
+            ],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"validation error: region site {coordinate!r}: expected 1 integer coordinates\n"
+        )
+
+
+class TestPerturbedZ3AtSiteCap:
+    """A nu=3 perturbed model needs about 2.6M sites to certify its tail,
+    more than the site cap; the shell walk sees the cap coming from the
+    shell sizes and stops at once."""
+
+    @pytest.fixture
+    def z3_files(self, tmp_path):
+        model = json.loads((MODELS / "perturbed_z2.json").read_text())
+        model["lattice"]["nu"] = 3
+        paths = {"model": write_json(tmp_path, "z3.json", model)}
+        for name in ("near", "far"):
+            obs = json.loads((MODELS / f"observable_{name}.json").read_text())
+            obs["region"] = [site + [0] for site in obs["region"]]
+            paths[name] = write_json(tmp_path, f"{name}.json", obs)
+        return paths
+
+    @pytest.mark.parametrize("command", ["mixing-scan", "limit"])
+    def test_exits_2_fast(self, z3_files, capsys, command):
+        args = [command, "--model", z3_files["model"], "--observable", z3_files["near"]]
+        if command == "mixing-scan":
+            args += ["--observable-far", z3_files["far"], "--tmax", "40"]
+        start = time.perf_counter()
+        code, out, err = run_cli(args, capsys)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "convergence error: boundary product did not settle within 1000000 sites\n"
+        )
+        assert elapsed < 1.0
+
 
 class TestHomog:
     def test_orthonormal_reports_identity_overlaps(self, orthonormal_model, capsys):
@@ -371,9 +420,10 @@ class TestMixingScanCli:
         assert payload["results"]["alpha_independent"] is True
 
     def test_readme_scan_matches_golden_csv(self, tmp_path):
-        # captured from the README command before shells were emitted
-        # directly and the walk's caches were shared; any change in the
-        # order of the floating-point products shows up here
+        # captured from the README command with the shell-by-shell walk,
+        # after tests/test_mp_oracle.py put every gap within its certified
+        # error of a 50-digit recomputation; any change in the order of
+        # the floating-point products shows up here
         out = tmp_path / "scan.csv"
         code = main(
             [

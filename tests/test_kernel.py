@@ -16,7 +16,7 @@ from schurstates.kernel import (
     product_kernel_gram_matrix,
     product_kernel_matrix,
 )
-from schurstates.lattice import Sites
+from schurstates.lattice import Sites, Zd, norm1
 from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
 
 from conftest import make_family
@@ -82,6 +82,40 @@ class TestFiberFamily:
         for site in ("b", "a"):
             with pytest.raises(ValidationError, match=f"site '{site}': zero fiber vector"):
                 fam.gram(site)
+
+
+class TestRadialFamily:
+    """A radial family serves a whole 1-norm shell from one entry."""
+
+    @staticmethod
+    def radial_family(radial, exceptional=()):
+        return FiberFamily(
+            2, 2, lambda s: radial(norm1(s)), Zd(2), radial=radial, exceptional=exceptional
+        )
+
+    def test_shell_gram_is_the_sites_entry(self):
+        arrays = {r: np.array([[1.0, 0.0], [0.6, 0.8 * r]], dtype=complex) for r in (1, 2)}
+        fam = self.radial_family(arrays.__getitem__)
+        g = fam.shell_gram(2)
+        assert g is fam.gram((1, -1)) is fam.gram((0, 2))
+        with pytest.raises(ValueError):
+            g[0, 0] = 2.0
+
+    def test_radius_array_is_validated(self):
+        fam = self.radial_family(lambda r: np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="radius 3: zero fiber vector at index 1"):
+            fam.shell_gram(3)
+        fam = self.radial_family(lambda r: np.ones((3, 2)))
+        with pytest.raises(DimensionError, match=r"radius 0: vectors have shape \(3, 2\)"):
+            fam.shell_gram(0)
+
+    def test_radial_needs_a_lattice_and_exceptional_needs_radial(self):
+        with pytest.raises(ValidationError, match="needs a lattice"):
+            FiberFamily(1, 1, lambda s: [[1.0]], Sites(("a",)), radial=lambda r: [[1.0]])
+        with pytest.raises(ValidationError, match="need a radial family"):
+            FiberFamily(1, 1, lambda s: [[1.0]], Zd(1), exceptional=((0,),))
+        with pytest.raises(ValidationError, match="not a 2-tuple"):
+            self.radial_family(lambda r: np.eye(2), exceptional=((0,),))
 
 
 class TestKernelEntry:

@@ -6,6 +6,7 @@ import pytest
 
 from schurstates import lattice
 from schurstates.errors import (
+    ConvergenceError,
     GeometryError,
     PreconditionError,
     ValidationError,
@@ -264,16 +265,16 @@ class TestMixingScan:
 
 
 class TestPerturbationFamilyCaches:
-    """The normalized family shares the probe walk's vectors and Gram
-    matrices; a fresh family with empty caches and the same provider is
-    the oracle."""
+    """A fresh family with empty caches and the same provider and radial
+    data is the oracle of the family the constructor returns."""
 
     REGIONS = ((), ((0, 0),), ((0, 0), (1, 0)))
 
     def test_shared_caches_match_fresh_family(self):
         fam = decaying_perturbation_family()
         fresh = FiberFamily(
-            fam.d, fam.d_I, fam._provider, fam.geometry, tail=fam.tail
+            fam.d, fam.d_I, fam._provider, fam.geometry, tail=fam.tail,
+            radial=fam.radial, exceptional=fam.exceptional,
         )
         for region in self.REGIONS:
             got = boundary_matrix(fam, region, tail_tol=1e-14)
@@ -286,39 +287,52 @@ class TestPerturbationFamilyCaches:
             assert np.array_equal(fam.gram(site), fresh.gram(site))
 
     def test_normalized_family_builds_each_site_once(self, monkeypatch):
-        builds = []  # per constructed family: provider calls per site, arrays by id
+        # the shell walk builds only the region's sites and the exceptional
+        # origin, each once, and every walked radius once
+        builds = []  # per constructed family: provider calls per site, radial calls per radius
         init = FiberFamily.__init__
         signature = inspect.signature(init)
 
         def counting_init(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
-            provider = bound.arguments["provider"]
-            calls, handed = Counter(), {}
-            builds.append((calls, handed))
+            provider, radial = bound.arguments["provider"], bound.arguments["radial"]
+            sites, radii = Counter(), Counter()
+            builds.append((sites, radii))
 
             def build(site):
-                calls[site] += 1
-                out = provider(site)
-                handed[id(out)] = out  # holding it keeps ids distinct
-                return out
+                sites[site] += 1
+                return provider(site)
+
+            def build_radius(r):
+                radii[r] += 1
+                return radial(r)
 
             bound.arguments["provider"] = build
+            bound.arguments["radial"] = build_radius
             init(*bound.args, **bound.kwargs)
 
         monkeypatch.setattr(FiberFamily, "__init__", counting_init)
         fam = decaying_perturbation_family()  # the README model's family
-        walk = boundary_matrix(fam, ())
+        region = ((1, 0), (0, -2))
+        walk = boundary_matrix(fam, region)  # visits the exceptional origin
+        for site in region:
+            fam.gram(site)
         assert len(builds) == 2  # the normalization walk's family, then fam
-        for calls, handed in builds:
-            assert set(calls.values()) == {1}
-            radii = {lattice.norm1(s) for s in calls}
-            assert len(handed) <= len(radii) + 1
-        calls = builds[-1][0]
-        assert len(calls) == walk.sites_consumed
-        grams = {}
-        for site in calls:
-            grams.setdefault(lattice.norm1(site), set()).add(id(fam.gram(site)))
-        assert all(len(ids) == 1 for ids in grams.values())
+        (probe_sites, probe_radii), (sites, radii) = builds
+        assert not probe_sites  # the raw family has no exceptional site
+        assert set(sites) == set(region) | fam.exceptional
+        for calls in (probe_sites, sites, probe_radii, radii):
+            assert set(calls.values()) <= {1}
+        # one validated entry per radius walked, shared by the region sites
+        # there; shell 0 holds only the origin
+        assert lattice.ball_size(2, max(radii)) == walk.sites_consumed + len(region)
+        assert sorted(radii) == list(range(1, max(radii) + 1))
+        assert len({id(fam.shell_gram(r)) for r in radii}) == len(radii)
+        for site in region:
+            assert fam.gram(site) is fam.shell_gram(lattice.norm1(site))
+        # the per-site index holds only the sites visited one by one
+        assert set(fam._by_site) == set(region) | fam.exceptional
+
 
     def test_remaining_does_not_depend_on_call_order(self):
         fam = decaying_perturbation_family(normalize=False)
@@ -326,3 +340,32 @@ class TestPerturbationFamilyCaches:
         got = [fam.tail.remaining(r) for r in radii]
         want = [decaying_perturbation_family(normalize=False).tail.remaining(r) for r in radii]
         assert got == want
+
+
+class TestRadialWalk:
+    """The shell walk of a radial family against its oracle, the site
+    walk over an explicit lattice exhaustion."""
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_matches_site_walk(self, nu, normalize):
+        fam = decaying_perturbation_family(nu=nu, normalize=normalize)
+        origin = (0,) * nu
+        e1 = (1,) + origin[1:]
+        far = embed((origin, e1), 40, nu=nu).image
+        for region in ((), (origin,), (e1, origin), far):
+            shells = boundary_matrix(fam, region, tail_tol=1e-14)
+            sites = boundary_matrix(fam, region, exhaustion=lattice.Zd(nu), tail_tol=1e-14)
+            gap = float(np.max(np.abs(shells.matrix - sites.matrix)))
+            assert gap <= shells.tail_bound + 1e-13, (region, gap)
+            assert (shells.sites_consumed, shells.rigorous) == (
+                sites.sites_consumed, sites.rigorous,
+            )
+
+    def test_site_cap_counts_sites(self):
+        fam = decaying_perturbation_family(nu=2, normalize=False)
+        needed = boundary_matrix(fam, ()).sites_consumed
+        assert boundary_matrix(fam, (), site_cap=needed).sites_consumed == needed
+        for exhaustion in (None, lattice.Zd(2)):
+            with pytest.raises(ConvergenceError, match=f"within {needed - 1} sites"):
+                boundary_matrix(fam, (), exhaustion=exhaustion, site_cap=needed - 1)
