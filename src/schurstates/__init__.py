@@ -47,11 +47,9 @@ from .limit import (
     BoundaryMatrix,
     GeneratorSite,
     GeneratorSpec,
-    InteractionMatrix,
     boundary_matrix,
     build_from_generators,
     check_projectivity,
-    interaction_matrix,
     limit_state_eval,
     right_square_root,
 )

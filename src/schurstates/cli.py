@@ -321,7 +321,7 @@ def cmd_mixing_scan(args, out) -> int:
 
 
 def cmd_selftest(args, out) -> int:
-    report = run_selftest(seed=args.seed, threads=args.threads)
+    report = run_selftest(seed=args.seed)
     emit(_envelope(args, "selftest", report), args.format, out)
     return 0 if report["pass"] else 1
 
@@ -351,6 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="tail product stopping tolerance",
         )
         p.add_argument("--seed", type=int, default=0)
+        # accepted for compatibility and ignored: evaluation is sequential,
+        # and reports are byte-identical whatever the value
         p.add_argument(
             "--threads", type=int, default=1,
             help="worker hint; evaluation is deterministic regardless",

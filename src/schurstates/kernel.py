@@ -18,9 +18,11 @@ subregion.  Every other module builds its site products from these two.
 A family validates each distinct array its provider hands out once and
 keeps it read-only beside its Gram matrix, so a provider that returns one
 shared array for a whole radius (or the whole lattice) pays for one
-check, not one per site.  A radial family also names that array per
-radius, so a boundary walk takes a whole 1-norm shell's Gram matrix
-without visiting the shell's sites.
+check, not one per site; a model that tabulates many sites hands the
+whole table over (``preload``) to be checked and squared in one stacked
+pass.  A radial family also names that array per radius, so a boundary
+walk takes a whole 1-norm shell's Gram matrix without visiting the
+shell's sites.
 
 Index layout, fixed once for the whole package:
 
@@ -34,6 +36,7 @@ Index layout, fixed once for the whole package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -152,6 +155,8 @@ class FiberFamily:
     the same vectors at each of them.  Each distinct object is validated
     and squared into its Gram matrix once; a per-site index in front of
     that cache makes every later ``vectors``/``gram`` call one lookup.
+    ``preload`` fills that index for a whole table of sites from one
+    stacked validation.
 
     Radial contract: a family on ``lattice.Zd`` may pass ``radial(r)``,
     the array of every site of 1-norm r outside the finite set
@@ -211,19 +216,48 @@ class FiberFamily:
                     f"{where}: vectors have shape {v.shape}, "
                     f"expected {(self.d_I, self.d)}"
                 )
-            if not np.all(np.isfinite(v)):
-                raise ValidationError(f"{where}: non-finite vector entries")
-            norms = np.linalg.norm(v, axis=1)
-            small = np.nonzero(norms <= ZERO_VECTOR_TOL)[0]
-            if small.size:
-                raise ValidationError(
-                    f"{where}: zero fiber vector at index {int(small[0])}"
-                )
             v.setflags(write=False)
-            g = v @ v.conj().T
-            g.setflags(write=False)
+            g = self._squared(v[None], lambda k: where)[0]
             entry = self._arrays[id(raw)] = (v, g, raw)
         return entry
+
+    def _squared(self, stack: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+        """Validate a (n, d_I, d) stack of vector arrays, ``where(k)``
+        naming array k, and square it into its (n, d_I, d_I) Gram
+        matrices; both are left read-only."""
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        zero = np.linalg.norm(stack, axis=2) <= ZERO_VECTOR_TOL
+        bad = np.nonzero(~finite | zero.any(axis=1))[0]
+        if bad.size:
+            k = int(bad[0])
+            if not finite[k]:
+                raise ValidationError(f"{where(k)}: non-finite vector entries")
+            raise ValidationError(
+                f"{where(k)}: zero fiber vector at index {int(np.argmax(zero[k]))}"
+            )
+        stack.setflags(write=False)
+        g = stack @ stack.conj().swapaxes(1, 2)
+        g.setflags(write=False)
+        return g
+
+    def preload(self, sites, stack) -> None:
+        """Validate and index the vectors of many sites in one pass.
+
+        ``stack[k]`` must be what the provider returns at ``sites[k]``;
+        afterwards ``vectors``/``gram`` at those sites are lookups, as if
+        each had been asked for once.
+        """
+        sites = list(sites)
+        for site in sites:
+            self.geometry.check(site)
+        v = np.asarray(stack, dtype=np.complex128)
+        if v.shape != (len(sites), self.d_I, self.d):
+            raise DimensionError(
+                f"preloaded vectors have shape {v.shape}, "
+                f"expected {(len(sites), self.d_I, self.d)}"
+            )
+        g = self._squared(v, lambda k: f"site {sites[k]!r}")
+        self._by_site.update(zip(sites, zip(v, g, itertools.repeat(v))))
 
     def vectors(self, site) -> np.ndarray:
         """The (d_I, d) array whose row i is h(site, i)."""

@@ -4,10 +4,9 @@ projectivity checks and the generator-driven model constructor.
 The boundary matrix of a finite region collects, per index pair, the
 limit of the product of single-site overlaps over all sites outside the
 region.  Products are always formed directly from the overlaps, never
-through entrywise logarithms, which exist only as a diagnostic
-(overlaps may be zero or have argument near +-pi, where a
-principal-branch log sum misrepresents the product).  A product whose
-limit is zero is a converged result, not a failure.
+through entrywise logarithms (overlaps may be zero or have argument
+near +-pi, where a principal-branch log sum misrepresents the product).
+A product whose limit is zero is a converged result, not a failure.
 
 Two routes form the products.  The canonical walk of a radial family
 (``FiberFamily.radial``) goes shell by shell in the 1-norm: the shared
@@ -25,6 +24,12 @@ so every such result is rigorous; an infinite family without one is
 refused.  A finite walk order (a ``lattice.Sites`` passed as
 ``exhaustion``) that leaves sites outside the region unwalked gives a
 truncated, non-rigorous product.
+
+A generator model's site data is already an eigendecomposition of its
+Gram matrix, u* exp(D) u, so ``build_from_generators`` writes every
+site's right root u* exp(D/2) u w* in closed form, in one stacked pass;
+``right_square_root`` is the general primitive, and the closed form's
+test oracle.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from . import lattice
 from .errors import (
     ConvergenceError,
     DimensionError,
+    DomainError,
     GeometryError,
     PreconditionError,
     ValidationError,
@@ -51,47 +57,11 @@ from .kernel import (
     product_kernel_matrix,
     transfer_matrix,  # re-exported as schurstates.limit.transfer_matrix
 )
-from .linalg import (
-    as_cmatrix,
-    hermitian_function,
-    matrix_exp,
-    require_hermitian,
-)
+from .linalg import as_cmatrix, hermitian_function, require_hermitian
 from .state import LocalObservable
 
 #: Hard cap on the number of sites a tail product may consume.
 SITE_CAP = 10**6
-
-
-# ---------------------------------------------------------------------------
-# Interaction matrices (diagnostic)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InteractionMatrix:
-    """Entrywise principal logs of one site's overlaps.
-
-    ``defined`` masks entries whose overlap is exactly zero; those carry
-    no value.  Diagnostic only — tail products never go through logs.
-    """
-
-    site: object
-    values: np.ndarray
-    defined: np.ndarray
-
-    def entry(self, i: int, j: int):
-        return complex(self.values[i, j]) if self.defined[i, j] else None
-
-
-def interaction_matrix(family: FiberFamily, site) -> InteractionMatrix:
-    g = family.gram(site)
-    defined = g != 0
-    values = np.zeros_like(g)
-    values[defined] = np.log(g[defined])
-    values.setflags(write=False)
-    defined.setflags(write=False)
-    return InteractionMatrix(site=site, values=values, defined=defined)
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +268,20 @@ def check_projectivity(
 # ---------------------------------------------------------------------------
 
 
+#: ``right_square_root`` refuses a matrix whose smallest eigenvalue is at
+#: or below this share of its largest.
+ROOT_EIG_FLOOR = 1e-12
+
+
 def right_square_root(t, w, tol: float = 1e-12) -> np.ndarray:
     """A matrix h with h h* = t, parametrized by an isometry.
 
     Returns exp(log(t)/2) w*.  Row i of the result, read as a fiber
     vector, satisfies <h_j, h_i> = t[i, j].  ``DomainError`` unless every
-    eigenvalue of t exceeds 1e-12 times the largest.
+    eigenvalue of t exceeds ``ROOT_EIG_FLOOR`` times the largest.
     """
     tm = require_hermitian(t, tol, "right_square_root input")
-    half = hermitian_function(tm, np.sqrt, eig_floor=1e-12)
+    half = hermitian_function(tm, np.sqrt, eig_floor=ROOT_EIG_FLOOR)
     wm = as_cmatrix(w, "isometry")
     if wm.shape != tm.shape:
         raise DimensionError(
@@ -329,8 +304,26 @@ class GeneratorSite:
     u: np.ndarray     # unitary
     w: np.ndarray     # isometry fixing which right root is taken
 
-    def trace_abs(self) -> float:
-        return float(np.sum(np.abs(self.diag)))
+
+def _stacked(arrays, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays as one stack, zeros standing in for any whose shape is
+    not ``shape``, and the mask of those whose shape is."""
+    shaped = np.array([a.shape == shape for a in arrays], dtype=bool)
+    zero = np.zeros(shape)
+    return np.array([a if ok else zero for a, ok in zip(arrays, shaped)]), shaped
+
+
+def _isometry_checks(name: str, arrays, d: int) -> list:
+    """(failure mask, message of record k) for the shape, finiteness and
+    isometry defect of every record's ``name`` matrix."""
+    m, shaped = _stacked(arrays, (d, d))
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = np.max(np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(d)), axis=(1, 2))
+    return [
+        (~shaped, lambda k: f"{name} has shape {arrays[k].shape}, expected {(d, d)}"),
+        (~np.isfinite(m).all(axis=(1, 2)), lambda k: f"{name} has non-finite entries"),
+        (defect > 1e-12, lambda k: f"{name} deviates from isometry by {defect[k]:.3e}"),
+    ]
 
 
 @dataclass(frozen=True)
@@ -339,7 +332,9 @@ class GeneratorSpec:
 
     Requires the fiber dimension to equal the index count; the built
     family has Gram matrix exp(u* diag u) at each declared site and is
-    exactly orthonormal beyond the tail radius.
+    exactly orthonormal beyond the tail radius.  The first faulty record
+    is reported, and within it the first failing check: its diagonal,
+    then U, then W (each stacked over all records), then its site.
     """
 
     records: tuple
@@ -352,64 +347,99 @@ class GeneratorSpec:
         sites = [rec.site for rec in self.records]
         if len(set(sites)) != len(sites):
             raise ValidationError("generator model declares a site twice")
-        d = self.records[0].diag.shape[0]
+        fault = self._matrix_fault()
+        # a record's matrices are checked before its site, so sites are
+        # checked up to the first record with a faulty matrix
+        checked = self.records if fault is None else self.records[: fault[0]]
         zd = lattice.Zd(self.nu)
-        for rec in self.records:
-            if rec.diag.ndim != 1 or rec.diag.shape[0] != d:
-                raise ValidationError(
-                    f"site {rec.site!r}: diagonal has shape {rec.diag.shape}"
-                )
-            if np.max(np.abs(np.imag(rec.diag))) > 0:
-                raise ValidationError(f"site {rec.site!r}: diagonal is not real")
-            for name, m in (("U", rec.u), ("W", rec.w)):
-                if m.shape != (d, d):
-                    raise ValidationError(
-                        f"site {rec.site!r}: {name} has shape {m.shape}, expected {(d, d)}"
-                    )
-                defect = float(np.max(np.abs(m.conj().T @ m - np.eye(d))))
-                if defect > 1e-12:
-                    raise ValidationError(
-                        f"site {rec.site!r}: {name} deviates from isometry by {defect:.3e}"
-                    )
+        for rec in checked:
             zd.check(rec.site)
             if lattice.norm1(rec.site) > self.tail_radius:
                 raise ValidationError(
                     f"site {rec.site!r} lies beyond the declared tail radius "
                     f"{self.tail_radius}"
                 )
+        if fault is not None:
+            raise ValidationError(fault[1])
+
+    def _matrix_fault(self) -> tuple[int, str] | None:
+        """(record index, message) of the first failing diagonal, U or W
+        check, or None."""
+        d = self.d
+        recs = self.records
+        diag, shaped = _stacked([rec.diag for rec in recs], (d,))
+        checks = [
+            (~shaped, lambda k: f"diagonal has shape {recs[k].diag.shape}"),
+            (np.max(np.abs(np.imag(diag)), axis=1) > 0, lambda k: "diagonal is not real"),
+            (~np.isfinite(diag).all(axis=1), lambda k: "diagonal has non-finite entries"),
+            *_isometry_checks("U", [rec.u for rec in recs], d),
+            *_isometry_checks("W", [rec.w for rec in recs], d),
+        ]
+        failed = np.argwhere(np.stack([mask for mask, _ in checks], axis=1))
+        if not failed.size:
+            return None
+        k, c = (int(i) for i in failed[0])
+        return k, f"site {recs[k].site!r}: {checks[c][1](k)}"
 
     @property
     def d(self) -> int:
         return int(self.records[0].diag.shape[0])
 
+    def trace_abs(self) -> list:
+        """Each record's absolute diagonal mass, in record order."""
+        return np.abs(np.array([rec.diag for rec in self.records])).sum(axis=1).tolist()
+
     def summability_certificate(self) -> float:
         """Total absolute diagonal mass over all declared sites."""
-        return float(sum(rec.trace_abs() for rec in self.records))
+        return float(sum(self.trace_abs()))
 
 
 def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
     """Construct the fiber family a generator model describes.
 
-    Per declared site the Gram matrix is exp(u* diag u) and the fiber
-    vectors are the rows of its right square root with freedom w;
-    undeclared sites carry the standard orthonormal basis.
+    Per declared site the Gram matrix is exp(u* D u) = u* exp(D) u, and
+    the fiber vectors are the rows of its right square root
+    u* exp(D/2) u w*, formed for every site in one stacked pass with no
+    eigendecomposition; undeclared sites carry the standard orthonormal
+    basis.  As ``right_square_root`` would, a site is refused
+    (``DomainError``) when its exp(D) leaves the float64 range or has an
+    eigenvalue at or below ``ROOT_EIG_FLOOR`` times its largest, that is
+    when max D - min D >= -ln(ROOT_EIG_FLOOR).
     """
     d = spec.d
-    by_site = {}
-    deviations = {}  # site -> e^{trace_abs} - 1, for the tail certificate
-    for rec in spec.records:
-        h = rec.u.conj().T @ np.diag(rec.diag.astype(np.float64)) @ rec.u
-        t = matrix_exp(h)
-        by_site[rec.site] = right_square_root(t, rec.w)
-        deviations[rec.site] = math.expm1(rec.trace_abs())
+    recs = spec.records
+    diag = np.array([np.real(rec.diag) for rec in recs], dtype=np.float64)
+    top = diag.max(axis=1)
+    spread = top - diag.min(axis=1)
+    with np.errstate(over="ignore"):
+        scale = np.exp(top)
+    outside = ~np.isfinite(scale) | (scale == 0)
+    bad = np.nonzero(outside | (spread >= -math.log(ROOT_EIG_FLOOR)))[0]
+    if bad.size:
+        k = int(bad[0])
+        if outside[k]:
+            raise DomainError(
+                f"site {recs[k].site!r}: exp(D_H) leaves the float64 range "
+                f"(largest entry of D_H {top[k]:.6g})"
+            )
+        raise DomainError(
+            f"site {recs[k].site!r}: D_H spans {spread[k]:.6g}, so exp(D_H) has "
+            f"an eigenvalue at or below {ROOT_EIG_FLOOR:g} times its largest"
+        )
+    u = np.array([rec.u for rec in recs], dtype=np.complex128)
+    w = np.array([rec.w for rec in recs], dtype=np.complex128)
+    vecs = np.einsum("nji,nj,njk,nlk->nil", u.conj(), np.exp(diag / 2), u, w.conj())
+    vecs.setflags(write=False)
+    sites = [rec.site for rec in recs]
+    by_site = dict(zip(sites, vecs))
     eye = np.eye(d, dtype=np.complex128)
 
     def provider(site):
-        vecs = by_site.get(site)
-        return vecs if vecs is not None else eye
+        return by_site.get(site, eye)
 
-    # remaining deviation mass strictly beyond radius r: declared sites
-    # only, since undeclared sites contribute exactly nothing
+    # remaining deviation mass e^{trace_abs} - 1 strictly beyond radius r:
+    # declared sites only, since undeclared sites contribute exactly nothing
+    deviations = dict(zip(sites, map(math.expm1, spec.trace_abs())))
     by_radius: dict = {}
     for s, v in deviations.items():
         by_radius.setdefault(lattice.norm1(s), []).append(v)
@@ -425,7 +455,7 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         k = bisect.bisect_right(radii, r)
         return beyond[k - 1] if k else max(total, 0.0)
 
-    return FiberFamily(
+    family = FiberFamily(
         d,
         d,
         provider,
@@ -433,3 +463,5 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         tail=IdentityTail(remaining=remaining, exact_beyond=spec.tail_radius),
         label="generator model",
     )
+    family.preload(sites, vecs)
+    return family

@@ -66,6 +66,24 @@ def encode_matrix(m) -> list:
 
 
 def decode_matrix(rows, where: str, errors: list) -> np.ndarray:
+    """A matrix from nested [re, im] pairs; every fault goes to ``errors``.
+
+    A well-formed nest of numbers takes one array conversion; anything
+    else (ragged, non-numeric, or holding a JSON bool, which numpy would
+    read as 0 or 1) is walked entry by entry, which alone writes messages.
+    """
+    try:
+        a = np.asarray(rows)
+    except (ValueError, TypeError, OverflowError):
+        a = None
+    if (
+        a is not None
+        and a.ndim == 3
+        and a.shape[2] == 2
+        and a.dtype.kind in "if"
+        and not any(type(v) is bool for row in rows for pair in row for v in pair)
+    ):
+        return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0].copy()
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         errors.append(f"{where}: expected a non-empty nested array")
         return np.zeros((1, 1), dtype=np.complex128)

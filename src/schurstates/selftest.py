@@ -183,14 +183,8 @@ def _homogeneous_section(seed: int) -> dict:
     return _section("homogeneous limits and constant-overlap builder", cases, worst, 1e-6)
 
 
-def run_selftest(seed: int = 0, threads: int = 1) -> dict:
-    """Run the full battery.
-
-    ``threads`` is accepted as a worker hint but deliberately not echoed
-    into the report: evaluation is sequential either way, and reports
-    must be byte-identical across thread counts.
-    """
-    del threads
+def run_selftest(seed: int = 0) -> dict:
+    """Run the full battery, sequentially."""
     sections = [
         _linalg_section(seed),
         _kernel_section(seed),

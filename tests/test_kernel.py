@@ -84,6 +84,55 @@ class TestFiberFamily:
                 fam.gram(site)
 
 
+class TestPreload:
+    """A whole table of sites is validated and squared as one stack."""
+
+    @staticmethod
+    def table(seed=41, n=6, d_I=3, d=2):
+        sites = tuple(range(n))
+        stack = complex_gaussian(rng_from_seed(seed), (n, d_I, d))
+        return sites, stack
+
+    def test_matches_site_by_site_entries(self):
+        sites, stack = self.table()
+        calls = []
+
+        def provider(s):
+            calls.append(s)
+            return stack[s]
+
+        fam = FiberFamily(2, 3, provider, Sites(sites))
+        fam.preload(sites, stack)
+        fresh = FiberFamily(2, 3, lambda s: stack[s].copy(), Sites(sites))
+        for s in sites:
+            assert np.array_equal(fam.vectors(s), fresh.vectors(s))
+            # a provided array is a stack of one: the same Gram, bit for bit
+            assert np.array_equal(fam.gram(s), fresh.gram(s))
+            for arr in (fam.vectors(s), fam.gram(s)):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 2.0
+        assert calls == []
+
+    def test_names_the_first_faulty_site(self):
+        sites, stack = self.table()
+        stack[4, 2] = 0.0
+        stack[2, 1, 0] = np.nan
+        fam = FiberFamily(2, 3, stack.__getitem__, Sites(sites))
+        with pytest.raises(ValidationError, match="^site 2: non-finite vector entries$"):
+            fam.preload(sites, stack)
+        stack[2, 1, 0] = 1.0
+        with pytest.raises(ValidationError, match="^site 4: zero fiber vector at index 2$"):
+            fam.preload(sites, stack)
+
+    def test_checks_shape_and_sites(self):
+        sites, stack = self.table()
+        fam = FiberFamily(2, 3, stack.__getitem__, Sites(sites))
+        with pytest.raises(DimensionError, match=r"shape \(6, 2, 3\)"):
+            fam.preload(sites, stack.swapaxes(1, 2))
+        with pytest.raises(ValidationError, match="unknown site 9"):
+            fam.preload((0, 9), stack[:2])
+
+
 class TestRadialFamily:
     """A radial family serves a whole 1-norm shell from one entry."""
 

@@ -17,7 +17,6 @@ from schurstates.limit import (
     boundary_matrix,
     build_from_generators,
     check_projectivity,
-    interaction_matrix,
     limit_state_eval,
     right_square_root,
     transfer_matrix,
@@ -66,33 +65,6 @@ class TestExhaustion:
     def test_duplicate_sites_rejected(self):
         with pytest.raises(ValidationError):
             Sites(("u", "u"))
-
-
-class TestInteractionMatrix:
-    def test_unit_overlaps(self):
-        fam = FiberFamily.explicit({0: np.array([[1.0, 0.0], [1.0, 0.0]])})
-        im = interaction_matrix(fam, 0)
-        assert np.all(im.defined)
-        np.testing.assert_allclose(im.values, 0.0, atol=1e-15)
-
-    def test_orthonormal_masks_offdiagonal(self):
-        fam = FiberFamily.explicit({0: np.eye(2, dtype=complex)})
-        im = interaction_matrix(fam, 0)
-        assert im.defined[0, 0] and im.defined[1, 1]
-        assert not im.defined[0, 1] and not im.defined[1, 0]
-        assert im.entry(0, 1) is None
-
-    def test_real_log(self):
-        v = np.array([[np.exp(-0.5), 0.0]])
-        fam = FiberFamily.explicit({0: v})
-        im = interaction_matrix(fam, 0)
-        assert im.entry(0, 0) == pytest.approx(-1.0)
-
-    def test_exp_inverts_log(self, rng):
-        fam = FiberFamily.explicit({0: complex_gaussian(rng, (3, 2))})
-        im = interaction_matrix(fam, 0)
-        g = fam.gram(0)
-        np.testing.assert_allclose(np.exp(im.values[im.defined]), g[im.defined], atol=1e-12)
 
 
 class TestTransferMatrix:
@@ -539,7 +511,7 @@ class TestGeneratorBuild:
         records = spec.records[::-1] if reverse else spec.records
         spec = GeneratorSpec(records=records, tail_radius=spec.tail_radius, nu=spec.nu)
         remaining = build_from_generators(spec).tail.remaining
-        deviation = {rec.site: math.expm1(rec.trace_abs()) for rec in records}
+        deviation = {rec.site: math.expm1(float(np.sum(np.abs(rec.diag)))) for rec in records}
         total = sum(deviation.values())
         for r in range(-1, spec.tail_radius + 2):
             # definition: deviation mass of declared sites with 1-norm > r
@@ -563,3 +535,90 @@ class TestGeneratorBuild:
         )
         with pytest.raises(ValidationError, match="beyond the declared tail radius"):
             GeneratorSpec(records=(rec,), tail_radius=2, nu=1)
+
+
+#: (seed, nu, d) of the seeded generator models behind the closed-form
+#: oracle tests; the seeds feed ``decaying_generator_spec``.
+CLOSED_FORM_CASES = [(seed, nu, d) for seed in (21, 22) for nu in (1, 2) for d in (2, 3)]
+
+
+class TestClosedFormBuild:
+    """``build_from_generators`` writes u* e^{D/2} u w* for every site in
+    one stacked pass; the eigendecomposition route,
+    ``right_square_root(matrix_exp(u* D u), w)`` site by site, is its
+    oracle."""
+
+    @pytest.mark.parametrize("seed, nu, d", CLOSED_FORM_CASES)
+    def test_matches_eigendecomposition_route(self, seed, nu, d):
+        spec = decaying_generator_spec(seed=seed, radius=3, d=d, nu=nu)
+        fam = build_from_generators(spec)
+        for rec in spec.records:
+            t = matrix_exp(rec.u.conj().T @ np.diag(rec.diag) @ rec.u)
+            oracle = right_square_root(t, rec.w)
+            scale = max(1.0, float(np.max(np.abs(oracle))))
+            assert np.max(np.abs(fam.vectors(rec.site) - oracle)) <= 1e-14 * scale
+            scale = max(1.0, float(np.max(np.abs(t))))
+            assert np.max(np.abs(fam.gram(rec.site) - t)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("seed, nu, d", CLOSED_FORM_CASES)
+    def test_cocycle_and_projectivity(self, seed, nu, d):
+        spec = decaying_generator_spec(seed=seed, radius=3, d=d, nu=nu)
+        fam = build_from_generators(spec)
+        rng = rng_from_seed(seed, 7)
+        pool = Zd(nu).first(13)
+        for _ in range(4):
+            order = rng.permutation(len(pool))
+            large = tuple(pool[i] for i in order[: int(rng.integers(2, 6))])
+            small = large[: int(rng.integers(1, len(large)))]
+            lhs = boundary_matrix(fam, large).matrix * transfer_matrix(fam, large, small)
+            rhs = boundary_matrix(fam, small).matrix
+            assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, float(np.max(np.abs(rhs))))
+            obs = LocalObservable(small, tuple(random_observable(rng, d) for _ in small))
+            assert check_projectivity(fam, large, obs).passed
+
+    def test_build_runs_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        spec = decaying_generator_spec(seed=23, radius=4, d=2, nu=2)
+        fam = build_from_generators(spec)
+        for rec in spec.records:
+            fam.gram(rec.site)
+        assert calls == []
+
+    @pytest.mark.parametrize("spread", [1.0, 27.0, 27.6, 27.62, 27.64, 27.7, 30.0])
+    @pytest.mark.parametrize("centre", [-5.0, 0.0, 5.0])
+    def test_floor_matches_right_square_root(self, spread, centre):
+        # the closed form refuses exactly where the eigendecomposition
+        # route refuses: max D - min D >= -ln(1e-12) = 27.631...
+        from schurstates.limit import GeneratorSite, GeneratorSpec
+
+        u = random_unitary(rng_from_seed(29), 2)
+        diag = np.array([centre + spread / 2, centre - spread / 2])
+        rec = GeneratorSite(site=(0,), diag=diag, u=u, w=np.eye(2, dtype=complex))
+        spec = GeneratorSpec(records=(rec,), tail_radius=0, nu=1)
+        try:
+            right_square_root(matrix_exp(u.conj().T @ np.diag(diag) @ u), rec.w)
+        except DomainError:
+            with pytest.raises(DomainError, match=r"site \(0,\): D_H spans"):
+                build_from_generators(spec)
+        else:
+            build_from_generators(spec)
+
+    @pytest.mark.parametrize("top", [710.0, -746.0])
+    def test_exp_outside_float64_refused(self, top):
+        from schurstates.limit import GeneratorSite, GeneratorSpec
+
+        recs = (
+            GeneratorSite(site=(0,), diag=np.zeros(2), u=np.eye(2), w=np.eye(2)),
+            GeneratorSite(site=(1,), diag=np.array([top, top]), u=np.eye(2), w=np.eye(2)),
+        )
+        spec = GeneratorSpec(records=recs, tail_radius=1, nu=1)
+        with pytest.raises(DomainError, match=r"site \(1,\): exp\(D_H\) leaves the float64 range"):
+            build_from_generators(spec)

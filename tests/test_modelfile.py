@@ -288,3 +288,35 @@ class TestParseRegion:
     def test_empty(self):
         with pytest.raises(ValidationError):
             parse_region(" ; ", Zd(2))
+
+
+class TestDecodeMatrix:
+    """A numeric nest of [re, im] pairs takes one array conversion; the
+    entry-by-entry walk is its oracle and writes every message."""
+
+    @staticmethod
+    def walked(rows):
+        return np.array(
+            [[complex(float(re), float(im)) for re, im in row] for row in rows],
+            dtype=np.complex128,
+        )
+
+    def test_array_route_is_bit_identical(self):
+        rows = [
+            [[0.1, -0.0], [3, -2], [2**60 + 1, 0.5]],
+            [[1e300, 5e-324], [-7, 0.25], [-0.0, 1e-300]],
+        ]
+        errors = []
+        got = modelfile.decode_matrix(rows, "m", errors)
+        assert errors == []
+        assert got.dtype == np.complex128 and got.shape == (2, 3)
+        assert np.array_equal(got.view(np.int64), self.walked(rows).view(np.int64))
+        # one array owning its data, not a chain of views
+        assert got.base is None and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_are_walked(self, value):
+        for rows in ([[[1.0, value]]], [[[value, value]]], [[value]]):
+            errors = []
+            modelfile.decode_matrix(rows, "m", errors)
+            assert errors == [f"m[0][0]: expected [re, im], got {rows[0][0]!r}"]
