@@ -225,15 +225,15 @@ class FiberFamily:
         """Validate a (n, d_I, d) stack of vector arrays, ``where(k)``
         naming array k, and square it into its (n, d_I, d_I) Gram
         matrices; both are left read-only."""
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        zero = np.linalg.norm(stack, axis=2) <= ZERO_VECTOR_TOL
-        bad = np.nonzero(~finite | zero.any(axis=1))[0]
-        if bad.size:
-            k = int(bad[0])
+        norms = np.linalg.norm(stack, axis=2)
+        if not (np.isfinite(stack).all() and (norms > ZERO_VECTOR_TOL).all()):
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            k = int(np.argmin(finite & (norms > ZERO_VECTOR_TOL).all(axis=1)))
             if not finite[k]:
                 raise ValidationError(f"{where(k)}: non-finite vector entries")
             raise ValidationError(
-                f"{where(k)}: zero fiber vector at index {int(np.argmax(zero[k]))}"
+                f"{where(k)}: zero fiber vector at index "
+                f"{int(np.argmax(norms[k] <= ZERO_VECTOR_TOL))}"
             )
         stack.setflags(write=False)
         g = stack @ stack.conj().swapaxes(1, 2)

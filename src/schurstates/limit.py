@@ -317,11 +317,14 @@ def _isometry_checks(name: str, arrays, d: int) -> list:
     """(failure mask, message of record k) for the shape, finiteness and
     isometry defect of every record's ``name`` matrix."""
     m, shaped = _stacked(arrays, (d, d))
+    finite = np.isfinite(m).all(axis=(1, 2))
     with np.errstate(invalid="ignore", over="ignore"):
-        defect = np.max(np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(d)), axis=(1, 2))
+        gram = m.conj().swapaxes(1, 2) @ m
+        gram -= np.eye(d)
+        defect = np.abs(gram).max(axis=(1, 2))
     return [
         (~shaped, lambda k: f"{name} has shape {arrays[k].shape}, expected {(d, d)}"),
-        (~np.isfinite(m).all(axis=(1, 2)), lambda k: f"{name} has non-finite entries"),
+        (~finite, lambda k: f"{name} has non-finite entries"),
         (defect > 1e-12, lambda k: f"{name} deviates from isometry by {defect[k]:.3e}"),
     ]
 
