@@ -216,18 +216,18 @@ class FiberFamily:
                     f"{where}: vectors have shape {v.shape}, "
                     f"expected {(self.d_I, self.d)}"
                 )
-            v.setflags(write=False)
-            g = self._squared(v[None], lambda k: where)[0]
+            g = self._squared(v, lambda k: where)
             entry = self._arrays[id(raw)] = (v, g, raw)
         return entry
 
     def _squared(self, stack: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
-        """Validate a (n, d_I, d) stack of vector arrays, ``where(k)``
-        naming array k, and square it into its (n, d_I, d_I) Gram
-        matrices; both are left read-only."""
-        norms = np.linalg.norm(stack, axis=2)
+        """Validate a stack of (d_I, d) vector arrays, shape (n, d_I, d) or,
+        for one array, (d_I, d), with ``where(k)`` naming array k, and
+        square it into its Gram matrices; both are left read-only."""
+        norms = np.linalg.norm(stack, axis=-1)
         if not (np.isfinite(stack).all() and (norms > ZERO_VECTOR_TOL).all()):
-            finite = np.isfinite(stack).all(axis=(1, 2))
+            norms = norms.reshape(-1, self.d_I)
+            finite = np.isfinite(stack.reshape(len(norms), -1)).all(axis=1)
             k = int(np.argmin(finite & (norms > ZERO_VECTOR_TOL).all(axis=1)))
             if not finite[k]:
                 raise ValidationError(f"{where(k)}: non-finite vector entries")
@@ -236,7 +236,7 @@ class FiberFamily:
                 f"{int(np.argmax(norms[k] <= ZERO_VECTOR_TOL))}"
             )
         stack.setflags(write=False)
-        g = stack @ stack.conj().swapaxes(1, 2)
+        g = stack @ stack.conj().swapaxes(-1, -2)
         g.setflags(write=False)
         return g
 

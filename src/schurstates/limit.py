@@ -397,6 +397,14 @@ class GeneratorSpec:
         return float(sum(self.trace_abs()))
 
 
+def _right_roots(recs, diag: np.ndarray) -> np.ndarray:
+    """u* exp(D/2) u w* for every record, as one (N, d, d) stack."""
+    u = np.array([rec.u for rec in recs], dtype=np.complex128)
+    w = np.array([rec.w for rec in recs], dtype=np.complex128)
+    np.conjugate(w, out=w)
+    return np.einsum("nji,nj,njk,nlk->nil", u.conj(), np.exp(diag / 2), u, w)
+
+
 def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
     """Construct the fiber family a generator model describes.
 
@@ -429,9 +437,7 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
             f"site {recs[k].site!r}: D_H spans {spread[k]:.6g}, so exp(D_H) has "
             f"an eigenvalue at or below {ROOT_EIG_FLOOR:g} times its largest"
         )
-    u = np.array([rec.u for rec in recs], dtype=np.complex128)
-    w = np.array([rec.w for rec in recs], dtype=np.complex128)
-    vecs = np.einsum("nji,nj,njk,nlk->nil", u.conj(), np.exp(diag / 2), u, w.conj())
+    vecs = _right_roots(recs, diag)
     vecs.setflags(write=False)
     sites = [rec.site for rec in recs]
     by_site = dict(zip(sites, vecs))
