@@ -35,8 +35,6 @@ from .kernel import (
     SchurKernelMap,
     certify_cp,
     choi_matrix,
-    independence_profile,
-    kernel_entry,
     kernel_gram_matrix,
     kernel_matrix,
     product_kernel_gram_matrix,
@@ -58,7 +56,6 @@ from .linalg import (
     PsdReport,
     hadamard,
     hermitian_function,
-    is_psd,
     matrix_exp,
     matrix_log,
     psd_report,
@@ -68,7 +65,6 @@ from .mixing import (
     Embedding,
     alpha_limit,
     alpha_mixing_gap,
-    ball,
     decaying_perturbation_family,
     embed,
     mixing_gap,
@@ -80,7 +76,6 @@ from .state import (
     LocalObservable,
     expectation_dense,
     expectation_extended,
-    expectation_normalized,
     expectation_schur,
     superposition_vector,
 )

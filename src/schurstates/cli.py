@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -413,6 +414,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, value in (("--tol", args.tol), ("--tail-tol", args.tail_tol)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{flag} must be a finite number >= 0, got {value}")
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 return args.func(args, fh)

@@ -27,8 +27,8 @@ shell's sites.
 Index layout, fixed once for the whole package:
 
 * ``family.vectors(x)`` has shape (d_I, d); row i is h(x, i).
-* ``kernel_matrix(family, x, b)[i, j] == kernel_entry(family, x, i, j, b)
-  == Tr(h_i h_j* b)``; at b = identity this is the Gram matrix
+* ``kernel_matrix(family, x, b)[i, j] == Tr(h_i h_j* b)
+  == <h_j, b h_i>``; at b = identity this is the Gram matrix
   ``G[i, j] = <h_j, h_i>``.
 * ``kernel_gram_matrix`` rows/cols are composite indices (i, k) -> i*n + k
   for fiber index i and observable index k.
@@ -321,17 +321,6 @@ def _check_local_operator(family: FiberFamily, b, name: str = "observable") -> n
     return m
 
 
-def kernel_entry(family: FiberFamily, site, i: int, j: int, b) -> complex:
-    """Tr(h(x,i) h(x,j)* b) = <h(x,j), b h(x,i)> for one index pair."""
-    if not (0 <= i < family.d_I and 0 <= j < family.d_I):
-        raise DimensionError(
-            f"index pair ({i}, {j}) out of range for d_I={family.d_I}"
-        )
-    m = _check_local_operator(family, b)
-    v = family.vectors(site)
-    return complex(np.vdot(v[j], m @ v[i]))
-
-
 def kernel_matrix(family: FiberFamily, site, b) -> np.ndarray:
     """The d_I x d_I matrix with (i, j) entry Tr(h_i h_j* b).
 
@@ -482,14 +471,3 @@ def product_kernel_gram_matrix(family: FiberFamily, sites, obs_tuples) -> np.nda
             out[h::n, k::n] = product_kernel_matrix(family, sites, bs).T
     return out
 
-
-def independence_profile(family: FiberFamily, site) -> tuple[bool, bool]:
-    """(linearly independent, spans the fiber) diagnostic for one site.
-
-    Families whose vectors are independent but do not span their fiber
-    are the regime where existence of the tail limit is also necessary,
-    not only sufficient; the flag is informational.
-    """
-    v = family.vectors(site)
-    rank = int(np.linalg.matrix_rank(v, tol=1e-12 * max(1.0, float(np.max(np.abs(v))))))
-    return rank == family.d_I, rank == family.d

@@ -1,4 +1,4 @@
-"""Site geometries, and integer-lattice shells and balls in the 1-norm.
+"""Site geometries, and integer-lattice shells in the 1-norm.
 
 A geometry owns what depends on what a site is: checking it, decoding
 it from JSON, parsing it from ``--region``, and the order in which
@@ -11,7 +11,7 @@ coordinate, then the shell of the remaining norm in one dimension less),
 never by filtering the (2r+1)^nu cube.  Each (nu, r) shell is built once
 per process and kept, as an immutable tuple, in the cache of ``shell``,
 which this module owns (at most ``SHELL_CACHE_SIZE`` shells, least
-recently used first out); ``ball`` and ``Zd.blocks`` read it.
+recently used first out); ``Zd.blocks`` reads it.
 """
 
 from __future__ import annotations
@@ -65,15 +65,6 @@ def shell(nu: int, r: int) -> tuple[tuple[int, ...], ...]:
         for c in range(-r, r + 1)
         for rest in shell(nu - 1, r - abs(c))
     )
-
-
-def ball(nu: int, r: int) -> list[tuple[int, ...]]:
-    """Sites with 1-norm at most r, lexicographically ordered."""
-    return sorted(itertools.chain.from_iterable(shell(nu, k) for k in range(r + 1)))
-
-
-def ball_size(nu: int, r: int) -> int:
-    return sum(shell_size(nu, k) for k in range(r + 1))
 
 
 def json_int(value) -> int | None:

@@ -8,15 +8,19 @@ through entrywise logarithms (overlaps may be zero or have argument
 near +-pi, where a principal-branch log sum misrepresents the product).
 A product whose limit is zero is a converged result, not a failure.
 
-Two routes form the products.  The canonical walk of a radial family
+One loop forms the products, over blocks of (Gram matrix, multiplicity)
+factors from one of two sources.  The canonical walk of a radial family
 (``FiberFamily.radial``) goes shell by shell in the 1-norm: the shared
 Gram matrix of shell r enters as one entrywise power, once for each
 site of the shell outside the region and the family's exceptional
 sites, and each exceptional site outside the region follows on its
 own.  Every other walk, and any walk given an explicit ``exhaustion``,
-goes site by site in the walk order of that geometry (``lattice.Zd``
-or ``lattice.Sites``); for a radial family it is the oracle of the
-shell route.  Both count sites, not shells, against the site cap.
+takes each site outside the region as one factor, block by block in the
+walk order of that geometry (``lattice.Zd`` or ``lattice.Sites``); for
+a radial family it is the oracle of the shell source.  For both, the
+loop checks the region against the family's geometry, counts each
+block's sites against the site cap before it builds any of the block,
+and asks the tail certificate to settle once per block.
 
 On an infinite lattice the walk stops only on the family's tail
 certificate (``kernel.OnesTail``, ``IdentityTail`` or ``ConstantTail``),
@@ -51,12 +55,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .kernel import (
-    FiberFamily,
-    IdentityTail,
-    product_kernel_matrix,
-    transfer_matrix,  # re-exported as schurstates.limit.transfer_matrix
-)
+from .kernel import FiberFamily, IdentityTail, product_kernel_matrix
 from .linalg import as_cmatrix, hermitian_function, require_hermitian
 from .state import LocalObservable
 
@@ -126,8 +125,13 @@ def _boundary_walk(
     tail_tol: float,
     site_cap: int,
 ) -> BoundaryMatrix:
-    """The walk behind ``boundary_matrix``; ``exhaustion`` None is the
-    canonical walk, shell by shell for a radial family."""
+    """The walk behind ``boundary_matrix``: one loop over the blocks
+    (label, site count, power of ``shell_gram(label)``, single sites) of
+    ``_shell_blocks`` (the canonical walk of a radial family) or
+    ``_site_blocks`` (any other walk).  A block that would cross
+    ``site_cap`` is refused whole; the error carries the product through
+    the last whole block and the certificate's bound after that block
+    (``inf`` if none was computed, as on a finite walk)."""
     tail = family.tail
     walk = family.geometry if exhaustion is None else exhaustion
     if tail is None and not walk.finite:
@@ -135,24 +139,28 @@ def _boundary_walk(
             f"{family.label or 'family'} has infinitely many sites but no tail "
             "certificate: its boundary products cannot be stopped rigorously"
         )
-    if exhaustion is None and family.radial is not None:
-        return _radial_walk(family, region, tail_tol, site_cap)
     skip = set(region)
+    for site in skip:
+        family.geometry.check(site)
+    if exhaustion is None and family.radial is not None:
+        blocks = _shell_blocks(family, skip)
+    else:
+        blocks = _site_blocks(walk, skip)
     p = np.ones((family.d_I, family.d_I), dtype=np.complex128)
     consumed = 0
-    for label, block in walk.blocks():
-        before = p
-        for x in block:
-            if x in skip:
-                continue
+    bound = math.inf
+    for label, count, power, sites in blocks:
+        if consumed + count > site_cap:
+            raise ConvergenceError(
+                f"boundary product did not settle within {site_cap} sites",
+                last_partial=p,
+                tail_estimate=bound,
+            )
+        consumed += count
+        if power:
+            p = p * family.shell_gram(label) ** power
+        for x in sites:
             p = p * family.gram(x)
-            consumed += 1
-            if consumed > site_cap:
-                raise ConvergenceError(
-                    f"boundary product did not settle within {site_cap} sites",
-                    last_partial=p,
-                    tail_estimate=float(np.max(np.abs(p - before))),
-                )
         if not walk.finite:
             matrix, bound = tail.settle(p, label)
             if bound <= tail_tol:
@@ -163,42 +171,28 @@ def _boundary_walk(
     return BoundaryMatrix(region, p, 0.0 if exact else math.inf, consumed, exact)
 
 
-def _radial_walk(
-    family: FiberFamily, region: tuple, tail_tol: float, site_cap: int
-) -> BoundaryMatrix:
-    """The site walk's product and stopping rule, one 1-norm shell at a
-    time: ``shell_gram(r) ** n`` stands for the shell's n plain sites
-    outside the region, and only exceptional sites are visited.  A shell
-    that would cross the site cap is refused before it is multiplied;
-    the error carries the certificate's bound after the last shell."""
+def _site_blocks(walk, skip: set):
+    """(label, site count, 0, sites) per block of ``walk``: each site
+    outside the region is one factor."""
+    for label, block in walk.blocks():
+        sites = [x for x in block if x not in skip]
+        yield label, len(sites), 0, sites
+
+
+def _shell_blocks(family: FiberFamily, skip: set):
+    """(r, site count, n, sites) per 1-norm shell r of a radial family:
+    ``shell_gram(r)`` to the power n, the number of the shell's plain
+    sites outside the region, then each exceptional site outside the
+    region.  A shell with n = 0 never builds its Gram matrix."""
     nu = family.geometry.nu
-    skip = set(region)
-    for site in skip:
-        family.geometry.check(site)
     held = Counter(lattice.norm1(x) for x in skip | family.exceptional)
     extra: dict = {}  # radius -> exceptional sites outside the region
     for x in sorted(family.exceptional - skip):
         extra.setdefault(lattice.norm1(x), []).append(x)
-    p = np.ones((family.d_I, family.d_I), dtype=np.complex128)
-    consumed = 0
-    bound = math.inf
     for r in itertools.count(-1):
         n = lattice.shell_size(nu, r) - held[r]
         visits = extra.get(r, ())
-        consumed += n + len(visits)
-        if consumed > site_cap:
-            raise ConvergenceError(
-                f"boundary product did not settle within {site_cap} sites",
-                last_partial=p,
-                tail_estimate=bound,
-            )
-        if n:
-            p = p * family.shell_gram(r) ** n
-        for x in visits:
-            p = p * family.gram(x)
-        matrix, bound = family.tail.settle(p, r)
-        if bound <= tail_tol:
-            return BoundaryMatrix(region, matrix, bound, consumed, True)
+        yield r, n + len(visits), n, visits
 
 
 def limit_state_eval(

@@ -92,10 +92,6 @@ def psd_report(a, tol: float = PSD_TOL) -> PsdReport:
     return PsdReport(hermitian and positive, hermitian, min_eig, max_abs, defect)
 
 
-def is_psd(a, tol: float = PSD_TOL) -> bool:
-    return psd_report(a, tol).is_psd
-
-
 def require_hermitian(a, tol: float = PSD_TOL, name: str = "matrix") -> np.ndarray:
     """Return the symmetrized matrix, rejecting genuinely non-Hermitian input."""
     m = as_cmatrix(a, name)

@@ -37,9 +37,6 @@ DEFAULT_T_SEQUENCE = (5, 10, 20, 40)
 #: Default Cauchy / independence tolerance for tail limits.
 DEFAULT_ALPHA_TOL = 1e-8
 
-ball = lattice.ball
-
-
 @dataclass(frozen=True)
 class Embedding:
     """An injective placement of a region outside the ball of radius t."""

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     GeometryError,
-    PreconditionError,
     ResourceLimitError,
     ValidationError,
 )
@@ -65,9 +64,6 @@ class LocalObservable:
     def identity(cls, region, d: int) -> "LocalObservable":
         eye = np.eye(d, dtype=np.complex128)
         return cls(tuple(region), tuple(eye for _ in region))
-
-    def factor_at(self, site) -> np.ndarray:
-        return self.factors[self.region.index(site)]
 
 
 @dataclass(frozen=True)
@@ -171,12 +167,3 @@ def expectation_extended(
     outside = transfer_matrix(family, full_region, obs.region)
     return complex((product_kernel_matrix(family, obs.region, obs.factors) * outside).sum())
 
-
-def expectation_normalized(family: FiberFamily, obs: LocalObservable) -> complex:
-    """Expectation divided by the value at identity factors on the region."""
-    weight = expectation_schur(family, LocalObservable.identity(obs.region, family.d))
-    if abs(weight) <= 1e-14:
-        raise PreconditionError(
-            f"normalization weight {weight} is numerically zero on this region"
-        )
-    return expectation_schur(family, obs) / weight

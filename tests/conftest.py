@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from schurstates import lattice
 from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
 
 
@@ -15,6 +17,16 @@ def rng():
 
 def make_family(seed, sites, d, d_I):
     return random_family(rng_from_seed(seed), sites, d, d_I)
+
+
+def ball(nu, r):
+    """Sites of Z^nu with 1-norm at most r, lexicographically ordered."""
+    return sorted(itertools.chain.from_iterable(lattice.shell(nu, k) for k in range(r + 1)))
+
+
+def ball_size(nu, r):
+    """Number of sites of Z^nu with 1-norm at most r."""
+    return sum(lattice.shell_size(nu, k) for k in range(r + 1))
 
 
 def gram_psd_matrix(rng, n):

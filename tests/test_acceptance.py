@@ -25,13 +25,13 @@ from schurstates.kernel import (
     certify_cp,
     kernel_gram_matrix,
     product_kernel_gram_matrix,
+    transfer_matrix,
 )
 from schurstates.limit import (
     boundary_matrix,
     build_from_generators,
     check_projectivity,
     right_square_root,
-    transfer_matrix,
 )
 from schurstates.lattice import Sites, Zd
 from schurstates.linalg import matrix_log

@@ -304,6 +304,35 @@ class TestLimit:
         )
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    @pytest.mark.parametrize("flag", ["--tol", "--tail-tol"])
+    @pytest.mark.parametrize("command", ["limit", "mixing-scan", "selftest"])
+    def test_malformed_value_exits_1_before_loading(self, capsys, command, flag, value):
+        # the model path does not exist: the flag is refused before any load
+        args = [command, f"{flag}={value}"]
+        if command != "selftest":
+            args += ["--model", str(MODELS / "missing.json"), "--observable", "x.json"]
+        if command == "mixing-scan":
+            args += ["--observable-far", "x.json"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"validation error: {flag} must be a finite number >= 0")
+
+    def test_zero_tail_tol_is_valid(self, capsys):
+        code, out, _ = run_cli(
+            [
+                "limit",
+                "--model", str(MODELS / "generator_decay.json"),
+                "--observable", str(MODELS / "observable_site0_z1.json"),
+                "--tail-tol", "0",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["tail_bound"] == 0.0
+
+
 class TestPerturbedZ3AtSiteCap:
     """A nu=3 perturbed model needs about 2.6M sites to certify its tail,
     more than the site cap; the shell walk sees the cap coming from the

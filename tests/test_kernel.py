@@ -9,8 +9,6 @@ from schurstates.kernel import (
     SchurKernelMap,
     certify_cp,
     choi_matrix,
-    independence_profile,
-    kernel_entry,
     kernel_gram_matrix,
     kernel_matrix,
     product_kernel_gram_matrix,
@@ -20,6 +18,12 @@ from schurstates.lattice import Sites, Zd, norm1
 from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
 
 from conftest import make_family
+
+
+def kernel_entry(family, site, i, j, b):
+    """The literal oracle of one ``kernel_matrix`` entry: <h_j, b h_i>."""
+    v = family.vectors(site)
+    return complex(np.vdot(v[j], np.asarray(b) @ v[i]))
 
 
 def orthonormal_family(sites=("a", "b"), d=2):
@@ -168,43 +172,41 @@ class TestRadialFamily:
 
 
 class TestKernelEntry:
+    """Single entries of ``kernel_matrix`` against their closed forms."""
+
     def test_identity_gives_inner_product(self, rng):
         fam = make_family(3, ["a"], 3, 2)
         v = fam.vectors("a")
+        m = kernel_matrix(fam, "a", np.eye(3))
         for i in range(2):
             for j in range(2):
-                val = kernel_entry(fam, "a", i, j, np.eye(3))
-                assert val == pytest.approx(complex(np.vdot(v[j], v[i])))
+                assert m[i, j] == pytest.approx(complex(np.vdot(v[j], v[i])))
 
     def test_scalar_fiber(self):
         z1, z2, w = 1.5 + 0.5j, -0.25 + 2j, 0.7 - 0.3j
         fam = FiberFamily.explicit({"s": np.array([[z1], [z2]])})
-        val = kernel_entry(fam, "s", 0, 1, np.array([[w]]))
+        val = kernel_matrix(fam, "s", np.array([[w]]))[0, 1]
         assert val == pytest.approx(z1 * np.conj(z2) * w)
 
     def test_orthonormal_projector(self):
         fam = orthonormal_family(d=3)
         e = np.eye(3)
         b = np.outer(e[1], e[1].conj())
+        m = kernel_matrix(fam, "a", b)
         for i in range(2):
             for j in range(2):
                 expected = 1.0 if (i == 1 and j == 1) else 0.0
-                assert kernel_entry(fam, "a", i, j, b) == pytest.approx(expected)
-
-    def test_index_out_of_range(self):
-        fam = orthonormal_family()
-        with pytest.raises(DimensionError):
-            kernel_entry(fam, "a", 0, 5, np.eye(2))
+                assert m[i, j] == pytest.approx(expected)
 
     def test_hermitian_covariance(self, rng):
         fam = make_family(11, ["a"], 3, 3)
         for _ in range(5):
             b = complex_gaussian(rng, (3, 3))
+            lhs = kernel_matrix(fam, "a", b.conj().T)
+            rhs = kernel_matrix(fam, "a", b)
             for i in range(3):
                 for j in range(3):
-                    lhs = kernel_entry(fam, "a", i, j, b.conj().T)
-                    rhs = np.conj(kernel_entry(fam, "a", j, i, b))
-                    assert lhs == pytest.approx(rhs, abs=1e-12)
+                    assert lhs[i, j] == pytest.approx(np.conj(rhs[j, i]), abs=1e-12)
 
 
 class TestKernelMatrix:
@@ -415,12 +417,3 @@ def test_cp_random_tuple_characterization():
         eigs = np.linalg.eigvalsh(0.5 * (acc + acc.conj().T))
         assert eigs[0] >= -1e-10 * max(1.0, float(np.max(np.abs(eigs))))
 
-
-def test_independence_profile():
-    # two independent vectors inside a 3-dim fiber: independent, not a basis
-    fam = FiberFamily.explicit({"a": np.array([[1.0, 0, 0], [0, 1.0, 0]])})
-    assert independence_profile(fam, "a") == (True, False)
-    fam2 = FiberFamily.explicit({"a": np.eye(2, dtype=complex)})
-    assert independence_profile(fam2, "a") == (True, True)
-    fam3 = FiberFamily.explicit({"a": np.array([[1.0, 0.0], [2.0, 0.0]])})
-    assert independence_profile(fam3, "a") == (False, False)

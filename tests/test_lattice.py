@@ -1,12 +1,14 @@
-"""Shells and balls against the cube filter they replaced, kept here as
-the oracle: every site of the (2r+1)^nu cube, filtered by 1-norm and
-sorted."""
+"""Shells, and the test helpers' balls, against the cube filter they
+replaced, kept here as the oracle: every site of the (2r+1)^nu cube,
+filtered by 1-norm and sorted."""
 
 import itertools
 
 import pytest
 
 from schurstates import lattice
+
+from conftest import ball, ball_size
 
 
 def cube_filter(nu, r, keep):
@@ -26,15 +28,15 @@ class TestAgainstCubeFilter:
         assert len(sites) == lattice.shell_size(nu, r)
 
     def test_ball(self, nu, r):
-        sites = lattice.ball(nu, r)
+        sites = ball(nu, r)
         assert sites == cube_filter(nu, r, lambda n: n <= r)
-        assert len(sites) == lattice.ball_size(nu, r)
+        assert len(sites) == ball_size(nu, r)
 
 
 def test_negative_radius_is_empty():
     assert lattice.shell(1, -1) == ()
     assert lattice.shell(3, -2) == ()
-    assert lattice.ball(2, -1) == []
+    assert ball(2, -1) == []
 
 
 def test_dimension_below_one_is_rejected():

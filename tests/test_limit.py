@@ -12,14 +12,13 @@ from schurstates.errors import (
 )
 from schurstates import lattice
 from schurstates.lattice import Sites, Zd
-from schurstates.kernel import FiberFamily, OnesTail
+from schurstates.kernel import FiberFamily, IdentityTail, OnesTail, transfer_matrix
 from schurstates.limit import (
     boundary_matrix,
     build_from_generators,
     check_projectivity,
     limit_state_eval,
     right_square_root,
-    transfer_matrix,
 )
 from schurstates.linalg import matrix_exp
 from schurstates.mixing import decaying_perturbation_family
@@ -33,6 +32,8 @@ from schurstates.sampling import (
     rng_from_seed,
 )
 from schurstates.state import LocalObservable, expectation_extended
+
+from conftest import ball, ball_size
 
 
 @pytest.fixture(scope="module")
@@ -215,10 +216,10 @@ class TestBoundaryMatrix:
             fam = decaying_perturbation_family(nu=nu, normalize=normalize)
         a = boundary_matrix(fam, region, tail_tol=1e-12)
         radius = max(map(lattice.norm1, Zd(nu).first(a.sites_consumed + len(region))))
-        ball = lattice.ball(nu, radius + 10)
-        order = rng_from_seed(11).permutation(len(ball))
-        b = boundary_matrix(fam, region, exhaustion=Sites([ball[i] for i in order]))
-        assert b.sites_consumed == len(ball) - len(region)
+        sites = ball(nu, radius + 10)
+        order = rng_from_seed(11).permutation(len(sites))
+        b = boundary_matrix(fam, region, exhaustion=Sites([sites[i] for i in order]))
+        assert b.sites_consumed == len(sites) - len(region)
         assert np.max(np.abs(b.matrix - a.matrix)) <= a.tail_bound + 1e-13
 
     @pytest.mark.parametrize("normalize", [False, True])
@@ -233,7 +234,7 @@ class TestBoundaryMatrix:
         assert bm.rigorous and bm.tail_bound <= 1e-12
         walked = Zd(nu).first(bm.sites_consumed + 1)
         radius = max(lattice.norm1(s) for s in walked)
-        longer = Sites(Zd(nu).first(len(lattice.ball(nu, radius + 10))))
+        longer = Sites(Zd(nu).first(ball_size(nu, radius + 10)))
         ref = boundary_matrix(fam, region, exhaustion=longer)
         assert ref.sites_consumed > bm.sites_consumed
         assert np.max(np.abs(ref.matrix - bm.matrix)) <= bm.tail_bound + 1e-13
@@ -266,6 +267,39 @@ class TestBoundaryMatrix:
         np.testing.assert_allclose(full.matrix, fam.gram(1) * fam.gram(2))
         part = boundary_matrix(fam, (0,), exhaustion=Sites((0, 1)))
         assert not part.rigorous and part.tail_bound == math.inf
+
+    @pytest.mark.parametrize("exhaustion", [None, Zd(1)], ids=["shells", "sites"])
+    def test_underflowed_off_diagonals_converge_to_zero(self, exhaustion):
+        # G_r = [[1, e_r], [e_r, 1 + e_r^2]] with e_r = 2^-(r+1): the
+        # off-diagonal product falls below the smallest subnormal near
+        # radius 32, long before the diagonal certificate 2^-r meets the
+        # tolerance near radius 40; an exact 0 there is the limit
+        by_radius = {}
+
+        def radial(r):
+            if r not in by_radius:
+                by_radius[r] = np.array([[1.0, 0.0], [2.0 ** -(r + 1), 1.0]])
+            return by_radius[r]
+
+        def remaining(r):
+            # the origin's e_0 = 1/2 plus 2 e_k = 2^-k for each k >= 1
+            return 1.5 if r < 0 else 2.0**-r
+
+        fam = FiberFamily(
+            2, 2, lambda site: radial(lattice.norm1(site)), Zd(1),
+            tail=IdentityTail(remaining), radial=radial,
+        )
+        # each site of radius k deviates from the identity by exactly e_k
+        for k in range(60):
+            assert np.max(np.abs(fam.shell_gram(k) - np.eye(2))) == 2.0 ** -(k + 1)
+        bm = boundary_matrix(fam, (), exhaustion=exhaustion, tail_tol=1e-12)
+        assert bm.rigorous and bm.tail_bound <= 1e-12
+        assert bm.matrix[0, 1] == 0.0 and bm.matrix[1, 0] == 0.0
+        diag = 1.25 * math.prod((1.0 + 4.0 ** -(k + 1)) ** 2 for k in range(1, 60))
+        assert bm.matrix[0, 0] == 1.0
+        assert abs(bm.matrix[1, 1] - diag) <= bm.tail_bound + 1e-14
+        # the walk went past the underflow radius before it stopped
+        assert bm.sites_consumed > 2 * 33
 
     def test_uncertified_infinite_family_rejected(self):
         # no tail certificate: nothing can stop the walk rigorously

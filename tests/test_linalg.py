@@ -7,7 +7,6 @@ from schurstates.errors import DimensionError, DomainError
 from schurstates.linalg import (
     hadamard,
     hermitian_function,
-    is_psd,
     matrix_exp,
     matrix_log,
     psd_report,
@@ -70,9 +69,10 @@ class TestPsd:
 
         g = gram_psd_matrix(rng, 4)
         u = random_unitary(rng, 4)
-        assert is_psd(g) == is_psd(u @ g @ u.conj().T)
+        assert psd_report(g).is_psd == psd_report(u @ g @ u.conj().T).is_psd
         bad = g - 2.0 * np.linalg.eigvalsh(g)[-1] * np.eye(4)
-        assert is_psd(bad) == is_psd(u @ bad @ u.conj().T) == False  # noqa: E712
+        assert not psd_report(bad).is_psd
+        assert not psd_report(u @ bad @ u.conj().T).is_psd
 
     def test_non_square(self):
         with pytest.raises(DimensionError):

@@ -1,4 +1,5 @@
 import inspect
+import math
 from collections import Counter
 
 import numpy as np
@@ -16,13 +17,15 @@ from schurstates.limit import boundary_matrix
 from schurstates.mixing import (
     alpha_limit,
     alpha_mixing_gap,
-    ball,
     decaying_perturbation_family,
     embed,
     mixing_gap,
     mixing_scan,
 )
+from schurstates.sampling import complex_gaussian
 from schurstates.state import LocalObservable
+
+from conftest import ball, ball_size
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +71,7 @@ class TestBall:
             if sum(abs(c) for c in z) <= r
         )
         assert len(ball(nu, r)) == brute
-        assert lattice.ball_size(nu, r) == brute
+        assert ball_size(nu, r) == brute
 
 
 class TestEmbed:
@@ -325,7 +328,7 @@ class TestPerturbationFamilyCaches:
             assert set(calls.values()) <= {1}
         # one validated entry per radius walked, shared by the region sites
         # there; shell 0 holds only the origin
-        assert lattice.ball_size(2, max(radii)) == walk.sites_consumed + len(region)
+        assert ball_size(2, max(radii)) == walk.sites_consumed + len(region)
         assert sorted(radii) == list(range(1, max(radii) + 1))
         assert len({id(fam.shell_gram(r)) for r in radii}) == len(radii)
         for site in region:
@@ -369,3 +372,39 @@ class TestRadialWalk:
         for exhaustion in (None, lattice.Zd(2)):
             with pytest.raises(ConvergenceError, match=f"within {needed - 1} sites"):
                 boundary_matrix(fam, (), exhaustion=exhaustion, site_cap=needed - 1)
+
+    def test_capped_routes_report_the_same_partial(self, eps_family):
+        # a block that would cross the cap is refused whole on both
+        # routes: each reports the product through the last whole shell
+        # and the certificate's bound there
+        needed = boundary_matrix(eps_family, ()).sites_consumed
+        errors = []
+        for exhaustion in (None, lattice.Zd(2)):
+            with pytest.raises(ConvergenceError) as info:
+                boundary_matrix(eps_family, (), exhaustion=exhaustion, site_cap=needed - 1)
+            errors.append(info.value)
+        shells, sites = errors
+        assert np.max(np.abs(shells.last_partial - sites.last_partial)) <= 1e-13
+        assert 0 < shells.tail_estimate < math.inf
+        assert sites.tail_estimate == pytest.approx(shells.tail_estimate, rel=1e-12)
+
+    def test_capped_finite_walk_reports_no_bound(self, rng):
+        # a finite walk never settles: a refused block leaves the bound
+        # at inf, and the product runs through the last whole block
+        fam = FiberFamily.explicit({s: complex_gaussian(rng, (2, 2)) for s in "uvw"})
+        with pytest.raises(ConvergenceError, match="within 1 sites") as info:
+            boundary_matrix(fam, ("u",), site_cap=1)
+        assert info.value.tail_estimate == math.inf
+        np.testing.assert_array_equal(info.value.last_partial, fam.gram("v"))
+
+    @pytest.mark.parametrize("site", [(1,), (0, 0, 0), "a"])
+    def test_malformed_region_site_rejected_on_both_routes(self, eps_family, site):
+        for exhaustion in (None, lattice.Zd(2)):
+            with pytest.raises(ValidationError, match="not a 2-tuple"):
+                boundary_matrix(eps_family, ((0, 1), site), exhaustion=exhaustion)
+
+    def test_undeclared_region_site_rejected_on_both_routes(self):
+        fam = FiberFamily.explicit({"u": np.eye(2), "v": np.eye(2)})
+        for exhaustion in (None, lattice.Sites(("v", "u"))):
+            with pytest.raises(ValidationError, match="unknown site 'zz'"):
+                boundary_matrix(fam, ("zz",), exhaustion=exhaustion)

@@ -19,6 +19,8 @@ from schurstates.limit import boundary_matrix
 from schurstates.mixing import decaying_perturbation_family
 from schurstates.modelfile import load_model, load_observable
 
+from conftest import ball_size
+
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
@@ -175,7 +177,7 @@ def test_shell_walk_total_is_closer_than_site_walk():
     shells = boundary_matrix(family, (), tail_tol=TAIL_TOL)
     sites = boundary_matrix(family, (), exhaustion=lattice.Zd(2), tail_tol=TAIL_TOL)
     assert shells.sites_consumed == sites.sites_consumed
-    radius = next(r for r in range(1000) if lattice.ball_size(2, r) == shells.sites_consumed)
+    radius = next(r for r in range(1000) if ball_size(2, r) == shells.sites_consumed)
     with mp.workdps(DIGITS):
         grams = [mp_matrix(family.shell_gram(r)) for r in range(radius + 1)]
         exact = ball_product(grams, 2)

@@ -5,17 +5,16 @@ import pytest
 
 from schurstates.errors import (
     GeometryError,
-    PreconditionError,
     ResourceLimitError,
     ValidationError,
 )
 from schurstates.kernel import FiberFamily
 from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
 from schurstates.state import (
+    DEFAULT_DENSE_CAP,
     LocalObservable,
     expectation_dense,
     expectation_extended,
-    expectation_normalized,
     expectation_schur,
     superposition_vector,
 )
@@ -38,7 +37,8 @@ class TestLocalObservable:
 
     def test_identity_constructor(self):
         obs = LocalObservable.identity(("a", "b"), 2)
-        np.testing.assert_allclose(obs.factor_at("b"), np.eye(2))
+        assert obs.region == ("a", "b")
+        np.testing.assert_allclose(obs.factors[1], np.eye(2))
 
 
 class TestSuperpositionVector:
@@ -116,8 +116,8 @@ class TestExpectations:
         )
         v = {s: fam.vectors(s)[0] for s in "abc"}
         expected = (
-            np.vdot(v["a"], obs.factor_at("a") @ v["a"])
-            * np.vdot(v["b"], obs.factor_at("b") @ v["b"])
+            np.vdot(v["a"], obs.factors[0] @ v["a"])
+            * np.vdot(v["b"], obs.factors[1] @ v["b"])
             * np.vdot(v["c"], v["c"])
         )
         assert expectation_dense(fam, ("a", "b", "c"), obs) == pytest.approx(expected)
@@ -146,6 +146,27 @@ class TestExpectations:
             fast = expectation_schur(fam, obs)
             dense = expectation_dense(fam, region, obs)
             assert abs(fast - dense) <= 1e-10 * max(1.0, abs(dense)), (k, fast, dense)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_schur_matches_dense_on_random_subsets(self, seed):
+        # seeded subsets of a 10-site family in seeded orders, every size
+        # up to the dense cap; the extended path evaluates an observable on
+        # part of the subset, identity on the rest
+        rng = rng_from_seed(83, seed)
+        sites = tuple("abcdefghij")
+        fam = random_family(rng, sites, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        for size in range(1, DEFAULT_DENSE_CAP + 1):
+            region = tuple(sites[k] for k in rng.permutation(len(sites))[:size])
+            obs = LocalObservable(
+                region, tuple(complex_gaussian(rng, (fam.d, fam.d)) for _ in region)
+            )
+            dense = expectation_dense(fam, region, obs)
+            scale = max(1.0, abs(dense))
+            assert abs(expectation_schur(fam, obs) - dense) <= 1e-10 * scale, (size, region)
+            inner = LocalObservable(region[: (size + 1) // 2], obs.factors[: (size + 1) // 2])
+            dense = expectation_dense(fam, region, inner)
+            ext = expectation_extended(fam, region, inner)
+            assert abs(ext - dense) <= 1e-10 * max(1.0, abs(dense)), (size, region)
 
     def test_extended_matches_dense(self):
         rng = rng_from_seed(79)
@@ -228,15 +249,3 @@ class TestMultiplicativity:
         assert lhs == pytest.approx(0.0)
         assert rhs == pytest.approx(1.0)
 
-
-class TestNormalized:
-    def test_identity_normalizes_to_one(self, rng):
-        fam = make_family(16, ["a", "b"], 2, 2)
-        obs = LocalObservable.identity(("a", "b"), 2)
-        assert expectation_normalized(fam, obs) == pytest.approx(1.0)
-
-    def test_degenerate_weight_rejected(self):
-        # antipodal scalar fibers: the superposition vector vanishes
-        fam = FiberFamily.explicit({"a": np.array([[1.0], [-1.0]])})
-        with pytest.raises(PreconditionError):
-            expectation_normalized(fam, LocalObservable(("a",), (np.eye(1),)))

@@ -15,6 +15,8 @@ from schurstates import lattice
 from schurstates.kernel import FiberFamily, IdentityTail, OnesTail
 from schurstates.limit import boundary_matrix
 
+from conftest import ball_size
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -75,4 +77,4 @@ def test_lattice_walks_read_shells_through_shell(monkeypatch):
     family = FiberFamily(1, 1, lambda site: vectors, lattice.Zd(2), tail=tail)
     result = boundary_matrix(family, ())
     assert [(2, r) for r in range(-1, 4)] == calls
-    assert result.sites_consumed == lattice.ball_size(2, 3)
+    assert result.sites_consumed == ball_size(2, 3)
