@@ -66,6 +66,27 @@ ZERO_VECTOR_TOL = 1e-14
 CONSTANT_ONE_TOL = 1e-12
 
 
+def tail_remaining(masses, beyond: float = 0.0) -> Callable[[int], float]:
+    """A certificate's ``remaining`` from per-radius deviation masses.
+
+    ``masses[k]`` is the mass of 1-norm shell k and ``beyond`` bounds
+    the mass of every shell past the list; ``remaining(r)`` is the mass
+    of the shells beyond radius r, for every ``r >= -1``.  The suffix
+    sums are formed once, from the outermost radius inward, each rounded
+    up past a non-zero mass so that it is never below the exact sum of
+    non-negative masses.
+    """
+    suffix = [beyond]
+    for m in reversed(masses):
+        suffix.append(math.nextafter(suffix[-1] + m, math.inf) if m else suffix[-1])
+    suffix.reverse()  # suffix[k]: shells k, k + 1, ... and beyond
+
+    def remaining(r: int) -> float:
+        return suffix[min(max(r + 1, 0), len(suffix) - 1)]
+
+    return remaining
+
+
 @dataclass(frozen=True)
 class OnesTail:
     """Far Gram matrices approach the all-ones pattern.
@@ -159,10 +180,10 @@ class FiberFamily:
     stacked validation.
 
     Radial contract: a family on ``lattice.Zd`` may pass ``radial(r)``,
-    the array of every site of 1-norm r outside the finite set
-    ``exceptional``; at each such site the provider returns that same
-    array.  ``shell_gram(r)`` then serves a whole shell from one
-    validated entry, without visiting or indexing its sites.
+    the array of every site of 1-norm r; at each such site the provider
+    returns that same array.  ``shell_gram(r)`` then serves a whole
+    shell from one validated entry, without visiting or indexing its
+    sites.
     """
 
     def __init__(
@@ -174,12 +195,9 @@ class FiberFamily:
         tail=None,
         label: str = "",
         radial: Callable[[int], np.ndarray] | None = None,
-        exceptional=(),
     ):
         if d < 1 or d_I < 1:
             raise ValidationError(f"fiber dims must be positive, got d={d}, d_I={d_I}")
-        if radial is None and exceptional:
-            raise ValidationError("exceptional sites need a radial family")
         if radial is not None and geometry.finite:
             raise ValidationError("a radial family needs a lattice geometry")
         self.d = int(d)
@@ -189,9 +207,6 @@ class FiberFamily:
         self.tail = tail
         self.label = label
         self.radial = radial
-        self.exceptional = frozenset(exceptional)
-        for site in self.exceptional:
-            geometry.check(site)
         # id(provider result) -> (vectors, Gram, provider result); holding the
         # result keeps its id from being reused while the entry is cached
         self._arrays: dict = {}
@@ -268,8 +283,8 @@ class FiberFamily:
         return (self._by_site.get(site) or self._entry(site))[1]
 
     def shell_gram(self, r: int) -> np.ndarray:
-        """The Gram matrix shared by every non-exceptional site of 1-norm r
-        (radial families only)."""
+        """The Gram matrix shared by every site of 1-norm r (radial
+        families only)."""
         entry = self._by_radius.get(r)
         if entry is None:
             entry = self._validated(self.radial(r), f"radius {r}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -31,6 +32,9 @@ SHELL_CACHE_SIZE = 1024
 
 #: A ``--region`` coordinate: optional sign, then ASCII digits.
 INTEGER = re.compile(r"[+-]?[0-9]+")
+
+#: Site coordinate types; ``int`` first, as the common case.
+INTEGRAL = (int, numbers.Integral)
 
 
 def norm1(site) -> int:
@@ -90,7 +94,12 @@ class Zd:
             raise ValidationError(f"lattice dimension must be >= 1, got {self.nu}")
 
     def check(self, site) -> None:
-        if not (isinstance(site, tuple) and len(site) == self.nu):
+        """Refuse anything but a nu-tuple of integers (numpy's included)."""
+        if not (
+            isinstance(site, tuple)
+            and len(site) == self.nu
+            and all(map(isinstance, site, itertools.repeat(INTEGRAL, self.nu)))
+        ):
             raise ValidationError(f"site {site!r} is not a {self.nu}-tuple of ints")
 
     def decode(self, raw, where: str, errors: list) -> tuple:

@@ -12,15 +12,14 @@ One loop forms the products, over blocks of (Gram matrix, multiplicity)
 factors from one of two sources.  The canonical walk of a radial family
 (``FiberFamily.radial``) goes shell by shell in the 1-norm: the shared
 Gram matrix of shell r enters as one entrywise power, once for each
-site of the shell outside the region and the family's exceptional
-sites, and each exceptional site outside the region follows on its
-own.  Every other walk, and any walk given an explicit ``exhaustion``,
-takes each site outside the region as one factor, block by block in the
-walk order of that geometry (``lattice.Zd`` or ``lattice.Sites``); for
-a radial family it is the oracle of the shell source.  For both, the
-loop checks the region against the family's geometry, counts each
-block's sites against the site cap before it builds any of the block,
-and asks the tail certificate to settle once per block.
+site of the shell outside the region.  Every other walk, and any walk
+given an explicit ``exhaustion``, takes each site outside the region as
+one factor, block by block in the walk order of that geometry
+(``lattice.Zd`` or ``lattice.Sites``); for a radial family it is the
+oracle of the shell source.  For both, the region is checked against
+the family's geometry before any cached result is read, and the loop
+counts each block's sites against the site cap before it builds any of
+the block and asks the tail certificate to settle once per block.
 
 On an infinite lattice the walk stops only on the family's tail
 certificate (``kernel.OnesTail``, ``IdentityTail`` or ``ConstantTail``),
@@ -38,7 +37,6 @@ test oracle.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections import Counter
@@ -55,7 +53,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .kernel import FiberFamily, IdentityTail, product_kernel_matrix
+from .kernel import FiberFamily, IdentityTail, product_kernel_matrix, tail_remaining
 from .linalg import as_cmatrix, hermitian_function, require_hermitian
 from .state import LocalObservable
 
@@ -104,6 +102,8 @@ def boundary_matrix(
     order is an oracle for the canonical one, and is not cached.
     """
     region = tuple(region)
+    for site in region:
+        family.geometry.check(site)
     if exhaustion is not None:
         return _boundary_walk(family, region, exhaustion, tail_tol, site_cap)
     # canonical-walk results are cached on the family, read-only since
@@ -125,13 +125,13 @@ def _boundary_walk(
     tail_tol: float,
     site_cap: int,
 ) -> BoundaryMatrix:
-    """The walk behind ``boundary_matrix``: one loop over the blocks
-    (label, site count, power of ``shell_gram(label)``, single sites) of
-    ``_shell_blocks`` (the canonical walk of a radial family) or
-    ``_site_blocks`` (any other walk).  A block that would cross
-    ``site_cap`` is refused whole; the error carries the product through
-    the last whole block and the certificate's bound after that block
-    (``inf`` if none was computed, as on a finite walk)."""
+    """The walk behind ``boundary_matrix``: one loop over blocks (label,
+    power n of ``shell_gram(label)``, single sites), whole 1-norm shells
+    for the canonical walk of a radial family and single sites for any
+    other walk.  A block that would cross ``site_cap`` is refused whole;
+    the error carries the product through the last whole block and the
+    certificate's bound after that block (``inf`` if none was computed,
+    as on a finite walk)."""
     tail = family.tail
     walk = family.geometry if exhaustion is None else exhaustion
     if tail is None and not walk.finite:
@@ -140,16 +140,19 @@ def _boundary_walk(
             "certificate: its boundary products cannot be stopped rigorously"
         )
     skip = set(region)
-    for site in skip:
-        family.geometry.check(site)
     if exhaustion is None and family.radial is not None:
-        blocks = _shell_blocks(family, skip)
+        # each 1-norm shell r to the power of its sites outside the region;
+        # a shell with none never builds its Gram matrix
+        held, nu = Counter(lattice.norm1(x) for x in skip), walk.nu
+        blocks = ((r, lattice.shell_size(nu, r) - held[r], ()) for r in itertools.count(-1))
     else:
-        blocks = _site_blocks(walk, skip)
+        # each site outside the region is one factor
+        blocks = ((k, 0, [x for x in b if x not in skip]) for k, b in walk.blocks())
     p = np.ones((family.d_I, family.d_I), dtype=np.complex128)
     consumed = 0
     bound = math.inf
-    for label, count, power, sites in blocks:
+    for label, power, sites in blocks:
+        count = power + len(sites)
         if consumed + count > site_cap:
             raise ConvergenceError(
                 f"boundary product did not settle within {site_cap} sites",
@@ -169,30 +172,6 @@ def _boundary_walk(
     # a finite walk is exact only if it covered every site outside the region
     exact = family.geometry.finite and consumed == len(family.geometry.site_set - skip)
     return BoundaryMatrix(region, p, 0.0 if exact else math.inf, consumed, exact)
-
-
-def _site_blocks(walk, skip: set):
-    """(label, site count, 0, sites) per block of ``walk``: each site
-    outside the region is one factor."""
-    for label, block in walk.blocks():
-        sites = [x for x in block if x not in skip]
-        yield label, len(sites), 0, sites
-
-
-def _shell_blocks(family: FiberFamily, skip: set):
-    """(r, site count, n, sites) per 1-norm shell r of a radial family:
-    ``shell_gram(r)`` to the power n, the number of the shell's plain
-    sites outside the region, then each exceptional site outside the
-    region.  A shell with n = 0 never builds its Gram matrix."""
-    nu = family.geometry.nu
-    held = Counter(lattice.norm1(x) for x in skip | family.exceptional)
-    extra: dict = {}  # radius -> exceptional sites outside the region
-    for x in sorted(family.exceptional - skip):
-        extra.setdefault(lattice.norm1(x), []).append(x)
-    for r in itertools.count(-1):
-        n = lattice.shell_size(nu, r) - held[r]
-        visits = extra.get(r, ())
-        yield r, n + len(visits), n, visits
 
 
 def limit_state_eval(
@@ -440,24 +419,13 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
     def provider(site):
         return by_site.get(site, eye)
 
-    # remaining deviation mass e^{trace_abs} - 1 strictly beyond radius r:
-    # declared sites only, since undeclared sites contribute exactly nothing
-    deviations = dict(zip(sites, map(math.expm1, spec.trace_abs())))
-    by_radius: dict = {}
-    for s, v in deviations.items():
-        by_radius.setdefault(lattice.norm1(s), []).append(v)
-    radii = sorted(by_radius)
-    total = sum(deviations.values())
-    beyond = []  # beyond[k]: mass strictly outside radius radii[k]
-    running = 0.0
-    for r in radii:
-        running += sum(by_radius[r])
-        beyond.append(max(total - running, 0.0))
-
-    def remaining(r: int) -> float:
-        k = bisect.bisect_right(radii, r)
-        return beyond[k - 1] if k else max(total, 0.0)
-
+    # deviation mass e^{trace_abs} - 1 per radius, declared sites only,
+    # since undeclared sites contribute exactly nothing; a site past radius
+    # SITE_CAP, which no capped walk reaches, is counted as beyond it
+    radii = np.minimum(np.abs(np.array(sites)).sum(axis=1), SITE_CAP + 1)
+    mass = np.expm1(spec.trace_abs())
+    masses = np.bincount(radii.astype(np.intp), weights=mass).tolist()
+    remaining = tail_remaining(masses[: SITE_CAP + 1], sum(masses[SITE_CAP + 1 :]))
     family = FiberFamily(
         d,
         d,

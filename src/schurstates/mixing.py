@@ -16,6 +16,7 @@ the excluded ball.  Both guarantee the image clears the ball.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .kernel import FiberFamily, OnesTail, product_kernel_matrix
-from .limit import boundary_matrix, limit_state_eval
+from .kernel import FiberFamily, OnesTail, product_kernel_matrix, tail_remaining
+from .limit import SITE_CAP, boundary_matrix, limit_state_eval
 from .state import LocalObservable
 
 #: Default clearance sequence for tail-limit detection.
@@ -345,7 +346,7 @@ def decaying_perturbation_family(
     far products settle fast enough for tail-limit detection.  With
     ``normalize`` the origin vectors are rescaled so the total boundary
     weight is exactly 1.  The family is radial (``FiberFamily.radial``);
-    the rescaled origin is its one exceptional site.
+    normalized, its shell 0 is the rescaled origin.
 
     Default directions perturb the base along a complex phase and an
     orthogonal coordinate, giving overlap deviations first order in
@@ -381,7 +382,7 @@ def decaying_perturbation_family(
         return epsilon0 * decay**r
 
     # every per-site quantity depends on the site only through |x|_1, so
-    # vectors, deviations and tail sums are memoised per radius
+    # vectors are memoised per radius and tail masses tabulated per radius
     @functools.cache
     def vectors_at(r: int) -> np.ndarray:
         eps = amplitude(r)
@@ -391,34 +392,31 @@ def decaying_perturbation_family(
         vecs.setflags(write=False)
         return vecs
 
-    def raw_vectors(site):
-        return vectors_at(lattice.norm1(site))
+    def mass(r: int, v: np.ndarray) -> float:
+        """Deviation mass of shell r when each of its sites carries ``v``."""
+        return lattice.shell_size(nu, r) * float(np.max(np.abs(v @ v.conj().T - 1.0)))
 
-    @functools.cache
-    def site_deviation(r: int) -> float:
-        probe = vectors_at(r)
-        return float(np.max(np.abs(probe @ probe.conj().T - 1.0)))
+    # shell masses outward to the first shell past radius 3 and the near
+    # zone whose mass is below 1e-30; ``beyond`` bounds all later shells.
+    # A profile not that quiet by radius SITE_CAP, which no capped walk
+    # passes, gets no certificate.
+    quiet_after = max(3, near_radius) if near_amplitude is not None else 3
+    masses = []
+    beyond = math.inf
+    for r in range(SITE_CAP + 1):
+        masses.append(mass(r, vectors_at(r)))
+        if r > quiet_after and masses[-1] < 1e-30:
+            beyond = 1e-28
+            break
 
-    @functools.cache
-    def remaining(r: int) -> float:
-        # sum of per-site deviations over all shells beyond radius r
-        total = 0.0
-        rr = r + 1
-        while True:
-            term = lattice.shell_size(nu, rr) * site_deviation(rr)
-            total += term
-            if term < 1e-30 and rr > r + 4:
-                return total + 1e-28
-            rr += 1
-            if rr > r + 4000:
-                return total + 1e-28
+    def radial_family(radial, masses) -> FiberFamily:
+        return FiberFamily(
+            d, d_I, lambda site: radial(lattice.norm1(site)), lattice.Zd(nu),
+            tail=OnesTail(tail_remaining(masses, beyond)),
+            label="decaying perturbation", radial=radial,
+        )
 
-    label = "decaying perturbation"
-    geometry = lattice.Zd(nu)
-    family = FiberFamily(
-        d, d_I, raw_vectors, geometry, tail=OnesTail(remaining), label=label,
-        radial=vectors_at,
-    )
+    family = radial_family(vectors_at, masses)
     if not normalize:
         return family
     total = complex(boundary_matrix(family, (), tail_tol=tail_tol).matrix.sum())
@@ -426,21 +424,11 @@ def decaying_perturbation_family(
         raise ValidationError(
             f"total boundary weight {total} cannot be normalized away"
         )
-    origin = (0,) * nu
     origin_vectors = (1.0 / np.sqrt(total.real)) * vectors_at(0)
     origin_vectors.setflags(write=False)
 
-    def provider(site):
-        return origin_vectors if site == origin else raw_vectors(site)
+    def radial(r: int) -> np.ndarray:
+        return origin_vectors if r == 0 else vectors_at(r)
 
-    # remaining(r < 0) counts the origin, whose vectors were rescaled
-    g0 = origin_vectors @ origin_vectors.conj().T
-    origin_deviation = float(np.max(np.abs(g0 - 1.0)))
-
-    def normalized_remaining(r: int) -> float:
-        return remaining(r) if r >= 0 else remaining(0) + origin_deviation
-
-    return FiberFamily(
-        d, d_I, provider, geometry, tail=OnesTail(normalized_remaining), label=label,
-        radial=vectors_at, exceptional=(origin,),
-    )
+    # shell 0 is the origin alone, so its mass is the rescaled origin's
+    return radial_family(radial, [mass(0, origin_vectors)] + masses[1:])

@@ -8,7 +8,7 @@ import pytest
 from schurstates.cli import main
 from schurstates.modelfile import encode_matrix
 
-from conftest import validate_against
+from conftest import perturbed_ball_product, validate_against
 
 REPO = Path(__file__).resolve().parent.parent
 MODELS = REPO / "models"
@@ -302,6 +302,31 @@ class TestLimit:
         assert err == (
             f"validation error: region site {coordinate!r}: expected 1 integer coordinates\n"
         )
+
+
+class TestQuietNearZone:
+    def test_limit_counts_shells_past_the_near_zone(self, tmp_path, capsys):
+        # a near zone of amplitude 0 has all-ones shells out to radius 10;
+        # the certificate must still count the perturbed shells past it
+        model = json.loads((MODELS / "perturbed_z2.json").read_text())
+        model["vectors"].update(near_amplitude=0.0, near_radius=10)
+        code, out, _ = run_cli(
+            [
+                "limit",
+                "--model", write_json(tmp_path, "quiet.json", model),
+                "--observable", str(MODELS / "observable_near.json"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["observable_region"] == ["(0, 0)"]
+        pairs = np.array(results["boundary"])
+        boundary = pairs[..., 0] + 1j * pairs[..., 1]
+        want = perturbed_ball_product(2, 1, 200, near_amplitude=0.0, near_radius=10)
+        assert abs(want[0, 1] - 1.0) > 1e-5
+        assert results["rigorous"]
+        assert np.max(np.abs(boundary - want)) <= results["tail_bound"] + 1e-13
 
 
 class TestTolerances:

@@ -13,6 +13,7 @@ from schurstates.kernel import (
     kernel_matrix,
     product_kernel_gram_matrix,
     product_kernel_matrix,
+    tail_remaining,
 )
 from schurstates.lattice import Sites, Zd, norm1
 from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
@@ -141,10 +142,8 @@ class TestRadialFamily:
     """A radial family serves a whole 1-norm shell from one entry."""
 
     @staticmethod
-    def radial_family(radial, exceptional=()):
-        return FiberFamily(
-            2, 2, lambda s: radial(norm1(s)), Zd(2), radial=radial, exceptional=exceptional
-        )
+    def radial_family(radial):
+        return FiberFamily(2, 2, lambda s: radial(norm1(s)), Zd(2), radial=radial)
 
     def test_shell_gram_is_the_sites_entry(self):
         arrays = {r: np.array([[1.0, 0.0], [0.6, 0.8 * r]], dtype=complex) for r in (1, 2)}
@@ -162,13 +161,25 @@ class TestRadialFamily:
         with pytest.raises(DimensionError, match=r"radius 0: vectors have shape \(3, 2\)"):
             fam.shell_gram(0)
 
-    def test_radial_needs_a_lattice_and_exceptional_needs_radial(self):
+    def test_radial_needs_a_lattice(self):
         with pytest.raises(ValidationError, match="needs a lattice"):
             FiberFamily(1, 1, lambda s: [[1.0]], Sites(("a",)), radial=lambda r: [[1.0]])
-        with pytest.raises(ValidationError, match="need a radial family"):
-            FiberFamily(1, 1, lambda s: [[1.0]], Zd(1), exceptional=((0,),))
-        with pytest.raises(ValidationError, match="not a 2-tuple"):
-            self.radial_family(lambda r: np.eye(2), exceptional=((0,),))
+
+
+class TestTailRemaining:
+    """Suffix sums of per-radius masses, each rounded up."""
+
+    def test_suffix_sums_bound_the_exact_ones(self):
+        masses = [0.1, 0.2, 0.0, 0.3]
+        remaining = tail_remaining(masses, beyond=1e-3)
+        for r in range(-1, 6):
+            exact = math.fsum(masses[r + 1:] + [1e-3])
+            assert exact <= remaining(r) <= math.nextafter(exact, math.inf) * (1 + 1e-15)
+        assert remaining(3) == remaining(50) == 1e-3
+
+    def test_no_masses_leave_beyond(self):
+        assert tail_remaining([])(-1) == 0.0
+        assert tail_remaining([], beyond=math.inf)(7) == math.inf
 
 
 class TestKernelEntry:

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 from collections import Counter
 
@@ -25,7 +26,7 @@ from schurstates.mixing import (
 from schurstates.sampling import complex_gaussian
 from schurstates.state import LocalObservable
 
-from conftest import ball, ball_size
+from conftest import ball, ball_size, perturbed_ball_product
 
 
 @pytest.fixture(scope="module")
@@ -276,8 +277,7 @@ class TestPerturbationFamilyCaches:
     def test_shared_caches_match_fresh_family(self):
         fam = decaying_perturbation_family()
         fresh = FiberFamily(
-            fam.d, fam.d_I, fam._provider, fam.geometry, tail=fam.tail,
-            radial=fam.radial, exceptional=fam.exceptional,
+            fam.d, fam.d_I, fam._provider, fam.geometry, tail=fam.tail, radial=fam.radial,
         )
         for region in self.REGIONS:
             got = boundary_matrix(fam, region, tail_tol=1e-14)
@@ -289,10 +289,11 @@ class TestPerturbationFamilyCaches:
         for site in ((0, 0), (1, 0), (0, -7), (30, 2)):
             assert np.array_equal(fam.gram(site), fresh.gram(site))
 
-    def test_normalized_family_builds_each_site_once(self, monkeypatch):
-        # the shell walk builds only the region's sites and the exceptional
-        # origin, each once, and every walked radius once
-        builds = []  # per constructed family: provider calls per site, radial calls per radius
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Per family constructed from here on: provider calls per site and
+        radial calls per radius."""
+        builds = []
         init = FiberFamily.__init__
         signature = inspect.signature(init)
 
@@ -315,27 +316,43 @@ class TestPerturbationFamilyCaches:
             init(*bound.args, **bound.kwargs)
 
         monkeypatch.setattr(FiberFamily, "__init__", counting_init)
+        return builds
+
+    def test_normalized_family_builds_each_site_once(self, builds):
+        # the shell walk builds every walked radius once and no site; the
+        # region's sites are built once each when asked for
         fam = decaying_perturbation_family()  # the README model's family
         region = ((1, 0), (0, -2))
-        walk = boundary_matrix(fam, region)  # visits the exceptional origin
+        walk = boundary_matrix(fam, region)
         for site in region:
             fam.gram(site)
         assert len(builds) == 2  # the normalization walk's family, then fam
         (probe_sites, probe_radii), (sites, radii) = builds
-        assert not probe_sites  # the raw family has no exceptional site
-        assert set(sites) == set(region) | fam.exceptional
+        assert not probe_sites
+        assert set(sites) == set(region)
         for calls in (probe_sites, sites, probe_radii, radii):
             assert set(calls.values()) <= {1}
         # one validated entry per radius walked, shared by the region sites
-        # there; shell 0 holds only the origin
+        # there; shell 0 is the rescaled origin
         assert ball_size(2, max(radii)) == walk.sites_consumed + len(region)
-        assert sorted(radii) == list(range(1, max(radii) + 1))
+        assert sorted(radii) == list(range(max(radii) + 1))
         assert len({id(fam.shell_gram(r)) for r in radii}) == len(radii)
         for site in region:
             assert fam.gram(site) is fam.shell_gram(lattice.norm1(site))
-        # the per-site index holds only the sites visited one by one
-        assert set(fam._by_site) == set(region) | fam.exceptional
+        # the per-site index holds only the sites asked for one by one
+        assert set(fam._by_site) == set(region)
 
+    def test_origin_in_region_never_builds_shell_zero(self, builds):
+        fam = decaying_perturbation_family()
+        raw = decaying_perturbation_family(normalize=False)
+        origin = (0, 0)
+        boundary_matrix(fam, (origin, (1, 0)))
+        radii = builds[1][1]
+        assert 0 not in radii and 1 in radii
+        assert fam.gram(origin) is fam.shell_gram(0)
+        assert radii[0] == 1
+        # the rescaled origin, not the raw family's shell 0
+        assert not np.array_equal(fam.shell_gram(0), raw.shell_gram(0))
 
     def test_remaining_does_not_depend_on_call_order(self):
         fam = decaying_perturbation_family(normalize=False)
@@ -343,6 +360,48 @@ class TestPerturbationFamilyCaches:
         got = [fam.tail.remaining(r) for r in radii]
         want = [decaying_perturbation_family(normalize=False).tail.remaining(r) for r in radii]
         assert got == want
+
+
+class TestTailTable:
+    """The perturbed family's ``remaining`` against an independent
+    ``math.fsum`` of its shell masses."""
+
+    SHELL_SIZE = {1: lambda r: 2, 2: lambda r: 4 * r, 3: lambda r: 4 * r * r + 2}
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("decay", [0.3, 0.78, 0.95])
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_remaining_is_the_sum_of_later_shell_masses(self, nu, decay, normalize):
+        # a nu=3 normalization walk to 1e-14 needs more sites than the cap;
+        # the table depends on that tolerance only through shell 0's mass,
+        # which the oracle reads off the family too
+        tol = 1e-2 if nu == 3 else 1e-14
+        fam = decaying_perturbation_family(
+            nu=nu, decay=decay, normalize=normalize, tail_tol=tol
+        )
+        masses = []
+        for r in itertools.count():
+            size = self.SHELL_SIZE[nu](r) if r else 1
+            masses.append(size * float(np.max(np.abs(fam.shell_gram(r) - 1.0))))
+            if r > 3 and masses[-1] < 1e-30:
+                break
+        for r in range(-1, 301):
+            # every shell past the last mass counts as the declared 1e-28
+            want = math.fsum(masses[r + 1:] + [1e-28])
+            got = fam.tail.remaining(r)
+            assert got >= want
+            if got > 1e-26:
+                assert got == pytest.approx(want, rel=1e-14)
+
+    def test_quiet_near_zone_is_certified_past_it(self):
+        # all-ones shells out to radius 10 must not end the mass table:
+        # the perturbed shells past them carry an off-diagonal of 1.65e-5
+        fam = decaying_perturbation_family(near_amplitude=0.0, near_radius=10, normalize=False)
+        bm = boundary_matrix(fam, ())
+        want = perturbed_ball_product(2, 0, 200, near_amplitude=0.0, near_radius=10)
+        assert abs(want[0, 1] - 1.0) > 1e-5
+        assert bm.rigorous
+        assert np.max(np.abs(bm.matrix - want)) <= bm.tail_bound + 1e-13
 
 
 class TestRadialWalk:
@@ -397,11 +456,18 @@ class TestRadialWalk:
         assert info.value.tail_estimate == math.inf
         np.testing.assert_array_equal(info.value.last_partial, fam.gram("v"))
 
-    @pytest.mark.parametrize("site", [(1,), (0, 0, 0), "a"])
+    @pytest.mark.parametrize("site", [(1,), (0, 0, 0), "a", ("a", "b"), (0.0, 1)])
     def test_malformed_region_site_rejected_on_both_routes(self, eps_family, site):
         for exhaustion in (None, lattice.Zd(2)):
             with pytest.raises(ValidationError, match="not a 2-tuple"):
                 boundary_matrix(eps_family, ((0, 1), site), exhaustion=exhaustion)
+
+    def test_numpy_integer_region_site_accepted(self, eps_family):
+        site = (np.int64(0), np.int32(1))
+        got = boundary_matrix(eps_family, (site,))
+        want = boundary_matrix(eps_family, ((0, 1),))
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.sites_consumed == want.sites_consumed
 
     def test_undeclared_region_site_rejected_on_both_routes(self):
         fam = FiberFamily.explicit({"u": np.eye(2), "v": np.eye(2)})

@@ -13,7 +13,9 @@ import pytest
 
 from schurstates import lattice
 from schurstates.kernel import FiberFamily, IdentityTail, OnesTail
-from schurstates.limit import boundary_matrix
+from schurstates.limit import boundary_matrix, build_from_generators
+from schurstates.mixing import decaying_perturbation_family
+from schurstates.sampling import decaying_generator_spec
 
 from conftest import ball_size
 
@@ -58,6 +60,23 @@ def test_tail_certificates_keep_remaining_field(tail):
     # the tracer times certificates through dataclasses.replace(tail, remaining=...)
     assert dataclasses.is_dataclass(tail)
     assert "remaining" in {f.name for f in dataclasses.fields(tail)}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: decaying_perturbation_family(normalize=False),
+        decaying_perturbation_family,
+        lambda: build_from_generators(decaying_generator_spec(seed=1, radius=3, d=2, nu=2)),
+    ],
+    ids=["perturbed-raw", "perturbed-normalized", "generators"],
+)
+def test_lattice_tail_remaining_is_a_function(build):
+    # the tracer wraps ``remaining`` with functools.wraps, which reads its
+    # __qualname__
+    remaining = build().tail.remaining
+    assert inspect.isfunction(remaining)
+    assert remaining.__qualname__
 
 
 def test_lattice_walks_read_shells_through_shell(monkeypatch):
