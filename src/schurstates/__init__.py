@@ -43,7 +43,6 @@ from .kernel import (
 )
 from .limit import (
     BoundaryMatrix,
-    GeneratorSite,
     GeneratorSpec,
     boundary_matrix,
     build_from_generators,

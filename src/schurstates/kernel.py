@@ -258,13 +258,21 @@ class FiberFamily:
     def preload(self, sites, stack) -> None:
         """Validate and index the vectors of many sites in one pass.
 
-        ``stack[k]`` must be what the provider returns at ``sites[k]``;
+        ``stack[k]`` must be what the provider returns at site k;
         afterwards ``vectors``/``gram`` at those sites are lookups, as if
-        each had been asked for once.
+        each had been asked for once.  ``sites`` lists the sites, each
+        checked by the geometry, or on a lattice holds their coordinates
+        as the rows of one array; an (N, nu) integer array is checked as
+        a whole.
         """
-        sites = list(sites)
-        for site in sites:
-            self.geometry.check(site)
+        if isinstance(sites, np.ndarray) and sites.ndim == 2 and not self.geometry.finite:
+            whole = sites.dtype.kind == "i" and sites.shape[1] == self.geometry.nu
+            sites = list(map(tuple, sites.tolist()))
+        else:
+            whole, sites = False, list(sites)
+        if not whole:
+            for site in sites:
+                self.geometry.check(site)
         v = np.asarray(stack, dtype=np.complex128)
         if v.shape != (len(sites), self.d_I, self.d):
             raise DimensionError(

@@ -8,18 +8,19 @@ through entrywise logarithms (overlaps may be zero or have argument
 near +-pi, where a principal-branch log sum misrepresents the product).
 A product whose limit is zero is a converged result, not a failure.
 
-One loop forms the products, over blocks of (Gram matrix, multiplicity)
-factors from one of two sources.  The canonical walk of a radial family
-(``FiberFamily.radial``) goes shell by shell in the 1-norm: the shared
-Gram matrix of shell r enters as one entrywise power, once for each
-site of the shell outside the region.  Every other walk, and any walk
-given an explicit ``exhaustion``, takes each site outside the region as
-one factor, block by block in the walk order of that geometry
-(``lattice.Zd`` or ``lattice.Sites``); for a radial family it is the
-oracle of the shell source.  For both, the region is checked against
-the family's geometry before any cached result is read, and the loop
-counts each block's sites against the site cap before it builds any of
-the block and asks the tail certificate to settle once per block.
+One loop forms the products, over blocks (label, power, sites) from one
+of two sources.  The canonical walk of a radial family
+(``FiberFamily.radial``) goes shell by shell in the 1-norm: block r
+raises the shared Gram matrix of shell r to the power of the shell's
+sites outside the region, and lists no sites.  Every other walk, and
+any walk given an explicit ``exhaustion``, has power 0 and lists each
+site outside the region as one factor, block by block in the walk order
+of that geometry (``lattice.Zd`` or ``lattice.Sites``); for a radial
+family it is the oracle of the shell source.  For both, the region is
+checked against the family's geometry before any cached result is read,
+and the loop counts each block's sites against the site cap before it
+builds any of the block and asks the tail certificate to settle once
+per block.
 
 On an infinite lattice the walk stops only on the family's tail
 certificate (``kernel.OnesTail``, ``IdentityTail`` or ``ConstantTail``),
@@ -30,9 +31,10 @@ truncated, non-rigorous product.
 
 A generator model's site data is already an eigendecomposition of its
 Gram matrix, u* exp(D) u, so ``build_from_generators`` writes every
-site's right root u* exp(D/2) u w* in closed form, in one stacked pass;
-``right_square_root`` is the general primitive, and the closed form's
-test oracle.
+site's right root u* exp(D/2) u w* in closed form, in one stacked pass
+over the columns of a ``GeneratorSpec`` (sites, diagonals, U, W), which
+are checked once, as whole arrays; ``right_square_root`` is the general
+primitive, and the closed form's test oracle.
 """
 
 from __future__ import annotations
@@ -268,114 +270,139 @@ def right_square_root(t, w, tol: float = 1e-12) -> np.ndarray:
     return half @ wm.conj().T
 
 
-@dataclass(frozen=True)
-class GeneratorSite:
-    """One site's generator data: diagonal, basis rotation, root freedom."""
+def _column(values, shape) -> tuple[np.ndarray, np.ndarray]:
+    """A column of a generator table as one (N, *shape) stack, and the
+    mask of the records whose shape is ``shape``; zeros stand in for the
+    others.  ``values`` is one array with a leading record axis or a
+    sequence of per-record arrays; a column whose records differ in
+    shape, as a walked model file may give, is the only one stacked
+    record by record."""
+    try:
+        stack = np.asarray(values)
+    except ValueError:  # records of differing shapes
+        shaped = np.array([np.shape(a) == shape for a in values], dtype=bool)
+        zero = np.zeros(shape)
+        return np.array([a if ok else zero for a, ok in zip(values, shaped)]), shaped
+    ok = stack.shape[1:] == shape
+    return (stack if ok else np.zeros((len(stack),) + shape)), np.full(len(stack), ok)
 
-    site: object
-    diag: np.ndarray  # real entries of the diagonal generator
-    u: np.ndarray     # unitary
-    w: np.ndarray     # isometry fixing which right root is taken
 
-
-def _stacked(arrays, shape) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays as one stack, zeros standing in for any whose shape is
-    not ``shape``, and the mask of those whose shape is."""
-    shaped = np.array([a.shape == shape for a in arrays], dtype=bool)
-    zero = np.zeros(shape)
-    return np.array([a if ok else zero for a, ok in zip(arrays, shaped)]), shaped
-
-
-def _isometry_checks(name: str, arrays, d: int) -> list:
-    """(failure mask, message of record k) for the shape, finiteness and
-    isometry defect of every record's ``name`` matrix."""
-    m, shaped = _stacked(arrays, (d, d))
+def _isometry_checks(name: str, values, d: int) -> tuple[np.ndarray, list]:
+    """The ``name`` column as an (N, d, d) complex stack, and (failure
+    mask, message of record k) for the shape, finiteness and isometry
+    defect of every record's matrix."""
+    m, shaped = _column(values, (d, d))
+    m = m.astype(np.complex128, copy=False)
     finite = np.isfinite(m).all(axis=(1, 2))
     with np.errstate(invalid="ignore", over="ignore"):
         gram = m.conj().swapaxes(1, 2) @ m
         gram -= np.eye(d)
         defect = np.abs(gram).max(axis=(1, 2))
-    return [
-        (~shaped, lambda k: f"{name} has shape {arrays[k].shape}, expected {(d, d)}"),
+    return m, [
+        (~shaped, lambda k: f"{name} has shape {np.shape(values[k])}, expected {(d, d)}"),
         (~finite, lambda k: f"{name} has non-finite entries"),
         (defect > 1e-12, lambda k: f"{name} deviates from isometry by {defect[k]:.3e}"),
     ]
 
 
+def _is_site(zd: lattice.Zd, site) -> bool:
+    try:
+        zd.check(site)
+    except ValidationError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Per-site generator records plus a zero-beyond-radius tail rule.
+    """A generator model's site table, as columns, plus a zero-beyond-
+    radius tail rule.
 
-    Requires the fiber dimension to equal the index count; the built
-    family has Gram matrix exp(u* diag u) at each declared site and is
-    exactly orthonormal beyond the tail radius.  The first faulty record
-    is reported, and within it the first failing check: its diagonal,
-    then U, then W (each stacked over all records), then its site.
+    Row k of each column belongs to declared site k: ``sites`` holds the
+    (N, nu) integer coordinates, ``diag`` the (N, d) real diagonals,
+    ``u`` the (N, d, d) unitaries and ``w`` the isometries fixing which
+    right root is taken.  ``diag``, ``u`` and ``w`` may instead be
+    sequences of per-record arrays, which need not share a shape.  The
+    fiber dimension ``d`` is declared and must equal the index count.
+    The built family has Gram matrix exp(u* diag u) at each declared site
+    and is exactly orthonormal beyond the tail radius.
+
+    Validation runs once, as stacked reductions over the whole table.
+    The first faulty record is reported, and within it the first failing
+    check: its diagonal, then U, then W, then its site.  Afterwards the
+    columns are stacked arrays (``diag`` real), ``keys`` holds the sites
+    as tuples of ints and ``radii`` their 1-norms.
     """
 
-    records: tuple
+    sites: np.ndarray
+    diag: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
     tail_radius: int
     nu: int
+    d: int
 
     def __post_init__(self):
-        if not self.records:
+        sites = np.asarray(self.sites)
+        if not sites.size:
             raise ValidationError("generator model declares no sites")
-        sites = [rec.site for rec in self.records]
-        if len(set(sites)) != len(sites):
+        if sites.ndim != 2:
+            raise ValidationError(
+                f"generator sites form an array of shape {sites.shape}, expected (N, {self.nu})"
+            )
+        keys = tuple(map(tuple, sites.tolist()))
+        if any(len(column) != len(keys) for column in (self.diag, self.u, self.w)):
+            raise ValidationError(f"generator columns must hold one row for each of {len(keys)} sites")
+        if len(set(keys)) != len(keys):
             raise ValidationError("generator model declares a site twice")
-        fault = self._matrix_fault()
-        # a record's matrices are checked before its site, so sites are
-        # checked up to the first record with a faulty matrix
-        checked = self.records if fault is None else self.records[: fault[0]]
+        d, radius = self.d, self.tail_radius
+        diag, diag_shaped = _column(self.diag, (d,))
+        u, u_checks = _isometry_checks("U", self.u, d)
+        w, w_checks = _isometry_checks("W", self.w, d)
         zd = lattice.Zd(self.nu)
-        for rec in checked:
-            zd.check(rec.site)
-            if lattice.norm1(rec.site) > self.tail_radius:
-                raise ValidationError(
-                    f"site {rec.site!r} lies beyond the declared tail radius "
-                    f"{self.tail_radius}"
-                )
-        if fault is not None:
-            raise ValidationError(fault[1])
-
-    def _matrix_fault(self) -> tuple[int, str] | None:
-        """(record index, message) of the first failing diagonal, U or W
-        check, or None."""
-        d = self.d
-        recs = self.records
-        diag, shaped = _stacked([rec.diag for rec in recs], (d,))
+        bound = np.iinfo(np.int64).max // self.nu
+        if (
+            sites.dtype.kind == "i"
+            and sites.shape[1] == self.nu
+            and ((-bound < sites) & (sites < bound)).all()
+        ):
+            # one integer array whose 1-norms fit int64: all sites
+            typed = np.ones(len(keys), dtype=bool)
+            radii = np.abs(sites).sum(axis=1)
+        else:  # Python ints past int64, or not integer coordinates at all
+            typed = np.array([_is_site(zd, key) for key in keys], dtype=bool)
+            radii = np.array(
+                [lattice.norm1(key) if ok else 0 for key, ok in zip(keys, typed)], dtype=object
+            )
         checks = [
-            (~shaped, lambda k: f"diagonal has shape {recs[k].diag.shape}"),
-            (np.max(np.abs(np.imag(diag)), axis=1) > 0, lambda k: "diagonal is not real"),
+            (~diag_shaped, lambda k: f"diagonal has shape {np.shape(self.diag[k])}"),
+            ((np.abs(np.imag(diag)) > 0).any(axis=1), lambda k: "diagonal is not real"),
             (~np.isfinite(diag).all(axis=1), lambda k: "diagonal has non-finite entries"),
-            *_isometry_checks("U", [rec.u for rec in recs], d),
-            *_isometry_checks("W", [rec.w for rec in recs], d),
+            *u_checks,
+            *w_checks,
         ]
-        failed = np.argwhere(np.stack([mask for mask, _ in checks], axis=1))
-        if not failed.size:
-            return None
-        k, c = (int(i) for i in failed[0])
-        return k, f"site {recs[k].site!r}: {checks[c][1](k)}"
-
-    @property
-    def d(self) -> int:
-        return int(self.records[0].diag.shape[0])
+        faults = [(mask, lambda k, m=m: f"site {keys[k]!r}: {m(k)}") for mask, m in checks]
+        faults += [
+            (~typed, lambda k: f"site {keys[k]!r} is not a {self.nu}-tuple of ints"),
+            (np.asarray(radii > radius, dtype=bool), lambda k: (
+                f"site {keys[k]!r} lies beyond the declared tail radius {radius}"
+            )),
+        ]
+        failed = np.argwhere(np.stack([mask for mask, _ in faults], axis=1))
+        if failed.size:
+            k, c = (int(i) for i in failed[0])
+            raise ValidationError(faults[c][1](k))
+        for name, column in (("sites", sites), ("diag", np.real(diag).astype(np.float64)),
+                             ("u", u), ("w", w), ("keys", keys), ("radii", radii)):
+            object.__setattr__(self, name, column)
 
     def trace_abs(self) -> list:
         """Each record's absolute diagonal mass, in record order."""
-        return np.abs(np.array([rec.diag for rec in self.records])).sum(axis=1).tolist()
+        return np.abs(self.diag).sum(axis=1).tolist()
 
     def summability_certificate(self) -> float:
         """Total absolute diagonal mass over all declared sites."""
         return float(sum(self.trace_abs()))
-
-
-def _right_roots(recs, diag: np.ndarray) -> np.ndarray:
-    """u* exp(D/2) u w* for every record, as one (N, d, d) stack."""
-    u = np.array([rec.u for rec in recs], dtype=np.complex128)
-    w = np.array([rec.w for rec in recs], dtype=np.complex128)
-    np.conjugate(w, out=w)
-    return np.einsum("nji,nj,njk,nlk->nil", u.conj(), np.exp(diag / 2), u, w)
 
 
 def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
@@ -383,16 +410,14 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
 
     Per declared site the Gram matrix is exp(u* D u) = u* exp(D) u, and
     the fiber vectors are the rows of its right square root
-    u* exp(D/2) u w*, formed for every site in one stacked pass with no
-    eigendecomposition; undeclared sites carry the standard orthonormal
-    basis.  As ``right_square_root`` would, a site is refused
-    (``DomainError``) when its exp(D) leaves the float64 range or has an
-    eigenvalue at or below ``ROOT_EIG_FLOOR`` times its largest, that is
-    when max D - min D >= -ln(ROOT_EIG_FLOOR).
+    u* exp(D/2) u w*, formed for every site in one stacked pass over the
+    spec's columns with no eigendecomposition; undeclared sites carry
+    the standard orthonormal basis.  As ``right_square_root`` would, a
+    site is refused (``DomainError``) when its exp(D) leaves the float64
+    range or has an eigenvalue at or below ``ROOT_EIG_FLOOR`` times its
+    largest, that is when max D - min D >= -ln(ROOT_EIG_FLOOR).
     """
-    d = spec.d
-    recs = spec.records
-    diag = np.array([np.real(rec.diag) for rec in recs], dtype=np.float64)
+    d, diag, keys = spec.d, spec.diag, spec.keys
     top = diag.max(axis=1)
     spread = top - diag.min(axis=1)
     with np.errstate(over="ignore"):
@@ -403,17 +428,17 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         k = int(bad[0])
         if outside[k]:
             raise DomainError(
-                f"site {recs[k].site!r}: exp(D_H) leaves the float64 range "
+                f"site {keys[k]!r}: exp(D_H) leaves the float64 range "
                 f"(largest entry of D_H {top[k]:.6g})"
             )
         raise DomainError(
-            f"site {recs[k].site!r}: D_H spans {spread[k]:.6g}, so exp(D_H) has "
+            f"site {keys[k]!r}: D_H spans {spread[k]:.6g}, so exp(D_H) has "
             f"an eigenvalue at or below {ROOT_EIG_FLOOR:g} times its largest"
         )
-    vecs = _right_roots(recs, diag)
+    u = spec.u
+    vecs = np.einsum("nji,nj,njk,nlk->nil", u.conj(), np.exp(diag / 2), u, spec.w.conj())
     vecs.setflags(write=False)
-    sites = [rec.site for rec in recs]
-    by_site = dict(zip(sites, vecs))
+    by_site = dict(zip(keys, vecs))
     eye = np.eye(d, dtype=np.complex128)
 
     def provider(site):
@@ -422,7 +447,7 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
     # deviation mass e^{trace_abs} - 1 per radius, declared sites only,
     # since undeclared sites contribute exactly nothing; a site past radius
     # SITE_CAP, which no capped walk reaches, is counted as beyond it
-    radii = np.minimum(np.abs(np.array(sites)).sum(axis=1), SITE_CAP + 1)
+    radii = np.minimum(spec.radii, SITE_CAP + 1)
     mass = np.expm1(spec.trace_abs())
     masses = np.bincount(radii.astype(np.intp), weights=mass).tolist()
     remaining = tail_remaining(masses[: SITE_CAP + 1], sum(masses[SITE_CAP + 1 :]))
@@ -434,5 +459,5 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         tail=IdentityTail(remaining=remaining, exact_beyond=spec.tail_radius),
         label="generator model",
     )
-    family.preload(sites, vecs)
+    family.preload(spec.sites, vecs)
     return family

@@ -32,7 +32,7 @@ import numpy as np
 from . import lattice
 from .errors import ValidationError
 from .kernel import FiberFamily, ZERO_VECTOR_TOL
-from .limit import GeneratorSite, GeneratorSpec, boundary_matrix, build_from_generators
+from .limit import GeneratorSpec, boundary_matrix, build_from_generators
 from .mixing import decaying_perturbation_family
 from .state import LocalObservable
 
@@ -270,27 +270,12 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             errors.append(f"model.vectors.tail.beyond_radius: must be >= 0, got {radius}")
         if _require(tail, "D_H", str, "model.vectors.tail", errors, "zero") != "zero":
             errors.append("model.vectors.tail.D_H: only 'zero' tails are supported")
-        records = []
-        for k, rec in enumerate(site_raw):
-            where = f"model.vectors.sites[{k}]"
-            if not isinstance(rec, dict):
-                errors.append(f"{where}: expected an object")
-                continue
-            site = geometry.decode(rec.get("site"), f"{where}.site", errors)
-            diag_raw = rec.get("D_H")
-            if not isinstance(diag_raw, list) or not all(_is_number(v) for v in diag_raw):
-                errors.append(f"{where}.D_H: expected an array of reals")
-                continue
-            u = decode_matrix(rec.get("U"), f"{where}.U", errors)
-            w = decode_matrix(rec.get("W"), f"{where}.W", errors)
-            records.append(
-                GeneratorSite(site=site, diag=np.asarray(diag_raw, float), u=u, w=w)
-            )
+        columns = _generator_columns(site_raw, geometry.nu)
+        if columns is None:
+            columns = _walk_generators(site_raw, geometry, errors)
         if not errors:
             try:
-                gen = GeneratorSpec(
-                    records=tuple(records), tail_radius=radius, nu=geometry.nu
-                )
+                gen = GeneratorSpec(*columns, tail_radius=radius, nu=geometry.nu, d=d)
             except ValidationError as exc:
                 errors.append(f"model.vectors: {exc}")
             else:
@@ -382,6 +367,56 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
                 f"{total!r} (|deviation| = {abs(total - 1.0):.3e} > {NORMALIZATION_TOL})"
             )
     return spec
+
+
+def _generator_columns(records: list, nu: int) -> tuple | None:
+    """A generator site table as the columns of ``GeneratorSpec`` (sites,
+    diagonals, U, W), each field converted by one array conversion; or
+    None for a table that only ``_walk_generators`` reads: one that is
+    ragged, holds anything but JSON numbers (a bool included), or has a
+    coordinate that is not a JSON integer literal (2.0 included, which
+    the walk reads as 2)."""
+    try:
+        site, diag, u, w = ([rec.get(key) for rec in records] for key in ("site", "D_H", "U", "W"))
+        # one scan of every entry's type, since numpy reads a bool as 0 or 1
+        leaves = {type(v) for col in (site, diag) for rec in col for v in rec} | {
+            type(v) for col in (u, w) for m in col for row in m for pair in row for v in pair
+        }
+        sites = np.asarray(site)
+        diag, u, w = (np.asarray(c, dtype=np.float64) for c in (diag, u, w))
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        return None
+    if not (
+        leaves <= {int, float}
+        and sites.dtype.kind == "i"
+        and sites.shape == (len(records), nu)
+        and diag.ndim == 2
+        and all(m.ndim == 4 and m.shape[3] == 2 for m in (u, w))
+    ):
+        return None
+    return sites, diag, *(m.view(np.complex128)[..., 0] for m in (u, w))
+
+
+def _walk_generators(records: list, geometry: lattice.Zd, errors: list) -> tuple:
+    """The columns of ``_generator_columns`` read record by record, with
+    a message in ``errors`` for every faulty field; the diagonal and
+    matrix columns are lists of per-record arrays."""
+    sites, diags, us, ws = [], [], [], []
+    for k, rec in enumerate(records):
+        where = f"model.vectors.sites[{k}]"
+        if not isinstance(rec, dict):
+            errors.append(f"{where}: expected an object")
+            continue
+        site = geometry.decode(rec.get("site"), f"{where}.site", errors)
+        diag_raw = rec.get("D_H")
+        if not isinstance(diag_raw, list) or not all(_is_number(v) for v in diag_raw):
+            errors.append(f"{where}.D_H: expected an array of reals")
+            continue
+        sites.append(site)
+        diags.append(np.asarray(diag_raw, float))
+        us.append(decode_matrix(rec.get("U"), f"{where}.U", errors))
+        ws.append(decode_matrix(rec.get("W"), f"{where}.W", errors))
+    return sites, diags, us, ws
 
 
 def _read_json(path, what: str):

@@ -63,20 +63,16 @@ def decaying_generator_spec(seed: int, radius: int = 6, d: int = 2, nu: int = 1)
     exercising the limit machinery.
     """
     from . import lattice
-    from .limit import GeneratorSite, GeneratorSpec
+    from .limit import GeneratorSpec
 
     rng = rng_from_seed(seed, 100)
-    records = []
-    for r in range(radius + 1):
-        for site in lattice.shell(nu, r):
-            raw = rng.standard_normal(d)
-            diag = raw * (2.0 ** (-r) / np.sum(np.abs(raw)))
-            records.append(
-                GeneratorSite(
-                    site=site,
-                    diag=diag,
-                    u=random_unitary(rng, d),
-                    w=random_unitary(rng, d),
-                )
-            )
-    return GeneratorSpec(records=tuple(records), tail_radius=radius, nu=nu)
+    sites = [site for r in range(radius + 1) for site in lattice.shell(nu, r)]
+    diag = np.empty((len(sites), d))
+    u = np.empty((len(sites), d, d), dtype=np.complex128)
+    w = np.empty_like(u)
+    for k, site in enumerate(sites):
+        raw = rng.standard_normal(d)
+        diag[k] = raw * (2.0 ** (-lattice.norm1(site)) / np.sum(np.abs(raw)))
+        u[k] = random_unitary(rng, d)
+        w[k] = random_unitary(rng, d)
+    return GeneratorSpec(sites, diag, u, w, tail_radius=radius, nu=nu, d=d)

@@ -2,9 +2,13 @@
 models.
 
 The expected values were captured from the eigendecomposition build
-(two ``hermitian_function`` calls per site, per-entry decoding) and are
-held fixed: the stacked closed-form build and the array decoder must
-report the same first fault with the same text and exit code.
+(two ``hermitian_function`` calls per site, per-entry decoding), and
+those of the site-field faults from the per-record loader, and are held
+fixed: the stacked closed-form build and the column loader must report
+the same first fault with the same text and exit code.  Two cases were
+faults of the per-record loader: ``diag_longer_than_fiber_dim`` built a
+three-dimensional family for ``fiber_dim`` 2 (and failed only on the
+observable), and ``diag_empty`` raised a traceback.
 """
 
 import copy
@@ -59,6 +63,31 @@ def both(*edits):
     def edit(m):
         for e in edits:
             e(m)
+    return edit
+
+
+def drop_field(k, name):
+    def edit(m):
+        del m["vectors"]["sites"][k][name]
+    return edit
+
+
+def set_record(k, value):
+    def edit(m):
+        m["vectors"]["sites"][k] = value
+    return edit
+
+
+def set_sites(value):
+    def edit(m):
+        m["vectors"]["sites"] = value
+    return edit
+
+
+def every_site(name, value):
+    def edit(m):
+        for rec in m["vectors"]["sites"]:
+            rec[name] = copy.deepcopy(value)
     return edit
 
 
@@ -160,6 +189,53 @@ VALIDATION = {
     "decode_error_and_beyond_radius": (
         both(set_entry(0, "U", 0, 0, "x"), set_field(1, "site", [5])), 1,
         FAILED + "model.vectors.sites[0].U[0][0]: expected [re, im], got 'x'\n",
+    ),
+    "site_true": (
+        set_field(1, "site", [True]), 1,
+        FAILED + "model.vectors.sites[1].site: expected 1 integer coordinates, got [True]\n",
+    ),
+    "site_fraction": (
+        set_field(1, "site", [1.5]), 1,
+        FAILED + "model.vectors.sites[1].site: expected 1 integer coordinates, got [1.5]\n",
+    ),
+    "site_two_coordinates": (
+        set_field(1, "site", [0, 0]), 1,
+        FAILED + "model.vectors.sites[1].site: expected 1 integer coordinates, got [0, 0]\n",
+    ),
+    "site_past_int64": (
+        set_field(1, "site", [2**70]), 1,
+        FAILED + "model.vectors: site (1180591620717411303424,) lies beyond the declared "
+        "tail radius 2\n",
+    ),
+    "site_integral_float": (set_field(1, "site", [2.0]), 0, ""),
+    "site_missing": (
+        drop_field(1, "site"), 1,
+        FAILED + "model.vectors.sites[1].site: expected 1 integer coordinates, got None\n",
+    ),
+    "record_not_object": (
+        set_record(1, [0]), 1,
+        FAILED + "model.vectors.sites[1]: expected an object\n",
+    ),
+    "site_twice": (
+        set_field(2, "site", [0]), 1,
+        FAILED + "model.vectors: generator model declares a site twice\n",
+    ),
+    "diag_string": (
+        set_field(1, "D_H", "0.1"), 1,
+        FAILED + "model.vectors.sites[1].D_H: expected an array of reals\n",
+    ),
+    "no_sites": (
+        set_sites([]), 1,
+        FAILED + "model.vectors: generator model declares no sites\n",
+    ),
+    "diag_longer_than_fiber_dim": (
+        both(every_site("D_H", [0.1, 0.2, 0.3]), every_site("U", IDENTITY_3),
+             every_site("W", IDENTITY_3)), 1,
+        FAILED + "model.vectors: site (0,): diagonal has shape (3,)\n",
+    ),
+    "diag_empty": (
+        set_field(0, "D_H", []), 1,
+        FAILED + "model.vectors: site (0,): diagonal has shape (0,)\n",
     ),
     "valid": (lambda m: None, 0, ""),
     # the eigenvalue floor exp(min D) <= 1e-12 exp(max D): a spread of

@@ -137,6 +137,23 @@ class TestPreload:
         with pytest.raises(ValidationError, match="unknown site 9"):
             fam.preload((0, 9), stack[:2])
 
+    def test_lattice_coordinates_as_one_array(self, monkeypatch):
+        stack = complex_gaussian(rng_from_seed(43), (3, 2, 2))
+        checked = []
+        check = Zd.check
+        monkeypatch.setattr(Zd, "check", lambda zd, site: checked.append(site) or check(zd, site))
+        fam = FiberFamily(2, 2, lambda s: np.eye(2), Zd(2))
+        # an (N, nu) integer array is checked whole, and its rows index as tuples
+        fam.preload(np.array([[0, 0], [1, -2], [-3, 0]]), stack)
+        assert checked == []
+        assert np.array_equal(fam.vectors((1, -2)), stack[1])
+        # Python ints past int64 are checked site by site
+        fam.preload(np.array([[2**70, 0], [0, 1]], dtype=object), stack[:2])
+        assert checked == [(2**70, 0), (0, 1)]
+        assert np.array_equal(fam.gram((2**70, 0)), fam.gram((0, 0)))
+        with pytest.raises(ValidationError, match=r"^site \(0\.5, 0\.0\) is not a 2-tuple of ints$"):
+            fam.preload(np.array([[0.5, 0.0]]), stack[:1])
+
 
 class TestRadialFamily:
     """A radial family serves a whole 1-norm shell from one entry."""

@@ -488,12 +488,11 @@ class TestRightSquareRoot:
 
 class TestGeneratorBuild:
     def test_zero_diagonals_give_orthonormal(self, rng):
-        from schurstates.limit import GeneratorSite, GeneratorSpec
+        from schurstates.limit import GeneratorSpec
 
-        rec = GeneratorSite(
-            site=(0,), diag=np.zeros(2), u=np.eye(2, dtype=complex), w=np.eye(2, dtype=complex)
-        )
-        fam = build_from_generators(GeneratorSpec(records=(rec,), tail_radius=0, nu=1))
+        eye = np.eye(2, dtype=complex)
+        spec = GeneratorSpec([(0,)], [np.zeros(2)], [eye], [eye], tail_radius=0, nu=1, d=2)
+        fam = build_from_generators(spec)
         np.testing.assert_allclose(fam.vectors((0,)), np.eye(2))
         np.testing.assert_allclose(fam.gram((5,)), np.eye(2))
         # the limit state is the uniform (unnormalized) mixture of the
@@ -505,9 +504,9 @@ class TestGeneratorBuild:
     def test_gram_matches_exponential(self):
         spec = decaying_generator_spec(seed=7, radius=3, d=3, nu=1)
         fam = build_from_generators(spec)
-        for rec in spec.records:
-            h = rec.u.conj().T @ np.diag(rec.diag) @ rec.u
-            np.testing.assert_allclose(fam.gram(rec.site), matrix_exp(h), atol=1e-10)
+        for site, diag, u in zip(spec.keys, spec.diag, spec.u):
+            h = u.conj().T @ np.diag(diag) @ u
+            np.testing.assert_allclose(fam.gram(site), matrix_exp(h), atol=1e-10)
 
     def test_summability_certificate(self):
         spec = decaying_generator_spec(seed=9, radius=4, d=2, nu=1)
@@ -523,12 +522,12 @@ class TestGeneratorBuild:
                 "mode": "generators",
                 "sites": [
                     {
-                        "site": list(rec.site),
-                        "D_H": rec.diag.tolist(),
-                        "U": encode_matrix(rec.u),
-                        "W": encode_matrix(rec.w),
+                        "site": list(site),
+                        "D_H": diag.tolist(),
+                        "U": encode_matrix(u),
+                        "W": encode_matrix(w),
                     }
-                    for rec in spec.records
+                    for site, diag, u, w in zip(spec.keys, spec.diag, spec.u, spec.w)
                 ],
                 "tail": {"beyond_radius": spec.tail_radius, "D_H": "zero"},
             },
@@ -542,10 +541,13 @@ class TestGeneratorBuild:
 
         spec = decaying_generator_spec(seed=11, radius=4, d=2, nu=2)
         # declaration order must not matter, so also try outermost first
-        records = spec.records[::-1] if reverse else spec.records
-        spec = GeneratorSpec(records=records, tail_radius=spec.tail_radius, nu=spec.nu)
+        order = slice(None, None, -1 if reverse else 1)
+        columns = (spec.sites[order], spec.diag[order], spec.u[order], spec.w[order])
+        spec = GeneratorSpec(*columns, tail_radius=spec.tail_radius, nu=spec.nu, d=spec.d)
         remaining = build_from_generators(spec).tail.remaining
-        deviation = {rec.site: math.expm1(float(np.sum(np.abs(rec.diag)))) for rec in records}
+        deviation = {
+            site: math.expm1(float(np.sum(np.abs(diag)))) for site, diag in zip(spec.keys, spec.diag)
+        }
         total = sum(deviation.values())
         for r in range(-1, spec.tail_radius + 2):
             # definition: deviation mass of declared sites with 1-norm > r
@@ -553,22 +555,41 @@ class TestGeneratorBuild:
             assert remaining(r) == pytest.approx(oracle, rel=1e-12, abs=1e-14 * total)
 
     def test_rejects_non_unitary(self):
-        from schurstates.limit import GeneratorSite, GeneratorSpec
+        from schurstates.limit import GeneratorSpec
 
-        rec = GeneratorSite(
-            site=(0,), diag=np.zeros(2), u=0.2 * np.eye(2), w=np.eye(2, dtype=complex)
-        )
+        eye = np.eye(2, dtype=complex)
         with pytest.raises(ValidationError, match="deviates from isometry"):
-            GeneratorSpec(records=(rec,), tail_radius=0, nu=1)
+            GeneratorSpec([(0,)], [np.zeros(2)], [0.2 * eye], [eye], tail_radius=0, nu=1, d=2)
 
     def test_rejects_site_beyond_radius(self):
-        from schurstates.limit import GeneratorSite, GeneratorSpec
+        from schurstates.limit import GeneratorSpec
 
-        rec = GeneratorSite(
-            site=(9,), diag=np.zeros(2), u=np.eye(2, dtype=complex), w=np.eye(2, dtype=complex)
-        )
+        eye = np.eye(2, dtype=complex)
         with pytest.raises(ValidationError, match="beyond the declared tail radius"):
-            GeneratorSpec(records=(rec,), tail_radius=2, nu=1)
+            GeneratorSpec([(9,)], [np.zeros(2)], [eye], [eye], tail_radius=2, nu=1, d=2)
+
+    @pytest.mark.parametrize(
+        "site, tail_radius",
+        [
+            ((2**62, 2**62), 2),  # an int64 sum would wrap to a negative radius
+            ((-(2**63), 0), 2),  # and so would the int64 absolute value
+            ((2**62, 2**62), 2**63),
+            ((2**70, -1), 2**71),  # Python ints past int64
+        ],
+    )
+    def test_site_radius_is_exact(self, site, tail_radius):
+        from schurstates.limit import GeneratorSpec
+
+        eye = np.eye(2, dtype=complex)
+        columns = ([(0, 0), site], [np.zeros(2)] * 2, [eye] * 2, [eye] * 2)
+        radius = abs(site[0]) + abs(site[1])
+        if radius > tail_radius:
+            with pytest.raises(ValidationError, match=r"lies beyond the declared tail radius 2$"):
+                GeneratorSpec(*columns, tail_radius=tail_radius, nu=2, d=2)
+        else:
+            spec = GeneratorSpec(*columns, tail_radius=tail_radius, nu=2, d=2)
+            assert spec.radii.tolist() == [0, radius]
+            np.testing.assert_array_equal(build_from_generators(spec).gram(site), eye)
 
 
 #: (seed, nu, d) of the seeded generator models behind the closed-form
@@ -586,13 +607,13 @@ class TestClosedFormBuild:
     def test_matches_eigendecomposition_route(self, seed, nu, d):
         spec = decaying_generator_spec(seed=seed, radius=3, d=d, nu=nu)
         fam = build_from_generators(spec)
-        for rec in spec.records:
-            t = matrix_exp(rec.u.conj().T @ np.diag(rec.diag) @ rec.u)
-            oracle = right_square_root(t, rec.w)
+        for site, diag, u, w in zip(spec.keys, spec.diag, spec.u, spec.w):
+            t = matrix_exp(u.conj().T @ np.diag(diag) @ u)
+            oracle = right_square_root(t, w)
             scale = max(1.0, float(np.max(np.abs(oracle))))
-            assert np.max(np.abs(fam.vectors(rec.site) - oracle)) <= 1e-14 * scale
+            assert np.max(np.abs(fam.vectors(site) - oracle)) <= 1e-14 * scale
             scale = max(1.0, float(np.max(np.abs(t))))
-            assert np.max(np.abs(fam.gram(rec.site) - t)) <= 1e-14 * scale
+            assert np.max(np.abs(fam.gram(site) - t)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("seed, nu, d", CLOSED_FORM_CASES)
     def test_cocycle_and_projectivity(self, seed, nu, d):
@@ -622,8 +643,8 @@ class TestClosedFormBuild:
             monkeypatch.setattr(np.linalg, name, counted)
         spec = decaying_generator_spec(seed=23, radius=4, d=2, nu=2)
         fam = build_from_generators(spec)
-        for rec in spec.records:
-            fam.gram(rec.site)
+        for site in spec.keys:
+            fam.gram(site)
         assert calls == []
 
     @pytest.mark.parametrize("spread", [1.0, 27.0, 27.6, 27.62, 27.64, 27.7, 30.0])
@@ -631,14 +652,14 @@ class TestClosedFormBuild:
     def test_floor_matches_right_square_root(self, spread, centre):
         # the closed form refuses exactly where the eigendecomposition
         # route refuses: max D - min D >= -ln(1e-12) = 27.631...
-        from schurstates.limit import GeneratorSite, GeneratorSpec
+        from schurstates.limit import GeneratorSpec
 
         u = random_unitary(rng_from_seed(29), 2)
         diag = np.array([centre + spread / 2, centre - spread / 2])
-        rec = GeneratorSite(site=(0,), diag=diag, u=u, w=np.eye(2, dtype=complex))
-        spec = GeneratorSpec(records=(rec,), tail_radius=0, nu=1)
+        w = np.eye(2, dtype=complex)
+        spec = GeneratorSpec([(0,)], [diag], [u], [w], tail_radius=0, nu=1, d=2)
         try:
-            right_square_root(matrix_exp(u.conj().T @ np.diag(diag) @ u), rec.w)
+            right_square_root(matrix_exp(u.conj().T @ np.diag(diag) @ u), w)
         except DomainError:
             with pytest.raises(DomainError, match=r"site \(0,\): D_H spans"):
                 build_from_generators(spec)
@@ -647,12 +668,10 @@ class TestClosedFormBuild:
 
     @pytest.mark.parametrize("top", [710.0, -746.0])
     def test_exp_outside_float64_refused(self, top):
-        from schurstates.limit import GeneratorSite, GeneratorSpec
+        from schurstates.limit import GeneratorSpec
 
-        recs = (
-            GeneratorSite(site=(0,), diag=np.zeros(2), u=np.eye(2), w=np.eye(2)),
-            GeneratorSite(site=(1,), diag=np.array([top, top]), u=np.eye(2), w=np.eye(2)),
-        )
-        spec = GeneratorSpec(records=recs, tail_radius=1, nu=1)
+        diag = [np.zeros(2), np.array([top, top])]
+        spec = GeneratorSpec([(0,), (1,)], diag, [np.eye(2)] * 2, [np.eye(2)] * 2,
+                             tail_radius=1, nu=1, d=2)
         with pytest.raises(DomainError, match=r"site \(1,\): exp\(D_H\) leaves the float64 range"):
             build_from_generators(spec)

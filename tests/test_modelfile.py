@@ -97,12 +97,12 @@ class TestLoadModel:
                 "mode": "generators",
                 "sites": [
                     {
-                        "site": list(rec.site),
-                        "D_H": [float(v) for v in rec.diag],
-                        "U": encode_matrix(rec.u),
-                        "W": encode_matrix(rec.w),
+                        "site": list(site),
+                        "D_H": [float(v) for v in diag],
+                        "U": encode_matrix(u),
+                        "W": encode_matrix(w),
                     }
-                    for rec in spec0.records
+                    for site, diag, u, w in zip(spec0.keys, spec0.diag, spec0.u, spec0.w)
                 ],
                 "tail": {"beyond_radius": 2, "D_H": "zero"},
             },
@@ -320,3 +320,94 @@ class TestDecodeMatrix:
             errors = []
             modelfile.decode_matrix(rows, "m", errors)
             assert errors == [f"m[0][0]: expected [re, im], got {rows[0][0]!r}"]
+
+
+def generator_model(spec) -> dict:
+    """The model file of a ``GeneratorSpec``; JSON keeps every double."""
+    sites = [
+        {"site": list(site), "D_H": diag.tolist(), "U": encode_matrix(u), "W": encode_matrix(w)}
+        for site, diag, u, w in zip(spec.keys, spec.diag, spec.u, spec.w)
+    ]
+    return {
+        "lattice": {"kind": "zd", "nu": spec.nu},
+        "fiber_dim": spec.d,
+        "index_size": spec.d,
+        "vectors": {
+            "mode": "generators",
+            "sites": sites,
+            "tail": {"beyond_radius": spec.tail_radius, "D_H": "zero"},
+        },
+    }
+
+
+def limit_gen_model() -> dict:
+    """The benchmark's seeded ``limit_gen`` model (1861 sites of Z^2)."""
+    import sys
+
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        from workloads import LimitGen
+    finally:
+        sys.path.remove(perfbench)
+    return LimitGen.generate(1)[0]
+
+
+def seeded_generator_model(nu, d) -> dict:
+    from schurstates.sampling import decaying_generator_spec
+
+    return generator_model(decaying_generator_spec(seed=31, radius=4, d=d, nu=nu))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGeneratorRoutes:
+    """A generator table is read as columns, one array conversion per
+    field; the per-record walk, which alone writes per-field messages,
+    is its oracle."""
+
+    @staticmethod
+    def counted(monkeypatch, name) -> list:
+        """The second argument of every call of ``modelfile.<name>``."""
+        calls = []
+        original = getattr(modelfile, name)
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(modelfile, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "model", [(1, 2), (2, 3), "limit_gen"], ids=["nu1", "nu2", "limit_gen"]
+    )
+    def test_walk_is_bit_identical(self, model, monkeypatch):
+        data = limit_gen_model() if model == "limit_gen" else seeded_generator_model(*model)
+        walks = self.counted(monkeypatch, "_walk_generators")
+        entries = self.counted(monkeypatch, "decode_complex")
+        stacked = modelfile.parse_model(data)
+        assert walks == entries == []
+        monkeypatch.setattr(modelfile, "_generator_columns", lambda records, nu: None)
+        walked = modelfile.parse_model(data)
+        assert len(walks) == 1
+        assert walked.summability_certificate == stacked.summability_certificate
+        fams = stacked.family(), walked.family()
+        for rec in data["vectors"]["sites"]:
+            site = tuple(rec["site"])
+            assert same_bits(fams[0].vectors(site), fams[1].vectors(site))
+            assert same_bits(fams[0].gram(site), fams[1].gram(site))
+        radius = data["vectors"]["tail"]["beyond_radius"]
+        for r in range(-1, radius + 2):
+            assert fams[0].tail.remaining(r) == fams[1].tail.remaining(r)
+
+    def test_one_bool_sends_the_table_to_the_walk(self, monkeypatch):
+        data = seeded_generator_model(1, 2)
+        data["vectors"]["sites"][3]["U"][1][0] = [True, 0.0]
+        calls = self.counted(monkeypatch, "decode_complex")
+        with pytest.raises(ValidationError, match=r"sites\[3\]\.U\[1\]\[0\]: expected \[re, im\]"):
+            modelfile.parse_model(data)
+        assert "model.vectors.sites[3].U[1][0]" in calls
