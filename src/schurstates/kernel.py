@@ -17,12 +17,14 @@ subregion.  Every other module builds its site products from these two.
 
 A family validates each distinct array its provider hands out once and
 keeps it read-only beside its Gram matrix, so a provider that returns one
-shared array for a whole radius (or the whole lattice) pays for one
-check, not one per site; a model that tabulates many sites hands the
-whole table over (``preload``) to be checked and squared in one stacked
-pass.  A radial family also names that array per radius, so a boundary
-walk takes a whole 1-norm shell's Gram matrix without visiting the
-shell's sites.
+shared array for the whole lattice pays for one check, not one per site;
+a model that tabulates many sites hands the whole table over
+(``preload``) to be checked and squared in one stacked pass.  A radial
+family, whose vectors depend on a site only through its 1-norm, has no
+per-site provider: it hands out ``SHELL_BLOCK`` consecutive shells at a
+time as one stack, checked and squared in one pass, so a boundary walk
+takes a whole block of shell Gram matrices without visiting the shells'
+sites.
 
 Index layout, fixed once for the whole package:
 
@@ -50,15 +52,21 @@ from .linalg import PsdReport, as_cmatrix, psd_report
 #: Vectors with norm at or below this are rejected as zero.
 ZERO_VECTOR_TOL = 1e-14
 
+#: Consecutive 1-norm shells a radial family builds, and a boundary walk
+#: multiplies in, at once: block k holds radii k * SHELL_BLOCK, ...,
+#: (k + 1) * SHELL_BLOCK - 1.
+SHELL_BLOCK = 64
+
 
 # ---------------------------------------------------------------------------
 # Tail certificates
 #
 # Families defined on an infinite lattice declare how their per-site
 # Gram matrices behave far from the origin.  Each certificate owns its
-# stopping rule: ``settle(p, r)`` takes the entrywise product ``p`` of
-# every site within 1-norm ``r`` and returns the limit estimate with a
-# rigorous bound on each entry's remaining change.  The boundary walk
+# stopping rule: ``settle(p, radii)`` takes a stack of entrywise products,
+# ``p[k]`` that of every site within 1-norm ``radii[k]`` (an integer
+# array), and returns the limit estimates with a rigorous bound on each
+# one's remaining change, for the whole stack at once.  The boundary walk
 # stops at the first radius whose bound meets its tolerance.
 # ---------------------------------------------------------------------------
 
@@ -66,23 +74,23 @@ ZERO_VECTOR_TOL = 1e-14
 CONSTANT_ONE_TOL = 1e-12
 
 
-def tail_remaining(masses, beyond: float = 0.0) -> Callable[[int], float]:
+def tail_remaining(masses, beyond: float = 0.0) -> Callable:
     """A certificate's ``remaining`` from per-radius deviation masses.
 
     ``masses[k]`` is the mass of 1-norm shell k and ``beyond`` bounds
     the mass of every shell past the list; ``remaining(r)`` is the mass
-    of the shells beyond radius r, for every ``r >= -1``.  The suffix
-    sums are formed once, from the outermost radius inward, each rounded
-    up past a non-zero mass so that it is never below the exact sum of
-    non-negative masses.
+    of the shells beyond radius r, for every ``r >= -1``, or an array of
+    them for an integer array r.  The suffix sums are formed once, from
+    the outermost radius inward, each rounded up past a non-zero mass so
+    that it is never below the exact sum of non-negative masses.
     """
     suffix = [beyond]
     for m in reversed(masses):
         suffix.append(math.nextafter(suffix[-1] + m, math.inf) if m else suffix[-1])
-    suffix.reverse()  # suffix[k]: shells k, k + 1, ... and beyond
+    suffix = np.array(suffix[::-1])  # suffix[k]: shells k, k + 1, ... and beyond
 
-    def remaining(r: int) -> float:
-        return suffix[min(max(r + 1, 0), len(suffix) - 1)]
+    def remaining(r):
+        return suffix[np.minimum(np.add(r, 1), len(suffix) - 1)]
 
     return remaining
 
@@ -93,14 +101,16 @@ class OnesTail:
 
     ``remaining(r)`` bounds the sum over all sites with 1-norm > r of
     ``max_ij |G_x[i,j] - 1|``, for every ``r >= -1``: the walk asks for
-    ``remaining(-1)``, the mass of every site, origin included.
+    ``remaining(-1)``, the mass of every site, origin included.  It is
+    asked for a whole integer array of radii at once, and answers with
+    an array.
     """
 
-    remaining: Callable[[int], float]
+    remaining: Callable
 
-    def settle(self, p: np.ndarray, r: int) -> tuple[np.ndarray, float]:
-        growth = math.expm1(min(self.remaining(r), 700.0))
-        return p, float(np.max(np.abs(p)) * growth)
+    def settle(self, p: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
+        growth = np.expm1(np.minimum(self.remaining(radii), 700.0))
+        return p, np.abs(p).max(axis=(1, 2)) * growth
 
 
 @dataclass(frozen=True)
@@ -109,29 +119,30 @@ class IdentityTail:
 
     ``remaining(r)`` bounds the sum over sites with 1-norm > r of
     ``max_ij |G_x[i,j] - delta_ij|`` for every ``r >= -1`` (origin
-    included at ``r = -1``); ``exact_beyond`` marks a radius past which
-    every Gram matrix is exactly the identity.
+    included at ``r = -1``), asked for an array of radii at once as in
+    ``OnesTail``; ``exact_beyond`` marks a radius past which every Gram
+    matrix is exactly the identity.
     """
 
-    remaining: Callable[[int], float]
+    remaining: Callable
     exact_beyond: int | None = None
 
-    def settle(self, p: np.ndarray, r: int) -> tuple[np.ndarray, float]:
-        if self.exact_beyond is not None and r >= self.exact_beyond:
-            # every remaining factor is exactly the identity pattern:
-            # diagonals freeze, off-diagonals are annihilated
-            return np.diag(np.diag(p)), 0.0
-        remaining = self.remaining(r)
-        growth = math.expm1(min(remaining, 700.0))
-        diag = float(np.max(np.abs(np.diag(p)))) * growth
-        off = p - np.diag(np.diag(p))
-        if off.size and np.any(np.abs(off) > 0):
-            # off-diagonal factors collapse toward 0; the entry itself must
-            # shrink below tolerance before the product can be frozen
-            off_bound = float(np.max(np.abs(off))) * (1.0 + min(remaining, 1.0) + growth)
-        else:
-            off_bound = 0.0
-        return p, max(diag, off_bound)
+    def settle(self, p: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
+        eye = np.eye(p.shape[1], dtype=bool)
+        remaining = self.remaining(radii)
+        growth = np.expm1(np.minimum(remaining, 700.0))
+        size = np.abs(p)
+        diag = size.diagonal(axis1=1, axis2=2).max(axis=1) * growth
+        # off-diagonal factors collapse toward 0; the entry itself must
+        # shrink below tolerance before the product can be frozen
+        off = np.where(eye, 0.0, size).max(axis=(1, 2))
+        bound = np.maximum(diag, off * (1.0 + np.minimum(remaining, 1.0) + growth))
+        exact = radii >= (math.inf if self.exact_beyond is None else self.exact_beyond)
+        if not exact.any():
+            return p, bound
+        # past exact_beyond every remaining factor is exactly the identity
+        # pattern: diagonals freeze, off-diagonals are annihilated
+        return np.where(exact[:, None, None] & ~eye, 0, p), np.where(exact, 0.0, bound)
 
 
 @dataclass(frozen=True)
@@ -140,7 +151,7 @@ class ConstantTail:
 
     gram: np.ndarray
 
-    def settle(self, p: np.ndarray, r: int) -> tuple[np.ndarray, float]:
+    def settle(self, p: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
         """The closed form, whatever has been walked: each entry's infinite
         product of one factor ends at 1 (factor 1), 0 (modulus below 1) or
         does not converge."""
@@ -155,7 +166,7 @@ class ConstantTail:
                 last_partial=g.copy(),
                 tail_estimate=float(abs(abs(g[i, j]) - 1.0)),
             )
-        return one.astype(np.complex128), 0.0
+        return np.repeat(one[None].astype(np.complex128), len(p), axis=0), np.zeros(len(p))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +179,9 @@ class FiberFamily:
 
     ``geometry`` (``lattice.Zd`` or ``lattice.Sites``) says which sites
     exist and in which order a boundary walk visits them.  Vectors are
-    produced lazily by ``provider(site)``, so the same object serves
-    finite enumerated models and infinite lattice models.  All vectors
-    must be non-zero and share one (d, d_I).
+    produced lazily, by ``provider(site)`` or by the radial blocks below,
+    so the same object serves finite enumerated models and infinite
+    lattice models.  All vectors must be non-zero and share one (d, d_I).
 
     Provider contract: returning the same object for several sites means
     the same vectors at each of them.  Each distinct object is validated
@@ -179,27 +190,32 @@ class FiberFamily:
     ``preload`` fills that index for a whole table of sites from one
     stacked validation.
 
-    Radial contract: a family on ``lattice.Zd`` may pass ``radial(r)``,
-    the array of every site of 1-norm r; at each such site the provider
-    returns that same array.  ``shell_gram(r)`` then serves a whole
-    shell from one validated entry, without visiting or indexing its
-    sites.
+    Radial contract: a family on ``lattice.Zd`` whose vectors depend on a
+    site only through its 1-norm passes ``radial(start, stop)``, the
+    (stop - start, d_I, d) stack whose row k holds the vectors of every
+    site of 1-norm start + k, and no provider.  The family asks for one
+    block of ``SHELL_BLOCK`` radii at a time, each block once, and
+    validates and squares it in one pass; ``shell_grams(k)`` serves the
+    Gram stack of block k, and ``shell_gram(r)`` and every site of
+    1-norm r read row r of their block.
     """
 
     def __init__(
         self,
         d: int,
         d_I: int,
-        provider: Callable[[object], np.ndarray],
+        provider: Callable[[object], np.ndarray] | None,
         geometry: lattice.Zd | lattice.Sites,
         tail=None,
         label: str = "",
-        radial: Callable[[int], np.ndarray] | None = None,
+        radial: Callable[[int, int], np.ndarray] | None = None,
     ):
         if d < 1 or d_I < 1:
             raise ValidationError(f"fiber dims must be positive, got d={d}, d_I={d_I}")
         if radial is not None and geometry.finite:
             raise ValidationError("a radial family needs a lattice geometry")
+        if provider is None and radial is None:
+            raise ValidationError("a family needs a provider or radial blocks")
         self.d = int(d)
         self.d_I = int(d_I)
         self._provider = provider
@@ -210,14 +226,18 @@ class FiberFamily:
         # id(provider result) -> (vectors, Gram, provider result); holding the
         # result keeps its id from being reused while the entry is cached
         self._arrays: dict = {}
-        self._by_site: dict = {}  # site -> its entry in ``_arrays``
-        self._by_radius: dict = {}  # r -> the entry of ``radial(r)``
+        self._by_site: dict = {}  # site -> its entry in ``_arrays``, or its rows
+        self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
         # owned here, filled by ``limit.boundary_matrix``
         self._boundary_cache: dict = {}
 
     def _entry(self, site) -> tuple:
         self.geometry.check(site)
-        entry = self._validated(self._provider(site), f"site {site!r}")
+        if self.radial is None:
+            entry = self._validated(self._provider(site), f"site {site!r}")
+        else:
+            r = lattice.norm1(site)
+            entry = tuple(stack[r % SHELL_BLOCK] for stack in self._block(r // SHELL_BLOCK))
         self._by_site[site] = entry
         return entry
 
@@ -290,14 +310,30 @@ class FiberFamily:
         """Overlap matrix G[i, j] = Tr(h_i h_j*) = <h_j, h_i> at one site."""
         return (self._by_site.get(site) or self._entry(site))[1]
 
+    def _block(self, k: int) -> tuple:
+        """The read-only (vectors, Grams) stacks of radial block k."""
+        block = self._blocks.get(k)
+        if block is None:
+            start = k * SHELL_BLOCK
+            v = np.asarray(self.radial(start, start + SHELL_BLOCK), dtype=np.complex128)
+            if v.shape != (SHELL_BLOCK, self.d_I, self.d):
+                raise DimensionError(
+                    f"radii {start} to {start + SHELL_BLOCK - 1}: vectors have shape "
+                    f"{v.shape}, expected {(SHELL_BLOCK, self.d_I, self.d)}"
+                )
+            block = self._blocks[k] = (v, self._squared(v, lambda j: f"radius {start + j}"))
+        return block
+
+    def shell_grams(self, k: int) -> np.ndarray:
+        """The (SHELL_BLOCK, d_I, d_I) Gram matrices of the radii of block
+        k, row j shared by every site of 1-norm k * SHELL_BLOCK + j
+        (radial families only)."""
+        return self._block(k)[1]
+
     def shell_gram(self, r: int) -> np.ndarray:
         """The Gram matrix shared by every site of 1-norm r (radial
         families only)."""
-        entry = self._by_radius.get(r)
-        if entry is None:
-            entry = self._validated(self.radial(r), f"radius {r}")
-            self._by_radius[r] = entry
-        return entry[1]
+        return self.shell_grams(r // SHELL_BLOCK)[r % SHELL_BLOCK]
 
     # -- constructors -------------------------------------------------
 

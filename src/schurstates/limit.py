@@ -8,19 +8,22 @@ through entrywise logarithms (overlaps may be zero or have argument
 near +-pi, where a principal-branch log sum misrepresents the product).
 A product whose limit is zero is a converged result, not a failure.
 
-One loop forms the products, over blocks (label, power, sites) from one
-of two sources.  The canonical walk of a radial family
-(``FiberFamily.radial``) goes shell by shell in the 1-norm: block r
-raises the shared Gram matrix of shell r to the power of the shell's
-sites outside the region, and lists no sites.  Every other walk, and
-any walk given an explicit ``exhaustion``, has power 0 and lists each
-site outside the region as one factor, block by block in the walk order
-of that geometry (``lattice.Zd`` or ``lattice.Sites``); for a radial
-family it is the oracle of the shell source.  For both, the region is
-checked against the family's geometry before any cached result is read,
-and the loop counts each block's sites against the site cap before it
-builds any of the block and asks the tail certificate to settle once
-per block.
+One loop forms the products, step by step, from one of two sources.
+The canonical walk of a radial family (``FiberFamily.radial``) takes,
+after the empty shell at radius -1, ``SHELL_BLOCK`` consecutive 1-norm
+shells per step and lists no sites: one ``np.power`` raises each shell's
+Gram matrix to the exact count of its sites outside the region, and one
+``np.multiply.accumulate``, seeded with the product so far, gives the
+product through every shell of the block.  (The accumulate rounds
+differently from multiplying shell by shell, by about one rounding per
+entry and shell.)  Every other walk, and any walk given an explicit
+``exhaustion``, takes one block of its geometry's walk order per step
+and multiplies in each site outside the region in turn; for a radial
+family it is the oracle of the shell source.  The region is checked
+against the family's geometry before any cached result is read.  Each
+step is cut at the first shell (or block) whose sites would cross the
+site cap, before anything is built, and the tail certificate settles
+every shell the step took in one call.
 
 On an infinite lattice the walk stops only on the family's tail
 certificate (``kernel.OnesTail``, ``IdentityTail`` or ``ConstantTail``),
@@ -55,7 +58,13 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .kernel import FiberFamily, IdentityTail, product_kernel_matrix, tail_remaining
+from .kernel import (
+    SHELL_BLOCK,
+    FiberFamily,
+    IdentityTail,
+    product_kernel_matrix,
+    tail_remaining,
+)
 from .linalg import as_cmatrix, hermitian_function, require_hermitian
 from .state import LocalObservable
 
@@ -127,13 +136,15 @@ def _boundary_walk(
     tail_tol: float,
     site_cap: int,
 ) -> BoundaryMatrix:
-    """The walk behind ``boundary_matrix``: one loop over blocks (label,
-    power n of ``shell_gram(label)``, single sites), whole 1-norm shells
-    for the canonical walk of a radial family and single sites for any
-    other walk.  A block that would cross ``site_cap`` is refused whole;
-    the error carries the product through the last whole block and the
-    certificate's bound after that block (``inf`` if none was computed,
-    as on a finite walk)."""
+    """The walk behind ``boundary_matrix``: one loop over steps (labels,
+    site count per label, sites): a block of shells of a radial family's
+    canonical walk (sites None; shell r enters as ``shell_gram(r)`` to
+    the power of its count), or one block of any other walk, whose sites
+    enter one by one.  The walk stops at the first label whose bound
+    meets ``tail_tol``.  The first label whose cumulative count would
+    cross ``site_cap`` is refused; the error carries the product through
+    the label before it and the certificate's bound there (``inf`` if
+    none was computed, as on a finite walk)."""
     tail = family.tail
     walk = family.geometry if exhaustion is None else exhaustion
     if tail is None and not walk.finite:
@@ -143,33 +154,48 @@ def _boundary_walk(
         )
     skip = set(region)
     if exhaustion is None and family.radial is not None:
-        # each 1-norm shell r to the power of its sites outside the region;
-        # a shell with none never builds its Gram matrix
+        # the empty shell, then blocks of whole shells, each shell to the
+        # power of its sites outside the region
         held, nu = Counter(lattice.norm1(x) for x in skip), walk.nu
-        blocks = ((r, lattice.shell_size(nu, r) - held[r], ()) for r in itertools.count(-1))
+        blocks = (range(r, r + SHELL_BLOCK) for r in itertools.count(0, SHELL_BLOCK))
+        steps = itertools.chain(
+            [([-1], [0], ())],
+            ((b, [lattice.shell_size(nu, r) - held.get(r, 0) for r in b], None) for b in blocks),
+        )
     else:
         # each site outside the region is one factor
-        blocks = ((k, 0, [x for x in b if x not in skip]) for k, b in walk.blocks())
+        outside = ((k, [x for x in b if x not in skip]) for k, b in walk.blocks())
+        steps = (([k], [len(sites)], sites) for k, sites in outside)
     p = np.ones((family.d_I, family.d_I), dtype=np.complex128)
     consumed = 0
     bound = math.inf
-    for label, power, sites in blocks:
-        count = power + len(sites)
-        if consumed + count > site_cap:
+    for labels, counts, sites in steps:
+        totals = list(itertools.accumulate(counts, initial=consumed))[1:]
+        # the labels within the cap (totals never fall)
+        m = len(totals) if totals[-1] <= site_cap else sum(t <= site_cap for t in totals)
+        if m:
+            if sites is None:
+                powers = np.array(counts[:m])[:, None, None]
+                factors = family.shell_grams(labels[0] // SHELL_BLOCK)[:m] ** powers
+                rows = np.multiply.accumulate(np.concatenate((p[None], factors)))[1:]
+            else:
+                for x in sites:
+                    p = p * family.gram(x)
+                rows = p[None]
+            if not walk.finite:
+                matrices, bounds = tail.settle(rows, np.asarray(labels[:m]))
+                settled = np.flatnonzero(bounds <= tail_tol)
+                if settled.size:
+                    k = int(settled[0])
+                    return BoundaryMatrix(region, matrices[k], float(bounds[k]), totals[k], True)
+                bound = float(bounds[-1])
+            p, consumed = rows[-1], totals[m - 1]
+        if m < len(counts):
             raise ConvergenceError(
                 f"boundary product did not settle within {site_cap} sites",
                 last_partial=p,
                 tail_estimate=bound,
             )
-        consumed += count
-        if power:
-            p = p * family.shell_gram(label) ** power
-        for x in sites:
-            p = p * family.gram(x)
-        if not walk.finite:
-            matrix, bound = tail.settle(p, label)
-            if bound <= tail_tol:
-                return BoundaryMatrix(region, matrix, bound, consumed, True)
 
     # a finite walk is exact only if it covered every site outside the region
     exact = family.geometry.finite and consumed == len(family.geometry.site_set - skip)

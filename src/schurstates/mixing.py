@@ -15,7 +15,6 @@ the excluded ball.  Both guarantee the image clears the ball.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -376,47 +375,54 @@ def decaying_perturbation_family(
             f"base vector has shape {h.shape}, directions expect dim {d}"
         )
 
-    def amplitude(r: int) -> float:
-        if near_amplitude is not None and r <= near_radius:
-            return float(near_amplitude)
-        return epsilon0 * decay**r
+    def vectors(start: int, stop: int) -> np.ndarray:
+        """The unit vector tuples of radii start, ..., stop - 1, stacked.
+        Amplitudes take Python's float power radius by radius, which
+        numpy's array power does not match to the last bit."""
+        near = near_amplitude is not None
+        eps = np.array([
+            float(near_amplitude) if near and r <= near_radius else epsilon0 * decay**r
+            for r in range(start, stop)
+        ])
+        vecs = h + eps[:, None, None] * dirs
+        return vecs / np.linalg.norm(vecs, axis=2)[:, :, None]
+
+    def deviation(v: np.ndarray) -> np.ndarray:
+        """max_ij |<v_j, v_i> - 1| of each vector tuple of a stack."""
+        return np.abs(v @ v.conj().swapaxes(-1, -2) - 1.0).max(axis=(-2, -1))
 
     # every per-site quantity depends on the site only through |x|_1, so
-    # vectors are memoised per radius and tail masses tabulated per radius
-    @functools.cache
-    def vectors_at(r: int) -> np.ndarray:
-        eps = amplitude(r)
-        vecs = h[None, :] + eps * dirs
-        norms = np.linalg.norm(vecs, axis=1)
-        vecs = vecs / norms[:, None]
-        vecs.setflags(write=False)
-        return vecs
-
-    def mass(r: int, v: np.ndarray) -> float:
-        """Deviation mass of shell r when each of its sites carries ``v``."""
-        return lattice.shell_size(nu, r) * float(np.max(np.abs(v @ v.conj().T - 1.0)))
-
-    # shell masses outward to the first shell past radius 3 and the near
-    # zone whose mass is below 1e-30; ``beyond`` bounds all later shells.
-    # A profile not that quiet by radius SITE_CAP, which no capped walk
-    # passes, gets no certificate.
+    # the family is radial, built SHELL_BLOCK radii at a time, and the
+    # tail masses are tabulated per radius.  Shell masses run outward, a
+    # stack of radii at a time, to the first shell past radius 3 and the
+    # near zone whose mass is below 1e-30; ``beyond`` bounds all later
+    # shells.  A profile not that quiet by radius SITE_CAP, which no
+    # capped walk passes, gets no certificate.
     quiet_after = max(3, near_radius) if near_amplitude is not None else 3
     masses = []
     beyond = math.inf
-    for r in range(SITE_CAP + 1):
-        masses.append(mass(r, vectors_at(r)))
-        if r > quiet_after and masses[-1] < 1e-30:
+    start, size = 0, 256
+    while start <= SITE_CAP:
+        stop = min(start + size, SITE_CAP + 1)
+        radii = np.arange(start, stop)
+        sizes = np.array([lattice.shell_size(nu, r) for r in range(start, stop)], dtype=float)
+        chunk = sizes * deviation(vectors(start, stop))
+        quiet = np.flatnonzero((radii > quiet_after) & (chunk < 1e-30))
+        if quiet.size:
+            masses.extend(chunk[: quiet[0] + 1].tolist())
             beyond = 1e-28
             break
+        masses.extend(chunk.tolist())
+        start, size = stop, min(2 * size, 4096)
 
     def radial_family(radial, masses) -> FiberFamily:
         return FiberFamily(
-            d, d_I, lambda site: radial(lattice.norm1(site)), lattice.Zd(nu),
+            d, d_I, None, lattice.Zd(nu),
             tail=OnesTail(tail_remaining(masses, beyond)),
             label="decaying perturbation", radial=radial,
         )
 
-    family = radial_family(vectors_at, masses)
+    family = radial_family(vectors, masses)
     if not normalize:
         return family
     total = complex(boundary_matrix(family, (), tail_tol=tail_tol).matrix.sum())
@@ -424,11 +430,13 @@ def decaying_perturbation_family(
         raise ValidationError(
             f"total boundary weight {total} cannot be normalized away"
         )
-    origin_vectors = (1.0 / np.sqrt(total.real)) * vectors_at(0)
-    origin_vectors.setflags(write=False)
+    scale = 1.0 / np.sqrt(total.real)
 
-    def radial(r: int) -> np.ndarray:
-        return origin_vectors if r == 0 else vectors_at(r)
+    def radial(start: int, stop: int) -> np.ndarray:
+        block = vectors(start, stop)
+        if start == 0:
+            block[0] = scale * block[0]
+        return block
 
     # shell 0 is the origin alone, so its mass is the rescaled origin's
-    return radial_family(radial, [mass(0, origin_vectors)] + masses[1:])
+    return radial_family(radial, [float(deviation(radial(0, 1)[0]))] + masses[1:])

@@ -141,8 +141,17 @@ class ModelSpec:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: Python's bool is an int, but JSON's true is not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that a float holds: Python's bool is an int, but
+    JSON's true is not, and an integer past the float range is refused."""
+    if isinstance(value, float):
+        return True
+    if not isinstance(value, int) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _require(data: dict, key: str, types, where: str, errors: list, default=None):

@@ -99,6 +99,9 @@ def drop_last_entry(k, name, i):
 
 FAILED = "validation error: model validation failed:\n  "
 
+#: A JSON integer no float holds.
+PAST_FLOAT = 10**400
+
 #: name -> (edit, exit code, complete stderr)
 VALIDATION = {
     "u_entry_true": (
@@ -136,6 +139,10 @@ VALIDATION = {
     "u_single": (
         set_entry(0, "U", 0, 1, [0.8]), 1,
         FAILED + "model.vectors.sites[0].U[0][1]: expected [re, im], got [0.8]\n",
+    ),
+    "u_entry_past_float": (
+        set_entry(0, "U", 0, 0, [PAST_FLOAT, 0]), 1,
+        FAILED + f"model.vectors.sites[0].U[0][0]: expected [re, im], got [{PAST_FLOAT}, 0]\n",
     ),
     "w_entry_true": (
         set_entry(2, "W", 1, 0, True), 1,
@@ -185,6 +192,10 @@ VALIDATION = {
     "diag_bool": (
         set_field(1, "D_H", [True, 0.2]), 1,
         FAILED + "model.vectors.sites[1].D_H: expected an array of reals\n",
+    ),
+    "diag_past_float": (
+        set_field(2, "D_H", [0.5, -PAST_FLOAT]), 1,
+        FAILED + "model.vectors.sites[2].D_H: expected an array of reals\n",
     ),
     "decode_error_and_beyond_radius": (
         both(set_entry(0, "U", 0, 0, "x"), set_field(1, "site", [5])), 1,

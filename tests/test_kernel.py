@@ -5,6 +5,7 @@ import pytest
 
 from schurstates.errors import DimensionError, ValidationError
 from schurstates.kernel import (
+    SHELL_BLOCK,
     FiberFamily,
     SchurKernelMap,
     certify_cp,
@@ -15,7 +16,7 @@ from schurstates.kernel import (
     product_kernel_matrix,
     tail_remaining,
 )
-from schurstates.lattice import Sites, Zd, norm1
+from schurstates.lattice import Sites, Zd
 from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
 
 from conftest import make_family
@@ -156,31 +157,51 @@ class TestPreload:
 
 
 class TestRadialFamily:
-    """A radial family serves a whole 1-norm shell from one entry."""
+    """A radial family serves whole blocks of 1-norm shells, each block
+    built and validated once."""
 
     @staticmethod
     def radial_family(radial):
-        return FiberFamily(2, 2, lambda s: radial(norm1(s)), Zd(2), radial=radial)
+        return FiberFamily(2, 2, None, Zd(2), radial=radial)
 
     def test_shell_gram_is_the_sites_entry(self):
-        arrays = {r: np.array([[1.0, 0.0], [0.6, 0.8 * r]], dtype=complex) for r in (1, 2)}
-        fam = self.radial_family(arrays.__getitem__)
+        calls = []
+
+        def radial(start, stop):
+            calls.append((start, stop))
+            return np.array([[[1.0, 0.0], [0.6, 0.8 * r]] for r in range(start, stop)], dtype=complex)
+
+        fam = self.radial_family(radial)
         g = fam.shell_gram(2)
-        assert g is fam.gram((1, -1)) is fam.gram((0, 2))
+        assert np.array_equal(g, fam.gram((1, -1))) and np.array_equal(g, fam.gram((0, 2)))
+        assert np.shares_memory(g, fam.shell_grams(0)) and np.shares_memory(g, fam.gram((0, 2)))
         with pytest.raises(ValueError):
             g[0, 0] = 2.0
+        fam.shell_gram(SHELL_BLOCK + 1)
+        fam.gram((0, 5))
+        assert calls == [(0, SHELL_BLOCK), (SHELL_BLOCK, 2 * SHELL_BLOCK)]
+        v = radial(2, 3)[0]
+        assert np.array_equal(g, v @ v.conj().T)
 
     def test_radius_array_is_validated(self):
-        fam = self.radial_family(lambda r: np.array([[1.0, 0.0], [0.0, 0.0]]))
+        # the whole block is checked when any of its radii is asked for
+        fam = self.radial_family(
+            lambda start, stop: np.array([[[1.0, 0.0], [0.0, float(r != 3)]] for r in range(start, stop)])
+        )
         with pytest.raises(ValidationError, match="radius 3: zero fiber vector at index 1"):
-            fam.shell_gram(3)
-        fam = self.radial_family(lambda r: np.ones((3, 2)))
-        with pytest.raises(DimensionError, match=r"radius 0: vectors have shape \(3, 2\)"):
             fam.shell_gram(0)
+        fam = self.radial_family(lambda start, stop: np.ones((stop - start, 3, 2)))
+        with pytest.raises(
+            DimensionError,
+            match=rf"radii 0 to {SHELL_BLOCK - 1}: vectors have shape \({SHELL_BLOCK}, 3, 2\)",
+        ):
+            fam.gram((0, 0))
 
     def test_radial_needs_a_lattice(self):
         with pytest.raises(ValidationError, match="needs a lattice"):
-            FiberFamily(1, 1, lambda s: [[1.0]], Sites(("a",)), radial=lambda r: [[1.0]])
+            FiberFamily(1, 1, None, Sites(("a",)), radial=lambda start, stop: [[[1.0]]])
+        with pytest.raises(ValidationError, match="a provider or radial blocks"):
+            FiberFamily(1, 1, None, Zd(1))
 
 
 class TestTailRemaining:

@@ -274,21 +274,14 @@ class TestBoundaryMatrix:
         # off-diagonal product falls below the smallest subnormal near
         # radius 32, long before the diagonal certificate 2^-r meets the
         # tolerance near radius 40; an exact 0 there is the limit
-        by_radius = {}
-
-        def radial(r):
-            if r not in by_radius:
-                by_radius[r] = np.array([[1.0, 0.0], [2.0 ** -(r + 1), 1.0]])
-            return by_radius[r]
+        def radial(start, stop):
+            return np.array([[[1.0, 0.0], [2.0 ** -(r + 1), 1.0]] for r in range(start, stop)])
 
         def remaining(r):
             # the origin's e_0 = 1/2 plus 2 e_k = 2^-k for each k >= 1
-            return 1.5 if r < 0 else 2.0**-r
+            return np.where(r < 0, 1.5, 2.0**-r)
 
-        fam = FiberFamily(
-            2, 2, lambda site: radial(lattice.norm1(site)), Zd(1),
-            tail=IdentityTail(remaining), radial=radial,
-        )
+        fam = FiberFamily(2, 2, None, Zd(1), tail=IdentityTail(remaining), radial=radial)
         # each site of radius k deviates from the identity by exactly e_k
         for k in range(60):
             assert np.max(np.abs(fam.shell_gram(k) - np.eye(2))) == 2.0 ** -(k + 1)
@@ -323,7 +316,7 @@ class TestBoundaryMatrix:
 
         def remaining(r):
             # all sites: c at the origin plus 2 c sum_{k >= 2} 1/k^2 <= 2 c
-            return 3.0 * c if r < 0 else 2.0 * c / (r + 1)
+            return np.where(r < 0, 3.0 * c, 2.0 * c / np.maximum(r + 1, 1))
 
         fam = FiberFamily(2, 2, provider, Zd(1), tail=OnesTail(remaining))
         # the certificate is no lie: it bounds the deviation mass out to a

@@ -13,7 +13,7 @@ from schurstates.errors import (
     PreconditionError,
     ValidationError,
 )
-from schurstates.kernel import FiberFamily
+from schurstates.kernel import SHELL_BLOCK, FiberFamily, tail_remaining
 from schurstates.limit import boundary_matrix
 from schurstates.mixing import (
     alpha_limit,
@@ -291,68 +291,78 @@ class TestPerturbationFamilyCaches:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Per family constructed from here on: provider calls per site and
-        radial calls per radius."""
+        """Per family constructed from here on: how often each radius was
+        handed out by ``radial`` (one call per block) and how often it
+        was validated (one row of a ``_squared`` stack)."""
         builds = []
         init = FiberFamily.__init__
+        squared = FiberFamily._squared
         signature = inspect.signature(init)
 
         def counting_init(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
-            provider, radial = bound.arguments["provider"], bound.arguments["radial"]
-            sites, radii = Counter(), Counter()
-            builds.append((sites, radii))
+            radial = bound.arguments["radial"]
+            built, validated = Counter(), Counter()
+            builds.append((built, validated))
+            bound.arguments["self"]._counts = validated
 
-            def build(site):
-                sites[site] += 1
-                return provider(site)
+            def build_block(start, stop):
+                built.update(range(start, stop))
+                return radial(start, stop)
 
-            def build_radius(r):
-                radii[r] += 1
-                return radial(r)
-
-            bound.arguments["provider"] = build
-            bound.arguments["radial"] = build_radius
+            bound.arguments["radial"] = build_block
             init(*bound.args, **bound.kwargs)
 
+        def counting_squared(self, stack, where):
+            self._counts.update(where(k) for k in range(len(stack)))
+            return squared(self, stack, where)
+
         monkeypatch.setattr(FiberFamily, "__init__", counting_init)
+        monkeypatch.setattr(FiberFamily, "_squared", counting_squared)
         return builds
 
-    def test_normalized_family_builds_each_site_once(self, builds):
-        # the shell walk builds every walked radius once and no site; the
-        # region's sites are built once each when asked for
+    def test_normalized_family_builds_each_radius_once(self, builds):
+        # the shell walk builds every radius it reaches once, a block at a
+        # time, and indexes no site; the region's sites are indexed when
+        # asked for one by one, each reading its shell's row
         fam = decaying_perturbation_family()  # the README model's family
         region = ((1, 0), (0, -2))
         walk = boundary_matrix(fam, region)
+        assert not fam._by_site
+        other = boundary_matrix(fam, ((0, 0),))
         for site in region:
-            fam.gram(site)
-        assert len(builds) == 2  # the normalization walk's family, then fam
-        (probe_sites, probe_radii), (sites, radii) = builds
-        assert not probe_sites
-        assert set(sites) == set(region)
-        for calls in (probe_sites, sites, probe_radii, radii):
-            assert set(calls.values()) <= {1}
-        # one validated entry per radius walked, shared by the region sites
-        # there; shell 0 is the rescaled origin
-        assert ball_size(2, max(radii)) == walk.sites_consumed + len(region)
-        assert sorted(radii) == list(range(max(radii) + 1))
-        assert len({id(fam.shell_gram(r)) for r in radii}) == len(radii)
-        for site in region:
-            assert fam.gram(site) is fam.shell_gram(lattice.norm1(site))
-        # the per-site index holds only the sites asked for one by one
+            r = lattice.norm1(site)
+            assert np.array_equal(fam.gram(site), fam.shell_grams(r // SHELL_BLOCK)[r % SHELL_BLOCK])
+            assert np.shares_memory(fam.gram(site), fam.shell_grams(r // SHELL_BLOCK))
         assert set(fam._by_site) == set(region)
+        assert len(builds) == 2  # the normalization walk's family, then fam
+        for built, validated in builds:
+            # whole blocks from radius 0, each radius once
+            assert set(built.values()) == {1}
+            assert sorted(built) == list(range(len(built)))
+            assert len(built) % SHELL_BLOCK == 0
+            assert validated == Counter(f"radius {r}" for r in built)
+        # fam's blocks end with the block of its walks' farthest shell
+        radius = max(
+            next(r for r in range(1000) if ball_size(2, r) == w.sites_consumed + held)
+            for w, held in ((walk, len(region)), (other, 1))
+        )
+        assert len(builds[1][0]) == (radius // SHELL_BLOCK + 1) * SHELL_BLOCK
 
-    def test_origin_in_region_never_builds_shell_zero(self, builds):
+    def test_normalized_shell_zero_is_the_rescaled_origin(self, builds):
         fam = decaying_perturbation_family()
         raw = decaying_perturbation_family(normalize=False)
         origin = (0, 0)
         boundary_matrix(fam, (origin, (1, 0)))
-        radii = builds[1][1]
-        assert 0 not in radii and 1 in radii
-        assert fam.gram(origin) is fam.shell_gram(0)
-        assert radii[0] == 1
+        # shell 0 comes with its block although the walk skips it
+        assert builds[1][0][0] == 1
+        assert not fam._by_site
+        assert np.array_equal(fam.gram(origin), fam.shell_gram(0))
         # the rescaled origin, not the raw family's shell 0
+        total = complex(boundary_matrix(raw, (), tail_tol=1e-14).matrix.sum()).real
         assert not np.array_equal(fam.shell_gram(0), raw.shell_gram(0))
+        np.testing.assert_allclose(fam.shell_gram(0) * total, raw.shell_gram(0), rtol=1e-14)
+        assert np.array_equal(fam.shell_gram(1), raw.shell_gram(1))
 
     def test_remaining_does_not_depend_on_call_order(self):
         fam = decaying_perturbation_family(normalize=False)
@@ -363,28 +373,47 @@ class TestPerturbationFamilyCaches:
 
 
 class TestTailTable:
-    """The perturbed family's ``remaining`` against an independent
-    ``math.fsum`` of its shell masses."""
+    """The perturbed family's ``remaining`` against its shell masses,
+    recomputed one radius at a time from the family's own vectors."""
 
     SHELL_SIZE = {1: lambda r: 2, 2: lambda r: 4 * r, 3: lambda r: 4 * r * r + 2}
+    # on Z^3 at decay 0.99 even a normalization walk to 1e-2 needs more
+    # sites than the cap, so that family exists raw only
+    CASES = [
+        pytest.param(
+            nu, decay, near, normalize,
+            id=f"{nu}-{decay}-{'normalized' if normalize else 'raw'}" + ("" if near else "-no-near"),
+        )
+        for nu, decay, near, normalize in itertools.product(
+            [1, 2, 3], [0.3, 0.78, 0.95, 0.99], [0.3, None], [False, True]
+        )
+        if not (nu == 3 and decay == 0.99 and normalize)
+    ]
 
-    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
-    @pytest.mark.parametrize("decay", [0.3, 0.78, 0.95])
-    @pytest.mark.parametrize("nu", [1, 2, 3])
-    def test_remaining_is_the_sum_of_later_shell_masses(self, nu, decay, normalize):
-        # a nu=3 normalization walk to 1e-14 needs more sites than the cap;
-        # the table depends on that tolerance only through shell 0's mass,
-        # which the oracle reads off the family too
-        tol = 1e-2 if nu == 3 else 1e-14
+    @pytest.mark.parametrize("nu, decay, near, normalize", CASES)
+    def test_remaining_is_the_sum_of_later_shell_masses(self, nu, decay, near, normalize):
+        # a normalization walk to 1e-14 on Z^3, or on Z^2 at decay 0.99,
+        # needs more sites than the cap; the table depends on that
+        # tolerance only through shell 0's mass, which the oracle reads
+        # off the family too
+        tol = 1e-14 if nu == 1 or (nu == 2 and decay < 0.99) else 1e-2
         fam = decaying_perturbation_family(
-            nu=nu, decay=decay, normalize=normalize, tail_tol=tol
+            nu=nu, decay=decay, near_amplitude=near, normalize=normalize, tail_tol=tol
         )
         masses = []
         for r in itertools.count():
+            v = fam.vectors((r,) + (0,) * (nu - 1))
             size = self.SHELL_SIZE[nu](r) if r else 1
-            masses.append(size * float(np.max(np.abs(fam.shell_gram(r) - 1.0))))
+            assert size == lattice.shell_size(nu, r)
+            masses.append(size * float(np.max(np.abs(v @ v.conj().T - 1.0))))
             if r > 3 and masses[-1] < 1e-30:
                 break
+        # the stacked table holds these masses to the last bit, and ends
+        # at the same radius
+        oracle = tail_remaining(masses, 1e-28)
+        radii = range(-1, len(masses) + 3)
+        assert [fam.tail.remaining(r) for r in radii] == [oracle(r) for r in radii]
+        assert fam.tail.remaining(len(masses) - 1) == 1e-28
         for r in range(-1, 301):
             # every shell past the last mass counts as the declared 1e-28
             want = math.fsum(masses[r + 1:] + [1e-28])
@@ -423,6 +452,74 @@ class TestRadialWalk:
             assert (shells.sites_consumed, shells.rigorous) == (
                 sites.sites_consumed, sites.rigorous,
             )
+
+    @staticmethod
+    def shell_by_shell(fam, region, tail_tol, site_cap=10**6):
+        """The canonical walk as a literal loop, one shell at a time from
+        the empty shell at radius -1: ("stop", radius, sites, product,
+        bound) where the bound first meets ``tail_tol``, or ("cap",
+        radius, sites, product, bound) with the shell the cap refuses and
+        the product and bound through the shell before it."""
+        nu = fam.geometry.nu
+        held = Counter(lattice.norm1(x) for x in region)
+        p = np.ones((fam.d_I, fam.d_I), dtype=complex)
+        consumed, bound = 0, math.inf
+        for r in itertools.count(-1):
+            n = lattice.shell_size(nu, r) - held[r]
+            if consumed + n > site_cap:
+                return "cap", r, consumed, p, bound
+            consumed += n
+            if n:
+                p = p * fam.shell_gram(r) ** n
+            bound = float(np.max(np.abs(p))) * math.expm1(min(fam.tail.remaining(r), 700.0))
+            if bound <= tail_tol:
+                return "stop", r, consumed, p, bound
+
+    @pytest.mark.parametrize("region", [(), ((1, 0), (SHELL_BLOCK + 1, 0))], ids=["empty", "two-blocks"])
+    @pytest.mark.parametrize(
+        "stop", ["last-of-block", "first-of-next", "past-table"],
+    )
+    def test_stops_where_the_shell_loop_stops(self, region, stop):
+        fam = decaying_perturbation_family(normalize=False)
+        if stop == "past-table":
+            # the first radius whose remaining mass is the table's beyond
+            radius = next(r for r in itertools.count() if fam.tail.remaining(r) == 1e-28)
+        else:
+            radius = SHELL_BLOCK - (stop == "last-of-block")
+        # a tolerance between the bounds of the shell loop at radius - 1
+        # and radius, far from both against rounding
+        before = self.shell_by_shell(fam, region, 0.0, site_cap=ball_size(2, radius - 1))[4]
+        at = self.shell_by_shell(fam, region, 0.0, site_cap=ball_size(2, radius))[4]
+        assert at < before * (1 - 1e-6)
+        tol = math.sqrt(at * before)
+        kind, r, sites, p, bound = self.shell_by_shell(fam, region, tol)
+        assert (kind, r) == ("stop", radius)
+        got = boundary_matrix(fam, region, tail_tol=tol)
+        assert (got.sites_consumed, got.rigorous) == (sites, True)
+        assert got.tail_bound == pytest.approx(bound, rel=1e-12)
+        assert np.max(np.abs(got.matrix - p)) <= 1e-13
+        oracle = boundary_matrix(fam, region, exhaustion=lattice.Zd(2), tail_tol=tol)
+        assert (oracle.sites_consumed, oracle.rigorous) == (sites, True)
+
+    @pytest.mark.parametrize("region", [(), ((1, 0), (SHELL_BLOCK + 1, 0))], ids=["empty", "two-blocks"])
+    @pytest.mark.parametrize("shell", [0, SHELL_BLOCK, SHELL_BLOCK + 9], ids=["shell-0", "first-of-block", "mid-block"])
+    def test_cap_trips_where_the_shell_loop_trips(self, region, shell):
+        fam = decaying_perturbation_family(normalize=False)
+        # one site short of the shell, whatever the region holds of it
+        held = sum(lattice.norm1(x) <= shell for x in region)
+        cap = ball_size(2, shell) - held - 1
+        kind, r, sites, p, bound = self.shell_by_shell(fam, region, 1e-14, site_cap=cap)
+        assert (kind, r) == ("cap", shell)
+        for exhaustion in (None, lattice.Zd(2)):
+            with pytest.raises(ConvergenceError, match=f"within {cap} sites") as info:
+                boundary_matrix(fam, region, exhaustion=exhaustion, site_cap=cap)
+            assert np.max(np.abs(info.value.last_partial - p)) <= 1e-13
+            assert info.value.tail_estimate == pytest.approx(bound, rel=1e-12)
+        if shell == 0:
+            # the cap refuses the origin: the product is empty, and the bound
+            # is the certificate's on the empty shell at radius -1
+            assert np.array_equal(info.value.last_partial, np.ones((2, 2)))
+            assert bound == math.expm1(fam.tail.remaining(-1))
 
     def test_site_cap_counts_sites(self):
         fam = decaying_perturbation_family(nu=2, normalize=False)

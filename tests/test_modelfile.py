@@ -165,6 +165,13 @@ class TestLoadModel:
         for field in ("near_amplitude", "near_radius", "normalize"):
             assert f"model.vectors.{field}:" in str(exc.value)
 
+    @pytest.mark.parametrize("field", ["epsilon0", "decay", "near_amplitude"])
+    def test_perturbed_number_past_float_is_a_field_error(self, tmp_path, field):
+        data = json.loads((MODELS / "perturbed_z2.json").read_text())
+        data["vectors"][field] = 10**400
+        with pytest.raises(ValidationError, match=f"model.vectors.{field}: "):
+            load_model(write(tmp_path, "p.json", data))
+
     def test_family_built_once_per_load(self, tmp_path, monkeypatch):
         walked = []
         walk = modelfile.boundary_matrix
@@ -257,6 +264,18 @@ class TestObservable:
                 },
                 Zd(1),
             )
+
+    def test_factor_entry_past_float(self):
+        big = 10**400
+        with pytest.raises(ValidationError) as exc:
+            parse_observable(
+                {"region": [[0]], "factors": [[[[1.0, 0.0], [0.0, -big]], [[0.0, 0.0], [1.0, 0.0]]]]},
+                Zd(1),
+            )
+        assert str(exc.value) == (
+            "observable validation failed:\n"
+            f"  observable.factors[0][0][1]: expected [re, im], got [0.0, {-big}]"
+        )
 
     def test_bad_complex_pair(self):
         with pytest.raises(ValidationError, match=r"expected \[re, im\]"):

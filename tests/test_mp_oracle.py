@@ -73,7 +73,7 @@ class ExactScan:
 
     def __init__(self, family, radius: int):
         self.nu = family.geometry.nu
-        self.vectors = [mp_matrix(family.radial(r)) for r in range(radius + 1)]
+        self.vectors = [mp_matrix(v) for v in family.radial(0, radius + 1)]
         self.grams = [mp_gram(v) for v in self.vectors]
         self.everything = ball_product(self.grams, self.nu)
         self.total = total(self.everything)
