@@ -200,7 +200,7 @@ def cmd_limit(args, out) -> int:
     family = spec.family()
     obs = load_observable(args.observable, spec.geometry)
     beta = boundary_matrix(family, obs.region, tail_tol=args.tail_tol)
-    value = limit_state_eval(family, obs, tail_tol=args.tail_tol)
+    value = limit_state_eval(family, obs, beta=beta)
     results = {
         "observable_region": [str(s) for s in obs.region],
         "boundary": encode_matrix(beta.matrix),

@@ -19,12 +19,14 @@ A family validates each distinct array its provider hands out once and
 keeps it read-only beside its Gram matrix, so a provider that returns one
 shared array for the whole lattice pays for one check, not one per site;
 a model that tabulates many sites hands the whole table over
-(``preload``) to be checked and squared in one stacked pass.  A radial
-family, whose vectors depend on a site only through its 1-norm, has no
-per-site provider: it hands out ``SHELL_BLOCK`` consecutive shells at a
-time as one stack, checked and squared in one pass, so a boundary walk
-takes a whole block of shell Gram matrices without visiting the shells'
-sites.
+(``preload``) to be checked and squared in one stacked pass, and kept as
+one stack in walk order; given the one array every site off the table
+carries (``elsewhere``), a boundary walk takes the table's Gram matrices
+a block of shells at a time.  A radial family, whose vectors depend on a
+site only through its 1-norm, has no per-site provider: it hands out
+``SHELL_BLOCK`` consecutive shells at a time as one stack, checked and
+squared in one pass, so a boundary walk takes a whole block of shell
+Gram matrices without visiting the shells' sites.
 
 Index layout, fixed once for the whole package:
 
@@ -38,10 +40,9 @@ Index layout, fixed once for the whole package:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,9 +70,6 @@ SHELL_BLOCK = 64
 # one's remaining change, for the whole stack at once.  The boundary walk
 # stops at the first radius whose bound meets its tolerance.
 # ---------------------------------------------------------------------------
-
-#: Treat a constant tail factor as exactly 1 when within this of 1.
-CONSTANT_ONE_TOL = 1e-12
 
 
 def tail_remaining(masses, beyond: float = 0.0) -> Callable:
@@ -147,31 +145,64 @@ class IdentityTail:
 
 @dataclass(frozen=True)
 class ConstantTail:
-    """Every site shares one Gram matrix (homogeneous families)."""
+    """Every site shares one vector tuple (homogeneous families), each
+    vector h_i taken as h_i / |h_i|, so every diagonal factor is 1.
 
-    gram: np.ndarray
+    Each entry's infinite product of one factor is decided once, exactly,
+    from the float64 vectors read as rationals (integers over one common
+    power of two): it is 1 where h_i = c h_j with c > 0, 0 where
+    |<h_j, h_i>| < |h_i| |h_j|, and has no limit where h_i = c h_j with c
+    not a positive real.
+    """
+
+    vectors: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.vectors, dtype=np.complex128)
+        ratios = [x.as_integer_ratio() for x in np.stack((v.real, v.imag)).ravel().tolist()]
+        scale = max(q for _, q in ratios)
+        re, im = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(2, *v.shape)
+        # <h_j, h_i> = sum_p conj(h_j[p]) h_i[p] at [i, j], in exact integers
+        dot_re = re @ re.T + im @ im.T
+        dot_im = im @ re.T - re @ im.T
+        norms = dot_re.diagonal()
+        parallel = dot_re * dot_re + dot_im * dot_im == np.outer(norms, norms)
+        one = parallel & (dot_im == 0) & (dot_re > 0)
+        object.__setattr__(self, "limit", one.astype(np.complex128))
+        object.__setattr__(self, "diverging", np.argwhere(parallel & ~one))
 
     def settle(self, p: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
-        """The closed form, whatever has been walked: each entry's infinite
-        product of one factor ends at 1 (factor 1), 0 (modulus below 1) or
-        does not converge."""
-        g = as_cmatrix(self.gram)
-        one = np.abs(g - 1.0) <= CONSTANT_ONE_TOL
-        bad = np.argwhere(~one & ~(np.abs(g) < 1.0 - CONSTANT_ONE_TOL))
-        if bad.size:
-            i, j = (int(k) for k in bad[0])
+        """The closed form, whatever has been walked."""
+        if self.diverging.size:
+            i, j = (int(k) for k in self.diverging[0])
+            v = np.asarray(self.vectors, dtype=np.complex128)
+            v = v / np.linalg.norm(v, axis=1, keepdims=True)
+            g = v @ v.conj().T
             raise ConvergenceError(
                 f"constant tail factor {g[i, j]} at entry ({i}, {j}) has "
-                "modulus >= 1 and is not 1: the tail product does not converge",
-                last_partial=g.copy(),
+                "modulus 1 and is not 1: the tail product does not converge",
+                last_partial=g,
                 tail_estimate=float(abs(abs(g[i, j]) - 1.0)),
             )
-        return np.repeat(one[None].astype(np.complex128), len(p), axis=0), np.zeros(len(p))
+        return np.repeat(self.limit[None], len(p), axis=0), np.zeros(len(p))
 
 
 # ---------------------------------------------------------------------------
 # Fiber families
 # ---------------------------------------------------------------------------
+
+
+class Table(NamedTuple):
+    """A family's preloaded sites: site ``s`` is row ``rows[s]`` of the
+    read-only ``vectors`` (N, d_I, d) and ``grams`` (N, d_I, d_I) stacks.
+    On a lattice the rows are in walk order and ``radii`` holds their
+    1-norms (int64; exact for every site a walk can reach); on a site
+    list, ``radii`` is None and the rows keep the given order."""
+
+    rows: dict
+    vectors: np.ndarray
+    grams: np.ndarray
+    radii: np.ndarray | None
 
 
 class FiberFamily:
@@ -187,8 +218,13 @@ class FiberFamily:
     the same vectors at each of them.  Each distinct object is validated
     and squared into its Gram matrix once; a per-site index in front of
     that cache makes every later ``vectors``/``gram`` call one lookup.
-    ``preload`` fills that index for a whole table of sites from one
-    stacked validation.
+
+    Table contract: ``preload`` hands over the vectors of a whole table
+    of sites at once, validated and squared in one stacked pass and kept
+    as one stack (``table``).  A family may instead of a provider be
+    given ``elsewhere``, the (d_I, d) array of every site off its table;
+    on a lattice a canonical boundary walk then takes the table's Gram
+    matrices a block of shells at a time, without visiting sites.
 
     Radial contract: a family on ``lattice.Zd`` whose vectors depend on a
     site only through its 1-norm passes ``radial(start, stop)``, the
@@ -209,13 +245,16 @@ class FiberFamily:
         tail=None,
         label: str = "",
         radial: Callable[[int, int], np.ndarray] | None = None,
+        elsewhere: np.ndarray | None = None,
     ):
         if d < 1 or d_I < 1:
             raise ValidationError(f"fiber dims must be positive, got d={d}, d_I={d_I}")
         if radial is not None and geometry.finite:
             raise ValidationError("a radial family needs a lattice geometry")
-        if provider is None and radial is None:
-            raise ValidationError("a family needs a provider or radial blocks")
+        if provider is None and radial is None and elsewhere is None:
+            raise ValidationError(
+                "a family needs a provider or radial blocks, or the vectors off its table"
+            )
         self.d = int(d)
         self.d_I = int(d_I)
         self._provider = provider
@@ -228,16 +267,25 @@ class FiberFamily:
         self._arrays: dict = {}
         self._by_site: dict = {}  # site -> its entry in ``_arrays``, or its rows
         self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
+        self.table: Table | None = None  # set once, by ``preload``
+        # the (vectors, Gram) entry of every site off the table, if declared
+        self.elsewhere = None if elsewhere is None else self._validated(elsewhere, "off the table")
         # owned here, filled by ``limit.boundary_matrix``
         self._boundary_cache: dict = {}
 
     def _entry(self, site) -> tuple:
-        self.geometry.check(site)
-        if self.radial is None:
-            entry = self._validated(self._provider(site), f"site {site!r}")
+        row = None if self.table is None else self.table.rows.get(site)
+        if row is not None:
+            entry = (self.table.vectors[row], self.table.grams[row])
         else:
-            r = lattice.norm1(site)
-            entry = tuple(stack[r % SHELL_BLOCK] for stack in self._block(r // SHELL_BLOCK))
+            self.geometry.check(site)
+            if self.radial is not None:
+                r = lattice.norm1(site)
+                entry = tuple(stack[r % SHELL_BLOCK] for stack in self._block(r // SHELL_BLOCK))
+            elif self.elsewhere is not None:
+                entry = self.elsewhere
+            else:
+                entry = self._validated(self._provider(site), f"site {site!r}")
         self._by_site[site] = entry
         return entry
 
@@ -276,18 +324,25 @@ class FiberFamily:
         return g
 
     def preload(self, sites, stack) -> None:
-        """Validate and index the vectors of many sites in one pass.
+        """Validate, square and keep the vectors of a table of sites in one
+        pass; a family takes one table.
 
-        ``stack[k]`` must be what the provider returns at site k;
-        afterwards ``vectors``/``gram`` at those sites are lookups, as if
-        each had been asked for once.  ``sites`` lists the sites, each
+        ``stack[k]`` holds the vectors of site k (what the provider, if
+        any, would return there); afterwards ``vectors``/``gram`` at those
+        sites read rows of one stack.  ``sites`` lists the sites, each
         checked by the geometry, or on a lattice holds their coordinates
         as the rows of one array; an (N, nu) integer array is checked as
-        a whole.
+        a whole.  On a lattice the table is kept in walk order, by 1-norm
+        and then in each shell's lexicographic order (one ``np.lexsort``),
+        with each row's 1-norm in ``table.radii``; a fault is named at the
+        first faulty site in that order.
         """
+        if self.table is not None:
+            raise ValidationError("a family takes one table, and this one has it")
+        coords = None
         if isinstance(sites, np.ndarray) and sites.ndim == 2 and not self.geometry.finite:
             whole = sites.dtype.kind == "i" and sites.shape[1] == self.geometry.nu
-            sites = list(map(tuple, sites.tolist()))
+            coords, sites = sites, list(map(tuple, sites.tolist()))
         else:
             whole, sites = False, list(sites)
         if not whole:
@@ -299,8 +354,19 @@ class FiberFamily:
                 f"preloaded vectors have shape {v.shape}, "
                 f"expected {(len(sites), self.d_I, self.d)}"
             )
+        radii = None
+        if not self.geometry.finite:
+            # coordinates clipped where their 1-norm would leave int64: a
+            # site clipped lies beyond the reach of any walk
+            nu = self.geometry.nu
+            bound = np.iinfo(np.int64).max // nu
+            keys = coords if whole else np.array(sites, dtype=object).reshape(len(sites), nu)
+            keys = np.clip(keys, -bound, bound).astype(np.int64)
+            radii = np.abs(keys).sum(axis=1)
+            order = np.lexsort((*keys.T[::-1], radii))
+            v, sites, radii = v[order], [sites[k] for k in order], radii[order]
         g = self._squared(v, lambda k: f"site {sites[k]!r}")
-        self._by_site.update(zip(sites, zip(v, g, itertools.repeat(v))))
+        self.table = Table(dict(zip(sites, range(len(sites)))), v, g, radii)
 
     def vectors(self, site) -> np.ndarray:
         """The (d_I, d) array whose row i is h(site, i)."""
@@ -357,12 +423,19 @@ class FiberFamily:
 
     @classmethod
     def homogeneous(cls, vectors, geometry, label: str = "") -> "FiberFamily":
-        """Same vector tuple at every site of ``geometry``."""
+        """Same vector tuple at every site of ``geometry``; on a lattice
+        each vector h is taken as h / |h| (``ConstantTail``)."""
         v = np.asarray(vectors, dtype=np.complex128)
         if v.ndim != 2:
             raise DimensionError("homogeneous reference vectors must be a 2-D array")
         d_I, d = v.shape
-        tail = None if geometry.finite else ConstantTail(gram=v @ v.conj().T)
+        tail = None
+        if not geometry.finite:
+            norms = np.linalg.norm(v, axis=1, keepdims=True)
+            if not (np.isfinite(v).all() and (norms > ZERO_VECTOR_TOL).all()):
+                raise ValidationError("homogeneous vectors must be finite and non-zero")
+            tail = ConstantTail(vectors=v)
+            v = v / norms
         return cls(d, d_I, lambda s: v, geometry, tail=tail, label=label)
 
 

@@ -8,18 +8,26 @@ through entrywise logarithms (overlaps may be zero or have argument
 near +-pi, where a principal-branch log sum misrepresents the product).
 A product whose limit is zero is a converged result, not a failure.
 
-One loop forms the products, step by step, from one of two sources.
-The canonical walk of a radial family (``FiberFamily.radial``) takes,
-after the empty shell at radius -1, ``SHELL_BLOCK`` consecutive 1-norm
-shells per step and lists no sites: one ``np.power`` raises each shell's
-Gram matrix to the exact count of its sites outside the region, and one
-``np.multiply.accumulate``, seeded with the product so far, gives the
-product through every shell of the block.  (The accumulate rounds
-differently from multiplying shell by shell, by about one rounding per
-entry and shell.)  Every other walk, and any walk given an explicit
-``exhaustion``, takes one block of its geometry's walk order per step
-and multiplies in each site outside the region in turn; for a radial
-family it is the oracle of the shell source.  The region is checked
+One loop forms the products, step by step, from one of three sources.
+A canonical walk on a lattice takes, after the empty shell at radius
+-1, ``SHELL_BLOCK`` consecutive 1-norm shells per step and lists no
+sites, in one ``np.multiply.accumulate`` per step, seeded with the
+product so far:
+
+* a radial family (``FiberFamily.radial``): one ``np.power`` raises each
+  shell's Gram matrix to the exact count of its sites outside the
+  region;
+* a family with a table on a lattice and one array off it
+  (``FiberFamily.preload`` and ``elsewhere``, as a generator model is
+  built): one mask takes the step's table rows outside the region, in
+  walk order, and each shell is closed by the Gram matrix off the table
+  to the power of the shell's other sites outside the region.
+
+(The accumulate rounds differently from multiplying factor by factor, by
+about one rounding per entry and factor.)  Every other walk, and any
+walk given an explicit ``exhaustion``, takes one block of its geometry's
+walk order per step and multiplies in each site outside the region in
+turn; it is the oracle of both shell sources.  The region is checked
 against the family's geometry before any cached result is read.  Each
 step is cut at the first shell (or block) whose sites would cross the
 site cap, before anything is built, and the tail certificate settles
@@ -137,14 +145,16 @@ def _boundary_walk(
     site_cap: int,
 ) -> BoundaryMatrix:
     """The walk behind ``boundary_matrix``: one loop over steps (labels,
-    site count per label, sites): a block of shells of a radial family's
-    canonical walk (sites None; shell r enters as ``shell_gram(r)`` to
-    the power of its count), or one block of any other walk, whose sites
-    enter one by one.  The walk stops at the first label whose bound
-    meets ``tail_tol``.  The first label whose cumulative count would
-    cross ``site_cap`` is refused; the error carries the product through
-    the label before it and the certificate's bound there (``inf`` if
-    none was computed, as on a finite walk)."""
+    site count per label, sites).  A canonical walk on a lattice takes a
+    block of shells per step (sites None) from a radial family, each
+    shell r as ``shell_gram(r)`` to the power of its count, or from a
+    family's table and the array off it (``_table_products``); every
+    other walk takes one block of its walk order, whose sites enter one
+    by one.  The walk stops at the first label whose bound meets
+    ``tail_tol``.  The first label whose cumulative count would cross
+    ``site_cap`` is refused; the error carries the product through the
+    label before it and the certificate's bound there (``inf`` if none
+    was computed, as on a finite walk)."""
     tail = family.tail
     walk = family.geometry if exhaustion is None else exhaustion
     if tail is None and not walk.finite:
@@ -153,19 +163,26 @@ def _boundary_walk(
             "certificate: its boundary products cannot be stopped rigorously"
         )
     skip = set(region)
-    if exhaustion is None and family.radial is not None:
-        # the empty shell, then blocks of whole shells, each shell to the
-        # power of its sites outside the region
+    table = family.table
+    if exhaustion is None and (
+        family.radial is not None
+        or (family.elsewhere is not None and table is not None and table.radii is not None)
+    ):
+        # the empty shell, then blocks of whole shells, each with the
+        # count of its sites outside the region
         held, nu = Counter(lattice.norm1(x) for x in skip), walk.nu
         blocks = (range(r, r + SHELL_BLOCK) for r in itertools.count(0, SHELL_BLOCK))
         steps = itertools.chain(
             [([-1], [0], ())],
             ((b, [lattice.shell_size(nu, r) - held.get(r, 0) for r in b], None) for b in blocks),
         )
+        if family.radial is None:  # one mask: the table rows outside the region
+            outside = np.ones(len(table.grams), dtype=bool)
+            outside[[table.rows[x] for x in skip if x in table.rows]] = False
     else:
         # each site outside the region is one factor
-        outside = ((k, [x for x in b if x not in skip]) for k, b in walk.blocks())
-        steps = (([k], [len(sites)], sites) for k, sites in outside)
+        kept = ((k, [x for x in b if x not in skip]) for k, b in walk.blocks())
+        steps = (([k], [len(sites)], sites) for k, sites in kept)
     p = np.ones((family.d_I, family.d_I), dtype=np.complex128)
     consumed = 0
     bound = math.inf
@@ -174,10 +191,12 @@ def _boundary_walk(
         # the labels within the cap (totals never fall)
         m = len(totals) if totals[-1] <= site_cap else sum(t <= site_cap for t in totals)
         if m:
-            if sites is None:
+            if sites is None and family.radial is not None:
                 powers = np.array(counts[:m])[:, None, None]
                 factors = family.shell_grams(labels[0] // SHELL_BLOCK)[:m] ** powers
                 rows = np.multiply.accumulate(np.concatenate((p[None], factors)))[1:]
+            elif sites is None:
+                rows = _table_products(family, outside, p, labels[0], counts[:m])
             else:
                 for x in sites:
                     p = p * family.gram(x)
@@ -202,14 +221,40 @@ def _boundary_walk(
     return BoundaryMatrix(region, p, 0.0 if exact else math.inf, consumed, exact)
 
 
+def _table_products(family: FiberFamily, outside, p, start: int, counts: list) -> np.ndarray:
+    """The products through each shell from radius ``start`` on, one per
+    count, of a family with a table on a lattice, in one seeded
+    ``np.multiply.accumulate``: each shell's table rows outside the region
+    (``outside``, one mask over the table) in walk order, then the Gram
+    matrix off the table to the power of the shell's other sites outside
+    the region."""
+    table, m = family.table, len(counts)
+    rows = np.flatnonzero(outside & (table.radii >= start) & (table.radii < start + m))
+    shell = table.radii[rows] - start
+    per_shell = np.bincount(shell, minlength=m)
+    # slot 0 holds p; shell k closes at ends[k], after its table rows
+    ends = np.cumsum(per_shell) + np.arange(1, m + 1)
+    seq = np.empty((ends[-1] + 1, family.d_I, family.d_I), dtype=np.complex128)
+    seq[0] = p
+    seq[np.arange(1, len(rows) + 1) + shell] = table.grams[rows]
+    seq[ends] = family.elsewhere[1] ** (np.array(counts) - per_shell)[:, None, None]
+    return np.multiply.accumulate(seq)[ends]
+
+
 def limit_state_eval(
-    family: FiberFamily, obs: LocalObservable, tail_tol: float = 1e-12
+    family: FiberFamily,
+    obs: LocalObservable,
+    tail_tol: float = 1e-12,
+    beta: BoundaryMatrix | None = None,
 ) -> complex:
     """Infinite-volume expectation of a tensor-product observable.
 
-    sum_{i,j} [prod_{x in region} Tr(h_i h_j* b_x)] * boundary[i, j].
+    sum_{i,j} [prod_{x in region} Tr(h_i h_j* b_x)] * boundary[i, j],
+    with the boundary matrix ``beta`` of the observable's region when the
+    caller holds it, else formed (or read from the cache) here.
     """
-    beta = boundary_matrix(family, obs.region, tail_tol=tail_tol)
+    if beta is None:
+        beta = boundary_matrix(family, obs.region, tail_tol=tail_tol)
     m = product_kernel_matrix(family, obs.region, obs.factors)
     return complex((m * beta.matrix).sum())
 
@@ -437,8 +482,9 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
     Per declared site the Gram matrix is exp(u* D u) = u* exp(D) u, and
     the fiber vectors are the rows of its right square root
     u* exp(D/2) u w*, formed for every site in one stacked pass over the
-    spec's columns with no eigendecomposition; undeclared sites carry
-    the standard orthonormal basis.  As ``right_square_root`` would, a
+    spec's columns with no eigendecomposition and kept as the family's
+    table; undeclared sites carry the standard orthonormal basis, the
+    family's array off the table.  As ``right_square_root`` would, a
     site is refused (``DomainError``) when its exp(D) leaves the float64
     range or has an eigenvalue at or below ``ROOT_EIG_FLOOR`` times its
     largest, that is when max D - min D >= -ln(ROOT_EIG_FLOOR).
@@ -463,13 +509,6 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         )
     u = spec.u
     vecs = np.einsum("nji,nj,njk,nlk->nil", u.conj(), np.exp(diag / 2), u, spec.w.conj())
-    vecs.setflags(write=False)
-    by_site = dict(zip(keys, vecs))
-    eye = np.eye(d, dtype=np.complex128)
-
-    def provider(site):
-        return by_site.get(site, eye)
-
     # deviation mass e^{trace_abs} - 1 per radius, declared sites only,
     # since undeclared sites contribute exactly nothing; a site past radius
     # SITE_CAP, which no capped walk reaches, is counted as beyond it
@@ -480,10 +519,11 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
     family = FiberFamily(
         d,
         d,
-        provider,
+        None,
         lattice.Zd(spec.nu),
         tail=IdentityTail(remaining=remaining, exact_beyond=spec.tail_radius),
         label="generator model",
+        elsewhere=np.eye(d, dtype=np.complex128),
     )
     family.preload(spec.sites, vecs)
     return family

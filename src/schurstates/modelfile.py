@@ -23,6 +23,7 @@ on the mode once; each branch stores its family constructor as ``build``.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable
@@ -378,32 +379,49 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
     return spec
 
 
+#: (key, nesting depth, leaf types) of each field of a generator record.
+GENERATOR_FIELDS = (
+    ("site", 1, {int}),
+    ("D_H", 1, {int, float}),
+    ("U", 3, {int, float}),
+    ("W", 3, {int, float}),
+)
+
+
 def _generator_columns(records: list, nu: int) -> tuple | None:
     """A generator site table as the columns of ``GeneratorSpec`` (sites,
-    diagonals, U, W), each field converted by one array conversion; or
-    None for a table that only ``_walk_generators`` reads: one that is
-    ragged, holds anything but JSON numbers (a bool included), or has a
-    coordinate that is not a JSON integer literal (2.0 included, which
-    the walk reads as 2)."""
+    diagonals, U, W), each field flattened once and converted by one
+    array conversion; or None for a table that only ``_walk_generators``
+    reads: one that is ragged, holds anything but JSON numbers (a bool
+    included), or has a coordinate that is not a JSON integer literal
+    (2.0 included, which the walk reads as 2) or lies past int64."""
     try:
-        site, diag, u, w = ([rec.get(key) for rec in records] for key in ("site", "D_H", "U", "W"))
-        # one scan of every entry's type, since numpy reads a bool as 0 or 1
-        leaves = {type(v) for col in (site, diag) for rec in col for v in rec} | {
-            type(v) for col in (u, w) for m in col for row in m for pair in row for v in pair
-        }
-        sites = np.asarray(site)
-        diag, u, w = (np.asarray(c, dtype=np.float64) for c in (diag, u, w))
+        sites, diag, u, w = columns = [
+            _flattened([rec.get(key) for rec in records], depth, types)
+            for key, depth, types in GENERATOR_FIELDS
+        ]
     except (AttributeError, TypeError, ValueError, OverflowError):
         return None
-    if not (
-        leaves <= {int, float}
-        and sites.dtype.kind == "i"
-        and sites.shape == (len(records), nu)
-        and diag.ndim == 2
-        and all(m.ndim == 4 and m.shape[3] == 2 for m in (u, w))
-    ):
+    if any(c is None for c in columns) or sites.shape[1] != nu or {u.shape[3], w.shape[3]} != {2}:
         return None
     return sites, diag, *(m.view(np.complex128)[..., 0] for m in (u, w))
+
+
+def _flattened(column: list, depth: int, types: set) -> np.ndarray | None:
+    """A column of lists nested ``depth`` deep as one array: lists of one
+    length at each level, checked with one ``set(map(len, ...))`` per
+    level, and leaves all of the ``types`` (numpy would read a bool as 0
+    or 1); else None.  Integer leaves stay exact, past int64 refused."""
+    shape = [len(column)]
+    for _ in range(depth):
+        lengths = set(map(len, column))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        column = list(itertools.chain.from_iterable(column))
+    if not set(map(type, column)) <= types:
+        return None
+    return np.array(column, dtype=np.int64 if types == {int} else np.float64).reshape(shape)
 
 
 def _walk_generators(records: list, geometry: lattice.Zd, errors: list) -> tuple:

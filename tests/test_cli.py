@@ -252,14 +252,50 @@ class TestLimit:
         assert complex(*res["value"]) == pytest.approx(boundary.sum(), rel=1e-15, abs=1e-300)
 
     @pytest.mark.parametrize(
+        "reference, value",
+        [
+            # overlap 1 - 1e-13: the vectors differ, so the off-diagonal
+            # product is exactly 0, however close its factor is to 1
+            (np.array([[1.0, 0.0], [1.0 - 1e-13, np.sqrt(2e-13 - 1e-26)]]), 2.0),
+            # each vector is taken as h / |h|: norms do not enter the tail
+            (np.diag([2.0, 1.0]), 2.0),
+            # a positive multiple is the same normalized vector: factor 1
+            (np.array([[1.0, 0.0], [3.0, 0.0]]), 4.0),
+        ],
+        ids=["near-one-overlap", "norm-above-one", "positive-multiple"],
+    )
+    def test_constant_tail_is_decided_exactly(self, tmp_path, capsys, reference, value):
+        model = write_json(
+            tmp_path,
+            "constant.json",
+            {
+                "lattice": {"kind": "zd", "nu": 1},
+                "fiber_dim": 2,
+                "index_size": 2,
+                "vectors": {"mode": "homogeneous", "reference": encode_matrix(reference)},
+            },
+        )
+        obs = write_json(
+            tmp_path,
+            "obs.json",
+            {"region": [[0]], "factors": [encode_matrix(np.eye(2))]},
+        )
+        code, out, _ = run_cli(["limit", "--model", model, "--observable", obs], capsys)
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert complex(*res["value"]) == pytest.approx(value, rel=1e-15)
+        assert res["tail_bound"] == 0.0 and res["rigorous"]
+
+    @pytest.mark.parametrize(
         "reference",
         [
-            np.diag([2.0, 1.0]),
+            # opposite vectors: the constant off-diagonal factor is -1
+            np.array([[2.0, 0.0], [-1.0, 0.0]]),
             # |G_01| = 1 but G_01 != 1: the constant off-diagonal factor
             # spins on the unit circle and its product has no limit
             np.array([[1.0, 0.0], [np.exp(0.7j), 0.0]]),
         ],
-        ids=["norm-above-one", "unit-modulus-phase"],
+        ids=["opposite-vectors", "unit-modulus-phase"],
     )
     def test_divergent_model_exits_2(self, tmp_path, capsys, reference):
         model = write_json(

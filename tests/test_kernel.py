@@ -148,12 +148,17 @@ class TestPreload:
         fam.preload(np.array([[0, 0], [1, -2], [-3, 0]]), stack)
         assert checked == []
         assert np.array_equal(fam.vectors((1, -2)), stack[1])
+        # a family takes one table
+        with pytest.raises(ValidationError, match="one table"):
+            fam.preload(np.array([[0, 1]]), stack[:1])
         # Python ints past int64 are checked site by site
-        fam.preload(np.array([[2**70, 0], [0, 1]], dtype=object), stack[:2])
+        big = FiberFamily(2, 2, lambda s: np.eye(2), Zd(2))
+        big.preload(np.array([[2**70, 0], [0, 1]], dtype=object), stack[:2])
         assert checked == [(2**70, 0), (0, 1)]
-        assert np.array_equal(fam.gram((2**70, 0)), fam.gram((0, 0)))
+        assert np.array_equal(big.gram((2**70, 0)), fam.gram((0, 0)))
+        assert big.table.radii[0] == 1 and big.table.radii[1] >= 2**62 - 1
         with pytest.raises(ValidationError, match=r"^site \(0\.5, 0\.0\) is not a 2-tuple of ints$"):
-            fam.preload(np.array([[0.5, 0.0]]), stack[:1])
+            FiberFamily(2, 2, lambda s: np.eye(2), Zd(2)).preload(np.array([[0.5, 0.0]]), stack[:1])
 
 
 class TestRadialFamily:

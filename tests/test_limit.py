@@ -12,7 +12,7 @@ from schurstates.errors import (
 )
 from schurstates import lattice
 from schurstates.lattice import Sites, Zd
-from schurstates.kernel import FiberFamily, IdentityTail, OnesTail, transfer_matrix
+from schurstates.kernel import SHELL_BLOCK, FiberFamily, IdentityTail, OnesTail, transfer_matrix
 from schurstates.limit import (
     boundary_matrix,
     build_from_generators,
@@ -169,8 +169,11 @@ class TestBoundaryMatrix:
         np.testing.assert_allclose(bm.matrix, np.eye(2))
 
     def test_homogeneous_diverging_rejected(self):
+        # opposite vectors: the constant off-diagonal factor is -1, whose
+        # powers alternate (a vector's norm does not matter: each is taken
+        # as h / |h|)
         fam = FiberFamily.homogeneous(
-            np.array([[2.0, 0.0], [0.0, 1.0]]), Zd(1)
+            np.array([[2.0, 0.0], [-1.0, 0.0]]), Zd(1)
         )
         with pytest.raises(ConvergenceError, match="does not converge"):
             boundary_matrix(fam, ())
@@ -668,3 +671,153 @@ class TestClosedFormBuild:
                              tail_radius=1, nu=1, d=2)
         with pytest.raises(DomainError, match=r"site \(1,\): exp\(D_H\) leaves the float64 range"):
             build_from_generators(spec)
+
+
+class TestTableWalk:
+    """The shell walk of a generator family's table against its oracle,
+    the site walk over an explicit lattice exhaustion: the certificate
+    sees the same radii with the same bounds, the walks stop at the same
+    radius after the same sites, or refuse the same shell at the cap, and
+    every entry agrees within a few ulps."""
+
+    #: Most units in the last place, of a matrix's largest entry, by which
+    #: the two routes' entries and bounds may differ (the accumulate
+    #: rounds each complex product on its own).
+    ULPS = 4
+
+    #: (nu, tail radius, holes) of the seeded tables; nu = 1 runs past the
+    #: first block of shells.
+    TABLES = [(1, 70, 0), (1, 70, 9), (2, 12, 0), (2, 12, 40), (3, 6, 0), (3, 6, 60)]
+
+    @staticmethod
+    def family(nu, radius, holes, seed=17):
+        """A seeded generator family whose table misses ``holes`` random
+        declared sites inside the tail radius and is handed over in a
+        shuffled order; also the missing sites."""
+        from schurstates.limit import GeneratorSpec
+
+        spec = decaying_generator_spec(seed=seed, radius=radius, d=2, nu=nu)
+        keep = rng_from_seed(seed, nu, holes).permutation(len(spec.keys))
+        cut = GeneratorSpec(
+            *(column[keep[holes:]] for column in (spec.sites, spec.diag, spec.u, spec.w)),
+            tail_radius=radius, nu=nu, d=2,
+        )
+        return build_from_generators(cut), [spec.keys[k] for k in keep[:holes]]
+
+    @staticmethod
+    def walk(fam, region, **kwargs):
+        """The walk's result or ConvergenceError, and every (radius,
+        bound) its certificate settled."""
+        tail, seen = fam.tail, []
+
+        class Recording:
+            def settle(self, p, radii):
+                matrices, bounds = tail.settle(p, radii)
+                seen.extend(zip(radii.tolist(), bounds.tolist()))
+                return matrices, bounds
+
+        fam.tail = Recording()
+        fam._boundary_cache.clear()
+        try:
+            return boundary_matrix(fam, region, **kwargs), seen
+        except ConvergenceError as exc:
+            return exc, seen
+        finally:
+            fam.tail = tail
+
+    def close(self, a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        scale = max(float(np.max(np.abs(b), initial=0.0)), np.finfo(float).tiny)
+        return float(np.max(np.abs(a - b), initial=0.0)) <= self.ULPS * np.spacing(scale)
+
+    def assert_same_walk(self, fam, region, tail_tol=1e-12, site_cap=10**6):
+        nu = fam.geometry.nu
+        shells, seen = self.walk(fam, region, tail_tol=tail_tol, site_cap=site_cap)
+        sites, oracle = self.walk(
+            fam, region, exhaustion=Zd(nu), tail_tol=tail_tol, site_cap=site_cap
+        )
+        assert type(shells) is type(sites)
+        # a shell step settles its whole block at once, so it may have
+        # seen radii past the stop
+        assert [r for r, _ in seen[: len(oracle)]] == [r for r, _ in oracle]
+        for (_, got), (_, want) in zip(seen, oracle):
+            assert self.close(got, want), (got, want)
+        if isinstance(sites, ConvergenceError):
+            assert seen == seen[: len(oracle)]
+            assert str(shells) == str(sites)
+            assert self.close(shells.last_partial, sites.last_partial)
+            assert shells.tail_estimate == sites.tail_estimate or self.close(
+                shells.tail_estimate, sites.tail_estimate
+            )
+            return sites
+        stop = next(r for r, b in seen if b <= tail_tol)
+        assert stop == oracle[-1][0]
+        assert (shells.sites_consumed, shells.rigorous) == (sites.sites_consumed, sites.rigorous)
+        assert self.close(shells.tail_bound, sites.tail_bound)
+        assert self.close(shells.matrix, sites.matrix)
+        return sites
+
+    @pytest.mark.parametrize("tail_tol", [0.0, 1e-12, "early"], ids=["exact-tail", "default", "early"])
+    @pytest.mark.parametrize("nu, radius, holes", TABLES)
+    def test_matches_site_walk(self, nu, radius, holes, tail_tol):
+        fam, missing = self.family(nu, radius, holes)
+        early = tail_tol == "early"
+        if early:
+            # between the oracle's bounds at two radii inside the tail
+            # radius, far from both against rounding
+            bounds = dict(self.walk(fam, (), exhaustion=Zd(nu), tail_tol=0.0)[1])
+            assert bounds[radius - 2] < bounds[radius - 3] * (1 - 1e-6)
+            tail_tol = math.sqrt(bounds[radius - 3] * bounds[radius - 2])
+        origin = (0,) * nu
+        declared = [s for s in Zd(nu).first(9) if s in fam.table.rows][1::2]
+        beyond = (radius + 2,) + origin[1:]
+        regions = [(), (origin,), tuple(declared), tuple(missing[:4]), (beyond,),
+                   tuple(declared[:2] + missing[-3:]) + (beyond, (-radius - 5,) + origin[1:])]
+        covered = set()
+        for region in regions:
+            result = self.assert_same_walk(fam, region, tail_tol)
+            assert result.rigorous
+            covered.add(result.sites_consumed + sum(lattice.norm1(x) <= radius for x in region))
+        if tail_tol == 0.0:
+            # only the exact tail settles: every walk covers the ball
+            assert covered == {ball_size(nu, radius)}
+        if early:
+            assert max(covered) < ball_size(nu, radius)
+
+    @pytest.mark.parametrize(
+        "cap",
+        [0, ball_size(1, 20) - 1, ball_size(1, SHELL_BLOCK - 2), ball_size(1, SHELL_BLOCK - 1)],
+        ids=["shell-0", "mid-block", "last-of-block", "first-of-next"],
+    )
+    @pytest.mark.parametrize("holes", [0, 9])
+    def test_site_cap_matches_site_walk(self, cap, holes):
+        fam, missing = self.family(1, 70, holes)
+        for region in ((), ((3,), (SHELL_BLOCK - 1,)), tuple(missing[:3])):
+            err = self.assert_same_walk(fam, region, tail_tol=0.0, site_cap=cap)
+            assert isinstance(err, ConvergenceError), region
+
+    @pytest.mark.parametrize("nu, radius", [(2, 12), (3, 6)])
+    def test_site_cap_in_higher_dimensions(self, nu, radius):
+        fam, missing = self.family(nu, radius, 20)
+        for cap in (0, ball_size(nu, 3) - 2, ball_size(nu, 5)):
+            err = self.assert_same_walk(fam, tuple(missing[:2]), tail_tol=0.0, site_cap=cap)
+            assert isinstance(err, ConvergenceError)
+
+    def test_table_is_kept_in_walk_order(self):
+        fam, missing = self.family(2, 12, 40)
+        order = [s for r in range(13) for s in lattice.shell(2, r) if s not in missing]
+        assert sorted(fam.table.rows, key=fam.table.rows.get) == order
+        assert fam.table.radii.tolist() == [lattice.norm1(s) for s in order]
+        for s in order[::17]:
+            row = fam.table.rows[s]
+            assert np.array_equal(fam.gram(s), fam.table.grams[row])
+        # a site off the table carries the identity basis
+        assert np.array_equal(fam.vectors(missing[0]), np.eye(2))
+
+    def test_walk_visits_no_site(self, monkeypatch):
+        fam, missing = self.family(2, 12, 40)
+        asked = []
+        gram = FiberFamily.gram
+        monkeypatch.setattr(FiberFamily, "gram", lambda f, s: asked.append(s) or gram(f, s))
+        boundary_matrix(fam, ((0, 0), missing[0]), tail_tol=0.0)
+        assert asked == [] and fam._by_site == {}

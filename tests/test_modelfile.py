@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -430,3 +431,103 @@ class TestGeneratorRoutes:
         with pytest.raises(ValidationError, match=r"sites\[3\]\.U\[1\]\[0\]: expected \[re, im\]"):
             modelfile.parse_model(data)
         assert "model.vectors.sites[3].U[1][0]" in calls
+
+
+def _set(path, value):
+    """An edit of the seeded nu = 2 table: ``path`` leads from the site
+    list into one record, and its last step is replaced by ``value``."""
+
+    def edit(records):
+        *lead, last = path
+        node = records
+        for step in lead:
+            node = node[step]
+        node[last] = value
+
+    return edit
+
+
+def _every(key, value):
+    """An edit giving every record's ``key`` the same ``value``."""
+
+    def edit(records):
+        for rec in records:
+            rec[key] = copy.deepcopy(value)
+
+    return edit
+
+
+def _drop(k, key):
+    def edit(records):
+        del records[k][key]
+
+    return edit
+
+
+#: Malformed or unusual generator tables, each an edit of the seeded
+#: nu = 2, d = 2 table.
+TABLE_EDITS = {
+    "ragged-site": _set((5, "site"), [1, 2, 3]),
+    "ragged-D_H": _set((5, "D_H"), [0.1, 0.2, 0.3]),
+    "ragged-U-rows": _set((5, "U"), [[[1.0, 0.0], [0.0, 0.0]]] * 3),
+    "ragged-U-row": _set((5, "U", 1), [[0.0, 0.0]]),
+    "ragged-W-pair": _set((5, "W", 0, 1), [0.0, 0.0, 0.0]),
+    "short-U-pair": _set((5, "U", 0, 0), [1.0]),
+    "bool-site": _set((5, "site", 0), True),
+    "bool-D_H": _set((5, "D_H", 1), False),
+    "bool-U": _set((5, "U", 0, 0, 1), True),
+    "null-W": _set((5, "W", 1, 1, 0), None),
+    "null-row": _set((5, "U", 1), None),
+    "string-D_H": _set((5, "D_H", 0), "0.5"),
+    "string-pair": _set((5, "W", 0, 0), "ab"),
+    "dict-U": _set((5, "U", 0, 0, 0), {"re": 1.0}),
+    "dict-pair": _set((5, "U", 0, 0), {"re": 1.0, "im": 0.0}),
+    "float-coordinate": _set((5, "site", 1), 2.0),
+    "coordinate-past-int64": _set((5, "site", 0), 2**63),
+    "entry-past-float": _set((5, "D_H", 0), 10**400),
+    "record-not-object": _set((5,), [[0, 0], [0.1, 0.2]]),
+    "missing-W": _drop(5, "W"),
+    "empty-D_H": _every("D_H", []),
+    # well formed but for the declared sizes, which the spec checks
+    "every-D_H-of-three": _every("D_H", [0.1, -0.2, 0.05]),
+    "integer-entries": _set((5, "U"), [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
+}
+
+
+class TestColumnLoader:
+    """The flattening column loader against the per-record walk: on any
+    table it returns None, and the walk then writes its messages, or the
+    walk's columns bit for bit."""
+
+    @pytest.mark.parametrize("edit", TABLE_EDITS.values(), ids=TABLE_EDITS.keys())
+    def test_none_or_the_walks_columns(self, edit):
+        records = seeded_generator_model(2, 2)["vectors"]["sites"]
+        edit(records)
+        columns = modelfile._generator_columns(records, 2)
+        if columns is None:
+            return
+        errors = []
+        walked = modelfile._walk_generators(records, Zd(2), errors)
+        assert errors == []
+        for got, want in zip(columns, walked):
+            assert same_bits(got, np.array(want))
+
+    @pytest.mark.parametrize(
+        "name, taken",
+        [("ragged-site", False), ("bool-U", False), ("float-coordinate", False),
+         ("coordinate-past-int64", False), ("record-not-object", False), ("missing-W", False),
+         ("every-D_H-of-three", True), ("integer-entries", True)],
+    )
+    def test_which_tables_are_taken(self, name, taken):
+        records = seeded_generator_model(2, 2)["vectors"]["sites"]
+        TABLE_EDITS[name](records)
+        assert (modelfile._generator_columns(records, 2) is not None) == taken
+
+    def test_untouched_table_is_taken(self):
+        data = seeded_generator_model(2, 2)
+        records = data["vectors"]["sites"]
+        sites, diag, u, w = modelfile._generator_columns(records, 2)
+        walked = modelfile._walk_generators(records, Zd(2), [])
+        for got, want in zip((sites, diag, u, w), walked):
+            assert same_bits(got, np.array(want))
+        assert sites.shape == (len(records), 2) and u.shape == (len(records), 2, 2)
