@@ -18,6 +18,8 @@ doubles.  Exit codes: 0 success, 1 validation failure or failed check,
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import math
 import sys
@@ -332,7 +334,9 @@ def cmd_selftest(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser this process builds; ``build_parser`` hands out copies."""
     parser = argparse.ArgumentParser(
         prog="schurstates",
         description=(
@@ -410,6 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: a shallow copy of the one built per
+    process, so an attribute set on what one call returns (a wrapped
+    ``parse_args``, say) stays off every later call's parser."""
+    return copy.copy(_parser())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -417,6 +428,8 @@ def main(argv=None) -> int:
         for flag, value in (("--tol", args.tol), ("--tail-tol", args.tail_tol)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(f"{flag} must be a finite number >= 0, got {value}")
+        if args.seed < 0:
+            raise ValidationError("--seed must be an integer >= 0")
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 return args.func(args, fh)

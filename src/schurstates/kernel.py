@@ -14,6 +14,10 @@ entrywise (Schur) products: ``product_kernel_matrix`` with one
 observable factor per site, and ``transfer_matrix``, the product of
 plain overlaps (kernels at the identity) over a region minus a
 subregion.  Every other module builds its site products from these two.
+A site's kernel is evaluated on a whole stack of observables at once
+(``_kernel_stack``): the Choi matrix on the stack of the d² matrix
+units, a tuple Gram matrix on the stack of all n² products of one
+site's factors.
 
 A family validates each distinct array its provider hands out once and
 keeps it read-only beside its Gram matrix, so a provider that returns one
@@ -453,15 +457,24 @@ def _check_local_operator(family: FiberFamily, b, name: str = "observable") -> n
     return m
 
 
+def _kernel_stack(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The kernel of one site on a stack of observables.
+
+    ``v`` is the site's (d_I, d) vector array and ``m`` has shape
+    (..., d, d); the result has shape (..., d_I, d_I), and its entry
+    [..., i, j] is Tr(h_i h_j* m[...]).  No input is checked here.
+    """
+    # rows are h_i:  (v* m v^T)[..., j, i] = <h_j, m h_i>  ->  swap the last two
+    return (v.conj() @ m @ v.T).swapaxes(-1, -2)
+
+
 def kernel_matrix(family: FiberFamily, site, b) -> np.ndarray:
     """The d_I x d_I matrix with (i, j) entry Tr(h_i h_j* b).
 
     Linear in b; at b = identity it reduces to ``family.gram(site)``.
     """
     m = _check_local_operator(family, b)
-    v = family.vectors(site)
-    # rows are h_i:  (v* b v^T)[j, i] = <h_j, b h_i>  ->  transpose
-    return (v.conj() @ m @ v.T).T
+    return _kernel_stack(family.vectors(site), m)
 
 
 @dataclass(frozen=True)
@@ -496,19 +509,15 @@ def choi_matrix(family: FiberFamily, site) -> np.ndarray:
     The output is (d*d_I) x (d*d_I) with row index (p, i) and column
     index (q, j), entry Tr(h_j h_i* e_p e_q*) — the index pairing under
     which positivity of this matrix is equivalent to complete positivity
-    of the kernel map.  Built by evaluating the map on matrix units, not
-    from a closed form, so it genuinely exercises the kernel.
+    of the kernel map.  Built by evaluating the map on the stack of the
+    d² matrix units e_p e_q*, not from a closed form, so it genuinely
+    exercises the kernel.
     """
     d, d_I = family.d, family.d_I
-    choi = np.zeros((d * d_I, d * d_I), dtype=np.complex128)
-    unit = np.zeros((d, d), dtype=np.complex128)
-    for p in range(d):
-        for q in range(d):
-            unit[p, q] = 1.0
-            block = kernel_matrix(family, site, unit).T
-            choi[p * d_I:(p + 1) * d_I, q * d_I:(q + 1) * d_I] = block
-            unit[p, q] = 0.0
-    return choi
+    units = np.eye(d * d).reshape(d, d, d, d)  # units[p, q] = e_p e_q*
+    k = _kernel_stack(family.vectors(site), units)  # k[p, q, i, j]
+    # block (p, q) is the transpose of the kernel matrix at e_p e_q*
+    return k.transpose(0, 3, 1, 2).reshape(d * d_I, d * d_I)
 
 
 def certify_cp(family: FiberFamily, site, tol: float = 1e-10) -> PsdReport:
@@ -580,6 +589,11 @@ def product_kernel_gram_matrix(family: FiberFamily, sites, obs_tuples) -> np.nda
     Tr(h_i h_j* b_{x,h}* b_{x,k}).  Positivity of this matrix for every
     choice of tuples is what makes the multi-site map a kernel of the
     same class as its single-site factors.
+
+    The tuples are stacked once; per site, in site order, all n² products
+    b_{x,h}* b_{x,k} are formed in one broadcast matmul and the kernel is
+    evaluated on that stack, so the running entrywise product takes the
+    same factors in the same order as ``product_kernel_matrix`` would.
     """
     sites = list(sites)
     tuples = [
@@ -593,13 +607,19 @@ def product_kernel_gram_matrix(family: FiberFamily, sites, obs_tuples) -> np.nda
             raise DimensionError(
                 f"observable tuple has {len(t)} factors for {len(sites)} sites"
             )
+    if len(set(sites)) != len(sites):
+        raise ValidationError("product_kernel_matrix: duplicate sites")
     n = len(tuples)
-    d_I = family.d_I
-    out = np.zeros((d_I * n, d_I * n), dtype=np.complex128)
-    for h, th in enumerate(tuples):
-        for k, tk in enumerate(tuples):
-            bs = [bh.conj().T @ bk for bh, bk in zip(th, tk)]
-            # block[i, j] = prod_x Tr(h_i h_j* bh* bk); row (j, h), col (i, k)
-            out[h::n, k::n] = product_kernel_matrix(family, sites, bs).T
-    return out
-
+    d, d_I = family.d, family.d_I
+    # the reshape gives an empty site list its (n, 0, d, d) shape
+    stack = np.array(tuples, dtype=np.complex128).reshape(n, len(sites), d, d)
+    prod = np.ones((n, n, d_I, d_I), dtype=np.complex128)
+    for s, x in enumerate(sites):
+        b = stack[:, s]
+        # bs[h, k] = b_{x,h}* b_{x,k}
+        bs = b.conj().swapaxes(-1, -2)[:, None] @ b[None, :]
+        if not np.isfinite(bs).all():  # finite factors whose product overflows
+            raise ValidationError("observable: non-finite entries")
+        prod = prod * _kernel_stack(family.vectors(x), bs)
+    # prod[h, k, i, j] lands at row (j, h), column (i, k)
+    return prod.transpose(3, 0, 2, 1).reshape(d_I * n, d_I * n)

@@ -100,13 +100,15 @@ def superposition_vector(
     if len(set(region)) != len(region):
         raise ValidationError("region has duplicate sites")
     _check_cap(region, family.d, dense_cap)
-    amp = np.zeros((family.d,) * len(region), dtype=np.complex128)
-    for i in range(family.d_I):
-        term = np.ones((), dtype=np.complex128)
-        for x in region:
-            term = np.multiply.outer(term, family.vectors(x)[i])
+    # terms[i] is the flat product h(x1,i) (x) ... (x) h(xk,i), grown one
+    # site at a time for every index at once
+    terms = np.ones((family.d_I, 1), dtype=np.complex128)
+    for x in region:
+        terms = (terms[:, :, None] * family.vectors(x)[:, None, :]).reshape(family.d_I, -1)
+    amp = np.zeros(terms.shape[1], dtype=np.complex128)
+    for term in terms:
         amp = amp + term
-    return DenseState(region=region, d=family.d, amplitudes=amp.reshape(-1))
+    return DenseState(region=region, d=family.d, amplitudes=amp)
 
 
 def expectation_dense(

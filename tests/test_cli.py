@@ -1,11 +1,14 @@
+import functools
 import json
+import re
+import shlex
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from schurstates.cli import main
+from schurstates.cli import _parser, build_parser, main
 from schurstates.modelfile import encode_matrix
 
 from conftest import perturbed_ball_product, validate_against
@@ -392,6 +395,63 @@ class TestTolerances:
         )
         assert code == 0
         assert json.loads(out)["results"]["tail_bound"] == 0.0
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    @pytest.mark.parametrize(
+        "command", ["check-kernel", "eval", "limit", "homog", "mixing-scan", "selftest"]
+    )
+    def test_negative_seed_exits_1_before_loading(self, capsys, command, seed):
+        # the model path does not exist: the seed is refused before any load
+        args = [command, "--seed", seed]
+        if command != "selftest":
+            args += ["--model", str(MODELS / "missing.json")]
+        if command in ("eval", "limit", "mixing-scan"):
+            args += ["--observable", "x.json"]
+        if command == "mixing-scan":
+            args += ["--observable-far", "x.json"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (1, "", "validation error: --seed must be an integer >= 0\n")
+
+
+def readme_command_lines():
+    """The argument lists of the ``schurstates ...`` lines in README.md."""
+    text = (REPO / "README.md").read_text().replace("\\\n", " ")
+    return [
+        shlex.split(line)[1:]
+        for line in text.splitlines()
+        if re.match(r"schurstates [a-z]", line)
+    ]
+
+
+class TestParser:
+    def test_each_call_returns_its_own_parser(self):
+        parsers = [build_parser() for _ in range(3)]
+        assert len({id(p) for p in parsers + [_parser()]}) == 4
+
+    def test_attributes_set_on_a_parser_stay_on_it(self):
+        # a tracer wraps parse_args on the parser each call returns; were
+        # the parsers one object, the last would nest 1100 wrappers
+        def wrapped(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for _ in range(1100):
+            parser = build_parser()
+            parser.parse_args = wrapped(parser.parse_args)
+        assert parser.parse_args(["selftest"]).command == "selftest"
+        assert "parse_args" not in vars(build_parser())
+        assert "parse_args" not in vars(_parser())
+
+    def test_readme_lines_parse_as_with_a_fresh_parser(self):
+        lines = readme_command_lines()
+        assert len(lines) == 6
+        for argv in lines:
+            assert build_parser().parse_args(argv) == _parser.__wrapped__().parse_args(argv)
 
 
 class TestPerturbedZ3AtSiteCap:

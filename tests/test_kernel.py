@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -450,6 +451,97 @@ class TestProductKernel:
                 k = product_kernel_gram_matrix(fam, sites, tuples)
                 eigs = np.linalg.eigvalsh(0.5 * (k + k.conj().T))
                 assert eigs[0] >= -1e-10 * max(1.0, float(np.max(np.abs(eigs))))
+
+
+class TestGramTupleChecks:
+    """``product_kernel_gram_matrix`` checks its input before it stacks it."""
+
+    def fam(self):
+        return make_family(67, ["a", "b"], 2, 2)
+
+    def test_duplicate_sites_rejected(self):
+        with pytest.raises(ValidationError, match=r"^product_kernel_matrix: duplicate sites$"):
+            product_kernel_gram_matrix(self.fam(), ["a", "a"], [(np.eye(2), np.eye(2))])
+
+    def test_tuple_of_the_wrong_length(self):
+        tuples = [(np.eye(2), np.eye(2)), (np.eye(2),)]
+        with pytest.raises(DimensionError, match=r"^observable tuple has 1 factors for 2 sites$"):
+            product_kernel_gram_matrix(self.fam(), ["a", "b"], tuples)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_non_finite_factor(self, k):
+        tuples = [(np.eye(2), np.eye(2)) for _ in range(3)]
+        tuples[k] = (np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(ValidationError, match=rf"^observable {k}: non-finite entries$"):
+            product_kernel_gram_matrix(self.fam(), ["a", "b"], tuples)
+
+    def test_overflowing_product(self):
+        tuples = [(np.full((2, 2), 1e200), np.eye(2)), (np.eye(2), np.eye(2))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=r"^observable: non-finite entries$"):
+                product_kernel_gram_matrix(self.fam(), ["a", "b"], tuples)
+
+    @pytest.mark.parametrize(
+        "factor, message",
+        [
+            (np.eye(3), r"shape \(3, 3\), expected \(2, 2\)"),
+            (np.ones(2), r"expected a 2-D array, got ndim=1"),
+        ],
+        ids=["3x3", "1-D"],
+    )
+    def test_wrongly_shaped_factor(self, factor, message):
+        tuples = [(np.eye(2), np.eye(2)), (factor, np.eye(2))]
+        with pytest.raises(DimensionError, match=rf"^observable 1: {message}$"):
+            product_kernel_gram_matrix(self.fam(), ["a", "b"], tuples)
+
+
+DIMS = [(d, d_I) for d in range(1, 6) for d_I in range(1, 6)]
+
+
+class TestStacksAgainstOracles:
+    """The stacked kernel evaluations against literal, entry-by-entry
+    constructions, for every d, d_I in 1..5."""
+
+    @pytest.mark.parametrize("d, d_I", DIMS)
+    def test_choi_literal_entries(self, d, d_I):
+        fam = make_family(100 + 10 * d + d_I, ["a"], d, d_I)
+        v = fam.vectors("a")
+        oracle = np.zeros((d * d_I, d * d_I), dtype=complex)
+        for p in range(d):
+            for q in range(d):
+                unit = np.zeros((d, d))
+                unit[p, q] = 1.0
+                for i in range(d_I):
+                    for j in range(d_I):
+                        # Tr(h_j h_i* e_p e_q*) at row (p, i), column (q, j)
+                        oracle[p * d_I + i, q * d_I + j] = np.trace(
+                            np.outer(v[j], v[i].conj()) @ unit
+                        )
+        np.testing.assert_allclose(choi_matrix(fam, "a"), oracle, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d, d_I", DIMS)
+    def test_product_gram_is_the_gram_of_tensor_vectors(self, d, d_I):
+        rng = rng_from_seed(200 + 10 * d + d_I)
+        for count in (1, 2, 3):
+            sites = [f"s{x}" for x in range(count)]
+            fam = random_family(rng, sites, d, d_I)
+            for n in (1, 2, 3, 4):
+                tuples = [
+                    tuple(complex_gaussian(rng, (d, d)) for _ in sites) for _ in range(n)
+                ]
+                # w[i * n + k] = (x)_x  b_{x,k} h_{x,i}
+                w = np.array([
+                    functools.reduce(
+                        np.kron, [tuples[k][x] @ fam.vectors(s)[i] for x, s in enumerate(sites)]
+                    )
+                    for i in range(d_I)
+                    for k in range(n)
+                ])
+                oracle = w.conj() @ w.T  # oracle[r, c] = <w_r, w_c>
+                got = product_kernel_gram_matrix(fam, sites, tuples)
+                np.testing.assert_allclose(
+                    got, oracle, rtol=0, atol=1e-12 * max(1.0, np.abs(oracle).max())
+                )
 
 
 def test_cp_random_tuple_characterization():

@@ -80,6 +80,37 @@ class TestSuperpositionVector:
             superposition_vector(fam, tuple(range(9)))
 
 
+def per_index_amplitudes(family, region):
+    """The per-index outer-product loop: sum over i of the C-order
+    tensor product h(x1,i) (x) ... (x) h(xk,i), added in index order."""
+    amp = np.zeros((family.d,) * len(region), dtype=complex)
+    for i in range(family.d_I):
+        term = np.ones((), dtype=complex)
+        for x in region:
+            term = np.multiply.outer(term, family.vectors(x)[i])
+        amp = amp + term
+    return amp.reshape(-1)
+
+
+class TestSuperpositionStack:
+    @pytest.mark.parametrize("d_I", range(1, 6))
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_matches_the_per_index_loop(self, d, d_I):
+        rng = rng_from_seed(300 + 10 * d + d_I)
+        for size in (1, 2, 3, 4):
+            region = tuple(range(size))
+            fam = random_family(rng, region, d, d_I)
+            got = superposition_vector(fam, region).amplitudes
+            want = per_index_amplitudes(fam, region)
+            if d > 1:
+                np.testing.assert_array_equal(got, want)
+            else:
+                # one amplitude: the loop multiplies one element per numpy
+                # call and the stack d_I elements; numpy may pick different
+                # loops for the two (with and without a fused multiply-add)
+                np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
+
+
 class TestDensityStructure:
     def test_rank_one_blocks(self, rng):
         # |Psi><Psi| equals the double sum of per-site rank-one tensor factors
