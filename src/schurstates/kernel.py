@@ -30,7 +30,8 @@ a block of shells at a time.  A radial family, whose vectors depend on a
 site only through its 1-norm, has no per-site provider: it hands out
 ``SHELL_BLOCK`` consecutive shells at a time as one stack, checked and
 squared in one pass, so a boundary walk takes a whole block of shell
-Gram matrices without visiting the shells' sites.
+Gram matrices without visiting the shells' sites, and each shell's
+power to its full size from a stack the family keeps per block.
 
 Index layout, fixed once for the whole package:
 
@@ -56,6 +57,10 @@ from .linalg import PsdReport, as_cmatrix, psd_report
 
 #: Vectors with norm at or below this are rejected as zero.
 ZERO_VECTOR_TOL = 1e-14
+
+#: Most matrix-unit entries ``choi_matrix`` stacks at once (whole rows p
+#: of the d² units e_p e_q*, at least one row).
+CHOI_UNIT_ENTRIES = 4096
 
 #: Consecutive 1-norm shells a radial family builds, and a boundary walk
 #: multiplies in, at once: block k holds radii k * SHELL_BLOCK, ...,
@@ -237,7 +242,11 @@ class FiberFamily:
     block of ``SHELL_BLOCK`` radii at a time, each block once, and
     validates and squares it in one pass; ``shell_grams(k)`` serves the
     Gram stack of block k, and ``shell_gram(r)`` and every site of
-    1-norm r read row r of their block.
+    1-norm r read row r of their block.  The family also owns each
+    block's full-shell powers (``shell_powers(k)``), each Gram matrix
+    raised to its shell's size, which a boundary walk forms the first
+    time it takes the block: at most one stack per block built, kept as
+    long as the family.
     """
 
     def __init__(
@@ -271,6 +280,7 @@ class FiberFamily:
         self._arrays: dict = {}
         self._by_site: dict = {}  # site -> its entry in ``_arrays``, or its rows
         self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
+        self._powers: dict = {}  # k -> full-shell powers of radial block k
         self.table: Table | None = None  # set once, by ``preload``
         # the (vectors, Gram) entry of every site off the table, if declared
         self.elsewhere = None if elsewhere is None else self._validated(elsewhere, "off the table")
@@ -405,6 +415,19 @@ class FiberFamily:
         families only)."""
         return self.shell_grams(r // SHELL_BLOCK)[r % SHELL_BLOCK]
 
+    def shell_powers(self, k: int) -> np.ndarray:
+        """The read-only (SHELL_BLOCK, d_I, d_I) stack whose row j is
+        ``shell_grams(k)[j]`` to the power of the number of sites of
+        1-norm k * SHELL_BLOCK + j: each whole shell's product, formed
+        the first time it is asked for and kept (radial families only)."""
+        powers = self._powers.get(k)
+        if powers is None:
+            start = k * SHELL_BLOCK
+            sizes = lattice.shell_sizes(self.geometry.nu, start, start + SHELL_BLOCK)
+            powers = self._powers[k] = self.shell_grams(k) ** sizes[:, None, None]
+            powers.setflags(write=False)
+        return powers
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -509,15 +532,23 @@ def choi_matrix(family: FiberFamily, site) -> np.ndarray:
     The output is (d*d_I) x (d*d_I) with row index (p, i) and column
     index (q, j), entry Tr(h_j h_i* e_p e_q*) — the index pairing under
     which positivity of this matrix is equivalent to complete positivity
-    of the kernel map.  Built by evaluating the map on the stack of the
-    d² matrix units e_p e_q*, not from a closed form, so it genuinely
-    exercises the kernel.
+    of the kernel map.  Built by evaluating the map on the d² matrix
+    units e_p e_q*, not from a closed form, so it genuinely exercises the
+    kernel; the units are stacked a few rows p at a time (at most
+    ``CHOI_UNIT_ENTRIES`` entries, or one row), so that the memory a call
+    takes beyond its result stays small at any d.
     """
     d, d_I = family.d, family.d_I
-    units = np.eye(d * d).reshape(d, d, d, d)  # units[p, q] = e_p e_q*
-    k = _kernel_stack(family.vectors(site), units)  # k[p, q, i, j]
-    # block (p, q) is the transpose of the kernel matrix at e_p e_q*
-    return k.transpose(0, 3, 1, 2).reshape(d * d_I, d * d_I)
+    v = family.vectors(site)
+    out = np.empty((d, d_I, d, d_I), dtype=np.complex128)
+    step = max(1, CHOI_UNIT_ENTRIES // d**3)  # rows p per stack
+    for p in range(0, d, step):
+        rows = min(step, d - p)
+        # units[a, q] = e_{p+a} e_q*
+        units = np.eye(rows * d, d * d, k=p * d).reshape(rows, d, d, d)
+        # block (p, q) is the transpose of the kernel matrix at e_p e_q*
+        out[p : p + rows] = _kernel_stack(v, units).transpose(0, 3, 1, 2)
+    return out.reshape(d * d_I, d * d_I)
 
 
 def certify_cp(family: FiberFamily, site, tol: float = 1e-10) -> PsdReport:
@@ -608,7 +639,7 @@ def product_kernel_gram_matrix(family: FiberFamily, sites, obs_tuples) -> np.nda
                 f"observable tuple has {len(t)} factors for {len(sites)} sites"
             )
     if len(set(sites)) != len(sites):
-        raise ValidationError("product_kernel_matrix: duplicate sites")
+        raise ValidationError("product_kernel_gram_matrix: duplicate sites")
     n = len(tuples)
     d, d_I = family.d, family.d_I
     # the reshape gives an empty site list its (n, 0, d, d) shape
@@ -619,7 +650,11 @@ def product_kernel_gram_matrix(family: FiberFamily, sites, obs_tuples) -> np.nda
         # bs[h, k] = b_{x,h}* b_{x,k}
         bs = b.conj().swapaxes(-1, -2)[:, None] @ b[None, :]
         if not np.isfinite(bs).all():  # finite factors whose product overflows
-            raise ValidationError("observable: non-finite entries")
+            h, k = np.argwhere(~np.isfinite(bs).all(axis=(-2, -1)))[0].tolist()
+            raise ValidationError(
+                f"observable tuples ({h}, {k}): the product of their factors at site "
+                f"{x!r} has non-finite entries"
+            )
         prod = prod * _kernel_stack(family.vectors(x), bs)
     # prod[h, k, i, j] lands at row (j, h), column (i, k)
     return prod.transpose(3, 0, 2, 1).reshape(d_I * n, d_I * n)

@@ -24,10 +24,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import ValidationError
 
 #: Most (nu, r) shells ``shell`` keeps at once, and most shell sizes
-#: ``shell_size`` keeps.
+#: ``shell_size`` (and ranges of them ``shell_sizes``) keeps.
 SHELL_CACHE_SIZE = 1024
 
 #: A ``--region`` coordinate: optional sign, then ASCII digits.
@@ -53,6 +55,16 @@ def shell_size(nu: int, r: int) -> int:
         (2**k) * math.comb(nu, k) * math.comb(r - 1, k - 1)
         for k in range(1, min(nu, r) + 1)
     )
+
+
+@functools.lru_cache(maxsize=SHELL_CACHE_SIZE)
+def shell_sizes(nu: int, start: int, stop: int) -> np.ndarray:
+    """``shell_size(nu, r)`` for r = start, ..., stop - 1, as one read-only
+    float64 array (cached): exact below 2**53, and a float so that no
+    count overflows."""
+    sizes = np.array([shell_size(nu, r) for r in range(start, stop)], dtype=float)
+    sizes.setflags(write=False)
+    return sizes
 
 
 @functools.lru_cache(maxsize=SHELL_CACHE_SIZE)

@@ -8,30 +8,38 @@ through entrywise logarithms (overlaps may be zero or have argument
 near +-pi, where a principal-branch log sum misrepresents the product).
 A product whose limit is zero is a converged result, not a failure.
 
-One loop forms the products, step by step, from one of three sources.
-A canonical walk on a lattice takes, after the empty shell at radius
--1, ``SHELL_BLOCK`` consecutive 1-norm shells per step and lists no
-sites, in one ``np.multiply.accumulate`` per step, seeded with the
-product so far:
+One loop forms the products, step by step, for a whole list of regions
+at once (``boundary_matrices``; ``boundary_matrix`` is its one-region
+case), from one of three sources.  A canonical walk on a lattice takes,
+after the empty shell at radius -1, ``SHELL_BLOCK`` consecutive 1-norm
+shells per step and lists no sites; each shell's count outside a region
+is its size (``lattice.shell_sizes``) less the region's sites there.
+Each step is one ``np.multiply.accumulate`` along the shell axis of a
+(region, shell) stack, seeded with each region's product so far:
 
-* a radial family (``FiberFamily.radial``): one ``np.power`` raises each
-  shell's Gram matrix to the exact count of its sites outside the
-  region;
+* a radial family (``FiberFamily.radial``): each shell's Gram matrix to
+  the power of the shell's size, from the stack the family keeps per
+  block (``FiberFamily.shell_powers``), and raised afresh, with
+  ``np.power``, to its count outside the region only where the region
+  holds sites of the shell;
 * a family with a table on a lattice and one array off it
   (``FiberFamily.preload`` and ``elsewhere``, as a generator model is
-  built): one mask takes the step's table rows outside the region, in
-  walk order, and each shell is closed by the Gram matrix off the table
-  to the power of the shell's other sites outside the region.
+  built): one mask per region takes the step's table rows outside it,
+  in walk order, and each shell is closed by the Gram matrix off the
+  table to the power of the shell's other sites outside the region.
 
 (The accumulate rounds differently from multiplying factor by factor, by
 about one rounding per entry and factor.)  Every other walk, and any
-walk given an explicit ``exhaustion``, takes one block of its geometry's
-walk order per step and multiplies in each site outside the region in
-turn; it is the oracle of both shell sources.  The region is checked
-against the family's geometry before any cached result is read.  Each
-step is cut at the first shell (or block) whose sites would cross the
-site cap, before anything is built, and the tail certificate settles
-every shell the step took in one call.
+walk given an explicit ``exhaustion``, takes one block of its walk order
+per step and multiplies in each site outside the region in turn; it is
+the oracle of both shell sources.  Every region is checked against the
+family's geometry before any cached result is read.  Each region's steps
+are cut at the first shell (or block) whose sites would cross the site
+cap; a step builds products only through the last label some region
+takes, and nothing if none takes one.  The tail certificate settles
+every shell the step took, for all regions, in one call, and each region
+stops at its own first settled shell.  Walking regions side by side
+changes no bit of any region's result.
 
 On an infinite lattice the walk stops only on the family's tail
 certificate (``kernel.OnesTail``, ``IdentityTail`` or ``ConstantTail``),
@@ -118,23 +126,58 @@ def boundary_matrix(
     A finite walk visits all its sites and is exact (bound 0) only if it
     covered every site outside the region; otherwise the product is
     truncated, with bound ``inf`` and ``rigorous`` false.  Another walk
-    order is an oracle for the canonical one, and is not cached.
+    order is an oracle for the canonical one, and is not cached; the
+    canonical walk is ``boundary_matrices`` of the one region.
     """
+    if exhaustion is None:
+        return boundary_matrices(family, [region], tail_tol, site_cap)[0]
     region = tuple(region)
     for site in region:
         family.geometry.check(site)
-    if exhaustion is not None:
-        return _boundary_walk(family, region, exhaustion, tail_tol, site_cap)
-    # canonical-walk results are cached on the family, read-only since
-    # every caller asking for the region shares them; repeated limit
-    # evaluations over the same region dominate scan runtimes
-    key = (frozenset(region), tail_tol, site_cap)
-    hit = family._boundary_cache.get(key)
-    if hit is None:
-        hit = _boundary_walk(family, region, None, tail_tol, site_cap)
-        hit.matrix.setflags(write=False)
-        family._boundary_cache[key] = hit
-    return hit if hit.region == region else replace(hit, region=region)
+    return _boundary_walk(family, region, exhaustion, tail_tol, site_cap)
+
+
+def boundary_matrices(
+    family: FiberFamily,
+    regions,
+    tail_tol: float = 1e-12,
+    site_cap: int = SITE_CAP,
+) -> list:
+    """``boundary_matrix`` of each of ``regions`` on the canonical walk,
+    in list order, from one walk of every region not yet cached.
+
+    Every region is checked against the family's geometry first.  Each
+    distinct cache key (the region's site set, ``tail_tol``, ``site_cap``)
+    is walked once, all of them side by side in one pass over the
+    shells, each stopping at its own first settled radius; every result
+    is kept in the family's boundary cache, read-only, since every caller
+    asking for the region shares it.  If some regions cross ``site_cap``,
+    the others are still cached, and the ``ConvergenceError`` that the
+    first of them in list order raises alone is raised.
+    """
+    regions = [tuple(region) for region in regions]
+    for region in regions:
+        for site in region:
+            family.geometry.check(site)
+    cache = family._boundary_cache
+    keys = [(frozenset(region), tail_tol, site_cap) for region in regions]
+    missing: dict = {}  # key -> the first region asking for it
+    for key, region in zip(keys, regions):
+        if key not in cache:
+            missing.setdefault(key, region)
+    if len(missing) > 1:
+        walked = _walk(family, list(missing.values()), None, tail_tol, site_cap)
+    else:  # a lone region takes the one-region entry point
+        walked = [_boundary_walk(family, region, None, tail_tol, site_cap) for region in missing.values()]
+    for key, hit in zip(missing, walked):
+        if isinstance(hit, BoundaryMatrix):
+            hit.matrix.setflags(write=False)
+            cache[key] = hit
+    for hit in walked:
+        if isinstance(hit, ConvergenceError):
+            raise hit
+    hits = (cache[key] for key in keys)
+    return [hit if hit.region == region else replace(hit, region=region) for hit, region in zip(hits, regions)]
 
 
 def _boundary_walk(
@@ -144,17 +187,34 @@ def _boundary_walk(
     tail_tol: float,
     site_cap: int,
 ) -> BoundaryMatrix:
-    """The walk behind ``boundary_matrix``: one loop over steps (labels,
-    site count per label, sites).  A canonical walk on a lattice takes a
-    block of shells per step (sites None) from a radial family, each
-    shell r as ``shell_gram(r)`` to the power of its count, or from a
-    family's table and the array off it (``_table_products``); every
-    other walk takes one block of its walk order, whose sites enter one
-    by one.  The walk stops at the first label whose bound meets
-    ``tail_tol``.  The first label whose cumulative count would cross
-    ``site_cap`` is refused; the error carries the product through the
-    label before it and the certificate's bound there (``inf`` if none
-    was computed, as on a finite walk)."""
+    """The walk of one region: ``_walk`` of a one-region list, whose
+    ``ConvergenceError`` is raised."""
+    (result,) = _walk(family, [region], exhaustion, tail_tol, site_cap)
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
+
+
+def _walk(
+    family: FiberFamily,
+    regions: list,
+    exhaustion: lattice.Zd | lattice.Sites | None,
+    tail_tol: float,
+    site_cap: int,
+) -> list:
+    """The walk behind ``boundary_matrix``, for a list of regions at once:
+    one loop over steps (labels, site count per region and label, sites
+    per region).  A canonical walk on a lattice takes a block of shells
+    per step (sites None) from a radial family (``_radial_products``) or
+    from a family's table and the array off it (``_table_products``);
+    every other walk takes one block of its walk order per step, whose
+    sites enter one by one.  Each region stops at its first label whose
+    bound meets ``tail_tol``, with its ``BoundaryMatrix``.  A region whose
+    cumulative count would cross ``site_cap`` at a label gets instead the
+    ``ConvergenceError`` carrying its product through the label before
+    and the certificate's bound there (``inf`` if none was computed, as
+    on a finite walk).  A step builds products only through the last
+    label some region takes, and nothing if none takes one."""
     tail = family.tail
     walk = family.geometry if exhaustion is None else exhaustion
     if tail is None and not walk.finite:
@@ -162,66 +222,139 @@ def _boundary_walk(
             f"{family.label or 'family'} has infinitely many sites but no tail "
             "certificate: its boundary products cannot be stopped rigorously"
         )
-    skip = set(region)
-    table = family.table
+    skips = [set(region) for region in regions]
+    n, d_I, table = len(regions), family.d_I, family.table
     if exhaustion is None and (
         family.radial is not None
         or (family.elsewhere is not None and table is not None and table.radii is not None)
     ):
-        # the empty shell, then blocks of whole shells, each with the
-        # count of its sites outside the region
-        held, nu = Counter(lattice.norm1(x) for x in skip), walk.nu
-        blocks = (range(r, r + SHELL_BLOCK) for r in itertools.count(0, SHELL_BLOCK))
-        steps = itertools.chain(
-            [([-1], [0], ())],
-            ((b, [lattice.shell_size(nu, r) - held.get(r, 0) for r in b], None) for b in blocks),
-        )
-        if family.radial is None:  # one mask: the table rows outside the region
-            outside = np.ones(len(table.grams), dtype=bool)
-            outside[[table.rows[x] for x in skip if x in table.rows]] = False
+        steps = _shell_steps(family, skips)
+        if family.radial is None:  # per region, one mask: the table rows outside it
+            outside = np.ones((n, len(table.grams)), dtype=bool)
+            for j, skip in enumerate(skips):
+                outside[j, [table.rows[x] for x in skip if x in table.rows]] = False
     else:
-        # each site outside the region is one factor
-        kept = ((k, [x for x in b if x not in skip]) for k, b in walk.blocks())
-        steps = (([k], [len(sites)], sites) for k, sites in kept)
-    p = np.ones((family.d_I, family.d_I), dtype=np.complex128)
-    consumed = 0
-    bound = math.inf
+        steps = _site_steps(walk, skips)
+    results = [None] * n
+    # the regions still walking, in list order, with their products,
+    # counts and certificate bounds so far
+    live = list(range(n))
+    p = np.ones((n, d_I, d_I), dtype=np.complex128)
+    consumed = np.zeros(n)
+    bound = np.full(n, math.inf)
     for labels, counts, sites in steps:
-        totals = list(itertools.accumulate(counts, initial=consumed))[1:]
-        # the labels within the cap (totals never fall)
-        m = len(totals) if totals[-1] <= site_cap else sum(t <= site_cap for t in totals)
-        if m:
-            if sites is None and family.radial is not None:
-                powers = np.array(counts[:m])[:, None, None]
-                factors = family.shell_grams(labels[0] // SHELL_BLOCK)[:m] ** powers
-                rows = np.multiply.accumulate(np.concatenate((p[None], factors)))[1:]
-            elif sites is None:
-                rows = _table_products(family, outside, p, labels[0], counts[:m])
+        k, size = len(live), len(labels)
+        if k < n:
+            counts = counts[live]
+        totals = consumed[:, None] + counts.cumsum(axis=1)
+        # the labels within the cap, m per region (totals never fall), and
+        # the labels some region takes
+        m = (totals <= site_cap).sum(axis=1)
+        top = int(m.max())
+        hit = np.zeros(k, dtype=bool)
+        if top:
+            if sites is not None:  # one block: each site outside a region is one factor
+                rows = p[:, None].copy()
+                for i in np.flatnonzero(m).tolist():
+                    for x in sites[live[i]]:
+                        rows[i, 0] = rows[i, 0] * family.gram(x)
+            elif family.radial is not None:
+                rows = _radial_products(family, p, labels[0], counts[:, :top])
             else:
-                for x in sites:
-                    p = p * family.gram(x)
-                rows = p[None]
-            if not walk.finite:
-                matrices, bounds = tail.settle(rows, np.asarray(labels[:m]))
-                settled = np.flatnonzero(bounds <= tail_tol)
-                if settled.size:
-                    k = int(settled[0])
-                    return BoundaryMatrix(region, matrices[k], float(bounds[k]), totals[k], True)
-                bound = float(bounds[-1])
-            p, consumed = rows[-1], totals[m - 1]
-        if m < len(counts):
-            raise ConvergenceError(
-                f"boundary product did not settle within {site_cap} sites",
-                last_partial=p,
-                tail_estimate=bound,
-            )
+                rows = np.stack([
+                    _table_products(family, outside[j], p[i], labels[0], counts[i, :top])
+                    for i, j in enumerate(live)
+                ])
+            # the certificate settles, in one call, every label a region took
+            if walk.finite:
+                bounds = np.full((k, top), math.inf)
+            else:
+                matrices, bounds = tail.settle(
+                    rows.reshape(-1, d_I, d_I), labels[None, :top].repeat(k, axis=0).ravel()
+                )
+                matrices, bounds = matrices.reshape(k, top, d_I, d_I), bounds.reshape(k, top)
+            settled = (bounds <= tail_tol) & (np.arange(top) < m[:, None])
+            hit = settled.any(axis=1)
+        # a region that goes on took every label, so only those that stop
+        # need their own label
+        done = hit | (m < size)
+        for i in np.flatnonzero(done).tolist():
+            j, t = live[i], int(m[i])
+            if hit[i]:
+                s = int(settled[i].argmax())
+                results[j] = BoundaryMatrix(
+                    regions[j], matrices[i, s], float(bounds[i, s]), int(totals[i, s]), True
+                )
+            else:  # the cap stops it after t labels of the step
+                results[j] = ConvergenceError(
+                    f"boundary product did not settle within {site_cap} sites",
+                    last_partial=rows[i, t - 1] if t else p[i],
+                    tail_estimate=float(bounds[i, t - 1] if t else bound[i]),
+                )
+        live = [j for j, stop in zip(live, done) if not stop]
+        if not live:
+            return results
+        p, consumed, bound = rows[~done, -1], totals[~done, -1], bounds[~done, -1]
 
     # a finite walk is exact only if it covered every site outside the region
-    exact = family.geometry.finite and consumed == len(family.geometry.site_set - skip)
-    return BoundaryMatrix(region, p, 0.0 if exact else math.inf, consumed, exact)
+    for i, j in enumerate(live):
+        exact = family.geometry.finite and consumed[i] == len(family.geometry.site_set - skips[j])
+        results[j] = BoundaryMatrix(regions[j], p[i], 0.0 if exact else math.inf, int(consumed[i]), exact)
+    return results
 
 
-def _table_products(family: FiberFamily, outside, p, start: int, counts: list) -> np.ndarray:
+def _shell_steps(family: FiberFamily, skips: list):
+    """The steps of a canonical walk by shells: the empty shell at radius
+    -1, then blocks of ``SHELL_BLOCK`` whole shells, each with the count
+    of its sites outside each region (``lattice.shell_sizes`` less the
+    region's sites there)."""
+    nu, n = family.geometry.nu, len(skips)
+    # (region, radius, sites of the region at that radius)
+    held = [
+        (j, r, c) for j, skip in enumerate(skips) for r, c in Counter(map(lattice.norm1, skip)).items()
+    ]
+    yield np.array([-1]), np.zeros((n, 1)), [()] * n
+    for start in itertools.count(0, SHELL_BLOCK):
+        counts = np.repeat(lattice.shell_sizes(nu, start, start + SHELL_BLOCK)[None], n, axis=0)
+        for j, r, c in held:
+            if start <= r < start + SHELL_BLOCK:
+                counts[j, r - start] -= c
+        yield np.arange(start, start + SHELL_BLOCK), counts, None
+
+
+def _site_steps(walk, skips: list):
+    """The steps of a walk by blocks of its walk order, one block and
+    label per step: each region's sites of the block outside it."""
+    for label, block in walk.blocks():
+        kept = [[x for x in block if x not in skip] for skip in skips]
+        yield np.array([label]), np.array([[len(sites)] for sites in kept], dtype=float), kept
+
+
+def _radial_products(family: FiberFamily, p: np.ndarray, start: int, counts: np.ndarray) -> np.ndarray:
+    """The products through each shell of the radial block from radius
+    ``start`` on, one stack per region and one shell per column of
+    ``counts``, in one seeded ``np.multiply.accumulate`` along the shell
+    axis: ``p`` holds each region's product so far and ``counts`` its
+    sites outside it per shell.  A shell the region holds no site of is
+    the block's kept full-shell power (``FiberFamily.shell_powers``); the
+    others are raised to their own counts here."""
+    k, m = start // SHELL_BLOCK, counts.shape[1]
+    # the order matters for speed on x86-64: squaring a new block (a BLAS
+    # product) slows libm's scalar complex power, which the full-shell
+    # powers use, about tenfold until a numpy loop such as the comparison
+    # below has run
+    grams = family.shell_grams(k)
+    sizes = lattice.shell_sizes(family.geometry.nu, start, start + SHELL_BLOCK)
+    j, r = np.nonzero(counts != sizes[:m])
+    seq = np.empty((len(p), m + 1) + p.shape[1:], dtype=np.complex128)
+    seq[:, 0] = p
+    seq[:, 1:] = family.shell_powers(k)[:m]
+    if j.size:
+        seq[j, r + 1] = grams[r] ** counts[j, r][:, None, None]
+    return np.multiply.accumulate(seq, axis=1)[:, 1:]
+
+
+def _table_products(family: FiberFamily, outside, p, start: int, counts) -> np.ndarray:
     """The products through each shell from radius ``start`` on, one per
     count, of a family with a table on a lattice, in one seeded
     ``np.multiply.accumulate``: each shell's table rows outside the region

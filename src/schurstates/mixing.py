@@ -16,6 +16,7 @@ the excluded ball.  Both guarantee the image clears the ball.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .kernel import FiberFamily, OnesTail, product_kernel_matrix, tail_remaining
-from .limit import SITE_CAP, boundary_matrix, limit_state_eval
+from .limit import SITE_CAP, boundary_matrices, boundary_matrix, limit_state_eval
 from .state import LocalObservable
 
 #: Default clearance sequence for tail-limit detection.
@@ -198,12 +199,18 @@ def _check_near_region(obs_a: LocalObservable, t: int):
         )
 
 
-def _row(family, obs_a, obs_b, t, strategy, seed, tail_tol):
-    """psi(a . transported b), psi(a) and the transported b at clearance t."""
+def _placed(family, obs_a, obs_b, t, strategy, seed):
+    """The joint observable a . transported b and the transported b at
+    clearance t, once every geometry check has passed."""
     _check_near_region(obs_a, t)
     emb = embed(obs_b.region, t, strategy=strategy, nu=family.geometry.nu, seed=seed)
     far = emb.transport(obs_b)
-    joint = _joint_observable(obs_a, far)
+    return _joint_observable(obs_a, far), far
+
+
+def _row(family, obs_a, obs_b, t, strategy, seed, tail_tol):
+    """psi(a . transported b), psi(a) and the transported b at clearance t."""
+    joint, far = _placed(family, obs_a, obs_b, t, strategy, seed)
     v_joint = limit_state_eval(family, joint, tail_tol)
     return v_joint, limit_state_eval(family, obs_a, tail_tol), far
 
@@ -283,24 +290,42 @@ def mixing_scan(
 
     The alpha column is NaN for models whose tail limits depend on the
     index pair.  Row order follows ``t_list`` within each strategy
-    regardless of evaluation order.
+    regardless of evaluation order; a strategy or clearance named twice
+    is refused.  Every row's regions are placed and checked first, in
+    row order, and then walked together in one ``boundary_matrices``
+    call, whose results the rows read from the family's cache.
     """
     ts = tuple(int(t) for t in t_list)
+    strategies = tuple(strategies)
+    for name, values in (("strategy", strategies), ("clearance", ts)):
+        repeated = [v for v, count in Counter(values).items() if count > 1]
+        if repeated:
+            raise ValidationError(f"mixing scan names the {name} {repeated[0]!r} twice")
     try:
         report = alpha_limit(family, obs_b, tol=alpha_tol)
     except ConvergenceError:
         report = None
+    placed = [
+        (t, strategy, *_placed(family, obs_a, obs_b, t, strategy, seed))
+        for strategy in strategies
+        for t in ts
+    ]
+    boundary_matrices(
+        family,
+        [region for _, _, joint, far in placed for region in (joint.region, obs_a.region, far.region)],
+        tail_tol,
+    )
     rows = []
-    for strategy in strategies:
-        for t in ts:
-            # one evaluation of psi(joint) and psi(a) serves both gaps
-            v_joint, v_a, far = _row(family, obs_a, obs_b, t, strategy, seed, tail_tol)
-            gap = abs(v_joint - v_a * limit_state_eval(family, far, tail_tol))
-            if report is not None and report.independent:
-                agap = abs(v_joint - v_a * report.value)
-            else:
-                agap = float("nan")
-            rows.append(ScanRow(t=t, strategy=strategy, mixing_gap=gap, alpha_mixing_gap=agap))
+    for t, strategy, joint, far in placed:
+        # one evaluation of psi(joint) and psi(a) serves both gaps
+        v_joint = limit_state_eval(family, joint, tail_tol)
+        v_a = limit_state_eval(family, obs_a, tail_tol)
+        gap = abs(v_joint - v_a * limit_state_eval(family, far, tail_tol))
+        if report is not None and report.independent:
+            agap = abs(v_joint - v_a * report.value)
+        else:
+            agap = float("nan")
+        rows.append(ScanRow(t=t, strategy=strategy, mixing_gap=gap, alpha_mixing_gap=agap))
     fractions = {}
     for strategy in strategies:
         gaps = [r.mixing_gap for r in rows if r.strategy == strategy]
@@ -405,8 +430,7 @@ def decaying_perturbation_family(
     while start <= SITE_CAP:
         stop = min(start + size, SITE_CAP + 1)
         radii = np.arange(start, stop)
-        sizes = np.array([lattice.shell_size(nu, r) for r in range(start, stop)], dtype=float)
-        chunk = sizes * deviation(vectors(start, stop))
+        chunk = lattice.shell_sizes(nu, start, stop) * deviation(vectors(start, stop))
         quiet = np.flatnonzero((radii > quiet_after) & (chunk < 1e-30))
         if quiet.size:
             masses.extend(chunk[: quiet[0] + 1].tolist())

@@ -569,6 +569,37 @@ class TestMixingScanCli:
         validate_against(payload, "report.mixing-scan.schema.json")
         assert payload["results"]["alpha_independent"] is True
 
+    @pytest.mark.parametrize(
+        "strategies, named", [("translate,translate", "translate"), ("random,translate,random", "random")]
+    )
+    def test_repeated_strategy_refused(self, capsys, strategies, named):
+        code, out, err = run_cli(
+            [
+                "mixing-scan",
+                "--model", str(MODELS / "perturbed_z2.json"),
+                "--observable", str(MODELS / "observable_near.json"),
+                "--observable-far", str(MODELS / "observable_far.json"),
+                "--format", "csv", "--tmax", "10", "--strategies", strategies,
+            ],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert f"mixing scan names the strategy '{named}' twice" in err
+
+    def test_later_unknown_strategy_fails_before_any_row(self, capsys):
+        code, out, err = run_cli(
+            [
+                "mixing-scan",
+                "--model", str(MODELS / "perturbed_z2.json"),
+                "--observable", str(MODELS / "observable_near.json"),
+                "--observable-far", str(MODELS / "observable_far.json"),
+                "--format", "csv", "--tmax", "10", "--strategies", "translate,sideways",
+            ],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert "unknown embedding strategy 'sideways'" in err
+
     def test_readme_scan_matches_golden_csv(self, tmp_path):
         # captured from the README command with the shell-by-shell walk,
         # after tests/test_mp_oracle.py put every gap within its certified

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from schurstates.kernel import (
     SHELL_BLOCK,
     FiberFamily,
     SchurKernelMap,
+    _kernel_stack,
     certify_cp,
     choi_matrix,
     kernel_gram_matrix,
@@ -368,6 +370,26 @@ class TestChoi:
                 w[p * 2 + i] = np.conj(v[i, p])
         np.testing.assert_allclose(choi_matrix(fam, "a"), np.outer(w, w.conj()), atol=1e-13)
 
+    @pytest.mark.parametrize("d, d_I", [(1, 3), (3, 2), (5, 5), (10, 3), (17, 2), (32, 32)])
+    def test_choi_chunks_match_the_whole_unit_stack(self, d, d_I):
+        # the kernel on all d² matrix units at once, as one stack; d = 10
+        # takes rows in uneven chunks, 17 and 32 one row at a time
+        fam = make_family(7 * d + d_I, ["a"], d, d_I)
+        k = _kernel_stack(fam.vectors("a"), np.eye(d * d).reshape(d, d, d, d))
+        whole = k.transpose(0, 3, 1, 2).reshape(d * d_I, d * d_I)
+        assert np.array_equal(choi_matrix(fam, "a"), whole)
+
+    def test_choi_memory_stays_near_the_result(self):
+        fam = make_family(41, ["a"], 32, 32)
+        fam.vectors("a")
+        tracemalloc.start()
+        try:
+            c = choi_matrix(fam, "a")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * c.nbytes, (peak, c.nbytes)
+
 
 class TestKernelGram:
     def test_single_identity_reduces_to_gram(self, rng):
@@ -460,7 +482,7 @@ class TestGramTupleChecks:
         return make_family(67, ["a", "b"], 2, 2)
 
     def test_duplicate_sites_rejected(self):
-        with pytest.raises(ValidationError, match=r"^product_kernel_matrix: duplicate sites$"):
+        with pytest.raises(ValidationError, match=r"^product_kernel_gram_matrix: duplicate sites$"):
             product_kernel_gram_matrix(self.fam(), ["a", "a"], [(np.eye(2), np.eye(2))])
 
     def test_tuple_of_the_wrong_length(self):
@@ -477,8 +499,20 @@ class TestGramTupleChecks:
 
     def test_overflowing_product(self):
         tuples = [(np.full((2, 2), 1e200), np.eye(2)), (np.eye(2), np.eye(2))]
+        message = (
+            r"^observable tuples \(0, 0\): the product of their factors at site 'a' "
+            r"has non-finite entries$"
+        )
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValidationError, match=r"^observable: non-finite entries$"):
+            with pytest.raises(ValidationError, match=message):
+                product_kernel_gram_matrix(self.fam(), ["a", "b"], tuples)
+
+    def test_overflowing_product_names_the_first_pair(self):
+        tuples = [(np.eye(2), np.eye(2)) for _ in range(3)]
+        tuples[2] = (np.eye(2), np.full((2, 2), 1e200))
+        message = r"^observable tuples \(2, 2\): the product of their factors at site 'b' "
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=message):
                 product_kernel_gram_matrix(self.fam(), ["a", "b"], tuples)
 
     @pytest.mark.parametrize(

@@ -10,10 +10,13 @@ from schurstates.errors import (
     PreconditionError,
     ValidationError,
 )
-from schurstates import lattice
+from schurstates import lattice, limit
 from schurstates.lattice import Sites, Zd
 from schurstates.kernel import SHELL_BLOCK, FiberFamily, IdentityTail, OnesTail, transfer_matrix
 from schurstates.limit import (
+    SITE_CAP,
+    _boundary_walk,
+    boundary_matrices,
     boundary_matrix,
     build_from_generators,
     check_projectivity,
@@ -821,3 +824,140 @@ class TestTableWalk:
         monkeypatch.setattr(FiberFamily, "gram", lambda f, s: asked.append(s) or gram(f, s))
         boundary_matrix(fam, ((0, 0), missing[0]), tail_tol=0.0)
         assert asked == [] and fam._by_site == {}
+
+
+STACKED_FAMILIES = {
+    **{
+        f"radial-nu{nu}-{'normalized' if normalize else 'raw'}": (
+            lambda nu=nu, normalize=normalize: decaying_perturbation_family(
+                nu=nu, normalize=normalize, **({"decay": 0.2} if nu == 3 else {})
+            )
+        )
+        for nu in (1, 2, 3)
+        for normalize in (False, True)
+    },
+    **{
+        f"table-nu{nu}": (
+            lambda nu=nu, radius=radius: build_from_generators(
+                decaying_generator_spec(seed=5, radius=radius, d=2, nu=nu)
+            )
+        )
+        for nu, radius in ((1, 70), (2, 12), (3, 6))
+    },
+}
+
+
+class TestStackedWalk:
+    """``boundary_matrices`` walks a list of regions side by side; each
+    result must be the one-region walk's, bit for bit."""
+
+    @staticmethod
+    def regions(nu):
+        origin = (0,) * nu
+
+        def at(r, sign=1):
+            return (sign * r,) + origin[1:]
+
+        one_shell = (at(2), at(2, -1)) + (((0, 2) + origin[2:],) if nu > 1 else ())
+        return [
+            (),
+            (origin,),
+            (origin,),  # repeated
+            (at(1), origin),
+            (origin, at(1)),  # the same sites in another order
+            one_shell,  # several sites of one shell
+            (at(SHELL_BLOCK + 1),),  # block 1
+            (at(1), at(SHELL_BLOCK - 1), at(SHELL_BLOCK), at(3 * SHELL_BLOCK + 5)),
+        ]
+
+    @staticmethod
+    def recording(monkeypatch):
+        """The region lists every stacked walk is handed, from here on."""
+        calls, walk = [], limit._walk
+
+        def recorded(family, regions, *args):
+            calls.append(list(regions))
+            return walk(family, regions, *args)
+
+        monkeypatch.setattr(limit, "_walk", recorded)
+        return calls
+
+    @staticmethod
+    def same(got, want):
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert (got.tail_bound, got.sites_consumed, got.rigorous) == (
+            want.tail_bound, want.sites_consumed, want.rigorous,
+        )
+
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-14])
+    @pytest.mark.parametrize("name", list(STACKED_FAMILIES))
+    def test_matches_one_region_walks(self, name, tail_tol, monkeypatch):
+        fam = STACKED_FAMILIES[name]()
+        regions = self.regions(fam.geometry.nu)
+        calls = self.recording(monkeypatch)
+        got = boundary_matrices(fam, regions, tail_tol=tail_tol)
+        # one walk, of each distinct site set once, in list order
+        distinct = list(dict.fromkeys(frozenset(r) for r in regions))
+        assert [[frozenset(r) for r in call] for call in calls] == [distinct]
+        for region, result in zip(regions, got):
+            assert result.region == region
+            self.same(result, _boundary_walk(fam, region, None, tail_tol, SITE_CAP))
+            # every result is cached: asking again walks nothing
+            assert boundary_matrix(fam, region, tail_tol=tail_tol).matrix is result.matrix
+            assert not result.matrix.flags.writeable
+        calls.clear()
+        again = boundary_matrices(fam, regions[::-1], tail_tol=tail_tol)
+        assert calls == []
+        for region, result in zip(regions[::-1], again):
+            self.same(result, got[regions.index(region)])
+
+    @pytest.mark.parametrize("name", list(STACKED_FAMILIES))
+    def test_agrees_with_site_walk(self, name):
+        fam = STACKED_FAMILIES[name]()
+        nu = fam.geometry.nu
+        regions = list(dict.fromkeys(self.regions(nu)))
+        for region, got in zip(regions, boundary_matrices(fam, regions, tail_tol=1e-14)):
+            oracle = boundary_matrix(fam, region, exhaustion=Zd(nu), tail_tol=1e-14)
+            gap = float(np.max(np.abs(got.matrix - oracle.matrix)))
+            assert gap <= got.tail_bound + oracle.tail_bound + 1e-13, (region, gap)
+            assert got.rigorous and oracle.rigorous
+
+    @pytest.mark.parametrize("name", list(STACKED_FAMILIES))
+    def test_cap_raises_the_first_failing_region_alone(self, name):
+        fam = STACKED_FAMILIES[name]()
+        regions = self.regions(fam.geometry.nu)
+        need = {r: _boundary_walk(fam, r, None, 1e-14, SITE_CAP).sites_consumed for r in regions}
+        # the regions holding most sites inside the walked ball settle
+        # within the cap, first in the list; every other one crosses it
+        cap = min(need.values())
+        regions.sort(key=need.get)
+        assert need[regions[0]] == cap < need[regions[-1]]
+        errors = []
+        for region in regions:
+            try:
+                _boundary_walk(fam, region, None, 1e-14, cap)
+            except ConvergenceError as exc:
+                errors.append(exc)
+        assert len(errors) == sum(need[r] > cap for r in regions)
+        fresh = STACKED_FAMILIES[name]()
+        with pytest.raises(ConvergenceError) as stacked:
+            boundary_matrices(fresh, regions, tail_tol=1e-14, site_cap=cap)
+        first = errors[0]
+        assert str(stacked.value) == str(first)
+        assert stacked.value.last_partial.tobytes() == first.last_partial.tobytes()
+        assert stacked.value.tail_estimate == first.tail_estimate
+        # the regions within the cap are cached all the same
+        cached = {key[0] for key in fresh._boundary_cache}
+        assert cached == {frozenset(r) for r in regions if need[r] <= cap}
+
+    @pytest.mark.parametrize("name", [n for n in STACKED_FAMILIES if n.startswith("radial")])
+    def test_a_step_past_the_cap_builds_nothing(self, name):
+        # the cap admits exactly the sites of block 0 outside the regions,
+        # so the walk fails at block 1 without building its shells
+        fam = STACKED_FAMILIES[name]()
+        nu = fam.geometry.nu
+        cap = int(lattice.shell_sizes(nu, 0, SHELL_BLOCK).sum()) - 1
+        regions = [((0,) * nu,), ((0,) * nu,) + ((SHELL_BLOCK,) + (0,) * (nu - 1),)]
+        with pytest.raises(ConvergenceError):
+            boundary_matrices(fam, regions, tail_tol=0.0, site_cap=cap)
+        assert sorted(fam._blocks) == sorted(fam._powers) == [0]

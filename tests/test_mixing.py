@@ -267,6 +267,42 @@ class TestMixingScan:
         assert min(gaps) >= 0.9 * max(gaps)
         assert min(gaps) > 0.1
 
+    @pytest.mark.parametrize(
+        "strategies, t_list, message",
+        [
+            (("translate", "translate"), (5, 10), "strategy 'translate' twice"),
+            (("random", "translate", "random"), (5,), "strategy 'random' twice"),
+            (("translate",), (5, 10, 5), "clearance 5 twice"),
+        ],
+    )
+    def test_repeated_strategy_or_clearance_refused(self, eps_family, obs_pair, strategies, t_list, message):
+        a, b = obs_pair
+        with pytest.raises(ValidationError, match=message):
+            mixing_scan(eps_family, a, b, t_list=t_list, strategies=strategies)
+
+    def test_rows_match_one_region_evaluations(self, obs_pair):
+        # the scan walks every region in one stacked call; a family that
+        # walks them one by one must give the same gaps, bit for bit
+        a, b = obs_pair
+        result = mixing_scan(
+            decaying_perturbation_family(), a, b, t_list=(5, 10, 20), strategies=("translate", "random"), seed=3
+        )
+        fresh = decaying_perturbation_family()
+        report = alpha_limit(fresh, b)
+        for row in result.rows:
+            assert row.mixing_gap == mixing_gap(fresh, a, b, row.t, row.strategy, seed=3)
+            assert row.alpha_mixing_gap == alpha_mixing_gap(
+                fresh, a, b, row.t, row.strategy, seed=3, alpha_report=report
+            )
+
+    def test_later_row_geometry_fails_before_any_walk(self, obs_pair):
+        # the near region fits the ball at t = 5 but not at t = 2
+        fam = decaying_perturbation_family()
+        a = LocalObservable(((3, 0),), obs_pair[0].factors)
+        with pytest.raises(GeometryError, match="not inside the ball of radius 1"):
+            mixing_scan(fam, a, obs_pair[1], t_list=(5, 2))
+        assert fam._boundary_cache == {}
+
 
 class TestPerturbationFamilyCaches:
     """A fresh family with empty caches and the same provider and radial

@@ -97,3 +97,23 @@ def test_lattice_walks_read_shells_through_shell(monkeypatch):
     result = boundary_matrix(family, ())
     assert [(2, r) for r in range(-1, 4)] == calls
     assert result.sites_consumed == ball_size(2, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        decaying_perturbation_family,
+        lambda: build_from_generators(decaying_generator_spec(seed=1, radius=3, d=2, nu=2)),
+    ],
+    ids=["perturbed", "generators"],
+)
+def test_boundary_walk_takes_one_region(build):
+    # the tracer counts limit.walks at ``_boundary_walk`` and reads
+    # ``sites_consumed`` from what it returns
+    from schurstates import limit
+
+    params = list(inspect.signature(limit._boundary_walk).parameters)
+    assert params == ["family", "region", "exhaustion", "tail_tol", "site_cap"]
+    result = limit._boundary_walk(build(), ((0, 0),), None, 1e-12, limit.SITE_CAP)
+    assert isinstance(result, limit.BoundaryMatrix)
+    assert isinstance(result.sites_consumed, int) and result.sites_consumed > 0
