@@ -24,14 +24,18 @@ keeps it read-only beside its Gram matrix, so a provider that returns one
 shared array for the whole lattice pays for one check, not one per site;
 a model that tabulates many sites hands the whole table over
 (``preload``) to be checked and squared in one stacked pass, and kept as
-one stack in walk order; given the one array every site off the table
-carries (``elsewhere``), a boundary walk takes the table's Gram matrices
-a block of shells at a time.  A radial family, whose vectors depend on a
-site only through its 1-norm, has no per-site provider: it hands out
-``SHELL_BLOCK`` consecutive shells at a time as one stack, checked and
-squared in one pass, so a boundary walk takes a whole block of shell
-Gram matrices without visiting the shells' sites, and each shell's
-power to its full size from a stack the family keeps per block.
+one stack in walk order.  An explicit family (``FiberFamily.explicit``,
+every random family and every explicit model file) is such a table of
+all its sites, in their given order, so its provider is never asked and
+a faulty vector is refused when the family is made.  Given the one array
+every site off the table carries (``elsewhere``), a boundary walk takes
+the table's Gram matrices a block of shells at a time.  A radial family,
+whose vectors depend on a site only through its 1-norm, has no per-site
+provider: it hands out ``SHELL_BLOCK`` consecutive shells at a time as
+one stack, checked and squared in one pass, so a boundary walk takes a
+whole block of shell Gram matrices without visiting the shells' sites,
+and each shell's power to its full size from a stack the family keeps
+per block.
 
 Index layout, fixed once for the whole package:
 
@@ -201,6 +205,13 @@ class ConstantTail:
 # ---------------------------------------------------------------------------
 
 
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every vector (last axis) of a complex stack:
+    ``np.linalg.norm(stack, axis=-1)`` bit for bit, its own formula
+    without its wrapper."""
+    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=-1))
+
+
 class Table(NamedTuple):
     """A family's preloaded sites: site ``s`` is row ``rows[s]`` of the
     read-only ``vectors`` (N, d_I, d) and ``grams`` (N, d_I, d_I) stacks.
@@ -230,7 +241,8 @@ class FiberFamily:
 
     Table contract: ``preload`` hands over the vectors of a whole table
     of sites at once, validated and squared in one stacked pass and kept
-    as one stack (``table``).  A family may instead of a provider be
+    as one stack (``table``); ``explicit`` preloads every site of its
+    list.  A family may instead of a provider be
     given ``elsewhere``, the (d_I, d) array of every site off its table;
     on a lattice a canonical boundary walk then takes the table's Gram
     matrices a block of shells at a time, without visiting sites.
@@ -321,9 +333,11 @@ class FiberFamily:
         """Validate a stack of (d_I, d) vector arrays, shape (n, d_I, d) or,
         for one array, (d_I, d), with ``where(k)`` naming array k, and
         square it into its Gram matrices; both are left read-only."""
-        norms = np.linalg.norm(stack, axis=-1)
-        if not (np.isfinite(stack).all() and (norms > ZERO_VECTOR_TOL).all()):
-            norms = norms.reshape(-1, self.d_I)
+        if not (np.isfinite(stack).all() and (_norms(stack) > ZERO_VECTOR_TOL).all()):
+            # name the first faulty array; a non-finite one has no norm
+            # worth a floating-point warning
+            with np.errstate(invalid="ignore", over="ignore"):
+                norms = _norms(stack).reshape(-1, self.d_I)
             finite = np.isfinite(stack.reshape(len(norms), -1)).all(axis=1)
             k = int(np.argmin(finite & (norms > ZERO_VECTOR_TOL).all(axis=1)))
             if not finite[k]:
@@ -432,21 +446,25 @@ class FiberFamily:
 
     @classmethod
     def explicit(cls, vectors_by_site: dict, label: str = "") -> "FiberFamily":
-        """Finite family from a site -> (d_I, d) array mapping."""
+        """Finite family from a site -> (d_I, d) array mapping, its sites in
+        the mapping's order.  Every array goes into one table (``preload``),
+        so a zero or non-finite vector is refused here, named by its site."""
         if not vectors_by_site:
             raise ValidationError("explicit family needs at least one site")
-        sites = tuple(vectors_by_site)
-        arrays = {s: np.asarray(a, dtype=np.complex128) for s, a in vectors_by_site.items()}
-        first = arrays[sites[0]]
-        if first.ndim != 2:
+        arrays = [np.asarray(a, dtype=np.complex128) for a in vectors_by_site.values()]
+        if arrays[0].ndim != 2:
             raise DimensionError("per-site vectors must form a 2-D array")
-        d_I, d = first.shape
-        for s, a in arrays.items():
+        d_I, d = arrays[0].shape
+        for s, a in zip(vectors_by_site, arrays):
             if a.shape != (d_I, d):
                 raise DimensionError(
                     f"site {s!r}: vector block shape {a.shape} != {(d_I, d)}"
                 )
-        return cls(d, d_I, lambda s: arrays[s], lattice.Sites(sites), label=label)
+        sites = lattice.Sites(tuple(vectors_by_site))
+        # every site is on the table, so the provider is never asked
+        family = cls(d, d_I, vectors_by_site.__getitem__, sites, label=label)
+        family.preload(sites.sites, arrays)
+        return family
 
     @classmethod
     def homogeneous(cls, vectors, geometry, label: str = "") -> "FiberFamily":
@@ -458,7 +476,7 @@ class FiberFamily:
         d_I, d = v.shape
         tail = None
         if not geometry.finite:
-            norms = np.linalg.norm(v, axis=1, keepdims=True)
+            norms = _norms(v)[:, None]
             if not (np.isfinite(v).all() and (norms > ZERO_VECTOR_TOL).all()):
                 raise ValidationError("homogeneous vectors must be finite and non-zero")
             tail = ConstantTail(vectors=v)

@@ -298,7 +298,9 @@ def _walk(
 
     # a finite walk is exact only if it covered every site outside the region
     for i, j in enumerate(live):
-        exact = family.geometry.finite and consumed[i] == len(family.geometry.site_set - skips[j])
+        exact = family.geometry.finite and (
+            int(consumed[i]) == len(family.geometry.site_set - skips[j])
+        )
         results[j] = BoundaryMatrix(regions[j], p[i], 0.0 if exact else math.inf, int(consumed[i]), exact)
     return results
 

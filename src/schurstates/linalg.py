@@ -32,7 +32,7 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name}: non-finite entries")
     return m
 
@@ -50,12 +50,6 @@ def hadamard(a, b) -> np.ndarray:
             f"hadamard: shape mismatch {am.shape} vs {bm.shape}"
         )
     return am * bm
-
-
-def hermitian_defect(a) -> float:
-    """Largest entrywise deviation of ``a`` from its conjugate transpose."""
-    m = as_cmatrix(a)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -82,12 +76,12 @@ def psd_report(a, tol: float = PSD_TOL) -> PsdReport:
     if m.size == 0:
         return PsdReport(True, True, 0.0, 0.0, 0.0)
     mh = m.conj().T
-    defect = float(np.max(np.abs(m - mh)))
-    entry_scale = max(1.0, float(np.max(np.abs(m))))
-    hermitian = defect <= tol * entry_scale
+    defect = float(abs(m - mh).max())
+    hermitian = defect <= tol * max(1.0, float(abs(m).max()))
     eigs = np.linalg.eigvalsh(0.5 * (m + mh))
+    # ascending, so the largest magnitude sits at one end
     min_eig = float(eigs[0])
-    max_abs = float(np.max(np.abs(eigs)))
+    max_abs = max(0.0, -min_eig, float(eigs[-1]))
     positive = min_eig >= -tol * max(1.0, max_abs)
     return PsdReport(hermitian and positive, hermitian, min_eig, max_abs, defect)
 
@@ -97,11 +91,12 @@ def require_hermitian(a, tol: float = PSD_TOL, name: str = "matrix") -> np.ndarr
     m = as_cmatrix(a, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name}: must be square, got {m.shape}")
-    defect = hermitian_defect(m)
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    if defect > tol * scale:
-        raise DomainError(f"{name}: not Hermitian (defect {defect:.3e})")
-    return 0.5 * (m + m.conj().T)
+    mh = m.conj().T
+    if m.size:
+        defect = float(abs(m - mh).max())
+        if defect > tol * max(1.0, float(abs(m).max())):
+            raise DomainError(f"{name}: not Hermitian (defect {defect:.3e})")
+    return 0.5 * (m + mh)
 
 
 def hermitian_function(
@@ -119,15 +114,16 @@ def hermitian_function(
     """
     h = require_hermitian(a, tol, "hermitian_function input")
     w, v = np.linalg.eigh(h)
-    if eig_floor is not None:
-        lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-        if w.size and float(w[0]) <= eig_floor * lam_max:
+    if eig_floor is not None and w.size:
+        # ascending, so the largest magnitude sits at one end
+        lam_max = max(0.0, -float(w[0]), float(w[-1]))
+        if float(w[0]) <= eig_floor * lam_max:
             raise DomainError(
                 f"hermitian_function: eigenvalue {w[0]:.3e} at or below "
                 f"floor {eig_floor * lam_max:.3e}"
             )
     fw = np.asarray(f(w), dtype=np.float64)
-    if not np.all(np.isfinite(fw)):
+    if not np.isfinite(fw).all():
         raise DomainError("hermitian_function: f produced non-finite values")
     out = (v * fw) @ v.conj().T
     # result of a real spectral function is Hermitian; symmetrize roundoff

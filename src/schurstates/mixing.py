@@ -422,12 +422,13 @@ def decaying_perturbation_family(
     # stack of radii at a time, to the first shell past radius 3 and the
     # near zone whose mass is below 1e-30; ``beyond`` bounds all later
     # shells.  A profile not that quiet by radius SITE_CAP, which no
-    # capped walk passes, gets no certificate.
+    # capped walk passes, gets no certificate; one whose near zone
+    # reaches that radius is not tabulated at all.
     quiet_after = max(3, near_radius) if near_amplitude is not None else 3
     masses = []
     beyond = math.inf
     start, size = 0, 256
-    while start <= SITE_CAP:
+    while start <= SITE_CAP and quiet_after < SITE_CAP:
         stop = min(start + size, SITE_CAP + 1)
         radii = np.arange(start, stop)
         chunk = lattice.shell_sizes(nu, start, stop) * deviation(vectors(start, stop))

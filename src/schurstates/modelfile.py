@@ -245,7 +245,8 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             missing = [s for s in geometry.sites if s not in by_site]
             if missing:
                 errors.append(f"model.vectors.by_site: no vectors for sites {missing!r}")
-        build = functools.partial(FiberFamily, d, d_I, by_site.__getitem__, geometry)
+        # one table in the declared site order
+        build = lambda: FiberFamily.explicit({s: by_site[s] for s in geometry.sites})
 
     elif mode == "homogeneous":
         ref = decode_matrix(
@@ -454,11 +455,17 @@ def _read_json(path, what: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{what} file {path} is not UTF-8 text: byte {exc.start}: {exc.reason}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{what} file {path} is not valid JSON: line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{what} file {path} nests too deeply to parse") from exc
 
 
 def load_model(path) -> ModelSpec:

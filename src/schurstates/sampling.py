@@ -18,17 +18,35 @@ def rng_from_seed(*keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(keys))))
 
 
+#: The scale of the real and of the imaginary part; numpy divides a
+#: complex array by sqrt(2) by multiplying with this same reciprocal, so
+#: the bits are those of (re + 1j * im) / np.sqrt(2).
+_PART_SCALE = 1 / np.sqrt(2)
+
+
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussian entries (unit total variance)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    """Standard complex Gaussian entries (unit total variance): the real
+    parts are one ``standard_normal`` draw of ``shape``, the imaginary
+    parts the next."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= _PART_SCALE
+    return z
+
+
+def _fixed_phases(z: np.ndarray) -> np.ndarray:
+    """Q of the QR decomposition of each (n, n) matrix of a stack, its
+    columns times the phases of R's diagonal."""
+    q, r = np.linalg.qr(z)
+    phases = r.diagonal(axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish unitary from the QR decomposition with fixed phases."""
-    q, r = np.linalg.qr(complex_gaussian(rng, (n, n)))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _fixed_phases(complex_gaussian(rng, (n, n)))
 
 
 def random_positive_definite(
@@ -68,11 +86,14 @@ def decaying_generator_spec(seed: int, radius: int = 6, d: int = 2, nu: int = 1)
     rng = rng_from_seed(seed, 100)
     sites = [site for r in range(radius + 1) for site in lattice.shell(nu, r)]
     diag = np.empty((len(sites), d))
-    u = np.empty((len(sites), d, d), dtype=np.complex128)
-    w = np.empty_like(u)
+    # site k draws its diagonal, then the matrices behind U and W; their
+    # unitaries come from one stacked QR, bit for bit those of
+    # ``random_unitary`` drawn in the same order
+    z = np.empty((2, len(sites), d, d), dtype=np.complex128)
     for k, site in enumerate(sites):
         raw = rng.standard_normal(d)
-        diag[k] = raw * (2.0 ** (-lattice.norm1(site)) / np.sum(np.abs(raw)))
-        u[k] = random_unitary(rng, d)
-        w[k] = random_unitary(rng, d)
+        diag[k] = raw * (2.0 ** (-lattice.norm1(site)) / abs(raw).sum())
+        z[0, k] = complex_gaussian(rng, (d, d))
+        z[1, k] = complex_gaussian(rng, (d, d))
+    u, w = _fixed_phases(z)
     return GeneratorSpec(sites, diag, u, w, tail_radius=radius, nu=nu, d=d)

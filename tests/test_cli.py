@@ -123,6 +123,31 @@ class TestEval:
         assert f"model.vectors.{field}:" in err
 
 
+class TestUnreadableFiles:
+    """A file that is not UTF-8, or nests deeper than the parser's
+    recursion limit, is a validation error naming the file."""
+
+    CONTENTS = {
+        "not-utf8": (b'{"lattice": "\xff"}', "is not UTF-8 text: byte 13: invalid start byte"),
+        "nested": (b"[" * 100_000 + b"]" * 100_000, "nests too deeply to parse"),
+    }
+
+    @pytest.mark.parametrize("kind", ["model", "observable"])
+    @pytest.mark.parametrize("content", sorted(CONTENTS))
+    def test_exits_1_naming_the_file(self, tmp_path, capsys, kind, content):
+        raw, message = self.CONTENTS[content]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        files = {"model": str(MODELS / "perturbed_z2.json"),
+                 "observable": str(MODELS / "observable_near.json")}
+        files[kind] = str(bad)
+        code, out, err = run_cli(
+            ["limit", "--model", files["model"], "--observable", files["observable"]], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"validation error: {kind} file {bad} {message}\n"
+
+
 class TestSiteListModels:
     """Explicit vectors and ``--region`` read the declared site list."""
 
@@ -168,6 +193,23 @@ class TestSiteListModels:
         assert (code, out) == (1, "")
         assert err.startswith("validation error: model validation failed:")
         assert f"model.vectors.{message}" in err
+
+    def test_limit_on_a_site_list_is_exact(self, tmp_path, obs_a, capsys):
+        # the walk covers every site outside the region: bound 0, rigorous
+        model = self.explicit_model(tmp_path, ["a", "b", "c"], ["c", "a", "b"])
+        code, out, err = run_cli(
+            ["limit", "--model", model, "--observable", obs_a, "--region", "a;b",
+             "--check-projectivity"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        validate_against(payload, "report.limit.schema.json")
+        results = payload["results"]
+        assert (results["rigorous"], results["tail_bound"], results["sites_consumed"]) == (
+            True, 0.0, 2
+        )
+        assert results["projectivity"]["pass"] is True
 
     @pytest.fixture
     def int_site_model(self, tmp_path):

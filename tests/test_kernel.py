@@ -11,6 +11,7 @@ from schurstates.kernel import (
     FiberFamily,
     SchurKernelMap,
     _kernel_stack,
+    _norms,
     certify_cp,
     choi_matrix,
     kernel_gram_matrix,
@@ -162,6 +163,70 @@ class TestPreload:
         assert big.table.radii[0] == 1 and big.table.radii[1] >= 2**62 - 1
         with pytest.raises(ValidationError, match=r"^site \(0\.5, 0\.0\) is not a 2-tuple of ints$"):
             FiberFamily(2, 2, lambda s: np.eye(2), Zd(2)).preload(np.array([[0.5, 0.0]]), stack[:1])
+
+
+class TestExplicitTable:
+    """An explicit family is one preloaded table, validated and squared in
+    one stacked pass; the per-site formulas it replaces are the oracle."""
+
+    @pytest.mark.parametrize("d, d_I", [(1, 1), (2, 3), (3, 2), (4, 4)])
+    def test_grams_match_per_site_products(self, d, d_I):
+        rng = rng_from_seed(71, d, d_I)
+        vecs = {s: complex_gaussian(rng, (d_I, d)) for s in ("a", 1, "c", 7)}
+        fam = FiberFamily.explicit(vecs)
+        assert fam.geometry.sites == ("a", 1, "c", 7)
+        assert list(fam.table.rows) == ["a", 1, "c", 7]
+        for s, v in vecs.items():
+            assert np.array_equal(fam.vectors(s), v)
+            assert np.array_equal(fam.gram(s), v @ v.conj().T)
+
+    def test_provider_is_never_asked(self, monkeypatch):
+        # count provider calls the way the benchmark tracer does, at the
+        # constructor's ``provider`` argument
+        asked = []
+        init = FiberFamily.__init__
+
+        def counting(self, d, d_I, provider, *args, **kwargs):
+            init(self, d, d_I, lambda s: asked.append(s) or provider(s), *args, **kwargs)
+
+        monkeypatch.setattr(FiberFamily, "__init__", counting)
+        fam = FiberFamily.explicit({"a": np.eye(2), "b": np.ones((2, 2))})
+        for s in ("a", "b", "a"):
+            fam.vectors(s), fam.gram(s)
+        assert asked == []
+        assert np.shares_memory(fam.gram("b"), fam.table.grams)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (0.0, "zero fiber vector at index 1"),
+            (np.nan, "non-finite vector entries"),
+            (np.inf, "non-finite vector entries"),
+        ],
+    )
+    def test_faulty_vector_refused_at_construction(self, entry, message):
+        good = np.eye(2, dtype=complex)
+        faulty = good.copy()
+        faulty[1] = entry
+        # the message a provider gives for the same array at its first use
+        provided = FiberFamily(2, 2, {"a": good, "b": faulty}.__getitem__, Sites(("a", "b")))
+        provided.gram("a")
+        with pytest.raises(ValidationError) as by_provider:
+            provided.gram("b")
+        with pytest.raises(ValidationError) as by_table:
+            FiberFamily.explicit({"a": good, "b": faulty})
+        assert str(by_table.value) == str(by_provider.value) == f"site 'b': {message}"
+
+    def test_norms_are_numpys_bit_for_bit(self):
+        rng = rng_from_seed(72)
+        for shape in [(3,), (2, 5), (4, 3, 2), (2, 2, 2, 7)]:
+            for scale in (1e-200, 1e-8, 1.0, 1e150, 1e200):
+                stack = scale * complex_gaussian(rng, shape)
+                with np.errstate(over="ignore"):  # past 1e154 both overflow alike
+                    assert np.array_equal(
+                        _norms(stack).view(np.uint64),
+                        np.linalg.norm(stack, axis=-1).view(np.uint64),
+                    )
 
 
 class TestRadialFamily:

@@ -10,6 +10,7 @@ from schurstates.linalg import (
     matrix_exp,
     matrix_log,
     psd_report,
+    require_hermitian,
 )
 from schurstates.sampling import complex_gaussian, rng_from_seed
 
@@ -77,6 +78,38 @@ class TestPsd:
     def test_non_square(self):
         with pytest.raises(DimensionError):
             psd_report(np.ones((2, 3)))
+
+    def test_verdict_figures_are_the_whole_array_reductions(self):
+        # defect and the largest eigenvalue magnitude, read off the ends of
+        # the ascending spectrum, equal the reductions over every entry
+        rng = rng_from_seed(19)
+        cases = [np.zeros((3, 3)), -np.eye(2), np.diag([-3.0, 1.0, 2.0])]
+        for n in (1, 2, 4, 6):
+            m = complex_gaussian(rng, (n, n))
+            cases += [m, m @ m.conj().T, -(m @ m.conj().T), m + m.conj().T]
+        for m in cases:
+            rep = psd_report(m)
+            eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+            want = float(np.max(np.abs(eigs)))
+            assert np.float64(rep.max_abs_eigenvalue).view(np.uint64) == np.float64(want).view(np.uint64)
+            assert rep.hermitian_defect == float(np.max(np.abs(m - m.conj().T)))
+            assert rep.min_eigenvalue == float(eigs[0])
+
+
+class TestRequireHermitian:
+    def test_returns_the_symmetrized_matrix(self, rng):
+        m = gram_psd_matrix(rng, 3)
+        m[0, 1] += 1e-13
+        np.testing.assert_array_equal(require_hermitian(m), 0.5 * (m + m.conj().T))
+
+    def test_defect_is_relative_to_the_largest_entry(self):
+        m = np.array([[1e6, 1e-5], [0.0, 1.0]])
+        require_hermitian(m)  # defect 1e-5 <= 1e-10 * 1e6
+        with pytest.raises(DomainError, match=r"^m: not Hermitian \(defect 1\.000e-03\)$"):
+            require_hermitian(np.array([[1e6, 1e-3], [0.0, 1.0]]), name="m")
+
+    def test_empty_matrix_passes(self):
+        assert require_hermitian(np.zeros((0, 0))).shape == (0, 0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from schurstates import lattice
+from schurstates import lattice, mixing
 from schurstates.errors import (
     ConvergenceError,
     GeometryError,
@@ -14,7 +14,7 @@ from schurstates.errors import (
     ValidationError,
 )
 from schurstates.kernel import SHELL_BLOCK, FiberFamily, tail_remaining
-from schurstates.limit import boundary_matrix
+from schurstates.limit import SITE_CAP, boundary_matrix
 from schurstates.mixing import (
     alpha_limit,
     alpha_mixing_gap,
@@ -457,6 +457,25 @@ class TestTailTable:
             assert got >= want
             if got > 1e-26:
                 assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("near_radius", [SITE_CAP, 10**9])
+    def test_near_zone_past_the_cap_takes_no_table(self, monkeypatch, near_radius):
+        # no shell within the cap can be quiet, so the certificate is inf
+        # from the start and no mass is tabulated
+        tables = []
+
+        def recording(masses, beyond=0.0):
+            tables.append((list(masses), beyond))
+            return tail_remaining(masses, beyond)
+
+        monkeypatch.setattr(mixing, "tail_remaining", recording)
+        fam = decaying_perturbation_family(near_radius=near_radius, normalize=False)
+        assert tables == [([], math.inf)]
+        assert fam.tail.remaining(np.array([-1, 0, SITE_CAP])).tolist() == [math.inf] * 3
+        # so the normalization walk stops at the site cap
+        with pytest.raises(ConvergenceError, match=f"within {SITE_CAP} sites"):
+            decaying_perturbation_family(near_radius=near_radius)
+        assert tables[1:] == [([], math.inf)]
 
     def test_quiet_near_zone_is_certified_past_it(self):
         # all-ones shells out to radius 10 must not end the mass table:

@@ -223,8 +223,27 @@ class TestLoadModel:
         spec = load_model(write(tmp_path, "e.json", data))
         assert spec.family().geometry == spec.geometry
         assert spec.family().geometry.sites == ("a", "b", "c")
+        # one table, in the declared order
+        assert list(spec.family().table.rows) == ["a", "b", "c"]
         for s, block in blocks.items():
             np.testing.assert_array_equal(spec.family().vectors(s), block)
+
+    def test_non_finite_explicit_vector_refused_at_build(self, tmp_path):
+        data = {
+            "lattice": {"kind": "sites", "sites": ["a", "b"]},
+            "fiber_dim": 2,
+            "index_size": 1,
+            "vectors": {
+                "mode": "explicit",
+                "by_site": [
+                    {"site": "a", "vectors": encode_matrix([[1.0, 0.0]])},
+                    {"site": "b", "vectors": [[[float("nan"), 0.0], [1.0, 0.0]]]},
+                ],
+            },
+        }
+        spec = load_model(write(tmp_path, "e.json", data))
+        with pytest.raises(ValidationError, match="^site 'b': non-finite vector entries$"):
+            spec.family()
 
 
     def test_undecodable_explicit_site_reported_once(self, tmp_path):
