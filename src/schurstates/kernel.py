@@ -13,7 +13,10 @@ matrix by ``linalg.psd_report``, Gram matrices over observable tuples by
 entrywise (Schur) products: ``product_kernel_matrix`` with one
 observable factor per site, and ``transfer_matrix``, the product of
 plain overlaps (kernels at the identity) over a region minus a
-subregion.  Every other module builds its site products from these two.
+subregion.  Both are the one running product ``schur_product`` seeded
+with ones; every other module builds its site products from these, and
+a caller that keeps a region's site kernels extends their product with
+``schur_product`` bit for bit.
 A site's kernel is evaluated on a whole stack of observables at once
 (``_kernel_stack``): the Choi matrix on the stack of the d² matrix
 units, a tuple Gram matrix on the stack of all n² products of one
@@ -35,7 +38,9 @@ provider: it hands out ``SHELL_BLOCK`` consecutive shells at a time as
 one stack, checked and squared in one pass, so a boundary walk takes a
 whole block of shell Gram matrices without visiting the shells' sites,
 and each shell's power to its full size from a stack the family keeps
-per block.
+per block.  A radial family that differs from another at the origin
+alone (``with_origin``) takes over the other's blocks and powers and
+builds only its own shell 0.
 
 Index layout, fixed once for the whole package:
 
@@ -93,16 +98,35 @@ def tail_remaining(masses, beyond: float = 0.0) -> Callable:
     of the shells beyond radius r, for every ``r >= -1``, or an array of
     them for an integer array r.  The suffix sums are formed once, from
     the outermost radius inward, each rounded up past a non-zero mass so
-    that it is never below the exact sum of non-negative masses.
+    that it is never below the exact sum of non-negative masses; the
+    read-only table is kept on the function as ``suffix``.
     """
     suffix = [beyond]
     for m in reversed(masses):
         suffix.append(math.nextafter(suffix[-1] + m, math.inf) if m else suffix[-1])
-    suffix = np.array(suffix[::-1])  # suffix[k]: shells k, k + 1, ... and beyond
+    return _suffix_remaining(np.array(suffix[::-1]))
+
+
+def origin_remaining(remaining: Callable, mass: float) -> Callable:
+    """``tail_remaining`` of the same masses with shell 0's replaced by
+    ``mass``, from ``remaining`` (made by ``tail_remaining``): the suffix
+    table of every later shell is taken over, and only the sum that
+    includes the origin is formed again, as ``tail_remaining`` forms it."""
+    suffix = remaining.suffix
+    later = suffix[1:] if len(suffix) > 1 else suffix  # shells 1, 2, ... and beyond
+    first = math.nextafter(later[0] + mass, math.inf) if mass else later[0]
+    return _suffix_remaining(np.concatenate(([first], later)))
+
+
+def _suffix_remaining(suffix: np.ndarray) -> Callable:
+    """The ``remaining`` of a suffix table (suffix[k]: shells k, k + 1,
+    ... and beyond)."""
+    suffix.setflags(write=False)
 
     def remaining(r):
         return suffix[np.minimum(np.add(r, 1), len(suffix) - 1)]
 
+    remaining.suffix = suffix
     return remaining
 
 
@@ -205,6 +229,11 @@ class ConstantTail:
 # ---------------------------------------------------------------------------
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _norms(stack: np.ndarray) -> np.ndarray:
     """The Euclidean norm of every vector (last axis) of a complex stack:
     ``np.linalg.norm(stack, axis=-1)`` bit for bit, its own formula
@@ -258,7 +287,14 @@ class FiberFamily:
     block's full-shell powers (``shell_powers(k)``), each Gram matrix
     raised to its shell's size, which a boundary walk forms the first
     time it takes the block: at most one stack per block built, kept as
-    long as the family.
+    long as the family.  A family made by ``with_origin`` differs from
+    its source at the origin alone: it takes over the source's blocks and
+    powers for every radius >= 1 and builds only its own shell 0.
+
+    A family rescaled so that its total boundary weight is 1 keeps
+    ``normalization`` = (Z, bound): the weight Z = sum_ij beta(empty)[i, j]
+    it was divided by, and the tail bound on each entry of that boundary
+    matrix; every other family has None.
     """
 
     def __init__(
@@ -293,6 +329,9 @@ class FiberFamily:
         self._by_site: dict = {}  # site -> its entry in ``_arrays``, or its rows
         self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
         self._powers: dict = {}  # k -> full-shell powers of radial block k
+        # (source family, origin vectors) of a family made by ``with_origin``
+        self._origin = None
+        self.normalization: tuple | None = None
         self.table: Table | None = None  # set once, by ``preload``
         # the (vectors, Gram) entry of every site off the table, if declared
         self.elsewhere = None if elsewhere is None else self._validated(elsewhere, "off the table")
@@ -409,13 +448,22 @@ class FiberFamily:
         block = self._blocks.get(k)
         if block is None:
             start = k * SHELL_BLOCK
-            v = np.asarray(self.radial(start, start + SHELL_BLOCK), dtype=np.complex128)
-            if v.shape != (SHELL_BLOCK, self.d_I, self.d):
-                raise DimensionError(
-                    f"radii {start} to {start + SHELL_BLOCK - 1}: vectors have shape "
-                    f"{v.shape}, expected {(SHELL_BLOCK, self.d_I, self.d)}"
-                )
-            block = self._blocks[k] = (v, self._squared(v, lambda j: f"radius {start + j}"))
+            if self._origin is not None:  # the source's block, shell 0 aside
+                source, origin = self._origin
+                block = source._block(k)
+                if k == 0:
+                    v = origin[None]
+                    g = self._squared(v, lambda j: "radius 0")
+                    block = tuple(_frozen(np.concatenate((a, b[1:]))) for a, b in zip((v, g), block))
+            else:
+                v = np.asarray(self.radial(start, start + SHELL_BLOCK), dtype=np.complex128)
+                if v.shape != (SHELL_BLOCK, self.d_I, self.d):
+                    raise DimensionError(
+                        f"radii {start} to {start + SHELL_BLOCK - 1}: vectors have shape "
+                        f"{v.shape}, expected {(SHELL_BLOCK, self.d_I, self.d)}"
+                    )
+                block = (v, self._squared(v, lambda j: f"radius {start + j}"))
+            self._blocks[k] = block
         return block
 
     def shell_grams(self, k: int) -> np.ndarray:
@@ -438,9 +486,43 @@ class FiberFamily:
         if powers is None:
             start = k * SHELL_BLOCK
             sizes = lattice.shell_sizes(self.geometry.nu, start, start + SHELL_BLOCK)
-            powers = self._powers[k] = self.shell_grams(k) ** sizes[:, None, None]
-            powers.setflags(write=False)
+            if self._origin is None:
+                powers = _frozen(self.shell_grams(k) ** sizes[:, None, None])
+            elif k:
+                powers = self._origin[0].shell_powers(k)
+            else:  # the origin is a shell of one site; only its power is new
+                origin = self.shell_grams(0)[:1] ** sizes[:1, None, None]
+                powers = _frozen(np.concatenate((origin, self._origin[0].shell_powers(0)[1:])))
+            self._powers[k] = powers
         return powers
+
+    def with_origin(self, origin, tail) -> "FiberFamily":
+        """The radial family equal to this one but at the origin, whose
+        (d_I, d) vectors are ``origin``, certified by ``tail``.
+
+        It takes over this family's blocks and full-shell powers for every
+        radius >= 1, built once for both by whichever family asks first,
+        and builds only its own shell 0: the origin, validated and squared
+        alone, in front of the rest of this family's block 0.  Its
+        ``radial`` gives the same stacks, for a fresh family to check it
+        against.
+        """
+        if self.radial is None:
+            raise ValidationError("only a radial family can take a new origin")
+        origin = np.array(origin, dtype=np.complex128)
+        if origin.shape != (self.d_I, self.d):
+            raise DimensionError(
+                f"origin vectors have shape {origin.shape}, expected {(self.d_I, self.d)}"
+            )
+        radial = self.radial
+
+        def shifted(start: int, stop: int) -> np.ndarray:
+            block = radial(start, stop)
+            return np.concatenate((origin[None], block[1:])) if start == 0 else block
+
+        family = FiberFamily(self.d, self.d_I, None, self.geometry, tail=tail, label=self.label, radial=shifted)
+        family._origin = (self, origin)
+        return family
 
     # -- constructors -------------------------------------------------
 
@@ -590,6 +672,17 @@ def kernel_gram_matrix(family: FiberFamily, site, bs) -> np.ndarray:
     return product_kernel_gram_matrix(family, [site], [(b,) for b in bs])
 
 
+def schur_product(seed: np.ndarray, factors) -> np.ndarray:
+    """``seed`` times each of ``factors`` in turn, entrywise: the one
+    running site product.  ``product_kernel_matrix`` and
+    ``transfer_matrix`` are its all-ones-seeded forms, so a caller that
+    holds a region's site kernels gets their product bit for bit, and
+    the product of a larger region by seeding with a smaller one's."""
+    for f in factors:
+        seed = seed * f
+    return seed
+
+
 def product_kernel_matrix(family: FiberFamily, sites, bs) -> np.ndarray:
     """Entrywise product of per-site kernel matrices over distinct sites.
 
@@ -605,10 +698,10 @@ def product_kernel_matrix(family: FiberFamily, sites, bs) -> np.ndarray:
         )
     if len(set(sites)) != len(sites):
         raise ValidationError("product_kernel_matrix: duplicate sites")
-    out = np.ones((family.d_I, family.d_I), dtype=np.complex128)
-    for x, b in zip(sites, bs):
-        out = out * kernel_matrix(family, x, b)
-    return out
+    return schur_product(
+        np.ones((family.d_I, family.d_I), dtype=np.complex128),
+        (kernel_matrix(family, x, b) for x, b in zip(sites, bs)),
+    )
 
 
 def transfer_matrix(family: FiberFamily, region, subregion) -> np.ndarray:
@@ -622,12 +715,11 @@ def transfer_matrix(family: FiberFamily, region, subregion) -> np.ndarray:
     extra = [s for s in subregion if s not in inside]
     if extra:
         raise GeometryError(f"subregion sites {extra!r} are not inside the region")
-    out = np.ones((family.d_I, family.d_I), dtype=np.complex128)
     sub = set(subregion)
-    for x in region:
-        if x not in sub:
-            out = out * family.gram(x)
-    return out
+    return schur_product(
+        np.ones((family.d_I, family.d_I), dtype=np.complex128),
+        (family.gram(x) for x in region if x not in sub),
+    )
 
 
 def product_kernel_gram_matrix(family: FiberFamily, sites, obs_tuples) -> np.ndarray:

@@ -28,7 +28,15 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .kernel import FiberFamily, OnesTail, product_kernel_matrix, tail_remaining
+from .kernel import (
+    FiberFamily,
+    OnesTail,
+    kernel_matrix,
+    origin_remaining,
+    product_kernel_matrix,
+    schur_product,
+    tail_remaining,
+)
 from .limit import SITE_CAP, boundary_matrices, boundary_matrix, limit_state_eval
 from .state import LocalObservable
 
@@ -130,10 +138,19 @@ class AlphaLimitReport:
         return self.value
 
 
-def _transported_products(family: FiberFamily, obs: LocalObservable, t: int) -> np.ndarray:
-    emb = embed(obs.region, t, strategy="translate", nu=family.geometry.nu)
-    far = emb.transport(obs)
-    return product_kernel_matrix(family, far.region, far.factors)
+def _site_kernels(family: FiberFamily, obs: LocalObservable, known: dict) -> list:
+    """The kernel matrix of each site of ``obs``, in region order: read
+    from ``known``, keyed by region, or formed and kept there.  Every
+    observable ``known`` serves must carry the same factors, in order,
+    wherever it has the same region."""
+    kernels = known.get(obs.region)
+    if kernels is None:
+        kernels = known[obs.region] = [kernel_matrix(family, x, b) for x, b in zip(obs.region, obs.factors)]
+    return kernels
+
+
+def _ones(family: FiberFamily) -> np.ndarray:
+    return np.ones((family.d_I, family.d_I), dtype=np.complex128)
 
 
 def alpha_limit(
@@ -141,31 +158,42 @@ def alpha_limit(
     obs: LocalObservable,
     t_sequence=DEFAULT_T_SEQUENCE,
     tol: float = DEFAULT_ALPHA_TOL,
+    kernels: dict | None = None,
 ) -> AlphaLimitReport:
     """Detect the limit of far-transported local products.
 
-    Evaluates prod_y Tr(h(z,i) h(z,j)* b_y) over translated embeddings at
-    each clearance in ``t_sequence`` and requires the final increment to
-    fall below ``tol`` (Cauchy detection).  The independence verdict is
-    true when all index pairs share the limit within ``tol``; the common
-    value is then a state value: positive on positive observables and 1
-    at identity factors for unit-norm tails.
+    Forms prod_y Tr(h(z,i) h(z,j)* b_y) over translated embeddings at the
+    last two clearances of ``t_sequence`` and requires their difference,
+    the final Cauchy increment, to fall below ``tol``; the verdict, the
+    spread and the value read nothing else, so the earlier clearances are
+    only embedded (a negative one is refused).  The independence verdict
+    is true when all index pairs share the limit within ``tol``; the
+    common value is then a state value: positive on positive observables
+    and 1 at identity factors for unit-norm tails.  ``kernels`` maps
+    translated regions of ``obs`` to their sites' kernel matrices: those
+    a caller holds are read from it, and those formed here are kept in it
+    (``mixing_scan`` shares it with its rows).
     """
     if not isinstance(family.geometry, lattice.Zd):
         raise PreconditionError("tail limits require a lattice model")
     ts = tuple(int(t) for t in t_sequence)
     if len(ts) < 2:
         raise ValidationError("need at least two clearances to detect a limit")
-    history = [_transported_products(family, obs, t) for t in ts]
-    steps = [float(np.max(np.abs(b - a))) for a, b in zip(history, history[1:])]
-    if steps[-1] > tol:
+    nu = family.geometry.nu
+    placed = [embed(obs.region, t, strategy="translate", nu=nu) for t in ts]
+    known = {} if kernels is None else kernels
+    before, limits = (
+        schur_product(_ones(family), _site_kernels(family, emb.transport(obs), known))
+        for emb in placed[-2:]
+    )
+    step = float(np.max(np.abs(limits - before)))
+    if step > tol:
         raise ConvergenceError(
             f"transported products are not Cauchy along t={ts}: "
-            f"final increment {steps[-1]:.3e} exceeds {tol}",
-            last_partial=history[-1],
-            tail_estimate=steps[-1],
+            f"final increment {step:.3e} exceeds {tol}",
+            last_partial=limits,
+            tail_estimate=step,
         )
-    limits = history[-1]
     spread = float(np.max(np.abs(limits - limits.ravel()[0])))
     independent = spread <= tol
     value = complex(limits.mean()) if independent else None
@@ -174,7 +202,7 @@ def alpha_limit(
         independent=independent,
         value=value,
         spread=spread,
-        last_step=steps[-1],
+        last_step=step,
         t_sequence=ts,
     )
 
@@ -293,7 +321,13 @@ def mixing_scan(
     regardless of evaluation order; a strategy or clearance named twice
     is refused.  Every row's regions are placed and checked first, in
     row order, and then walked together in one ``boundary_matrices``
-    call, whose results the rows read from the family's cache.
+    call.  Each kernel product is formed once: psi(a)'s product and
+    value once per scan, each far site's kernel matrix once per row (or
+    not at all where ``alpha_limit`` formed it for the same translated
+    region), and a row's joint product by seeding psi(a)'s product with
+    the far kernels in region order, which is ``product_kernel_matrix``
+    of the joint region bit for bit; so every row equals the one-region
+    ``mixing_gap`` and ``alpha_mixing_gap`` bit for bit.
     """
     ts = tuple(int(t) for t in t_list)
     strategies = tuple(strategies)
@@ -301,8 +335,9 @@ def mixing_scan(
         repeated = [v for v, count in Counter(values).items() if count > 1]
         if repeated:
             raise ValidationError(f"mixing scan names the {name} {repeated[0]!r} twice")
+    kernels: dict = {}  # translated regions of b -> their sites' kernels
     try:
-        report = alpha_limit(family, obs_b, tol=alpha_tol)
+        report = alpha_limit(family, obs_b, tol=alpha_tol, kernels=kernels)
     except ConvergenceError:
         report = None
     placed = [
@@ -310,17 +345,23 @@ def mixing_scan(
         for strategy in strategies
         for t in ts
     ]
-    boundary_matrices(
+    walked = iter(boundary_matrices(
         family,
         [region for _, _, joint, far in placed for region in (joint.region, obs_a.region, far.region)],
         tail_tol,
-    )
+    ))
+    ones = _ones(family)
+    m_a = None
     rows = []
     for t, strategy, joint, far in placed:
-        # one evaluation of psi(joint) and psi(a) serves both gaps
-        v_joint = limit_state_eval(family, joint, tail_tol)
-        v_a = limit_state_eval(family, obs_a, tail_tol)
-        gap = abs(v_joint - v_a * limit_state_eval(family, far, tail_tol))
+        beta_joint, beta_a, beta_far = next(walked), next(walked), next(walked)
+        if m_a is None:  # psi(a)'s product and value serve every row
+            m_a = product_kernel_matrix(family, obs_a.region, obs_a.factors)
+            v_a = complex((m_a * beta_a.matrix).sum())
+        far_kernels = _site_kernels(family, far, kernels)
+        v_joint = complex((schur_product(m_a, far_kernels) * beta_joint.matrix).sum())
+        v_far = complex((schur_product(ones, far_kernels) * beta_far.matrix).sum())
+        gap = abs(v_joint - v_a * v_far)
         if report is not None and report.independent:
             agap = abs(v_joint - v_a * report.value)
         else:
@@ -369,8 +410,14 @@ def decaying_perturbation_family(
     keeps the mixing gap visible above roundoff through t ~ 40 while the
     far products settle fast enough for tail-limit detection.  With
     ``normalize`` the origin vectors are rescaled so the total boundary
-    weight is exactly 1.  The family is radial (``FiberFamily.radial``);
-    normalized, its shell 0 is the rescaled origin.
+    weight is exactly 1.  The family is radial (``FiberFamily.radial``).
+    Normalized, it is the raw family's ``with_origin`` with the rescaled
+    origin as shell 0: one walk of the empty region on the raw family
+    gives the weight Z it is divided by, and every other shell, its
+    full-shell power and the tail masses' sums past the origin are the
+    raw family's.  It keeps Z and that walk's entry bound as its
+    ``normalization``, which a model file's declared-normalization check
+    reads instead of walking again.
 
     Default directions perturb the base along a complex phase and an
     orthogonal coordinate, giving overlap deviations first order in
@@ -440,28 +487,25 @@ def decaying_perturbation_family(
         masses.extend(chunk.tolist())
         start, size = stop, min(2 * size, 4096)
 
-    def radial_family(radial, masses) -> FiberFamily:
-        return FiberFamily(
-            d, d_I, None, lattice.Zd(nu),
-            tail=OnesTail(tail_remaining(masses, beyond)),
-            label="decaying perturbation", radial=radial,
-        )
-
-    family = radial_family(vectors, masses)
+    remaining = tail_remaining(masses, beyond)
+    family = FiberFamily(
+        d, d_I, None, lattice.Zd(nu), tail=OnesTail(remaining),
+        label="decaying perturbation", radial=vectors,
+    )
     if not normalize:
         return family
-    total = complex(boundary_matrix(family, (), tail_tol=tail_tol).matrix.sum())
+    beta = boundary_matrix(family, (), tail_tol=tail_tol)
+    total = complex(beta.matrix.sum())
     if not (total.real > 1e-12 and abs(total.imag) <= 1e-9 * abs(total)):
         raise ValidationError(
             f"total boundary weight {total} cannot be normalized away"
         )
     scale = 1.0 / np.sqrt(total.real)
-
-    def radial(start: int, stop: int) -> np.ndarray:
-        block = vectors(start, stop)
-        if start == 0:
-            block[0] = scale * block[0]
-        return block
-
-    # shell 0 is the origin alone, so its mass is the rescaled origin's
-    return radial_family(radial, [float(deviation(radial(0, 1)[0]))] + masses[1:])
+    origin = scale * vectors(0, 1)[0]
+    # shell 0 is the origin alone, so only its mass changes; every other
+    # shell, its power and its later masses' sums are the raw family's
+    normalized = family.with_origin(
+        origin, OnesTail(origin_remaining(remaining, float(deviation(origin))))
+    )
+    normalized.normalization = (total, beta.tail_bound)
+    return normalized

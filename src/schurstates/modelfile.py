@@ -22,6 +22,7 @@ on the mode once; each branch stores its family constructor as ``build``.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import json
@@ -51,6 +52,8 @@ def encode_complex(z: complex) -> list:
 
 
 def decode_complex(pair, where: str, errors: list) -> complex:
+    """A complex number from an [re, im] pair of finite JSON numbers
+    (Python's JSON reader also gives NaN and Infinity, which are refused)."""
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
@@ -58,7 +61,11 @@ def decode_complex(pair, where: str, errors: list) -> complex:
     ):
         errors.append(f"{where}: expected [re, im], got {pair!r}")
         return 0j
-    return complex(float(pair[0]), float(pair[1]))
+    z = complex(float(pair[0]), float(pair[1]))
+    if not cmath.isfinite(z):
+        errors.append(f"{where}: non-finite number in {pair!r}")
+        return 0j
+    return z
 
 
 def encode_matrix(m) -> list:
@@ -69,9 +76,10 @@ def encode_matrix(m) -> list:
 def decode_matrix(rows, where: str, errors: list) -> np.ndarray:
     """A matrix from nested [re, im] pairs; every fault goes to ``errors``.
 
-    A well-formed nest of numbers takes one array conversion; anything
-    else (ragged, non-numeric, or holding a JSON bool, which numpy would
-    read as 0 or 1) is walked entry by entry, which alone writes messages.
+    A well-formed nest of finite numbers takes one array conversion;
+    anything else (ragged, non-numeric, non-finite, or holding a JSON
+    bool, which numpy would read as 0 or 1) is walked entry by entry,
+    which alone writes messages.
     """
     try:
         a = np.asarray(rows)
@@ -83,6 +91,7 @@ def decode_matrix(rows, where: str, errors: list) -> np.ndarray:
         and a.shape[2] == 2
         and a.dtype.kind in "if"
         and not any(type(v) is bool for row in rows for pair in row for v in pair)
+        and np.isfinite(a).all()
     ):
         return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0].copy()
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
@@ -172,7 +181,13 @@ def _require(data: dict, key: str, types, where: str, errors: list, default=None
 
 
 def parse_model(data: dict, path: str = "") -> ModelSpec:
-    """Validate raw JSON data into a ModelSpec, collecting all violations."""
+    """Validate raw JSON data into a ModelSpec, collecting all violations.
+
+    A NaN or Infinity, which Python's JSON reader accepts, is refused
+    where its matrix or vector is decoded, before any norm is formed.  A
+    model declaring ``"normalized": true`` builds its family here, and
+    ``_check_normalization`` checks its total boundary weight.
+    """
     errors: list[str] = []
     if not isinstance(data, dict):
         raise ValidationError("model: top level must be a JSON object")
@@ -231,12 +246,15 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
                 errors.append(f"{where}.site: second entry for site {site!r}")
             elif geometry.finite and site not in geometry.site_set and len(errors) == known:
                 errors.append(f"{where}.site: {site!r} is not a declared site")
+            decoded = len(errors)
             block = decode_matrix(rec.get("vectors"), f"{where}.vectors", errors)
             by_site[site] = block
             if block.shape != (d_I, d):
                 errors.append(
                     f"{where}.vectors: shape {block.shape} != ({d_I}, {d}) at site {site!r}"
                 )
+                continue
+            if len(errors) > decoded:  # the norms of stand-in zeros say nothing
                 continue
             norms = np.linalg.norm(block, axis=1)
             for i in np.nonzero(norms <= ZERO_VECTOR_TOL)[0]:
@@ -249,6 +267,7 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         build = lambda: FiberFamily.explicit({s: by_site[s] for s in geometry.sites})
 
     elif mode == "homogeneous":
+        decoded = len(errors)
         ref = decode_matrix(
             _require(vectors, "reference", list, "model.vectors", errors, []),
             "model.vectors.reference",
@@ -258,7 +277,7 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
             errors.append(
                 f"model.vectors.reference: shape {ref.shape} != ({d_I}, {d})"
             )
-        else:
+        elif len(errors) == decoded:
             norms = np.linalg.norm(ref, axis=1)
             for i in np.nonzero(norms <= ZERO_VECTOR_TOL)[0]:
                 errors.append(f"model.vectors.reference: zero vector at index {int(i)}")
@@ -370,14 +389,31 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
     )
 
     if normalized:
-        family = spec.family()
-        total = complex(boundary_matrix(family, (), tail_tol=1e-10).matrix.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(
-                f"model declares normalization but the total boundary weight is "
-                f"{total!r} (|deviation| = {abs(total - 1.0):.3e} > {NORMALIZATION_TOL})"
-            )
+        _check_normalization(spec.family())
     return spec
+
+
+def _check_normalization(family: FiberFamily) -> None:
+    """The total boundary weight must be 1 within ``NORMALIZATION_TOL``.
+    A family that normalized itself (a normalized perturbed model) is
+    read off its ``normalization``: divided by its walked weight Z, the
+    weight is 1 within d_I² times the walk's entry bound, over Z.  Any
+    other family has its empty-region boundary walked."""
+    if family.normalization is not None:
+        weight, bound = family.normalization
+        deviation = family.d_I**2 * bound / abs(weight)
+        if deviation > NORMALIZATION_TOL:
+            raise ValidationError(
+                f"model declares normalization but its total boundary weight is "
+                f"known only within {deviation:.3e} of 1 (> {NORMALIZATION_TOL})"
+            )
+        return
+    total = complex(boundary_matrix(family, (), tail_tol=1e-10).matrix.sum())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValidationError(
+            f"model declares normalization but the total boundary weight is "
+            f"{total!r} (|deviation| = {abs(total - 1.0):.3e} > {NORMALIZATION_TOL})"
+        )
 
 
 #: (key, nesting depth, leaf types) of each field of a generator record.

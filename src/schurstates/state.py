@@ -128,13 +128,13 @@ def expectation_dense(
         raise GeometryError(
             f"observable sites {missing!r} are outside the evaluation region"
         )
-    state = superposition_vector(family, full_region, dense_cap)
-    psi = state.as_tensor()
+    psi = superposition_vector(family, full_region, dense_cap).amplitudes
+    d = family.d
     acted = psi
     for s, f in zip(obs.region, obs.factors):
-        axis = full_region.index(s)
-        acted = np.tensordot(f, acted, axes=([1], [axis]))
-        acted = np.moveaxis(acted, 0, axis)
+        # the fiber index of site s is the middle axis of this view
+        view = acted.reshape(d ** full_region.index(s), d, -1)
+        acted = np.matmul(f, view).reshape(-1)
     return complex(np.vdot(psi, acted))
 
 

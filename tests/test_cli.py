@@ -3,6 +3,7 @@ import json
 import re
 import shlex
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,59 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err.startswith("validation error:")
         assert f"model.vectors.{field}:" in err
+
+
+class TestNonFiniteModelNumbers:
+    """Python's JSON reader accepts NaN and Infinity; a model file holding
+    one is refused where its matrix or vector is decoded, before any norm
+    is formed, so stderr holds the validation error alone (no numpy
+    warning) and names the entry."""
+
+    @staticmethod
+    def explicit():
+        vectors = encode_matrix(np.eye(2))
+        vectors[1][1] = [float("inf"), 0.0]
+        return {
+            "lattice": {"kind": "sites", "sites": ["w", "x"]},
+            "fiber_dim": 2,
+            "index_size": 2,
+            "vectors": {"mode": "explicit", "by_site": [
+                {"site": "w", "vectors": vectors},
+                {"site": "x", "vectors": encode_matrix(np.eye(2))},
+            ]},
+        }, "model.vectors.by_site[0].vectors[1][1]: non-finite number in [inf, 0.0]"
+
+    @staticmethod
+    def homogeneous():
+        reference = encode_matrix(np.eye(2))
+        reference[0][1] = [0.0, float("nan")]
+        return {
+            "lattice": {"kind": "zd", "nu": 1},
+            "fiber_dim": 2,
+            "index_size": 2,
+            "vectors": {"mode": "homogeneous", "reference": reference},
+        }, "model.vectors.reference[0][1]: non-finite number in [0.0, nan]"
+
+    @staticmethod
+    def perturbed():
+        data = json.loads((MODELS / "perturbed_z2.json").read_text())
+        data["vectors"]["directions"][1][0] = [float("-inf"), 0.0]
+        data["vectors"]["base"][1] = [0.0, float("nan")]
+        return data, (
+            "model.vectors.base[1]: non-finite number in [0.0, nan]\n"
+            "  model.vectors.directions[1][0]: non-finite number in [-inf, 0.0]"
+        )
+
+    @pytest.mark.parametrize("mode", ["explicit", "homogeneous", "perturbed"])
+    def test_exits_1_with_the_validation_error_alone(self, tmp_path, capsys, mode):
+        data, message = getattr(self, mode)()
+        path = write_json(tmp_path, "model.json", data)
+        assert "Infinity" in Path(path).read_text() or "NaN" in Path(path).read_text()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["check-kernel", "--model", path], capsys)
+        assert (code, out, caught) == (1, "", [])
+        assert err == f"validation error: model validation failed:\n  {message}\n"
 
 
 class TestUnreadableFiles:

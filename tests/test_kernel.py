@@ -17,8 +17,11 @@ from schurstates.kernel import (
     kernel_gram_matrix,
     kernel_matrix,
     product_kernel_gram_matrix,
+    origin_remaining,
     product_kernel_matrix,
+    schur_product,
     tail_remaining,
+    transfer_matrix,
 )
 from schurstates.lattice import Sites, Zd
 from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
@@ -270,6 +273,39 @@ class TestRadialFamily:
         ):
             fam.gram((0, 0))
 
+    @staticmethod
+    def halving(start, stop):
+        """Row r holds (1, 0.5^r i) and (1, -0.5^r)."""
+        return np.array([[[1.0, 0.5**r * 1j], [1.0, -(0.5**r)]] for r in range(start, stop)])
+
+    def test_new_origin_shares_every_other_shell(self):
+        source = self.radial_family(self.halving)
+        origin = np.array([[2.0, 0.5j], [0.0, 1.0]])
+        fam = source.with_origin(origin, None)
+        assert np.array_equal(fam.vectors((0, 0)), origin)
+        assert np.array_equal(fam.gram((0, 0)), origin @ origin.conj().T)
+        assert np.array_equal(fam.vectors((1, 2)), source.vectors((1, 2)))
+        # later blocks are the source's own stacks, built once for both
+        assert fam.shell_grams(1) is source.shell_grams(1)
+        assert fam.shell_powers(2) is source.shell_powers(2)
+        assert np.array_equal(fam.shell_grams(0)[1:], source.shell_grams(0)[1:])
+        # and a fresh family from ``radial`` builds the same stacks
+        fresh = FiberFamily(2, 2, None, Zd(2), radial=fam.radial)
+        for k in (0, 1):
+            assert np.array_equal(fam.shell_grams(k), fresh.shell_grams(k))
+            assert np.array_equal(fam.shell_powers(k), fresh.shell_powers(k))
+            assert not fam.shell_grams(k).flags.writeable
+            assert not fam.shell_powers(k).flags.writeable
+
+    def test_new_origin_is_checked(self):
+        source = self.radial_family(self.halving)
+        with pytest.raises(DimensionError, match=r"origin vectors have shape \(2,\)"):
+            source.with_origin([1.0, 0.0], None)
+        with pytest.raises(ValidationError, match="^radius 0: zero fiber vector at index 1$"):
+            source.with_origin(np.array([[1.0, 0.0], [0.0, 0.0]]), None).gram((0, 0))
+        with pytest.raises(ValidationError, match="only a radial family"):
+            orthonormal_family().with_origin(np.eye(2), None)
+
     def test_radial_needs_a_lattice(self):
         with pytest.raises(ValidationError, match="needs a lattice"):
             FiberFamily(1, 1, None, Sites(("a",)), radial=lambda start, stop: [[[1.0]]])
@@ -291,6 +327,23 @@ class TestTailRemaining:
     def test_no_masses_leave_beyond(self):
         assert tail_remaining([])(-1) == 0.0
         assert tail_remaining([], beyond=math.inf)(7) == math.inf
+
+    @pytest.mark.parametrize(
+        "masses, beyond",
+        [([0.1, 0.2, 0.0, 0.3], 1e-3), ([0.0, 1e-20], 0.0), ([5.0], 1e-28), ([], math.inf), ([], 0.0)],
+    )
+    @pytest.mark.parametrize("mass", [0.0, 0.25, 1e-17])
+    def test_new_origin_sums_only_its_own_shell_again(self, masses, beyond, mass):
+        # the table of a new shell 0 is the one tail_remaining builds for
+        # it, bit for bit, and shares every later sum with the old one
+        old = tail_remaining(masses, beyond)
+        new = origin_remaining(old, mass)
+        want = tail_remaining([mass] + masses[1:], beyond)
+        assert np.array_equal(new.suffix, want.suffix)
+        radii = np.arange(-1, len(masses) + 3)
+        assert np.array_equal(new(radii), want(radii))
+        assert np.array_equal(new(radii[1:]), old(radii[1:]))
+        assert not new.suffix.flags.writeable and not old.suffix.flags.writeable
 
 
 class TestKernelEntry:
@@ -538,6 +591,21 @@ class TestProductKernel:
                 k = product_kernel_gram_matrix(fam, sites, tuples)
                 eigs = np.linalg.eigvalsh(0.5 * (k + k.conj().T))
                 assert eigs[0] >= -1e-10 * max(1.0, float(np.max(np.abs(eigs))))
+
+
+def test_schur_product_is_the_running_product(rng):
+    # product_kernel_matrix and transfer_matrix are its all-ones-seeded
+    # forms; seeding with a smaller region's product extends it
+    fam = make_family(5, ["a", "b", "c", "d"], 3, 2)
+    bs = [complex_gaussian(rng, (3, 3)) for _ in range(4)]
+    kernels = [kernel_matrix(fam, x, b) for x, b in zip("abcd", bs)]
+    whole = product_kernel_matrix(fam, "abcd", bs)
+    assert np.array_equal(schur_product(np.ones((2, 2), dtype=complex), kernels), whole)
+    assert np.array_equal(schur_product(product_kernel_matrix(fam, "ab", bs[:2]), kernels[2:]), whole)
+    grams = [fam.gram(x) for x in "acd"]
+    assert np.array_equal(
+        schur_product(np.ones((2, 2), dtype=complex), grams), transfer_matrix(fam, "abcd", ["b"])
+    )
 
 
 class TestGramTupleChecks:

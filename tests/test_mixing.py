@@ -2,19 +2,28 @@ import inspect
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from schurstates import lattice, mixing
+from schurstates import kernel as kernel_module
+from schurstates import lattice, limit, mixing
 from schurstates.errors import (
     ConvergenceError,
     GeometryError,
     PreconditionError,
     ValidationError,
 )
-from schurstates.kernel import SHELL_BLOCK, FiberFamily, tail_remaining
+from schurstates.kernel import (
+    SHELL_BLOCK,
+    FiberFamily,
+    kernel_matrix,
+    product_kernel_matrix,
+    tail_remaining,
+)
 from schurstates.limit import SITE_CAP, boundary_matrix
+from schurstates.modelfile import load_model
 from schurstates.mixing import (
     alpha_limit,
     alpha_mixing_gap,
@@ -27,6 +36,8 @@ from schurstates.sampling import complex_gaussian
 from schurstates.state import LocalObservable
 
 from conftest import ball, ball_size, perturbed_ball_product
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 @pytest.fixture(scope="module")
@@ -280,20 +291,96 @@ class TestMixingScan:
         with pytest.raises(ValidationError, match=message):
             mixing_scan(eps_family, a, b, t_list=t_list, strategies=strategies)
 
+    @staticmethod
+    def alpha_reference(family, obs, ts=mixing.DEFAULT_T_SEQUENCE, tol=mixing.DEFAULT_ALPHA_TOL):
+        """The alpha report from the transported products at every
+        clearance, each a ``product_kernel_matrix``."""
+        history = []
+        for t in ts:
+            far = embed(obs.region, t, nu=family.geometry.nu).transport(obs)
+            history.append(product_kernel_matrix(family, far.region, far.factors))
+        steps = [float(np.max(np.abs(b - a))) for a, b in zip(history, history[1:])]
+        assert steps[-1] <= tol
+        limits = history[-1]
+        spread = float(np.max(np.abs(limits - limits.ravel()[0])))
+        return limits, spread <= tol, complex(limits.mean()), spread, steps[-1], tuple(ts)
+
     def test_rows_match_one_region_evaluations(self, obs_pair):
-        # the scan walks every region in one stacked call; a family that
-        # walks them one by one must give the same gaps, bit for bit
+        # the scan walks every region in one stacked call and forms each
+        # kernel product once; a family that walks them one by one, with
+        # every product formed afresh, must give the same gaps, bit for
+        # bit, on Z^1 to Z^3, with and without alpha's clearances among
+        # the rows, on both strategies
+        a2, b2 = obs_pair
+        for nu, decay in ((1, 0.78), (2, 0.78), (3, 0.2)):
+            pad = (0,) * (nu - 1)
+            a = LocalObservable(((0,) + pad,), a2.factors)
+            b = LocalObservable(((0,) + pad, (1,) + pad), b2.factors)
+            for t_list in ((5, 10, 20), (5, 10)):
+                result = mixing_scan(
+                    decaying_perturbation_family(nu=nu, decay=decay), a, b,
+                    t_list=t_list, strategies=("translate", "random"), seed=3,
+                )
+                fresh = decaying_perturbation_family(nu=nu, decay=decay)
+                report = alpha_limit(fresh, b)
+                limits, *fields = self.alpha_reference(fresh, b)
+                assert np.array_equal(report.limits, limits)
+                assert [
+                    report.independent, report.value, report.spread, report.last_step, report.t_sequence
+                ] == fields
+                assert report.independent and result.alpha_independent
+                assert [(r.strategy, r.t) for r in result.rows] == [
+                    (strategy, t) for strategy in ("translate", "random") for t in t_list
+                ]
+                for row in result.rows:
+                    assert row.mixing_gap == mixing_gap(fresh, a, b, row.t, row.strategy, seed=3)
+                    assert row.alpha_mixing_gap == alpha_mixing_gap(
+                        fresh, a, b, row.t, row.strategy, seed=3, alpha_report=report
+                    )
+
+    @pytest.mark.parametrize(
+        "t_list, strategies, formed",
+        [
+            # psi(a)'s one site, then two far sites per row; alpha's regions
+            # at t = 20 and 40 are the translate rows' own
+            ((5, 10, 20, 40), ("translate",), 1 + 4 * 2),
+            ((5, 10, 20, 40), ("translate", "random"), 1 + 8 * 2),
+            # no row at alpha's clearances: alpha forms its own four
+            ((5, 10), ("translate",), 4 + 1 + 2 * 2),
+        ],
+    )
+    def test_each_kernel_is_formed_once(self, eps_family, obs_pair, monkeypatch, t_list, strategies, formed):
+        calls = []
+        kernel = mixing.kernel_matrix
+
+        def counting(family, x, b):
+            calls.append(x)
+            return kernel(family, x, b)
+
+        for module in (mixing, kernel_module):
+            monkeypatch.setattr(module, "kernel_matrix", counting)
         a, b = obs_pair
-        result = mixing_scan(
-            decaying_perturbation_family(), a, b, t_list=(5, 10, 20), strategies=("translate", "random"), seed=3
-        )
-        fresh = decaying_perturbation_family()
-        report = alpha_limit(fresh, b)
-        for row in result.rows:
-            assert row.mixing_gap == mixing_gap(fresh, a, b, row.t, row.strategy, seed=3)
-            assert row.alpha_mixing_gap == alpha_mixing_gap(
-                fresh, a, b, row.t, row.strategy, seed=3, alpha_report=report
+        mixing_scan(eps_family, a, b, t_list=t_list, strategies=strategies)
+        assert len(calls) == formed
+        if strategies == ("translate",):
+            assert set(Counter(calls).values()) == {1}
+
+    def test_alpha_reads_and_keeps_shared_kernels(self, eps_family, obs_pair):
+        # the kernels of alpha's last two translated regions are formed
+        # once and kept for the caller; those the caller holds are read
+        _, b = obs_pair
+        kernels = {}
+        report = alpha_limit(eps_family, b, kernels=kernels)
+        fars = [embed(b.region, t, nu=2).transport(b) for t in (20, 40)]
+        assert list(kernels) == [far.region for far in fars]
+        for far in fars:
+            assert all(
+                np.array_equal(k, kernel_matrix(eps_family, x, f))
+                for k, x, f in zip(kernels[far.region], far.region, far.factors)
             )
+        held = {region: [2 * k for k in ks] for region, ks in kernels.items()}
+        doubled = alpha_limit(eps_family, b, kernels=held)
+        assert np.array_equal(doubled.limits, 4 * report.limits)
 
     def test_later_row_geometry_fails_before_any_walk(self, obs_pair):
         # the near region fits the ball at t = 5 but not at t = 2
@@ -357,41 +444,75 @@ class TestPerturbationFamilyCaches:
         monkeypatch.setattr(FiberFamily, "_squared", counting_squared)
         return builds
 
-    def test_normalized_family_builds_each_radius_once(self, builds):
-        # the shell walk builds every radius it reaches once, a block at a
-        # time, and indexes no site; the region's sites are indexed when
-        # asked for one by one, each reading its shell's row
-        fam = decaying_perturbation_family()  # the README model's family
+    def test_normalized_family_builds_each_radius_once(self, builds, monkeypatch):
+        # loading the README model walks the raw family once, to normalize
+        # it, and the load-time check reads that walk's weight and bound;
+        # the normalized family takes every block and power past the
+        # origin over from the raw one and builds only its rescaled origin
+        walks = []
+        walk = limit._boundary_walk
+
+        def counting_walk(family, region, *args):
+            walks.append((family, region))
+            return walk(family, region, *args)
+
+        tables = []
+        remaining_of = mixing.tail_remaining
+
+        def counting_table(masses, beyond=0.0):
+            tables.append(len(masses))
+            return remaining_of(masses, beyond)
+
+        monkeypatch.setattr(limit, "_boundary_walk", counting_walk)
+        monkeypatch.setattr(mixing, "tail_remaining", counting_table)
+        fam = load_model(MODELS / "perturbed_z2.json").family()
+        assert len(builds) == 2  # the raw family, then fam
+        raw = fam._origin[0]
+        assert walks == [(raw, ())]
+        assert len(tables) == 1
+        (raw_built, raw_validated), (built, validated) = builds
+        # scan-like walks on fam reach further than the normalization walk
         region = ((1, 0), (0, -2))
-        walk = boundary_matrix(fam, region)
+        near = boundary_matrix(fam, region, tail_tol=1e-14)
         assert not fam._by_site
-        other = boundary_matrix(fam, ((0, 0),))
+        other = boundary_matrix(fam, ((0, 0),), tail_tol=1e-14)
         for site in region:
             r = lattice.norm1(site)
             assert np.array_equal(fam.gram(site), fam.shell_grams(r // SHELL_BLOCK)[r % SHELL_BLOCK])
             assert np.shares_memory(fam.gram(site), fam.shell_grams(r // SHELL_BLOCK))
         assert set(fam._by_site) == set(region)
-        assert len(builds) == 2  # the normalization walk's family, then fam
-        for built, validated in builds:
-            # whole blocks from radius 0, each radius once
-            assert set(built.values()) == {1}
-            assert sorted(built) == list(range(len(built)))
-            assert len(built) % SHELL_BLOCK == 0
-            assert validated == Counter(f"radius {r}" for r in built)
-        # fam's blocks end with the block of its walks' farthest shell
+        # the raw family builds and validates whole blocks from radius 0,
+        # each radius once, through the block of the farthest shell walked
+        assert set(raw_built.values()) == {1}
         radius = max(
             next(r for r in range(1000) if ball_size(2, r) == w.sites_consumed + held)
-            for w, held in ((walk, len(region)), (other, 1))
+            for w, held in ((near, len(region)), (other, 1))
         )
-        assert len(builds[1][0]) == (radius // SHELL_BLOCK + 1) * SHELL_BLOCK
+        assert sorted(raw_built) == list(range((radius // SHELL_BLOCK + 1) * SHELL_BLOCK))
+        assert raw_validated == Counter(f"radius {r}" for r in raw_built)
+        # fam builds nothing but its origin, which it validates once
+        assert not built
+        assert validated == Counter({"radius 0": 1})
+        for k in range(1, radius // SHELL_BLOCK + 1):
+            assert fam.shell_grams(k) is raw.shell_grams(k)
+            assert fam.shell_powers(k) is raw.shell_powers(k)
+        for mine, theirs in ((fam.shell_grams(0), raw.shell_grams(0)), (fam.shell_powers(0), raw.shell_powers(0))):
+            assert np.array_equal(mine[1:], theirs[1:])
+        assert np.array_equal(fam.tail.remaining.suffix[1:], raw.tail.remaining.suffix[1:])
+        assert fam.normalization == (
+            complex(boundary_matrix(raw, (), tail_tol=1e-14).matrix.sum()),
+            boundary_matrix(raw, (), tail_tol=1e-14).tail_bound,
+        )
+        assert len(walks) == 3  # the two region walks above; the raw walk was cached
 
     def test_normalized_shell_zero_is_the_rescaled_origin(self, builds):
         fam = decaying_perturbation_family()
         raw = decaying_perturbation_family(normalize=False)
         origin = (0, 0)
         boundary_matrix(fam, (origin, (1, 0)))
-        # shell 0 comes with its block although the walk skips it
-        assert builds[1][0][0] == 1
+        # shell 0 comes with block 0 although the walk skips it: the
+        # normalized family validates it alone and asks its radial nothing
+        assert builds[1] == (Counter(), Counter({"radius 0": 1}))
         assert not fam._by_site
         assert np.array_equal(fam.gram(origin), fam.shell_gram(0))
         # the rescaled origin, not the raw family's shell 0
@@ -399,6 +520,14 @@ class TestPerturbationFamilyCaches:
         assert not np.array_equal(fam.shell_gram(0), raw.shell_gram(0))
         np.testing.assert_allclose(fam.shell_gram(0) * total, raw.shell_gram(0), rtol=1e-14)
         assert np.array_equal(fam.shell_gram(1), raw.shell_gram(1))
+        # the same stacks as a fresh family built block by block from its radial
+        fresh = FiberFamily(fam.d, fam.d_I, None, fam.geometry, tail=fam.tail, radial=fam.radial)
+        for k in (0, 1):
+            assert np.array_equal(fam.shell_grams(k), fresh.shell_grams(k))
+            assert np.array_equal(fam.shell_powers(k), fresh.shell_powers(k))
+        # and its total boundary weight is 1
+        total = complex(boundary_matrix(fam, (), tail_tol=1e-14).matrix.sum())
+        assert abs(total - 1.0) <= 4 * fam.normalization[1] / fam.normalization[0].real + 1e-15
 
     def test_remaining_does_not_depend_on_call_order(self):
         fam = decaying_perturbation_family(normalize=False)

@@ -202,6 +202,50 @@ class TestLoadModel:
         assert len(walked) == 1
         assert walked[0] is spec.family()
 
+    def test_self_normalized_family_is_not_walked_again(self, tmp_path, monkeypatch):
+        # the normalized perturbed family carries its normalization walk's
+        # weight and bound, and the load-time check reads them
+        walked = []
+        walk = modelfile.boundary_matrix
+        monkeypatch.setattr(modelfile, "boundary_matrix", lambda *a, **k: walked.append(a) or walk(*a, **k))
+        spec = load_model(MODELS / "perturbed_z2.json")
+        assert walked == []
+        weight, bound = spec.family().normalization
+        assert weight.real > 1 and 0 < bound <= 1e-14
+
+    @pytest.mark.parametrize("bound, fails", [(1e-14, False), (3e-9, False), (4.5e-9, True)])
+    def test_self_normalized_check_reads_the_bound(self, tmp_path, monkeypatch, bound, fails):
+        # the weight is 1 within d_I² times the bound, over the walked
+        # weight Z (here d_I = 2 and Z = 1.5): at most 1e-8 passes
+        build = modelfile.decaying_perturbation_family
+
+        def loose(*args, **kwargs):
+            family = build(*args, **kwargs)
+            family.normalization = (1.5 + 0j, bound)
+            return family
+
+        monkeypatch.setattr(modelfile, "decaying_perturbation_family", loose)
+        path = MODELS / "perturbed_z2.json"
+        if not fails:
+            load_model(path)
+            return
+        with pytest.raises(ValidationError) as exc:
+            load_model(path)
+        assert str(exc.value) == (
+            "model declares normalization but its total boundary weight is known only "
+            "within 1.200e-08 of 1 (> 1e-08)"
+        )
+
+    def test_raw_perturbed_family_declared_normalized_is_walked(self, tmp_path):
+        data = json.loads((MODELS / "perturbed_z2.json").read_text())
+        data["vectors"]["normalize"] = False
+        with pytest.raises(ValidationError) as exc:
+            load_model(write(tmp_path, "raw.json", data))
+        assert str(exc.value) == (
+            "model declares normalization but the total boundary weight is "
+            "(2.5389997293335007+5.551115123125783e-17j) (|deviation| = 1.539e+00 > 1e-08)"
+        )
+
 
     def test_explicit_family_walks_declared_order(self, tmp_path):
         blocks = {
@@ -228,7 +272,7 @@ class TestLoadModel:
         for s, block in blocks.items():
             np.testing.assert_array_equal(spec.family().vectors(s), block)
 
-    def test_non_finite_explicit_vector_refused_at_build(self, tmp_path):
+    def test_non_finite_explicit_vector_refused_at_load(self, tmp_path):
         data = {
             "lattice": {"kind": "sites", "sites": ["a", "b"]},
             "fiber_dim": 2,
@@ -241,9 +285,13 @@ class TestLoadModel:
                 ],
             },
         }
-        spec = load_model(write(tmp_path, "e.json", data))
-        with pytest.raises(ValidationError, match="^site 'b': non-finite vector entries$"):
-            spec.family()
+        # refused where the block is decoded, without a stand-in zero vector
+        with pytest.raises(ValidationError) as exc:
+            load_model(write(tmp_path, "e.json", data))
+        assert str(exc.value) == (
+            "model validation failed:\n"
+            "  model.vectors.by_site[1].vectors[0][0]: non-finite number in [nan, 0.0]"
+        )
 
 
     def test_undecodable_explicit_site_reported_once(self, tmp_path):
