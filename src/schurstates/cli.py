@@ -43,7 +43,13 @@ from .homogeneous import (
     real_overlap_limit,
 )
 from .kernel import certify_cp, kernel_gram_matrix, product_kernel_gram_matrix
-from .limit import boundary_matrix, check_projectivity, limit_state_eval
+from .limit import (
+    boundary_matrices,
+    boundary_matrix,
+    check_projectivity,
+    limit_state_eval,
+    superset_region,
+)
 from .linalg import psd_report
 from .mixing import mixing_scan
 from .modelfile import encode_complex, encode_matrix, load_model, load_observable, parse_region
@@ -198,10 +204,29 @@ def cmd_eval(args, out) -> int:
 
 
 def cmd_limit(args, out) -> int:
+    """The observable's boundary matrix and limit value, and with
+    ``--check-projectivity`` the projectivity gap on the ``--region``
+    superset.  The superset is read and checked to hold every observable
+    site first; then one walk forms both regions' boundary matrices side
+    by side, and ``check_projectivity`` reads them from the cache.  A
+    faulty superset is reported without a walk of it, after the
+    observable region's own walk, whose faults come first."""
     spec = load_model(args.model)
     family = spec.family()
     obs = load_observable(args.observable, spec.geometry)
-    beta = boundary_matrix(family, obs.region, tail_tol=args.tail_tol)
+    regions = [obs.region]
+    if args.check_projectivity:
+        try:
+            if not args.region:
+                raise ValidationError(
+                    "--check-projectivity needs --region with a superset of the "
+                    "observable region"
+                )
+            regions.append(superset_region(parse_region(args.region, spec.geometry), obs))
+        except SchurStateError:
+            boundary_matrix(family, obs.region, tail_tol=args.tail_tol)
+            raise
+    beta = boundary_matrices(family, regions, tail_tol=args.tail_tol)[0]
     value = limit_state_eval(family, obs, beta=beta)
     results = {
         "observable_region": [str(s) for s in obs.region],
@@ -214,14 +239,8 @@ def cmd_limit(args, out) -> int:
     if spec.summability_certificate is not None:
         results["summability_certificate"] = spec.summability_certificate
     if args.check_projectivity:
-        if not args.region:
-            raise ValidationError(
-                "--check-projectivity needs --region with a superset of the "
-                "observable region"
-            )
-        region = parse_region(args.region, spec.geometry)
         rep = check_projectivity(
-            family, region, obs, tol=args.tol, tail_tol=args.tail_tol
+            family, regions[1], obs, tol=args.tol, tail_tol=args.tail_tol
         )
         results["projectivity"] = {
             "region": [str(s) for s in rep.region],

@@ -390,7 +390,7 @@ class FiberFamily:
         g.setflags(write=False)
         return g
 
-    def preload(self, sites, stack) -> None:
+    def preload(self, sites, stack, keys=None) -> None:
         """Validate, square and keep the vectors of a table of sites in one
         pass; a family takes one table.
 
@@ -399,17 +399,20 @@ class FiberFamily:
         sites read rows of one stack.  ``sites`` lists the sites, each
         checked by the geometry, or on a lattice holds their coordinates
         as the rows of one array; an (N, nu) integer array is checked as
-        a whole.  On a lattice the table is kept in walk order, by 1-norm
-        and then in each shell's lexicographic order (one ``np.lexsort``),
-        with each row's 1-norm in ``table.radii``; a fault is named at the
-        first faulty site in that order.
+        a whole.  Such an array's sites are keyed by tuples of ints, formed
+        here unless the caller passes them, row for row, as ``keys`` (a
+        ``GeneratorSpec`` has formed them already).  On a lattice the
+        table is kept in walk order, by 1-norm and then in each shell's
+        lexicographic order (one ``np.lexsort``), with each row's 1-norm
+        in ``table.radii``; a fault is named at the first faulty site in
+        that order.
         """
         if self.table is not None:
             raise ValidationError("a family takes one table, and this one has it")
         coords = None
         if isinstance(sites, np.ndarray) and sites.ndim == 2 and not self.geometry.finite:
             whole = sites.dtype.kind == "i" and sites.shape[1] == self.geometry.nu
-            coords, sites = sites, list(map(tuple, sites.tolist()))
+            coords, sites = sites, list(map(tuple, sites.tolist())) if keys is None else keys
         else:
             whole, sites = False, list(sites)
         if not whole:
@@ -427,11 +430,11 @@ class FiberFamily:
             # site clipped lies beyond the reach of any walk
             nu = self.geometry.nu
             bound = np.iinfo(np.int64).max // nu
-            keys = coords if whole else np.array(sites, dtype=object).reshape(len(sites), nu)
-            keys = np.clip(keys, -bound, bound).astype(np.int64)
-            radii = np.abs(keys).sum(axis=1)
-            order = np.lexsort((*keys.T[::-1], radii))
-            v, sites, radii = v[order], [sites[k] for k in order], radii[order]
+            clipped = coords if whole else np.array(sites, dtype=object).reshape(len(sites), nu)
+            clipped = np.clip(clipped, -bound, bound).astype(np.int64)
+            radii = np.abs(clipped).sum(axis=1)
+            order = np.lexsort((*clipped.T[::-1], radii))
+            v, sites, radii = v[order], [sites[k] for k in order.tolist()], radii[order]
         g = self._squared(v, lambda k: f"site {sites[k]!r}")
         self.table = Table(dict(zip(sites, range(len(sites)))), v, g, radii)
 

@@ -76,6 +76,7 @@ from .errors import (
 )
 from .kernel import (
     SHELL_BLOCK,
+    ZERO_VECTOR_TOL,
     FiberFamily,
     IdentityTail,
     product_kernel_matrix,
@@ -394,6 +395,17 @@ def limit_state_eval(
     return complex((m * beta.matrix).sum())
 
 
+def superset_region(region, obs: LocalObservable) -> tuple:
+    """``region`` as a tuple; ``GeometryError`` unless it holds every site
+    of the observable's region."""
+    region = tuple(region)
+    inside = set(region)
+    missing = [s for s in obs.region if s not in inside]
+    if missing:
+        raise GeometryError(f"observable sites {missing!r} outside region")
+    return region
+
+
 @dataclass(frozen=True)
 class ProjectivityReport:
     region: tuple
@@ -415,14 +427,11 @@ def check_projectivity(
     """Compare the limit expectation on a region against its extension.
 
     Evaluates the observable once on its own region and once extended by
-    identity factors to the larger region; a projective family makes the
-    two agree.
+    identity factors to the larger region (``superset_region``); a
+    projective family makes the two agree.  Both boundary matrices are
+    read from the family's cache when a caller has walked them already.
     """
-    region = tuple(region)
-    inside = set(region)
-    missing = [s for s in obs.region if s not in inside]
-    if missing:
-        raise GeometryError(f"observable sites {missing!r} outside region")
+    region = superset_region(region, obs)
     extended_factors = []
     eye = np.eye(family.d, dtype=np.complex128)
     obs_sites = {s: f for s, f in zip(obs.region, obs.factors)}
@@ -496,14 +505,23 @@ def _column(values, shape) -> tuple[np.ndarray, np.ndarray]:
 def _isometry_checks(name: str, values, d: int) -> tuple[np.ndarray, list]:
     """The ``name`` column as an (N, d, d) complex stack, and (failure
     mask, message of record k) for the shape, finiteness and isometry
-    defect of every record's matrix."""
+    defect of every record's matrix.  The defect is max |M*M - I|, with
+    M*M formed as entrywise products summed over the d axis, row k of M
+    after row k - 1, on a copy whose record axis is last, so that every
+    product, sum and maximum runs over all N records at once; no small
+    matrix product is formed (``@`` differs by rounding alone, about
+    2e-16, far below the 1e-12 threshold)."""
     m, shaped = _column(values, (d, d))
     m = m.astype(np.complex128, copy=False)
-    finite = np.isfinite(m).all(axis=(1, 2))
+    t = np.ascontiguousarray(m.transpose(1, 2, 0))  # t[k, i, n] = m[n, k, i]
+    c = t.conj()
+    finite = np.isfinite(t).all(axis=(0, 1))
     with np.errstate(invalid="ignore", over="ignore"):
-        gram = m.conj().swapaxes(1, 2) @ m
-        gram -= np.eye(d)
-        defect = np.abs(gram).max(axis=(1, 2))
+        gram = c[0, :, None] * t[0, None]
+        for k in range(1, d):
+            gram += c[k, :, None] * t[k, None]
+        gram -= np.eye(d)[:, :, None]
+        defect = np.abs(gram).max(axis=(0, 1))
     return m, [
         (~shaped, lambda k: f"{name} has shape {np.shape(values[k])}, expected {(d, d)}"),
         (~finite, lambda k: f"{name} has non-finite entries"),
@@ -537,7 +555,9 @@ class GeneratorSpec:
     The first faulty record is reported, and within it the first failing
     check: its diagonal, then U, then W, then its site.  Afterwards the
     columns are stacked arrays (``diag`` real), ``keys`` holds the sites
-    as tuples of ints and ``radii`` their 1-norms.
+    as tuples of ints and ``radii`` their 1-norms.  The keys are formed
+    here once: ``build_from_generators`` hands them to the family's
+    table with the coordinates.
     """
 
     sites: np.ndarray
@@ -556,7 +576,7 @@ class GeneratorSpec:
             raise ValidationError(
                 f"generator sites form an array of shape {sites.shape}, expected (N, {self.nu})"
             )
-        keys = tuple(map(tuple, sites.tolist()))
+        keys = tuple(zip(*sites.T.tolist()))  # one tuple of ints per row
         if any(len(column) != len(keys) for column in (self.diag, self.u, self.w)):
             raise ValidationError(f"generator columns must hold one row for each of {len(keys)} sites")
         if len(set(keys)) != len(keys):
@@ -622,7 +642,12 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
     family's array off the table.  As ``right_square_root`` would, a
     site is refused (``DomainError``) when its exp(D) leaves the float64
     range or has an eigenvalue at or below ``ROOT_EIG_FLOOR`` times its
-    largest, that is when max D - min D >= -ln(ROOT_EIG_FLOOR).
+    largest, that is when max D - min D >= -ln(ROOT_EIG_FLOOR).  It is
+    refused the same way when one of its fiber vectors has a norm at or
+    below ``ZERO_VECTOR_TOL``, which the table would take for a zero
+    vector (a row's squared norm is a weighted mean of exp(D), so some
+    entry of D lies below 2 ln(ZERO_VECTOR_TOL), about -64.5).  The
+    table takes the spec's coordinates and site keys as they are.
     """
     d, diag, keys = spec.d, spec.diag, spec.keys
     top = diag.max(axis=1)
@@ -644,6 +669,19 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         )
     u = spec.u
     vecs = np.einsum("nji,nj,njk,nlk->nil", u.conj(), np.exp(diag / 2), u, spec.w.conj())
+    # a row's squared norm is a weighted mean of exp(D), so only a site
+    # with an entry of D below about 2 ln(ZERO_VECTOR_TOL) can have a row
+    # that the table takes for a zero vector; only those are measured
+    low = np.flatnonzero(diag.min(axis=1) < 2 * math.log(ZERO_VECTOR_TOL) + 1)
+    norms = np.linalg.norm(vecs[low], axis=2)
+    vanish = np.flatnonzero((norms <= ZERO_VECTOR_TOL).any(axis=1))
+    if vanish.size:
+        k, j = int(low[vanish[0]]), int(vanish[0])
+        raise DomainError(
+            f"site {keys[k]!r}: exp(D_H/2) takes a fiber vector to norm "
+            f"{norms[j].min():.3g}, at or below {ZERO_VECTOR_TOL:g} "
+            f"(largest entry of D_H {top[k]:.6g})"
+        )
     # deviation mass e^{trace_abs} - 1 per radius, declared sites only,
     # since undeclared sites contribute exactly nothing; a site past radius
     # SITE_CAP, which no capped walk reaches, is counted as beyond it
@@ -660,5 +698,5 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         label="generator model",
         elsewhere=np.eye(d, dtype=np.complex128),
     )
-    family.preload(spec.sites, vecs)
+    family.preload(spec.sites, vecs, keys=spec.keys)
     return family

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import gc
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -504,8 +505,34 @@ def _read_json(path, what: str):
         raise ValidationError(f"{what} file {path} nests too deeply to parse") from exc
 
 
+def _collector_paused(load: Callable) -> Callable:
+    """``load`` with the cyclic garbage collector paused while it runs,
+    and restored to its earlier state (enabled or not) however it ends.
+
+    A decoded JSON file is a tree of lists and dicts without reference
+    cycles, tens of thousands of them for a large model, which reference
+    counting frees when ``load`` returns.  Unpaused, the collector sweeps
+    them again and again while they are decoded and validated; a pause
+    that ended before the drop would leave it one whole-tree sweep.
+    """
+
+    @functools.wraps(load)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return load(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def load_model(path) -> ModelSpec:
-    """Read and validate a model file."""
+    """Read and validate a model file, with the collector paused from the
+    decode until the decoded tree is dropped (``_collector_paused``)."""
     return parse_model(_read_json(path, "model"), path=str(path))
 
 
@@ -539,7 +566,10 @@ def parse_observable(data: dict, geometry) -> LocalObservable:
     return LocalObservable(region, factors)
 
 
+@_collector_paused
 def load_observable(path, geometry) -> LocalObservable:
+    """Read and validate an observable file, with the collector paused as
+    ``load_model`` pauses it."""
     return parse_observable(_read_json(path, "observable"), geometry)
 
 

@@ -439,6 +439,91 @@ class TestLimit:
         )
 
 
+README_LIMIT = [
+    "limit",
+    "--model", "models/generator_decay.json",
+    "--observable", "models/observable_site0_z1.json",
+    "--region", "0;1;-1",
+    "--check-projectivity",
+]
+
+
+class TestProjectivityWalk:
+    """``limit --check-projectivity`` checks its superset first and then
+    walks the observable region and the superset side by side, once."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The regions of every ``limit._walk`` call, in call order."""
+        from schurstates import limit
+
+        calls = []
+        walk = limit._walk
+
+        def recorded(family, regions, *args):
+            calls.append([tuple(region) for region in regions])
+            return walk(family, regions, *args)
+
+        monkeypatch.setattr(limit, "_walk", recorded)
+        monkeypatch.chdir(REPO)
+        return calls
+
+    def test_one_walk_for_both_regions(self, walks, capsys):
+        code, out, err = run_cli(README_LIMIT, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["projectivity"]["pass"]
+        assert walks == [[((0,),), ((0,), (1,), (-1,))]]
+
+    def test_region_missing_an_observable_site_is_not_walked(self, walks, capsys):
+        code, out, err = run_cli(README_LIMIT[:6] + ["1;-1"] + README_LIMIT[7:], capsys)
+        assert (code, out) == (3, "")
+        assert err == "precondition error: observable sites [(0,)] outside region\n"
+        assert walks == [[((0,),)]]
+
+    @staticmethod
+    def far_model(tmp_path):
+        """A model whose declared site at 1-norm 800 of Z^2 keeps the tail
+        open past the 10^6-site cap (radius about 707), and an observable
+        on the origin."""
+        identity = encode_matrix(np.eye(2))
+        sites = [{"site": s, "D_H": [0.1, -0.1], "U": identity, "W": identity}
+                 for s in ([0, 0], [800, 0])]
+        model = write_json(tmp_path, "far.json", {
+            "lattice": {"kind": "zd", "nu": 2}, "fiber_dim": 2, "index_size": 2,
+            "vectors": {"mode": "generators", "sites": sites,
+                        "tail": {"beyond_radius": 800, "D_H": "zero"}},
+        })
+        obs = write_json(tmp_path, "obs.json", {"region": [[0, 0]], "factors": [identity]})
+        return ["limit", "--model", model, "--observable", obs, "--check-projectivity"]
+
+    @pytest.mark.parametrize(
+        "region, walked",
+        [
+            (["--region", "0,0;1,1"], [[((0, 0),), ((0, 0), (1, 1))]]),
+            # the observable region's own walk, and its fault, come before
+            # a faulty or missing superset, as when that walk ran first
+            (["--region", "1,1"], [[((0, 0),)]]),
+            ([], [[((0, 0),)]]),
+        ],
+    )
+    def test_walk_past_the_site_cap_exits_2(self, walks, tmp_path, capsys, region, walked):
+        code, out, err = run_cli(self.far_model(tmp_path) + region, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "convergence error: boundary product did not settle within 1000000 sites\n"
+        )
+        assert walks == walked
+
+    def test_readme_report_matches_golden(self, walks, tmp_path):
+        # captured from the README command when each region had its own
+        # walk; run from the repository root, so that the report's model
+        # field is the README's relative path, not this checkout's
+        out = tmp_path / "limit.json"
+        assert main(README_LIMIT + ["--output", str(out)]) == 0
+        golden = REPO / "tests" / "data" / "limit_generator_decay.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+
 class TestQuietNearZone:
     def test_limit_counts_shells_past_the_near_zone(self, tmp_path, capsys):
         # a near zone of amplitude 0 has all-ones shells out to radius 10;

@@ -252,6 +252,10 @@ VALIDATION = {
     # the eigenvalue floor exp(min D) <= 1e-12 exp(max D): a spread of
     # 27.6 is inside it, 27.64 outside
     "floor_inside": (set_field(0, "D_H", [13.8, -13.8]), 0, ""),
+    # fiber vectors of norm e^-20 are small but not zero; so are those of
+    # site 0's U, which mixes an entry of D below -64.5 with one above
+    "small_not_vanishing": (set_field(0, "D_H", [-40.0, -40.0]), 0, ""),
+    "one_entry_below_vanishing": (set_field(0, "D_H", [-40.0, -65.0]), 0, ""),
 }
 
 #: name -> (edit, exit code, site the new message names).  The messages
@@ -262,6 +266,9 @@ PRECONDITION = {
     "floor_outside_late": (set_field(2, "D_H", [-20.0, 8.0]), 3, "(1,)"),
     "overflow": (set_field(0, "D_H", [800.0, 800.0]), 3, "(0,)"),
     "underflow": (set_field(1, "D_H", [-800.0, -800.0]), 3, "(-1,)"),
+    # fiber vectors of norm e^-35, which the table would take for zero
+    # vectors (this exited 1, "zero fiber vector at index 0")
+    "vanishing": (set_field(0, "D_H", [-70.0, -70.0]), 3, "(0,)"),
 }
 
 #: Non-finite entries (Python's JSON reader accepts NaN and Infinity)

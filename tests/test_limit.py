@@ -676,6 +676,83 @@ class TestClosedFormBuild:
             build_from_generators(spec)
 
 
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_table_is_the_stacked_formulas_bit_for_bit(self, nu):
+        # the vectors as one einsum, the Grams as one stacked ``@``, the
+        # rows in walk order (1-norm, then lexicographic) and their radii,
+        # written out here; the table's keys are the spec's own tuples
+        spec = decaying_generator_spec(seed=31 + nu, radius=4, d=2, nu=nu)
+        table = build_from_generators(spec).table
+        u, w = spec.u, spec.w
+        vecs = np.einsum("nji,nj,njk,nlk->nil", u.conj(), np.exp(spec.diag / 2), u, w.conj())
+        radii = np.abs(spec.sites).sum(axis=1)
+        order = np.lexsort((*spec.sites.T[::-1], radii))
+        keys = list(map(tuple, spec.sites.tolist()))
+        assert np.array_equal(table.vectors, vecs[order])
+        assert np.array_equal(table.grams, vecs[order] @ vecs[order].conj().swapaxes(1, 2))
+        assert np.array_equal(table.radii, radii[order])
+        assert list(table.rows.items()) == [(keys[k], i) for i, k in enumerate(order)]
+        assert {id(site) for site in table.rows} == {id(site) for site in spec.keys}
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["U", "W"])
+    def test_isometry_verdicts_agree_with_matrix_products(self, d, name):
+        # defects of 1e-12 * (1 +- 1e-3) on both sides of the threshold:
+        # the entrywise M*M and the stacked ``@`` give the same verdicts,
+        # and defects that differ by rounding alone (a printed last digit
+        # may still differ where the defect sits on a rounding boundary)
+        from schurstates.limit import _isometry_checks
+
+        rng = rng_from_seed(37)
+        excess = 1e-12 * np.array([1 - 1e-3, 1 + 1e-3, 0.0, 0.5, 2.0])
+        m = np.stack([
+            random_unitary(rng, d) @ np.diag(np.sqrt([1 + e] + [1.0] * (d - 1)))
+            for e in np.repeat(excess, 6)
+        ])
+        stack, (_, _, (failed, message)) = _isometry_checks(name, m, d)
+        defect = np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(d)).max(axis=(1, 2))
+        assert np.array_equal(stack, m)
+        assert np.array_equal(failed, defect > 1e-12)
+        assert np.array_equal(failed, np.repeat(excess, 6) > 1e-12)
+        for k in np.flatnonzero(failed).tolist():
+            text, printed = message(k).rsplit(" ", 1)
+            assert text == f"{name} deviates from isometry by"
+            assert abs(float(printed) - defect[k]) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "diag, unitary, refused",
+        [
+            ([-70.0, -70.0], False, True),
+            ([-40.0, -40.0], False, False),
+            ([-40.0, -65.0], False, True),
+            ([-40.0, -65.0], True, False),
+            ([-63.0, -64.0], False, False),
+            ([-64.5, -64.5], False, True),
+        ],
+    )
+    def test_vanishing_vector_refused_as_the_table_would(self, diag, unitary, refused):
+        # refused exactly when a row's norm is at or below ZERO_VECTOR_TOL,
+        # the table's zero-vector rule, and as a DomainError naming the
+        # site and D_H instead of the table's validation error
+        from schurstates.kernel import ZERO_VECTOR_TOL
+        from schurstates.limit import GeneratorSpec
+
+        u = random_unitary(rng_from_seed(41), 2) if unitary else np.eye(2)
+        diag = [np.zeros(2), np.array(diag)]
+        spec = GeneratorSpec([(0,), (1,)], diag, [np.eye(2), u], [np.eye(2)] * 2,
+                             tail_radius=1, nu=1, d=2)
+        vecs = u.conj().T @ np.diag(np.exp(diag[1] / 2)) @ u
+        assert (np.linalg.norm(vecs, axis=1) <= ZERO_VECTOR_TOL).any() == refused
+        if refused:
+            with pytest.raises(DomainError, match=(
+                r"^site \(1,\): exp\(D_H/2\) takes a fiber vector to norm \S+, "
+                r"at or below 1e-14 \(largest entry of D_H -\d"
+            )):
+                build_from_generators(spec)
+        else:
+            assert build_from_generators(spec).table.radii.tolist() == [0, 1]
+
+
 class TestTableWalk:
     """The shell walk of a generator family's table against its oracle,
     the site walk over an explicit lattice exhaustion: the certificate

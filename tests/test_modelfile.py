@@ -313,6 +313,72 @@ class TestLoadModel:
         assert "site must be a string or int" in str(exc.value)
 
 
+class TestCollectorPause:
+    """Both loaders pause the cyclic collector from the decode until the
+    decoded tree is dropped, and leave it as they found it, whether the
+    load succeeds or fails."""
+
+    #: file name -> (contents, error message or None)
+    FILES = {
+        "valid": (None, None),
+        "unreadable": ("", "cannot read"),
+        "not_json": ('{"region": ', "is not valid JSON"),
+        "not_utf8": (b"\xff\xfe", "is not UTF-8 text"),
+        "invalid": ({"region": [[0]], "factors": []}, "validation failed"),
+    }
+
+    @staticmethod
+    def load(kind, tmp_path, name):
+        contents, _ = TestCollectorPause.FILES[name]
+        path = tmp_path / f"{name}.json"
+        if contents is None:  # a valid file of the kind
+            contents = (
+                minimal_homogeneous() if kind == "model"
+                else {"region": [[0]], "factors": [encode_matrix(np.eye(2))]}
+            )
+        if name == "unreadable":
+            path = tmp_path / "absent.json"
+        elif isinstance(contents, bytes):
+            path.write_bytes(contents)
+        elif isinstance(contents, str):
+            path.write_text(contents)
+        else:
+            path.write_text(json.dumps(contents))
+        if kind == "model":
+            return load_model(path)
+        return load_observable(path, Zd(1))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name", sorted(FILES))
+    @pytest.mark.parametrize("kind", ["model", "observable"])
+    def test_state_restored(self, kind, name, enabled, tmp_path, monkeypatch):
+        import gc
+
+        parse = {"model": "parse_model", "observable": "parse_observable"}[kind]
+        seen = []
+        original = getattr(modelfile, parse)
+
+        def recorded(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(modelfile, parse, recorded)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            message = self.FILES[name][1]
+            if message is None:
+                self.load(kind, tmp_path, name)
+            else:
+                with pytest.raises(ValidationError, match=message):
+                    self.load(kind, tmp_path, name)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        # validation ran with the collector paused, if the file decoded
+        assert seen == ([False] if name in ("valid", "invalid") else [])
+
+
 class TestObservable:
     def test_roundtrip(self, tmp_path):
         data = {
