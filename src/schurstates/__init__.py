@@ -63,7 +63,6 @@ from .mixing import (
     AlphaLimitReport,
     Embedding,
     alpha_limit,
-    alpha_mixing_gap,
     decaying_perturbation_family,
     embed,
     mixing_gap,

@@ -41,6 +41,7 @@ from .homogeneous import (
     generic_limit,
     overlaps,
     real_overlap_limit,
+    real_overlaps,
 )
 from .kernel import certify_cp, kernel_gram_matrix, product_kernel_gram_matrix
 from .limit import (
@@ -51,7 +52,7 @@ from .limit import (
     superset_region,
 )
 from .linalg import psd_report
-from .mixing import mixing_scan
+from .mixing import DEFAULT_T_SEQUENCE, mixing_scan
 from .modelfile import encode_complex, encode_matrix, load_model, load_observable, parse_region
 from .sampling import random_observable, rng_from_seed
 from .selftest import run_selftest
@@ -61,10 +62,6 @@ from .state import (
     expectation_extended,
     expectation_schur,
 )
-
-#: Default clearance list for mixing scans, truncated by --tmax.
-SCAN_T_LIST = (5, 10, 20, 40)
-
 
 def fmt(x: float) -> str:
     """17-significant-digit rendering used in every CSV cell."""
@@ -227,7 +224,7 @@ def cmd_limit(args, out) -> int:
             boundary_matrix(family, obs.region, tail_tol=args.tail_tol)
             raise
     beta = boundary_matrices(family, regions, tail_tol=args.tail_tol)[0]
-    value = limit_state_eval(family, obs, beta=beta)
+    value = limit_state_eval(family, obs, tail_tol=args.tail_tol)
     results = {
         "observable_region": [str(s) for s in obs.region],
         "boundary": encode_matrix(beta.matrix),
@@ -278,7 +275,7 @@ def cmd_homog(args, out) -> int:
             )
         if generic:
             results["generic_limit"] = encode_complex(generic_limit(model, obs))
-        elif float(np.max(np.abs(np.imag(ov.matrix)))) <= 1e-12 * max(1.0, ov.beta_max):
+        elif real_overlaps(ov):
             results["real_overlap_limit"] = encode_complex(real_overlap_limit(model, obs))
     emit(_envelope(args, "homog", results), args.format, out)
     return 0
@@ -291,7 +288,7 @@ def cmd_mixing_scan(args, out) -> int:
         raise PreconditionError("mixing scans need a lattice model")
     obs_a = load_observable(args.observable, spec.geometry)
     obs_b = load_observable(args.observable_far, spec.geometry)
-    t_list = [t for t in SCAN_T_LIST if t <= args.tmax]
+    t_list = [t for t in DEFAULT_T_SEQUENCE if t <= args.tmax]
     if not t_list:
         raise ValidationError(f"--tmax {args.tmax} leaves no clearances to scan")
     strategies = tuple(args.strategies.split(","))

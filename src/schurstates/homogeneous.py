@@ -57,29 +57,29 @@ class OverlapMatrix:
 
     ``matrix[i, j] = <h_j, h_i>``; the maximum modulus is always attained
     on the diagonal, and ``argmax`` lists the diagonal indices realizing
-    it within the relative tolerance.
+    it within the relative tolerance ``ARGMAX_RELTOL``.
     """
 
     matrix: np.ndarray
     beta_max: float
     argmax: tuple
-    reltol: float
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
 
-def overlaps(model: HomogeneousModel, reltol: float = ARGMAX_RELTOL) -> OverlapMatrix:
+def overlaps(model: HomogeneousModel) -> OverlapMatrix:
+    """The model's ``OverlapMatrix``, maximizers within ``ARGMAX_RELTOL``."""
     v = model.vectors
     m = v @ v.conj().T
     diag = np.real(np.diag(m))
     beta_max = float(np.max(diag))
     argmax = tuple(
-        int(i) for i in range(model.size) if diag[i] >= beta_max * (1.0 - reltol)
+        int(i) for i in range(model.size) if diag[i] >= beta_max * (1.0 - ARGMAX_RELTOL)
     )
     m.setflags(write=False)
-    return OverlapMatrix(matrix=m, beta_max=beta_max, argmax=argmax, reltol=reltol)
+    return OverlapMatrix(matrix=m, beta_max=beta_max, argmax=argmax)
 
 
 def check_generic(ov: OverlapMatrix) -> bool:
@@ -175,23 +175,25 @@ def generic_limit(model: HomogeneousModel, obs: LocalObservable) -> complex:
     return complex(total / (ov.beta_max ** len(obs.region) * len(ov.argmax)))
 
 
-def real_overlap_limit(
-    model: HomogeneousModel, obs: LocalObservable, imag_tol: float = 1e-12
-) -> complex:
+def real_overlaps(ov: OverlapMatrix) -> bool:
+    """True when every overlap is real, within 1e-12 relative."""
+    return float(np.max(np.abs(np.imag(ov.matrix)))) <= 1e-12 * max(1.0, ov.beta_max)
+
+
+def real_overlap_limit(model: HomogeneousModel, obs: LocalObservable) -> complex:
     """Normalized limit for real overlap matrices, maximizers of any kind.
 
     Sums over every index pair whose overlap equals the maximum, not
-    only diagonal ones; requires all overlaps real (within ``imag_tol``
-    relative) so the dominant powers cannot oscillate in phase.
+    only diagonal ones; requires all overlaps real (``real_overlaps``)
+    so the dominant powers cannot oscillate in phase.
     """
     ov = overlaps(model)
-    m = ov.matrix
-    if float(np.max(np.abs(np.imag(m)))) > imag_tol * max(1.0, ov.beta_max):
+    if not real_overlaps(ov):
         raise PreconditionError(
             "overlap matrix has a complex entry; this limit requires real overlaps"
         )
-    real = np.real(m)
-    negative_max = np.abs(real) >= ov.beta_max * (1.0 - ov.reltol)
+    real = np.real(ov.matrix)
+    negative_max = np.abs(real) >= ov.beta_max * (1.0 - ARGMAX_RELTOL)
     if np.any(negative_max & (real < 0)):
         raise PreconditionError(
             "an overlap entry equals minus the maximum; the finite-volume "
@@ -201,7 +203,7 @@ def real_overlap_limit(
         (i, j)
         for i in range(ov.size)
         for j in range(ov.size)
-        if real[i, j] >= ov.beta_max * (1.0 - ov.reltol)
+        if real[i, j] >= ov.beta_max * (1.0 - ARGMAX_RELTOL)
     ]
     local = _local_products(model, obs)
     total = sum(local[i, j] for i, j in pairs)

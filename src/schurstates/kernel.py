@@ -22,15 +22,16 @@ A site's kernel is evaluated on a whole stack of observables at once
 units, a tuple Gram matrix on the stack of all n² products of one
 site's factors.
 
-A family validates each distinct array its provider hands out once and
-keeps it read-only beside its Gram matrix, so a provider that returns one
-shared array for the whole lattice pays for one check, not one per site;
-a model that tabulates many sites hands the whole table over
-(``preload``) to be checked and squared in one stacked pass, and kept as
-one stack in walk order.  An explicit family (``FiberFamily.explicit``,
-every random family and every explicit model file) is such a table of
-all its sites, in their given order, so its provider is never asked and
-a faulty vector is refused when the family is made.  Given the one array
+A family validates the array its provider hands out for a site at the
+site's first use and keeps it read-only beside its Gram matrix, and the
+one array every site off its table carries (``elsewhere``; a homogeneous
+family has no table) when the family is made; a model that tabulates
+many sites hands the whole table over (``preload``) to be checked and
+squared in one stacked pass, and kept as one stack in walk order.  An
+explicit family (``FiberFamily.explicit``, every random family and
+every explicit model file) is such a table of all its sites, in their
+given order, so its provider is never asked and a faulty vector is
+refused when the family is made.  Given the one array
 every site off the table carries (``elsewhere``), a boundary walk takes
 the table's Gram matrices a block of shells at a time.  A radial family,
 whose vectors depend on a site only through its 1-norm, has no per-site
@@ -55,6 +56,7 @@ Index layout, fixed once for the whole package:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -263,10 +265,10 @@ class FiberFamily:
     so the same object serves finite enumerated models and infinite
     lattice models.  All vectors must be non-zero and share one (d, d_I).
 
-    Provider contract: returning the same object for several sites means
-    the same vectors at each of them.  Each distinct object is validated
-    and squared into its Gram matrix once; a per-site index in front of
-    that cache makes every later ``vectors``/``gram`` call one lookup.
+    Provider contract: ``provider(site)`` returns the (d_I, d) vectors of
+    one site.  They are validated and squared into their Gram matrix at
+    the site's first use, and a per-site index keeps the result, so every
+    later ``vectors``/``gram`` call is one lookup.
 
     Table contract: ``preload`` hands over the vectors of a whole table
     of sites at once, validated and squared in one stacked pass and kept
@@ -323,10 +325,7 @@ class FiberFamily:
         self.tail = tail
         self.label = label
         self.radial = radial
-        # id(provider result) -> (vectors, Gram, provider result); holding the
-        # result keeps its id from being reused while the entry is cached
-        self._arrays: dict = {}
-        self._by_site: dict = {}  # site -> its entry in ``_arrays``, or its rows
+        self._by_site: dict = {}  # site -> its (vectors, Gram) entry
         self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
         self._powers: dict = {}  # k -> full-shell powers of radial block k
         # (source family, origin vectors) of a family made by ``with_origin``
@@ -355,18 +354,14 @@ class FiberFamily:
         return entry
 
     def _validated(self, raw, where: str) -> tuple:
-        """The read-only (vectors, Gram, raw) entry of one provided array."""
-        entry = self._arrays.get(id(raw))
-        if entry is None:
-            v = np.asarray(raw, dtype=np.complex128)
-            if v.shape != (self.d_I, self.d):
-                raise DimensionError(
-                    f"{where}: vectors have shape {v.shape}, "
-                    f"expected {(self.d_I, self.d)}"
-                )
-            g = self._squared(v, lambda k: where)
-            entry = self._arrays[id(raw)] = (v, g, raw)
-        return entry
+        """The read-only (vectors, Gram) entry of one provided array."""
+        v = np.asarray(raw, dtype=np.complex128)
+        if v.shape != (self.d_I, self.d):
+            raise DimensionError(
+                f"{where}: vectors have shape {v.shape}, "
+                f"expected {(self.d_I, self.d)}"
+            )
+        return v, self._squared(v, lambda k: where)
 
     def _squared(self, stack: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
         """Validate a stack of (d_I, d) vector arrays, shape (n, d_I, d) or,
@@ -405,7 +400,7 @@ class FiberFamily:
         table is kept in walk order, by 1-norm and then in each shell's
         lexicographic order (one ``np.lexsort``), with each row's 1-norm
         in ``table.radii``; a fault is named at the first faulty site in
-        that order.
+        that order, and a site listed twice is refused.
         """
         if self.table is not None:
             raise ValidationError("a family takes one table, and this one has it")
@@ -435,8 +430,12 @@ class FiberFamily:
             radii = np.abs(clipped).sum(axis=1)
             order = np.lexsort((*clipped.T[::-1], radii))
             v, sites, radii = v[order], [sites[k] for k in order.tolist()], radii[order]
+        rows = dict(zip(sites, range(len(sites))))
+        if len(rows) < len(sites):
+            repeated = next(s for s, n in Counter(sites).items() if n > 1)
+            raise ValidationError(f"site {repeated!r} is preloaded twice")
         g = self._squared(v, lambda k: f"site {sites[k]!r}")
-        self.table = Table(dict(zip(sites, range(len(sites)))), v, g, radii)
+        self.table = Table(rows, v, g, radii)
 
     def vectors(self, site) -> np.ndarray:
         """The (d_I, d) array whose row i is h(site, i)."""
@@ -566,7 +565,7 @@ class FiberFamily:
                 raise ValidationError("homogeneous vectors must be finite and non-zero")
             tail = ConstantTail(vectors=v)
             v = v / norms
-        return cls(d, d_I, lambda s: v, geometry, tail=tail, label=label)
+        return cls(d, d_I, None, geometry, tail=tail, label=label, elsewhere=v)
 
 
 # ---------------------------------------------------------------------------

@@ -381,16 +381,14 @@ def limit_state_eval(
     family: FiberFamily,
     obs: LocalObservable,
     tail_tol: float = 1e-12,
-    beta: BoundaryMatrix | None = None,
 ) -> complex:
     """Infinite-volume expectation of a tensor-product observable.
 
     sum_{i,j} [prod_{x in region} Tr(h_i h_j* b_x)] * boundary[i, j],
-    with the boundary matrix ``beta`` of the observable's region when the
-    caller holds it, else formed (or read from the cache) here.
+    with the boundary matrix of the observable's region read from the
+    family's cache when a caller has walked it, else formed here.
     """
-    if beta is None:
-        beta = boundary_matrix(family, obs.region, tail_tol=tail_tol)
+    beta = boundary_matrix(family, obs.region, tail_tol=tail_tol)
     m = product_kernel_matrix(family, obs.region, obs.factors)
     return complex((m * beta.matrix).sum())
 
@@ -463,14 +461,16 @@ def check_projectivity(
 ROOT_EIG_FLOOR = 1e-12
 
 
-def right_square_root(t, w, tol: float = 1e-12) -> np.ndarray:
+def right_square_root(t, w) -> np.ndarray:
     """A matrix h with h h* = t, parametrized by an isometry.
 
     Returns exp(log(t)/2) w*.  Row i of the result, read as a fiber
-    vector, satisfies <h_j, h_i> = t[i, j].  ``DomainError`` unless every
-    eigenvalue of t exceeds ``ROOT_EIG_FLOOR`` times the largest.
+    vector, satisfies <h_j, h_i> = t[i, j].  ``DomainError`` unless t is
+    Hermitian within 1e-12 and every eigenvalue of t exceeds
+    ``ROOT_EIG_FLOOR`` times the largest; ``PreconditionError`` unless
+    W*W deviates from the identity by at most 1e-12.
     """
-    tm = require_hermitian(t, tol, "right_square_root input")
+    tm = require_hermitian(t, 1e-12, "right_square_root input")
     half = hermitian_function(tm, np.sqrt, eig_floor=ROOT_EIG_FLOOR)
     wm = as_cmatrix(w, "isometry")
     if wm.shape != tm.shape:
@@ -478,7 +478,7 @@ def right_square_root(t, w, tol: float = 1e-12) -> np.ndarray:
             f"isometry shape {wm.shape} does not match matrix shape {tm.shape}"
         )
     defect = float(np.max(np.abs(wm.conj().T @ wm - np.eye(wm.shape[1]))))
-    if defect > tol:
+    if defect > 1e-12:
         raise PreconditionError(
             f"right_square_root: W*W deviates from identity by {defect:.3e}"
         )

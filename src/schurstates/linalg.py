@@ -102,17 +102,17 @@ def require_hermitian(a, tol: float = PSD_TOL, name: str = "matrix") -> np.ndarr
 def hermitian_function(
     a,
     f: Callable[[np.ndarray], np.ndarray],
-    tol: float = PSD_TOL,
     eig_floor: float | None = None,
 ) -> np.ndarray:
     """Apply a real scalar function to a Hermitian matrix spectrally.
 
-    Diagonalizes ``a = V diag(w) V*`` and returns ``V diag(f(w)) V*``.
+    Diagonalizes ``a = V diag(w) V*``, Hermitian within ``PSD_TOL``, and
+    returns ``V diag(f(w)) V*``.
     With ``eig_floor`` set, eigenvalues at or below
     ``eig_floor * max|eigenvalue|`` are refused before ``f`` is called
     (used for logarithms and inverse powers).
     """
-    h = require_hermitian(a, tol, "hermitian_function input")
+    h = require_hermitian(a, PSD_TOL, "hermitian_function input")
     w, v = np.linalg.eigh(h)
     if eig_floor is not None and w.size:
         # ascending, so the largest magnitude sits at one end

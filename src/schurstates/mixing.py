@@ -40,7 +40,9 @@ from .kernel import (
 from .limit import SITE_CAP, boundary_matrices, boundary_matrix, limit_state_eval
 from .state import LocalObservable
 
-#: Default clearance sequence for tail-limit detection.
+#: Clearances of tail-limit detection, which embeds the last two, and of
+#: the CLI's mixing scans (up to --tmax); the README scan shares alpha's
+#: kernels only because its rows sit at alpha's clearances.
 DEFAULT_T_SEQUENCE = (5, 10, 20, 40)
 
 #: Default Cauchy / independence tolerance for tail limits.
@@ -128,15 +130,6 @@ class AlphaLimitReport:
     last_step: float          # final Cauchy increment
     t_sequence: tuple
 
-    def require_value(self) -> complex:
-        if not self.independent:
-            raise PreconditionError(
-                "tail limits depend on the fiber index pair (spread "
-                f"{self.spread:.3e}); the alpha comparison is undefined for "
-                "this model"
-            )
-        return self.value
-
 
 def _site_kernels(family: FiberFamily, obs: LocalObservable, known: dict) -> list:
     """The kernel matrix of each site of ``obs``, in region order: read
@@ -153,39 +146,36 @@ def _ones(family: FiberFamily) -> np.ndarray:
     return np.ones((family.d_I, family.d_I), dtype=np.complex128)
 
 
+def _require_lattice(family: FiberFamily) -> None:
+    if not isinstance(family.geometry, lattice.Zd):
+        raise PreconditionError("tail limits require a lattice model")
+
+
 def alpha_limit(
     family: FiberFamily,
     obs: LocalObservable,
-    t_sequence=DEFAULT_T_SEQUENCE,
-    tol: float = DEFAULT_ALPHA_TOL,
     kernels: dict | None = None,
 ) -> AlphaLimitReport:
     """Detect the limit of far-transported local products.
 
     Forms prod_y Tr(h(z,i) h(z,j)* b_y) over translated embeddings at the
-    last two clearances of ``t_sequence`` and requires their difference,
-    the final Cauchy increment, to fall below ``tol``; the verdict, the
-    spread and the value read nothing else, so the earlier clearances are
-    only embedded (a negative one is refused).  The independence verdict
-    is true when all index pairs share the limit within ``tol``; the
-    common value is then a state value: positive on positive observables
-    and 1 at identity factors for unit-norm tails.  ``kernels`` maps
-    translated regions of ``obs`` to their sites' kernel matrices: those
-    a caller holds are read from it, and those formed here are kept in it
-    (``mixing_scan`` shares it with its rows).
+    last two clearances of ``DEFAULT_T_SEQUENCE`` and requires their
+    difference, the final Cauchy increment, to fall below
+    ``DEFAULT_ALPHA_TOL``; the verdict, the spread and the value read
+    nothing else, so no other clearance is embedded.  The independence
+    verdict is true when all index pairs share the limit within that
+    tolerance; the common value is then a state value: positive on
+    positive observables and 1 at identity factors for unit-norm tails.
+    ``kernels`` maps translated regions of ``obs`` to their sites' kernel
+    matrices: those a caller holds are read from it, and those formed
+    here are kept in it (``mixing_scan`` shares it with its rows).
     """
-    if not isinstance(family.geometry, lattice.Zd):
-        raise PreconditionError("tail limits require a lattice model")
-    ts = tuple(int(t) for t in t_sequence)
-    if len(ts) < 2:
-        raise ValidationError("need at least two clearances to detect a limit")
+    _require_lattice(family)
+    ts, tol = DEFAULT_T_SEQUENCE, DEFAULT_ALPHA_TOL
     nu = family.geometry.nu
-    placed = [embed(obs.region, t, strategy="translate", nu=nu) for t in ts]
     known = {} if kernels is None else kernels
-    before, limits = (
-        schur_product(_ones(family), _site_kernels(family, emb.transport(obs), known))
-        for emb in placed[-2:]
-    )
+    fars = (embed(obs.region, t, strategy="translate", nu=nu).transport(obs) for t in ts[-2:])
+    before, limits = (schur_product(_ones(family), _site_kernels(family, far, known)) for far in fars)
     step = float(np.max(np.abs(limits - before)))
     if step > tol:
         raise ConvergenceError(
@@ -236,13 +226,6 @@ def _placed(family, obs_a, obs_b, t, strategy, seed):
     return _joint_observable(obs_a, far), far
 
 
-def _row(family, obs_a, obs_b, t, strategy, seed, tail_tol):
-    """psi(a . transported b), psi(a) and the transported b at clearance t."""
-    joint, far = _placed(family, obs_a, obs_b, t, strategy, seed)
-    v_joint = limit_state_eval(family, joint, tail_tol)
-    return v_joint, limit_state_eval(family, obs_a, tail_tol), far
-
-
 def mixing_gap(
     family: FiberFamily,
     obs_a: LocalObservable,
@@ -261,32 +244,11 @@ def mixing_gap(
     large clearance sit below 1e-12 and must not drown in boundary
     truncation error.
     """
-    v_joint, v_a, far = _row(family, obs_a, obs_b, t, strategy, seed, tail_tol)
+    _require_lattice(family)
+    joint, far = _placed(family, obs_a, obs_b, t, strategy, seed)
+    v_joint = limit_state_eval(family, joint, tail_tol)
+    v_a = limit_state_eval(family, obs_a, tail_tol)
     return abs(v_joint - v_a * limit_state_eval(family, far, tail_tol))
-
-
-def alpha_mixing_gap(
-    family: FiberFamily,
-    obs_a: LocalObservable,
-    obs_b: LocalObservable,
-    t: int,
-    strategy: str = "translate",
-    seed: int = 0,
-    tail_tol: float = 1e-14,
-    t_sequence=DEFAULT_T_SEQUENCE,
-    alpha_tol: float = DEFAULT_ALPHA_TOL,
-    alpha_report: AlphaLimitReport | None = None,
-) -> float:
-    """|psi(a . transported b) - psi(a) alpha(b)| with the tail value alpha.
-
-    Raises a precondition error when the tail limits depend on the index
-    pair, in which case no single alpha value exists.
-    """
-    if alpha_report is None:
-        alpha_report = alpha_limit(family, obs_b, t_sequence, alpha_tol)
-    alpha_value = alpha_report.require_value()
-    v_joint, v_a, _ = _row(family, obs_a, obs_b, t, strategy, seed, tail_tol)
-    return abs(v_joint - v_a * alpha_value)
 
 
 @dataclass(frozen=True)
@@ -312,7 +274,6 @@ def mixing_scan(
     strategies=("translate",),
     seed: int = 0,
     tail_tol: float = 1e-14,
-    alpha_tol: float = DEFAULT_ALPHA_TOL,
 ) -> ScanResult:
     """Gap table over clearances and strategies, with a trend statistic.
 
@@ -326,8 +287,9 @@ def mixing_scan(
     not at all where ``alpha_limit`` formed it for the same translated
     region), and a row's joint product by seeding psi(a)'s product with
     the far kernels in region order, which is ``product_kernel_matrix``
-    of the joint region bit for bit; so every row equals the one-region
-    ``mixing_gap`` and ``alpha_mixing_gap`` bit for bit.
+    of the joint region bit for bit; so every row's gap equals the
+    one-region ``mixing_gap`` bit for bit, and its alpha gap is
+    |psi(a . transported b) - psi(a) alpha| from the same values.
     """
     ts = tuple(int(t) for t in t_list)
     strategies = tuple(strategies)
@@ -337,7 +299,7 @@ def mixing_scan(
             raise ValidationError(f"mixing scan names the {name} {repeated[0]!r} twice")
     kernels: dict = {}  # translated regions of b -> their sites' kernels
     try:
-        report = alpha_limit(family, obs_b, tol=alpha_tol, kernels=kernels)
+        report = alpha_limit(family, obs_b, kernels=kernels)
     except ConvergenceError:
         report = None
     placed = [

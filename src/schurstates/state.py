@@ -81,25 +81,24 @@ class DenseState:
         return self.amplitudes.reshape((self.d,) * len(self.region))
 
 
-def _check_cap(region, d: int, dense_cap: int):
+def _check_cap(region, d: int):
     k = len(region)
-    if k > dense_cap:
+    if k > DEFAULT_DENSE_CAP:
         raise ResourceLimitError(
             f"dense path refused: region of {k} sites needs {d}^{k} = {d**k} "
-            f"amplitudes (cap is {dense_cap} sites)"
+            f"amplitudes (cap is {DEFAULT_DENSE_CAP} sites)"
         )
 
 
-def superposition_vector(
-    family: FiberFamily, region, dense_cap: int = DEFAULT_DENSE_CAP
-) -> DenseState:
-    """Dense amplitudes of sum_i  h(x1,i) (x) ... (x) h(xk,i)."""
+def superposition_vector(family: FiberFamily, region) -> DenseState:
+    """Dense amplitudes of sum_i  h(x1,i) (x) ... (x) h(xk,i), on at most
+    ``DEFAULT_DENSE_CAP`` sites."""
     region = tuple(region)
     if not region:
         raise ValidationError("empty region")
     if len(set(region)) != len(region):
         raise ValidationError("region has duplicate sites")
-    _check_cap(region, family.d, dense_cap)
+    _check_cap(region, family.d)
     # terms[i] is the flat product h(x1,i) (x) ... (x) h(xk,i), grown one
     # site at a time for every index at once
     terms = np.ones((family.d_I, 1), dtype=np.complex128)
@@ -111,12 +110,7 @@ def superposition_vector(
     return DenseState(region=region, d=family.d, amplitudes=amp)
 
 
-def expectation_dense(
-    family: FiberFamily,
-    full_region,
-    obs: LocalObservable,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-) -> complex:
+def expectation_dense(family: FiberFamily, full_region, obs: LocalObservable) -> complex:
     """<Psi, (b (x) 1) Psi> by explicit tensor contraction.
 
     The observable acts on a subset of ``full_region``; the remaining
@@ -128,7 +122,7 @@ def expectation_dense(
         raise GeometryError(
             f"observable sites {missing!r} are outside the evaluation region"
         )
-    psi = superposition_vector(family, full_region, dense_cap).amplitudes
+    psi = superposition_vector(family, full_region).amplitudes
     d = family.d
     acted = psi
     for s, f in zip(obs.region, obs.factors):

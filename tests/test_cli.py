@@ -524,6 +524,30 @@ class TestProjectivityWalk:
         assert out.read_bytes() == golden.read_bytes()
 
 
+README_REPORTS = {
+    "check_kernel_orthonormal.json": ["check-kernel", "--model", "models/orthonormal.json"],
+    "eval_orthonormal_wxy.json": [
+        "eval", "--model", "models/orthonormal.json",
+        "--observable", "models/observable_identity.json", "--region", "w;x;y",
+    ],
+    "homog_orthonormal_6.json": [
+        "homog", "--model", "models/orthonormal.json",
+        "--observable", "models/observable_identity.json", "--total-sites", "6",
+    ],
+    "selftest_seed0.json": ["selftest", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(README_REPORTS))
+def test_readme_report_matches_golden(golden, tmp_path, monkeypatch):
+    # the other README commands' reports, byte for byte; run from the
+    # repository root, so that the model field is the README's relative path
+    monkeypatch.chdir(REPO)
+    out = tmp_path / golden
+    assert main(README_REPORTS[golden] + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "data" / golden).read_bytes()
+
+
 class TestQuietNearZone:
     def test_limit_counts_shells_past_the_near_zone(self, tmp_path, capsys):
         # a near zone of amplitude 0 has all-ones shells out to radius 10;

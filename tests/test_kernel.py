@@ -9,6 +9,7 @@ from schurstates.errors import DimensionError, ValidationError
 from schurstates.kernel import (
     SHELL_BLOCK,
     FiberFamily,
+    IdentityTail,
     SchurKernelMap,
     _kernel_stack,
     _norms,
@@ -72,8 +73,9 @@ class TestFiberFamily:
             return shared
 
         fam = FiberFamily(2, 2, provider, Sites(("a", "b", "c")))
-        assert fam.gram("a") is fam.gram("b") is fam.gram("c")
-        assert fam.vectors("a") is fam.vectors("c")
+        for site in ("a", "b", "c", "a", "c"):
+            assert np.array_equal(fam.gram(site), shared @ shared.conj().T)
+            assert np.array_equal(fam.vectors(site), shared)
         # one provider call per site; later calls hit the per-site index
         assert calls == ["a", "b", "c"]
 
@@ -144,6 +146,24 @@ class TestPreload:
             fam.preload(sites, stack.swapaxes(1, 2))
         with pytest.raises(ValidationError, match="unknown site 9"):
             fam.preload((0, 9), stack[:2])
+
+    def test_refuses_a_repeated_site(self):
+        # a repeated site would be multiplied into a walk twice and leave
+        # its shell's count of sites off the table negative
+        g = np.array([[1.0, 0.1], [0.0, 1.0]])
+        for sites in ([(0,), (0,)], np.array([[0], [0]]), np.array([[0], [1], [0]])):
+            fam = FiberFamily(
+                2, 2, None, Zd(1),
+                tail=IdentityTail(tail_remaining([0.5, 0.5]), exact_beyond=1),
+                elsewhere=np.eye(2),
+            )
+            with pytest.raises(ValidationError, match=r"^site \(0,\) is preloaded twice$"):
+                fam.preload(sites, [g] * len(sites))
+            assert fam.table is None
+        sites, stack = self.table()
+        fam = FiberFamily(2, 3, None, Sites(sites), elsewhere=stack[0])
+        with pytest.raises(ValidationError, match="^site 1 is preloaded twice$"):
+            fam.preload([1, 3, 2, 3, 1], stack[:5])
 
     def test_lattice_coordinates_as_one_array(self, monkeypatch):
         stack = complex_gaussian(rng_from_seed(43), (3, 2, 2))

@@ -22,11 +22,10 @@ from schurstates.kernel import (
     product_kernel_matrix,
     tail_remaining,
 )
-from schurstates.limit import SITE_CAP, boundary_matrix
+from schurstates.limit import SITE_CAP, boundary_matrix, limit_state_eval
 from schurstates.modelfile import load_model
 from schurstates.mixing import (
     alpha_limit,
-    alpha_mixing_gap,
     decaying_perturbation_family,
     embed,
     mixing_gap,
@@ -60,6 +59,14 @@ def obs_pair():
 
 def orthonormal_homogeneous(nu=2):
     return FiberFamily.homogeneous(np.eye(2, dtype=complex), lattice.Zd(nu))
+
+
+def alpha_gap(family, a, b, t, alpha, strategy="translate", seed=0):
+    """|psi(a . transported b) - psi(a) alpha|, both values one-region
+    ``limit_state_eval`` calls at the scan's tail tolerance."""
+    far = embed(b.region, t, strategy=strategy, nu=family.geometry.nu, seed=seed).transport(b)
+    joint = LocalObservable(a.region + far.region, a.factors + far.factors)
+    return abs(limit_state_eval(family, joint, 1e-14) - limit_state_eval(family, a, 1e-14) * alpha)
 
 
 class TestBall:
@@ -153,8 +160,7 @@ class TestAlphaLimit:
         obs = LocalObservable(((0, 0),), (proj,))
         rep = alpha_limit(fam, obs)
         assert not rep.independent
-        with pytest.raises(PreconditionError):
-            rep.require_value()
+        assert rep.value is None
 
     def test_positive_on_positive(self, eps_family, rng):
         c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
@@ -201,16 +207,21 @@ class TestMixingGap:
         gr = mixing_gap(eps_family, a, b, 20, strategy="random", seed=5)
         assert abs(gt - gr) <= 1e-8
 
-    def test_triangle_inequality_vs_alpha(self, eps_family, obs_pair):
-        from schurstates.limit import limit_state_eval
-        from schurstates.mixing import embed as embed_fn
+    def test_site_list_family_refused(self):
+        fam = FiberFamily.homogeneous(np.eye(2, dtype=complex), lattice.Sites(("a", "b")))
+        a = LocalObservable.identity(("a",), 2)
+        # the same refusal as the scan's
+        for call in (lambda: mixing_gap(fam, a, a, 5), lambda: mixing_scan(fam, a, a, (5,))):
+            with pytest.raises(PreconditionError, match="^tail limits require a lattice model$"):
+                call()
 
+    def test_triangle_inequality_vs_alpha(self, eps_family, obs_pair):
         a, b = obs_pair
         t = 10
         rep = alpha_limit(eps_family, b)
         g = mixing_gap(eps_family, a, b, t)
-        ag = alpha_mixing_gap(eps_family, a, b, t, alpha_report=rep)
-        far = embed_fn(b.region, t, nu=2).transport(b)
+        ag = alpha_gap(eps_family, a, b, t, rep.value)
+        far = embed(b.region, t, nu=2).transport(b)
         v_a = limit_state_eval(eps_family, a, tail_tol=1e-14)
         v_b = limit_state_eval(eps_family, far, tail_tol=1e-14)
         slack = abs(v_a) * abs(v_b - rep.value)
@@ -221,15 +232,8 @@ class TestAlphaMixingGap:
     def test_identity_far(self, eps_family, obs_pair):
         a, _ = obs_pair
         ident = LocalObservable.identity((((0, 0)), ((1, 0))), 2)
-        assert alpha_mixing_gap(eps_family, a, ident, 8) <= 1e-9
-
-    def test_requires_independence(self, obs_pair):
-        fam = orthonormal_homogeneous()
-        proj = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        a = LocalObservable(((0, 0),), (proj,))
-        b = LocalObservable(((0, 0),), (proj,))
-        with pytest.raises(PreconditionError, match="depend"):
-            alpha_mixing_gap(fam, a, b, 6)
+        (row,) = mixing_scan(eps_family, a, ident, t_list=(8,)).rows
+        assert row.alpha_mixing_gap <= 1e-9
 
 
 class TestBoundaryTailFactors:
@@ -310,7 +314,8 @@ class TestMixingScan:
         # kernel product once; a family that walks them one by one, with
         # every product formed afresh, must give the same gaps, bit for
         # bit, on Z^1 to Z^3, with and without alpha's clearances among
-        # the rows, on both strategies
+        # the rows, on both strategies: the gap column against
+        # ``mixing_gap``, the alpha column against |psi(joint) - psi(a) alpha|
         a2, b2 = obs_pair
         for nu, decay in ((1, 0.78), (2, 0.78), (3, 0.2)):
             pad = (0,) * (nu - 1)
@@ -334,8 +339,8 @@ class TestMixingScan:
                 ]
                 for row in result.rows:
                     assert row.mixing_gap == mixing_gap(fresh, a, b, row.t, row.strategy, seed=3)
-                    assert row.alpha_mixing_gap == alpha_mixing_gap(
-                        fresh, a, b, row.t, row.strategy, seed=3, alpha_report=report
+                    assert row.alpha_mixing_gap == alpha_gap(
+                        fresh, a, b, row.t, report.value, row.strategy, seed=3
                     )
 
     @pytest.mark.parametrize(
