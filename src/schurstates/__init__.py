@@ -28,10 +28,8 @@ from .homogeneous import (
     real_overlap_limit,
 )
 from .kernel import (
-    ConstantTail,
+    FarFieldTail,
     FiberFamily,
-    IdentityTail,
-    OnesTail,
     SchurKernelMap,
     certify_cp,
     choi_matrix,

@@ -26,7 +26,6 @@ import sys
 
 import numpy as np
 
-from . import lattice
 from .errors import (
     ConvergenceError,
     PreconditionError,
@@ -52,7 +51,7 @@ from .limit import (
     superset_region,
 )
 from .linalg import psd_report
-from .mixing import DEFAULT_T_SEQUENCE, mixing_scan
+from .mixing import DEFAULT_T_SEQUENCE, mixing_scan, require_lattice
 from .modelfile import encode_complex, encode_matrix, load_model, load_observable, parse_region
 from .sampling import random_observable, rng_from_seed
 from .selftest import run_selftest
@@ -284,8 +283,7 @@ def cmd_homog(args, out) -> int:
 def cmd_mixing_scan(args, out) -> int:
     spec = load_model(args.model)
     family = spec.family()
-    if not isinstance(spec.geometry, lattice.Zd):
-        raise PreconditionError("mixing scans need a lattice model")
+    require_lattice(family)
     obs_a = load_observable(args.observable, spec.geometry)
     obs_b = load_observable(args.observable_far, spec.geometry)
     t_list = [t for t in DEFAULT_T_SEQUENCE if t <= args.tmax]

@@ -83,7 +83,10 @@ SHELL_BLOCK = 64
 # Tail certificates
 #
 # Families defined on an infinite lattice declare how their per-site
-# Gram matrices behave far from the origin.  Each certificate owns its
+# Gram matrices behave far from the origin, in one certificate
+# (``FarFieldTail``): far Gram matrices approach a fixed 0/1 pattern,
+# all ones for a perturbed family, the identity for a generator model and
+# the exact pattern of a homogeneous family's one tuple.  It owns the
 # stopping rule: ``settle(p, radii)`` takes a stack of entrywise products,
 # ``p[k]`` that of every site within 1-norm ``radii[k]`` (an integer
 # array), and returns the limit estimates with a rigorous bound on each
@@ -133,97 +136,46 @@ def _suffix_remaining(suffix: np.ndarray) -> Callable:
 
 
 @dataclass(frozen=True)
-class OnesTail:
-    """Far Gram matrices approach the all-ones pattern.
+class FarFieldTail:
+    """Far Gram matrices approach one fixed (d_I, d_I) 0/1 ``pattern``.
 
     ``remaining(r)`` bounds the sum over all sites with 1-norm > r of
-    ``max_ij |G_x[i,j] - 1|``, for every ``r >= -1``: the walk asks for
-    ``remaining(-1)``, the mass of every site, origin included.  It is
-    asked for a whole integer array of radii at once, and answers with
-    an array.
+    ``max_ij |G_x[i,j] - pattern[i,j]|``, for every ``r >= -1``: the walk
+    asks for ``remaining(-1)``, the mass of every site, origin included.
+    It is asked for a whole integer array of radii at once, and answers
+    with an array.  ``exact_beyond`` marks a radius past which every
+    remaining factor is exactly the pattern: pattern-1 entries freeze and
+    pattern-0 entries are annihilated.
     """
 
-    remaining: Callable
-
-    def settle(self, p: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
-        growth = np.expm1(np.minimum(self.remaining(radii), 700.0))
-        return p, np.abs(p).max(axis=(1, 2)) * growth
-
-
-@dataclass(frozen=True)
-class IdentityTail:
-    """Far Gram matrices approach the identity pattern.
-
-    ``remaining(r)`` bounds the sum over sites with 1-norm > r of
-    ``max_ij |G_x[i,j] - delta_ij|`` for every ``r >= -1`` (origin
-    included at ``r = -1``), asked for an array of radii at once as in
-    ``OnesTail``; ``exact_beyond`` marks a radius past which every Gram
-    matrix is exactly the identity.
-    """
-
+    pattern: np.ndarray
     remaining: Callable
     exact_beyond: int | None = None
 
+    def __post_init__(self):
+        pattern = np.array(self.pattern, dtype=bool)
+        pattern.setflags(write=False)
+        object.__setattr__(self, "pattern", pattern)
+        # flat indices of the pattern-1 and pattern-0 entries
+        object.__setattr__(self, "_ones", np.flatnonzero(pattern))
+        object.__setattr__(self, "_zeros", np.flatnonzero(~pattern))
+
     def settle(self, p: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
-        eye = np.eye(p.shape[1], dtype=bool)
         remaining = self.remaining(radii)
         growth = np.expm1(np.minimum(remaining, 700.0))
-        size = np.abs(p)
-        diag = size.diagonal(axis1=1, axis2=2).max(axis=1) * growth
-        # off-diagonal factors collapse toward 0; the entry itself must
-        # shrink below tolerance before the product can be frozen
-        off = np.where(eye, 0.0, size).max(axis=(1, 2))
-        bound = np.maximum(diag, off * (1.0 + np.minimum(remaining, 1.0) + growth))
+        size = np.abs(p).reshape(len(p), -1)
+        bound = size[:, self._ones].max(axis=1) * growth
+        if self._zeros.size:
+            # pattern-0 factors collapse toward 0; the entry itself must
+            # shrink below tolerance before the product can be frozen
+            off = size[:, self._zeros].max(axis=1)
+            bound = np.maximum(bound, off * (1.0 + np.minimum(remaining, 1.0) + growth))
         exact = radii >= (math.inf if self.exact_beyond is None else self.exact_beyond)
         if not exact.any():
             return p, bound
-        # past exact_beyond every remaining factor is exactly the identity
-        # pattern: diagonals freeze, off-diagonals are annihilated
-        return np.where(exact[:, None, None] & ~eye, 0, p), np.where(exact, 0.0, bound)
-
-
-@dataclass(frozen=True)
-class ConstantTail:
-    """Every site shares one vector tuple (homogeneous families), each
-    vector h_i taken as h_i / |h_i|, so every diagonal factor is 1.
-
-    Each entry's infinite product of one factor is decided once, exactly,
-    from the float64 vectors read as rationals (integers over one common
-    power of two): it is 1 where h_i = c h_j with c > 0, 0 where
-    |<h_j, h_i>| < |h_i| |h_j|, and has no limit where h_i = c h_j with c
-    not a positive real.
-    """
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.complex128)
-        ratios = [x.as_integer_ratio() for x in np.stack((v.real, v.imag)).ravel().tolist()]
-        scale = max(q for _, q in ratios)
-        re, im = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(2, *v.shape)
-        # <h_j, h_i> = sum_p conj(h_j[p]) h_i[p] at [i, j], in exact integers
-        dot_re = re @ re.T + im @ im.T
-        dot_im = im @ re.T - re @ im.T
-        norms = dot_re.diagonal()
-        parallel = dot_re * dot_re + dot_im * dot_im == np.outer(norms, norms)
-        one = parallel & (dot_im == 0) & (dot_re > 0)
-        object.__setattr__(self, "limit", one.astype(np.complex128))
-        object.__setattr__(self, "diverging", np.argwhere(parallel & ~one))
-
-    def settle(self, p: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
-        """The closed form, whatever has been walked."""
-        if self.diverging.size:
-            i, j = (int(k) for k in self.diverging[0])
-            v = np.asarray(self.vectors, dtype=np.complex128)
-            v = v / np.linalg.norm(v, axis=1, keepdims=True)
-            g = v @ v.conj().T
-            raise ConvergenceError(
-                f"constant tail factor {g[i, j]} at entry ({i}, {j}) has "
-                "modulus 1 and is not 1: the tail product does not converge",
-                last_partial=g,
-                tail_estimate=float(abs(abs(g[i, j]) - 1.0)),
-            )
-        return np.repeat(self.limit[None], len(p), axis=0), np.zeros(len(p))
+        p = p.copy()
+        p.reshape(len(p), -1)[np.ix_(exact, self._zeros)] = 0
+        return p, np.where(exact, 0.0, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +505,13 @@ class FiberFamily:
     @classmethod
     def homogeneous(cls, vectors, geometry, label: str = "") -> "FiberFamily":
         """Same vector tuple at every site of ``geometry``; on a lattice
-        each vector h is taken as h / |h| (``ConstantTail``)."""
+        each vector h_i is taken as h_i / |h_i|, and the certificate's
+        pattern, exact from the empty walk on, is decided once, exactly,
+        from the float64 vectors read as rationals (integers over one
+        common power of two): 1 where h_i = c h_j with c > 0, 0 where
+        |<h_j, h_i>| < |h_i| |h_j|.  Where h_i = c h_j with c not a positive
+        real the product has no limit: the certificate's ``remaining``
+        raises ``ConvergenceError`` at its first call, so only a walk fails."""
         v = np.asarray(vectors, dtype=np.complex128)
         if v.ndim != 2:
             raise DimensionError("homogeneous reference vectors must be a 2-D array")
@@ -563,8 +521,31 @@ class FiberFamily:
             norms = _norms(v)[:, None]
             if not (np.isfinite(v).all() and (norms > ZERO_VECTOR_TOL).all()):
                 raise ValidationError("homogeneous vectors must be finite and non-zero")
-            tail = ConstantTail(vectors=v)
+            ratios = [x.as_integer_ratio() for x in np.stack((v.real, v.imag)).ravel().tolist()]
+            scale = max(q for _, q in ratios)
+            re, im = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(2, *v.shape)
+            # <h_j, h_i> = sum_p conj(h_j[p]) h_i[p] at [i, j], in exact integers
+            dot_re = re @ re.T + im @ im.T
+            dot_im = im @ re.T - re @ im.T
+            squares = dot_re.diagonal()
+            parallel = dot_re * dot_re + dot_im * dot_im == np.outer(squares, squares)
+            one = parallel & (dot_im == 0) & (dot_re > 0)
             v = v / norms
+            remaining = tail_remaining([])
+            diverging = np.argwhere(parallel & ~one)
+            if diverging.size:
+                i, j = (int(k) for k in diverging[0])
+                g = v @ v.conj().T
+
+                def remaining(r):
+                    raise ConvergenceError(
+                        f"constant tail factor {g[i, j]} at entry ({i}, {j}) has "
+                        "modulus 1 and is not 1: the tail product does not converge",
+                        last_partial=g,
+                        tail_estimate=float(abs(abs(g[i, j]) - 1.0)),
+                    )
+
+            tail = FarFieldTail(one, remaining, exact_beyond=-1)
         return cls(d, d_I, None, geometry, tail=tail, label=label, elsewhere=v)
 
 

@@ -42,11 +42,12 @@ stops at its own first settled shell.  Walking regions side by side
 changes no bit of any region's result.
 
 On an infinite lattice the walk stops only on the family's tail
-certificate (``kernel.OnesTail``, ``IdentityTail`` or ``ConstantTail``),
-so every such result is rigorous; an infinite family without one is
-refused.  A finite walk order (a ``lattice.Sites`` passed as
-``exhaustion``) that leaves sites outside the region unwalked gives a
-truncated, non-rigorous product.
+certificate (``kernel.FarFieldTail``, whose far-field pattern is all
+ones, the identity or a homogeneous family's exact pattern), so every
+such result is rigorous; an infinite family without one is refused.  A
+finite walk order (a ``lattice.Sites`` passed as ``exhaustion``) that
+leaves sites outside the region unwalked gives a truncated,
+non-rigorous product.
 
 A generator model's site data is already an eigendecomposition of its
 Gram matrix, u* exp(D) u, so ``build_from_generators`` writes every
@@ -77,8 +78,8 @@ from .errors import (
 from .kernel import (
     SHELL_BLOCK,
     ZERO_VECTOR_TOL,
+    FarFieldTail,
     FiberFamily,
-    IdentityTail,
     product_kernel_matrix,
     tail_remaining,
 )
@@ -694,7 +695,7 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         d,
         None,
         lattice.Zd(spec.nu),
-        tail=IdentityTail(remaining=remaining, exact_beyond=spec.tail_radius),
+        tail=FarFieldTail(np.eye(d, dtype=bool), remaining, exact_beyond=spec.tail_radius),
         label="generator model",
         elsewhere=np.eye(d, dtype=np.complex128),
     )

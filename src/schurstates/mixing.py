@@ -29,8 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .kernel import (
+    FarFieldTail,
     FiberFamily,
-    OnesTail,
     kernel_matrix,
     origin_remaining,
     product_kernel_matrix,
@@ -146,7 +146,9 @@ def _ones(family: FiberFamily) -> np.ndarray:
     return np.ones((family.d_I, family.d_I), dtype=np.complex128)
 
 
-def _require_lattice(family: FiberFamily) -> None:
+def require_lattice(family: FiberFamily) -> None:
+    """``PreconditionError`` unless ``family`` lives on a lattice: the one
+    rule of every mixing path, the CLI's included."""
     if not isinstance(family.geometry, lattice.Zd):
         raise PreconditionError("tail limits require a lattice model")
 
@@ -170,7 +172,7 @@ def alpha_limit(
     matrices: those a caller holds are read from it, and those formed
     here are kept in it (``mixing_scan`` shares it with its rows).
     """
-    _require_lattice(family)
+    require_lattice(family)
     ts, tol = DEFAULT_T_SEQUENCE, DEFAULT_ALPHA_TOL
     nu = family.geometry.nu
     known = {} if kernels is None else kernels
@@ -244,7 +246,7 @@ def mixing_gap(
     large clearance sit below 1e-12 and must not drown in boundary
     truncation error.
     """
-    _require_lattice(family)
+    require_lattice(family)
     joint, far = _placed(family, obs_a, obs_b, t, strategy, seed)
     v_joint = limit_state_eval(family, joint, tail_tol)
     v_a = limit_state_eval(family, obs_a, tail_tol)
@@ -450,8 +452,9 @@ def decaying_perturbation_family(
         start, size = stop, min(2 * size, 4096)
 
     remaining = tail_remaining(masses, beyond)
+    ones = np.ones((d_I, d_I), dtype=bool)
     family = FiberFamily(
-        d, d_I, None, lattice.Zd(nu), tail=OnesTail(remaining),
+        d, d_I, None, lattice.Zd(nu), tail=FarFieldTail(ones, remaining),
         label="decaying perturbation", radial=vectors,
     )
     if not normalize:
@@ -467,7 +470,7 @@ def decaying_perturbation_family(
     # shell 0 is the origin alone, so only its mass changes; every other
     # shell, its power and its later masses' sums are the raw family's
     normalized = family.with_origin(
-        origin, OnesTail(origin_remaining(remaining, float(deviation(origin))))
+        origin, FarFieldTail(ones, origin_remaining(remaining, float(deviation(origin))))
     )
     normalized.normalization = (total, beta.tail_bound)
     return normalized

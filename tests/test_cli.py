@@ -420,6 +420,9 @@ class TestLimit:
         )
         assert code == 2
         assert "does not converge" in err
+        # only a boundary walk asks the certificate; the model itself loads
+        assert run_cli(["check-kernel", "--model", model], capsys)[0] == 0
+        assert run_cli(["eval", "--model", model, "--observable", obs, "--region", "0;1"], capsys)[0] == 0
 
     @pytest.mark.parametrize("coordinate", ["+-1", "--1", "\u00b2"])
     def test_malformed_region_coordinate_exits_1(self, capsys, coordinate):
@@ -804,6 +807,21 @@ class TestMixingScanCli:
         )
         assert (code, out) == (1, "")
         assert "unknown embedding strategy 'sideways'" in err
+
+    def test_site_list_model_refused_before_the_observables(self, capsys, tmp_path):
+        # the scan asks the mixing module's one lattice rule, before it
+        # reads an observable file (here one that does not exist)
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(
+            [
+                "mixing-scan",
+                "--model", str(MODELS / "orthonormal.json"),
+                "--observable", missing, "--observable-far", missing,
+            ],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err == "precondition error: tail limits require a lattice model\n"
 
     def test_readme_scan_matches_golden_csv(self, tmp_path):
         # captured from the README command with the shell-by-shell walk,

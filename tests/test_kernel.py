@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schurstates.errors import DimensionError, ValidationError
+from schurstates.errors import ConvergenceError, DimensionError, ValidationError
 from schurstates.kernel import (
     SHELL_BLOCK,
+    FarFieldTail,
     FiberFamily,
-    IdentityTail,
     SchurKernelMap,
     _kernel_stack,
     _norms,
@@ -154,7 +154,7 @@ class TestPreload:
         for sites in ([(0,), (0,)], np.array([[0], [0]]), np.array([[0], [1], [0]])):
             fam = FiberFamily(
                 2, 2, None, Zd(1),
-                tail=IdentityTail(tail_remaining([0.5, 0.5]), exact_beyond=1),
+                tail=FarFieldTail(np.eye(2, dtype=bool), tail_remaining([0.5, 0.5]), exact_beyond=1),
                 elsewhere=np.eye(2),
             )
             with pytest.raises(ValidationError, match=r"^site \(0,\) is preloaded twice$"):
@@ -364,6 +364,153 @@ class TestTailRemaining:
         assert np.array_equal(new(radii), want(radii))
         assert np.array_equal(new(radii[1:]), old(radii[1:]))
         assert not new.suffix.flags.writeable and not old.suffix.flags.writeable
+
+
+# The three certificates ``FarFieldTail`` replaced, each settle body kept
+# verbatim as an oracle: the all-ones tail of a perturbed family, the
+# identity tail of a generator model, and the closed form of one
+# repeated vector tuple.
+
+
+def ones_settle(remaining, p, radii):
+    growth = np.expm1(np.minimum(remaining(radii), 700.0))
+    return p, np.abs(p).max(axis=(1, 2)) * growth
+
+
+def identity_settle(remaining, exact_beyond, p, radii):
+    eye = np.eye(p.shape[1], dtype=bool)
+    remaining = remaining(radii)
+    growth = np.expm1(np.minimum(remaining, 700.0))
+    size = np.abs(p)
+    diag = size.diagonal(axis1=1, axis2=2).max(axis=1) * growth
+    off = np.where(eye, 0.0, size).max(axis=(1, 2))
+    bound = np.maximum(diag, off * (1.0 + np.minimum(remaining, 1.0) + growth))
+    exact = radii >= (math.inf if exact_beyond is None else exact_beyond)
+    if not exact.any():
+        return p, bound
+    return np.where(exact[:, None, None] & ~eye, 0, p), np.where(exact, 0.0, bound)
+
+
+def constant_decision(vectors):
+    """The exact integer decision of one repeated tuple: the limit of
+    each entry's product, and the entries that have none."""
+    v = np.asarray(vectors, dtype=np.complex128)
+    ratios = [x.as_integer_ratio() for x in np.stack((v.real, v.imag)).ravel().tolist()]
+    scale = max(q for _, q in ratios)
+    re, im = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(2, *v.shape)
+    dot_re = re @ re.T + im @ im.T
+    dot_im = im @ re.T - re @ im.T
+    norms = dot_re.diagonal()
+    parallel = dot_re * dot_re + dot_im * dot_im == np.outer(norms, norms)
+    one = parallel & (dot_im == 0) & (dot_re > 0)
+    return one.astype(np.complex128), np.argwhere(parallel & ~one)
+
+
+def constant_settle(vectors, p, radii):
+    limit, diverging = constant_decision(vectors)
+    if diverging.size:
+        i, j = (int(k) for k in diverging[0])
+        v = np.asarray(vectors, dtype=np.complex128)
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        g = v @ v.conj().T
+        raise ConvergenceError(
+            f"constant tail factor {g[i, j]} at entry ({i}, {j}) has "
+            "modulus 1 and is not 1: the tail product does not converge",
+            last_partial=g,
+            tail_estimate=float(abs(abs(g[i, j]) - 1.0)),
+        )
+    return np.repeat(limit[None], len(p), axis=0), np.zeros(len(p))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFarFieldTail:
+    """One certificate against the three it replaced, bit for bit."""
+
+    @staticmethod
+    def stack(rng, n, d_I):
+        """A random product stack: entries over 1e-300 to 1e300, with
+        some exact zeros, ones and NaNs."""
+        p = complex_gaussian(rng, (n, d_I, d_I)) * 10.0 ** rng.integers(-300, 301, (n, d_I, d_I))
+        for value, share in ((0.0, 0.1), (1.0, 0.1), (np.nan, 0.02)):
+            p[rng.random(p.shape) < share] = value
+        return p
+
+    @staticmethod
+    def remaining(rng):
+        """A random certificate ``remaining``: a suffix table over a few
+        masses, huge ones past 700 among them, or one scalar."""
+        kind = rng.integers(3)
+        if kind == 2:
+            value = float(rng.choice([0.0, 1e-13, 0.5, 2.0, 1e3]))
+            return lambda r: value
+        masses = (10.0 ** rng.uniform(-20, 3, rng.integers(0, 12))).tolist()
+        return tail_remaining(masses, 0.0 if kind else float(rng.choice([1e-28, 800.0])))
+
+    def test_matches_the_three_old_certificates(self):
+        rng = rng_from_seed(2024)
+        for _ in range(400):
+            d_I, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+            p = self.stack(rng, n, d_I)
+            radii = np.sort(rng.integers(-1, 30, n))
+            remaining = self.remaining(rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ones = FarFieldTail(np.ones((d_I, d_I), dtype=bool), remaining)
+                got, want = ones.settle(p, radii), ones_settle(remaining, p, radii)
+                assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+                # a NaN entry leaves its bound NaN: no walk stops on it
+                assert np.isnan(got[1][np.isnan(p).any(axis=(1, 2))]).all()
+                # exact_beyond before, inside and past the stack
+                for exact_beyond in (None, -1, int(radii[n // 2]), 100):
+                    eye = FarFieldTail(np.eye(d_I, dtype=bool), remaining, exact_beyond)
+                    got = eye.settle(p, radii)
+                    want = identity_settle(remaining, exact_beyond, p, radii)
+                    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[1.0, 0.0], [3.0, 0.0]],  # parallel, positive
+            [[1.0, 1.0], [0.5, 0.5], [1.0, -1.0]],  # parallel pair and an orthogonal third
+            [[1.0, 0.0], [0.0, 2.0]],  # orthogonal
+            [[1.0, 0.0], [1.0, 2.0**-30]],  # float64 overlap exactly 1
+            [[1.0, 0.0], [1.0 - 2.0**-53, 2.0**-26]],  # float64 overlap 1 ulp below 1
+            [[1.0, 0.0], [0.6, 0.8j], [2.0, 0.0]],
+        ],
+        ids=["parallel", "parallel-and-orthogonal", "orthogonal", "rounds-to-1", "ulp-below-1", "complex"],
+    )
+    def test_homogeneous_pattern_is_the_exact_decision(self, vectors):
+        tail = FiberFamily.homogeneous(np.array(vectors, dtype=complex), Zd(1)).tail
+        limit, diverging = constant_decision(vectors)
+        assert diverging.size == 0
+        assert np.array_equal(tail.pattern, limit.real.astype(bool))
+        assert tail.exact_beyond == -1 and not tail.pattern.flags.writeable
+        # the walk settles on its empty first step, a stack of ones
+        p, radii = np.ones((3,) + limit.shape, dtype=complex), np.array([-1, 0, 4])
+        got, want = tail.settle(p, radii), constant_settle(vectors, p, radii)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize(
+        "vectors", [[[1.0, 0.0], [-2.0, 0.0]], [[1.0, 0.0], [1j, 0.0]], [[0.6, 0.8], [1.0, 0.0], [-0.6j, -0.8j]]],
+        ids=["phase-minus-1", "phase-i", "third-pair"],
+    )
+    def test_diverging_entry_raises_at_the_first_remaining(self, vectors):
+        # the family is made; only asking its certificate for a bound fails
+        fam = FiberFamily.homogeneous(np.array(vectors, dtype=complex), Zd(1))
+        radii = np.array([-1])
+        p = np.ones((1, len(vectors), len(vectors)), dtype=complex)
+        with pytest.raises(ConvergenceError) as want:
+            constant_settle(vectors, p, radii)
+        with pytest.raises(ConvergenceError) as got:
+            fam.tail.remaining(radii)
+        with pytest.raises(ConvergenceError):
+            fam.tail.settle(p, radii)
+        assert str(got.value) == str(want.value)
+        assert same_bits(got.value.last_partial, want.value.last_partial)
+        assert got.value.tail_estimate == want.value.tail_estimate
 
 
 class TestKernelEntry:

@@ -12,7 +12,7 @@ from schurstates.errors import (
 )
 from schurstates import lattice, limit
 from schurstates.lattice import Sites, Zd
-from schurstates.kernel import SHELL_BLOCK, FiberFamily, IdentityTail, OnesTail, transfer_matrix
+from schurstates.kernel import SHELL_BLOCK, FarFieldTail, FiberFamily, transfer_matrix
 from schurstates.limit import (
     SITE_CAP,
     _boundary_walk,
@@ -287,7 +287,9 @@ class TestBoundaryMatrix:
             # the origin's e_0 = 1/2 plus 2 e_k = 2^-k for each k >= 1
             return np.where(r < 0, 1.5, 2.0**-r)
 
-        fam = FiberFamily(2, 2, None, Zd(1), tail=IdentityTail(remaining), radial=radial)
+        fam = FiberFamily(
+            2, 2, None, Zd(1), tail=FarFieldTail(np.eye(2, dtype=bool), remaining), radial=radial
+        )
         # each site of radius k deviates from the identity by exactly e_k
         for k in range(60):
             assert np.max(np.abs(fam.shell_gram(k) - np.eye(2))) == 2.0 ** -(k + 1)
@@ -324,7 +326,7 @@ class TestBoundaryMatrix:
             # all sites: c at the origin plus 2 c sum_{k >= 2} 1/k^2 <= 2 c
             return np.where(r < 0, 3.0 * c, 2.0 * c / np.maximum(r + 1, 1))
 
-        fam = FiberFamily(2, 2, provider, Zd(1), tail=OnesTail(remaining))
+        fam = FiberFamily(2, 2, provider, Zd(1), tail=FarFieldTail(np.ones((2, 2), dtype=bool), remaining))
         # the certificate is no lie: it bounds the deviation mass out to a
         # far radius for every r in a window
         far = 5000

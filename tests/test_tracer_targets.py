@@ -9,10 +9,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schurstates import lattice
-from schurstates.kernel import FiberFamily, IdentityTail, OnesTail
+from schurstates.kernel import FarFieldTail, FiberFamily
 from schurstates.limit import boundary_matrix, build_from_generators
 from schurstates.mixing import decaying_perturbation_family
 from schurstates.sampling import decaying_generator_spec
@@ -55,11 +56,24 @@ def test_cli_parser_builder_exists():
     assert callable(cli.build_parser)
 
 
-@pytest.mark.parametrize("tail", [OnesTail, IdentityTail])
-def test_tail_certificates_keep_remaining_field(tail):
-    # the tracer times certificates through dataclasses.replace(tail, remaining=...)
-    assert dataclasses.is_dataclass(tail)
-    assert "remaining" in {f.name for f in dataclasses.fields(tail)}
+@pytest.mark.parametrize(
+    "pattern",
+    [np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool)],
+    ids=["IdentityTail", "OnesTail"],
+)
+def test_tail_certificates_keep_remaining_field(pattern):
+    # the tracer times certificates through dataclasses.replace(tail, remaining=...);
+    # the ids name the identity (generator) and all-ones (perturbed) patterns
+    assert dataclasses.is_dataclass(FarFieldTail)
+    assert "remaining" in {f.name for f in dataclasses.fields(FarFieldTail)}
+    tail = FarFieldTail(pattern, lambda r: np.zeros(np.shape(r)), exact_beyond=2)
+    timed = dataclasses.replace(tail, remaining=lambda r: np.zeros(np.shape(r)))
+    assert timed.exact_beyond == 2
+    assert np.array_equal(timed.pattern, pattern)
+    p = np.full((3, 2, 2), 0.5)
+    radii = np.array([0, 1, 2])
+    for got, want in zip(timed.settle(p, radii), tail.settle(p, radii)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -68,8 +82,10 @@ def test_tail_certificates_keep_remaining_field(tail):
         lambda: decaying_perturbation_family(normalize=False),
         decaying_perturbation_family,
         lambda: build_from_generators(decaying_generator_spec(seed=1, radius=3, d=2, nu=2)),
+        lambda: FiberFamily.homogeneous(np.eye(2, dtype=complex), lattice.Zd(2)),
+        lambda: FiberFamily.homogeneous(np.array([[1.0, 0.0], [-1.0, 0.0]]), lattice.Zd(1)),
     ],
-    ids=["perturbed-raw", "perturbed-normalized", "generators"],
+    ids=["perturbed-raw", "perturbed-normalized", "generators", "homogeneous", "homogeneous-diverging"],
 )
 def test_lattice_tail_remaining_is_a_function(build):
     # the tracer wraps ``remaining`` with functools.wraps, which reads its
@@ -92,7 +108,7 @@ def test_lattice_walks_read_shells_through_shell(monkeypatch):
     monkeypatch.setattr(lattice, "shell", counting)
     vectors = [[1.0]]
     # a certificate that settles only on its exact-identity radius, 3
-    tail = IdentityTail(remaining=lambda r: 1.0, exact_beyond=3)
+    tail = FarFieldTail(np.eye(1, dtype=bool), remaining=lambda r: 1.0, exact_beyond=3)
     family = FiberFamily(1, 1, lambda site: vectors, lattice.Zd(2), tail=tail)
     result = boundary_matrix(family, ())
     assert [(2, r) for r in range(-1, 4)] == calls
