@@ -22,26 +22,22 @@ A site's kernel is evaluated on a whole stack of observables at once
 units, a tuple Gram matrix on the stack of all n² products of one
 site's factors.
 
-A family validates the array its provider hands out for a site at the
-site's first use and keeps it read-only beside its Gram matrix, and the
-one array every site off its table carries (``elsewhere``; a homogeneous
-family has no table) when the family is made; a model that tabulates
-many sites hands the whole table over (``preload``) to be checked and
-squared in one stacked pass, and kept as one stack in walk order.  An
-explicit family (``FiberFamily.explicit``, every random family and
-every explicit model file) is such a table of all its sites, in their
-given order, so its provider is never asked and a faulty vector is
-refused when the family is made.  Given the one array
-every site off the table carries (``elsewhere``), a boundary walk takes
-the table's Gram matrices a block of shells at a time.  A radial family,
-whose vectors depend on a site only through its 1-norm, has no per-site
-provider: it hands out ``SHELL_BLOCK`` consecutive shells at a time as
-one stack, checked and squared in one pass, so a boundary walk takes a
-whole block of shell Gram matrices without visiting the shells' sites,
-and each shell's power to its full size from a stack the family keeps
-per block.  A radial family that differs from another at the origin
-alone (``with_origin``) takes over the other's blocks and powers and
-builds only its own shell 0.
+A lattice family serves its sites from two sources: its table
+(``preload``), checked and squared in one stacked pass and kept as one
+stack in walk order, and its radial shells (``radial``) for every site
+off the table: the vectors of the site's 1-norm shell, ``SHELL_BLOCK``
+consecutive shells at a time as one stack, checked and squared in one
+pass (a generator model's identity, a homogeneous family's normalized
+tuple, a perturbed family's tuple per radius).  So a boundary walk
+takes a whole block of shell Gram matrices, and each shell's power to
+its full size from a stack the family keeps per block, without visiting
+the shells' sites.  The normalized perturbed family (``with_origin``)
+is the raw family's shells, shared, and a one-row table at the origin.
+An explicit family (``FiberFamily.explicit``, every random family and
+every explicit model file) is a table of all its sites, in their given
+order, and a homogeneous family on a site list one table row for every
+site, so a faulty vector is refused when the family is made.  A family without radial shells asks
+its provider for a site off its table, at the site's first use.
 
 Index layout, fixed once for the whole package:
 
@@ -197,7 +193,8 @@ def _norms(stack: np.ndarray) -> np.ndarray:
 
 class Table(NamedTuple):
     """A family's preloaded sites: site ``s`` is row ``rows[s]`` of the
-    read-only ``vectors`` (N, d_I, d) and ``grams`` (N, d_I, d_I) stacks.
+    read-only ``vectors`` (N, d_I, d) and ``grams`` (N, d_I, d_I) stacks
+    (on a site list one row may serve several sites).
     On a lattice the rows are in walk order and ``radii`` holds their
     1-norms (int64; exact for every site a walk can reach); on a site
     list, ``radii`` is None and the rows keep the given order."""
@@ -213,37 +210,40 @@ class FiberFamily:
 
     ``geometry`` (``lattice.Zd`` or ``lattice.Sites``) says which sites
     exist and in which order a boundary walk visits them.  Vectors are
-    produced lazily, by ``provider(site)`` or by the radial blocks below,
-    so the same object serves finite enumerated models and infinite
-    lattice models.  All vectors must be non-zero and share one (d, d_I).
+    produced lazily, so the same object serves finite enumerated models
+    and infinite lattice models.  All vectors must be non-zero and share
+    one (d, d_I).  A site is served from the family's table if it is on
+    it, and otherwise by its radial shells or, without them, by its
+    provider.
+
+    Table contract: ``preload`` hands over the vectors of a whole table
+    of sites at once, validated and squared in one stacked pass and kept
+    as one stack (``table``); ``explicit`` preloads every site of its
+    list.
+
+    Radial contract: a family on ``lattice.Zd`` whose vectors off its
+    table depend on a site only through its 1-norm passes
+    ``radial(start, stop)``, the (stop - start, d_I, d) stack whose row k
+    holds the vectors of every site of 1-norm start + k off the table.
+    The family asks for one block of ``SHELL_BLOCK`` radii at a time,
+    each block once, and validates and squares it in one pass (a block
+    that repeats one tuple, with stride 0 along its radii as
+    ``np.broadcast_to`` makes it, is validated and squared once);
+    ``shell_grams(k)`` serves the Gram stack of block k, and
+    ``shell_gram(r)`` and every site of 1-norm r off the table read row r
+    of their block.  The family also owns each block's full-shell powers
+    (``shell_powers(k)``), each Gram matrix raised to its shell's size,
+    which a boundary walk forms the first time it takes the block: at
+    most one stack per block built, kept as long as the family.  A
+    family made by ``with_origin`` shares these blocks and powers with
+    its source.  On a lattice, a canonical boundary walk takes every
+    family with radial shells a block of shells at a time: each shell's
+    table rows, then its Gram matrix for the sites off the table.
 
     Provider contract: ``provider(site)`` returns the (d_I, d) vectors of
     one site.  They are validated and squared into their Gram matrix at
     the site's first use, and a per-site index keeps the result, so every
     later ``vectors``/``gram`` call is one lookup.
-
-    Table contract: ``preload`` hands over the vectors of a whole table
-    of sites at once, validated and squared in one stacked pass and kept
-    as one stack (``table``); ``explicit`` preloads every site of its
-    list.  A family may instead of a provider be
-    given ``elsewhere``, the (d_I, d) array of every site off its table;
-    on a lattice a canonical boundary walk then takes the table's Gram
-    matrices a block of shells at a time, without visiting sites.
-
-    Radial contract: a family on ``lattice.Zd`` whose vectors depend on a
-    site only through its 1-norm passes ``radial(start, stop)``, the
-    (stop - start, d_I, d) stack whose row k holds the vectors of every
-    site of 1-norm start + k, and no provider.  The family asks for one
-    block of ``SHELL_BLOCK`` radii at a time, each block once, and
-    validates and squares it in one pass; ``shell_grams(k)`` serves the
-    Gram stack of block k, and ``shell_gram(r)`` and every site of
-    1-norm r read row r of their block.  The family also owns each
-    block's full-shell powers (``shell_powers(k)``), each Gram matrix
-    raised to its shell's size, which a boundary walk forms the first
-    time it takes the block: at most one stack per block built, kept as
-    long as the family.  A family made by ``with_origin`` differs from
-    its source at the origin alone: it takes over the source's blocks and
-    powers for every radius >= 1 and builds only its own shell 0.
 
     A family rescaled so that its total boundary weight is 1 keeps
     ``normalization`` = (Z, bound): the weight Z = sum_ij beta(empty)[i, j]
@@ -260,16 +260,13 @@ class FiberFamily:
         tail=None,
         label: str = "",
         radial: Callable[[int, int], np.ndarray] | None = None,
-        elsewhere: np.ndarray | None = None,
     ):
         if d < 1 or d_I < 1:
             raise ValidationError(f"fiber dims must be positive, got d={d}, d_I={d_I}")
         if radial is not None and geometry.finite:
             raise ValidationError("a radial family needs a lattice geometry")
-        if provider is None and radial is None and elsewhere is None:
-            raise ValidationError(
-                "a family needs a provider or radial blocks, or the vectors off its table"
-            )
+        if provider is None and radial is None:
+            raise ValidationError("a family needs a provider or radial blocks")
         self.d = int(d)
         self.d_I = int(d_I)
         self._provider = provider
@@ -280,12 +277,8 @@ class FiberFamily:
         self._by_site: dict = {}  # site -> its (vectors, Gram) entry
         self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
         self._powers: dict = {}  # k -> full-shell powers of radial block k
-        # (source family, origin vectors) of a family made by ``with_origin``
-        self._origin = None
         self.normalization: tuple | None = None
         self.table: Table | None = None  # set once, by ``preload``
-        # the (vectors, Gram) entry of every site off the table, if declared
-        self.elsewhere = None if elsewhere is None else self._validated(elsewhere, "off the table")
         # owned here, filled by ``limit.boundary_matrix``
         self._boundary_cache: dict = {}
 
@@ -298,22 +291,16 @@ class FiberFamily:
             if self.radial is not None:
                 r = lattice.norm1(site)
                 entry = tuple(stack[r % SHELL_BLOCK] for stack in self._block(r // SHELL_BLOCK))
-            elif self.elsewhere is not None:
-                entry = self.elsewhere
             else:
-                entry = self._validated(self._provider(site), f"site {site!r}")
+                v = np.asarray(self._provider(site), dtype=np.complex128)
+                if v.shape != (self.d_I, self.d):
+                    raise DimensionError(
+                        f"site {site!r}: vectors have shape {v.shape}, "
+                        f"expected {(self.d_I, self.d)}"
+                    )
+                entry = (v, self._squared(v, lambda k: f"site {site!r}"))
         self._by_site[site] = entry
         return entry
-
-    def _validated(self, raw, where: str) -> tuple:
-        """The read-only (vectors, Gram) entry of one provided array."""
-        v = np.asarray(raw, dtype=np.complex128)
-        if v.shape != (self.d_I, self.d):
-            raise DimensionError(
-                f"{where}: vectors have shape {v.shape}, "
-                f"expected {(self.d_I, self.d)}"
-            )
-        return v, self._squared(v, lambda k: where)
 
     def _squared(self, stack: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
         """Validate a stack of (d_I, d) vector arrays, shape (n, d_I, d) or,
@@ -402,33 +389,28 @@ class FiberFamily:
         block = self._blocks.get(k)
         if block is None:
             start = k * SHELL_BLOCK
-            if self._origin is not None:  # the source's block, shell 0 aside
-                source, origin = self._origin
-                block = source._block(k)
-                if k == 0:
-                    v = origin[None]
-                    g = self._squared(v, lambda j: "radius 0")
-                    block = tuple(_frozen(np.concatenate((a, b[1:]))) for a, b in zip((v, g), block))
+            v = np.asarray(self.radial(start, start + SHELL_BLOCK), dtype=np.complex128)
+            if v.shape != (SHELL_BLOCK, self.d_I, self.d):
+                raise DimensionError(
+                    f"radii {start} to {start + SHELL_BLOCK - 1}: vectors have shape "
+                    f"{v.shape}, expected {(SHELL_BLOCK, self.d_I, self.d)}"
+                )
+            if v.strides[0] == 0:  # one tuple at every radius: checked and squared once
+                g = self._squared(v[0], lambda j: f"radius {start}")
+                block = self._blocks[k] = (v, np.broadcast_to(g, (SHELL_BLOCK,) + g.shape))
             else:
-                v = np.asarray(self.radial(start, start + SHELL_BLOCK), dtype=np.complex128)
-                if v.shape != (SHELL_BLOCK, self.d_I, self.d):
-                    raise DimensionError(
-                        f"radii {start} to {start + SHELL_BLOCK - 1}: vectors have shape "
-                        f"{v.shape}, expected {(SHELL_BLOCK, self.d_I, self.d)}"
-                    )
-                block = (v, self._squared(v, lambda j: f"radius {start + j}"))
-            self._blocks[k] = block
+                block = self._blocks[k] = (v, self._squared(v, lambda j: f"radius {start + j}"))
         return block
 
     def shell_grams(self, k: int) -> np.ndarray:
         """The (SHELL_BLOCK, d_I, d_I) Gram matrices of the radii of block
-        k, row j shared by every site of 1-norm k * SHELL_BLOCK + j
-        (radial families only)."""
+        k, row j shared by every site of 1-norm k * SHELL_BLOCK + j off
+        the table (radial families only)."""
         return self._block(k)[1]
 
     def shell_gram(self, r: int) -> np.ndarray:
-        """The Gram matrix shared by every site of 1-norm r (radial
-        families only)."""
+        """The Gram matrix shared by every site of 1-norm r off the table
+        (radial families only)."""
         return self.shell_grams(r // SHELL_BLOCK)[r % SHELL_BLOCK]
 
     def shell_powers(self, k: int) -> np.ndarray:
@@ -440,26 +422,17 @@ class FiberFamily:
         if powers is None:
             start = k * SHELL_BLOCK
             sizes = lattice.shell_sizes(self.geometry.nu, start, start + SHELL_BLOCK)
-            if self._origin is None:
-                powers = _frozen(self.shell_grams(k) ** sizes[:, None, None])
-            elif k:
-                powers = self._origin[0].shell_powers(k)
-            else:  # the origin is a shell of one site; only its power is new
-                origin = self.shell_grams(0)[:1] ** sizes[:1, None, None]
-                powers = _frozen(np.concatenate((origin, self._origin[0].shell_powers(0)[1:])))
-            self._powers[k] = powers
+            powers = self._powers[k] = _frozen(self.shell_grams(k) ** sizes[:, None, None])
         return powers
 
     def with_origin(self, origin, tail) -> "FiberFamily":
         """The radial family equal to this one but at the origin, whose
         (d_I, d) vectors are ``origin``, certified by ``tail``.
 
-        It takes over this family's blocks and full-shell powers for every
-        radius >= 1, built once for both by whichever family asks first,
-        and builds only its own shell 0: the origin, validated and squared
-        alone, in front of the rest of this family's block 0.  Its
-        ``radial`` gives the same stacks, for a fresh family to check it
-        against.
+        It shares this family's radial shells, their blocks and their
+        full-shell powers, built once for both by whichever family asks
+        first, and holds the origin as a one-row table, validated and
+        squared here.
         """
         if self.radial is None:
             raise ValidationError("only a radial family can take a new origin")
@@ -468,14 +441,13 @@ class FiberFamily:
             raise DimensionError(
                 f"origin vectors have shape {origin.shape}, expected {(self.d_I, self.d)}"
             )
-        radial = self.radial
-
-        def shifted(start: int, stop: int) -> np.ndarray:
-            block = radial(start, stop)
-            return np.concatenate((origin[None], block[1:])) if start == 0 else block
-
-        family = FiberFamily(self.d, self.d_I, None, self.geometry, tail=tail, label=self.label, radial=shifted)
-        family._origin = (self, origin)
+        family = FiberFamily(
+            self.d, self.d_I, None, self.geometry, tail=tail, label=self.label, radial=self.radial
+        )
+        family._blocks, family._powers = self._blocks, self._powers
+        v = origin[None]
+        g = family._squared(v, lambda k: "radius 0")
+        family.table = Table({(0,) * self.geometry.nu: 0}, v, g, np.zeros(1, dtype=np.int64))
         return family
 
     # -- constructors -------------------------------------------------
@@ -504,49 +476,56 @@ class FiberFamily:
 
     @classmethod
     def homogeneous(cls, vectors, geometry, label: str = "") -> "FiberFamily":
-        """Same vector tuple at every site of ``geometry``; on a lattice
-        each vector h_i is taken as h_i / |h_i|, and the certificate's
-        pattern, exact from the empty walk on, is decided once, exactly,
-        from the float64 vectors read as rationals (integers over one
-        common power of two): 1 where h_i = c h_j with c > 0, 0 where
-        |<h_j, h_i>| < |h_i| |h_j|.  Where h_i = c h_j with c not a positive
-        real the product has no limit: the certificate's ``remaining``
-        raises ``ConvergenceError`` at its first call, so only a walk fails."""
+        """Same vector tuple at every site of ``geometry``.  On a site list
+        one table row serves every site.  On a lattice each vector h_i is
+        taken as h_i / |h_i|, every shell carries the normalized tuple
+        (``radial``), and the certificate's pattern, exact from the empty
+        walk on, is decided once, exactly, from the float64 vectors read
+        as rationals (integers over one common power of two): 1 where
+        h_i = c h_j with c > 0, 0 where |<h_j, h_i>| < |h_i| |h_j|.  Where
+        h_i = c h_j with c not a positive real the product has no limit:
+        the certificate's ``remaining`` raises ``ConvergenceError`` at its
+        first call, so only a walk fails."""
         v = np.asarray(vectors, dtype=np.complex128)
         if v.ndim != 2:
             raise DimensionError("homogeneous reference vectors must be a 2-D array")
         d_I, d = v.shape
-        tail = None
-        if not geometry.finite:
-            norms = _norms(v)[:, None]
-            if not (np.isfinite(v).all() and (norms > ZERO_VECTOR_TOL).all()):
-                raise ValidationError("homogeneous vectors must be finite and non-zero")
-            ratios = [x.as_integer_ratio() for x in np.stack((v.real, v.imag)).ravel().tolist()]
-            scale = max(q for _, q in ratios)
-            re, im = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(2, *v.shape)
-            # <h_j, h_i> = sum_p conj(h_j[p]) h_i[p] at [i, j], in exact integers
-            dot_re = re @ re.T + im @ im.T
-            dot_im = im @ re.T - re @ im.T
-            squares = dot_re.diagonal()
-            parallel = dot_re * dot_re + dot_im * dot_im == np.outer(squares, squares)
-            one = parallel & (dot_im == 0) & (dot_re > 0)
-            v = v / norms
-            remaining = tail_remaining([])
-            diverging = np.argwhere(parallel & ~one)
-            if diverging.size:
-                i, j = (int(k) for k in diverging[0])
-                g = v @ v.conj().T
+        if geometry.finite:  # one table row, checked and squared once, for every site
+            family = cls(d, d_I, lambda site: v, geometry, label=label)
+            g = family._squared(v[None], lambda k: "homogeneous vectors")
+            family.table = Table(dict.fromkeys(geometry.sites, 0), v[None], g, None)
+            return family
+        norms = _norms(v)[:, None]
+        if not (np.isfinite(v).all() and (norms > ZERO_VECTOR_TOL).all()):
+            raise ValidationError("homogeneous vectors must be finite and non-zero")
+        ratios = [x.as_integer_ratio() for x in np.stack((v.real, v.imag)).ravel().tolist()]
+        scale = max(q for _, q in ratios)
+        re, im = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(2, *v.shape)
+        # <h_j, h_i> = sum_p conj(h_j[p]) h_i[p] at [i, j], in exact integers
+        dot_re = re @ re.T + im @ im.T
+        dot_im = im @ re.T - re @ im.T
+        squares = dot_re.diagonal()
+        parallel = dot_re * dot_re + dot_im * dot_im == np.outer(squares, squares)
+        one = parallel & (dot_im == 0) & (dot_re > 0)
+        unit = v / norms
+        remaining = tail_remaining([])
+        diverging = np.argwhere(parallel & ~one)
+        if diverging.size:
+            i, j = (int(k) for k in diverging[0])
+            g = unit @ unit.conj().T
 
-                def remaining(r):
-                    raise ConvergenceError(
-                        f"constant tail factor {g[i, j]} at entry ({i}, {j}) has "
-                        "modulus 1 and is not 1: the tail product does not converge",
-                        last_partial=g,
-                        tail_estimate=float(abs(abs(g[i, j]) - 1.0)),
-                    )
+            def remaining(r):
+                raise ConvergenceError(
+                    f"constant tail factor {g[i, j]} at entry ({i}, {j}) has "
+                    "modulus 1 and is not 1: the tail product does not converge",
+                    last_partial=g,
+                    tail_estimate=float(abs(abs(g[i, j]) - 1.0)),
+                )
 
-            tail = FarFieldTail(one, remaining, exact_beyond=-1)
-        return cls(d, d_I, None, geometry, tail=tail, label=label, elsewhere=v)
+        return cls(
+            d, d_I, None, geometry, tail=FarFieldTail(one, remaining, exact_beyond=-1), label=label,
+            radial=lambda start, stop: np.broadcast_to(unit, (stop - start, d_I, d)),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,36 +10,32 @@ A product whose limit is zero is a converged result, not a failure.
 
 One loop forms the products, step by step, for a whole list of regions
 at once (``boundary_matrices``; ``boundary_matrix`` is its one-region
-case), from one of three sources.  A canonical walk on a lattice takes,
-after the empty shell at radius -1, ``SHELL_BLOCK`` consecutive 1-norm
-shells per step and lists no sites; each shell's count outside a region
-is its size (``lattice.shell_sizes``) less the region's sites there.
-Each step is one ``np.multiply.accumulate`` along the shell axis of a
-(region, shell) stack, seeded with each region's product so far:
-
-* a radial family (``FiberFamily.radial``): each shell's Gram matrix to
-  the power of the shell's size, from the stack the family keeps per
-  block (``FiberFamily.shell_powers``), and raised afresh, with
-  ``np.power``, to its count outside the region only where the region
-  holds sites of the shell;
-* a family with a table on a lattice and one array off it
-  (``FiberFamily.preload`` and ``elsewhere``, as a generator model is
-  built): one mask per region takes the step's table rows outside it,
-  in walk order, and each shell is closed by the Gram matrix off the
-  table to the power of the shell's other sites outside the region.
-
-(The accumulate rounds differently from multiplying factor by factor, by
-about one rounding per entry and factor.)  Every other walk, and any
-walk given an explicit ``exhaustion``, takes one block of its walk order
-per step and multiplies in each site outside the region in turn; it is
-the oracle of both shell sources.  Every region is checked against the
-family's geometry before any cached result is read.  Each region's steps
-are cut at the first shell (or block) whose sites would cross the site
-cap; a step builds products only through the last label some region
-takes, and nothing if none takes one.  The tail certificate settles
-every shell the step took, for all regions, in one call, and each region
-stops at its own first settled shell.  Walking regions side by side
-changes no bit of any region's result.
+case).  A family on a lattice serves every site from two sources: its
+table (``FiberFamily.preload``) and, for every site off it, its radial
+shells (``FiberFamily.radial``).  The canonical walk of a family with
+radial shells takes, after the empty shell at radius -1,
+``SHELL_BLOCK`` consecutive 1-norm shells per step and lists no sites
+(``_shell_products``); each shell's count outside a region is its size
+(``lattice.shell_sizes``) less the region's sites there.  Each shell
+multiplies in its table rows outside the region, in walk order, and then
+its Gram matrix to the power of its sites off the table outside the
+region: the kept full-shell power (``FiberFamily.shell_powers``) where
+that is the whole shell, else raised afresh with ``np.power``.  Every
+region takes a step's factors in the same ``np.multiply.accumulate``
+calls along the factor axis of a (region, factor) stack, seeded with
+each region's product so far.  (The accumulate rounds differently from
+multiplying factor by factor, by about one rounding per entry and
+factor.)  Every other walk, and any walk given an
+explicit ``exhaustion``, takes one block of its walk order per step and
+multiplies in each site outside the region in turn; it is the oracle of
+the shell walk.  Every region is checked against the family's geometry
+before any cached result is read.  Each region's steps are cut at the
+first shell (or block) whose sites would cross the site cap; a step
+builds products only through the last label some region takes, and
+nothing if none takes one.  The tail certificate settles every shell
+the step took, for all regions, in one call, and each region stops at
+its own first settled shell.  Walking regions side by side changes no
+bit of any region's result.
 
 On an infinite lattice the walk stops only on the family's tail
 certificate (``kernel.FarFieldTail``, whose far-field pattern is all
@@ -206,12 +202,11 @@ def _walk(
 ) -> list:
     """The walk behind ``boundary_matrix``, for a list of regions at once:
     one loop over steps (labels, site count per region and label, sites
-    per region).  A canonical walk on a lattice takes a block of shells
-    per step (sites None) from a radial family (``_radial_products``) or
-    from a family's table and the array off it (``_table_products``);
-    every other walk takes one block of its walk order per step, whose
-    sites enter one by one.  Each region stops at its first label whose
-    bound meets ``tail_tol``, with its ``BoundaryMatrix``.  A region whose
+    per region).  A canonical walk of a family with radial shells takes a
+    block of shells per step (sites None, ``_shell_products``); every
+    other walk takes one block of its walk order per step, whose sites
+    enter one by one.  Each region stops at its first label whose bound
+    meets ``tail_tol``, with its ``BoundaryMatrix``.  A region whose
     cumulative count would cross ``site_cap`` at a label gets instead the
     ``ConvergenceError`` carrying its product through the label before
     and the certificate's bound there (``inf`` if none was computed, as
@@ -226,15 +221,14 @@ def _walk(
         )
     skips = [set(region) for region in regions]
     n, d_I, table = len(regions), family.d_I, family.table
-    if exhaustion is None and (
-        family.radial is not None
-        or (family.elsewhere is not None and table is not None and table.radii is not None)
-    ):
+    outside = None  # per region, one mask over the table: the rows outside it
+    if exhaustion is None and family.radial is not None:
         steps = _shell_steps(family, skips)
-        if family.radial is None:  # per region, one mask: the table rows outside it
+        if table is not None:
             outside = np.ones((n, len(table.grams)), dtype=bool)
-            for j, skip in enumerate(skips):
-                outside[j, [table.rows[x] for x in skip if x in table.rows]] = False
+            held = [(j, table.rows[x]) for j, skip in enumerate(skips) for x in skip if x in table.rows]
+            if held:
+                outside[tuple(zip(*held))] = False
     else:
         steps = _site_steps(walk, skips)
     results = [None] * n
@@ -260,13 +254,8 @@ def _walk(
                 for i in np.flatnonzero(m).tolist():
                     for x in sites[live[i]]:
                         rows[i, 0] = rows[i, 0] * family.gram(x)
-            elif family.radial is not None:
-                rows = _radial_products(family, p, labels[0], counts[:, :top])
             else:
-                rows = np.stack([
-                    _table_products(family, outside[j], p[i], labels[0], counts[i, :top])
-                    for i, j in enumerate(live)
-                ])
+                rows = _shell_products(family, p, labels[0], counts[:, :top], outside)
             # the certificate settles, in one call, every label a region took
             if walk.finite:
                 bounds = np.full((k, top), math.inf)
@@ -297,6 +286,8 @@ def _walk(
         if not live:
             return results
         p, consumed, bound = rows[~done, -1], totals[~done, -1], bounds[~done, -1]
+        if outside is not None:
+            outside = outside[~done]
 
     # a finite walk is exact only if it covered every site outside the region
     for i, j in enumerate(live):
@@ -334,48 +325,64 @@ def _site_steps(walk, skips: list):
         yield np.array([label]), np.array([[len(sites)] for sites in kept], dtype=float), kept
 
 
-def _radial_products(family: FiberFamily, p: np.ndarray, start: int, counts: np.ndarray) -> np.ndarray:
+def _shell_products(family: FiberFamily, p: np.ndarray, start: int, counts: np.ndarray, outside) -> np.ndarray:
     """The products through each shell of the radial block from radius
     ``start`` on, one stack per region and one shell per column of
-    ``counts``, in one seeded ``np.multiply.accumulate`` along the shell
-    axis: ``p`` holds each region's product so far and ``counts`` its
-    sites outside it per shell.  A shell the region holds no site of is
-    the block's kept full-shell power (``FiberFamily.shell_powers``); the
-    others are raised to their own counts here."""
-    k, m = start // SHELL_BLOCK, counts.shape[1]
+    ``counts``: ``p`` holds each region's product so far, ``counts`` its
+    sites outside it per shell and ``outside`` its mask over the table
+    (True at the rows outside it).  Each shell takes its table rows
+    outside the region, in walk order, then its Gram matrix to the power
+    of its other sites outside the region: the kept full-shell power
+    (``FiberFamily.shell_powers``) where they are the whole shell.  One
+    seeded ``np.multiply.accumulate`` over all regions takes the shells
+    through the step's last table row, each region's at its own slots,
+    and one more the shells past them, a shell per slot.  In a step with
+    table rows each spans three slots or more (the first padded with
+    ones), and so multiplies unfused, as one accumulate over the step
+    would."""
+    block, m = start // SHELL_BLOCK, counts.shape[1]
     # the order matters for speed on x86-64: squaring a new block (a BLAS
     # product) slows libm's scalar complex power, which the full-shell
-    # powers use, about tenfold until a numpy loop such as the comparison
+    # powers use, about tenfold until a numpy loop such as the comparisons
     # below has run
-    grams = family.shell_grams(k)
-    sizes = lattice.shell_sizes(family.geometry.nu, start, start + SHELL_BLOCK)
-    j, r = np.nonzero(counts != sizes[:m])
-    seq = np.empty((len(p), m + 1) + p.shape[1:], dtype=np.complex128)
-    seq[:, 0] = p
-    seq[:, 1:] = family.shell_powers(k)[:m]
+    grams = family.shell_grams(block)
+    sizes = lattice.shell_sizes(family.geometry.nu, start, start + SHELL_BLOCK)[:m]
+    table, k, t = family.table, len(p), 0  # t: the shells up to the step's last table row
+    if table is not None and table.radii[-1] >= start:
+        lo, hi = np.searchsorted(table.radii, (start, start + m)).tolist()
+        if hi > lo:
+            t = int(table.radii[hi - 1]) - start + 1
+            t = m if m - t < 2 else t  # no two-slot accumulate past the rows
+    if t:
+        outside, shell = outside[:, lo:hi], table.radii[lo:hi] - start
+        # rank[i, q + 1]: the step's rows through row q outside region i;
+        # below[i, j]: those in the shells before shell j, j = 0, ..., t
+        rank = np.zeros((k, hi - lo + 1), dtype=np.intp)
+        np.cumsum(outside, axis=1, out=rank[:, 1:])
+        below = rank[:, np.searchsorted(shell, np.arange(t + 1))]
+        # slot 0 holds p; shell j closes at ends[:, j], after its table rows
+        ends = below[:, 1:] + np.arange(1, t + 1)
+        off = counts[:, :t] - (below[:, 1:] - below[:, :-1])
+        j, r = np.nonzero(off)  # a closing power of 0 is the ones already in place
+        seq = np.ones((k, max(3, int(ends[:, -1].max()) + 1)) + p.shape[1:], dtype=np.complex128)
+        seq[:, 0] = p
+        i, q = np.nonzero(outside)
+        seq[i, (rank[:, 1:] + shell)[i, q]] = table.grams[lo:hi][q]
+        if j.size:
+            closing, part = family.shell_powers(block)[r], off[j, r] != sizes[r]
+            closing[part] = grams[r[part]] ** off[j[part], r[part]][:, None, None]
+            seq[j, ends[j, r]] = closing
+        through = np.multiply.accumulate(seq, axis=1)[np.arange(k)[:, None], ends]
+        if t == m:
+            return through
+    j, r = np.nonzero(counts[:, t:] != sizes[t:])
+    seq = np.empty((k, m - t + 1) + p.shape[1:], dtype=np.complex128)
+    seq[:, 0] = through[:, -1] if t else p
+    seq[:, 1:] = family.shell_powers(block)[t:m]
     if j.size:
-        seq[j, r + 1] = grams[r] ** counts[j, r][:, None, None]
-    return np.multiply.accumulate(seq, axis=1)[:, 1:]
-
-
-def _table_products(family: FiberFamily, outside, p, start: int, counts) -> np.ndarray:
-    """The products through each shell from radius ``start`` on, one per
-    count, of a family with a table on a lattice, in one seeded
-    ``np.multiply.accumulate``: each shell's table rows outside the region
-    (``outside``, one mask over the table) in walk order, then the Gram
-    matrix off the table to the power of the shell's other sites outside
-    the region."""
-    table, m = family.table, len(counts)
-    rows = np.flatnonzero(outside & (table.radii >= start) & (table.radii < start + m))
-    shell = table.radii[rows] - start
-    per_shell = np.bincount(shell, minlength=m)
-    # slot 0 holds p; shell k closes at ends[k], after its table rows
-    ends = np.cumsum(per_shell) + np.arange(1, m + 1)
-    seq = np.empty((ends[-1] + 1, family.d_I, family.d_I), dtype=np.complex128)
-    seq[0] = p
-    seq[np.arange(1, len(rows) + 1) + shell] = table.grams[rows]
-    seq[ends] = family.elsewhere[1] ** (np.array(counts) - per_shell)[:, None, None]
-    return np.multiply.accumulate(seq)[ends]
+        seq[j, r + 1] = grams[t + r] ** counts[j, t + r][:, None, None]
+    products = np.multiply.accumulate(seq, axis=1)[:, 1:]
+    return np.concatenate((through, products), axis=1) if t else products
 
 
 def limit_state_eval(
@@ -639,8 +646,8 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
     the fiber vectors are the rows of its right square root
     u* exp(D/2) u w*, formed for every site in one stacked pass over the
     spec's columns with no eigendecomposition and kept as the family's
-    table; undeclared sites carry the standard orthonormal basis, the
-    family's array off the table.  As ``right_square_root`` would, a
+    table; every undeclared site carries the standard orthonormal basis,
+    the family's radial shells.  As ``right_square_root`` would, a
     site is refused (``DomainError``) when its exp(D) leaves the float64
     range or has an eigenvalue at or below ``ROOT_EIG_FLOOR`` times its
     largest, that is when max D - min D >= -ln(ROOT_EIG_FLOOR).  It is
@@ -690,6 +697,7 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
     mass = np.expm1(spec.trace_abs())
     masses = np.bincount(radii.astype(np.intp), weights=mass).tolist()
     remaining = tail_remaining(masses[: SITE_CAP + 1], sum(masses[SITE_CAP + 1 :]))
+    eye = np.eye(d, dtype=np.complex128)
     family = FiberFamily(
         d,
         d,
@@ -697,7 +705,7 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         lattice.Zd(spec.nu),
         tail=FarFieldTail(np.eye(d, dtype=bool), remaining, exact_beyond=spec.tail_radius),
         label="generator model",
-        elsewhere=np.eye(d, dtype=np.complex128),
+        radial=lambda start, stop: np.broadcast_to(eye, (stop - start, d, d)),
     )
     family.preload(spec.sites, vecs, keys=spec.keys)
     return family

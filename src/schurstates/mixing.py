@@ -45,7 +45,8 @@ from .state import LocalObservable
 #: kernels only because its rows sit at alpha's clearances.
 DEFAULT_T_SEQUENCE = (5, 10, 20, 40)
 
-#: Default Cauchy / independence tolerance for tail limits.
+#: Default Cauchy / independence tolerance for tail limits, relative to
+#: the product of the far factors' operator norms once that exceeds 1.
 DEFAULT_ALPHA_TOL = 1e-8
 
 @dataclass(frozen=True)
@@ -163,30 +164,37 @@ def alpha_limit(
     Forms prod_y Tr(h(z,i) h(z,j)* b_y) over translated embeddings at the
     last two clearances of ``DEFAULT_T_SEQUENCE`` and requires their
     difference, the final Cauchy increment, to fall below
-    ``DEFAULT_ALPHA_TOL``; the verdict, the spread and the value read
-    nothing else, so no other clearance is embedded.  The independence
-    verdict is true when all index pairs share the limit within that
-    tolerance; the common value is then a state value: positive on
-    positive observables and 1 at identity factors for unit-norm tails.
+    ``DEFAULT_ALPHA_TOL * max(1, prod_y |b_y|_2)``, the tolerance scaled
+    with the factors as the products are; the verdict, the spread and the
+    value read nothing else, so no other clearance is embedded.  The
+    independence verdict is true when all index pairs share the limit
+    within that tolerance; the common value is then a state value:
+    positive on positive observables and 1 at identity factors for
+    unit-norm tails.
     ``kernels`` maps translated regions of ``obs`` to their sites' kernel
     matrices: those a caller holds are read from it, and those formed
     here are kept in it (``mixing_scan`` shares it with its rows).
     """
     require_lattice(family)
-    ts, tol = DEFAULT_T_SEQUENCE, DEFAULT_ALPHA_TOL
+    ts = DEFAULT_T_SEQUENCE
     nu = family.geometry.nu
     known = {} if kernels is None else kernels
     fars = (embed(obs.region, t, strategy="translate", nu=nu).transport(obs) for t in ts[-2:])
     before, limits = (schur_product(_ones(family), _site_kernels(family, far, known)) for far in fars)
     step = float(np.max(np.abs(limits - before)))
+    spread = float(np.max(np.abs(limits - limits.ravel()[0])))
+    tol = DEFAULT_ALPHA_TOL
+    if max(step, spread) > tol:  # past 1e-8 the factors' scale decides
+        # the largest singular value of each factor is its operator norm
+        norms = np.linalg.svd(obs.factors, compute_uv=False)[:, 0]
+        tol *= max(1.0, float(np.prod(norms)))
     if step > tol:
         raise ConvergenceError(
             f"transported products are not Cauchy along t={ts}: "
-            f"final increment {step:.3e} exceeds {tol}",
+            f"final increment {step:.3e} exceeds {tol:.3e}",
             last_partial=limits,
             tail_estimate=step,
         )
-    spread = float(np.max(np.abs(limits - limits.ravel()[0])))
     independent = spread <= tol
     value = complex(limits.mean()) if independent else None
     return AlphaLimitReport(
@@ -375,11 +383,11 @@ def decaying_perturbation_family(
     far products settle fast enough for tail-limit detection.  With
     ``normalize`` the origin vectors are rescaled so the total boundary
     weight is exactly 1.  The family is radial (``FiberFamily.radial``).
-    Normalized, it is the raw family's ``with_origin`` with the rescaled
-    origin as shell 0: one walk of the empty region on the raw family
-    gives the weight Z it is divided by, and every other shell, its
-    full-shell power and the tail masses' sums past the origin are the
-    raw family's.  It keeps Z and that walk's entry bound as its
+    Normalized, it is the raw family's ``with_origin``: the raw family's
+    shells, their full-shell powers and the tail masses' sums past the
+    origin, shared, and a one-row table holding the rescaled origin.  One
+    walk of the empty region on the raw family gives the weight Z it is
+    divided by; the family keeps Z and that walk's entry bound as its
     ``normalization``, which a model file's declared-normalization check
     reads instead of walking again.
 
@@ -467,8 +475,8 @@ def decaying_perturbation_family(
         )
     scale = 1.0 / np.sqrt(total.real)
     origin = scale * vectors(0, 1)[0]
-    # shell 0 is the origin alone, so only its mass changes; every other
-    # shell, its power and its later masses' sums are the raw family's
+    # the origin is a shell of its own, so only its mass changes; every
+    # other shell, its power and its later masses' sums are the raw family's
     normalized = family.with_origin(
         origin, FarFieldTail(ones, origin_remaining(remaining, float(deviation(origin))))
     )

@@ -451,6 +451,57 @@ README_LIMIT = [
 ]
 
 
+class TestHomogeneousLatticeReports:
+    """A homogeneous lattice model walks its shells (the normalized tuple
+    at every site): the reports of a Z^1 model with h_0 = 2 e_0 and
+    h_1 = e_1 are pinned to those of its earlier site walk, and its
+    divergent variant (h_1 = -e_0) still fails on the walk alone."""
+
+    GOLDEN = REPO / "tests" / "data" / "homogeneous_z1_reports.json"
+
+    @staticmethod
+    def files(tmp_path, reference):
+        model = write_json(
+            tmp_path,
+            "z1.json",
+            {
+                "lattice": {"kind": "zd", "nu": 1},
+                "fiber_dim": 2,
+                "index_size": 2,
+                "vectors": {"mode": "homogeneous", "reference": encode_matrix(reference)},
+            },
+        )
+        obs = write_json(
+            tmp_path, "p0.json", {"region": [[0]], "factors": [encode_matrix(np.diag([1.0, 0.0]))]}
+        )
+        return model, obs
+
+    def test_reports_are_pinned(self, tmp_path, capsys):
+        model, obs = self.files(tmp_path, np.diag([2.0, 1.0]))
+        golden = json.loads(self.GOLDEN.read_text())
+        for command, args in (
+            ("limit", ["--observable", obs, "--region", "0;1;-3", "--check-projectivity"]),
+            ("check-kernel", []),
+            ("eval", ["--observable", obs, "--region", "0;1"]),
+        ):
+            code, out, err = run_cli([command, "--model", model, *args], capsys)
+            assert (code, err) == (0, ""), command
+            assert json.loads(out)["results"] == golden[command], command
+
+    def test_divergent_variant_exits_2(self, tmp_path, capsys):
+        model, obs = self.files(tmp_path, np.array([[2.0, 0.0], [-1.0, 0.0]]))
+        code, out, err = run_cli(["limit", "--model", model, "--observable", obs], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "convergence error: constant tail factor (-1+0j) at entry (0, 1) has modulus 1 "
+            "and is not 1: the tail product does not converge\n"
+            "last partial result:\n"
+            "[[ 1.+0.j -1.+0.j]\n"
+            " [-1.+0.j  1.+0.j]]\n"
+            "tail estimate: 0.0\n"
+        )
+
+
 class TestProjectivityWalk:
     """``limit --check-projectivity`` checks its superset first and then
     walks the observable region and the superset side by side, once."""

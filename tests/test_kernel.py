@@ -155,13 +155,13 @@ class TestPreload:
             fam = FiberFamily(
                 2, 2, None, Zd(1),
                 tail=FarFieldTail(np.eye(2, dtype=bool), tail_remaining([0.5, 0.5]), exact_beyond=1),
-                elsewhere=np.eye(2),
+                radial=lambda start, stop: np.broadcast_to(np.eye(2), (stop - start, 2, 2)),
             )
             with pytest.raises(ValidationError, match=r"^site \(0,\) is preloaded twice$"):
                 fam.preload(sites, [g] * len(sites))
             assert fam.table is None
         sites, stack = self.table()
-        fam = FiberFamily(2, 3, None, Sites(sites), elsewhere=stack[0])
+        fam = FiberFamily(2, 3, stack.__getitem__, Sites(sites))
         with pytest.raises(ValidationError, match="^site 1 is preloaded twice$"):
             fam.preload([1, 3, 2, 3, 1], stack[:5])
 
@@ -305,10 +305,14 @@ class TestRadialFamily:
         assert np.array_equal(fam.vectors((0, 0)), origin)
         assert np.array_equal(fam.gram((0, 0)), origin @ origin.conj().T)
         assert np.array_equal(fam.vectors((1, 2)), source.vectors((1, 2)))
-        # later blocks are the source's own stacks, built once for both
-        assert fam.shell_grams(1) is source.shell_grams(1)
-        assert fam.shell_powers(2) is source.shell_powers(2)
-        assert np.array_equal(fam.shell_grams(0)[1:], source.shell_grams(0)[1:])
+        # the origin is a one-row table; every block is the source's own
+        # stack, built once for both
+        assert list(fam.table.rows) == [(0, 0)] and fam.table.radii.tolist() == [0]
+        assert np.shares_memory(fam.gram((0, 0)), fam.table.grams)
+        assert fam.radial is source.radial
+        for k in (0, 1):
+            assert fam.shell_grams(k) is source.shell_grams(k)
+            assert fam.shell_powers(k) is source.shell_powers(k)
         # and a fresh family from ``radial`` builds the same stacks
         fresh = FiberFamily(2, 2, None, Zd(2), radial=fam.radial)
         for k in (0, 1):
@@ -321,8 +325,9 @@ class TestRadialFamily:
         source = self.radial_family(self.halving)
         with pytest.raises(DimensionError, match=r"origin vectors have shape \(2,\)"):
             source.with_origin([1.0, 0.0], None)
+        # the origin row is validated when it is built, before any site is asked for
         with pytest.raises(ValidationError, match="^radius 0: zero fiber vector at index 1$"):
-            source.with_origin(np.array([[1.0, 0.0], [0.0, 0.0]]), None).gram((0, 0))
+            source.with_origin(np.array([[1.0, 0.0], [0.0, 0.0]]), None)
         with pytest.raises(ValidationError, match="only a radial family"):
             orthonormal_family().with_origin(np.eye(2), None)
 

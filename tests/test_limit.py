@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from schurstates.limit import (
 )
 from schurstates.linalg import matrix_exp
 from schurstates.mixing import decaying_perturbation_family
-from schurstates.modelfile import encode_matrix, parse_model
+from schurstates.modelfile import encode_matrix, load_model, parse_model
 from schurstates.sampling import (
     complex_gaussian,
     decaying_generator_spec,
@@ -37,6 +38,8 @@ from schurstates.sampling import (
 from schurstates.state import LocalObservable, expectation_extended
 
 from conftest import ball, ball_size
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 @pytest.fixture(scope="module")
@@ -905,6 +908,43 @@ class TestTableWalk:
         assert asked == [] and fam._by_site == {}
 
 
+
+class TestHomogeneousShells:
+    """A homogeneous lattice family serves every site from its radial
+    shells, the normalized tuple; its canonical walk takes shells and
+    visits no site."""
+
+    TUPLES = {
+        "diagonal": np.diag([2.0, 1.0]),
+        "complex": complex_gaussian(rng_from_seed(61), (3, 4)),
+    }
+
+    @pytest.mark.parametrize("name", list(TUPLES))
+    def test_far_site_gram_is_the_normalized_tuples(self, name):
+        v = np.asarray(self.TUPLES[name], dtype=complex)
+        unit = v / np.linalg.norm(v, axis=1, keepdims=True)
+        nu = 1 if name == "diagonal" else 2
+        fam = FiberFamily.homogeneous(v, Zd(nu))
+        for r in (0, 5, SHELL_BLOCK + 3, 10**6):
+            site = (r,) + (0,) * (nu - 1)
+            assert fam.vectors(site).tobytes() == unit.tobytes()
+            assert fam.gram(site).tobytes() == (unit @ unit.conj().T).tobytes()
+
+    @pytest.mark.parametrize("name", list(TUPLES))
+    def test_walk_takes_shells(self, name, monkeypatch):
+        v = self.TUPLES[name]
+        nu = 1 if name == "diagonal" else 2
+        region = ((0,) * nu, (3,) + (0,) * (nu - 1))
+        oracle = boundary_matrix(FiberFamily.homogeneous(v, Zd(nu)), region, exhaustion=Zd(nu))
+        fam = FiberFamily.homogeneous(v, Zd(nu))
+        asked = []
+        gram = FiberFamily.gram
+        monkeypatch.setattr(FiberFamily, "gram", lambda f, s: asked.append(s) or gram(f, s))
+        got = boundary_matrix(fam, region)
+        assert asked == [] and fam._by_site == {}
+        assert got.matrix.tobytes() == oracle.matrix.tobytes()
+        assert (got.tail_bound, got.sites_consumed, got.rigorous) == (0.0, 0, True)
+
 STACKED_FAMILIES = {
     **{
         f"radial-nu{nu}-{'normalized' if normalize else 'raw'}": (
@@ -1032,11 +1072,105 @@ class TestStackedWalk:
     @pytest.mark.parametrize("name", [n for n in STACKED_FAMILIES if n.startswith("radial")])
     def test_a_step_past_the_cap_builds_nothing(self, name):
         # the cap admits exactly the sites of block 0 outside the regions,
-        # so the walk fails at block 1 without building its shells
+        # so the walk fails at block 1 without building its shells; a
+        # normalized family shares the blocks its normalization walk built
         fam = STACKED_FAMILIES[name]()
         nu = fam.geometry.nu
+        before = set(fam._blocks) | set(fam._powers)
         cap = int(lattice.shell_sizes(nu, 0, SHELL_BLOCK).sum()) - 1
         regions = [((0,) * nu,), ((0,) * nu,) + ((SHELL_BLOCK,) + (0,) * (nu - 1),)]
         with pytest.raises(ConvergenceError):
             boundary_matrices(fam, regions, tail_tol=0.0, site_cap=cap)
-        assert sorted(fam._blocks) == sorted(fam._powers) == [0]
+        assert sorted(fam._blocks) == sorted(fam._powers) == sorted(before | {0})
+
+
+def shell_loop(fam, region, tail_tol, site_cap=SITE_CAP):
+    """The canonical walk of a family with radial shells as a literal
+    loop, one shell at a time from the empty shell at radius -1: each
+    shell multiplies in the table rows outside the region one at a time,
+    in walk order, then the shell's Gram matrix to the power of its other
+    sites outside the region.  Every product is taken entry by entry in
+    Python complex arithmetic, the scalar rule by which the walk's
+    accumulate multiplies.  Returns ("stop", radius, sites, matrix,
+    bound) at the first radius whose certificate bound meets
+    ``tail_tol``, with the certificate's matrix there, or ("cap",
+    radius, sites, product, bound) with the shell the cap refuses and the
+    product and bound through the shell before it."""
+    nu, table, skip = fam.geometry.nu, fam.table, set(region)
+    held = [lattice.norm1(x) for x in region]
+    rows = {}  # radius -> the table rows outside the region, in walk order
+    for site, row in sorted(table.rows.items() if table else (), key=lambda item: item[1]):
+        if site not in skip:
+            rows.setdefault(int(table.radii[row]), []).append(row)
+    p = np.ones((fam.d_I, fam.d_I), dtype=complex).astype(object)
+    consumed, bound = 0, math.inf
+    for r in range(-1, SITE_CAP):
+        n = lattice.shell_size(nu, r) - held.count(r)
+        if consumed + n > site_cap:
+            return "cap", r, consumed, p.astype(complex), bound
+        consumed += n
+        if r >= 0:
+            for row in rows.get(r, ()):
+                p = p * table.grams[row].astype(object)
+            p = p * np.power(fam.shell_gram(r), float(n - len(rows.get(r, ())))).astype(object)
+        matrices, bounds = fam.tail.settle(p.astype(complex)[None], np.array([r]))
+        bound = float(bounds[0])
+        if bound <= tail_tol:
+            return "stop", r, consumed, matrices[0], bound
+
+
+SHELL_LOOP_FAMILIES = {
+    **{f"table-nu{nu}": STACKED_FAMILIES[f"table-nu{nu}"] for nu in (1, 2, 3)},
+    "table-nu2-holes": lambda: TestTableWalk.family(2, 12, 40)[0],
+    "generator_decay": lambda: load_model(MODELS / "generator_decay.json").family(),
+    **{f"radial-nu{nu}-normalized": STACKED_FAMILIES[f"radial-nu{nu}-normalized"] for nu in (1, 2)},
+}
+
+
+class TestShellLoop:
+    """Every canonical shell walk, one region or stacked, against the
+    literal shell loop with table rows, bit for bit: generator tables
+    (rows in many shells, and the identity off them) and the normalized
+    perturbed family (its origin, a one-row table, and the raw family's
+    shells)."""
+
+    @staticmethod
+    def regions(fam):
+        return list(dict.fromkeys(TestStackedWalk.regions(fam.geometry.nu)))
+
+    @staticmethod
+    def tolerances(fam):
+        # a generator table also settles on its exact tail alone
+        return (1e-14,) if fam.table.radii.tolist() == [0] else (0.0, 1e-12)
+
+    @pytest.mark.parametrize("name", list(SHELL_LOOP_FAMILIES))
+    def test_walks_are_the_shell_loop(self, name):
+        fam = SHELL_LOOP_FAMILIES[name]()
+        regions = self.regions(fam)
+        for tail_tol in self.tolerances(fam):
+            stacked = boundary_matrices(SHELL_LOOP_FAMILIES[name](), regions, tail_tol=tail_tol)
+            for region, got in zip(regions, stacked):
+                kind, _, sites, matrix, bound = shell_loop(fam, region, tail_tol)
+                assert kind == "stop"
+                for result in (_boundary_walk(fam, region, None, tail_tol, SITE_CAP), got):
+                    assert np.array_equal(result.matrix, matrix), (region, tail_tol)
+                    assert (result.sites_consumed, result.tail_bound, result.rigorous) == (sites, bound, True)
+
+    @pytest.mark.parametrize("name", list(SHELL_LOOP_FAMILIES))
+    def test_capped_walks_are_the_shell_loop(self, name):
+        fam = SHELL_LOOP_FAMILIES[name]()
+        nu, regions = fam.geometry.nu, self.regions(fam)
+        block = int(lattice.shell_sizes(nu, 0, SHELL_BLOCK).sum())
+        for cap in (0, ball_size(nu, 2) - 1, block - 2, block + 5):
+            walked = limit._walk(SHELL_LOOP_FAMILIES[name](), regions, None, 0.0, cap)
+            for region, got in zip(regions, walked):
+                kind, _, sites, p, bound = shell_loop(fam, region, 0.0, site_cap=cap)
+                if kind == "stop":  # a generator table's exact tail within the cap
+                    assert (got.sites_consumed, got.tail_bound) == (sites, 0.0)
+                    assert np.array_equal(got.matrix, p)
+                    continue
+                one = limit._walk(fam, [region], None, 0.0, cap)[0]
+                for result in (one, got):
+                    assert isinstance(result, ConvergenceError), (region, cap)
+                    assert np.array_equal(result.last_partial, p), (region, cap)
+                    assert result.tail_estimate == bound

@@ -31,10 +31,10 @@ from schurstates.mixing import (
     mixing_gap,
     mixing_scan,
 )
-from schurstates.sampling import complex_gaussian
+from schurstates.sampling import complex_gaussian, rng_from_seed
 from schurstates.state import LocalObservable
 
-from conftest import ball, ball_size, perturbed_ball_product
+from conftest import ball, ball_size, gram_psd_matrix, perturbed_ball_product
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -161,6 +161,27 @@ class TestAlphaLimit:
         rep = alpha_limit(fam, obs)
         assert not rep.independent
         assert rep.value is None
+
+    def test_tolerance_scales_with_the_far_factors(self, obs_pair):
+        # seeded PSD far factors at (0,0) and (1,0) scaled to operator
+        # norm 3: the final Cauchy step is above the absolute 1e-8, and the
+        # scan's alpha column is finite only because the tolerance is
+        # 1e-8 times the product of the norms, 9; at norm 2 the step is
+        # below 1e-8 either way
+        fam = load_model(MODELS / "perturbed_z2.json").family()
+        rng = rng_from_seed(1)
+        factors = [gram_psd_matrix(rng, 2) for _ in range(2)]
+        for norm, absolute in ((2, True), (3, False)):
+            b = LocalObservable(
+                ((0, 0), (1, 0)), tuple(norm * f / np.linalg.norm(f, 2) for f in factors)
+            )
+            rep = alpha_limit(fam, b)
+            assert (rep.last_step <= mixing.DEFAULT_ALPHA_TOL) == absolute
+            assert rep.last_step <= mixing.DEFAULT_ALPHA_TOL * norm**2
+            assert rep.independent and rep.spread <= mixing.DEFAULT_ALPHA_TOL
+            scan = mixing_scan(fam, obs_pair[0], b)
+            assert scan.alpha_independent
+            assert all(math.isfinite(row.alpha_mixing_gap) for row in scan.rows)
 
     def test_positive_on_positive(self, eps_family, rng):
         c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
@@ -296,9 +317,11 @@ class TestMixingScan:
             mixing_scan(eps_family, a, b, t_list=t_list, strategies=strategies)
 
     @staticmethod
-    def alpha_reference(family, obs, ts=mixing.DEFAULT_T_SEQUENCE, tol=mixing.DEFAULT_ALPHA_TOL):
+    def alpha_reference(family, obs, ts=mixing.DEFAULT_T_SEQUENCE):
         """The alpha report from the transported products at every
-        clearance, each a ``product_kernel_matrix``."""
+        clearance, each a ``product_kernel_matrix``, with the tolerance
+        scaled by the product of the factors' operator norms past 1."""
+        tol = mixing.DEFAULT_ALPHA_TOL * max(1.0, math.prod(np.linalg.norm(b, 2) for b in obs.factors))
         history = []
         for t in ts:
             far = embed(obs.region, t, nu=family.geometry.nu).transport(obs)
@@ -407,6 +430,7 @@ class TestPerturbationFamilyCaches:
         fresh = FiberFamily(
             fam.d, fam.d_I, fam._provider, fam.geometry, tail=fam.tail, radial=fam.radial,
         )
+        fresh.preload(list(fam.table.rows), fam.table.vectors)
         for region in self.REGIONS:
             got = boundary_matrix(fam, region, tail_tol=1e-14)
             want = boundary_matrix(fresh, region, tail_tol=1e-14)
@@ -452,8 +476,8 @@ class TestPerturbationFamilyCaches:
     def test_normalized_family_builds_each_radius_once(self, builds, monkeypatch):
         # loading the README model walks the raw family once, to normalize
         # it, and the load-time check reads that walk's weight and bound;
-        # the normalized family takes every block and power past the
-        # origin over from the raw one and builds only its rescaled origin
+        # the normalized family shares every block and power with the raw
+        # one and builds only its rescaled origin, a one-row table
         walks = []
         walk = limit._boundary_walk
 
@@ -472,8 +496,8 @@ class TestPerturbationFamilyCaches:
         monkeypatch.setattr(mixing, "tail_remaining", counting_table)
         fam = load_model(MODELS / "perturbed_z2.json").family()
         assert len(builds) == 2  # the raw family, then fam
-        raw = fam._origin[0]
-        assert walks == [(raw, ())]
+        ((raw, region),) = walks
+        assert raw is not fam and region == ()
         assert len(tables) == 1
         (raw_built, raw_validated), (built, validated) = builds
         # scan-like walks on fam reach further than the normalization walk
@@ -498,11 +522,9 @@ class TestPerturbationFamilyCaches:
         # fam builds nothing but its origin, which it validates once
         assert not built
         assert validated == Counter({"radius 0": 1})
-        for k in range(1, radius // SHELL_BLOCK + 1):
+        for k in range(radius // SHELL_BLOCK + 1):
             assert fam.shell_grams(k) is raw.shell_grams(k)
             assert fam.shell_powers(k) is raw.shell_powers(k)
-        for mine, theirs in ((fam.shell_grams(0), raw.shell_grams(0)), (fam.shell_powers(0), raw.shell_powers(0))):
-            assert np.array_equal(mine[1:], theirs[1:])
         assert np.array_equal(fam.tail.remaining.suffix[1:], raw.tail.remaining.suffix[1:])
         assert fam.normalization == (
             complex(boundary_matrix(raw, (), tail_tol=1e-14).matrix.sum()),
@@ -515,18 +537,25 @@ class TestPerturbationFamilyCaches:
         raw = decaying_perturbation_family(normalize=False)
         origin = (0, 0)
         boundary_matrix(fam, (origin, (1, 0)))
-        # shell 0 comes with block 0 although the walk skips it: the
-        # normalized family validates it alone and asks its radial nothing
+        # the origin row is built with the family although the walk skips
+        # it: the normalized family validates it alone and asks its radial
+        # nothing
         assert builds[1] == (Counter(), Counter({"radius 0": 1}))
         assert not fam._by_site
-        assert np.array_equal(fam.gram(origin), fam.shell_gram(0))
+        # the origin is the table's one row; shell 0 is the raw family's
+        assert list(fam.table.rows) == [origin]
+        assert np.array_equal(fam.gram(origin), fam.table.grams[0])
+        assert np.array_equal(fam.shell_gram(0), raw.shell_gram(0))
         # the rescaled origin, not the raw family's shell 0
         total = complex(boundary_matrix(raw, (), tail_tol=1e-14).matrix.sum()).real
-        assert not np.array_equal(fam.shell_gram(0), raw.shell_gram(0))
-        np.testing.assert_allclose(fam.shell_gram(0) * total, raw.shell_gram(0), rtol=1e-14)
+        assert not np.array_equal(fam.gram(origin), raw.gram(origin))
+        np.testing.assert_allclose(fam.gram(origin) * total, raw.gram(origin), rtol=1e-14)
         assert np.array_equal(fam.shell_gram(1), raw.shell_gram(1))
-        # the same stacks as a fresh family built block by block from its radial
+        # the same stacks as a fresh family built block by block from its
+        # radial, with the origin row preloaded
         fresh = FiberFamily(fam.d, fam.d_I, None, fam.geometry, tail=fam.tail, radial=fam.radial)
+        fresh.preload([origin], fam.table.vectors)
+        assert np.array_equal(fam.gram(origin), fresh.gram(origin))
         for k in (0, 1):
             assert np.array_equal(fam.shell_grams(k), fresh.shell_grams(k))
             assert np.array_equal(fam.shell_powers(k), fresh.shell_powers(k))

@@ -73,7 +73,9 @@ class ExactScan:
 
     def __init__(self, family, radius: int):
         self.nu = family.geometry.nu
-        self.vectors = [mp_matrix(v) for v in family.radial(0, radius + 1)]
+        pad = (0,) * (self.nu - 1)
+        # the family's own vectors, the rescaled origin included
+        self.vectors = [mp_matrix(family.vectors((r,) + pad)) for r in range(radius + 1)]
         self.grams = [mp_gram(v) for v in self.vectors]
         self.everything = ball_product(self.grams, self.nu)
         self.total = total(self.everything)
