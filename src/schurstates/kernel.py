@@ -278,7 +278,7 @@ class FiberFamily:
         self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
         self._powers: dict = {}  # k -> full-shell powers of radial block k
         self.normalization: tuple | None = None
-        self.table: Table | None = None  # set once, by ``preload``
+        self.table: Table | None = None  # set once, by ``_keep_table``
         # owned here, filled by ``limit.boundary_matrix``
         self._boundary_cache: dict = {}
 
@@ -324,6 +324,14 @@ class FiberFamily:
         g.setflags(write=False)
         return g
 
+    def _keep_table(self, rows: dict, v: np.ndarray, radii, where: Callable[[int], str]) -> None:
+        """Validate and square the (N, d_I, d) stack ``v``, with ``where(k)``
+        naming row k, and keep it as the family's one table, site ``s`` at
+        row ``rows[s]``."""
+        if self.table is not None:
+            raise ValidationError("a family takes one table, and this one has it")
+        self.table = Table(rows, v, self._squared(v, where), radii)
+
     def preload(self, sites, stack, keys=None) -> None:
         """Validate, square and keep the vectors of a table of sites in one
         pass; a family takes one table.
@@ -341,8 +349,6 @@ class FiberFamily:
         in ``table.radii``; a fault is named at the first faulty site in
         that order, and a site listed twice is refused.
         """
-        if self.table is not None:
-            raise ValidationError("a family takes one table, and this one has it")
         coords = None
         if isinstance(sites, np.ndarray) and sites.ndim == 2 and not self.geometry.finite:
             whole = sites.dtype.kind == "i" and sites.shape[1] == self.geometry.nu
@@ -373,8 +379,7 @@ class FiberFamily:
         if len(rows) < len(sites):
             repeated = next(s for s, n in Counter(sites).items() if n > 1)
             raise ValidationError(f"site {repeated!r} is preloaded twice")
-        g = self._squared(v, lambda k: f"site {sites[k]!r}")
-        self.table = Table(rows, v, g, radii)
+        self._keep_table(rows, v, radii, lambda k: f"site {sites[k]!r}")
 
     def vectors(self, site) -> np.ndarray:
         """The (d_I, d) array whose row i is h(site, i)."""
@@ -432,10 +437,11 @@ class FiberFamily:
         It shares this family's radial shells, their blocks and their
         full-shell powers, built once for both by whichever family asks
         first, and holds the origin as a one-row table, validated and
-        squared here.
+        squared here.  This family must have radial shells and no table,
+        whose sites the new one would not carry.
         """
-        if self.radial is None:
-            raise ValidationError("only a radial family can take a new origin")
+        if self.radial is None or self.table is not None:
+            raise ValidationError("only a radial family without a table can take a new origin")
         origin = np.array(origin, dtype=np.complex128)
         if origin.shape != (self.d_I, self.d):
             raise DimensionError(
@@ -445,9 +451,8 @@ class FiberFamily:
             self.d, self.d_I, None, self.geometry, tail=tail, label=self.label, radial=self.radial
         )
         family._blocks, family._powers = self._blocks, self._powers
-        v = origin[None]
-        g = family._squared(v, lambda k: "radius 0")
-        family.table = Table({(0,) * self.geometry.nu: 0}, v, g, np.zeros(1, dtype=np.int64))
+        family._keep_table({(0,) * self.geometry.nu: 0}, origin[None], np.zeros(1, dtype=np.int64),
+                           lambda k: "radius 0")
         return family
 
     # -- constructors -------------------------------------------------
@@ -492,8 +497,8 @@ class FiberFamily:
         d_I, d = v.shape
         if geometry.finite:  # one table row, checked and squared once, for every site
             family = cls(d, d_I, lambda site: v, geometry, label=label)
-            g = family._squared(v[None], lambda k: "homogeneous vectors")
-            family.table = Table(dict.fromkeys(geometry.sites, 0), v[None], g, None)
+            family._keep_table(dict.fromkeys(geometry.sites, 0), v[None], None,
+                               lambda k: "homogeneous vectors")
             return family
         norms = _norms(v)[:, None]
         if not (np.isfinite(v).all() and (norms > ZERO_VECTOR_TOL).all()):

@@ -21,11 +21,12 @@ multiplies in its table rows outside the region, in walk order, and then
 its Gram matrix to the power of its sites off the table outside the
 region: the kept full-shell power (``FiberFamily.shell_powers``) where
 that is the whole shell, else raised afresh with ``np.power``.  Every
-region takes a step's factors in the same ``np.multiply.accumulate``
-calls along the factor axis of a (region, factor) stack, seeded with
-each region's product so far.  (The accumulate rounds differently from
-multiplying factor by factor, by about one rounding per entry and
-factor.)  Every other walk, and any walk given an
+region takes a step's factors in one ``np.multiply.accumulate`` along
+the factor axis of a (region, factor) stack, seeded with each region's
+product so far.  (The accumulate rounds differently from multiplying
+factor by factor with numpy's array ``*``, by about one rounding per
+entry and factor, on machines where that fuses multiply-adds.)  Every
+other walk, and any walk given an
 explicit ``exhaustion``, takes one block of its walk order per step and
 multiplies in each site outside the region in turn; it is the oracle of
 the shell walk.  Every region is checked against the family's geometry
@@ -221,14 +222,14 @@ def _walk(
         )
     skips = [set(region) for region in regions]
     n, d_I, table = len(regions), family.d_I, family.table
-    outside = None  # per region, one mask over the table: the rows outside it
+    inside = None  # per region, one mask over the table: the rows inside it
     if exhaustion is None and family.radial is not None:
         steps = _shell_steps(family, skips)
         if table is not None:
-            outside = np.ones((n, len(table.grams)), dtype=bool)
+            inside = np.zeros((n, len(table.grams)), dtype=bool)
             held = [(j, table.rows[x]) for j, skip in enumerate(skips) for x in skip if x in table.rows]
             if held:
-                outside[tuple(zip(*held))] = False
+                inside[tuple(zip(*held))] = True
     else:
         steps = _site_steps(walk, skips)
     results = [None] * n
@@ -255,7 +256,7 @@ def _walk(
                     for x in sites[live[i]]:
                         rows[i, 0] = rows[i, 0] * family.gram(x)
             else:
-                rows = _shell_products(family, p, labels[0], counts[:, :top], outside)
+                rows = _shell_products(family, p, labels[0], counts[:, :top], inside)
             # the certificate settles, in one call, every label a region took
             if walk.finite:
                 bounds = np.full((k, top), math.inf)
@@ -286,8 +287,8 @@ def _walk(
         if not live:
             return results
         p, consumed, bound = rows[~done, -1], totals[~done, -1], bounds[~done, -1]
-        if outside is not None:
-            outside = outside[~done]
+        if inside is not None:
+            inside = inside[~done]
 
     # a finite walk is exact only if it covered every site outside the region
     for i, j in enumerate(live):
@@ -325,64 +326,54 @@ def _site_steps(walk, skips: list):
         yield np.array([label]), np.array([[len(sites)] for sites in kept], dtype=float), kept
 
 
-def _shell_products(family: FiberFamily, p: np.ndarray, start: int, counts: np.ndarray, outside) -> np.ndarray:
+def _shell_products(family: FiberFamily, p: np.ndarray, start: int, counts: np.ndarray, inside) -> np.ndarray:
     """The products through each shell of the radial block from radius
     ``start`` on, one stack per region and one shell per column of
-    ``counts``: ``p`` holds each region's product so far, ``counts`` its
-    sites outside it per shell and ``outside`` its mask over the table
-    (True at the rows outside it).  Each shell takes its table rows
-    outside the region, in walk order, then its Gram matrix to the power
-    of its other sites outside the region: the kept full-shell power
-    (``FiberFamily.shell_powers``) where they are the whole shell.  One
-    seeded ``np.multiply.accumulate`` over all regions takes the shells
-    through the step's last table row, each region's at its own slots,
-    and one more the shells past them, a shell per slot.  In a step with
-    table rows each spans three slots or more (the first padded with
-    ones), and so multiplies unfused, as one accumulate over the step
-    would."""
+    ``counts``, in one seeded ``np.multiply.accumulate`` along the factor
+    axis: ``p`` holds each region's product so far, ``counts`` its sites
+    outside it per shell and ``inside`` its mask over the table (True at
+    the rows inside it).  Each shell takes its table rows outside the
+    region, in walk order, then its Gram matrix to the power of its other
+    sites outside the region: the kept full-shell power
+    (``FiberFamily.shell_powers``) where they are the whole shell, else
+    raised here.  Every region's factors take the same slots, where a
+    row inside the region is an exact factor of one, so a step with no
+    table row takes one slot per shell."""
     block, m = start // SHELL_BLOCK, counts.shape[1]
     # the order matters for speed on x86-64: squaring a new block (a BLAS
     # product) slows libm's scalar complex power, which the full-shell
-    # powers use, about tenfold until a numpy loop such as the comparisons
+    # powers use, about tenfold until a numpy loop such as the comparison
     # below has run
     grams = family.shell_grams(block)
     sizes = lattice.shell_sizes(family.geometry.nu, start, start + SHELL_BLOCK)[:m]
-    table, k, t = family.table, len(p), 0  # t: the shells up to the step's last table row
+    table, off = family.table, counts  # off[i, j]: shell j's sites off the table outside region i
+    lo = hi = 0
     if table is not None and table.radii[-1] >= start:
-        lo, hi = np.searchsorted(table.radii, (start, start + m)).tolist()
-        if hi > lo:
-            t = int(table.radii[hi - 1]) - start + 1
-            t = m if m - t < 2 else t  # no two-slot accumulate past the rows
-    if t:
-        outside, shell = outside[:, lo:hi], table.radii[lo:hi] - start
-        # rank[i, q + 1]: the step's rows through row q outside region i;
-        # below[i, j]: those in the shells before shell j, j = 0, ..., t
-        rank = np.zeros((k, hi - lo + 1), dtype=np.intp)
-        np.cumsum(outside, axis=1, out=rank[:, 1:])
-        below = rank[:, np.searchsorted(shell, np.arange(t + 1))]
-        # slot 0 holds p; shell j closes at ends[:, j], after its table rows
-        ends = below[:, 1:] + np.arange(1, t + 1)
-        off = counts[:, :t] - (below[:, 1:] - below[:, :-1])
-        j, r = np.nonzero(off)  # a closing power of 0 is the ones already in place
-        seq = np.ones((k, max(3, int(ends[:, -1].max()) + 1)) + p.shape[1:], dtype=np.complex128)
-        seq[:, 0] = p
-        i, q = np.nonzero(outside)
-        seq[i, (rank[:, 1:] + shell)[i, q]] = table.grams[lo:hi][q]
-        if j.size:
-            closing, part = family.shell_powers(block)[r], off[j, r] != sizes[r]
-            closing[part] = grams[r[part]] ** off[j[part], r[part]][:, None, None]
-            seq[j, ends[j, r]] = closing
-        through = np.multiply.accumulate(seq, axis=1)[np.arange(k)[:, None], ends]
-        if t == m:
-            return through
-    j, r = np.nonzero(counts[:, t:] != sizes[t:])
-    seq = np.empty((k, m - t + 1) + p.shape[1:], dtype=np.complex128)
-    seq[:, 0] = through[:, -1] if t else p
-    seq[:, 1:] = family.shell_powers(block)[t:m]
+        lo, hi = table.radii.searchsorted([start, start + m]).tolist()
+    # slot 0 holds p, then each shell's table rows, and shell j closes at
+    # slot ends[j]
+    ends = np.arange(1, m + 1)
+    if hi > lo:
+        shell = table.radii[lo:hi] - start
+        per_shell = np.bincount(shell, minlength=m)
+        i, q = np.nonzero(inside[:, lo:hi])  # the step's rows inside each region
+        held = np.bincount(i * m + shell[q], minlength=len(p) * m).reshape(len(p), m)
+        off = counts - (per_shell - held)
+        ends += per_shell.cumsum()
+    # the closing slots as a slice where they run on, with no row past the
+    # step's first shell (a slice reads and writes without copies)
+    closes = slice(ends[0], ends[0] + m) if ends[-1] - ends[0] == m - 1 else ends
+    j, r = np.nonzero(off != sizes)
+    seq = np.empty((len(p), ends[-1] + 1) + p.shape[1:], dtype=np.complex128)
+    seq[:, 0] = p
+    seq[:, closes] = family.shell_powers(block)[:m]
     if j.size:
-        seq[j, r + 1] = grams[t + r] ** counts[j, t + r][:, None, None]
-    products = np.multiply.accumulate(seq, axis=1)[:, 1:]
-    return np.concatenate((through, products), axis=1) if t else products
+        seq[j, ends[r]] = grams[r] ** off[j, r][:, None, None]
+    if hi > lo:
+        rows = np.arange(1, hi - lo + 1) + shell
+        seq[:, rows] = table.grams[lo:hi]
+        seq[i, rows[q]] = 1
+    return np.multiply.accumulate(seq, axis=1)[:, closes]
 
 
 def limit_state_eval(

@@ -184,7 +184,10 @@ def alpha_limit(
     step = float(np.max(np.abs(limits - before)))
     spread = float(np.max(np.abs(limits - limits.ravel()[0])))
     tol = DEFAULT_ALPHA_TOL
-    if max(step, spread) > tol:  # past 1e-8 the factors' scale decides
+    # past 1e-8 the factors' scale decides; below it every scale gives the
+    # same verdict, and a scan that settles there runs no LAPACK routine,
+    # whose code pages add about 1 MB to a README scan's peak RSS
+    if max(step, spread) > tol:
         # the largest singular value of each factor is its operator norm
         norms = np.linalg.svd(obs.factors, compute_uv=False)[:, 0]
         tol *= max(1.0, float(np.prod(norms)))

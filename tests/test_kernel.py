@@ -25,7 +25,13 @@ from schurstates.kernel import (
     transfer_matrix,
 )
 from schurstates.lattice import Sites, Zd
-from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
+from schurstates.limit import build_from_generators
+from schurstates.sampling import (
+    complex_gaussian,
+    decaying_generator_spec,
+    random_family,
+    rng_from_seed,
+)
 
 from conftest import make_family
 
@@ -330,6 +336,16 @@ class TestRadialFamily:
             source.with_origin(np.array([[1.0, 0.0], [0.0, 0.0]]), None)
         with pytest.raises(ValidationError, match="only a radial family"):
             orthonormal_family().with_origin(np.eye(2), None)
+
+    def test_a_family_with_a_table_takes_no_new_origin(self):
+        # the new family would carry the origin row alone, and every other
+        # site of the table would fall back to the radial shells
+        generator = build_from_generators(decaying_generator_spec(seed=5, radius=3, d=2, nu=2))
+        normalized = self.radial_family(self.halving).with_origin(np.eye(2), None)
+        for family in (generator, normalized):
+            assert family.radial is not None and family.table is not None
+            with pytest.raises(ValidationError, match="^only a radial family without a table"):
+                family.with_origin(np.eye(2), None)
 
     def test_radial_needs_a_lattice(self):
         with pytest.raises(ValidationError, match="needs a lattice"):
