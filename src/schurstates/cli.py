@@ -49,6 +49,7 @@ from .limit import (
     check_projectivity,
     limit_state_eval,
     superset_region,
+    total_weight,
 )
 from .linalg import psd_report
 from .mixing import DEFAULT_T_SEQUENCE, mixing_scan, require_lattice
@@ -200,12 +201,15 @@ def cmd_eval(args, out) -> int:
 
 
 def cmd_limit(args, out) -> int:
-    """The observable's boundary matrix and limit value, and with
+    """The observable's boundary matrix and limit value, the total weight
+    Z and the normalized value psi = value / Z, and with
     ``--check-projectivity`` the projectivity gap on the ``--region``
-    superset.  The superset is read and checked to hold every observable
-    site first; then one walk forms both regions' boundary matrices side
-    by side, and ``check_projectivity`` reads them from the cache.  A
-    faulty superset is reported without a walk of it, after the
+    superset.  ``value``, ``boundary`` and the projectivity gap are those
+    of the unnormalized functional.  The superset is read and checked to
+    hold every observable site first; then one walk forms the boundary
+    matrices of the observable region, the superset and the empty region
+    (Z's) side by side, and ``check_projectivity`` reads them from the
+    cache.  A faulty superset is reported without a walk of it, after the
     observable region's own walk, whose faults come first."""
     spec = load_model(args.model)
     family = spec.family()
@@ -222,8 +226,9 @@ def cmd_limit(args, out) -> int:
         except SchurStateError:
             boundary_matrix(family, obs.region, tail_tol=args.tail_tol)
             raise
-    beta = boundary_matrices(family, regions, tail_tol=args.tail_tol)[0]
+    beta, *_, empty = boundary_matrices(family, regions + [()], tail_tol=args.tail_tol)
     value = limit_state_eval(family, obs, tail_tol=args.tail_tol)
+    z = total_weight(empty)
     results = {
         "observable_region": [str(s) for s in obs.region],
         "boundary": encode_matrix(beta.matrix),
@@ -231,6 +236,8 @@ def cmd_limit(args, out) -> int:
         "sites_consumed": beta.sites_consumed,
         "rigorous": beta.rigorous,
         "value": encode_complex(value),
+        "Z": z,
+        "psi": encode_complex(value / z),
     }
     if spec.summability_certificate is not None:
         results["summability_certificate"] = spec.summability_certificate

@@ -31,8 +31,7 @@ pass (a generator model's identity, a homogeneous family's normalized
 tuple, a perturbed family's tuple per radius).  So a boundary walk
 takes a whole block of shell Gram matrices, and each shell's power to
 its full size from a stack the family keeps per block, without visiting
-the shells' sites.  The normalized perturbed family (``with_origin``)
-is the raw family's shells, shared, and a one-row table at the origin.
+the shells' sites.  A perturbed family is radial shells alone.
 An explicit family (``FiberFamily.explicit``, every random family and
 every explicit model file) is a table of all its sites, in their given
 order, and a homogeneous family on a site list one table row for every
@@ -99,35 +98,16 @@ def tail_remaining(masses, beyond: float = 0.0) -> Callable:
     of the shells beyond radius r, for every ``r >= -1``, or an array of
     them for an integer array r.  The suffix sums are formed once, from
     the outermost radius inward, each rounded up past a non-zero mass so
-    that it is never below the exact sum of non-negative masses; the
-    read-only table is kept on the function as ``suffix``.
+    that it is never below the exact sum of non-negative masses.
     """
     suffix = [beyond]
     for m in reversed(masses):
         suffix.append(math.nextafter(suffix[-1] + m, math.inf) if m else suffix[-1])
-    return _suffix_remaining(np.array(suffix[::-1]))
-
-
-def origin_remaining(remaining: Callable, mass: float) -> Callable:
-    """``tail_remaining`` of the same masses with shell 0's replaced by
-    ``mass``, from ``remaining`` (made by ``tail_remaining``): the suffix
-    table of every later shell is taken over, and only the sum that
-    includes the origin is formed again, as ``tail_remaining`` forms it."""
-    suffix = remaining.suffix
-    later = suffix[1:] if len(suffix) > 1 else suffix  # shells 1, 2, ... and beyond
-    first = math.nextafter(later[0] + mass, math.inf) if mass else later[0]
-    return _suffix_remaining(np.concatenate(([first], later)))
-
-
-def _suffix_remaining(suffix: np.ndarray) -> Callable:
-    """The ``remaining`` of a suffix table (suffix[k]: shells k, k + 1,
-    ... and beyond)."""
-    suffix.setflags(write=False)
+    suffix = np.array(suffix[::-1])
 
     def remaining(r):
         return suffix[np.minimum(np.add(r, 1), len(suffix) - 1)]
 
-    remaining.suffix = suffix
     return remaining
 
 
@@ -234,9 +214,7 @@ class FiberFamily:
     of their block.  The family also owns each block's full-shell powers
     (``shell_powers(k)``), each Gram matrix raised to its shell's size,
     which a boundary walk forms the first time it takes the block: at
-    most one stack per block built, kept as long as the family.  A
-    family made by ``with_origin`` shares these blocks and powers with
-    its source.  On a lattice, a canonical boundary walk takes every
+    most one stack per block built, kept as long as the family.  On a lattice, a canonical boundary walk takes every
     family with radial shells a block of shells at a time: each shell's
     table rows, then its Gram matrix for the sites off the table.
 
@@ -244,11 +222,6 @@ class FiberFamily:
     one site.  They are validated and squared into their Gram matrix at
     the site's first use, and a per-site index keeps the result, so every
     later ``vectors``/``gram`` call is one lookup.
-
-    A family rescaled so that its total boundary weight is 1 keeps
-    ``normalization`` = (Z, bound): the weight Z = sum_ij beta(empty)[i, j]
-    it was divided by, and the tail bound on each entry of that boundary
-    matrix; every other family has None.
     """
 
     def __init__(
@@ -277,7 +250,6 @@ class FiberFamily:
         self._by_site: dict = {}  # site -> its (vectors, Gram) entry
         self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
         self._powers: dict = {}  # k -> full-shell powers of radial block k
-        self.normalization: tuple | None = None
         self.table: Table | None = None  # set once, by ``_keep_table``
         # owned here, filled by ``limit.boundary_matrix``
         self._boundary_cache: dict = {}
@@ -429,31 +401,6 @@ class FiberFamily:
             sizes = lattice.shell_sizes(self.geometry.nu, start, start + SHELL_BLOCK)
             powers = self._powers[k] = _frozen(self.shell_grams(k) ** sizes[:, None, None])
         return powers
-
-    def with_origin(self, origin, tail) -> "FiberFamily":
-        """The radial family equal to this one but at the origin, whose
-        (d_I, d) vectors are ``origin``, certified by ``tail``.
-
-        It shares this family's radial shells, their blocks and their
-        full-shell powers, built once for both by whichever family asks
-        first, and holds the origin as a one-row table, validated and
-        squared here.  This family must have radial shells and no table,
-        whose sites the new one would not carry.
-        """
-        if self.radial is None or self.table is not None:
-            raise ValidationError("only a radial family without a table can take a new origin")
-        origin = np.array(origin, dtype=np.complex128)
-        if origin.shape != (self.d_I, self.d):
-            raise DimensionError(
-                f"origin vectors have shape {origin.shape}, expected {(self.d_I, self.d)}"
-            )
-        family = FiberFamily(
-            self.d, self.d_I, None, self.geometry, tail=tail, label=self.label, radial=self.radial
-        )
-        family._blocks, family._powers = self._blocks, self._powers
-        family._keep_table({(0,) * self.geometry.nu: 0}, origin[None], np.zeros(1, dtype=np.int64),
-                           lambda k: "radius 0")
-        return family
 
     # -- constructors -------------------------------------------------
 

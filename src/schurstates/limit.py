@@ -392,6 +392,18 @@ def limit_state_eval(
     return complex((m * beta.matrix).sum())
 
 
+def total_weight(empty: BoundaryMatrix) -> float:
+    """The weight Z = sum_ij beta(empty)[i, j] that the normalized state
+    psi = value / Z divides by, from the empty region's boundary matrix.
+    Z is the limit of <Psi, Psi>, real and non-negative; a walked sum
+    that is not real and positive is a ``ValidationError``.  Each of its
+    d_I² entries is within the boundary's tail bound."""
+    z = complex(empty.matrix.sum())
+    if not (z.real > 0 and abs(z.imag) <= 1e-9 * z.real):
+        raise ValidationError(f"total boundary weight {z} cannot be normalized away")
+    return z.real
+
+
 def superset_region(region, obs: LocalObservable) -> tuple:
     """``region`` as a tuple; ``GeometryError`` unless it holds every site
     of the observable's region."""

@@ -29,15 +29,15 @@ from .errors import (
     ValidationError,
 )
 from .kernel import (
+    SHELL_BLOCK,
     FarFieldTail,
     FiberFamily,
     kernel_matrix,
-    origin_remaining,
     product_kernel_matrix,
     schur_product,
     tail_remaining,
 )
-from .limit import SITE_CAP, boundary_matrices, boundary_matrix, limit_state_eval
+from .limit import SITE_CAP, boundary_matrices, boundary_matrix, limit_state_eval, total_weight
 from .state import LocalObservable
 
 #: Clearances of tail-limit detection, which embeds the last two, and of
@@ -73,7 +73,7 @@ class Embedding:
         """The observable carried to the embedded region."""
         if tuple(obs.region) != self.source:
             raise GeometryError("observable region does not match the embedding source")
-        return LocalObservable(self.image, obs.factors)
+        return LocalObservable.of_checked(self.image, obs.factors)
 
 
 def embed(
@@ -216,10 +216,7 @@ def _joint_observable(obs_a: LocalObservable, far: LocalObservable) -> LocalObse
         raise GeometryError(
             f"embedded region collides with the near region at {sorted(overlap)!r}"
         )
-    return LocalObservable(
-        tuple(obs_a.region) + tuple(far.region),
-        tuple(obs_a.factors) + tuple(far.factors),
-    )
+    return LocalObservable.of_checked(obs_a.region + far.region, obs_a.factors + far.factors)
 
 
 def _check_near_region(obs_a: LocalObservable, t: int):
@@ -250,7 +247,8 @@ def mixing_gap(
 ) -> float:
     """|psi(a . transported b) - psi(a) psi(transported b)|.
 
-    All three expectations are infinite-volume values.  The near region
+    All three expectations are infinite-volume values of the normalized
+    state, psi = value / Z (``limit.total_weight``).  The near region
     must sit inside the ball of radius t-1 and the embedded region
     always clears the t-ball, so the two regions cannot collide.  The
     default tail tolerance is tighter than elsewhere because gaps at
@@ -259,9 +257,9 @@ def mixing_gap(
     """
     require_lattice(family)
     joint, far = _placed(family, obs_a, obs_b, t, strategy, seed)
-    v_joint = limit_state_eval(family, joint, tail_tol)
-    v_a = limit_state_eval(family, obs_a, tail_tol)
-    return abs(v_joint - v_a * limit_state_eval(family, far, tail_tol))
+    z = total_weight(boundary_matrix(family, (), tail_tol=tail_tol))
+    v_joint, v_a, v_far = (limit_state_eval(family, obs, tail_tol) / z for obs in (joint, obs_a, far))
+    return abs(v_joint - v_a * v_far)
 
 
 @dataclass(frozen=True)
@@ -290,12 +288,14 @@ def mixing_scan(
 ) -> ScanResult:
     """Gap table over clearances and strategies, with a trend statistic.
 
-    The alpha column is NaN for models whose tail limits depend on the
-    index pair.  Row order follows ``t_list`` within each strategy
-    regardless of evaluation order; a strategy or clearance named twice
-    is refused.  Every row's regions are placed and checked first, in
-    row order, and then walked together in one ``boundary_matrices``
-    call.  Each kernel product is formed once: psi(a)'s product and
+    Every value is one of the normalized state, psi = value / Z
+    (``limit.total_weight``).  The alpha column is NaN for models whose
+    tail limits depend on the index pair.  Row order follows ``t_list``
+    within each strategy regardless of evaluation order; a strategy or
+    clearance named twice is refused.  Every row's regions are placed and
+    checked first, in row order, and then walked together, with the empty
+    region that gives Z, in one ``boundary_matrices`` call: a scan walks
+    once.  Each kernel product is formed once: psi(a)'s product and
     value once per scan, each far site's kernel matrix once per row (or
     not at all where ``alpha_limit`` formed it for the same translated
     region), and a row's joint product by seeding psi(a)'s product with
@@ -322,9 +322,10 @@ def mixing_scan(
     ]
     walked = iter(boundary_matrices(
         family,
-        [region for _, _, joint, far in placed for region in (joint.region, obs_a.region, far.region)],
+        [()] + [region for _, _, joint, far in placed for region in (joint.region, obs_a.region, far.region)],
         tail_tol,
     ))
+    z = total_weight(next(walked))
     ones = _ones(family)
     m_a = None
     rows = []
@@ -332,10 +333,10 @@ def mixing_scan(
         beta_joint, beta_a, beta_far = next(walked), next(walked), next(walked)
         if m_a is None:  # psi(a)'s product and value serve every row
             m_a = product_kernel_matrix(family, obs_a.region, obs_a.factors)
-            v_a = complex((m_a * beta_a.matrix).sum())
+            v_a = complex((m_a * beta_a.matrix).sum()) / z
         far_kernels = _site_kernels(family, far, kernels)
-        v_joint = complex((schur_product(m_a, far_kernels) * beta_joint.matrix).sum())
-        v_far = complex((schur_product(ones, far_kernels) * beta_far.matrix).sum())
+        v_joint = complex((schur_product(m_a, far_kernels) * beta_joint.matrix).sum()) / z
+        v_far = complex((schur_product(ones, far_kernels) * beta_far.matrix).sum()) / z
         gap = abs(v_joint - v_a * v_far)
         if report is not None and report.independent:
             agap = abs(v_joint - v_a * report.value)
@@ -369,8 +370,6 @@ def decaying_perturbation_family(
     near_radius: int = 3,
     base=None,
     directions=None,
-    normalize: bool = True,
-    tail_tol: float = 1e-14,
 ) -> FiberFamily:
     """Unit-vector family h(x, i) = (h + eps_x v_i) / norm, eps_x summable.
 
@@ -383,16 +382,11 @@ def decaying_perturbation_family(
     independent of the index pair.  Correlations between the near zone
     and a region embedded at clearance t then decay like decay^t, which
     keeps the mixing gap visible above roundoff through t ~ 40 while the
-    far products settle fast enough for tail-limit detection.  With
-    ``normalize`` the origin vectors are rescaled so the total boundary
-    weight is exactly 1.  The family is radial (``FiberFamily.radial``).
-    Normalized, it is the raw family's ``with_origin``: the raw family's
-    shells, their full-shell powers and the tail masses' sums past the
-    origin, shared, and a one-row table holding the rescaled origin.  One
-    walk of the empty region on the raw family gives the weight Z it is
-    divided by; the family keeps Z and that walk's entry bound as its
-    ``normalization``, which a model file's declared-normalization check
-    reads instead of walking again.
+    far products settle fast enough for tail-limit detection.  The family
+    is radial (``FiberFamily.radial``) and has no table; it is built
+    without a walk.  Its state is normalized where a value is reported,
+    by dividing by the total weight Z (``limit.total_weight``), walked
+    beside the regions that need it.
 
     Default directions perturb the base along a complex phase and an
     orthogonal coordinate, giving overlap deviations first order in
@@ -434,26 +428,38 @@ def decaying_perturbation_family(
         vecs = h + eps[:, None, None] * dirs
         return vecs / np.linalg.norm(vecs, axis=2)[:, :, None]
 
-    def deviation(v: np.ndarray) -> np.ndarray:
-        """max_ij |<v_j, v_i> - 1| of each vector tuple of a stack."""
-        return np.abs(v @ v.conj().swapaxes(-1, -2) - 1.0).max(axis=(-2, -1))
+    # the certificate goes to the family as it is made, and reads the mass
+    # table below, which the family's own first blocks feed
+    def remaining(r):
+        return table(r)
 
+    family = FiberFamily(
+        d, d_I, None, lattice.Zd(nu), tail=FarFieldTail(np.ones((d_I, d_I), dtype=bool), remaining),
+        label="decaying perturbation", radial=vectors,
+    )
     # every per-site quantity depends on the site only through |x|_1, so
     # the family is radial, built SHELL_BLOCK radii at a time, and the
     # tail masses are tabulated per radius.  Shell masses run outward, a
     # stack of radii at a time, to the first shell past radius 3 and the
     # near zone whose mass is below 1e-30; ``beyond`` bounds all later
-    # shells.  A profile not that quiet by radius SITE_CAP, which no
-    # capped walk passes, gets no certificate; one whose near zone
-    # reaches that radius is not tabulated at all.
+    # shells.  The first stack is the family's own first blocks, which a
+    # walk reads again; later ones are formed here and dropped.  A profile
+    # not that quiet by radius SITE_CAP, which no capped walk passes, gets
+    # no certificate; one whose near zone reaches that radius is not
+    # tabulated at all.
     quiet_after = max(3, near_radius) if near_amplitude is not None else 3
     masses = []
     beyond = math.inf
-    start, size = 0, 256
+    start, size = 0, 4 * SHELL_BLOCK
     while start <= SITE_CAP and quiet_after < SITE_CAP:
         stop = min(start + size, SITE_CAP + 1)
+        if start:
+            v = vectors(start, stop)
+            grams = v @ v.conj().swapaxes(-1, -2)
+        else:
+            grams = np.concatenate([family.shell_grams(k) for k in range(size // SHELL_BLOCK)])
         radii = np.arange(start, stop)
-        chunk = lattice.shell_sizes(nu, start, stop) * deviation(vectors(start, stop))
+        chunk = lattice.shell_sizes(nu, start, stop) * np.abs(grams - 1.0).max(axis=(-2, -1))
         quiet = np.flatnonzero((radii > quiet_after) & (chunk < 1e-30))
         if quiet.size:
             masses.extend(chunk[: quiet[0] + 1].tolist())
@@ -462,26 +468,5 @@ def decaying_perturbation_family(
         masses.extend(chunk.tolist())
         start, size = stop, min(2 * size, 4096)
 
-    remaining = tail_remaining(masses, beyond)
-    ones = np.ones((d_I, d_I), dtype=bool)
-    family = FiberFamily(
-        d, d_I, None, lattice.Zd(nu), tail=FarFieldTail(ones, remaining),
-        label="decaying perturbation", radial=vectors,
-    )
-    if not normalize:
-        return family
-    beta = boundary_matrix(family, (), tail_tol=tail_tol)
-    total = complex(beta.matrix.sum())
-    if not (total.real > 1e-12 and abs(total.imag) <= 1e-9 * abs(total)):
-        raise ValidationError(
-            f"total boundary weight {total} cannot be normalized away"
-        )
-    scale = 1.0 / np.sqrt(total.real)
-    origin = scale * vectors(0, 1)[0]
-    # the origin is a shell of its own, so only its mass changes; every
-    # other shell, its power and its later masses' sums are the raw family's
-    normalized = family.with_origin(
-        origin, FarFieldTail(ones, origin_remaining(remaining, float(deviation(origin))))
-    )
-    normalized.normalization = (total, beta.tail_bound)
-    return normalized
+    table = tail_remaining(masses, beyond)
+    return family

@@ -187,7 +187,10 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
     A NaN or Infinity, which Python's JSON reader accepts, is refused
     where its matrix or vector is decoded, before any norm is formed.  A
     model declaring ``"normalized": true`` builds its family here, and
-    ``_check_normalization`` checks its total boundary weight.
+    ``_check_normalization`` checks its total boundary weight; a
+    ``perturbed`` model with ``"normalize": true`` (the default) is
+    normalized by construction, since every state value it reports is
+    divided by its walked weight Z, so it is neither built nor walked.
     """
     errors: list[str] = []
     if not isinstance(data, dict):
@@ -230,6 +233,7 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
     mode = _require(vectors, "mode", str, "model.vectors", errors, "")
     # each mode branch sets ``build`` and what else its model carries
     build = reference = certificate = None
+    divides = False  # a perturbed model that asks to be normalized by Z
 
     if mode == "explicit":
         if kind != "sites":
@@ -349,6 +353,7 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         if not isinstance(normalize, bool):
             errors.append(f"model.vectors.normalize: expected a boolean, got {normalize!r}")
         if not errors:
+            divides = normalize
             build = functools.partial(
                 decaying_perturbation_family,
                 nu=geometry.nu,
@@ -358,7 +363,6 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
                 near_radius=int(near_radius),
                 base=base,
                 directions=dirs,
-                normalize=normalize,
             )
 
     else:
@@ -389,26 +393,14 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         summability_certificate=certificate,
     )
 
-    if normalized:
+    if normalized and not divides:
         _check_normalization(spec.family())
     return spec
 
 
 def _check_normalization(family: FiberFamily) -> None:
-    """The total boundary weight must be 1 within ``NORMALIZATION_TOL``.
-    A family that normalized itself (a normalized perturbed model) is
-    read off its ``normalization``: divided by its walked weight Z, the
-    weight is 1 within d_I² times the walk's entry bound, over Z.  Any
-    other family has its empty-region boundary walked."""
-    if family.normalization is not None:
-        weight, bound = family.normalization
-        deviation = family.d_I**2 * bound / abs(weight)
-        if deviation > NORMALIZATION_TOL:
-            raise ValidationError(
-                f"model declares normalization but its total boundary weight is "
-                f"known only within {deviation:.3e} of 1 (> {NORMALIZATION_TOL})"
-            )
-        return
+    """The total boundary weight, walked on the empty region, must be 1
+    within ``NORMALIZATION_TOL``."""
     total = complex(boundary_matrix(family, (), tail_tol=1e-10).matrix.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(

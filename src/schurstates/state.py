@@ -46,8 +46,7 @@ class LocalObservable:
             raise DimensionError(
                 f"{len(region)} sites vs {len(factors)} factors"
             )
-        if len(set(region)) != len(region):
-            raise ValidationError("observable region has duplicate sites")
+        self._place(region, factors)
         if factors:
             d = factors[0].shape[0]
             for s, f in zip(region, factors):
@@ -57,8 +56,21 @@ class LocalObservable:
                     )
                 if not np.all(np.isfinite(f)):
                     raise ValidationError(f"factor at site {s!r} has non-finite entries")
+
+    def _place(self, region: tuple, factors: tuple) -> None:
+        if len(set(region)) != len(region):
+            raise ValidationError("observable region has duplicate sites")
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "factors", factors)
+
+    @classmethod
+    def of_checked(cls, region, factors) -> "LocalObservable":
+        """An observable on ``region``, one site per factor, whose factors
+        were validated as factors of observables already: they are taken
+        as they are, and only the region is checked for repeated sites."""
+        obs = object.__new__(cls)
+        obs._place(tuple(region), tuple(factors))
+        return obs
 
     @classmethod
     def identity(cls, region, d: int) -> "LocalObservable":

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from schurstates.cli import _parser, build_parser, main
-from schurstates.modelfile import encode_matrix
+from schurstates.modelfile import encode_matrix, load_model
 
 from conftest import perturbed_ball_product, validate_against
 
@@ -504,7 +504,8 @@ class TestHomogeneousLatticeReports:
 
 class TestProjectivityWalk:
     """``limit --check-projectivity`` checks its superset first and then
-    walks the observable region and the superset side by side, once."""
+    walks the observable region, the superset and the empty region (the
+    total weight Z's) side by side, once."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -526,7 +527,7 @@ class TestProjectivityWalk:
         code, out, err = run_cli(README_LIMIT, capsys)
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["projectivity"]["pass"]
-        assert walks == [[((0,),), ((0,), (1,), (-1,))]]
+        assert walks == [[((0,),), ((0,), (1,), (-1,)), ()]]
 
     def test_region_missing_an_observable_site_is_not_walked(self, walks, capsys):
         code, out, err = run_cli(README_LIMIT[:6] + ["1;-1"] + README_LIMIT[7:], capsys)
@@ -553,7 +554,7 @@ class TestProjectivityWalk:
     @pytest.mark.parametrize(
         "region, walked",
         [
-            (["--region", "0,0;1,1"], [[((0, 0),), ((0, 0), (1, 1))]]),
+            (["--region", "0,0;1,1"], [[((0, 0),), ((0, 0), (1, 1)), ()]]),
             # the observable region's own walk, and its fault, come before
             # a faulty or missing superset, as when that walk ran first
             (["--region", "1,1"], [[((0, 0),)]]),
@@ -570,8 +571,9 @@ class TestProjectivityWalk:
 
     def test_readme_report_matches_golden(self, walks, tmp_path):
         # captured from the README command when each region had its own
-        # walk; run from the repository root, so that the report's model
-        # field is the README's relative path, not this checkout's
+        # walk, and again for the Z and psi fields alone; run from the
+        # repository root, so that the report's model field is the README's
+        # relative path, not this checkout's
         out = tmp_path / "limit.json"
         assert main(README_LIMIT + ["--output", str(out)]) == 0
         golden = REPO / "tests" / "data" / "limit_generator_decay.json"
@@ -716,7 +718,8 @@ class TestParser:
 class TestPerturbedZ3AtSiteCap:
     """A nu=3 perturbed model needs about 2.6M sites to certify its tail,
     more than the site cap; the shell walk sees the cap coming from the
-    shell sizes and stops at once."""
+    shell sizes and stops at once.  The model loads without a walk, so
+    the error comes from the command's own walk."""
 
     @pytest.fixture
     def z3_files(self, tmp_path):
@@ -734,6 +737,7 @@ class TestPerturbedZ3AtSiteCap:
         args = [command, "--model", z3_files["model"], "--observable", z3_files["near"]]
         if command == "mixing-scan":
             args += ["--observable-far", z3_files["far"], "--tmax", "40"]
+        assert load_model(z3_files["model"]).normalized
         start = time.perf_counter()
         code, out, err = run_cli(args, capsys)
         elapsed = time.perf_counter() - start
@@ -893,6 +897,33 @@ class TestMixingScanCli:
         assert code == 0
         golden = REPO / "tests" / "data" / "mixing_scan_perturbed_z2.csv"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_readme_scan_walks_once(self, tmp_path, monkeypatch):
+        # the model loads without a walk, and the scan walks every row's
+        # regions and the empty region (Z's) side by side, once
+        from schurstates import limit
+
+        calls = []
+        walk = limit._walk
+
+        def recorded(family, regions, *args):
+            calls.append([tuple(region) for region in regions])
+            return walk(family, regions, *args)
+
+        monkeypatch.setattr(limit, "_walk", recorded)
+        code = main(
+            [
+                "mixing-scan",
+                "--model", str(MODELS / "perturbed_z2.json"),
+                "--observable", str(MODELS / "observable_near.json"),
+                "--observable-far", str(MODELS / "observable_far.json"),
+                "--format", "csv", "--tmax", "40",
+                "--output", str(tmp_path / "scan.csv"),
+            ]
+        )
+        assert code == 0
+        ((first, *rows),) = calls
+        assert first == () and len(rows) == 9  # 4 joint and 4 far regions, and psi(a)'s
 
 
 class TestDeterminism:

@@ -18,17 +18,14 @@ from schurstates.kernel import (
     kernel_gram_matrix,
     kernel_matrix,
     product_kernel_gram_matrix,
-    origin_remaining,
     product_kernel_matrix,
     schur_product,
     tail_remaining,
     transfer_matrix,
 )
 from schurstates.lattice import Sites, Zd
-from schurstates.limit import build_from_generators
 from schurstates.sampling import (
     complex_gaussian,
-    decaying_generator_spec,
     random_family,
     rng_from_seed,
 )
@@ -299,54 +296,6 @@ class TestRadialFamily:
         ):
             fam.gram((0, 0))
 
-    @staticmethod
-    def halving(start, stop):
-        """Row r holds (1, 0.5^r i) and (1, -0.5^r)."""
-        return np.array([[[1.0, 0.5**r * 1j], [1.0, -(0.5**r)]] for r in range(start, stop)])
-
-    def test_new_origin_shares_every_other_shell(self):
-        source = self.radial_family(self.halving)
-        origin = np.array([[2.0, 0.5j], [0.0, 1.0]])
-        fam = source.with_origin(origin, None)
-        assert np.array_equal(fam.vectors((0, 0)), origin)
-        assert np.array_equal(fam.gram((0, 0)), origin @ origin.conj().T)
-        assert np.array_equal(fam.vectors((1, 2)), source.vectors((1, 2)))
-        # the origin is a one-row table; every block is the source's own
-        # stack, built once for both
-        assert list(fam.table.rows) == [(0, 0)] and fam.table.radii.tolist() == [0]
-        assert np.shares_memory(fam.gram((0, 0)), fam.table.grams)
-        assert fam.radial is source.radial
-        for k in (0, 1):
-            assert fam.shell_grams(k) is source.shell_grams(k)
-            assert fam.shell_powers(k) is source.shell_powers(k)
-        # and a fresh family from ``radial`` builds the same stacks
-        fresh = FiberFamily(2, 2, None, Zd(2), radial=fam.radial)
-        for k in (0, 1):
-            assert np.array_equal(fam.shell_grams(k), fresh.shell_grams(k))
-            assert np.array_equal(fam.shell_powers(k), fresh.shell_powers(k))
-            assert not fam.shell_grams(k).flags.writeable
-            assert not fam.shell_powers(k).flags.writeable
-
-    def test_new_origin_is_checked(self):
-        source = self.radial_family(self.halving)
-        with pytest.raises(DimensionError, match=r"origin vectors have shape \(2,\)"):
-            source.with_origin([1.0, 0.0], None)
-        # the origin row is validated when it is built, before any site is asked for
-        with pytest.raises(ValidationError, match="^radius 0: zero fiber vector at index 1$"):
-            source.with_origin(np.array([[1.0, 0.0], [0.0, 0.0]]), None)
-        with pytest.raises(ValidationError, match="only a radial family"):
-            orthonormal_family().with_origin(np.eye(2), None)
-
-    def test_a_family_with_a_table_takes_no_new_origin(self):
-        # the new family would carry the origin row alone, and every other
-        # site of the table would fall back to the radial shells
-        generator = build_from_generators(decaying_generator_spec(seed=5, radius=3, d=2, nu=2))
-        normalized = self.radial_family(self.halving).with_origin(np.eye(2), None)
-        for family in (generator, normalized):
-            assert family.radial is not None and family.table is not None
-            with pytest.raises(ValidationError, match="^only a radial family without a table"):
-                family.with_origin(np.eye(2), None)
-
     def test_radial_needs_a_lattice(self):
         with pytest.raises(ValidationError, match="needs a lattice"):
             FiberFamily(1, 1, None, Sites(("a",)), radial=lambda start, stop: [[[1.0]]])
@@ -368,23 +317,6 @@ class TestTailRemaining:
     def test_no_masses_leave_beyond(self):
         assert tail_remaining([])(-1) == 0.0
         assert tail_remaining([], beyond=math.inf)(7) == math.inf
-
-    @pytest.mark.parametrize(
-        "masses, beyond",
-        [([0.1, 0.2, 0.0, 0.3], 1e-3), ([0.0, 1e-20], 0.0), ([5.0], 1e-28), ([], math.inf), ([], 0.0)],
-    )
-    @pytest.mark.parametrize("mass", [0.0, 0.25, 1e-17])
-    def test_new_origin_sums_only_its_own_shell_again(self, masses, beyond, mass):
-        # the table of a new shell 0 is the one tail_remaining builds for
-        # it, bit for bit, and shares every later sum with the old one
-        old = tail_remaining(masses, beyond)
-        new = origin_remaining(old, mass)
-        want = tail_remaining([mass] + masses[1:], beyond)
-        assert np.array_equal(new.suffix, want.suffix)
-        radii = np.arange(-1, len(masses) + 3)
-        assert np.array_equal(new(radii), want(radii))
-        assert np.array_equal(new(radii[1:]), old(radii[1:]))
-        assert not new.suffix.flags.writeable and not old.suffix.flags.writeable
 
 
 # The three certificates ``FarFieldTail`` replaced, each settle body kept

@@ -37,7 +37,7 @@ from schurstates.sampling import (
 )
 from schurstates.state import LocalObservable, expectation_extended
 
-from conftest import ball, ball_size
+from conftest import ball, ball_size, rescaled_origin_family, shell_loop
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -221,8 +221,10 @@ class TestBoundaryMatrix:
         # reported tail bound (+ roundoff) of the canonical walk
         if family == "generator":
             fam = generator_family
+        elif normalize:
+            fam = rescaled_origin_family(nu)
         else:
-            fam = decaying_perturbation_family(nu=nu, normalize=normalize)
+            fam = decaying_perturbation_family(nu=nu)
         a = boundary_matrix(fam, region, tail_tol=1e-12)
         radius = max(map(lattice.norm1, Zd(nu).first(a.sites_consumed + len(region))))
         sites = ball(nu, radius + 10)
@@ -237,7 +239,7 @@ class TestBoundaryMatrix:
         # walking ten more shells than the certificate needed may not move
         # any entry by more than the reported tail bound (+ roundoff); the
         # empty region puts the (rescaled, if normalized) origin in the walk
-        fam = decaying_perturbation_family(nu=nu, normalize=normalize)
+        fam = rescaled_origin_family(nu) if normalize else decaying_perturbation_family(nu=nu)
         region = ()
         bm = boundary_matrix(fam, region, tail_tol=1e-12)
         assert bm.rigorous and bm.tail_bound <= 1e-12
@@ -253,7 +255,7 @@ class TestBoundaryMatrix:
         # the certificate at radius -1 must count the rescaled origin: with
         # a negligible perturbation every other site is nearly all-ones,
         # but the origin carries the whole normalization
-        fam = decaying_perturbation_family(nu=nu, epsilon0=1e-20, near_amplitude=None)
+        fam = rescaled_origin_family(nu, epsilon0=1e-20, near_amplitude=None)
         bm = boundary_matrix(fam, ())
         assert bm.rigorous and bm.sites_consumed >= 1
         assert abs(complex(bm.matrix.sum()) - 1.0) <= 1e-12
@@ -948,8 +950,8 @@ class TestHomogeneousShells:
 STACKED_FAMILIES = {
     **{
         f"radial-nu{nu}-{'normalized' if normalize else 'raw'}": (
-            lambda nu=nu, normalize=normalize: decaying_perturbation_family(
-                nu=nu, normalize=normalize, **({"decay": 0.2} if nu == 3 else {})
+            lambda nu=nu, normalize=normalize: (rescaled_origin_family if normalize else decaying_perturbation_family)(
+                nu=nu, **({"decay": 0.2} if nu == 3 else {})
             )
         )
         for nu in (1, 2, 3)
@@ -1072,62 +1074,16 @@ class TestStackedWalk:
     @pytest.mark.parametrize("name", [n for n in STACKED_FAMILIES if n.startswith("radial")])
     def test_a_step_past_the_cap_builds_nothing(self, name):
         # the cap admits exactly the sites of block 0 outside the regions,
-        # so the walk fails at block 1 without building its shells; a
-        # normalized family shares the blocks its normalization walk built
+        # so the walk fails at block 1 without building its shells or their
+        # powers; a raw perturbed family holds the blocks its mass table read
         fam = STACKED_FAMILIES[name]()
         nu = fam.geometry.nu
-        before = set(fam._blocks) | set(fam._powers)
+        blocks, powers = set(fam._blocks), set(fam._powers)
         cap = int(lattice.shell_sizes(nu, 0, SHELL_BLOCK).sum()) - 1
         regions = [((0,) * nu,), ((0,) * nu,) + ((SHELL_BLOCK,) + (0,) * (nu - 1),)]
         with pytest.raises(ConvergenceError):
             boundary_matrices(fam, regions, tail_tol=0.0, site_cap=cap)
-        assert sorted(fam._blocks) == sorted(fam._powers) == sorted(before | {0})
-
-
-def accumulated(a, b):
-    """a * b entrywise, rounded as the walk's ``np.multiply.accumulate``
-    rounds it: inside a run of three slots along axis 1.  Numpy picks its
-    complex product loop by the call, and the loops may round apart (on
-    x86-64 with AVX-512 the loop of array ``*`` and of a two-slot run fuses
-    multiply-adds, and that of a longer run does not), so the oracle takes
-    every product through the same kind of call as the walk, on any
-    machine."""
-    seq = np.ones((1, 3) + a.shape, dtype=np.complex128)
-    seq[0, 0], seq[0, 1] = a, b
-    return np.multiply.accumulate(seq, axis=1)[0, 1]
-
-
-def shell_loop(fam, region, tail_tol, site_cap=SITE_CAP):
-    """The canonical walk of a family with radial shells as a literal
-    loop, one shell at a time from the empty shell at radius -1: each
-    shell multiplies in the table rows outside the region one at a time,
-    in walk order, then the shell's Gram matrix to the power of its other
-    sites outside the region, each product by ``accumulated``.  Returns
-    ("stop", radius, sites, matrix, bound) at the first radius whose
-    certificate bound meets ``tail_tol``, with the certificate's matrix
-    there, or ("cap", radius, sites, product, bound) with the shell the
-    cap refuses and the product and bound through the shell before it."""
-    nu, table, skip = fam.geometry.nu, fam.table, set(region)
-    held = [lattice.norm1(x) for x in region]
-    rows = {}  # radius -> the table rows outside the region, in walk order
-    for site, row in sorted(table.rows.items() if table else (), key=lambda item: item[1]):
-        if site not in skip:
-            rows.setdefault(int(table.radii[row]), []).append(row)
-    p = np.ones((fam.d_I, fam.d_I), dtype=complex)
-    consumed, bound = 0, math.inf
-    for r in range(-1, SITE_CAP):
-        n = lattice.shell_size(nu, r) - held.count(r)
-        if consumed + n > site_cap:
-            return "cap", r, consumed, p, bound
-        consumed += n
-        if r >= 0:
-            for row in rows.get(r, ()):
-                p = accumulated(p, table.grams[row])
-            p = accumulated(p, np.power(fam.shell_gram(r), float(n - len(rows.get(r, ())))))
-        matrices, bounds = fam.tail.settle(p[None], np.array([r]))
-        bound = float(bounds[0])
-        if bound <= tail_tol:
-            return "stop", r, consumed, matrices[0], bound
+        assert (set(fam._blocks), set(fam._powers)) == (blocks | {0}, powers | {0})
 
 
 SHELL_LOOP_FAMILIES = {

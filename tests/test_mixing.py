@@ -22,8 +22,8 @@ from schurstates.kernel import (
     product_kernel_matrix,
     tail_remaining,
 )
-from schurstates.limit import SITE_CAP, boundary_matrix, limit_state_eval
-from schurstates.modelfile import load_model
+from schurstates.limit import SITE_CAP, boundary_matrix, limit_state_eval, total_weight
+from schurstates.modelfile import load_model, parse_model
 from schurstates.mixing import (
     alpha_limit,
     decaying_perturbation_family,
@@ -34,7 +34,14 @@ from schurstates.mixing import (
 from schurstates.sampling import complex_gaussian, rng_from_seed
 from schurstates.state import LocalObservable
 
-from conftest import ball, ball_size, gram_psd_matrix, perturbed_ball_product
+from conftest import (
+    ball,
+    ball_size,
+    gram_psd_matrix,
+    perturbed_ball_product,
+    rescaled_origin_family,
+    shell_loop,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -63,10 +70,12 @@ def orthonormal_homogeneous(nu=2):
 
 def alpha_gap(family, a, b, t, alpha, strategy="translate", seed=0):
     """|psi(a . transported b) - psi(a) alpha|, both values one-region
-    ``limit_state_eval`` calls at the scan's tail tolerance."""
+    ``limit_state_eval`` calls at the scan's tail tolerance, divided by
+    the total weight Z."""
     far = embed(b.region, t, strategy=strategy, nu=family.geometry.nu, seed=seed).transport(b)
     joint = LocalObservable(a.region + far.region, a.factors + far.factors)
-    return abs(limit_state_eval(family, joint, 1e-14) - limit_state_eval(family, a, 1e-14) * alpha)
+    z = total_weight(boundary_matrix(family, (), tail_tol=1e-14))
+    return abs(limit_state_eval(family, joint, 1e-14) / z - limit_state_eval(family, a, 1e-14) / z * alpha)
 
 
 class TestBall:
@@ -420,17 +429,15 @@ class TestMixingScan:
 
 
 class TestPerturbationFamilyCaches:
-    """A fresh family with empty caches and the same provider and radial
-    data is the oracle of the family the constructor returns."""
+    """A fresh family with empty caches and the same radial data is the
+    oracle of the family the constructor returns."""
 
     REGIONS = ((), ((0, 0),), ((0, 0), (1, 0)))
 
     def test_shared_caches_match_fresh_family(self):
         fam = decaying_perturbation_family()
-        fresh = FiberFamily(
-            fam.d, fam.d_I, fam._provider, fam.geometry, tail=fam.tail, radial=fam.radial,
-        )
-        fresh.preload(list(fam.table.rows), fam.table.vectors)
+        assert fam.table is None
+        fresh = FiberFamily(fam.d, fam.d_I, None, fam.geometry, tail=fam.tail, radial=fam.radial)
         for region in self.REGIONS:
             got = boundary_matrix(fam, region, tail_tol=1e-14)
             want = boundary_matrix(fresh, region, tail_tol=1e-14)
@@ -474,16 +481,16 @@ class TestPerturbationFamilyCaches:
         return builds
 
     def test_normalized_family_builds_each_radius_once(self, builds, monkeypatch):
-        # loading the README model walks the raw family once, to normalize
-        # it, and the load-time check reads that walk's weight and bound;
-        # the normalized family shares every block and power with the raw
-        # one and builds only its rescaled origin, a one-row table
+        # loading the README model, which asks to be normalized, walks
+        # nothing and builds one family with no table; its mass table reads
+        # the family's own first four blocks, each radius built and
+        # validated once, and is tabulated once
         walks = []
-        walk = limit._boundary_walk
+        walk = limit._walk
 
-        def counting_walk(family, region, *args):
-            walks.append((family, region))
-            return walk(family, region, *args)
+        def counting_walk(family, regions, *args):
+            walks.append(list(regions))
+            return walk(family, regions, *args)
 
         tables = []
         remaining_of = mixing.tail_remaining
@@ -492,15 +499,15 @@ class TestPerturbationFamilyCaches:
             tables.append(len(masses))
             return remaining_of(masses, beyond)
 
-        monkeypatch.setattr(limit, "_boundary_walk", counting_walk)
+        monkeypatch.setattr(limit, "_walk", counting_walk)
         monkeypatch.setattr(mixing, "tail_remaining", counting_table)
         fam = load_model(MODELS / "perturbed_z2.json").family()
-        assert len(builds) == 2  # the raw family, then fam
-        ((raw, region),) = walks
-        assert raw is not fam and region == ()
-        assert len(tables) == 1
-        (raw_built, raw_validated), (built, validated) = builds
-        # scan-like walks on fam reach further than the normalization walk
+        assert walks == [] and len(tables) == 1 and fam.table is None
+        ((built, validated),) = builds
+        first = range(4 * SHELL_BLOCK)
+        assert built == Counter(first)
+        assert validated == Counter(f"radius {r}" for r in first)
+        # scan-like walks read those blocks and list no site of them
         region = ((1, 0), (0, -2))
         near = boundary_matrix(fam, region, tail_tol=1e-14)
         assert not fam._by_site
@@ -510,64 +517,22 @@ class TestPerturbationFamilyCaches:
             assert np.array_equal(fam.gram(site), fam.shell_grams(r // SHELL_BLOCK)[r % SHELL_BLOCK])
             assert np.shares_memory(fam.gram(site), fam.shell_grams(r // SHELL_BLOCK))
         assert set(fam._by_site) == set(region)
-        # the raw family builds and validates whole blocks from radius 0,
-        # each radius once, through the block of the farthest shell walked
-        assert set(raw_built.values()) == {1}
+        # nothing is built again, and each walked block's powers once
         radius = max(
             next(r for r in range(1000) if ball_size(2, r) == w.sites_consumed + held)
             for w, held in ((near, len(region)), (other, 1))
         )
-        assert sorted(raw_built) == list(range((radius // SHELL_BLOCK + 1) * SHELL_BLOCK))
-        assert raw_validated == Counter(f"radius {r}" for r in raw_built)
-        # fam builds nothing but its origin, which it validates once
-        assert not built
-        assert validated == Counter({"radius 0": 1})
-        for k in range(radius // SHELL_BLOCK + 1):
-            assert fam.shell_grams(k) is raw.shell_grams(k)
-            assert fam.shell_powers(k) is raw.shell_powers(k)
-        assert np.array_equal(fam.tail.remaining.suffix[1:], raw.tail.remaining.suffix[1:])
-        assert fam.normalization == (
-            complex(boundary_matrix(raw, (), tail_tol=1e-14).matrix.sum()),
-            boundary_matrix(raw, (), tail_tol=1e-14).tail_bound,
-        )
-        assert len(walks) == 3  # the two region walks above; the raw walk was cached
-
-    def test_normalized_shell_zero_is_the_rescaled_origin(self, builds):
-        fam = decaying_perturbation_family()
-        raw = decaying_perturbation_family(normalize=False)
-        origin = (0, 0)
-        boundary_matrix(fam, (origin, (1, 0)))
-        # the origin row is built with the family although the walk skips
-        # it: the normalized family validates it alone and asks its radial
-        # nothing
-        assert builds[1] == (Counter(), Counter({"radius 0": 1}))
-        assert not fam._by_site
-        # the origin is the table's one row; shell 0 is the raw family's
-        assert list(fam.table.rows) == [origin]
-        assert np.array_equal(fam.gram(origin), fam.table.grams[0])
-        assert np.array_equal(fam.shell_gram(0), raw.shell_gram(0))
-        # the rescaled origin, not the raw family's shell 0
-        total = complex(boundary_matrix(raw, (), tail_tol=1e-14).matrix.sum()).real
-        assert not np.array_equal(fam.gram(origin), raw.gram(origin))
-        np.testing.assert_allclose(fam.gram(origin) * total, raw.gram(origin), rtol=1e-14)
-        assert np.array_equal(fam.shell_gram(1), raw.shell_gram(1))
-        # the same stacks as a fresh family built block by block from its
-        # radial, with the origin row preloaded
-        fresh = FiberFamily(fam.d, fam.d_I, None, fam.geometry, tail=fam.tail, radial=fam.radial)
-        fresh.preload([origin], fam.table.vectors)
-        assert np.array_equal(fam.gram(origin), fresh.gram(origin))
-        for k in (0, 1):
-            assert np.array_equal(fam.shell_grams(k), fresh.shell_grams(k))
-            assert np.array_equal(fam.shell_powers(k), fresh.shell_powers(k))
-        # and its total boundary weight is 1
-        total = complex(boundary_matrix(fam, (), tail_tol=1e-14).matrix.sum())
-        assert abs(total - 1.0) <= 4 * fam.normalization[1] / fam.normalization[0].real + 1e-15
+        assert radius < len(first)
+        assert built == Counter(first)
+        assert validated == Counter(f"radius {r}" for r in first)
+        assert sorted(fam._powers) == list(range(radius // SHELL_BLOCK + 1))
+        assert len(walks) == 2
 
     def test_remaining_does_not_depend_on_call_order(self):
-        fam = decaying_perturbation_family(normalize=False)
+        fam = decaying_perturbation_family()
         radii = (60, 0, 30, 60)
         got = [fam.tail.remaining(r) for r in radii]
-        want = [decaying_perturbation_family(normalize=False).tail.remaining(r) for r in radii]
+        want = [decaying_perturbation_family().tail.remaining(r) for r in radii]
         assert got == want
 
 
@@ -576,8 +541,6 @@ class TestTailTable:
     recomputed one radius at a time from the family's own vectors."""
 
     SHELL_SIZE = {1: lambda r: 2, 2: lambda r: 4 * r, 3: lambda r: 4 * r * r + 2}
-    # on Z^3 at decay 0.99 even a normalization walk to 1e-2 needs more
-    # sites than the cap, so that family exists raw only
     CASES = [
         pytest.param(
             nu, decay, near, normalize,
@@ -586,19 +549,36 @@ class TestTailTable:
         for nu, decay, near, normalize in itertools.product(
             [1, 2, 3], [0.3, 0.78, 0.95, 0.99], [0.3, None], [False, True]
         )
-        if not (nu == 3 and decay == 0.99 and normalize)
     ]
+
+    @staticmethod
+    def model_family(nu, decay, near):
+        """The family of a perturbed model file that asks to be normalized
+        and declares itself normalized, with default base and directions."""
+        return parse_model({
+            "lattice": {"kind": "zd", "nu": nu},
+            "fiber_dim": 2,
+            "index_size": 2,
+            "vectors": {
+                "mode": "perturbed",
+                "base": [[1.0, 0.0], [0.0, 0.0]],
+                "directions": [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -0.6], [0.25, 0.0]]],
+                "decay": decay,
+                "near_amplitude": near,
+                "normalize": True,
+            },
+            "normalized": True,
+        }).family()
 
     @pytest.mark.parametrize("nu, decay, near, normalize", CASES)
     def test_remaining_is_the_sum_of_later_shell_masses(self, nu, decay, near, normalize):
-        # a normalization walk to 1e-14 on Z^3, or on Z^2 at decay 0.99,
-        # needs more sites than the cap; the table depends on that
-        # tolerance only through shell 0's mass, which the oracle reads
-        # off the family too
-        tol = 1e-14 if nu == 1 or (nu == 2 and decay < 0.99) else 1e-2
-        fam = decaying_perturbation_family(
-            nu=nu, decay=decay, near_amplitude=near, normalize=normalize, tail_tol=tol
-        )
+        # a model file that asks to be normalized loads the raw family
+        # without a walk, so its table is the raw one, also where the empty
+        # region's walk needs more sites than the cap (Z^3 at decay 0.99)
+        if normalize:
+            fam = self.model_family(nu, decay, near)
+        else:
+            fam = decaying_perturbation_family(nu=nu, decay=decay, near_amplitude=near)
         masses = []
         for r in itertools.count():
             v = fam.vectors((r,) + (0,) * (nu - 1))
@@ -632,18 +612,17 @@ class TestTailTable:
             return tail_remaining(masses, beyond)
 
         monkeypatch.setattr(mixing, "tail_remaining", recording)
-        fam = decaying_perturbation_family(near_radius=near_radius, normalize=False)
+        fam = decaying_perturbation_family(near_radius=near_radius)
         assert tables == [([], math.inf)]
         assert fam.tail.remaining(np.array([-1, 0, SITE_CAP])).tolist() == [math.inf] * 3
-        # so the normalization walk stops at the site cap
+        # so every walk, the empty region's for Z included, stops at the site cap
         with pytest.raises(ConvergenceError, match=f"within {SITE_CAP} sites"):
-            decaying_perturbation_family(near_radius=near_radius)
-        assert tables[1:] == [([], math.inf)]
+            boundary_matrix(fam, ())
 
     def test_quiet_near_zone_is_certified_past_it(self):
         # all-ones shells out to radius 10 must not end the mass table:
         # the perturbed shells past them carry an off-diagonal of 1.65e-5
-        fam = decaying_perturbation_family(near_amplitude=0.0, near_radius=10, normalize=False)
+        fam = decaying_perturbation_family(near_amplitude=0.0, near_radius=10)
         bm = boundary_matrix(fam, ())
         want = perturbed_ball_product(2, 0, 200, near_amplitude=0.0, near_radius=10)
         assert abs(want[0, 1] - 1.0) > 1e-5
@@ -658,7 +637,7 @@ class TestRadialWalk:
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
     @pytest.mark.parametrize("nu", [1, 2])
     def test_matches_site_walk(self, nu, normalize):
-        fam = decaying_perturbation_family(nu=nu, normalize=normalize)
+        fam = rescaled_origin_family(nu) if normalize else decaying_perturbation_family(nu=nu)
         origin = (0,) * nu
         e1 = (1,) + origin[1:]
         far = embed((origin, e1), 40, nu=nu).image
@@ -671,34 +650,12 @@ class TestRadialWalk:
                 sites.sites_consumed, sites.rigorous,
             )
 
-    @staticmethod
-    def shell_by_shell(fam, region, tail_tol, site_cap=10**6):
-        """The canonical walk as a literal loop, one shell at a time from
-        the empty shell at radius -1: ("stop", radius, sites, product,
-        bound) where the bound first meets ``tail_tol``, or ("cap",
-        radius, sites, product, bound) with the shell the cap refuses and
-        the product and bound through the shell before it."""
-        nu = fam.geometry.nu
-        held = Counter(lattice.norm1(x) for x in region)
-        p = np.ones((fam.d_I, fam.d_I), dtype=complex)
-        consumed, bound = 0, math.inf
-        for r in itertools.count(-1):
-            n = lattice.shell_size(nu, r) - held[r]
-            if consumed + n > site_cap:
-                return "cap", r, consumed, p, bound
-            consumed += n
-            if n:
-                p = p * fam.shell_gram(r) ** n
-            bound = float(np.max(np.abs(p))) * math.expm1(min(fam.tail.remaining(r), 700.0))
-            if bound <= tail_tol:
-                return "stop", r, consumed, p, bound
-
     @pytest.mark.parametrize("region", [(), ((1, 0), (SHELL_BLOCK + 1, 0))], ids=["empty", "two-blocks"])
     @pytest.mark.parametrize(
         "stop", ["last-of-block", "first-of-next", "past-table"],
     )
     def test_stops_where_the_shell_loop_stops(self, region, stop):
-        fam = decaying_perturbation_family(normalize=False)
+        fam = decaying_perturbation_family()
         if stop == "past-table":
             # the first radius whose remaining mass is the table's beyond
             radius = next(r for r in itertools.count() if fam.tail.remaining(r) == 1e-28)
@@ -706,33 +663,37 @@ class TestRadialWalk:
             radius = SHELL_BLOCK - (stop == "last-of-block")
         # a tolerance between the bounds of the shell loop at radius - 1
         # and radius, far from both against rounding
-        before = self.shell_by_shell(fam, region, 0.0, site_cap=ball_size(2, radius - 1))[4]
-        at = self.shell_by_shell(fam, region, 0.0, site_cap=ball_size(2, radius))[4]
+        before = shell_loop(fam, region, 0.0, site_cap=ball_size(2, radius - 1))[4]
+        at = shell_loop(fam, region, 0.0, site_cap=ball_size(2, radius))[4]
         assert at < before * (1 - 1e-6)
         tol = math.sqrt(at * before)
-        kind, r, sites, p, bound = self.shell_by_shell(fam, region, tol)
+        kind, r, sites, p, bound = shell_loop(fam, region, tol)
         assert (kind, r) == ("stop", radius)
         got = boundary_matrix(fam, region, tail_tol=tol)
         assert (got.sites_consumed, got.rigorous) == (sites, True)
-        assert got.tail_bound == pytest.approx(bound, rel=1e-12)
-        assert np.max(np.abs(got.matrix - p)) <= 1e-13
+        # the shell loop multiplies as the walk does, so to the last bit
+        assert got.tail_bound == bound
+        assert np.array_equal(got.matrix, p)
         oracle = boundary_matrix(fam, region, exhaustion=lattice.Zd(2), tail_tol=tol)
         assert (oracle.sites_consumed, oracle.rigorous) == (sites, True)
 
     @pytest.mark.parametrize("region", [(), ((1, 0), (SHELL_BLOCK + 1, 0))], ids=["empty", "two-blocks"])
     @pytest.mark.parametrize("shell", [0, SHELL_BLOCK, SHELL_BLOCK + 9], ids=["shell-0", "first-of-block", "mid-block"])
     def test_cap_trips_where_the_shell_loop_trips(self, region, shell):
-        fam = decaying_perturbation_family(normalize=False)
+        fam = decaying_perturbation_family()
         # one site short of the shell, whatever the region holds of it
         held = sum(lattice.norm1(x) <= shell for x in region)
         cap = ball_size(2, shell) - held - 1
-        kind, r, sites, p, bound = self.shell_by_shell(fam, region, 1e-14, site_cap=cap)
+        kind, r, sites, p, bound = shell_loop(fam, region, 1e-14, site_cap=cap)
         assert (kind, r) == ("cap", shell)
         for exhaustion in (None, lattice.Zd(2)):
             with pytest.raises(ConvergenceError, match=f"within {cap} sites") as info:
                 boundary_matrix(fam, region, exhaustion=exhaustion, site_cap=cap)
             assert np.max(np.abs(info.value.last_partial - p)) <= 1e-13
             assert info.value.tail_estimate == pytest.approx(bound, rel=1e-12)
+            if exhaustion is None:  # the shell walk, to the last bit
+                assert np.array_equal(info.value.last_partial, p)
+                assert info.value.tail_estimate == bound
         if shell == 0:
             # the cap refuses the origin: the product is empty, and the bound
             # is the certificate's on the empty shell at radius -1
@@ -740,7 +701,7 @@ class TestRadialWalk:
             assert bound == math.expm1(fam.tail.remaining(-1))
 
     def test_site_cap_counts_sites(self):
-        fam = decaying_perturbation_family(nu=2, normalize=False)
+        fam = decaying_perturbation_family(nu=2)
         needed = boundary_matrix(fam, ()).sites_consumed
         assert boundary_matrix(fam, (), site_cap=needed).sites_consumed == needed
         for exhaustion in (None, lattice.Zd(2)):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schurstates import modelfile
+from schurstates import limit, modelfile
 from schurstates.errors import ValidationError
 from schurstates.lattice import Sites, Zd
 from schurstates.modelfile import (
@@ -203,38 +203,16 @@ class TestLoadModel:
         assert walked[0] is spec.family()
 
     def test_self_normalized_family_is_not_walked_again(self, tmp_path, monkeypatch):
-        # the normalized perturbed family carries its normalization walk's
-        # weight and bound, and the load-time check reads them
-        walked = []
-        walk = modelfile.boundary_matrix
-        monkeypatch.setattr(modelfile, "boundary_matrix", lambda *a, **k: walked.append(a) or walk(*a, **k))
+        # a perturbed model that asks to be normalized has every reported
+        # state value divided by its walked weight Z, so its declaration
+        # holds by construction: the load neither builds nor walks its family
+        walks = []
+        walk = limit._walk
+        monkeypatch.setattr(limit, "_walk", lambda *args: walks.append(args) or walk(*args))
         spec = load_model(MODELS / "perturbed_z2.json")
-        assert walked == []
-        weight, bound = spec.family().normalization
-        assert weight.real > 1 and 0 < bound <= 1e-14
-
-    @pytest.mark.parametrize("bound, fails", [(1e-14, False), (3e-9, False), (4.5e-9, True)])
-    def test_self_normalized_check_reads_the_bound(self, tmp_path, monkeypatch, bound, fails):
-        # the weight is 1 within d_I² times the bound, over the walked
-        # weight Z (here d_I = 2 and Z = 1.5): at most 1e-8 passes
-        build = modelfile.decaying_perturbation_family
-
-        def loose(*args, **kwargs):
-            family = build(*args, **kwargs)
-            family.normalization = (1.5 + 0j, bound)
-            return family
-
-        monkeypatch.setattr(modelfile, "decaying_perturbation_family", loose)
-        path = MODELS / "perturbed_z2.json"
-        if not fails:
-            load_model(path)
-            return
-        with pytest.raises(ValidationError) as exc:
-            load_model(path)
-        assert str(exc.value) == (
-            "model declares normalization but its total boundary weight is known only "
-            "within 1.200e-08 of 1 (> 1e-08)"
-        )
+        assert spec.normalized and spec._family is None
+        assert spec.family().table is None
+        assert walks == []
 
     def test_raw_perturbed_family_declared_normalized_is_walked(self, tmp_path):
         data = json.loads((MODELS / "perturbed_z2.json").read_text())

@@ -1,20 +1,23 @@
-"""The README mixing scan against a 50-digit recomputation.
+"""The README mixing scan and limit against a 50-digit recomputation.
 
 The oracle takes the family's own float64 vectors, one array per 1-norm
 radius, and forms every product in 50-digit arithmetic: the complement
 product of a region is prod_r G_r^(n_r - k_r) with k_r the region's
-sites in shell r, and the state is normalized exactly, by dividing every
-value by the 50-digit total weight instead of rescaling the origin's
-float64 vectors.  So it measures the float64 rounding and the walk's
-truncation error of the engine, not a model error.
+sites in shell r, and the state is normalized by dividing every value by
+the 50-digit total weight, as the engine divides by its walked one.  So
+it measures the float64 rounding and the walk's truncation error of the
+engine, not a model error.
 """
 
 from pathlib import Path
+
+import json
 
 import numpy as np
 import pytest
 
 from schurstates import lattice
+from schurstates.cli import main
 from schurstates.limit import boundary_matrix
 from schurstates.mixing import decaying_perturbation_family
 from schurstates.modelfile import load_model, load_observable
@@ -74,7 +77,7 @@ class ExactScan:
     def __init__(self, family, radius: int):
         self.nu = family.geometry.nu
         pad = (0,) * (self.nu - 1)
-        # the family's own vectors, the rescaled origin included
+        # the family's own vectors
         self.vectors = [mp_matrix(family.vectors((r,) + pad)) for r in range(radius + 1)]
         self.grams = [mp_gram(v) for v in self.vectors]
         self.everything = ball_product(self.grams, self.nu)
@@ -159,6 +162,39 @@ def test_golden_scan_within_certified_error_of_exact_gaps(exact):
         assert abs(golden[t] - gap) <= tol, (t, golden[t], gap, tol)
 
 
+def test_golden_t40_gap_is_the_exact_one_to_four_digits(exact):
+    # 50-digit t=40 gap 2.72533e-14: the scan cancels about 13 digits, and
+    # the walked values keep 4 of the remaining ones
+    rows = GOLDEN.read_text().splitlines()[1:]
+    golden = {int(r.split(",")[0]): float(r.split(",")[2]) for r in rows}
+    assert abs(golden[40] - 2.72533e-14) <= 1e-4 * 2.72533e-14
+
+
+def test_limit_weight_and_psi_within_certified_error_of_exact(exact, tmp_path):
+    # the README limit form on the perturbed model: Z within the d_I² tail
+    # bounds of the empty region's entries, and psi = value / Z within the
+    # observable's and Z's errors over Z, plus 1e-15 roundoff
+    out = tmp_path / "limit.json"
+    code = main([
+        "limit", "--model", str(MODELS / "perturbed_z2.json"),
+        "--observable", str(MODELS / "observable_near.json"), "--output", str(out),
+    ])
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    tail_tol = 1e-12  # the limit command's default
+    region, factors = read_observable("observable_near.json")
+    d_I = len(exact.grams[0])
+    with mp.workdps(DIGITS):
+        psi, weight = exact.value(region, factors)
+        z, psi = complex(exact.total), complex(psi)
+    z_tol = d_I**2 * tail_tol
+    assert abs(results["Z"] - z) <= z_tol
+    psi_tol = (tail_tol * weight + abs(psi) * z_tol) / abs(z) + 1e-15
+    assert abs(complex(*results["psi"]) - psi) <= psi_tol
+    # the 50-digit values, recorded when this check was written
+    assert [z, psi] == pytest.approx([2.5389997294223914, 0.7394870657107167], rel=1e-14)
+
+
 def test_exact_gaps_reproduce(exact):
     # the 50-digit gaps of this oracle, recorded when it was written; a
     # change here means the oracle or the model file changed
@@ -175,7 +211,7 @@ def test_shell_walk_total_is_closer_than_site_walk():
     # both walks multiply the same float64 Gram matrices over the same
     # ball; the 50-digit product of those matrices isolates the rounding
     # of the products themselves
-    family = decaying_perturbation_family(normalize=False)
+    family = decaying_perturbation_family()
     shells = boundary_matrix(family, (), tail_tol=TAIL_TOL)
     sites = boundary_matrix(family, (), exhaustion=lattice.Zd(2), tail_tol=TAIL_TOL)
     assert shells.sites_consumed == sites.sites_consumed

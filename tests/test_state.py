@@ -40,6 +40,17 @@ class TestLocalObservable:
         assert obs.region == ("a", "b")
         np.testing.assert_allclose(obs.factors[1], np.eye(2))
 
+    def test_checked_factors_are_taken_as_they_are(self):
+        # factors of validated observables are neither converted nor
+        # checked again; the region still is
+        a = LocalObservable(("a",), (np.eye(2),))
+        b = LocalObservable(("b", "c"), (np.ones((2, 2)), 2 * np.eye(2)))
+        joint = LocalObservable.of_checked(a.region + b.region, a.factors + b.factors)
+        assert joint.region == ("a", "b", "c")
+        assert all(x is y for x, y in zip(joint.factors, a.factors + b.factors))
+        with pytest.raises(ValidationError, match="duplicate sites"):
+            LocalObservable.of_checked(("a", "a"), a.factors * 2)
+
 
 class TestSuperpositionVector:
     def test_single_index_is_product(self, rng):

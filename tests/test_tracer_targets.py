@@ -16,11 +16,14 @@ from schurstates import lattice
 from schurstates.kernel import FarFieldTail, FiberFamily
 from schurstates.limit import boundary_matrix, build_from_generators
 from schurstates.mixing import decaying_perturbation_family
+from schurstates.modelfile import load_model
 from schurstates.sampling import decaying_generator_spec
 
 from conftest import ball_size
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACER = REPO / "perfbench" / "tracer.py"
+MODELS = REPO / "models"
 
 
 def tracer_targets():
@@ -79,8 +82,8 @@ def test_tail_certificates_keep_remaining_field(pattern):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: decaying_perturbation_family(normalize=False),
         decaying_perturbation_family,
+        lambda: load_model(MODELS / "perturbed_z2.json").family(),
         lambda: build_from_generators(decaying_generator_spec(seed=1, radius=3, d=2, nu=2)),
         lambda: FiberFamily.homogeneous(np.eye(2, dtype=complex), lattice.Zd(2)),
         lambda: FiberFamily.homogeneous(np.array([[1.0, 0.0], [-1.0, 0.0]]), lattice.Zd(1)),
