@@ -19,13 +19,10 @@ from .errors import (
 from .homogeneous import (
     HomogeneousModel,
     OverlapMatrix,
-    check_generic,
     constant_offdiagonal_vectors,
-    detect_product,
     finite_volume_normalized,
     generic_limit,
     overlaps,
-    real_overlap_limit,
 )
 from .kernel import (
     FarFieldTail,

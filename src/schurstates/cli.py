@@ -32,16 +32,7 @@ from .errors import (
     SchurStateError,
     ValidationError,
 )
-from .homogeneous import (
-    HomogeneousModel,
-    check_generic,
-    detect_product,
-    finite_volume_normalized,
-    generic_limit,
-    overlaps,
-    real_overlap_limit,
-    real_overlaps,
-)
+from .homogeneous import HomogeneousModel, finite_volume_normalized, generic_limit, overlaps
 from .kernel import certify_cp, kernel_gram_matrix, product_kernel_gram_matrix
 from .limit import (
     boundary_matrices,
@@ -258,6 +249,10 @@ def cmd_limit(args, out) -> int:
 
 
 def cmd_homog(args, out) -> int:
+    """The overlap analysis of a homogeneous model, every verdict from its
+    one exact ``dominance`` reading, and with ``--observable`` its
+    normalized limit as ``generic_limit``, refused (exit 3) where no
+    limit exists."""
     spec = load_model(args.model)
     if spec.reference is None:
         raise PreconditionError(
@@ -265,13 +260,13 @@ def cmd_homog(args, out) -> int:
         )
     model = HomogeneousModel(spec.reference)
     ov = overlaps(model)
-    generic = check_generic(ov)
+    dom = model.dominance
     results = {
         "beta": encode_matrix(ov.matrix),
         "beta_max": ov.beta_max,
         "argmax": list(ov.argmax),
-        "generic": generic,
-        "constant_overlap": detect_product(ov, args.tol),
+        "generic": not dom.parallel,
+        "constant_overlap": bool(dom.pattern.all()),
     }
     if args.observable:
         obs = load_observable(args.observable, spec.geometry)
@@ -279,10 +274,7 @@ def cmd_homog(args, out) -> int:
             results["finite_normalized"] = encode_complex(
                 finite_volume_normalized(model, args.total_sites, obs)
             )
-        if generic:
-            results["generic_limit"] = encode_complex(generic_limit(model, obs))
-        elif real_overlaps(ov):
-            results["real_overlap_limit"] = encode_complex(real_overlap_limit(model, obs))
+        results["generic_limit"] = encode_complex(generic_limit(model, obs))
     emit(_envelope(args, "homog", results), args.format, out)
     return 0
 

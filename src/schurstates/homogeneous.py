@@ -3,44 +3,42 @@
 For these models all per-site overlap matrices coincide, the
 finite-volume functionals depend on the volume only through counts, and
 the normalized infinite-volume limit is an explicit convex combination
-of product states picked out by the maximal overlap entries.
+of product states picked out by the maximal overlap entries.  Which
+entries are maximal is read exactly, once per model
+(``kernel.dominance``); the lattice family of the same tuple takes the
+same reading as its tail pattern, so ``generic_limit`` and the family's
+normalized limit are one state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
-from .kernel import FiberFamily, ZERO_VECTOR_TOL, product_kernel_matrix
+from .kernel import Dominance, FiberFamily, dominance, product_kernel_matrix
 from .lattice import Sites
 from .state import LocalObservable
-
-#: Relative tolerance for membership in the maximal-overlap set.
-ARGMAX_RELTOL = 1e-9
-
-#: Relative margin below which the strict-inequality generic condition fails.
-GENERIC_MARGIN_REL = 1e-12
 
 
 @dataclass(frozen=True)
 class HomogeneousModel:
-    """Reference vectors (one tuple, copied to all sites)."""
+    """Reference vectors (one tuple, copied to all sites) and their exact
+    ``dominance``, read when the model is made; a non-finite or zero
+    vector is refused there, named by its index."""
 
     vectors: np.ndarray  # shape (p, d); row j is h_j
+    dominance: Dominance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.complex128)
         if v.ndim != 2:
             raise DimensionError("reference vectors must form a 2-D array")
-        norms = np.linalg.norm(v, axis=1)
-        bad = np.nonzero(norms <= ZERO_VECTOR_TOL)[0]
-        if bad.size:
-            raise ValidationError(f"reference vector {int(bad[0])} is zero")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "dominance", dominance(v))
 
     @property
     def size(self) -> int:
@@ -56,8 +54,8 @@ class OverlapMatrix:
     """Pairwise overlaps of the reference vectors plus their maximum.
 
     ``matrix[i, j] = <h_j, h_i>``; the maximum modulus is always attained
-    on the diagonal, and ``argmax`` lists the diagonal indices realizing
-    it within the relative tolerance ``ARGMAX_RELTOL``.
+    on the diagonal, and ``argmax`` lists the indices of largest norm,
+    decided exactly (``HomogeneousModel.dominance``).
     """
 
     matrix: np.ndarray
@@ -70,41 +68,13 @@ class OverlapMatrix:
 
 
 def overlaps(model: HomogeneousModel) -> OverlapMatrix:
-    """The model's ``OverlapMatrix``, maximizers within ``ARGMAX_RELTOL``."""
+    """The model's ``OverlapMatrix``."""
     v = model.vectors
     m = v @ v.conj().T
-    diag = np.real(np.diag(m))
-    beta_max = float(np.max(diag))
-    argmax = tuple(
-        int(i) for i in range(model.size) if diag[i] >= beta_max * (1.0 - ARGMAX_RELTOL)
-    )
     m.setflags(write=False)
-    return OverlapMatrix(matrix=m, beta_max=beta_max, argmax=argmax)
-
-
-def check_generic(ov: OverlapMatrix) -> bool:
-    """Strict Cauchy-Schwarz inequality for every off-diagonal pair."""
-    m = ov.matrix
-    diag = np.real(np.diag(m))
-    margin = GENERIC_MARGIN_REL * ov.beta_max
-    for i in range(ov.size):
-        for j in range(ov.size):
-            if i != j and abs(m[i, j]) >= np.sqrt(diag[i] * diag[j]) - margin:
-                return False
-    return True
-
-
-def detect_product(ov: OverlapMatrix, tol: float = 1e-10) -> bool:
-    """True when every overlap equals one positive constant.
-
-    Constant overlaps force the reference vectors to be proportional,
-    which makes the normalized state factorize across sites.
-    """
-    m = ov.matrix
-    c = m.ravel()[0]
-    if not (np.real(c) > 0 and abs(np.imag(c)) <= tol * max(1.0, abs(c))):
-        return False
-    return bool(np.max(np.abs(m - c)) <= tol * max(1.0, abs(c)))
+    return OverlapMatrix(
+        matrix=m, beta_max=float(np.max(np.real(np.diag(m)))), argmax=model.dominance.largest
+    )
 
 
 def _local_products(model: HomogeneousModel, obs: LocalObservable) -> np.ndarray:
@@ -158,53 +128,27 @@ def finite_volume_normalized(
 
 
 def generic_limit(model: HomogeneousModel, obs: LocalObservable) -> complex:
-    """Normalized infinite-volume limit under the generic condition.
+    """Normalized infinite-volume limit: the uniform mixture over the
+    model's dominant pattern P (``HomogeneousModel.dominance``),
 
-    Averages the product states of the maximal-norm reference vectors:
-    (1 / (beta_max^|region| * #argmax)) * sum over argmax of the
-    diagonal local products.
+        sum over (i, j) in P of the local products
+        / (beta_max^|region| * |P|),
+
+    the product states of the largest-norm vectors when no two distinct
+    vectors are parallel.  Where two largest-norm vectors differ by a
+    factor c != 1 of modulus 1 the finite-volume ratio oscillates and
+    there is no limit.
     """
+    dom = model.dominance
+    if dom.diverging is not None:
+        i, j = dom.diverging
+        raise PreconditionError(
+            f"reference vectors {i} and {j} have the largest norm and differ by a "
+            "factor of modulus 1 other than 1; the finite-volume ratio oscillates "
+            "and has no limit"
+        )
     ov = overlaps(model)
-    if not check_generic(ov):
-        raise PreconditionError(
-            "generic condition violated (an off-diagonal overlap saturates "
-            "Cauchy-Schwarz); use real_overlap_limit for real overlap matrices"
-        )
-    local = _local_products(model, obs)
-    total = sum(local[i, i] for i in ov.argmax)
-    return complex(total / (ov.beta_max ** len(obs.region) * len(ov.argmax)))
-
-
-def real_overlaps(ov: OverlapMatrix) -> bool:
-    """True when every overlap is real, within 1e-12 relative."""
-    return float(np.max(np.abs(np.imag(ov.matrix)))) <= 1e-12 * max(1.0, ov.beta_max)
-
-
-def real_overlap_limit(model: HomogeneousModel, obs: LocalObservable) -> complex:
-    """Normalized limit for real overlap matrices, maximizers of any kind.
-
-    Sums over every index pair whose overlap equals the maximum, not
-    only diagonal ones; requires all overlaps real (``real_overlaps``)
-    so the dominant powers cannot oscillate in phase.
-    """
-    ov = overlaps(model)
-    if not real_overlaps(ov):
-        raise PreconditionError(
-            "overlap matrix has a complex entry; this limit requires real overlaps"
-        )
-    real = np.real(ov.matrix)
-    negative_max = np.abs(real) >= ov.beta_max * (1.0 - ARGMAX_RELTOL)
-    if np.any(negative_max & (real < 0)):
-        raise PreconditionError(
-            "an overlap entry equals minus the maximum; the finite-volume "
-            "ratio oscillates and has no limit"
-        )
-    pairs = [
-        (i, j)
-        for i in range(ov.size)
-        for j in range(ov.size)
-        if real[i, j] >= ov.beta_max * (1.0 - ARGMAX_RELTOL)
-    ]
+    pairs = np.argwhere(dom.pattern).tolist()
     local = _local_products(model, obs)
     total = sum(local[i, j] for i, j in pairs)
     return complex(total / (ov.beta_max ** len(obs.region) * len(pairs)))

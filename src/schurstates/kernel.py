@@ -27,11 +27,12 @@ A lattice family serves its sites from two sources: its table
 stack in walk order, and its radial shells (``radial``) for every site
 off the table: the vectors of the site's 1-norm shell, ``SHELL_BLOCK``
 consecutive shells at a time as one stack, checked and squared in one
-pass (a generator model's identity, a homogeneous family's normalized
-tuple, a perturbed family's tuple per radius).  So a boundary walk
-takes a whole block of shell Gram matrices, and each shell's power to
-its full size from a stack the family keeps per block, without visiting
-the shells' sites.  A perturbed family is radial shells alone.
+pass (a generator model's identity, a homogeneous family's tuple over
+its largest norm, a perturbed family's tuple per radius).  So a
+boundary walk takes a whole block of shell Gram matrices, and each
+shell's power to its full size from a stack the family keeps per block,
+without visiting the shells' sites.  A perturbed family is radial
+shells alone.
 An explicit family (``FiberFamily.explicit``, every random family and
 every explicit model file) is a table of all its sites, in their given
 order, and a homogeneous family on a site list one table row for every
@@ -81,12 +82,13 @@ SHELL_BLOCK = 64
 # Gram matrices behave far from the origin, in one certificate
 # (``FarFieldTail``): far Gram matrices approach a fixed 0/1 pattern,
 # all ones for a perturbed family, the identity for a generator model and
-# the exact pattern of a homogeneous family's one tuple.  It owns the
-# stopping rule: ``settle(p, radii)`` takes a stack of entrywise products,
-# ``p[k]`` that of every site within 1-norm ``radii[k]`` (an integer
-# array), and returns the limit estimates with a rigorous bound on each
-# one's remaining change, for the whole stack at once.  The boundary walk
-# stops at the first radius whose bound meets its tolerance.
+# the exact ``dominance`` pattern of a homogeneous family's one tuple.
+# It owns the stopping rule: ``settle(p, radii)`` takes a stack of
+# entrywise products, ``p[k]`` that of every site within 1-norm
+# ``radii[k]`` (an integer array), and returns the limit estimates with
+# a rigorous bound on each one's remaining change, for the whole stack
+# at once.  The boundary walk stops at the first radius whose bound meets
+# its tolerance.
 # ---------------------------------------------------------------------------
 
 
@@ -169,6 +171,62 @@ def _norms(stack: np.ndarray) -> np.ndarray:
     ``np.linalg.norm(stack, axis=-1)`` bit for bit, its own formula
     without its wrapper."""
     return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=-1))
+
+
+class Dominance(NamedTuple):
+    """Which overlaps of one vector tuple dominate, read exactly
+    (``dominance``).  ``largest`` lists the indices of largest norm;
+    ``pattern`` (read-only, (p, p) bool) is 1 where h_i = h_j and both
+    have the largest norm; ``diverging`` is the first pair (i, j) of
+    largest-norm vectors with h_i = c h_j and c != 1, or None;
+    ``parallel`` says whether two distinct vectors are parallel and
+    ``real`` whether every overlap <h_j, h_i> is real."""
+
+    largest: tuple
+    pattern: np.ndarray
+    diverging: tuple | None
+    parallel: bool
+    real: bool
+
+
+def dominance(vectors: np.ndarray) -> Dominance:
+    """The exact ``Dominance`` of a (p, d) tuple of reference vectors,
+    the one decision of which overlaps a homogeneous model's limit keeps.
+
+    Every float64 entry is read as a rational, integers over one common
+    power of two, so each overlap <h_j, h_i> and squared norm is an
+    exact integer: |<h_j, h_i>| reaches the largest squared norm only
+    where h_i and h_j both have the largest norm and are parallel, and
+    then <h_j, h_i> = c |h_j|^2 with |c| = 1.  A non-finite or zero
+    vector is refused, named by its index."""
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"reference vector {int(np.argmin(finite))} is not finite")
+    nonzero = _norms(vectors) > ZERO_VECTOR_TOL
+    if not nonzero.all():
+        raise ValidationError(f"reference vector {int(np.argmin(nonzero))} is zero")
+    entries = np.concatenate((vectors.real, vectors.imag), axis=1)  # row i: re h_i, im h_i
+    ratios = [x.as_integer_ratio() for x in entries.ravel().tolist()]
+    scale = max(q for _, q in ratios)
+    ints = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(entries.shape)
+    re, im = np.hsplit(ints, 2)
+    # <h_j, h_i> = sum_p conj(h_j[p]) h_i[p] at [i, j], in exact integers
+    dot_re = re @ re.T + im @ im.T
+    dot_im = im @ re.T - re @ im.T
+    squares = dot_re.diagonal()
+    largest = squares.max()
+    top = squares == largest
+    parallel = dot_re * dot_re + dot_im * dot_im == squares[:, None] * squares
+    dominant = parallel & top[:, None] & top
+    pattern = dominant & (dot_re == largest)  # c = 1: h_i = h_j
+    diverging = np.flatnonzero(dominant & ~pattern).tolist()
+    return Dominance(
+        largest=tuple(np.flatnonzero(top).tolist()),
+        pattern=_frozen(pattern),
+        diverging=divmod(diverging[0], len(squares)) if diverging else None,
+        parallel=int(parallel.sum()) > len(squares),  # the diagonal is always parallel
+        real=not (dot_im != 0).any(),
+    )
 
 
 class Table(NamedTuple):
@@ -429,14 +487,13 @@ class FiberFamily:
     @classmethod
     def homogeneous(cls, vectors, geometry, label: str = "") -> "FiberFamily":
         """Same vector tuple at every site of ``geometry``.  On a site list
-        one table row serves every site.  On a lattice each vector h_i is
-        taken as h_i / |h_i|, every shell carries the normalized tuple
+        one table row serves every site.  On a lattice every vector is
+        divided by the largest norm, every shell carries that tuple
         (``radial``), and the certificate's pattern, exact from the empty
-        walk on, is decided once, exactly, from the float64 vectors read
-        as rationals (integers over one common power of two): 1 where
-        h_i = c h_j with c > 0, 0 where |<h_j, h_i>| < |h_i| |h_j|.  Where
-        h_i = c h_j with c not a positive real the product has no limit:
-        the certificate's ``remaining`` raises ``ConvergenceError`` at its
+        walk on, is the tuple's exact ``dominance`` pattern: the entries
+        whose overlap is the largest squared norm.  Where two largest-norm
+        vectors differ by a factor c != 1 the product has no limit: the
+        certificate's ``remaining`` raises ``ConvergenceError`` at its
         first call, so only a walk fails."""
         v = np.asarray(vectors, dtype=np.complex128)
         if v.ndim != 2:
@@ -447,23 +504,11 @@ class FiberFamily:
             family._keep_table(dict.fromkeys(geometry.sites, 0), v[None], None,
                                lambda k: "homogeneous vectors")
             return family
-        norms = _norms(v)[:, None]
-        if not (np.isfinite(v).all() and (norms > ZERO_VECTOR_TOL).all()):
-            raise ValidationError("homogeneous vectors must be finite and non-zero")
-        ratios = [x.as_integer_ratio() for x in np.stack((v.real, v.imag)).ravel().tolist()]
-        scale = max(q for _, q in ratios)
-        re, im = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(2, *v.shape)
-        # <h_j, h_i> = sum_p conj(h_j[p]) h_i[p] at [i, j], in exact integers
-        dot_re = re @ re.T + im @ im.T
-        dot_im = im @ re.T - re @ im.T
-        squares = dot_re.diagonal()
-        parallel = dot_re * dot_re + dot_im * dot_im == np.outer(squares, squares)
-        one = parallel & (dot_im == 0) & (dot_re > 0)
-        unit = v / norms
+        dom = dominance(v)
+        unit = v / _norms(v).max()
         remaining = tail_remaining([])
-        diverging = np.argwhere(parallel & ~one)
-        if diverging.size:
-            i, j = (int(k) for k in diverging[0])
+        if dom.diverging is not None:
+            i, j = dom.diverging
             g = unit @ unit.conj().T
 
             def remaining(r):
@@ -475,7 +520,7 @@ class FiberFamily:
                 )
 
         return cls(
-            d, d_I, None, geometry, tail=FarFieldTail(one, remaining, exact_beyond=-1), label=label,
+            d, d_I, None, geometry, tail=FarFieldTail(dom.pattern, remaining, exact_beyond=-1), label=label,
             radial=lambda start, stop: np.broadcast_to(unit, (stop - start, d_I, d)),
         )
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from .homogeneous import (
     HomogeneousModel,
-    check_generic,
     constant_offdiagonal_vectors,
     finite_volume_normalized,
     generic_limit,
@@ -155,9 +154,9 @@ def _homogeneous_section(seed: int) -> dict:
         draws += 1
         vecs = complex_gaussian(rng, (2, 2))
         model = HomogeneousModel(vecs)
-        ov = overlaps(model)
-        if not check_generic(ov):
+        if model.dominance.parallel:
             continue
+        ov = overlaps(model)
         diag_max = {(i, i) for i in ov.argmax}
         ratio = max(
             abs(ov.matrix[i, j]) / ov.beta_max

@@ -1,13 +1,18 @@
+import contextlib
 import functools
+import io
 import json
 import re
 import shlex
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, seed, settings
+from hypothesis import strategies as st
 
 from schurstates.cli import _parser, build_parser, main
 from schurstates.modelfile import encode_matrix, load_model
@@ -353,13 +358,15 @@ class TestLimit:
     @pytest.mark.parametrize(
         "reference, value",
         [
-            # overlap 1 - 1e-13: the vectors differ, so the off-diagonal
-            # product is exactly 0, however close its factor is to 1
-            (np.array([[1.0, 0.0], [1.0 - 1e-13, np.sqrt(2e-13 - 1e-26)]]), 2.0),
-            # each vector is taken as h / |h|: norms do not enter the tail
-            (np.diag([2.0, 1.0]), 2.0),
-            # a positive multiple is the same normalized vector: factor 1
-            (np.array([[1.0, 0.0], [3.0, 0.0]]), 4.0),
+            # equal norms (exactly: a Pythagorean triple) and overlap
+            # 1 - 1.8e-12: the vectors differ, so the off-diagonal product
+            # is exactly 0, however close its factor is to 1
+            (np.array([[2.0**40 + 1, 0.0], [2.0**40 - 1, 2.0**21]]), 2.0),
+            # every vector is divided by the largest norm: only the longer
+            # vector's entry survives
+            (np.diag([2.0, 1.0]), 1.0),
+            # a positive multiple is longer, so it alone survives
+            (np.array([[1.0, 0.0], [3.0, 0.0]]), 1.0),
         ],
         ids=["near-one-overlap", "norm-above-one", "positive-multiple"],
     )
@@ -389,10 +396,11 @@ class TestLimit:
         "reference",
         [
             # opposite vectors: the constant off-diagonal factor is -1
-            np.array([[2.0, 0.0], [-1.0, 0.0]]),
-            # |G_01| = 1 but G_01 != 1: the constant off-diagonal factor
-            # spins on the unit circle and its product has no limit
-            np.array([[1.0, 0.0], [np.exp(0.7j), 0.0]]),
+            np.array([[2.0, 0.0], [-2.0, 0.0]]),
+            # |G_01| = 1 but G_01 = (3 + 4i) / 5 != 1: the constant
+            # off-diagonal factor spins on the unit circle and its product
+            # has no limit (both norms are exactly 5)
+            np.array([[3.0 + 4.0j, 0.0], [5.0, 0.0]]),
         ],
         ids=["opposite-vectors", "unit-modulus-phase"],
     )
@@ -452,10 +460,10 @@ README_LIMIT = [
 
 
 class TestHomogeneousLatticeReports:
-    """A homogeneous lattice model walks its shells (the normalized tuple
-    at every site): the reports of a Z^1 model with h_0 = 2 e_0 and
-    h_1 = e_1 are pinned to those of its earlier site walk, and its
-    divergent variant (h_1 = -e_0) still fails on the walk alone."""
+    """A homogeneous lattice model walks its shells (the tuple over its
+    largest norm at every site): the reports of a Z^1 model with
+    h_0 = 2 e_0 and h_1 = e_1 are pinned, and its divergent variant
+    (h_1 = -h_0) still fails on the walk alone."""
 
     GOLDEN = REPO / "tests" / "data" / "homogeneous_z1_reports.json"
 
@@ -489,7 +497,7 @@ class TestHomogeneousLatticeReports:
             assert json.loads(out)["results"] == golden[command], command
 
     def test_divergent_variant_exits_2(self, tmp_path, capsys):
-        model, obs = self.files(tmp_path, np.array([[2.0, 0.0], [-1.0, 0.0]]))
+        model, obs = self.files(tmp_path, np.array([[2.0, 0.0], [-2.0, 0.0]]))
         code, out, err = run_cli(["limit", "--model", model, "--observable", obs], capsys)
         assert (code, out) == (2, "")
         assert err == (
@@ -500,6 +508,124 @@ class TestHomogeneousLatticeReports:
             " [-1.+0.j  1.+0.j]]\n"
             "tail estimate: 0.0\n"
         )
+
+
+NO_LIMIT = (
+    "precondition error: reference vectors 0 and 1 have the largest norm and differ "
+    "by a factor of modulus 1 other than 1; the finite-volume ratio oscillates and "
+    "has no limit\n"
+)
+
+
+class TestHomogeneousLimits:
+    """``limit`` and ``homog`` read one exact dominant pattern, so on Z^1
+    with P_0 at site 0 they report one limit, that of the finite-volume
+    net; where two largest-norm vectors differ by a factor c != 1 of
+    modulus 1, both refuse."""
+
+    @pytest.mark.parametrize(
+        "reference, finite",
+        [
+            ([[2.0, 0.0], [0.0, 1.0]], 1.0),
+            ([[2.0, 0.0], [-1.0, 0.0]], 1.0),
+            ([[1.0, 0.0], [0.5j, 0.0]], 1.0),
+            # the net at N sites is 1 / (1 + (1 - 1e-10)^(2N)): still near
+            # 1/2 at N = 400, it reaches 1 only for N of order 1e11
+            ([[1.0, 0.0], [0.0, 1.0 - 1e-10]], 1 / (1 + (1 - 1e-10) ** 800)),
+        ],
+        ids=["longer-e0", "shorter-opposite", "shorter-phase", "norm-1e-10-below"],
+    )
+    def test_one_limit(self, tmp_path, capsys, reference, finite):
+        model, obs = TestHomogeneousLatticeReports.files(tmp_path, np.array(reference))
+        code, out, err = run_cli(["limit", "--model", model, "--observable", obs], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["psi"] == [1.0, 0.0]
+        code, out, err = run_cli(
+            ["homog", "--model", model, "--observable", obs, "--total-sites", "400"], capsys
+        )
+        assert (code, err) == (0, "")
+        validate_against(json.loads(out), "report.homog.schema.json")
+        res = json.loads(out)["results"]
+        assert res["generic_limit"] == [1.0, 0.0]
+        assert abs(complex(*res["finite_normalized"]) - finite) <= 1e-12
+
+    def test_no_limit_both_refuse(self, tmp_path, capsys):
+        model, obs = TestHomogeneousLatticeReports.files(tmp_path, np.array([[2.0, 0.0], [-2.0, 0.0]]))
+        assert run_cli(["limit", "--model", model, "--observable", obs], capsys)[0] == 2
+        assert run_cli(["homog", "--model", model, "--observable", obs], capsys) == (3, "", NO_LIMIT)
+        # the overlap analysis alone still reports
+        code, out, _ = run_cli(["homog", "--model", model], capsys)
+        res = json.loads(out)["results"]
+        assert code == 0 and (res["argmax"], res["generic"], res["constant_overlap"]) == ([0, 1], False, False)
+
+
+PHASES = (1, 1j, -1, -1j)
+ENTRIES = st.builds(lambda k, m: k * PHASES[m], st.integers(0, 2), st.integers(0, 3))
+
+
+@st.composite
+def small_models(draw):
+    """A reference tuple and a site-0 observable with entries k * i^m for
+    k in {0, 1, 2}: ties, repeats and parallel pairs are common, and every
+    overlap is an exact float64 integer pair."""
+    p, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=d, max_size=d), min_size=p, max_size=p))
+    v = np.array(rows, dtype=complex)
+    v[~v.any(axis=1), 0] = 1.0  # no zero vector
+    b = np.array(draw(st.lists(ENTRIES, min_size=d * d, max_size=d * d)), dtype=complex)
+    return v, b.reshape(d, d)
+
+
+def run_quiet(args):
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@seed(27)
+@settings(max_examples=100, deadline=None, database=None)
+@given(small_models())
+def test_homog_and_limit_agree_on_small_integer_models(model):
+    """Where a limit exists, ``homog``'s limit is ``limit``'s psi on Z^1,
+    and the finite-volume net at N = 200 lies within the bound its
+    decaying overlaps give; where none exists, ``limit`` exits 2 and
+    ``homog`` exits 3."""
+    v, b = model
+    g = v @ v.conj().T  # exact: small Gaussian integers
+    beta = g.diagonal().real.max()
+    # the exact decision, straight from the overlaps: an entry of modulus
+    # beta_max dominates, and one that is not beta_max itself has no limit
+    top = np.abs(g) == beta
+    dominant = top & (g == beta)
+    with tempfile.TemporaryDirectory() as tmp:
+        model_file = write_json(Path(tmp), "z1.json", {
+            "lattice": {"kind": "zd", "nu": 1},
+            "fiber_dim": v.shape[1],
+            "index_size": v.shape[0],
+            "vectors": {"mode": "homogeneous", "reference": encode_matrix(v)},
+        })
+        obs_file = write_json(Path(tmp), "b.json", {"region": [[0]], "factors": [encode_matrix(b)]})
+        limit = run_quiet(["limit", "--model", model_file, "--observable", obs_file])
+        homog = run_quiet(["homog", "--model", model_file, "--observable", obs_file, "--total-sites", "200"])
+    event("no limit" if (top & ~dominant).any() else "a limit")
+    if (top & ~dominant).any():
+        assert limit[0] == 2 and "does not converge" in limit[2]
+        assert homog[0] == 3 and "has no limit" in homog[2]
+        return
+    assert limit[0] == homog[0] == 0, (limit[2], homog[2])
+    psi = complex(*json.loads(limit[1])["results"]["psi"])
+    res = json.loads(homog[1])["results"]
+    lim = complex(*res["generic_limit"])
+    assert abs(psi - lim) <= 1e-14 * max(1.0, abs(lim))
+    # psi_N = sum local g^(N-1) / sum g^N with g = G / beta_max: the
+    # dominant entries are 1 and every other has modulus at most r < 1
+    local = v @ b.T @ v.conj().T  # local[i, j] = <h_j, b h_i>
+    n, rest = 200, ~dominant
+    r = np.abs(g[rest]).max() / beta if rest.any() else 0.0
+    e_num = np.abs(local[rest]).sum() / beta * r ** (n - 1)
+    e_den = rest.sum() * r**n
+    bound = (e_num + abs(lim) * e_den) / (dominant.sum() - e_den)
+    assert abs(complex(*res["finite_normalized"]) - lim) <= bound + 1e-12 * max(1.0, abs(lim))
 
 
 class TestProjectivityWalk:

@@ -6,13 +6,10 @@ import pytest
 from schurstates.errors import DimensionError, PreconditionError, ValidationError
 from schurstates.homogeneous import (
     HomogeneousModel,
-    check_generic,
     constant_offdiagonal_vectors,
-    detect_product,
     finite_volume_normalized,
     generic_limit,
     overlaps,
-    real_overlap_limit,
 )
 from schurstates.kernel import FiberFamily
 from schurstates.lattice import Sites
@@ -35,11 +32,13 @@ class TestOverlaps:
         assert ov.argmax == (0, 1, 2)
 
     def test_two_vector_example(self):
+        # s = float(1/sqrt(2)) has 2 s^2 = 1 - 1.8e-16 exactly, so only
+        # the first vector has the largest norm
         s = 1 / math.sqrt(2)
         ov = overlaps(HomogeneousModel(np.array([[1.0, 0.0], [s, s]])))
         np.testing.assert_allclose(ov.matrix, [[1.0, s], [s, 1.0]], atol=1e-15)
         assert ov.beta_max == pytest.approx(1.0)
-        assert ov.argmax == (0, 1)
+        assert ov.argmax == (0,)
 
     def test_proportional_vectors(self):
         ov = overlaps(HomogeneousModel(np.array([[1.0, 0.0], [2.0, 0.0]])))
@@ -54,34 +53,48 @@ class TestOverlaps:
             ov = overlaps(model)
             assert float(np.max(np.abs(ov.matrix))) <= ov.beta_max * (1 + 1e-12)
 
+    @pytest.mark.parametrize("bad, message", [
+        (math.inf, "reference vector 0 is not finite"),
+        (math.nan, "reference vector 0 is not finite"),
+        (0.0, "reference vector 0 is zero"),
+    ])
+    def test_faulty_vector_refused(self, bad, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            HomogeneousModel(np.array([[bad, 0.0], [0.0, 1.0]]))
+
 
 class TestGenericCondition:
+    """Generic: no two distinct reference vectors are parallel."""
+
     def test_orthonormal_true(self):
-        assert check_generic(overlaps(HomogeneousModel(np.eye(2, dtype=complex))))
+        assert not HomogeneousModel(np.eye(2, dtype=complex)).dominance.parallel
 
     def test_proportional_false(self):
         model = HomogeneousModel(np.array([[1.0, 0.0], [2.0, 0.0]]))
-        assert not check_generic(overlaps(model))
+        assert model.dominance.parallel
 
     def test_partial_overlap_true(self):
         s = 1 / math.sqrt(2)
         model = HomogeneousModel(np.array([[1.0, 0.0], [s, s]]))
-        assert check_generic(overlaps(model))
+        assert not model.dominance.parallel
 
 
 class TestDetectProduct:
+    """Constant overlaps: the dominant pattern is all ones, so every
+    reference vector is the same vector."""
+
     def test_all_ones(self):
         model = HomogeneousModel(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert detect_product(overlaps(model))
+        assert model.dominance.pattern.all()
 
     def test_identity_false(self):
-        assert not detect_product(overlaps(HomogeneousModel(np.eye(2, dtype=complex))))
+        assert not HomogeneousModel(np.eye(2, dtype=complex)).dominance.pattern.all()
 
     def test_factorization_when_constant(self, rng):
         # constant overlaps: the normalized two-site state splits into a
         # product of its single-site restrictions
         model = HomogeneousModel(np.array([[0.8, 0.6], [0.8, 0.6]], dtype=complex))
-        assert detect_product(overlaps(model))
+        assert model.dominance.pattern.all()
         fam = FiberFamily.homogeneous(model.vectors, Sites(("a", "b")))
         a = random_observable(rng, 2)
         b = random_observable(rng, 2)
@@ -155,10 +168,15 @@ class TestGenericLimit:
         obs = LocalObservable((0,), (proj,))
         assert generic_limit(model, obs) == pytest.approx(0.5)
 
-    def test_requires_generic(self):
+    def test_requires_a_limit(self, rng):
+        # a parallel pair of unequal norms has a limit, the longer
+        # vector's product state; equal norms and a factor -1 have none
+        b = random_observable(rng, 2)
+        obs = LocalObservable((0,), (b,))
         model = HomogeneousModel(np.array([[1.0, 0.0], [2.0, 0.0]]))
-        obs = LocalObservable((0,), (np.eye(2),))
-        with pytest.raises(PreconditionError):
+        assert generic_limit(model, obs) == pytest.approx(complex(b[0, 0]))
+        model = HomogeneousModel(np.array([[2.0, 0.0], [-2.0, 0.0]]))
+        with pytest.raises(PreconditionError, match="has no limit"):
             generic_limit(model, obs)
 
     def test_finite_volume_converges(self):
@@ -167,7 +185,7 @@ class TestGenericLimit:
         for _ in range(10):
             model = HomogeneousModel(complex_gaussian(rng, (2, 2)))
             ov = overlaps(model)
-            if not check_generic(ov):
+            if model.dominance.parallel:
                 continue
             # decay rate is the largest overlap ratio off the argmax
             # diagonal; pick the volume from it
@@ -190,7 +208,7 @@ class TestGenericLimit:
 
     def test_convex_combination_of_multiplicative_components(self, rng):
         # each argmax component is multiplicative across disjoint sites
-        model = HomogeneousModel(np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]]))
+        model = HomogeneousModel(np.array([[1.0, 0.0], [0.5 + 0.5j, 0.5 - 0.5j]]))
         a = random_observable(rng, 2)
         b = random_observable(rng, 2)
         joint = generic_limit(model, LocalObservable((0, 1), (a, b)))
@@ -212,17 +230,31 @@ class TestGenericLimit:
         scaled = HomogeneousModel(1.7 * base)
         assert overlaps(model).argmax == overlaps(scaled).argmax
         obs = LocalObservable((0, 1), (random_observable(rng, 3), random_observable(rng, 3)))
-        if check_generic(overlaps(model)):
+        if not model.dominance.parallel:
             a = generic_limit(model, obs)
             b = generic_limit(scaled, obs)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
 class TestRealOverlapLimit:
+    """The non-generic case: ``generic_limit`` sums over every dominant
+    pair, off-diagonal ones included."""
+
     def test_orthonormal_matches_generic(self, rng):
         model = HomogeneousModel(np.eye(2, dtype=complex))
-        obs = LocalObservable((0,), (random_observable(rng, 2),))
-        assert real_overlap_limit(model, obs) == pytest.approx(generic_limit(model, obs))
+        b = random_observable(rng, 2)
+        assert model.dominance.real and np.array_equal(model.dominance.pattern, np.eye(2))
+        assert generic_limit(model, LocalObservable((0,), (b,))) == pytest.approx(0.5 * (b[0, 0] + b[1, 1]))
+
+    def test_repeated_vector_pairs(self, rng):
+        # h_0 = h_1: the pairs (0, 1) and (1, 0) dominate with the diagonal
+        model = HomogeneousModel(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        b = random_observable(rng, 2)
+        obs = LocalObservable((0,), (b,))
+        assert model.dominance.pattern.sum() == 5
+        lim = generic_limit(model, obs)
+        assert lim == pytest.approx((4 * b[0, 0] + b[1, 1]) / 5)
+        assert abs(finite_volume_normalized(model, 7, obs) - lim) <= 1e-12
 
     def test_offdiagonal_maximizers_enumerated(self, rng):
         # constant-offdiagonal family at c = 1: three of the four overlap
@@ -235,7 +267,7 @@ class TestRealOverlapLimit:
         assert ov.beta_max == pytest.approx(2.0)
         b = random_observable(rng, 2)
         obs = LocalObservable((0,), (b,))
-        val = real_overlap_limit(model, obs)
+        val = generic_limit(model, obs)
         v1 = vecs[1]
         assert val == pytest.approx(complex(np.vdot(v1, b @ v1)) / 2.0)
 
@@ -246,23 +278,29 @@ class TestRealOverlapLimit:
         vecs = constant_offdiagonal_vectors(3, 0.5)
         model = HomogeneousModel(vecs)
         obs = LocalObservable((0,), (random_observable(rng, 3),))
-        lim = real_overlap_limit(model, obs)
+        lim = generic_limit(model, obs)
         fv = finite_volume_normalized(model, 400, obs)
         assert abs(fv - lim) <= 1e-6 * max(1.0, abs(lim))
 
-    def test_complex_overlaps_rejected(self):
-        vecs = np.array([[1.0, 0.0], [0.5j, 1.0]])
-        model = HomogeneousModel(vecs)
-        obs = LocalObservable((0,), (np.eye(2),))
-        with pytest.raises(PreconditionError, match="complex"):
-            real_overlap_limit(model, obs)
+    def test_complex_overlaps_served(self):
+        # a complex overlap below the maximum decays like any other: the
+        # limit is the longer vector's product state, as the net shows
+        model = HomogeneousModel(np.array([[1.0, 0.0], [0.5j, 1.0]]))
+        obs = LocalObservable((0,), (np.diag([1.0, 0.0]),))
+        assert not model.dominance.real and model.dominance.largest == (1,)
+        lim = generic_limit(model, obs)
+        assert lim == pytest.approx(0.25 / 1.25)
+        assert abs(finite_volume_normalized(model, 400, obs) - lim) <= 1e-12
 
     def test_negative_maximum_rejected(self):
-        vecs = np.array([[1.0, 0.0], [-1.0, 1e-8]])
-        model = HomogeneousModel(vecs)
+        # h_1 = -h_0: the overlap -beta_max makes the finite-volume ratio
+        # oscillate (its weight vanishes at every odd volume)
+        model = HomogeneousModel(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         obs = LocalObservable((0,), (np.eye(2),))
-        with pytest.raises(PreconditionError, match="minus the maximum"):
-            real_overlap_limit(model, obs)
+        with pytest.raises(PreconditionError, match="has no limit"):
+            generic_limit(model, obs)
+        with pytest.raises(PreconditionError, match="degenerate"):
+            finite_volume_normalized(model, 5, obs)
 
 
 class TestConstantOffdiagonal:

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from schurstates.kernel import (
     _norms,
     certify_cp,
     choi_matrix,
+    dominance,
     kernel_gram_matrix,
     kernel_matrix,
     product_kernel_gram_matrix,
@@ -322,7 +324,7 @@ class TestTailRemaining:
 # The three certificates ``FarFieldTail`` replaced, each settle body kept
 # verbatim as an oracle: the all-ones tail of a perturbed family, the
 # identity tail of a generator model, and the closed form of one
-# repeated vector tuple.
+# repeated vector tuple (now over its largest norm).
 
 
 def ones_settle(remaining, p, radii):
@@ -344,27 +346,48 @@ def identity_settle(remaining, exact_beyond, p, radii):
     return np.where(exact[:, None, None] & ~eye, 0, p), np.where(exact, 0.0, bound)
 
 
-def constant_decision(vectors):
-    """The exact integer decision of one repeated tuple: the limit of
-    each entry's product, and the entries that have none."""
-    v = np.asarray(vectors, dtype=np.complex128)
-    ratios = [x.as_integer_ratio() for x in np.stack((v.real, v.imag)).ravel().tolist()]
-    scale = max(q for _, q in ratios)
-    re, im = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(2, *v.shape)
-    dot_re = re @ re.T + im @ im.T
-    dot_im = im @ re.T - re @ im.T
-    norms = dot_re.diagonal()
-    parallel = dot_re * dot_re + dot_im * dot_im == np.outer(norms, norms)
-    one = parallel & (dot_im == 0) & (dot_re > 0)
-    return one.astype(np.complex128), np.argwhere(parallel & ~one)
+def exact_reading(vectors):
+    """The dominance of one vector tuple in fractions, from its
+    definition: (largest, pattern, first diverging pair or None,
+    parallel, real).  |<h_j, h_i>| <= |h_i| |h_j| <= the largest squared
+    norm, with equality only for parallel vectors of largest norm, where
+    <h_j, h_i> is c times it with |c| = 1: a pattern entry at c = 1, a
+    diverging one otherwise."""
+    h = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(vectors, dtype=complex).tolist()]
+    n = len(h)
+    # <h_j, h_i> = sum_p conj(h_j[p]) h_i[p] as (re, im) at [i][j]
+    dots = [
+        [
+            (sum(c * a + e * b for (a, b), (c, e) in zip(h[i], h[j])),
+             sum(c * b - e * a for (a, b), (c, e) in zip(h[i], h[j])))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    squares = [dots[i][i][0] for i in range(n)]
+    top = max(squares)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    at_top = [(i, j) for i, j in pairs if dots[i][j][0] ** 2 + dots[i][j][1] ** 2 == top**2]
+    pattern = np.zeros((n, n), dtype=bool)
+    for i, j in at_top:
+        pattern[i, j] = dots[i][j] == (top, 0)
+    diverging = [(i, j) for i, j in at_top if not pattern[i, j]]
+    return (
+        tuple(i for i in range(n) if squares[i] == top),
+        pattern,
+        diverging[0] if diverging else None,
+        any(dots[i][j][0] ** 2 + dots[i][j][1] ** 2 == squares[i] * squares[j] for i, j in pairs if i != j),
+        all(dots[i][j][1] == 0 for i, j in pairs),
+    )
 
 
 def constant_settle(vectors, p, radii):
-    limit, diverging = constant_decision(vectors)
-    if diverging.size:
-        i, j = (int(k) for k in diverging[0])
+    """The closed form of one repeated tuple over its largest norm."""
+    _, pattern, diverging, _, _ = exact_reading(vectors)
+    if diverging is not None:
+        i, j = diverging
         v = np.asarray(vectors, dtype=np.complex128)
-        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        v = v / np.linalg.norm(v, axis=1).max()
         g = v @ v.conj().T
         raise ConvergenceError(
             f"constant tail factor {g[i, j]} at entry ({i}, {j}) has "
@@ -372,7 +395,7 @@ def constant_settle(vectors, p, radii):
             last_partial=g,
             tail_estimate=float(abs(abs(g[i, j]) - 1.0)),
         )
-    return np.repeat(limit[None], len(p), axis=0), np.zeros(len(p))
+    return np.repeat(pattern.astype(np.complex128)[None], len(p), axis=0), np.zeros(len(p))
 
 
 def same_bits(a, b):
@@ -437,17 +460,17 @@ class TestFarFieldTail:
     )
     def test_homogeneous_pattern_is_the_exact_decision(self, vectors):
         tail = FiberFamily.homogeneous(np.array(vectors, dtype=complex), Zd(1)).tail
-        limit, diverging = constant_decision(vectors)
-        assert diverging.size == 0
-        assert np.array_equal(tail.pattern, limit.real.astype(bool))
+        _, pattern, diverging, _, _ = exact_reading(vectors)
+        assert diverging is None
+        assert np.array_equal(tail.pattern, pattern)
         assert tail.exact_beyond == -1 and not tail.pattern.flags.writeable
         # the walk settles on its empty first step, a stack of ones
-        p, radii = np.ones((3,) + limit.shape, dtype=complex), np.array([-1, 0, 4])
+        p, radii = np.ones((3,) + pattern.shape, dtype=complex), np.array([-1, 0, 4])
         got, want = tail.settle(p, radii), constant_settle(vectors, p, radii)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
     @pytest.mark.parametrize(
-        "vectors", [[[1.0, 0.0], [-2.0, 0.0]], [[1.0, 0.0], [1j, 0.0]], [[0.6, 0.8], [1.0, 0.0], [-0.6j, -0.8j]]],
+        "vectors", [[[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [1j, 0.0]], [[0.6, 0.8], [1.0, 0.0], [-0.6j, -0.8j]]],
         ids=["phase-minus-1", "phase-i", "third-pair"],
     )
     def test_diverging_entry_raises_at_the_first_remaining(self, vectors):
@@ -464,6 +487,70 @@ class TestFarFieldTail:
         assert str(got.value) == str(want.value)
         assert same_bits(got.value.last_partial, want.value.last_partial)
         assert got.value.tail_estimate == want.value.tail_estimate
+
+
+class TestDominance:
+    """The one exact reading of which overlaps dominate, against the
+    fraction oracle ``exact_reading``."""
+
+    @staticmethod
+    def fields(dom):
+        return dom.largest, dom.pattern, dom.diverging, dom.parallel, dom.real
+
+    @staticmethod
+    def same(got, want):
+        return got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2:] == want[2:]
+
+    @pytest.mark.parametrize(
+        "vectors, largest, pattern, diverging",
+        [
+            ([[1.0, 0.0], [3.0, 0.0]], (1,), [[0, 0], [0, 1]], None),
+            ([[2.0, 0.0], [0.0, 1.0]], (0,), [[1, 0], [0, 0]], None),
+            ([[2.0, 0.0], [-1.0, 0.0]], (0,), [[1, 0], [0, 0]], None),
+            ([[1.0, 0.0], [0.5j, 0.0]], (0,), [[1, 0], [0, 0]], None),
+            ([[1.0, 0.0], [0.0, 1.0 - 1e-10]], (0,), [[1, 0], [0, 0]], None),
+            ([[1.0, 0.0], [1.0, 2.0**-30]], (1,), [[0, 0], [0, 1]], None),
+            ([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]], (0, 1), [[1, 1, 0], [1, 1, 0], [0, 0, 0]], None),
+            ([[2.0, 0.0], [-2.0, 0.0]], (0, 1), [[1, 0], [0, 1]], (0, 1)),
+            ([[0.0, 1.0], [1.0, 0.0], [0.0, 1j]], (0, 1, 2), np.eye(3), (0, 2)),
+        ],
+        ids=["scaled", "unequal-norms", "opposite-shorter", "phase-shorter", "norm-1e-10-below",
+             "overlap-rounds-to-1", "repeated", "opposite", "phase-i"],
+    )
+    def test_cases(self, vectors, largest, pattern, diverging):
+        v = np.array(vectors, dtype=complex)
+        got = self.fields(dominance(v))
+        assert (got[0], got[2]) == (largest, diverging)
+        assert np.array_equal(got[1], np.array(pattern, dtype=bool))
+        assert not got[1].flags.writeable
+        assert self.same(got, exact_reading(v))
+
+    def test_small_integer_and_unit_phase_tuples(self):
+        # entries k * i^m for small k make ties, repeats and parallel
+        # pairs common; each is read as the fractions read it
+        rng = rng_from_seed(27)
+        seen = set()
+        for _ in range(300):
+            p, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            v = rng.integers(0, 3, (p, d)) * np.array([1, 1j, -1, -1j])[rng.integers(0, 4, (p, d))]
+            v[np.abs(v).sum(axis=1) == 0, 0] = 1.0
+            v = v * 0.5 ** int(rng.integers(0, 3))
+            got, want = self.fields(dominance(v)), exact_reading(v)
+            assert self.same(got, want)
+            seen.add((got[2] is not None, got[3], got[4]))
+        assert len(seen) >= 5
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.inf, "reference vector 1 is not finite"),
+        (np.nan, "reference vector 1 is not finite"),
+        (0.0, "reference vector 1 is zero"),
+    ])
+    def test_faulty_vector_named(self, bad, message):
+        v = np.array([[1.0, 0.0], [bad, 0.0]], dtype=complex)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            dominance(v)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FiberFamily.homogeneous(v, Zd(1))
 
 
 class TestKernelEntry:

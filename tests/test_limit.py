@@ -165,21 +165,19 @@ class TestBoundaryMatrix:
         np.testing.assert_allclose(off, 0.0)
 
     def test_homogeneous_unit_norm_boundary(self):
-        # unit-norm, non-orthogonal reference vectors: diagonal tail
-        # factors are exactly 1, off-diagonal products collapse to 0
-        s = 1 / np.sqrt(2)
+        # exactly unit-norm, non-orthogonal reference vectors: diagonal
+        # tail factors are exactly 1, off-diagonal products collapse to 0
         fam = FiberFamily.homogeneous(
-            np.array([[1.0, 0.0], [s, s]]), Zd(1)
+            np.array([[1.0, 0.0], [0.5 + 0.5j, 0.5 + 0.5j]]), Zd(1)
         )
         bm = boundary_matrix(fam, ((0,),))
         np.testing.assert_allclose(bm.matrix, np.eye(2))
 
     def test_homogeneous_diverging_rejected(self):
-        # opposite vectors: the constant off-diagonal factor is -1, whose
-        # powers alternate (a vector's norm does not matter: each is taken
-        # as h / |h|)
+        # opposite vectors of the largest norm: the constant off-diagonal
+        # factor is -1, whose powers alternate
         fam = FiberFamily.homogeneous(
-            np.array([[2.0, 0.0], [-1.0, 0.0]]), Zd(1)
+            np.array([[2.0, 0.0], [-2.0, 0.0]]), Zd(1)
         )
         with pytest.raises(ConvergenceError, match="does not converge"):
             boundary_matrix(fam, ())
@@ -913,8 +911,8 @@ class TestTableWalk:
 
 class TestHomogeneousShells:
     """A homogeneous lattice family serves every site from its radial
-    shells, the normalized tuple; its canonical walk takes shells and
-    visits no site."""
+    shells, the tuple over its largest norm; its canonical walk takes
+    shells and visits no site."""
 
     TUPLES = {
         "diagonal": np.diag([2.0, 1.0]),
@@ -924,7 +922,7 @@ class TestHomogeneousShells:
     @pytest.mark.parametrize("name", list(TUPLES))
     def test_far_site_gram_is_the_normalized_tuples(self, name):
         v = np.asarray(self.TUPLES[name], dtype=complex)
-        unit = v / np.linalg.norm(v, axis=1, keepdims=True)
+        unit = v / np.linalg.norm(v, axis=1).max()
         nu = 1 if name == "diagonal" else 2
         fam = FiberFamily.homogeneous(v, Zd(nu))
         for r in (0, 5, SHELL_BLOCK + 3, 10**6):
@@ -1073,17 +1071,20 @@ class TestStackedWalk:
 
     @pytest.mark.parametrize("name", [n for n in STACKED_FAMILIES if n.startswith("radial")])
     def test_a_step_past_the_cap_builds_nothing(self, name):
-        # the cap admits exactly the sites of block 0 outside the regions,
-        # so the walk fails at block 1 without building its shells or their
-        # powers; a raw perturbed family holds the blocks its mass table read
+        # the cap admits exactly the sites outside the regions of the
+        # blocks the family holds before the walk (block 0 if none: a raw
+        # perturbed family holds the blocks its mass table read), so the
+        # walk takes those blocks and fails at the next without building
+        # its shells or their powers
         fam = STACKED_FAMILIES[name]()
         nu = fam.geometry.nu
-        blocks, powers = set(fam._blocks), set(fam._powers)
-        cap = int(lattice.shell_sizes(nu, 0, SHELL_BLOCK).sum()) - 1
-        regions = [((0,) * nu,), ((0,) * nu,) + ((SHELL_BLOCK,) + (0,) * (nu - 1),)]
+        held = len(fam._blocks) or 1
+        assert set(fam._blocks) <= set(range(held)) and not fam._powers
+        cap = int(lattice.shell_sizes(nu, 0, held * SHELL_BLOCK).sum()) - 1
+        origin, far = (0,) * nu, (held * SHELL_BLOCK,) + (0,) * (nu - 1)
         with pytest.raises(ConvergenceError):
-            boundary_matrices(fam, regions, tail_tol=0.0, site_cap=cap)
-        assert (set(fam._blocks), set(fam._powers)) == (blocks | {0}, powers | {0})
+            boundary_matrices(fam, [(origin,), (origin, far)], tail_tol=0.0, site_cap=cap)
+        assert set(fam._blocks) == set(fam._powers) == set(range(held))
 
 
 SHELL_LOOP_FAMILIES = {
