@@ -60,11 +60,20 @@ def fmt(x: float) -> str:
 
 
 def emit_json(payload: dict, stream) -> None:
-    stream.write(json.dumps(payload, sort_keys=True, indent=1))
+    """The payload as JSON; a NaN or infinity, which JSON cannot hold, is
+    refused by ``flatten``, naming its key, before anything is written."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:
+        flatten("", payload, [])
+        raise
+    stream.write(text)
     stream.write("\n")
 
 
 def flatten(prefix: str, value, rows: list) -> None:
+    """The payload's leaves as (key, text) rows; a non-finite number is
+    refused, naming its key."""
     if isinstance(value, dict):
         for k in sorted(value):
             flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
@@ -72,6 +81,8 @@ def flatten(prefix: str, value, rows: list) -> None:
         for i, v in enumerate(value):
             flatten(f"{prefix}[{i}]", v, rows)
     elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValidationError(f"report key {prefix!r} holds the non-finite number {value}")
         rows.append((prefix, fmt(value)))
     elif isinstance(value, bool):
         rows.append((prefix, "true" if value else "false"))

@@ -33,11 +33,12 @@ boundary walk takes a whole block of shell Gram matrices, and each
 shell's power to its full size from a stack the family keeps per block,
 without visiting the shells' sites.  A perturbed family is radial
 shells alone.
-An explicit family (``FiberFamily.explicit``, every random family and
-every explicit model file) is a table of all its sites, in their given
-order, and a homogeneous family on a site list one table row for every
-site, so a faulty vector is refused when the family is made.  A family without radial shells asks
-its provider for a site off its table, at the site's first use.
+An explicit family (``FiberFamily.explicit``: every random family,
+every explicit model file and a homogeneous family on a site list) is a
+table of all its sites, one row each in their given order, so a faulty
+vector is refused when the family is made, by the one vector verdict
+``check_vectors``.  A family without radial shells asks its provider for
+a site off its table, at the site's first use.
 
 Index layout, fixed once for the whole package:
 
@@ -166,11 +167,28 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _norms(stack: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of every vector (last axis) of a complex stack:
-    ``np.linalg.norm(stack, axis=-1)`` bit for bit, its own formula
-    without its wrapper."""
-    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=-1))
+def check_vectors(stack: np.ndarray, where: Callable[[int], str]) -> None:
+    """The one verdict on fiber vectors: refuse a stack of (d_I, d)
+    vector arrays, shape (n, d_I, d) or, for one array, (d_I, d), that
+    holds a vector which is not finite, is zero (norm at or below
+    ``ZERO_VECTOR_TOL``) or has a squared norm past the float64 range,
+    whose Gram entries would overflow.  The first such vector is named
+    by ``where(k)``, which names array k, and its index; no
+    floating-point warning is raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.add.reduce((stack.conj() * stack).real, axis=-1)
+    if np.isfinite(squares).all() and (np.sqrt(squares) > ZERO_VECTOR_TOL).all():
+        return
+    squares = squares.reshape(-1, stack.shape[-2])
+    finite = np.isfinite(stack).all(axis=-1).reshape(squares.shape)
+    faults = [
+        (~finite, "is not finite"),
+        (~np.isfinite(squares), "has a squared norm past the float64 range"),
+        (np.sqrt(squares) <= ZERO_VECTOR_TOL, "is zero"),
+    ]
+    k, i = np.argwhere(np.any([mask for mask, _ in faults], axis=0))[0].tolist()
+    message = next(text for mask, text in faults if mask[k, i])
+    raise ValidationError(f"{where(k)}: vector {i} {message}")
 
 
 class Dominance(NamedTuple):
@@ -178,15 +196,13 @@ class Dominance(NamedTuple):
     (``dominance``).  ``largest`` lists the indices of largest norm;
     ``pattern`` (read-only, (p, p) bool) is 1 where h_i = h_j and both
     have the largest norm; ``diverging`` is the first pair (i, j) of
-    largest-norm vectors with h_i = c h_j and c != 1, or None;
-    ``parallel`` says whether two distinct vectors are parallel and
-    ``real`` whether every overlap <h_j, h_i> is real."""
+    largest-norm vectors with h_i = c h_j and c != 1, or None; and
+    ``parallel`` says whether two distinct vectors are parallel."""
 
     largest: tuple
     pattern: np.ndarray
     diverging: tuple | None
     parallel: bool
-    real: bool
 
 
 def dominance(vectors: np.ndarray) -> Dominance:
@@ -197,14 +213,9 @@ def dominance(vectors: np.ndarray) -> Dominance:
     power of two, so each overlap <h_j, h_i> and squared norm is an
     exact integer: |<h_j, h_i>| reaches the largest squared norm only
     where h_i and h_j both have the largest norm and are parallel, and
-    then <h_j, h_i> = c |h_j|^2 with |c| = 1.  A non-finite or zero
-    vector is refused, named by its index."""
-    finite = np.isfinite(vectors).all(axis=1)
-    if not finite.all():
-        raise ValidationError(f"reference vector {int(np.argmin(finite))} is not finite")
-    nonzero = _norms(vectors) > ZERO_VECTOR_TOL
-    if not nonzero.all():
-        raise ValidationError(f"reference vector {int(np.argmin(nonzero))} is zero")
+    then <h_j, h_i> = c |h_j|^2 with |c| = 1.  A faulty vector is
+    refused by ``check_vectors``, named by its index."""
+    check_vectors(vectors, lambda k: "reference vectors")
     entries = np.concatenate((vectors.real, vectors.imag), axis=1)  # row i: re h_i, im h_i
     ratios = [x.as_integer_ratio() for x in entries.ravel().tolist()]
     scale = max(q for _, q in ratios)
@@ -225,17 +236,16 @@ def dominance(vectors: np.ndarray) -> Dominance:
         pattern=_frozen(pattern),
         diverging=divmod(diverging[0], len(squares)) if diverging else None,
         parallel=int(parallel.sum()) > len(squares),  # the diagonal is always parallel
-        real=not (dot_im != 0).any(),
     )
 
 
 class Table(NamedTuple):
     """A family's preloaded sites: site ``s`` is row ``rows[s]`` of the
-    read-only ``vectors`` (N, d_I, d) and ``grams`` (N, d_I, d_I) stacks
-    (on a site list one row may serve several sites).
-    On a lattice the rows are in walk order and ``radii`` holds their
-    1-norms (int64; exact for every site a walk can reach); on a site
-    list, ``radii`` is None and the rows keep the given order."""
+    read-only ``vectors`` (N, d_I, d) and ``grams`` (N, d_I, d_I) stacks,
+    one row per site.  On a lattice the rows are in walk order and
+    ``radii`` holds their 1-norms (int64; exact for every site a walk can
+    reach); on a site list, ``radii`` is None and the rows keep the given
+    order."""
 
     rows: dict
     vectors: np.ndarray
@@ -249,7 +259,8 @@ class FiberFamily:
     ``geometry`` (``lattice.Zd`` or ``lattice.Sites``) says which sites
     exist and in which order a boundary walk visits them.  Vectors are
     produced lazily, so the same object serves finite enumerated models
-    and infinite lattice models.  All vectors must be non-zero and share
+    and infinite lattice models.  All vectors must pass ``check_vectors``
+    (finite, non-zero, squared norms inside the float64 range) and share
     one (d, d_I).  A site is served from the family's table if it is on
     it, and otherwise by its radial shells or, without them, by its
     provider.
@@ -308,7 +319,7 @@ class FiberFamily:
         self._by_site: dict = {}  # site -> its (vectors, Gram) entry
         self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
         self._powers: dict = {}  # k -> full-shell powers of radial block k
-        self.table: Table | None = None  # set once, by ``_keep_table``
+        self.table: Table | None = None  # set once, by ``preload``
         # owned here, filled by ``limit.boundary_matrix``
         self._boundary_cache: dict = {}
 
@@ -336,31 +347,11 @@ class FiberFamily:
         """Validate a stack of (d_I, d) vector arrays, shape (n, d_I, d) or,
         for one array, (d_I, d), with ``where(k)`` naming array k, and
         square it into its Gram matrices; both are left read-only."""
-        if not (np.isfinite(stack).all() and (_norms(stack) > ZERO_VECTOR_TOL).all()):
-            # name the first faulty array; a non-finite one has no norm
-            # worth a floating-point warning
-            with np.errstate(invalid="ignore", over="ignore"):
-                norms = _norms(stack).reshape(-1, self.d_I)
-            finite = np.isfinite(stack.reshape(len(norms), -1)).all(axis=1)
-            k = int(np.argmin(finite & (norms > ZERO_VECTOR_TOL).all(axis=1)))
-            if not finite[k]:
-                raise ValidationError(f"{where(k)}: non-finite vector entries")
-            raise ValidationError(
-                f"{where(k)}: zero fiber vector at index "
-                f"{int(np.argmax(norms[k] <= ZERO_VECTOR_TOL))}"
-            )
+        check_vectors(stack, where)
         stack.setflags(write=False)
         g = stack @ stack.conj().swapaxes(-1, -2)
         g.setflags(write=False)
         return g
-
-    def _keep_table(self, rows: dict, v: np.ndarray, radii, where: Callable[[int], str]) -> None:
-        """Validate and square the (N, d_I, d) stack ``v``, with ``where(k)``
-        naming row k, and keep it as the family's one table, site ``s`` at
-        row ``rows[s]``."""
-        if self.table is not None:
-            raise ValidationError("a family takes one table, and this one has it")
-        self.table = Table(rows, v, self._squared(v, where), radii)
 
     def preload(self, sites, stack, keys=None) -> None:
         """Validate, square and keep the vectors of a table of sites in one
@@ -379,6 +370,8 @@ class FiberFamily:
         in ``table.radii``; a fault is named at the first faulty site in
         that order, and a site listed twice is refused.
         """
+        if self.table is not None:
+            raise ValidationError("a family takes one table, and this one has it")
         coords = None
         if isinstance(sites, np.ndarray) and sites.ndim == 2 and not self.geometry.finite:
             whole = sites.dtype.kind == "i" and sites.shape[1] == self.geometry.nu
@@ -409,7 +402,7 @@ class FiberFamily:
         if len(rows) < len(sites):
             repeated = next(s for s, n in Counter(sites).items() if n > 1)
             raise ValidationError(f"site {repeated!r} is preloaded twice")
-        self._keep_table(rows, v, radii, lambda k: f"site {sites[k]!r}")
+        self.table = Table(rows, v, self._squared(v, lambda k: f"site {sites[k]!r}"), radii)
 
     def vectors(self, site) -> np.ndarray:
         """The (d_I, d) array whose row i is h(site, i)."""
@@ -487,25 +480,22 @@ class FiberFamily:
     @classmethod
     def homogeneous(cls, vectors, geometry, label: str = "") -> "FiberFamily":
         """Same vector tuple at every site of ``geometry``.  On a site list
-        one table row serves every site.  On a lattice every vector is
-        divided by the largest norm, every shell carries that tuple
-        (``radial``), and the certificate's pattern, exact from the empty
-        walk on, is the tuple's exact ``dominance`` pattern: the entries
-        whose overlap is the largest squared norm.  Where two largest-norm
-        vectors differ by a factor c != 1 the product has no limit: the
-        certificate's ``remaining`` raises ``ConvergenceError`` at its
-        first call, so only a walk fails."""
+        it is the ``explicit`` family with that tuple at every site.  On a
+        lattice every vector is divided by the largest norm, every shell
+        carries that tuple (``radial``), and the certificate's pattern,
+        exact from the empty walk on, is the tuple's exact ``dominance``
+        pattern: the entries whose overlap is the largest squared norm.
+        Where two largest-norm vectors differ by a factor c != 1 the
+        product has no limit: the certificate's ``remaining`` raises
+        ``ConvergenceError`` at its first call, so only a walk fails."""
         v = np.asarray(vectors, dtype=np.complex128)
         if v.ndim != 2:
             raise DimensionError("homogeneous reference vectors must be a 2-D array")
+        if geometry.finite:
+            return cls.explicit(dict.fromkeys(geometry.sites, v), label=label)
         d_I, d = v.shape
-        if geometry.finite:  # one table row, checked and squared once, for every site
-            family = cls(d, d_I, lambda site: v, geometry, label=label)
-            family._keep_table(dict.fromkeys(geometry.sites, 0), v[None], None,
-                               lambda k: "homogeneous vectors")
-            return family
         dom = dominance(v)
-        unit = v / _norms(v).max()
+        unit = v / np.linalg.norm(v, axis=1).max()
         remaining = tail_remaining([])
         if dom.diverging is not None:
             i, j = dom.diverging

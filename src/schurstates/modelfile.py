@@ -15,9 +15,13 @@ source:
 * ``perturbed``    — the decaying-perturbation lattice family, given by
                      a base vector, direction vectors and decay profile.
 
-Validation collects every violation it can find (with site and field
-coordinates) instead of stopping at the first.  ``parse_model`` switches
-on the mode once; each branch stores its family constructor as ``build``.
+Validation collects every fault of a file's structure it can find
+(types, shapes, sites and the decoding of every number, with site and
+field coordinates) instead of stopping at the first.  ``parse_model``
+switches on the mode once, and a file whose structure is sound builds
+its family there, once: the values of its vectors are judged by that
+build alone (``kernel.check_vectors``), which names the first faulty
+vector under ``model.vectors``.
 """
 
 from __future__ import annotations
@@ -27,14 +31,14 @@ import functools
 import gc
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import lattice
 from .errors import ValidationError
-from .kernel import FiberFamily, ZERO_VECTOR_TOL
+from .kernel import FiberFamily
 from .limit import GeneratorSpec, boundary_matrix, build_from_generators
 from .mixing import decaying_perturbation_family
 from .state import LocalObservable
@@ -124,30 +128,20 @@ def decode_vector(entries, where: str, errors: list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
-    """Parsed, validated model file; ``build`` makes its fiber family."""
+    """Parsed, validated model file and the fiber family it describes,
+    built once when the file is loaded."""
 
-    d: int
-    d_I: int
     mode: str                      # explicit | homogeneous | generators | perturbed
     geometry: lattice.Zd | lattice.Sites
-    build: Callable[[], FiberFamily]
-    normalized: bool = False
-    path: str = ""
+    _family: FiberFamily
     reference: np.ndarray | None = None            # homogeneous models only
     summability_certificate: float | None = None   # generator models only
-    _family: FiberFamily | None = field(default=None, init=False, repr=False, compare=False)
 
     def family(self) -> FiberFamily:
-        """The fiber family this specification describes.
-
-        Built on the first call; later calls return the same object, so
-        the load-time normalization check and the command share its
-        vector, Gram and boundary caches.
-        """
-        if self._family is None:
-            self._family = self.build()
+        """The family built at load: the normalization check and every
+        command share its vector, Gram and boundary caches."""
         return self._family
 
 
@@ -181,16 +175,20 @@ def _require(data: dict, key: str, types, where: str, errors: list, default=None
     return value
 
 
-def parse_model(data: dict, path: str = "") -> ModelSpec:
-    """Validate raw JSON data into a ModelSpec, collecting all violations.
+def parse_model(data: dict) -> ModelSpec:
+    """Validate raw JSON data into a ModelSpec, collecting every fault of
+    its structure, and build its family.
 
     A NaN or Infinity, which Python's JSON reader accepts, is refused
-    where its matrix or vector is decoded, before any norm is formed.  A
-    model declaring ``"normalized": true`` builds its family here, and
-    ``_check_normalization`` checks its total boundary weight; a
-    ``perturbed`` model with ``"normalize": true`` (the default) is
-    normalized by construction, since every state value it reports is
-    divided by its walked weight Z, so it is neither built nor walked.
+    where its matrix or vector is decoded.  Once the structure is sound
+    the mode's family is built, once, and a ``ValidationError`` of its
+    constructor (the first zero vector, or one whose squared norm
+    overflows) is reported under ``model.vectors``.  A model declaring
+    ``"normalized": true`` has its total boundary weight checked by
+    ``_check_normalization``; a ``perturbed`` model with
+    ``"normalize": true`` (the default) is normalized by construction,
+    since every state value it reports is divided by its walked weight
+    Z, so its family is built and not walked.
     """
     errors: list[str] = []
     if not isinstance(data, dict):
@@ -231,7 +229,8 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
 
     vectors = _require(data, "vectors", dict, "model", errors, {})
     mode = _require(vectors, "mode", str, "model.vectors", errors, "")
-    # each mode branch sets ``build`` and what else its model carries
+    # each mode branch sets ``build``, its family constructor, and what
+    # else its model carries
     build = reference = certificate = None
     divides = False  # a perturbed model that asks to be normalized by Z
 
@@ -251,19 +250,12 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
                 errors.append(f"{where}.site: second entry for site {site!r}")
             elif geometry.finite and site not in geometry.site_set and len(errors) == known:
                 errors.append(f"{where}.site: {site!r} is not a declared site")
-            decoded = len(errors)
             block = decode_matrix(rec.get("vectors"), f"{where}.vectors", errors)
             by_site[site] = block
             if block.shape != (d_I, d):
                 errors.append(
                     f"{where}.vectors: shape {block.shape} != ({d_I}, {d}) at site {site!r}"
                 )
-                continue
-            if len(errors) > decoded:  # the norms of stand-in zeros say nothing
-                continue
-            norms = np.linalg.norm(block, axis=1)
-            for i in np.nonzero(norms <= ZERO_VECTOR_TOL)[0]:
-                errors.append(f"{where}: zero vector at site {site!r}, index {int(i)}")
         if not errors:
             missing = [s for s in geometry.sites if s not in by_site]
             if missing:
@@ -272,22 +264,16 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         build = lambda: FiberFamily.explicit({s: by_site[s] for s in geometry.sites})
 
     elif mode == "homogeneous":
-        decoded = len(errors)
-        ref = decode_matrix(
+        reference = decode_matrix(
             _require(vectors, "reference", list, "model.vectors", errors, []),
             "model.vectors.reference",
             errors,
         )
-        if ref.shape != (d_I, d):
+        if reference.shape != (d_I, d):
             errors.append(
-                f"model.vectors.reference: shape {ref.shape} != ({d_I}, {d})"
+                f"model.vectors.reference: shape {reference.shape} != ({d_I}, {d})"
             )
-        elif len(errors) == decoded:
-            norms = np.linalg.norm(ref, axis=1)
-            for i in np.nonzero(norms <= ZERO_VECTOR_TOL)[0]:
-                errors.append(f"model.vectors.reference: zero vector at index {int(i)}")
-        reference = ref
-        build = functools.partial(FiberFamily.homogeneous, ref, geometry)
+        build = functools.partial(FiberFamily.homogeneous, reference, geometry)
 
     elif mode == "generators":
         if kind != "zd":
@@ -376,26 +362,18 @@ def parse_model(data: dict, path: str = "") -> ModelSpec:
         errors.append("model.normalized: expected a boolean")
         normalized = False
 
+    if not errors:
+        try:
+            family = build()
+        except ValidationError as exc:
+            errors.append(f"model.vectors: {exc}")
     if errors:
         raise ValidationError(
             "model validation failed:\n  " + "\n  ".join(errors)
         )
-
-    spec = ModelSpec(
-        d=int(d),
-        d_I=int(d_I),
-        mode=mode,
-        geometry=geometry,
-        build=build,
-        normalized=normalized,
-        path=path,
-        reference=reference,
-        summability_certificate=certificate,
-    )
-
     if normalized and not divides:
-        _check_normalization(spec.family())
-    return spec
+        _check_normalization(family)
+    return ModelSpec(mode, geometry, family, reference, certificate)
 
 
 def _check_normalization(family: FiberFamily) -> None:
@@ -525,7 +503,7 @@ def _collector_paused(load: Callable) -> Callable:
 def load_model(path) -> ModelSpec:
     """Read and validate a model file, with the collector paused from the
     decode until the decoded tree is dropped (``_collector_paused``)."""
-    return parse_model(_read_json(path, "model"), path=str(path))
+    return parse_model(_read_json(path, "model"))
 
 
 # ---------------------------------------------------------------------------

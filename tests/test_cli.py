@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import re
 import shlex
 import tempfile
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
-from schurstates.cli import _parser, build_parser, main
+from schurstates.cli import _parser, build_parser, emit_csv_flat, emit_json, main
+from schurstates.errors import ValidationError
 from schurstates.modelfile import encode_matrix, load_model
 
 from conftest import perturbed_ball_product, validate_against
@@ -110,7 +112,7 @@ class TestEval:
             ["eval", "--model", bad, "--observable", identity_obs], capsys
         )
         assert code == 1
-        assert "zero vector at site 'a', index 0" in err
+        assert "model.vectors: site 'a': vector 0 is zero" in err
 
     @pytest.mark.parametrize(
         "field, value",
@@ -841,6 +843,130 @@ class TestParser:
             assert build_parser().parse_args(argv) == _parser.__wrapped__().parse_args(argv)
 
 
+def strict_json(text: str):
+    """A report read as JSON proper: ``NaN`` and ``Infinity``, which
+    Python's reader (and so a schema check) takes as numbers, are refused."""
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not a JSON number")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def finite_cells(text: str) -> None:
+    """Every cell of a CSV report that reads as a number is finite."""
+    for line in text.splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), line
+
+
+class TestReportsHoldOnlyNumbers:
+    """No report carries NaN or Infinity: every README command's report
+    is read strictly, in both formats, and a report that would hold one
+    is refused (exit 1) naming its key, with nothing written."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", readme_command_lines(), ids=lambda argv: argv[0])
+    def test_readme_command(self, argv, fmt, monkeypatch, capsys):
+        monkeypatch.chdir(REPO)
+        if "--format" in argv:
+            argv = argv[: argv.index("--format")] + argv[argv.index("--format") + 2 :]
+        code, out, err = run_cli(argv + ["--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            strict_json(out)
+        else:
+            finite_cells(out)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_report_refused(self, fmt, tmp_path, monkeypatch, capsys):
+        # diag(1e300, 1e300) at w and x: each site kernel is finite, their
+        # product and the dense amplitudes overflow
+        monkeypatch.chdir(REPO)
+        obs = write_json(
+            tmp_path, "huge.json",
+            {"region": ["w", "x"], "factors": [encode_matrix(np.diag([1e300, 1e300]))] * 2},
+        )
+        with pytest.warns(RuntimeWarning):
+            code, out, err = run_cli([
+                "eval", "--model", "models/orthonormal.json", "--observable", obs,
+                "--region", "w;x;y", "--format", fmt,
+            ], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "validation error: report key 'results.dense[0]' holds the non-finite number nan\n"
+        )
+
+    @pytest.mark.parametrize("emit", [emit_json, emit_csv_flat])
+    def test_emit_refuses_by_key(self, emit):
+        for bad in (math.nan, math.inf, -math.inf):
+            out = io.StringIO()
+            with pytest.raises(ValidationError, match=r"^report key 'results\.z\[1\]' holds the non-finite number"):
+                emit({"results": {"a": 1.0, "z": [0.0, bad]}}, out)
+            assert out.getvalue() == ""
+
+    def test_scan_keeps_its_missing_values(self, capsys):
+        # a generator model does not mix: alpha is missing at every row,
+        # and one row leaves no decrease fraction
+        argv = [
+            "mixing-scan", "--model", str(MODELS / "generator_decay.json"),
+            "--observable", str(MODELS / "observable_site0_z1.json"),
+            "--observable-far", str(MODELS / "observable_site0_z1.json"), "--tmax", "5",
+        ]
+        code, out, _ = run_cli(argv, capsys)
+        report = strict_json(out)["results"]
+        assert code == 0
+        assert report["rows"][0]["alpha_mixing_gap"] is None
+        assert report["decrease_fraction"] == {"translate": None}
+        code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert code == 0 and out.splitlines()[1].endswith(",nan")
+
+
+class TestFaultyVectorsRefusedAtLoad:
+    """A vector whose squared norm overflows, or a zero vector, is refused
+    when the model is loaded (exit 1), named by its site, or its index in
+    the reference tuple, and its index, before any command reads it."""
+
+    @staticmethod
+    def orthonormal(tmp_path, entry):
+        model = json.loads((MODELS / "orthonormal.json").read_text())
+        model["vectors"]["reference"][1][1] = [entry, 0.0]
+        return write_json(tmp_path, "m.json", model)
+
+    @pytest.mark.parametrize("command", ["eval", "check-kernel", "homog"])
+    @pytest.mark.parametrize(
+        "entry, fault", [(1e200, "has a squared norm past the float64 range"), (0.0, "is zero")]
+    )
+    def test_site_list(self, command, entry, fault, tmp_path, capsys):
+        args = [command, "--model", self.orthonormal(tmp_path, entry)]
+        if command != "check-kernel":
+            args += ["--observable", str(MODELS / "observable_identity.json")]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"validation error: model validation failed:\n  model.vectors: site 'w': vector 1 {fault}\n"
+        )
+
+    def test_lattice_limit(self, tmp_path, capsys):
+        model = write_json(tmp_path, "z1.json", {
+            "lattice": {"kind": "zd", "nu": 1},
+            "fiber_dim": 2,
+            "index_size": 2,
+            "vectors": {"mode": "homogeneous", "reference": encode_matrix(np.diag([1e200, 1.0]))},
+        })
+        obs = write_json(tmp_path, "p0.json", {"region": [[0]], "factors": [encode_matrix(np.eye(2))]})
+        code, out, err = run_cli(["limit", "--model", model, "--observable", obs], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "validation error: model validation failed:\n  model.vectors: reference vectors: "
+            "vector 0 has a squared norm past the float64 range\n"
+        )
+
+
 class TestPerturbedZ3AtSiteCap:
     """A nu=3 perturbed model needs about 2.6M sites to certify its tail,
     more than the site cap; the shell walk sees the cap coming from the
@@ -863,7 +989,9 @@ class TestPerturbedZ3AtSiteCap:
         args = [command, "--model", z3_files["model"], "--observable", z3_files["near"]]
         if command == "mixing-scan":
             args += ["--observable-far", z3_files["far"], "--tmax", "40"]
-        assert load_model(z3_files["model"]).normalized
+        # declared normalized, which a load accepts without a walk
+        assert json.loads(Path(z3_files["model"]).read_text())["normalized"]
+        load_model(z3_files["model"])
         start = time.perf_counter()
         code, out, err = run_cli(args, capsys)
         elapsed = time.perf_counter() - start

@@ -54,9 +54,13 @@ class TestOverlaps:
             assert float(np.max(np.abs(ov.matrix))) <= ov.beta_max * (1 + 1e-12)
 
     @pytest.mark.parametrize("bad, message", [
-        (math.inf, "reference vector 0 is not finite"),
-        (math.nan, "reference vector 0 is not finite"),
-        (0.0, "reference vector 0 is zero"),
+        pytest.param(math.inf, "reference vectors: vector 0 is not finite",
+                     id="inf-reference vector 0 is not finite"),
+        pytest.param(math.nan, "reference vectors: vector 0 is not finite",
+                     id="nan-reference vector 0 is not finite"),
+        pytest.param(0.0, "reference vectors: vector 0 is zero", id="0.0-reference vector 0 is zero"),
+        pytest.param(1e200, "reference vectors: vector 0 has a squared norm past the float64 range",
+                     id="1e200-reference vector 0 overflows"),
     ])
     def test_faulty_vector_refused(self, bad, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -243,7 +247,7 @@ class TestRealOverlapLimit:
     def test_orthonormal_matches_generic(self, rng):
         model = HomogeneousModel(np.eye(2, dtype=complex))
         b = random_observable(rng, 2)
-        assert model.dominance.real and np.array_equal(model.dominance.pattern, np.eye(2))
+        assert np.array_equal(model.dominance.pattern, np.eye(2))
         assert generic_limit(model, LocalObservable((0,), (b,))) == pytest.approx(0.5 * (b[0, 0] + b[1, 1]))
 
     def test_repeated_vector_pairs(self, rng):
@@ -287,7 +291,7 @@ class TestRealOverlapLimit:
         # limit is the longer vector's product state, as the net shows
         model = HomogeneousModel(np.array([[1.0, 0.0], [0.5j, 1.0]]))
         obs = LocalObservable((0,), (np.diag([1.0, 0.0]),))
-        assert not model.dominance.real and model.dominance.largest == (1,)
+        assert model.dominance.largest == (1,)
         lim = generic_limit(model, obs)
         assert lim == pytest.approx(0.25 / 1.25)
         assert abs(finite_volume_normalized(model, 400, obs) - lim) <= 1e-12

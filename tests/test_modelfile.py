@@ -65,7 +65,7 @@ class TestLoadModel:
                 ],
             },
         }
-        with pytest.raises(ValidationError, match=r"zero vector at site 'a', index 1"):
+        with pytest.raises(ValidationError, match=r"model\.vectors: site 'a': vector 1 is zero$"):
             load_model(write(tmp_path, "m.json", data))
 
     def test_collects_multiple_violations(self, tmp_path):
@@ -205,14 +205,17 @@ class TestLoadModel:
     def test_self_normalized_family_is_not_walked_again(self, tmp_path, monkeypatch):
         # a perturbed model that asks to be normalized has every reported
         # state value divided by its walked weight Z, so its declaration
-        # holds by construction: the load neither builds nor walks its family
-        walks = []
-        walk = limit._walk
+        # holds by construction: the load builds its family once and walks
+        # nothing
+        walks, builds = [], []
+        walk, build = limit._walk, modelfile.decaying_perturbation_family
         monkeypatch.setattr(limit, "_walk", lambda *args: walks.append(args) or walk(*args))
+        monkeypatch.setattr(
+            modelfile, "decaying_perturbation_family", lambda **kw: builds.append(build(**kw)) or builds[-1]
+        )
         spec = load_model(MODELS / "perturbed_z2.json")
-        assert spec.normalized and spec._family is None
-        assert spec.family().table is None
         assert walks == []
+        assert builds == [spec.family()] and spec.family().table is None
 
     def test_raw_perturbed_family_declared_normalized_is_walked(self, tmp_path):
         data = json.loads((MODELS / "perturbed_z2.json").read_text())
