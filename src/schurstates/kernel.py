@@ -26,9 +26,10 @@ A lattice family serves its sites from two sources: its table
 (``preload``), checked and squared in one stacked pass and kept as one
 stack in walk order, and its radial shells (``radial``) for every site
 off the table: the vectors of the site's 1-norm shell, ``SHELL_BLOCK``
-consecutive shells at a time as one stack, checked and squared in one
-pass (a generator model's identity, a homogeneous family's tuple over
-its largest norm, a perturbed family's tuple per radius).  So a
+consecutive shells at a time as one stack, or a run of such blocks as
+one, checked and squared in one pass (a generator model's identity, a
+homogeneous family's tuple over its largest norm, a perturbed family's
+tuple per radius).  So a
 boundary walk takes a whole block of shell Gram matrices, and each
 shell's power to its full size from a stack the family keeps per block,
 without visiting the shells' sites.  A perturbed family is radial
@@ -274,11 +275,14 @@ class FiberFamily:
     table depend on a site only through its 1-norm passes
     ``radial(start, stop)``, the (stop - start, d_I, d) stack whose row k
     holds the vectors of every site of 1-norm start + k off the table.
-    The family asks for one block of ``SHELL_BLOCK`` radii at a time,
-    each block once, and validates and squares it in one pass (a block
-    that repeats one tuple, with stride 0 along its radii as
-    ``np.broadcast_to`` makes it, is validated and squared once);
-    ``shell_grams(k)`` serves the Gram stack of block k, and
+    The family builds each block of ``SHELL_BLOCK`` radii once: alone,
+    where a site, a walk or ``shell_grams(k)`` first needs it, or with
+    the blocks after it as one run (``shell_gram_run``), from one
+    ``radial`` call over the whole run, validated and squared in one
+    pass and kept as one read-only view per block (a run that repeats one
+    tuple, with stride 0 along its radii as ``np.broadcast_to`` makes it,
+    is validated and squared once); ``shell_grams(k)`` serves the Gram
+    stack of block k, and
     ``shell_gram(r)`` and every site of 1-norm r off the table read row r
     of their block.  The family also owns each block's full-shell powers
     (``shell_powers(k)``), each Gram matrix raised to its shell's size,
@@ -412,22 +416,37 @@ class FiberFamily:
         """Overlap matrix G[i, j] = Tr(h_i h_j*) = <h_j, h_i> at one site."""
         return (self._by_site.get(site) or self._entry(site))[1]
 
+    def shell_gram_run(self, k: int, n: int) -> np.ndarray:
+        """Build radial blocks k, ..., k + n - 1 from one ``radial`` call,
+        validated and squared in one pass, and keep each block as
+        read-only views of the run's stacks; returns the run's
+        (n * SHELL_BLOCK, d_I, d_I) Gram stack, radius by radius (radial
+        families only).  A block asked for here is built again, so a
+        caller asks only for blocks not yet built."""
+        start, stop = k * SHELL_BLOCK, (k + n) * SHELL_BLOCK
+        v = np.asarray(self.radial(start, stop), dtype=np.complex128)
+        if v.shape != (stop - start, self.d_I, self.d):
+            raise DimensionError(
+                f"radii {start} to {stop - 1}: vectors have shape "
+                f"{v.shape}, expected {(stop - start, self.d_I, self.d)}"
+            )
+        if v.strides[0] == 0:  # one tuple at every radius: checked and squared once
+            g = self._squared(v[0], lambda j: f"radius {start}")
+            g = np.broadcast_to(g, (stop - start,) + g.shape)
+        else:
+            g = self._squared(v, lambda j: f"radius {start + j}")
+        for j in range(n):
+            rows = slice(j * SHELL_BLOCK, (j + 1) * SHELL_BLOCK)
+            self._blocks[k + j] = (v[rows], g[rows])
+        return g
+
     def _block(self, k: int) -> tuple:
-        """The read-only (vectors, Grams) stacks of radial block k."""
+        """The read-only (vectors, Grams) stacks of radial block k, built
+        alone if it is missing."""
         block = self._blocks.get(k)
         if block is None:
-            start = k * SHELL_BLOCK
-            v = np.asarray(self.radial(start, start + SHELL_BLOCK), dtype=np.complex128)
-            if v.shape != (SHELL_BLOCK, self.d_I, self.d):
-                raise DimensionError(
-                    f"radii {start} to {start + SHELL_BLOCK - 1}: vectors have shape "
-                    f"{v.shape}, expected {(SHELL_BLOCK, self.d_I, self.d)}"
-                )
-            if v.strides[0] == 0:  # one tuple at every radius: checked and squared once
-                g = self._squared(v[0], lambda j: f"radius {start}")
-                block = self._blocks[k] = (v, np.broadcast_to(g, (SHELL_BLOCK,) + g.shape))
-            else:
-                block = self._blocks[k] = (v, self._squared(v, lambda j: f"radius {start + j}"))
+            self.shell_gram_run(k, 1)
+            block = self._blocks[k]
         return block
 
     def shell_grams(self, k: int) -> np.ndarray:

@@ -425,8 +425,12 @@ def decaying_perturbation_family(
             float(near_amplitude) if near and r <= near_radius else epsilon0 * decay**r
             for r in range(start, stop)
         ])
-        vecs = h + eps[:, None, None] * dirs
-        return vecs / np.linalg.norm(vecs, axis=2)[:, :, None]
+        with np.errstate(over="ignore"):
+            vecs = h + eps[:, None, None] * dirs
+            norms = np.linalg.norm(vecs, axis=2)
+        # a vector whose norm is zero or overflows is left undivided, for
+        # the family's verdict to name
+        return vecs / np.where((norms > 0.0) & (norms < math.inf), norms, 1.0)[:, :, None]
 
     # the certificate goes to the family as it is made, and reads the mass
     # table below, which the family's own first blocks feed
@@ -442,8 +446,9 @@ def decaying_perturbation_family(
     # tail masses are tabulated per radius.  Shell masses run outward, a
     # stack of radii at a time, to the first shell past radius 3 and the
     # near zone whose mass is below 1e-30; ``beyond`` bounds all later
-    # shells.  The first stack is the family's own first blocks, which a
-    # walk reads again; later ones are formed here and dropped.  A profile
+    # shells.  The first stack, radii 0 to 255, is the family's own first
+    # four blocks, built as one run (``FiberFamily.shell_gram_run``) that
+    # a walk reads again; later ones are formed here and dropped.  A profile
     # not that quiet by radius SITE_CAP, which no capped walk passes, gets
     # no certificate; one whose near zone reaches that radius is not
     # tabulated at all.
@@ -457,7 +462,7 @@ def decaying_perturbation_family(
             v = vectors(start, stop)
             grams = v @ v.conj().swapaxes(-1, -2)
         else:
-            grams = np.concatenate([family.shell_grams(k) for k in range(size // SHELL_BLOCK)])
+            grams = family.shell_gram_run(0, size // SHELL_BLOCK)
         radii = np.arange(start, stop)
         chunk = lattice.shell_sizes(nu, start, stop) * np.abs(grams - 1.0).max(axis=(-2, -1))
         quiet = np.flatnonzero((radii > quiet_after) & (chunk < 1e-30))

@@ -966,6 +966,36 @@ class TestFaultyVectorsRefusedAtLoad:
             "vector 0 has a squared norm past the float64 range\n"
         )
 
+    @pytest.mark.parametrize(
+        "vectors, fault",
+        [
+            ({"base": [[1e200, 0.0], [0.0, 0.0]]}, "has a squared norm past the float64 range"),
+            ({"direction": [[0.0, 1e200], [1.0, 0.0]]}, "has a squared norm past the float64 range"),
+            # 1 + 0.5 * -2 is exactly 0
+            ({"direction": [[-2.0, 0.0], [0.0, 0.0]], "near_amplitude": 0.5}, "is zero"),
+        ],
+        ids=["base", "direction", "zero"],
+    )
+    def test_perturbed(self, vectors, fault, tmp_path, capsys):
+        # the perturbed family divides each vector by its norm, except one
+        # whose norm is zero or overflows, which the verdict then names
+        model = json.loads((MODELS / "perturbed_z2.json").read_text())
+        model["lattice"]["nu"] = 1
+        vectors = dict(vectors)
+        if "direction" in vectors:
+            model["vectors"]["directions"][0] = vectors.pop("direction")
+        model["vectors"].update(vectors)
+        args = [
+            "limit", "--model", write_json(tmp_path, "z1.json", model),
+            "--observable", str(MODELS / "observable_identity.json"),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(args, capsys)
+        assert caught == []
+        assert (code, out) == (1, "")
+        assert err == f"validation error: model validation failed:\n  model.vectors: radius 0: vector 0 {fault}\n"
+
 
 class TestPerturbedZ3AtSiteCap:
     """A nu=3 perturbed model needs about 2.6M sites to certify its tail,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from schurstates import kernel as kernel_module
-from schurstates import lattice, limit, mixing
+from schurstates import cli, lattice, limit, mixing
 from schurstates.errors import (
     ConvergenceError,
     GeometryError,
@@ -450,9 +450,9 @@ class TestPerturbationFamilyCaches:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Per family constructed from here on: how often each radius was
-        handed out by ``radial`` (one call per block) and how often it
-        was validated (one row of a ``_squared`` stack)."""
+        """Per family constructed from here on: the (start, stop) of each
+        ``radial`` call, in order, and how often each radius was
+        validated (one row of a ``_squared`` stack)."""
         builds = []
         init = FiberFamily.__init__
         squared = FiberFamily._squared
@@ -461,12 +461,12 @@ class TestPerturbationFamilyCaches:
         def counting_init(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             radial = bound.arguments["radial"]
-            built, validated = Counter(), Counter()
-            builds.append((built, validated))
+            calls, validated = [], Counter()
+            builds.append((calls, validated))
             bound.arguments["self"]._counts = validated
 
             def build_block(start, stop):
-                built.update(range(start, stop))
+                calls.append((start, stop))
                 return radial(start, stop)
 
             bound.arguments["radial"] = build_block
@@ -483,8 +483,8 @@ class TestPerturbationFamilyCaches:
     def test_normalized_family_builds_each_radius_once(self, builds, monkeypatch):
         # loading the README model, which asks to be normalized, walks
         # nothing and builds one family with no table; its mass table reads
-        # the family's own first four blocks, each radius built and
-        # validated once, and is tabulated once
+        # the family's own first four blocks, built by one ``radial`` call
+        # and validated once per radius, and is tabulated once
         walks = []
         walk = limit._walk
 
@@ -503,9 +503,9 @@ class TestPerturbationFamilyCaches:
         monkeypatch.setattr(mixing, "tail_remaining", counting_table)
         fam = load_model(MODELS / "perturbed_z2.json").family()
         assert walks == [] and len(tables) == 1 and fam.table is None
-        ((built, validated),) = builds
+        ((calls, validated),) = builds
         first = range(4 * SHELL_BLOCK)
-        assert built == Counter(first)
+        assert calls == [(0, len(first))]
         assert validated == Counter(f"radius {r}" for r in first)
         # scan-like walks read those blocks and list no site of them
         region = ((1, 0), (0, -2))
@@ -523,10 +523,32 @@ class TestPerturbationFamilyCaches:
             for w, held in ((near, len(region)), (other, 1))
         )
         assert radius < len(first)
-        assert built == Counter(first)
+        assert calls == [(0, len(first))]
         assert validated == Counter(f"radius {r}" for r in first)
         assert sorted(fam._powers) == list(range(radius // SHELL_BLOCK + 1))
         assert len(walks) == 2
+
+    def test_readme_scan_builds_no_block(self, builds, monkeypatch, tmp_path):
+        # after the load's one ``radial`` call, for radii 0-255, the README
+        # scan builds no block, and the full-shell powers of blocks 0 and
+        # 1 only, the blocks its walks reach
+        spec = load_model(MODELS / "perturbed_z2.json")
+        ((calls, _),) = builds
+        assert calls == [(0, 4 * SHELL_BLOCK)]
+        monkeypatch.setattr(cli, "load_model", lambda path: spec)
+        code = cli.main(
+            [
+                "mixing-scan",
+                "--model", str(MODELS / "perturbed_z2.json"),
+                "--observable", str(MODELS / "observable_near.json"),
+                "--observable-far", str(MODELS / "observable_far.json"),
+                "--format", "csv", "--tmax", "40", "--tail-tol", "1e-14",
+                "--output", str(tmp_path / "scan.csv"),
+            ]
+        )
+        assert code == 0 and len(builds) == 1
+        assert calls == [(0, 4 * SHELL_BLOCK)]
+        assert sorted(spec.family()._powers) == [0, 1]
 
     def test_remaining_does_not_depend_on_call_order(self):
         fam = decaying_perturbation_family()
@@ -534,6 +556,87 @@ class TestPerturbationFamilyCaches:
         got = [fam.tail.remaining(r) for r in radii]
         want = [decaying_perturbation_family().tail.remaining(r) for r in radii]
         assert got == want
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.shape, a.tobytes()
+
+
+def _one_block_family(fam: FiberFamily) -> FiberFamily:
+    """The oracle of a run build: a fresh family with the same radial
+    data, whose blocks are built one at a time as a walk asks for them."""
+    return FiberFamily(fam.d, fam.d_I, None, fam.geometry, tail=fam.tail, radial=fam.radial)
+
+
+def _one_block_remaining(fam: FiberFamily):
+    """A perturbed family's ``remaining`` from masses read one block at a
+    time off a one-block family, outward to the first quiet shell past
+    radius 3, the default near zone's edge."""
+    ref, nu, masses = _one_block_family(fam), fam.geometry.nu, []
+    for k in itertools.count():
+        start = k * SHELL_BLOCK
+        chunk = lattice.shell_sizes(nu, start, start + SHELL_BLOCK) * np.abs(
+            ref.shell_grams(k) - 1.0
+        ).max(axis=(-2, -1))
+        radii = np.arange(start, start + SHELL_BLOCK)
+        quiet = np.flatnonzero((radii > 3) & (chunk < 1e-30))
+        if quiet.size:
+            return tail_remaining(masses + chunk[: quiet[0] + 1].tolist(), 1e-28)
+        masses += chunk.tolist()
+
+
+class TestRunBuild:
+    """Radial blocks built as one run are the blocks built one at a time,
+    bit for bit."""
+
+    RUN = 4
+
+    @staticmethod
+    def assert_blocks_match(fam, ref, blocks):
+        for k in blocks:
+            for got, want in zip(fam._block(k), ref._block(k)):
+                assert _bits(got) == _bits(want)
+                assert not got.flags.writeable
+            assert _bits(fam.shell_powers(k)) == _bits(ref.shell_powers(k))
+
+    @pytest.mark.parametrize("near_amplitude", [0.3, None])
+    @pytest.mark.parametrize("decay", [0.5, 0.78, 0.95])
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_perturbed_family(self, nu, decay, near_amplitude):
+        fam = decaying_perturbation_family(nu=nu, decay=decay, near_amplitude=near_amplitude)
+        assert sorted(fam._blocks) == list(range(self.RUN))
+        ref = _one_block_family(fam)
+        self.assert_blocks_match(fam, ref, range(self.RUN + 1))
+        radii = np.arange(-1, 5001)
+        want = _one_block_remaining(fam)(radii)
+        assert _bits(fam.tail.remaining(radii)) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: load_model(MODELS / "generator_decay.json").family(),
+            lambda: orthonormal_homogeneous(nu=2),
+        ],
+        ids=["generators", "homogeneous"],
+    )
+    def test_stride_zero_family(self, make):
+        fam = make()
+        ref = _one_block_family(fam)
+        run = fam.shell_gram_run(0, self.RUN)
+        assert run.shape == (self.RUN * SHELL_BLOCK, fam.d_I, fam.d_I)
+        assert run.strides[0] == 0  # one tuple, squared once
+        assert sorted(fam._blocks) == list(range(self.RUN))
+        assert _bits(np.ascontiguousarray(run)) == _bits(
+            np.concatenate([ref.shell_grams(k) for k in range(self.RUN)])
+        )
+        self.assert_blocks_match(fam, ref, range(self.RUN))
+
+    def test_far_site_builds_its_block_alone(self):
+        fam = load_model(MODELS / "perturbed_z2.json").family()
+        before = set(fam._blocks)
+        fam.vectors((10**5, 0))
+        assert set(fam._blocks) - before == {10**5 // SHELL_BLOCK}
+        assert len(fam._blocks) == len(before) + 1
 
 
 class TestTailTable:
