@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
 from .kernel import Dominance, FiberFamily, dominance, product_kernel_matrix
-from .lattice import Sites
+from .lattice import Sites, require_inside
 from .state import LocalObservable
 
 
@@ -41,10 +41,6 @@ class HomogeneousModel:
         object.__setattr__(self, "dominance", dominance(v))
 
     @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
     def d(self) -> int:
         return self.vectors.shape[1]
 
@@ -61,10 +57,6 @@ class OverlapMatrix:
     matrix: np.ndarray
     beta_max: float
     argmax: tuple
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def overlaps(model: HomogeneousModel) -> OverlapMatrix:
@@ -101,21 +93,18 @@ def finite_volume_normalized(
             )
     else:
         full = tuple(full_region)
-        inside = set(full)
-        missing = [s for s in obs.region if s not in inside]
-        if missing:
-            raise PreconditionError(
-                f"observable sites {missing!r} are outside the evaluation region"
-            )
+        require_inside(obs.region, full)
         n_total = len(full)
     n_out = n_total - len(obs.region)
     ov = overlaps(model)
     local = _local_products(model, obs)
-    value = complex((local * ov.matrix**n_out).sum())
-    weight = complex((ov.matrix**n_total).sum())
-    # the natural magnitude of the weight is beta_max^n; judge degeneracy
-    # against that so uniformly small overlaps are not misread as zero
-    scale = ov.beta_max**n_total
+    # a volume past the float64 range gives inf or NaN, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex((local * ov.matrix**n_out).sum())
+        weight = complex((ov.matrix**n_total).sum())
+        # the natural magnitude of the weight is beta_max^n; judge degeneracy
+        # against that so uniformly small overlaps are not misread as zero
+        scale = np.float64(ov.beta_max) ** n_total
     if not (np.isfinite(scale) and np.isfinite(weight) and np.isfinite(value)):
         raise PreconditionError(
             f"volume {n_total} overflows the overlap scale {ov.beta_max}"

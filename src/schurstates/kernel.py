@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import lattice
-from .errors import ConvergenceError, DimensionError, GeometryError, ValidationError
+from .errors import ConvergenceError, DimensionError, ValidationError
 from .linalg import PsdReport, as_cmatrix, psd_report
 
 #: Vectors with norm at or below this are rejected as zero.
@@ -679,10 +679,7 @@ def transfer_matrix(family: FiberFamily, region, subregion) -> np.ndarray:
     """
     region = tuple(region)
     subregion = tuple(subregion)
-    inside = set(region)
-    extra = [s for s in subregion if s not in inside]
-    if extra:
-        raise GeometryError(f"subregion sites {extra!r} are not inside the region")
+    lattice.require_inside(subregion, region)
     sub = set(subregion)
     return schur_product(
         np.ones((family.d_I, family.d_I), dtype=np.complex128),

@@ -12,6 +12,9 @@ never by filtering the (2r+1)^nu cube.  Each (nu, r) shell is built once
 per process and kept, as an immutable tuple, in the cache of ``shell``,
 which this module owns (at most ``SHELL_CACHE_SIZE`` shells, least
 recently used first out); ``Zd.blocks`` reads it.
+
+``require_inside`` is the one check that a region holds the sites an
+operation places in it, whatever the geometry.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GeometryError, ValidationError
 
 #: Most (nu, r) shells ``shell`` keeps at once, and most shell sizes
 #: ``shell_size`` (and ranges of them ``shell_sizes``) keeps.
@@ -37,6 +40,14 @@ INTEGER = re.compile(r"[+-]?[0-9]+")
 
 #: Site coordinate types; ``int`` first, as the common case.
 INTEGRAL = (int, numbers.Integral)
+
+
+def require_inside(sites, region) -> None:
+    """``GeometryError`` naming every site of ``sites`` that ``region`` lacks."""
+    inside = set(region)
+    missing = [s for s in sites if s not in inside]
+    if missing:
+        raise GeometryError(f"observable sites {missing!r} outside region")
 
 
 def norm1(site) -> int:

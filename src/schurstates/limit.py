@@ -68,7 +68,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
-    GeometryError,
     PreconditionError,
     ValidationError,
 )
@@ -408,10 +407,7 @@ def superset_region(region, obs: LocalObservable) -> tuple:
     """``region`` as a tuple; ``GeometryError`` unless it holds every site
     of the observable's region."""
     region = tuple(region)
-    inside = set(region)
-    missing = [s for s in obs.region if s not in inside]
-    if missing:
-        raise GeometryError(f"observable sites {missing!r} outside region")
+    lattice.require_inside(obs.region, region)
     return region
 
 

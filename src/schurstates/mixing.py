@@ -210,15 +210,6 @@ def alpha_limit(
     )
 
 
-def _joint_observable(obs_a: LocalObservable, far: LocalObservable) -> LocalObservable:
-    overlap = set(obs_a.region) & set(far.region)
-    if overlap:
-        raise GeometryError(
-            f"embedded region collides with the near region at {sorted(overlap)!r}"
-        )
-    return LocalObservable.of_checked(obs_a.region + far.region, obs_a.factors + far.factors)
-
-
 def _check_near_region(obs_a: LocalObservable, t: int):
     outside = [z for z in obs_a.region if lattice.norm1(z) > t - 1]
     if outside:
@@ -233,7 +224,8 @@ def _placed(family, obs_a, obs_b, t, strategy, seed):
     _check_near_region(obs_a, t)
     emb = embed(obs_b.region, t, strategy=strategy, nu=family.geometry.nu, seed=seed)
     far = emb.transport(obs_b)
-    return _joint_observable(obs_a, far), far
+    joint = LocalObservable.of_checked(obs_a.region + far.region, obs_a.factors + far.factors)
+    return joint, far
 
 
 def mixing_gap(

@@ -20,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    GeometryError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import DimensionError, ResourceLimitError, ValidationError
 from .kernel import FiberFamily, product_kernel_matrix, transfer_matrix
+from .lattice import require_inside
 
 #: Regions larger than this are refused by the dense path.
 DEFAULT_DENSE_CAP = 8
@@ -129,11 +125,7 @@ def expectation_dense(family: FiberFamily, full_region, obs: LocalObservable) ->
     sites carry the identity.  This is the exponential-cost oracle.
     """
     full_region = tuple(full_region)
-    missing = [s for s in obs.region if s not in full_region]
-    if missing:
-        raise GeometryError(
-            f"observable sites {missing!r} are outside the evaluation region"
-        )
+    require_inside(obs.region, full_region)
     psi = superposition_vector(family, full_region).amplitudes
     d = family.d
     acted = psi
@@ -167,11 +159,6 @@ def expectation_extended(
     full_region = tuple(full_region)
     if len(set(full_region)) != len(full_region):
         raise ValidationError("region has duplicate sites")
-    missing = [s for s in obs.region if s not in full_region]
-    if missing:
-        raise GeometryError(
-            f"observable sites {missing!r} are outside the evaluation region"
-        )
     outside = transfer_matrix(family, full_region, obs.region)
     return complex((product_kernel_matrix(family, obs.region, obs.factors) * outside).sum())
 

@@ -79,6 +79,16 @@ class TestEval:
         assert res["dense"] == [2.0, 0.0]
         assert res["schur_vs_dense"] == 0.0
 
+    def test_region_missing_an_observable_site_exits_3(
+        self, orthonormal_model, identity_obs, capsys
+    ):
+        code, out, err = run_cli(
+            ["eval", "--model", orthonormal_model, "--observable", identity_obs, "--region", "a;c"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err == "precondition error: observable sites ['b'] outside region\n"
+
     def test_model_files_validate_against_schema(self):
         for name in ("orthonormal.json", "generator_decay.json", "perturbed_z2.json"):
             payload = json.loads((MODELS / name).read_text())
@@ -242,6 +252,7 @@ class TestSiteListModels:
         [
             (["a"], ["a", "b"], "by_site[1].site: 'b' is not a declared site"),
             (["a", "b"], ["a", "b", "a"], "by_site[2].site: second entry for site 'a'"),
+            (["a", "b"], ["a"], "by_site: no vectors for sites ['b']"),
         ],
     )
     def test_by_site_entries_must_match_declared_sites(
@@ -322,6 +333,25 @@ class TestCheckKernel:
         assert len(payload["results"]["products"]) == 2
 
 
+    def test_two_site_model_skips_the_three_site_group(self, tmp_path, capsys):
+        model = write_json(
+            tmp_path,
+            "two.json",
+            {
+                "lattice": {"kind": "sites", "sites": ["a", "b"]},
+                "fiber_dim": 2,
+                "index_size": 2,
+                "vectors": {"mode": "homogeneous", "reference": encode_matrix(np.eye(2))},
+            },
+        )
+        code, out, _ = run_cli(["check-kernel", "--model", model], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        validate_against(payload, "report.check-kernel.schema.json")
+        assert [p["sites"] for p in payload["results"]["products"]] == [["a", "b"]]
+        assert payload["results"]["pass"]
+
+
 class TestLimit:
     def test_generator_projectivity(self, capsys):
         code, out, _ = run_cli(
@@ -342,6 +372,30 @@ class TestLimit:
         assert res["projectivity"]["pass"]
         assert res["projectivity"]["gap"] <= 1e-9
         assert res["summability_certificate"] > 0
+
+    def test_cancelling_tuples_leave_no_weight_to_normalize(self, tmp_path, identity_obs, capsys):
+        # h_2 = -h_1 at site a and h_2 = h_1 at site b: Z = 1 - 1 - 1 + 1 = 0
+        e = [[1.0, 0.0], [0.0, 0.0]]
+        minus_e = [[-1.0, 0.0], [0.0, 0.0]]
+        model = write_json(
+            tmp_path,
+            "cancel.json",
+            {
+                "lattice": {"kind": "sites", "sites": ["a", "b"]},
+                "fiber_dim": 2,
+                "index_size": 2,
+                "vectors": {
+                    "mode": "explicit",
+                    "by_site": [
+                        {"site": "a", "vectors": [e, minus_e]},
+                        {"site": "b", "vectors": [e, e]},
+                    ],
+                },
+            },
+        )
+        code, out, err = run_cli(["limit", "--model", model, "--observable", identity_obs], capsys)
+        assert (code, out) == (1, "")
+        assert err == "validation error: total boundary weight 0j cannot be normalized away\n"
 
     def test_empty_region_value_is_boundary_sum(self, tmp_path, capsys):
         obs = write_json(tmp_path, "empty.json", {"region": [], "factors": []})
@@ -1043,6 +1097,24 @@ class TestHomog:
         assert res["argmax"] == [0, 1]
         assert res["generic"] is True
 
+    def test_volume_past_the_float_range_exits_3(self, tmp_path, capsys):
+        model = write_json(
+            tmp_path,
+            "big.json",
+            {
+                "lattice": {"kind": "sites", "sites": ["a"]},
+                "fiber_dim": 2,
+                "index_size": 2,
+                "vectors": {"mode": "homogeneous", "reference": encode_matrix(2 * np.eye(2))},
+            },
+        )
+        obs = write_json(tmp_path, "obs.json", {"region": ["a"], "factors": [encode_matrix(np.eye(2))]})
+        code, out, err = run_cli(
+            ["homog", "--model", model, "--observable", obs, "--total-sites", "2000"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == "precondition error: volume 2000 overflows the overlap scale 4.0\n"
+
     def test_non_homogeneous_model_exits_3(self, capsys):
         code, _, err = run_cli(
             ["homog", "--model", str(MODELS / "generator_decay.json")], capsys
@@ -1115,6 +1187,45 @@ class TestMixingScanCli:
         payload = json.loads(out)
         validate_against(payload, "report.mixing-scan.schema.json")
         assert payload["results"]["alpha_independent"] is True
+
+    def test_tmax_below_every_clearance_exits_1(self, capsys):
+        code, out, err = run_cli(
+            [
+                "mixing-scan",
+                "--model", str(MODELS / "perturbed_z2.json"),
+                "--observable", str(MODELS / "observable_near.json"),
+                "--observable-far", str(MODELS / "observable_far.json"),
+                "--tmax", "4",
+            ],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "validation error: --tmax 4 leaves no clearances to scan\n"
+
+    def test_non_cauchy_alpha_reports_no_alpha_gap(self, tmp_path, capsys):
+        # epsilon0 = 1e-3: the transported products are not Cauchy, so
+        # alpha has no limit and every alpha gap is missing
+        data = json.loads((MODELS / "perturbed_z2.json").read_text())
+        data["vectors"]["epsilon0"] = 1e-3
+        model = write_json(tmp_path, "loud.json", data)
+        code, out, _ = run_cli(
+            [
+                "mixing-scan",
+                "--model", model,
+                "--observable", str(MODELS / "observable_near.json"),
+                "--observable-far", str(MODELS / "observable_far.json"),
+                "--tmax", "40",
+            ],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        validate_against(payload, "report.mixing-scan.schema.json")
+        res = payload["results"]
+        assert res["alpha_independent"] is False
+        assert [row["t"] for row in res["rows"]] == [5, 10, 20, 40]
+        assert [row["alpha_mixing_gap"] for row in res["rows"]] == [None] * 4
+        assert all(row["mixing_gap"] > 0 for row in res["rows"])
 
     @pytest.mark.parametrize(
         "strategies, named", [("translate,translate", "translate"), ("random,translate,random", "random")]

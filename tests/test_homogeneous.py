@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schurstates.errors import DimensionError, PreconditionError, ValidationError
+from schurstates.errors import DimensionError, GeometryError, PreconditionError, ValidationError
 from schurstates.homogeneous import (
     HomogeneousModel,
     constant_offdiagonal_vectors,
@@ -65,6 +65,10 @@ class TestOverlaps:
     def test_faulty_vector_refused(self, bad, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             HomogeneousModel(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_vectors_must_form_a_2d_array(self):
+        with pytest.raises(DimensionError, match="^reference vectors must form a 2-D array$"):
+            HomogeneousModel(np.ones(2))
 
 
 class TestGenericCondition:
@@ -154,8 +158,25 @@ class TestFiniteVolumeNormalized:
     def test_too_small_volume(self, rng):
         model = HomogeneousModel(complex_gaussian(rng, (2, 2)))
         obs = LocalObservable.identity((0, 1), 2)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(
+            PreconditionError,
+            match=r"^total volume 1 smaller than the observable region \(2 sites\)$",
+        ):
             finite_volume_normalized(model, 1, obs)
+
+    def test_region_missing_an_observable_site(self):
+        obs = LocalObservable.identity((0, 1), 2)
+        with pytest.raises(GeometryError, match=r"^observable sites \[1\] outside region$"):
+            finite_volume_normalized(HomogeneousModel(np.eye(2)), (0, 2, 3), obs)
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_volume_past_the_float_range(self, n):
+        # 4^n overflows: refused, with no numpy warning and no OverflowError
+        obs = LocalObservable.identity((0,), 2)
+        with pytest.raises(
+            PreconditionError, match=rf"^volume {n} overflows the overlap scale 4\.0$"
+        ):
+            finite_volume_normalized(HomogeneousModel(2 * np.eye(2)), n, obs)
 
 
 class TestGenericLimit:
@@ -327,6 +348,10 @@ class TestConstantOffdiagonal:
         off = g[~np.eye(p, dtype=bool)]
         assert np.max(np.abs(off - c)) <= 1e-12
         assert np.linalg.matrix_rank(vecs, tol=1e-10) == p
+
+    def test_needs_two_vectors(self):
+        with pytest.raises(ValidationError, match="^need at least two vectors, got p=1$"):
+            constant_offdiagonal_vectors(1, 0.5)
 
     def test_needs_enough_dimensions(self):
         with pytest.raises(DimensionError):

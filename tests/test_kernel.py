@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schurstates.errors import ConvergenceError, DimensionError, ValidationError
+from schurstates.errors import ConvergenceError, DimensionError, GeometryError, ValidationError
 from schurstates.kernel import (
     SHELL_BLOCK,
     ZERO_VECTOR_TOL,
@@ -56,6 +56,33 @@ class TestFiberFamily:
             FiberFamily.explicit(
                 {"a": np.eye(2), "b": np.ones((3, 2))}
             )
+
+    @pytest.mark.parametrize("d, d_I", [(0, 1), (1, 0)])
+    def test_fiber_dims_must_be_positive(self, d, d_I):
+        with pytest.raises(
+            ValidationError, match=rf"^fiber dims must be positive, got d={d}, d_I={d_I}$"
+        ):
+            FiberFamily(d, d_I, lambda site: np.eye(1), Sites(("a",)))
+
+    def test_provided_vectors_of_the_wrong_shape(self):
+        fam = FiberFamily(2, 2, lambda site: np.eye(3), Sites(("a",)))
+        with pytest.raises(
+            DimensionError, match=r"^site 'a': vectors have shape \(3, 3\), expected \(2, 2\)$"
+        ):
+            fam.gram("a")
+
+    def test_explicit_needs_a_site_and_2d_blocks(self):
+        with pytest.raises(ValidationError, match="^explicit family needs at least one site$"):
+            FiberFamily.explicit({})
+        with pytest.raises(DimensionError, match="^per-site vectors must form a 2-D array$"):
+            FiberFamily.explicit({"a": np.ones(2)})
+
+    @pytest.mark.parametrize("geometry", [Zd(1), Sites(("a",))])
+    def test_homogeneous_needs_2d_vectors(self, geometry):
+        with pytest.raises(
+            DimensionError, match="^homogeneous reference vectors must be a 2-D array$"
+        ):
+            FiberFamily.homogeneous(np.ones(2), geometry)
 
     def test_unknown_site(self):
         fam = orthonormal_family()
@@ -837,11 +864,21 @@ def test_schur_product_is_the_running_product(rng):
     )
 
 
+def test_transfer_matrix_subregion_must_lie_in_the_region():
+    fam = orthonormal_family(("a", "b", "c"))
+    with pytest.raises(GeometryError, match=r"^observable sites \['d', 'c'\] outside region$"):
+        transfer_matrix(fam, ("a", "b"), ("d", "a", "c"))
+
+
 class TestGramTupleChecks:
     """``product_kernel_gram_matrix`` checks its input before it stacks it."""
 
     def fam(self):
         return make_family(67, ["a", "b"], 2, 2)
+
+    def test_no_tuples(self):
+        with pytest.raises(ValidationError, match=r"^product_kernel_gram_matrix: empty tuple list$"):
+            product_kernel_gram_matrix(self.fam(), ["a", "b"], [])
 
     def test_duplicate_sites_rejected(self):
         with pytest.raises(ValidationError, match=r"^product_kernel_gram_matrix: duplicate sites$"):

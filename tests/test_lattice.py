@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from schurstates import lattice
+from schurstates.errors import GeometryError, ValidationError
 
 from conftest import ball, ball_size
 
@@ -42,6 +43,26 @@ def test_negative_radius_is_empty():
 def test_dimension_below_one_is_rejected():
     with pytest.raises(ValueError, match="dimension"):
         lattice.shell(0, 1)
+
+
+def test_lattice_dimension_below_one_is_refused():
+    with pytest.raises(ValidationError, match=r"^lattice dimension must be >= 1, got 0$"):
+        lattice.Zd(0)
+
+
+class TestRequireInside:
+    def test_contained_sites_pass(self):
+        lattice.require_inside(("b", "a"), ("a", "b", "c"))
+        lattice.require_inside((), ())
+        lattice.require_inside([(0, 1)], iter([(1, 0), (0, 1)]))
+
+    def test_names_every_missing_site_in_order(self):
+        with pytest.raises(
+            GeometryError, match=r"^observable sites \['d', 'b'\] outside region$"
+        ):
+            lattice.require_inside(("d", "a", "b"), ("a", "c"))
+        with pytest.raises(GeometryError, match=r"^observable sites \[\(0,\)\] outside region$"):
+            lattice.require_inside([(0,), (1,)], [(1,), (2,)])
 
 
 def test_shell_cache_is_bounded():

@@ -6,6 +6,7 @@ import pytest
 
 from schurstates.errors import (
     ConvergenceError,
+    DimensionError,
     DomainError,
     GeometryError,
     PreconditionError,
@@ -489,6 +490,13 @@ class TestRightSquareRoot:
         with pytest.raises(PreconditionError):
             right_square_root(np.eye(2), 0.5 * np.eye(2))
 
+    def test_rejects_isometry_of_the_wrong_shape(self):
+        with pytest.raises(
+            DimensionError,
+            match=r"^isometry shape \(3, 3\) does not match matrix shape \(2, 2\)$",
+        ):
+            right_square_root(np.eye(2), np.eye(3))
+
 
 class TestGeneratorBuild:
     def test_zero_diagonals_give_orthonormal(self, rng):
@@ -571,6 +579,22 @@ class TestGeneratorBuild:
         eye = np.eye(2, dtype=complex)
         with pytest.raises(ValidationError, match="beyond the declared tail radius"):
             GeneratorSpec([(9,)], [np.zeros(2)], [eye], [eye], tail_radius=2, nu=1, d=2)
+
+    @pytest.mark.parametrize(
+        "sites, rows, message",
+        [
+            ([(0.5,)], 1, r"^site \(0\.5,\) is not a 1-tuple of ints$"),
+            ([0], 1, r"^generator sites form an array of shape \(1,\), expected \(N, 1\)$"),
+            ([(0,), (1,)], 1, r"^generator columns must hold one row for each of 2 sites$"),
+        ],
+    )
+    def test_rejects_malformed_columns(self, sites, rows, message):
+        from schurstates.limit import GeneratorSpec
+
+        eye = np.eye(2, dtype=complex)
+        columns = ([np.zeros(2)] * rows, [eye] * len(sites), [eye] * len(sites))
+        with pytest.raises(ValidationError, match=message):
+            GeneratorSpec(sites, *columns, tail_radius=1, nu=1, d=2)
 
     @pytest.mark.parametrize(
         "site, tail_radius",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from schurstates.errors import DimensionError, DomainError
 from schurstates.linalg import (
+    PsdReport,
     hadamard,
     hermitian_function,
     matrix_exp,
@@ -79,6 +80,9 @@ class TestPsd:
         with pytest.raises(DimensionError):
             psd_report(np.ones((2, 3)))
 
+    def test_empty_matrix_is_psd(self):
+        assert psd_report(np.zeros((0, 0))) == PsdReport(True, True, 0.0, 0.0, 0.0)
+
     def test_verdict_figures_are_the_whole_array_reductions(self):
         # defect and the largest eigenvalue magnitude, read off the ends of
         # the ascending spectrum, equal the reductions over every entry
@@ -110,6 +114,10 @@ class TestRequireHermitian:
 
     def test_empty_matrix_passes(self):
         assert require_hermitian(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_non_square(self):
+        with pytest.raises(DimensionError, match=r"^m: must be square, got \(2, 3\)$"):
+            require_hermitian(np.ones((2, 3)), name="m")
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,6 +159,12 @@ class TestHermitianFunction:
         m = m + 10 * np.eye(3)
         with pytest.raises(DomainError):
             hermitian_function(m, np.exp)
+
+    def test_non_finite_function_values_refused(self):
+        with pytest.raises(
+            DomainError, match="^hermitian_function: f produced non-finite values$"
+        ):
+            hermitian_function(np.eye(2), lambda w: np.full_like(w, np.inf))
 
     def test_result_is_hermitian(self, rng):
         t = gram_psd_matrix(rng, 4) + 0.2 * np.eye(4)

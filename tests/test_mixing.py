@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -128,6 +129,37 @@ class TestEmbed:
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
             embed([(0, 0)], 2, strategy="spiral")
+
+    @pytest.mark.parametrize(
+        "region, t, message",
+        [
+            ((), 2, "cannot embed an empty region"),
+            (((0, 0), (1,)), 2, "region sites have inconsistent dimension"),
+            (((0, 0),), -1, "clearance must be nonnegative, got -1"),
+        ],
+    )
+    def test_refused_input(self, region, t, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            embed(region, t)
+
+    @pytest.mark.parametrize(
+        "source, image, message",
+        [
+            (((0,),), ((5,), (6,)), "embedding must preserve the number of sites"),
+            (((0,), (1,)), ((5,), (5,)), "embedding image has repeated sites"),
+            (((0,), (1,)), ((2,), (5,)), "embedded sites [(2,)] lie inside the excluded ball of radius 2"),
+        ],
+    )
+    def test_embedding_refused(self, source, image, message):
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            mixing.Embedding(source, image, clearance=2)
+
+    def test_transport_needs_the_source_region(self, obs_pair):
+        emb = embed([(0, 0)], 3)
+        with pytest.raises(
+            GeometryError, match="^observable region does not match the embedding source$"
+        ):
+            emb.transport(obs_pair[1])
 
 
 class TestAlphaLimit:
@@ -297,6 +329,19 @@ class TestMixingScan:
         assert result.alpha_independent
         assert result.decrease_fraction["translate"] == 1.0
 
+    def test_non_cauchy_alpha_leaves_every_alpha_gap_missing(self, obs_pair):
+        # a larger perturbation whose transported products are not Cauchy:
+        # alpha has no limit, so every row's alpha gap is NaN
+        fam = decaying_perturbation_family(nu=2, epsilon0=1e-3)
+        a, b = obs_pair
+        with pytest.raises(ConvergenceError, match="not Cauchy"):
+            alpha_limit(fam, b)
+        result = mixing_scan(fam, a, b)
+        assert result.alpha_independent is False
+        assert [r.t for r in result.rows] == list(mixing.DEFAULT_T_SEQUENCE)
+        assert all(math.isnan(r.alpha_mixing_gap) for r in result.rows)
+        assert all(math.isfinite(r.mixing_gap) for r in result.rows)
+
     def test_orthonormal_witness_constant(self):
         fam = orthonormal_homogeneous()
         proj0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -426,6 +471,24 @@ class TestMixingScan:
         with pytest.raises(GeometryError, match="not inside the ball of radius 1"):
             mixing_scan(fam, a, obs_pair[1], t_list=(5, 2))
         assert fam._boundary_cache == {}
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"decay": 0.0}, "decay must lie in (0, 1), got 0.0"),
+        ({"decay": 1.0}, "decay must lie in (0, 1), got 1.0"),
+        ({"epsilon0": 0.0}, "epsilon0 must be positive, got 0.0"),
+        ({"epsilon0": -1e-3}, "epsilon0 must be positive, got -0.001"),
+        (
+            {"base": np.ones(3), "directions": np.eye(2)},
+            "base vector has shape (3,), directions expect dim 2",
+        ),
+    ],
+)
+def test_perturbation_family_refuses(kwargs, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        decaying_perturbation_family(**kwargs)
 
 
 class TestPerturbationFamilyCaches:

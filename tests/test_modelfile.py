@@ -294,6 +294,79 @@ class TestLoadModel:
         assert "site must be a string or int" in str(exc.value)
 
 
+def model_file(name):
+    return json.loads((MODELS / name).read_text())
+
+
+def explicit_sites(sites, by_site):
+    return {
+        "lattice": {"kind": "sites", "sites": sites},
+        "fiber_dim": 2,
+        "index_size": 2,
+        "vectors": {"mode": "explicit", "by_site": by_site},
+    }
+
+
+EYE = encode_matrix(np.eye(2))
+
+#: Model files refused for their structure, each with its whole message.
+STRUCTURE_FAULTS = {
+    "explicit_on_zd": (
+        {**explicit_sites([], []), "lattice": {"kind": "zd", "nu": 1}},
+        "model: explicit vectors require an enumerated site list",
+    ),
+    "generators_on_sites": (
+        {**model_file("generator_decay.json"), "lattice": {"kind": "sites", "sites": ["a"]}},
+        "model: generator vectors require a zd lattice",
+    ),
+    "perturbed_on_sites": (
+        {**model_file("perturbed_z2.json"), "lattice": {"kind": "sites", "sites": ["a"]}},
+        "model: perturbed vectors require a zd lattice",
+    ),
+    "duplicate_sites": (
+        {**minimal_homogeneous(), "lattice": {"kind": "sites", "sites": ["a", "a"]}},
+        "model.lattice.sites: duplicate site names",
+    ),
+    "by_site_not_object": (
+        explicit_sites(["a"], [["a", EYE]]),
+        "model.vectors.by_site[0]: expected an object",
+    ),
+    "explicit_block_shape": (
+        explicit_sites(["a"], [{"site": "a", "vectors": EYE[:1]}]),
+        "model.vectors.by_site[0].vectors: shape (1, 2) != (2, 2) at site 'a'",
+    ),
+    "reference_shape": (
+        {**minimal_homogeneous(), "vectors": {"mode": "homogeneous", "reference": EYE[:1]}},
+        "model.vectors.reference: shape (1, 2) != (2, 2)",
+    ),
+    # the field check, the decoder's and the length check each report it
+    "perturbed_base_not_array": (
+        {
+            **model_file("perturbed_z2.json"),
+            "vectors": {**model_file("perturbed_z2.json")["vectors"], "base": {"re": 1.0}},
+        },
+        "model.vectors.base: expected list, got dict\n"
+        "  model.vectors.base: expected a non-empty array\n"
+        "  model.vectors.base: length 1 != 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("data, message", STRUCTURE_FAULTS.values(), ids=STRUCTURE_FAULTS.keys())
+def test_structure_fault_refused(data, message):
+    with pytest.raises(ValidationError) as exc:
+        modelfile.parse_model(data)
+    assert str(exc.value) == "model validation failed:\n  " + message
+
+
+def test_top_level_array_refused():
+    with pytest.raises(ValidationError, match="^model: top level must be a JSON object$"):
+        modelfile.parse_model([minimal_homogeneous()])
+    obs = {"region": ["a"], "factors": [EYE]}
+    with pytest.raises(ValidationError, match="^observable: top level must be a JSON object$"):
+        parse_observable([obs], Sites(("a",)))
+
+
 class TestCollectorPause:
     """Both loaders pause the cyclic collector from the decode until the
     decoded tree is dropped, and leave it as they found it, whether the

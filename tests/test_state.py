@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schurstates.errors import (
+    DimensionError,
     GeometryError,
     ResourceLimitError,
     ValidationError,
@@ -34,6 +35,15 @@ class TestLocalObservable:
     def test_factor_shape(self):
         with pytest.raises(Exception):
             LocalObservable(("a", "b"), (np.eye(2), np.eye(3)))
+
+    def test_factor_count_must_match_the_region(self):
+        with pytest.raises(DimensionError, match=r"^2 sites vs 1 factors$"):
+            LocalObservable(("a", "b"), (np.eye(2),))
+
+    def test_non_finite_factor(self):
+        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match=r"^factor at site 'b' has non-finite entries$"):
+            LocalObservable(("a", "b"), (np.eye(2), bad))
 
     def test_identity_constructor(self):
         obs = LocalObservable.identity(("a", "b"), 2)
@@ -84,6 +94,13 @@ class TestSuperpositionVector:
         va, vb = fam.vectors("a"), fam.vectors("b")
         manual = va[0][:, None] * vb[0][None, :] + va[1][:, None] * vb[1][None, :]
         np.testing.assert_allclose(st.as_tensor(), manual)
+
+    @pytest.mark.parametrize(
+        "region, message", [((), "empty region"), (("a", "b", "a"), "region has duplicate sites")]
+    )
+    def test_region_refused(self, region, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            superposition_vector(orthonormal_family("ab"), region)
 
     def test_cap(self, rng):
         fam = make_family(4, list(range(10)), 2, 2)
@@ -260,10 +277,20 @@ class TestExpectations:
     def test_region_not_contained(self, rng):
         fam = make_family(12, ["a", "b"], 2, 2)
         obs = LocalObservable(("b",), (np.eye(2),))
-        with pytest.raises(GeometryError):
+        message = r"^observable sites \['b'\] outside region$"
+        with pytest.raises(GeometryError, match=message):
             expectation_dense(fam, ("a",), obs)
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match=message):
             expectation_extended(fam, ("a",), obs)
+
+    def test_empty_observable_refused_by_the_fast_path(self):
+        with pytest.raises(ValidationError, match="^empty observable region$"):
+            expectation_schur(orthonormal_family("ab"), LocalObservable((), ()))
+
+    def test_extended_region_with_a_repeated_site(self):
+        obs = LocalObservable(("a",), (np.eye(2),))
+        with pytest.raises(ValidationError, match="^region has duplicate sites$"):
+            expectation_extended(orthonormal_family("ab"), ("a", "b", "a"), obs)
 
 
 class TestMultiplicativity:
