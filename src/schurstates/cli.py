@@ -281,7 +281,7 @@ def cmd_homog(args, out) -> int:
     }
     if args.observable:
         obs = load_observable(args.observable, spec.geometry)
-        if args.total_sites:
+        if args.total_sites is not None:
             results["finite_normalized"] = encode_complex(
                 finite_volume_normalized(model, args.total_sites, obs)
             )

@@ -243,7 +243,7 @@ def dominance(vectors: np.ndarray) -> Dominance:
 class Table(NamedTuple):
     """A family's preloaded sites: site ``s`` is row ``rows[s]`` of the
     read-only ``vectors`` (N, d_I, d) and ``grams`` (N, d_I, d_I) stacks,
-    one row per site.  On a lattice the rows are in walk order and
+    one row per site.  On a lattice the rows are in ``walk_order`` and
     ``radii`` holds their 1-norms (int64; exact for every site a walk can
     reach); on a site list, ``radii`` is None and the rows keep the given
     order."""
@@ -271,10 +271,10 @@ class FiberFamily:
     as one stack (``table``); ``explicit`` preloads every site of its
     list.
 
-    Radial contract: a family on ``lattice.Zd`` whose vectors off its
-    table depend on a site only through its 1-norm passes
+    Radial contract: a family on an infinite geometry whose vectors off
+    its table depend on a site only through its ``distance`` passes
     ``radial(start, stop)``, the (stop - start, d_I, d) stack whose row k
-    holds the vectors of every site of 1-norm start + k off the table.
+    holds the vectors of every site of sphere start + k off the table.
     The family builds each block of ``SHELL_BLOCK`` radii once: alone,
     where a site, a walk or ``shell_grams(k)`` first needs it, or with
     the blocks after it as one run (``shell_gram_run``), from one
@@ -283,9 +283,9 @@ class FiberFamily:
     tuple, with stride 0 along its radii as ``np.broadcast_to`` makes it,
     is validated and squared once); ``shell_grams(k)`` serves the Gram
     stack of block k, and
-    ``shell_gram(r)`` and every site of 1-norm r off the table read row r
+    ``shell_gram(r)`` and every site of sphere r off the table read row r
     of their block.  The family also owns each block's full-shell powers
-    (``shell_powers(k)``), each Gram matrix raised to its shell's size,
+    (``shell_powers(k)``), each Gram matrix raised to its ``sphere_sizes``,
     which a boundary walk forms the first time it takes the block: at
     most one stack per block built, kept as long as the family.  On a lattice, a canonical boundary walk takes every
     family with radial shells a block of shells at a time: each shell's
@@ -334,7 +334,7 @@ class FiberFamily:
         else:
             self.geometry.check(site)
             if self.radial is not None:
-                r = lattice.norm1(site)
+                r = self.geometry.distance(site)
                 entry = tuple(stack[r % SHELL_BLOCK] for stack in self._block(r // SHELL_BLOCK))
             else:
                 v = np.asarray(self._provider(site), dtype=np.complex128)
@@ -369,10 +369,9 @@ class FiberFamily:
         a whole.  Such an array's sites are keyed by tuples of ints, formed
         here unless the caller passes them, row for row, as ``keys`` (a
         ``GeneratorSpec`` has formed them already).  On a lattice the
-        table is kept in walk order, by 1-norm and then in each shell's
-        lexicographic order (one ``np.lexsort``), with each row's 1-norm
-        in ``table.radii``; a fault is named at the first faulty site in
-        that order, and a site listed twice is refused.
+        table is kept in the geometry's ``walk_order``, with each row's
+        distance in ``table.radii``; a fault is named at the first faulty
+        site in that order, and a site listed twice is refused.
         """
         if self.table is not None:
             raise ValidationError("a family takes one table, and this one has it")
@@ -393,14 +392,7 @@ class FiberFamily:
             )
         radii = None
         if not self.geometry.finite:
-            # coordinates clipped where their 1-norm would leave int64: a
-            # site clipped lies beyond the reach of any walk
-            nu = self.geometry.nu
-            bound = np.iinfo(np.int64).max // nu
-            clipped = coords if whole else np.array(sites, dtype=object).reshape(len(sites), nu)
-            clipped = np.clip(clipped, -bound, bound).astype(np.int64)
-            radii = np.abs(clipped).sum(axis=1)
-            order = np.lexsort((*clipped.T[::-1], radii))
+            order, radii = self.geometry.walk_order(coords if whole else sites)
             v, sites, radii = v[order], [sites[k] for k in order.tolist()], radii[order]
         rows = dict(zip(sites, range(len(sites))))
         if len(rows) < len(sites):
@@ -462,13 +454,13 @@ class FiberFamily:
 
     def shell_powers(self, k: int) -> np.ndarray:
         """The read-only (SHELL_BLOCK, d_I, d_I) stack whose row j is
-        ``shell_grams(k)[j]`` to the power of the number of sites of
-        1-norm k * SHELL_BLOCK + j: each whole shell's product, formed
+        ``shell_grams(k)[j]`` to the power of the geometry's size of
+        sphere k * SHELL_BLOCK + j: each whole shell's product, formed
         the first time it is asked for and kept (radial families only)."""
         powers = self._powers.get(k)
         if powers is None:
             start = k * SHELL_BLOCK
-            sizes = lattice.shell_sizes(self.geometry.nu, start, start + SHELL_BLOCK)
+            sizes = self.geometry.sphere_sizes(start, start + SHELL_BLOCK)
             powers = self._powers[k] = _frozen(self.shell_grams(k) ** sizes[:, None, None])
         return powers
 

@@ -5,6 +5,9 @@ it from JSON, parsing it from ``--region``, and the order in which
 boundary products walk the sites (``blocks``).  ``Zd(nu)`` is the
 integer lattice, walked in 1-norm shells from the empty shell at radius
 -1; ``Sites`` is a finite list, walked one site per block as declared.
+An infinite geometry is its spheres, all that the walk, radial families,
+embeddings and samplers read of it: ``distance(site)``, ``sphere(r)`` and
+``sphere_sizes``, which ``Zd`` serves from this module's 1-norm primitives.
 
 Shells are lexicographically ordered and emitted directly (first
 coordinate, then the shell of the remaining norm in one dimension less),
@@ -142,10 +145,34 @@ class Zd:
             )
         return tuple(int(c) for c in coords)
 
+    def distance(self, site):
+        """The 1-norm of a site, or of each row of an (N, nu) integer array."""
+        return np.abs(site).sum(axis=-1) if isinstance(site, np.ndarray) else norm1(site)
+
+    def sphere(self, r: int) -> tuple:
+        """``shell(nu, r)``, looked up as a module attribute at each call."""
+        return shell(self.nu, r)
+
+    def sphere_sizes(self, start: int, stop: int) -> np.ndarray:
+        """The site counts of spheres start, ..., stop - 1 (``shell_sizes``)."""
+        return shell_sizes(self.nu, start, stop)
+
+    def walk_order(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """(order, radii) of sites given as (N, nu) array rows or a list: each
+        site's 1-norm, as int64 (a coordinate clipped where it would leave
+        int64 lies beyond any walk), and the sites by 1-norm, then in each
+        shell's lexicographic order (one ``np.lexsort``)."""
+        if not isinstance(coords, np.ndarray):
+            coords = np.array(coords, dtype=object).reshape(len(coords), self.nu)
+        bound = np.iinfo(np.int64).max // self.nu
+        clipped = np.clip(coords, -bound, bound).astype(np.int64)
+        radii = self.distance(clipped)
+        return np.lexsort((*clipped.T[::-1], radii)), radii
+
     def blocks(self) -> Iterator[tuple[int, tuple]]:
-        """(radius, shell) pairs from radius -1 (the empty shell) up."""
+        """(radius, sphere) pairs from radius -1 (the empty sphere) up."""
         for r in itertools.count(-1):
-            yield r, shell(self.nu, r)
+            yield r, self.sphere(r)
 
     def first(self, n: int) -> list:
         """The first n sites in walk order."""

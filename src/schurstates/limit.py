@@ -16,8 +16,9 @@ shells (``FiberFamily.radial``).  The canonical walk of a family with
 radial shells takes, after the empty shell at radius -1,
 ``SHELL_BLOCK`` consecutive 1-norm shells per step and lists no sites
 (``_shell_products``); each shell's count outside a region is its size
-(``lattice.shell_sizes``) less the region's sites there.  Each shell
-multiplies in its table rows outside the region, in walk order, and then
+(the geometry's ``sphere_sizes``) less the region's sites there, so the
+walk reads a geometry only through ``distance`` and its spheres.  Each
+shell multiplies in its table rows outside the region, in walk order, and then
 its Gram matrix to the power of its sites off the table outside the
 region: the kept full-shell power (``FiberFamily.shell_powers``) where
 that is the whole shell, else raised afresh with ``np.power``.  Every
@@ -301,16 +302,16 @@ def _walk(
 def _shell_steps(family: FiberFamily, skips: list):
     """The steps of a canonical walk by shells: the empty shell at radius
     -1, then blocks of ``SHELL_BLOCK`` whole shells, each with the count
-    of its sites outside each region (``lattice.shell_sizes`` less the
-    region's sites there)."""
-    nu, n = family.geometry.nu, len(skips)
+    of its sites outside each region (the geometry's ``sphere_sizes``
+    less the region's sites there)."""
+    geometry, n = family.geometry, len(skips)
     # (region, radius, sites of the region at that radius)
     held = [
-        (j, r, c) for j, skip in enumerate(skips) for r, c in Counter(map(lattice.norm1, skip)).items()
+        (j, r, c) for j, skip in enumerate(skips) for r, c in Counter(map(geometry.distance, skip)).items()
     ]
     yield np.array([-1]), np.zeros((n, 1)), [()] * n
     for start in itertools.count(0, SHELL_BLOCK):
-        counts = np.repeat(lattice.shell_sizes(nu, start, start + SHELL_BLOCK)[None], n, axis=0)
+        counts = np.repeat(geometry.sphere_sizes(start, start + SHELL_BLOCK)[None], n, axis=0)
         for j, r, c in held:
             if start <= r < start + SHELL_BLOCK:
                 counts[j, r - start] -= c
@@ -344,7 +345,7 @@ def _shell_products(family: FiberFamily, p: np.ndarray, start: int, counts: np.n
     # powers use, about tenfold until a numpy loop such as the comparison
     # below has run
     grams = family.shell_grams(block)
-    sizes = lattice.shell_sizes(family.geometry.nu, start, start + SHELL_BLOCK)[:m]
+    sizes = family.geometry.sphere_sizes(start, start + SHELL_BLOCK)[:m]
     table, off = family.table, counts  # off[i, j]: shell j's sites off the table outside region i
     lo = hi = 0
     if table is not None and table.radii[-1] >= start:
@@ -601,11 +602,11 @@ class GeneratorSpec:
         ):
             # one integer array whose 1-norms fit int64: all sites
             typed = np.ones(len(keys), dtype=bool)
-            radii = np.abs(sites).sum(axis=1)
+            radii = zd.distance(sites)
         else:  # Python ints past int64, or not integer coordinates at all
             typed = np.array([_is_site(zd, key) for key in keys], dtype=bool)
             radii = np.array(
-                [lattice.norm1(key) if ok else 0 for key, ok in zip(keys, typed)], dtype=object
+                [zd.distance(key) if ok else 0 for key, ok in zip(keys, typed)], dtype=object
             )
         checks = [
             (~diag_shaped, lambda k: f"diagonal has shape {np.shape(self.diag[k])}"),

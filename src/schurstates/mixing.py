@@ -56,13 +56,14 @@ class Embedding:
     source: tuple
     image: tuple
     clearance: int
+    geometry: lattice.Zd
 
     def __post_init__(self):
         if len(self.source) != len(self.image):
             raise GeometryError("embedding must preserve the number of sites")
         if len(set(self.image)) != len(self.image):
             raise GeometryError("embedding image has repeated sites")
-        inside = [z for z in self.image if lattice.norm1(z) <= self.clearance]
+        inside = [z for z in self.image if self.geometry.distance(z) <= self.clearance]
         if inside:
             raise GeometryError(
                 f"embedded sites {inside!r} lie inside the excluded ball "
@@ -76,48 +77,37 @@ class Embedding:
         return LocalObservable.of_checked(self.image, obs.factors)
 
 
-def embed(
-    region,
-    t: int,
-    strategy: str = "translate",
-    nu: int | None = None,
-    seed: int = 0,
-) -> Embedding:
+def embed(region, t: int, geometry: lattice.Zd, strategy: str = "translate", seed: int = 0) -> Embedding:
     """Embed a finite lattice region into the complement of the t-ball.
 
     ``translate`` shifts by (t + 1 + R) along the first axis, R being the
-    largest 1-norm in the region, which always clears the ball.
-    ``random`` draws distinct sites from the shells just outside the
-    ball with a seeded generator.
+    largest distance in the region, which always clears the ball.
+    ``random`` draws distinct sites from the spheres just outside the
+    ball with a seeded generator.  Every site is checked by ``geometry``.
     """
     region = tuple(tuple(int(c) for c in z) for z in region)
     if not region:
         raise ValidationError("cannot embed an empty region")
-    if nu is None:
-        nu = len(region[0])
-    if any(len(z) != nu for z in region):
-        raise ValidationError("region sites have inconsistent dimension")
+    for z in region:
+        geometry.check(z)
     if t < 0:
         raise ValidationError(f"clearance must be nonnegative, got {t}")
 
     if strategy == "translate":
-        radius = max(lattice.norm1(z) for z in region)
-        shift = t + 1 + radius
+        shift = t + 1 + max(map(geometry.distance, region))
         image = tuple((z[0] + shift,) + z[1:] for z in region)
-        return Embedding(source=region, image=image, clearance=t)
-
-    if strategy == "random":
+    elif strategy == "random":
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
         candidates: list[tuple[int, ...]] = []
         r = t + 1
         while len(candidates) < len(region):
-            candidates.extend(lattice.shell(nu, r))
+            candidates.extend(geometry.sphere(r))
             r += 1
         order = rng.permutation(len(candidates))
         image = tuple(candidates[int(k)] for k in order[: len(region)])
-        return Embedding(source=region, image=image, clearance=t)
-
-    raise ValidationError(f"unknown embedding strategy {strategy!r}")
+    else:
+        raise ValidationError(f"unknown embedding strategy {strategy!r}")
+    return Embedding(region, image, t, geometry)
 
 
 @dataclass(frozen=True)
@@ -148,9 +138,9 @@ def _ones(family: FiberFamily) -> np.ndarray:
 
 
 def require_lattice(family: FiberFamily) -> None:
-    """``PreconditionError`` unless ``family`` lives on a lattice: the one
-    rule of every mixing path, the CLI's included."""
-    if not isinstance(family.geometry, lattice.Zd):
+    """``PreconditionError`` unless ``family`` lives on an infinite
+    geometry: the one rule of every mixing path, the CLI's included."""
+    if family.geometry.finite:
         raise PreconditionError("tail limits require a lattice model")
 
 
@@ -177,9 +167,8 @@ def alpha_limit(
     """
     require_lattice(family)
     ts = DEFAULT_T_SEQUENCE
-    nu = family.geometry.nu
     known = {} if kernels is None else kernels
-    fars = (embed(obs.region, t, strategy="translate", nu=nu).transport(obs) for t in ts[-2:])
+    fars = (embed(obs.region, t, family.geometry).transport(obs) for t in ts[-2:])
     before, limits = (schur_product(_ones(family), _site_kernels(family, far, known)) for far in fars)
     step = float(np.max(np.abs(limits - before)))
     spread = float(np.max(np.abs(limits - limits.ravel()[0])))
@@ -210,20 +199,16 @@ def alpha_limit(
     )
 
 
-def _check_near_region(obs_a: LocalObservable, t: int):
-    outside = [z for z in obs_a.region if lattice.norm1(z) > t - 1]
+def _placed(family, obs_a, obs_b, t, strategy, seed):
+    """The joint observable a . transported b and the transported b at
+    clearance t, once every geometry check has passed: the near region
+    must lie inside the ball of radius t - 1."""
+    outside = [z for z in obs_a.region if family.geometry.distance(z) > t - 1]
     if outside:
         raise GeometryError(
             f"near-region sites {outside!r} are not inside the ball of radius {t - 1}"
         )
-
-
-def _placed(family, obs_a, obs_b, t, strategy, seed):
-    """The joint observable a . transported b and the transported b at
-    clearance t, once every geometry check has passed."""
-    _check_near_region(obs_a, t)
-    emb = embed(obs_b.region, t, strategy=strategy, nu=family.geometry.nu, seed=seed)
-    far = emb.transport(obs_b)
+    far = embed(obs_b.region, t, family.geometry, strategy, seed).transport(obs_b)
     joint = LocalObservable.of_checked(obs_a.region + far.region, obs_a.factors + far.factors)
     return joint, far
 
@@ -456,7 +441,7 @@ def decaying_perturbation_family(
         else:
             grams = family.shell_gram_run(0, size // SHELL_BLOCK)
         radii = np.arange(start, stop)
-        chunk = lattice.shell_sizes(nu, start, stop) * np.abs(grams - 1.0).max(axis=(-2, -1))
+        chunk = family.geometry.sphere_sizes(start, stop) * np.abs(grams - 1.0).max(axis=(-2, -1))
         quiet = np.flatnonzero((radii > quiet_after) & (chunk < 1e-30))
         if quiet.size:
             masses.extend(chunk[: quiet[0] + 1].tolist())

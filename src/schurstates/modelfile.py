@@ -185,10 +185,7 @@ def parse_model(data: dict) -> ModelSpec:
     constructor (the first zero vector, or one whose squared norm
     overflows) is reported under ``model.vectors``.  A model declaring
     ``"normalized": true`` has its total boundary weight checked by
-    ``_check_normalization``; a ``perturbed`` model with
-    ``"normalize": true`` (the default) is normalized by construction,
-    since every state value it reports is divided by its walked weight
-    Z, so its family is built and not walked.
+    ``_check_normalization``.
     """
     errors: list[str] = []
     if not isinstance(data, dict):
@@ -232,7 +229,14 @@ def parse_model(data: dict) -> ModelSpec:
     # each mode branch sets ``build``, its family constructor, and what
     # else its model carries
     build = reference = certificate = None
-    divides = False  # a perturbed model that asks to be normalized by Z
+
+    def decoded(key, decode):
+        """Field ``key`` of the vectors, decoded; None once it has failed,
+        as a type or in its decoding, so its fault is reported once."""
+        known = len(errors)
+        raw = _require(vectors, key, list, "model.vectors", errors)
+        value = decode(raw, f"model.vectors.{key}", errors) if len(errors) == known else None
+        return value if len(errors) == known else None
 
     if mode == "explicit":
         if kind != "sites":
@@ -250,12 +254,10 @@ def parse_model(data: dict) -> ModelSpec:
                 errors.append(f"{where}.site: second entry for site {site!r}")
             elif geometry.finite and site not in geometry.site_set and len(errors) == known:
                 errors.append(f"{where}.site: {site!r} is not a declared site")
-            block = decode_matrix(rec.get("vectors"), f"{where}.vectors", errors)
-            by_site[site] = block
-            if block.shape != (d_I, d):
-                errors.append(
-                    f"{where}.vectors: shape {block.shape} != ({d_I}, {d}) at site {site!r}"
-                )
+            known = len(errors)
+            block = by_site[site] = decode_matrix(rec.get("vectors"), f"{where}.vectors", errors)
+            if len(errors) == known and block.shape != (d_I, d):
+                errors.append(f"{where}.vectors: shape {block.shape} != ({d_I}, {d}) at site {site!r}")
         if not errors:
             missing = [s for s in geometry.sites if s not in by_site]
             if missing:
@@ -264,15 +266,9 @@ def parse_model(data: dict) -> ModelSpec:
         build = lambda: FiberFamily.explicit({s: by_site[s] for s in geometry.sites})
 
     elif mode == "homogeneous":
-        reference = decode_matrix(
-            _require(vectors, "reference", list, "model.vectors", errors, []),
-            "model.vectors.reference",
-            errors,
-        )
-        if reference.shape != (d_I, d):
-            errors.append(
-                f"model.vectors.reference: shape {reference.shape} != ({d_I}, {d})"
-            )
+        reference = decoded("reference", decode_matrix)
+        if reference is not None and reference.shape != (d_I, d):
+            errors.append(f"model.vectors.reference: shape {reference.shape} != ({d_I}, {d})")
         build = functools.partial(FiberFamily.homogeneous, reference, geometry)
 
     elif mode == "generators":
@@ -306,24 +302,16 @@ def parse_model(data: dict) -> ModelSpec:
     elif mode == "perturbed":
         if kind != "zd":
             errors.append("model: perturbed vectors require a zd lattice")
-        base = decode_vector(
-            _require(vectors, "base", list, "model.vectors", errors, []),
-            "model.vectors.base",
-            errors,
-        )
-        dirs_raw = _require(vectors, "directions", list, "model.vectors", errors, [])
-        dirs = decode_matrix(dirs_raw, "model.vectors.directions", errors)
-        if dirs.shape != (d_I, d):
-            errors.append(
-                f"model.vectors.directions: shape {dirs.shape} != ({d_I}, {d})"
-            )
-        if base.shape != (d,):
+        base = decoded("base", decode_vector)
+        dirs = decoded("directions", decode_matrix)
+        if dirs is not None and dirs.shape != (d_I, d):
+            errors.append(f"model.vectors.directions: shape {dirs.shape} != ({d_I}, {d})")
+        if base is not None and base.shape != (d,):
             errors.append(f"model.vectors.base: length {base.shape[0]} != {d}")
         eps = vectors.get("epsilon0", 6e-7)
         decay = vectors.get("decay", 0.78)
         near_amp = vectors.get("near_amplitude")
         near_radius = vectors.get("near_radius", 3)
-        normalize = vectors.get("normalize", True)
         if not _is_number(eps) or eps <= 0:
             errors.append(f"model.vectors.epsilon0: must be positive, got {eps!r}")
         if not _is_number(decay) or not 0 < decay < 1:
@@ -336,10 +324,7 @@ def parse_model(data: dict) -> ModelSpec:
             errors.append(
                 f"model.vectors.near_radius: expected an integer >= 0, got {near_radius!r}"
             )
-        if not isinstance(normalize, bool):
-            errors.append(f"model.vectors.normalize: expected a boolean, got {normalize!r}")
         if not errors:
-            divides = normalize
             build = functools.partial(
                 decaying_perturbation_family,
                 nu=geometry.nu,
@@ -371,7 +356,7 @@ def parse_model(data: dict) -> ModelSpec:
         raise ValidationError(
             "model validation failed:\n  " + "\n  ".join(errors)
         )
-    if normalized and not divides:
+    if normalized:
         _check_normalization(family)
     return ModelSpec(mode, geometry, family, reference, certificate)
 

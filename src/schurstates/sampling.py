@@ -84,7 +84,8 @@ def decaying_generator_spec(seed: int, radius: int = 6, d: int = 2, nu: int = 1)
     from .limit import GeneratorSpec
 
     rng = rng_from_seed(seed, 100)
-    sites = [site for r in range(radius + 1) for site in lattice.shell(nu, r)]
+    zd = lattice.Zd(nu)
+    sites = [site for r in range(radius + 1) for site in zd.sphere(r)]
     diag = np.empty((len(sites), d))
     # site k draws its diagonal, then the matrices behind U and W; their
     # unitaries come from one stacked QR, bit for bit those of
@@ -92,7 +93,7 @@ def decaying_generator_spec(seed: int, radius: int = 6, d: int = 2, nu: int = 1)
     z = np.empty((2, len(sites), d, d), dtype=np.complex128)
     for k, site in enumerate(sites):
         raw = rng.standard_normal(d)
-        diag[k] = raw * (2.0 ** (-lattice.norm1(site)) / abs(raw).sum())
+        diag[k] = raw * (2.0 ** (-zd.distance(site)) / abs(raw).sum())
         z[0, k] = complex_gaussian(rng, (d, d))
         z[1, k] = complex_gaussian(rng, (d, d))
     u, w = _fixed_phases(z)

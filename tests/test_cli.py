@@ -126,7 +126,7 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("near_amplitude", "abc"), ("near_radius", "x"), ("normalize", "no")],
+        [("near_amplitude", "abc"), ("near_radius", "x"), ("decay", 1.5)],
     )
     def test_bad_perturbed_field_exits_1(self, tmp_path, field, value, capsys):
         data = json.loads((MODELS / "perturbed_z2.json").read_text())
@@ -1073,8 +1073,8 @@ class TestPerturbedZ3AtSiteCap:
         args = [command, "--model", z3_files["model"], "--observable", z3_files["near"]]
         if command == "mixing-scan":
             args += ["--observable-far", z3_files["far"], "--tmax", "40"]
-        # declared normalized, which a load accepts without a walk
-        assert json.loads(Path(z3_files["model"]).read_text())["normalized"]
+        # no normalization declared, so a load walks nothing
+        assert "normalized" not in json.loads(Path(z3_files["model"]).read_text())
         load_model(z3_files["model"])
         start = time.perf_counter()
         code, out, err = run_cli(args, capsys)
@@ -1114,6 +1114,18 @@ class TestHomog:
         )
         assert (code, out) == (3, "")
         assert err == "precondition error: volume 2000 overflows the overlap scale 4.0\n"
+
+    @pytest.mark.parametrize("volume", ["0", "-3", "1"])
+    def test_volume_below_the_region_exits_3(self, volume, capsys):
+        # 0 is a volume like any other, not a missing --total-sites
+        model, obs = (str(MODELS / name) for name in ("orthonormal.json", "observable_identity.json"))
+        code, out, err = run_cli(
+            ["homog", "--model", model, "--observable", obs, "--total-sites", volume], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"precondition error: total volume {volume} smaller than the observable region (2 sites)\n"
+        )
 
     def test_non_homogeneous_model_exits_3(self, capsys):
         code, _, err = run_cli(

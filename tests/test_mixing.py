@@ -73,7 +73,7 @@ def alpha_gap(family, a, b, t, alpha, strategy="translate", seed=0):
     """|psi(a . transported b) - psi(a) alpha|, both values one-region
     ``limit_state_eval`` calls at the scan's tail tolerance, divided by
     the total weight Z."""
-    far = embed(b.region, t, strategy=strategy, nu=family.geometry.nu, seed=seed).transport(b)
+    far = embed(b.region, t, family.geometry, strategy=strategy, seed=seed).transport(b)
     joint = LocalObservable(a.region + far.region, a.factors + far.factors)
     z = total_weight(boundary_matrix(family, (), tail_tol=1e-14))
     return abs(limit_state_eval(family, joint, 1e-14) / z - limit_state_eval(family, a, 1e-14) / z * alpha)
@@ -105,42 +105,42 @@ class TestBall:
 
 class TestEmbed:
     def test_translate_single_site(self):
-        emb = embed([(0, 0)], 3, strategy="translate")
+        emb = embed([(0, 0)], 3, lattice.Zd(2), strategy="translate")
         assert emb.image == ((4, 0),)
 
     def test_image_clears_ball(self):
         for t in (1, 4, 9):
             for strategy in ("translate", "random"):
-                emb = embed([(0, 0), (1, 0), (0, -1)], t, strategy=strategy, seed=7)
+                emb = embed([(0, 0), (1, 0), (0, -1)], t, lattice.Zd(2), strategy=strategy, seed=7)
                 assert min(lattice.norm1(z) for z in emb.image) > t
 
     def test_random_is_seed_deterministic(self):
-        a = embed([(0, 0), (1, 0)], 5, strategy="random", seed=3)
-        b = embed([(0, 0), (1, 0)], 5, strategy="random", seed=3)
+        a = embed([(0, 0), (1, 0)], 5, lattice.Zd(2), strategy="random", seed=3)
+        b = embed([(0, 0), (1, 0)], 5, lattice.Zd(2), strategy="random", seed=3)
         assert a.image == b.image
 
     def test_transport_carries_factors(self, obs_pair):
         _, b = obs_pair
-        emb = embed(b.region, 6)
+        emb = embed(b.region, 6, lattice.Zd(2))
         far = emb.transport(b)
         assert far.region == emb.image
         np.testing.assert_allclose(far.factors[0], b.factors[0])
 
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
-            embed([(0, 0)], 2, strategy="spiral")
+            embed([(0, 0)], 2, lattice.Zd(2), strategy="spiral")
 
     @pytest.mark.parametrize(
         "region, t, message",
         [
             ((), 2, "cannot embed an empty region"),
-            (((0, 0), (1,)), 2, "region sites have inconsistent dimension"),
+            (((0, 0), (1,)), 2, "site (1,) is not a 2-tuple of ints"),
             (((0, 0),), -1, "clearance must be nonnegative, got -1"),
         ],
     )
     def test_refused_input(self, region, t, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            embed(region, t)
+            embed(region, t, lattice.Zd(2))
 
     @pytest.mark.parametrize(
         "source, image, message",
@@ -152,10 +152,10 @@ class TestEmbed:
     )
     def test_embedding_refused(self, source, image, message):
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
-            mixing.Embedding(source, image, clearance=2)
+            mixing.Embedding(source, image, 2, lattice.Zd(1))
 
     def test_transport_needs_the_source_region(self, obs_pair):
-        emb = embed([(0, 0)], 3)
+        emb = embed([(0, 0)], 3, lattice.Zd(2))
         with pytest.raises(
             GeometryError, match="^observable region does not match the embedding source$"
         ):
@@ -283,7 +283,7 @@ class TestMixingGap:
         rep = alpha_limit(eps_family, b)
         g = mixing_gap(eps_family, a, b, t)
         ag = alpha_gap(eps_family, a, b, t, rep.value)
-        far = embed(b.region, t, nu=2).transport(b)
+        far = embed(b.region, t, lattice.Zd(2)).transport(b)
         v_a = limit_state_eval(eps_family, a, tail_tol=1e-14)
         v_b = limit_state_eval(eps_family, far, tail_tol=1e-14)
         slack = abs(v_a) * abs(v_b - rep.value)
@@ -305,7 +305,7 @@ class TestBoundaryTailFactors:
         # boundary approaches the total weight
         a, b = obs_pair
         t = 40
-        emb = embed(b.region, t, nu=2)
+        emb = embed(b.region, t, lattice.Zd(2))
         joint_region = tuple(a.region) + emb.image
         b_joint = boundary_matrix(eps_family, joint_region, tail_tol=1e-14).matrix
         b_near = boundary_matrix(eps_family, a.region, tail_tol=1e-14).matrix
@@ -378,7 +378,7 @@ class TestMixingScan:
         tol = mixing.DEFAULT_ALPHA_TOL * max(1.0, math.prod(np.linalg.norm(b, 2) for b in obs.factors))
         history = []
         for t in ts:
-            far = embed(obs.region, t, nu=family.geometry.nu).transport(obs)
+            far = embed(obs.region, t, family.geometry).transport(obs)
             history.append(product_kernel_matrix(family, far.region, far.factors))
         steps = [float(np.max(np.abs(b - a))) for a, b in zip(history, history[1:])]
         assert steps[-1] <= tol
@@ -453,7 +453,7 @@ class TestMixingScan:
         _, b = obs_pair
         kernels = {}
         report = alpha_limit(eps_family, b, kernels=kernels)
-        fars = [embed(b.region, t, nu=2).transport(b) for t in (20, 40)]
+        fars = [embed(b.region, t, lattice.Zd(2)).transport(b) for t in (20, 40)]
         assert list(kernels) == [far.region for far in fars]
         for far in fars:
             assert all(
@@ -544,7 +544,7 @@ class TestPerturbationFamilyCaches:
         return builds
 
     def test_normalized_family_builds_each_radius_once(self, builds, monkeypatch):
-        # loading the README model, which asks to be normalized, walks
+        # loading the README model, which declares no normalization, walks
         # nothing and builds one family with no table; its mass table reads
         # the family's own first four blocks, built by one ``radial`` call
         # and validated once per radius, and is tabulated once
@@ -707,20 +707,22 @@ class TestTailTable:
     recomputed one radius at a time from the family's own vectors."""
 
     SHELL_SIZE = {1: lambda r: 2, 2: lambda r: 4 * r, 3: lambda r: 4 * r * r + 2}
+    # a "normalized" case loads the family from a model file, whose every
+    # value is divided by its walked weight Z; a "raw" case builds it
     CASES = [
         pytest.param(
-            nu, decay, near, normalize,
-            id=f"{nu}-{decay}-{'normalized' if normalize else 'raw'}" + ("" if near else "-no-near"),
+            nu, decay, near, from_file,
+            id=f"{nu}-{decay}-{'normalized' if from_file else 'raw'}" + ("" if near else "-no-near"),
         )
-        for nu, decay, near, normalize in itertools.product(
+        for nu, decay, near, from_file in itertools.product(
             [1, 2, 3], [0.3, 0.78, 0.95, 0.99], [0.3, None], [False, True]
         )
     ]
 
     @staticmethod
     def model_family(nu, decay, near):
-        """The family of a perturbed model file that asks to be normalized
-        and declares itself normalized, with default base and directions."""
+        """The family of a perturbed model file with default base and
+        directions."""
         return parse_model({
             "lattice": {"kind": "zd", "nu": nu},
             "fiber_dim": 2,
@@ -731,17 +733,15 @@ class TestTailTable:
                 "directions": [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -0.6], [0.25, 0.0]]],
                 "decay": decay,
                 "near_amplitude": near,
-                "normalize": True,
             },
-            "normalized": True,
         }).family()
 
-    @pytest.mark.parametrize("nu, decay, near, normalize", CASES)
-    def test_remaining_is_the_sum_of_later_shell_masses(self, nu, decay, near, normalize):
-        # a model file that asks to be normalized loads the raw family
-        # without a walk, so its table is the raw one, also where the empty
-        # region's walk needs more sites than the cap (Z^3 at decay 0.99)
-        if normalize:
+    @pytest.mark.parametrize("nu, decay, near, from_file", CASES)
+    def test_remaining_is_the_sum_of_later_shell_masses(self, nu, decay, near, from_file):
+        # a model file loads the raw family without a walk, so its table
+        # is the raw one, also where the empty region's walk needs more
+        # sites than the cap (Z^3 at decay 0.99)
+        if from_file:
             fam = self.model_family(nu, decay, near)
         else:
             fam = decaying_perturbation_family(nu=nu, decay=decay, near_amplitude=near)
@@ -806,7 +806,7 @@ class TestRadialWalk:
         fam = rescaled_origin_family(nu) if normalize else decaying_perturbation_family(nu=nu)
         origin = (0,) * nu
         e1 = (1,) + origin[1:]
-        far = embed((origin, e1), 40, nu=nu).image
+        far = embed((origin, e1), 40, lattice.Zd(nu)).image
         for region in ((), (origin,), (e1, origin), far):
             shells = boundary_matrix(fam, region, tail_tol=1e-14)
             sites = boundary_matrix(fam, region, exhaustion=lattice.Zd(nu), tail_tol=1e-14)

@@ -139,6 +139,8 @@ class TestLoadModel:
             load_model(write(tmp_path, "m.json", data))
 
     def test_normalized_perturbed_accepted(self, tmp_path):
+        # every value of a perturbed model is divided by its walked Z, so
+        # the model declares nothing and its load walks nothing
         data = {
             "lattice": {"kind": "zd", "nu": 1},
             "fiber_dim": 2,
@@ -151,19 +153,17 @@ class TestLoadModel:
                 "decay": 0.5,
                 "near_amplitude": 0.2,
                 "near_radius": 1,
-                "normalize": True,
             },
-            "normalized": True,
         }
         spec = load_model(write(tmp_path, "p.json", data))
         assert spec.geometry == Zd(1)
 
     def test_perturbed_field_errors_are_collected(self, tmp_path):
         data = json.loads((MODELS / "perturbed_z2.json").read_text())
-        data["vectors"].update(near_amplitude="abc", near_radius="x", normalize="no")
+        data["vectors"].update(near_amplitude="abc", near_radius="x", decay=1.5)
         with pytest.raises(ValidationError) as exc:
             load_model(write(tmp_path, "p.json", data))
-        for field in ("near_amplitude", "near_radius", "normalize"):
+        for field in ("near_amplitude", "near_radius", "decay"):
             assert f"model.vectors.{field}:" in str(exc.value)
 
     @pytest.mark.parametrize("field", ["epsilon0", "decay", "near_amplitude"])
@@ -203,10 +203,9 @@ class TestLoadModel:
         assert walked[0] is spec.family()
 
     def test_self_normalized_family_is_not_walked_again(self, tmp_path, monkeypatch):
-        # a perturbed model that asks to be normalized has every reported
-        # state value divided by its walked weight Z, so its declaration
-        # holds by construction: the load builds its family once and walks
-        # nothing
+        # the README model has every reported state value divided by its
+        # walked weight Z and declares no normalization: the load builds
+        # its family once and walks nothing
         walks, builds = [], []
         walk, build = limit._walk, modelfile.decaying_perturbation_family
         monkeypatch.setattr(limit, "_walk", lambda *args: walks.append(args) or walk(*args))
@@ -219,7 +218,7 @@ class TestLoadModel:
 
     def test_raw_perturbed_family_declared_normalized_is_walked(self, tmp_path):
         data = json.loads((MODELS / "perturbed_z2.json").read_text())
-        data["vectors"]["normalize"] = False
+        data["normalized"] = True
         with pytest.raises(ValidationError) as exc:
             load_model(write(tmp_path, "raw.json", data))
         assert str(exc.value) == (
@@ -335,19 +334,45 @@ STRUCTURE_FAULTS = {
         explicit_sites(["a"], [{"site": "a", "vectors": EYE[:1]}]),
         "model.vectors.by_site[0].vectors: shape (1, 2) != (2, 2) at site 'a'",
     ),
+    "explicit_block_not_array": (
+        explicit_sites(["a"], [{"site": "a", "vectors": "x"}]),
+        "model.vectors.by_site[0].vectors: expected a non-empty nested array",
+    ),
     "reference_shape": (
         {**minimal_homogeneous(), "vectors": {"mode": "homogeneous", "reference": EYE[:1]}},
         "model.vectors.reference: shape (1, 2) != (2, 2)",
     ),
-    # the field check, the decoder's and the length check each report it
+    # a vector field that is not an array is reported once, by the field
+    # check: it is neither decoded nor measured
     "perturbed_base_not_array": (
         {
             **model_file("perturbed_z2.json"),
             "vectors": {**model_file("perturbed_z2.json")["vectors"], "base": {"re": 1.0}},
         },
-        "model.vectors.base: expected list, got dict\n"
-        "  model.vectors.base: expected a non-empty array\n"
-        "  model.vectors.base: length 1 != 2",
+        "model.vectors.base: expected list, got dict",
+    ),
+    "perturbed_directions_not_array": (
+        {
+            **model_file("perturbed_z2.json"),
+            "vectors": {**model_file("perturbed_z2.json")["vectors"], "directions": "x"},
+        },
+        "model.vectors.directions: expected list, got str",
+    ),
+    "perturbed_base_missing": (
+        {
+            **model_file("perturbed_z2.json"),
+            "vectors": {k: v for k, v in model_file("perturbed_z2.json")["vectors"].items() if k != "base"},
+        },
+        "model.vectors: missing required field 'base'",
+    ),
+    "reference_not_array": (
+        {**minimal_homogeneous(), "vectors": {"mode": "homogeneous", "reference": 1.0}},
+        "model.vectors.reference: expected list, got float",
+    ),
+    # a field that fails in its decoding is not measured either
+    "reference_not_decoded": (
+        {**minimal_homogeneous(), "vectors": {"mode": "homogeneous", "reference": [1.0]}},
+        "model.vectors.reference: expected a non-empty nested array",
     ),
 }
 
