@@ -357,7 +357,7 @@ class FiberFamily:
         g.setflags(write=False)
         return g
 
-    def preload(self, sites, stack, keys=None) -> None:
+    def preload(self, sites, stack, walk=None) -> None:
         """Validate, square and keep the vectors of a table of sites in one
         pass; a family takes one table.
 
@@ -366,39 +366,45 @@ class FiberFamily:
         sites read rows of one stack.  ``sites`` lists the sites, each
         checked by the geometry, or on a lattice holds their coordinates
         as the rows of one array; an (N, nu) integer array is checked as
-        a whole.  Such an array's sites are keyed by tuples of ints, formed
-        here unless the caller passes them, row for row, as ``keys`` (a
-        ``GeneratorSpec`` has formed them already).  On a lattice the
-        table is kept in the geometry's ``walk_order``, with each row's
-        distance in ``table.radii``; a fault is named at the first faulty
-        site in that order, and a site listed twice is refused.
+        a whole.  On a lattice the table is kept in the geometry's
+        ``walk_order``, with each row's distance in ``table.radii``; a
+        fault is named at the first faulty site in that order, and a site
+        listed twice is refused.  A caller that has formed them already
+        (a ``GeneratorSpec`` of an int64 table) passes ``walk``: the walk
+        order, each row's distance, and the map of the sites' keys, in
+        walk order, to their rows, so that no key is hashed again.
         """
         if self.table is not None:
             raise ValidationError("a family takes one table, and this one has it")
-        coords = None
-        if isinstance(sites, np.ndarray) and sites.ndim == 2 and not self.geometry.finite:
-            whole = sites.dtype.kind == "i" and sites.shape[1] == self.geometry.nu
-            coords, sites = sites, list(map(tuple, sites.tolist())) if keys is None else keys
-        else:
-            whole, sites = False, list(sites)
-        if not whole:
-            for site in sites:
-                self.geometry.check(site)
         v = np.asarray(stack, dtype=np.complex128)
         if v.shape != (len(sites), self.d_I, self.d):
             raise DimensionError(
                 f"preloaded vectors have shape {v.shape}, "
                 f"expected {(len(sites), self.d_I, self.d)}"
             )
-        radii = None
-        if not self.geometry.finite:
-            order, radii = self.geometry.walk_order(coords if whole else sites)
-            v, sites, radii = v[order], [sites[k] for k in order.tolist()], radii[order]
-        rows = dict(zip(sites, range(len(sites))))
-        if len(rows) < len(sites):
-            repeated = next(s for s, n in Counter(sites).items() if n > 1)
-            raise ValidationError(f"site {repeated!r} is preloaded twice")
-        self.table = Table(rows, v, self._squared(v, lambda k: f"site {sites[k]!r}"), radii)
+        if walk is None:  # check the sites and form their walk here
+            coords = None
+            if isinstance(sites, np.ndarray) and sites.ndim == 2 and not self.geometry.finite:
+                whole = sites.dtype.kind == "i" and sites.shape[1] == self.geometry.nu
+                coords, sites = sites, list(map(tuple, sites.tolist()))
+            else:
+                whole, sites = False, list(sites)
+            if not whole:
+                for site in sites:
+                    self.geometry.check(site)
+            order = radii = None
+            if not self.geometry.finite:
+                order, radii = self.geometry.walk_order(coords if whole else sites)
+                sites = [sites[k] for k in order.tolist()]
+            rows = dict(zip(sites, range(len(sites))))
+            if len(rows) < len(sites):
+                repeated = next(s for s, n in Counter(sites).items() if n > 1)
+                raise ValidationError(f"site {repeated!r} is preloaded twice")
+            walk = order, radii, rows
+        order, radii, rows = walk
+        if order is not None:
+            v, radii = v[order], radii[order]
+        self.table = Table(rows, v, self._squared(v, lambda k: f"site {list(rows)[k]!r}"), radii)
 
     def vectors(self, site) -> np.ndarray:
         """The (d_I, d) array whose row i is h(site, i)."""

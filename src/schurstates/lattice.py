@@ -1,8 +1,8 @@
 """Site geometries, and integer-lattice shells in the 1-norm.
 
-A geometry owns what depends on what a site is: checking it, decoding
-it from JSON, parsing it from ``--region``, and the order in which
-boundary products walk the sites (``blocks``).  ``Zd(nu)`` is the
+A geometry owns what depends on what a site is: checking it, parsing it
+from ``--region``, and the order in which boundary products walk the
+sites (``blocks``).  ``Zd(nu)`` is the
 integer lattice, walked in 1-norm shells from the empty shell at radius
 -1; ``Sites`` is a finite list, walked one site per block as declared.
 An infinite geometry is its spheres, all that the walk, radial families,
@@ -97,17 +97,6 @@ def shell(nu: int, r: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def json_int(value) -> int | None:
-    """``value`` as an int if it is a JSON integer, else None.
-
-    JSON Schema counts an integral float such as 2.0 as an integer;
-    Python's bool is an int, but JSON's ``true`` is not.
-    """
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value if isinstance(value, int) and not isinstance(value, bool) else None
-
-
 @dataclass(frozen=True)
 class Zd:
     """The nu-dimensional integer lattice."""
@@ -127,14 +116,6 @@ class Zd:
             and all(map(isinstance, site, itertools.repeat(INTEGRAL, self.nu)))
         ):
             raise ValidationError(f"site {site!r} is not a {self.nu}-tuple of ints")
-
-    def decode(self, raw, where: str, errors: list) -> tuple:
-        """A site from a JSON array of nu integers; failures go to ``errors``."""
-        coords = [json_int(c) for c in raw] if isinstance(raw, list) else None
-        if coords is None or len(coords) != self.nu or None in coords:
-            errors.append(f"{where}: expected {self.nu} integer coordinates, got {raw!r}")
-            return (0,) * self.nu
-        return tuple(coords)
 
     def parse(self, text: str) -> tuple:
         """A site from comma-separated coordinates, as in ``--region``."""
@@ -196,16 +177,6 @@ class Sites:
     def check(self, site) -> None:
         if site not in self.site_set:
             raise ValidationError(f"unknown site {site!r}")
-
-    @staticmethod
-    def decode(raw, where: str, errors: list):
-        """A site name from JSON; failures go to ``errors``.  Membership is
-        checked where the site is used."""
-        name = raw if isinstance(raw, str) else json_int(raw)
-        if name is None:
-            errors.append(f"{where}: site must be a string or int, got {raw!r}")
-            return str(raw)
-        return name
 
     def parse(self, text: str):
         """A declared site from ``--region``: a string site by its text, an

@@ -563,9 +563,10 @@ class GeneratorSpec:
     The first faulty record is reported, and within it the first failing
     check: its diagonal, then U, then W, then its site.  Afterwards the
     columns are stacked arrays (``diag`` real), ``keys`` holds the sites
-    as tuples of ints and ``radii`` their 1-norms.  The keys are formed
-    here once: ``build_from_generators`` hands them to the family's
-    table with the coordinates.
+    as tuples of ints and ``radii`` their 1-norms.  For an int64 table
+    the family table's ``walk`` (its order, and the map of the keys to
+    its rows) is formed here too, each key hashed and each 1-norm formed
+    once, and ``build_from_generators`` hands it to the table.
     """
 
     sites: np.ndarray
@@ -587,27 +588,32 @@ class GeneratorSpec:
         keys = tuple(zip(*sites.T.tolist()))  # one tuple of ints per row
         if any(len(column) != len(keys) for column in (self.diag, self.u, self.w)):
             raise ValidationError(f"generator columns must hold one row for each of {len(keys)} sites")
-        if len(set(keys)) != len(keys):
-            raise ValidationError("generator model declares a site twice")
-        d, radius = self.d, self.tail_radius
-        diag, diag_shaped = _column(self.diag, (d,))
-        u, u_checks = _isometry_checks("U", self.u, d)
-        w, w_checks = _isometry_checks("W", self.w, d)
         zd = lattice.Zd(self.nu)
         bound = np.iinfo(np.int64).max // self.nu
+        walk = None
         if (
             sites.dtype.kind == "i"
             and sites.shape[1] == self.nu
             and ((-bound < sites) & (sites < bound)).all()
         ):
-            # one integer array whose 1-norms fit int64: all sites
+            # one integer array whose 1-norms fit int64: all sites, and the
+            # family table's walk order and row map, each key hashed once
             typed = np.ones(len(keys), dtype=bool)
-            radii = zd.distance(sites)
+            order, radii = zd.walk_order(sites)
+            rows = dict(zip(map(keys.__getitem__, order.tolist()), range(len(keys))))
+            walk = (order, radii, rows)
         else:  # Python ints past int64, or not integer coordinates at all
             typed = np.array([_is_site(zd, key) for key in keys], dtype=bool)
             radii = np.array(
                 [zd.distance(key) if ok else 0 for key, ok in zip(keys, typed)], dtype=object
             )
+            rows = dict.fromkeys(keys)
+        if len(rows) != len(keys):
+            raise ValidationError("generator model declares a site twice")
+        d, radius = self.d, self.tail_radius
+        diag, diag_shaped = _column(self.diag, (d,))
+        u, u_checks = _isometry_checks("U", self.u, d)
+        w, w_checks = _isometry_checks("W", self.w, d)
         checks = [
             (~diag_shaped, lambda k: f"diagonal has shape {np.shape(self.diag[k])}"),
             ((np.abs(np.imag(diag)) > 0).any(axis=1), lambda k: "diagonal is not real"),
@@ -627,7 +633,7 @@ class GeneratorSpec:
             k, c = (int(i) for i in failed[0])
             raise ValidationError(faults[c][1](k))
         for name, column in (("sites", sites), ("diag", np.real(diag).astype(np.float64)),
-                             ("u", u), ("w", w), ("keys", keys), ("radii", radii)):
+                             ("u", u), ("w", w), ("keys", keys), ("radii", radii), ("walk", walk)):
             object.__setattr__(self, name, column)
 
     def trace_abs(self) -> list:
@@ -707,5 +713,5 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         label="generator model",
         radial=lambda start, stop: np.broadcast_to(eye, (stop - start, d, d)),
     )
-    family.preload(spec.sites, vecs, keys=spec.keys)
+    family.preload(spec.sites, vecs, walk=spec.walk)
     return family

@@ -1,42 +1,41 @@
 """Model and observable files.
 
-One JSON format describes every model the engine accepts.  Complex
-numbers serialize as two-element arrays [re, im] of doubles; matrices
-are nested arrays of those pairs.  A model file declares its geometry
-(an integer lattice of some dimension, or an enumerated site list), the
-fiber dimension ``d`` and index count ``d_I``, and exactly one vector
-source:
+The shipped input schemas (``schema``) are the one statement of both
+formats.  Complex numbers serialize as [re, im] pairs of doubles, and
+matrices as nested arrays of those pairs.  A model file declares its
+geometry (an integer lattice of some dimension, or an enumerated site
+list), the fiber dimension ``d``, the index count ``d_I`` and one vector
+source: ``explicit`` (a vector block for each enumerated site, walked in
+declared order), ``homogeneous`` (one reference block at every site),
+``generators`` (per-site diagonal/unitary/isometry records with a
+zero-beyond-radius tail rule) or ``perturbed`` (the decaying-perturbation
+lattice family: a base vector, direction vectors and a decay profile).
 
-* ``explicit``     — one vector block for each enumerated site, walked
-                     in declared order;
-* ``homogeneous``  — one reference block copied to every site;
-* ``generators``   — per-site diagonal/unitary/isometry records with a
-                     zero-beyond-radius tail rule;
-* ``perturbed``    — the decaying-perturbation lattice family, given by
-                     a base vector, direction vectors and decay profile.
-
-Validation collects every fault of a file's structure it can find
-(types, shapes, sites and the decoding of every number, with site and
-field coordinates) instead of stopping at the first.  ``parse_model``
-switches on the mode once, and a file whose structure is sound builds
-its family there, once: the values of its vectors are judged by that
-build alone (``kernel.check_vectors``), which names the first faulty
-vector under ``model.vectors``.
+A file is checked against its schema first, which reports every fault
+of its structure as ``<JSON path>: <fault>``, as in
+``model.lattice.nu: must be >= 1, got 0``, and decodes its matrices,
+vectors and generator site table, each by one array conversion.  The
+parser then judges only what a schema cannot say: shapes against
+``fiber_dim``/``index_size``, declared and duplicate sites, a site's form
+for its geometry, ``d == d_I`` and the lattice kind each mode needs, and
+the generator columns.  A sound file builds its family once, here, and
+the values of its vectors are judged by that build alone
+(``kernel.check_vectors``), which names the first faulty vector under
+``model.vectors``.
 """
-
 from __future__ import annotations
 
-import cmath
 import functools
 import gc
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import lattice
+from . import lattice, schema
 from .errors import ValidationError
 from .kernel import FiberFamily
 from .limit import GeneratorSpec, boundary_matrix, build_from_generators
@@ -45,6 +44,14 @@ from .state import LocalObservable
 
 #: Tolerance for the declared-normalization check at load time.
 NORMALIZATION_TOL = 1e-8
+
+#: The lattice kind each vector mode needs, and the fault of a model
+#: declaring another.
+NEEDS = {
+    "explicit": ("sites", "explicit vectors require an enumerated site list"),
+    "generators": ("zd", "generator vectors require a zd lattice"),
+    "perturbed": ("zd", "perturbed vectors require a zd lattice"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -56,71 +63,29 @@ def encode_complex(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def decode_complex(pair, where: str, errors: list) -> complex:
-    """A complex number from an [re, im] pair of finite JSON numbers
-    (Python's JSON reader also gives NaN and Infinity, which are refused)."""
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(_is_number(v) for v in pair)
-    ):
-        errors.append(f"{where}: expected [re, im], got {pair!r}")
-        return 0j
-    z = complex(float(pair[0]), float(pair[1]))
-    if not cmath.isfinite(z):
-        errors.append(f"{where}: non-finite number in {pair!r}")
-        return 0j
-    return z
-
-
 def encode_matrix(m) -> list:
     m = np.asarray(m, dtype=np.complex128)
     return [[encode_complex(z) for z in row] for row in m]
 
 
-def decode_matrix(rows, where: str, errors: list) -> np.ndarray:
-    """A matrix from nested [re, im] pairs; every fault goes to ``errors``.
-
-    A well-formed nest of finite numbers takes one array conversion;
-    anything else (ragged, non-numeric, non-finite, or holding a JSON
-    bool, which numpy would read as 0 or 1) is walked entry by entry,
-    which alone writes messages.
-    """
+def _pairs(value, depth: int) -> np.ndarray | None:
+    """``value``, arrays nested ``depth`` deep around [re, im] pairs of
+    finite JSON numbers, as one complex array by one conversion; None for
+    anything else (a bool included), which the schema check then walks,
+    and for a matrix whose rows differ in length, which its schema allows."""
     try:
-        a = np.asarray(rows)
-    except (ValueError, TypeError, OverflowError):
-        a = None
-    if (
-        a is not None
-        and a.ndim == 3
-        and a.shape[2] == 2
-        and a.dtype.kind in "if"
-        and not any(type(v) is bool for row in rows for pair in row for v in pair)
-        and np.isfinite(a).all()
-    ):
-        return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0].copy()
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        errors.append(f"{where}: expected a non-empty nested array")
-        return np.zeros((1, 1), dtype=np.complex128)
-    width = len(rows[0])
-    out = np.zeros((len(rows), width), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            errors.append(f"{where}: row {i} has length {len(row)}, expected {width}")
-            continue
-        for j, pair in enumerate(row):
-            out[i, j] = decode_complex(pair, f"{where}[{i}][{j}]", errors)
-    return out
-
-
-def decode_vector(entries, where: str, errors: list) -> np.ndarray:
-    if not isinstance(entries, list) or not entries:
-        errors.append(f"{where}: expected a non-empty array")
-        return np.zeros(1, dtype=np.complex128)
-    return np.array(
-        [decode_complex(p, f"{where}[{k}]", errors) for k, p in enumerate(entries)],
-        dtype=np.complex128,
-    )
+        leaves = value
+        for _ in range(depth):
+            leaves = list(itertools.chain.from_iterable(leaves))
+        # math.isfinite refuses every leaf but a number, a bool aside
+        if bool in map(type, leaves) or not all(map(math.isfinite, leaves)):
+            return None
+        a = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != depth + 1 or a.shape[-1] != 2 or not a.size:
+        return None
+    return a.view(np.complex128)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,119 +110,85 @@ class ModelSpec:
         return self._family
 
 
-def _is_number(value) -> bool:
-    """A JSON number that a float holds: Python's bool is an int, but
-    JSON's true is not, and an integer past the float range is refused."""
-    if isinstance(value, float):
-        return True
-    if not isinstance(value, int) or isinstance(value, bool):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
+def _refuse(root: str, faults: list) -> None:
+    if faults:
+        raise ValidationError(f"{root} validation failed:\n  " + "\n  ".join(faults))
 
 
-def _require(data: dict, key: str, types, where: str, errors: list, default=None):
-    if key not in data:
-        errors.append(f"{where}: missing required field {key!r}")
-        return default
-    value = data[key]
-    if types is int and lattice.json_int(value) is not None:
-        return lattice.json_int(value)
-    if types is int or (types is not None and not isinstance(value, types)):
-        errors.append(
-            f"{where}.{key}: expected {getattr(types, '__name__', types)}, "
-            f"got {type(value).__name__}"
-        )
-        return default
-    return value
+def _checked(data, root: str) -> dict:
+    """What the check of ``data`` against the ``root`` schema decoded, by
+    path; every fault it finds is refused at once."""
+    faults, decoded = schema.checker().check(data, f"{root}.schema.json", DECODERS)
+    _refuse(root, faults)
+    return decoded
 
 
-def parse_model(data: dict) -> ModelSpec:
-    """Validate raw JSON data into a ModelSpec, collecting every fault of
-    its structure, and build its family.
+def _matrix(decoded: dict, root: str, errors: list, path: tuple, shape=None, at: str = ""):
+    """The matrix (or vector) the schema check decoded at ``path``, with a
+    fault in ``errors`` if its rows differ in length or its shape is not
+    ``shape``."""
+    m = decoded.get(path)
+    if m is None:
+        errors.append(f"{schema.where(root, path)}: rows differ in length")
+    elif shape is not None and m.shape != shape:
+        errors.append(f"{schema.where(root, path)}: shape {m.shape} != {shape}{at}")
+    return m
 
-    A NaN or Infinity, which Python's JSON reader accepts, is refused
-    where its matrix or vector is decoded.  Once the structure is sound
-    the mode's family is built, once, and a ``ValidationError`` of its
-    constructor (the first zero vector, or one whose squared norm
-    overflows) is reported under ``model.vectors``.  A model declaring
-    ``"normalized": true`` has its total boundary weight checked by
-    ``_check_normalization``.
-    """
-    errors: list[str] = []
-    if not isinstance(data, dict):
-        raise ValidationError("model: top level must be a JSON object")
 
-    lat = _require(data, "lattice", dict, "model", errors, {})
-    # the one switch on the kind of site; an invalid geometry leaves the
-    # one-dimensional lattice in place so the rest can still be checked
-    geometry = lattice.Zd(1)
-    kind = _require(lat, "kind", str, "model.lattice", errors, "")
-    if kind == "zd":
-        nu = _require(lat, "nu", int, "model.lattice", errors, 1)
-        if nu < 1:
-            errors.append(f"model.lattice.nu: must be >= 1, got {nu}")
-        else:
-            geometry = lattice.Zd(nu)
-    elif kind == "sites":
-        raw_sites = _require(lat, "sites", list, "model.lattice", errors, [])
-        sites = [
-            lattice.Sites.decode(s, f"model.lattice.sites[{k}]", errors)
-            for k, s in enumerate(raw_sites)
-        ]
-        if len(set(sites)) != len(sites):
-            errors.append("model.lattice.sites: duplicate site names")
-        elif not sites:
-            errors.append("model.lattice.sites: empty site list")
-        else:
-            geometry = lattice.Sites(sites)
+def _sites(raws: list, geometry, at: str, errors: list) -> list:
+    """Each schema-checked JSON site of ``raws`` as a site of ``geometry``:
+    on a site list a name (a string, or an integer, 2.0 read as 2), on a
+    lattice the tuple of its nu integer coordinates; a fault in
+    ``errors``, at ``at.format(k)``, for one of another form."""
+    if geometry.finite:
+        sites = [None if type(raw) is list else raw if type(raw) is str else int(raw) for raw in raws]
     else:
-        errors.append(f"model.lattice.kind: expected 'zd' or 'sites', got {kind!r}")
+        nu = geometry.nu
+        sites = [tuple(map(int, raw)) if type(raw) is list and len(raw) == nu else None for raw in raws]
+    if None in sites:
+        form = "a string or integer name" if geometry.finite else f"{geometry.nu} integer coordinates"
+        errors += [f"{at.format(k)}: expected {form}, got {raw!r}" for k, raw in enumerate(raws) if sites[k] is None]
+    return sites
 
-    d = _require(data, "fiber_dim", int, "model", errors, 1)
-    d_I = _require(data, "index_size", int, "model", errors, 1)
-    if d < 1:
-        errors.append(f"model.fiber_dim: must be >= 1, got {d}")
-    if d_I < 1:
-        errors.append(f"model.index_size: must be >= 1, got {d_I}")
 
-    vectors = _require(data, "vectors", dict, "model", errors, {})
-    mode = _require(vectors, "mode", str, "model.vectors", errors, "")
-    # each mode branch sets ``build``, its family constructor, and what
-    # else its model carries
-    build = reference = certificate = None
-
-    def decoded(key, decode):
-        """Field ``key`` of the vectors, decoded; None once it has failed,
-        as a type or in its decoding, so its fault is reported once."""
-        known = len(errors)
-        raw = _require(vectors, key, list, "model.vectors", errors)
-        value = decode(raw, f"model.vectors.{key}", errors) if len(errors) == known else None
-        return value if len(errors) == known else None
+def parse_model(data) -> ModelSpec:
+    """Check raw JSON data against the model schema, judge what the schema
+    cannot say, collecting every fault, and build the model's family, once:
+    a ``ValidationError`` of its constructor (the first zero vector, or one
+    whose squared norm overflows) is reported under ``model.vectors``.  A
+    model declaring ``"normalized": true`` has its total boundary weight
+    checked by ``_check_normalization``."""
+    decoded = _checked(data, "model")
+    errors: list[str] = []
+    lat, vectors = data["lattice"], data["vectors"]
+    mode = vectors["mode"]
+    d, d_I = int(data["fiber_dim"]), int(data["index_size"])
+    kind, fault = NEEDS.get(mode, (lat["kind"], ""))
+    if lat["kind"] != kind:
+        _refuse("model", [f"model: {fault}"])
+    if kind == "zd":
+        geometry = lattice.Zd(int(lat["nu"]))
+    else:
+        sites = _sites(lat["sites"], lattice.Sites, "model.lattice.sites[{}]", errors)
+        if not errors and len(set(sites)) != len(sites):
+            errors.append("model.lattice.sites: duplicate site names")
+        _refuse("model", errors)
+        geometry = lattice.Sites(sites)
+    matrix = functools.partial(_matrix, decoded, "model", errors)
+    reference = certificate = None
 
     if mode == "explicit":
-        if kind != "sites":
-            errors.append("model: explicit vectors require an enumerated site list")
-        by_site_raw = _require(vectors, "by_site", list, "model.vectors", errors, [])
+        entries = vectors["by_site"]
+        at = "model.vectors.by_site[{}].site"
         by_site = {}
-        for k, rec in enumerate(by_site_raw):
-            where = f"model.vectors.by_site[{k}]"
-            if not isinstance(rec, dict):
-                errors.append(f"{where}: expected an object")
+        for k, site in enumerate(_sites([e["site"] for e in entries], lattice.Sites, at, errors)):
+            if site is None:
                 continue
-            known = len(errors)
-            site = lattice.Sites.decode(rec.get("site"), f"{where}.site", errors)
             if site in by_site:
-                errors.append(f"{where}.site: second entry for site {site!r}")
-            elif geometry.finite and site not in geometry.site_set and len(errors) == known:
-                errors.append(f"{where}.site: {site!r} is not a declared site")
-            known = len(errors)
-            block = by_site[site] = decode_matrix(rec.get("vectors"), f"{where}.vectors", errors)
-            if len(errors) == known and block.shape != (d_I, d):
-                errors.append(f"{where}.vectors: shape {block.shape} != ({d_I}, {d}) at site {site!r}")
+                errors.append(f"{at.format(k)}: second entry for site {site!r}")
+            elif site not in geometry.site_set:
+                errors.append(f"{at.format(k)}: {site!r} is not a declared site")
+            by_site[site] = matrix(("vectors", "by_site", k, "vectors"), (d_I, d), f" at site {site!r}")
         if not errors:
             missing = [s for s in geometry.sites if s not in by_site]
             if missing:
@@ -266,97 +197,51 @@ def parse_model(data: dict) -> ModelSpec:
         build = lambda: FiberFamily.explicit({s: by_site[s] for s in geometry.sites})
 
     elif mode == "homogeneous":
-        reference = decoded("reference", decode_matrix)
-        if reference is not None and reference.shape != (d_I, d):
-            errors.append(f"model.vectors.reference: shape {reference.shape} != ({d_I}, {d})")
+        reference = matrix(("vectors", "reference"), (d_I, d))
         build = functools.partial(FiberFamily.homogeneous, reference, geometry)
 
     elif mode == "generators":
-        if kind != "zd":
-            errors.append("model: generator vectors require a zd lattice")
-            geometry = lattice.Zd(1)  # still check the site coordinates
         if d != d_I:
-            errors.append(
-                f"model: generator models need fiber_dim == index_size, "
-                f"got {d} != {d_I}"
+            errors.append(f"model: generator models need fiber_dim == index_size, got {d} != {d_I}")
+        records = vectors["sites"]
+        columns = decoded.get(("vectors", "sites"))
+        if columns is None:  # a table the schema check walked, read record by record
+            columns = (
+                None,
+                [np.asarray(rec["D_H"], dtype=float) for rec in records],
+                *([matrix(("vectors", "sites", k, key)) for k in range(len(records))] for key in ("U", "W")),
             )
-        site_raw = _require(vectors, "sites", list, "model.vectors", errors, [])
-        tail = _require(vectors, "tail", dict, "model.vectors", errors, {})
-        radius = _require(tail, "beyond_radius", int, "model.vectors.tail", errors, 0)
-        if radius < 0:
-            errors.append(f"model.vectors.tail.beyond_radius: must be >= 0, got {radius}")
-        if _require(tail, "D_H", str, "model.vectors.tail", errors, "zero") != "zero":
-            errors.append("model.vectors.tail.D_H: only 'zero' tails are supported")
-        columns = _generator_columns(site_raw, geometry.nu)
-        if columns is None:
-            columns = _walk_generators(site_raw, geometry, errors)
-        if not errors:
-            try:
-                gen = GeneratorSpec(*columns, tail_radius=radius, nu=geometry.nu, d=d)
-            except ValidationError as exc:
-                errors.append(f"model.vectors: {exc}")
-            else:
-                certificate = gen.summability_certificate()
-                build = functools.partial(build_from_generators, gen)
+        if columns[0] is None or columns[0].shape[1] != geometry.nu:
+            raws = [rec["site"] for rec in records]
+            columns = (_sites(raws, geometry, "model.vectors.sites[{}].site", errors), *columns[1:])
 
-    elif mode == "perturbed":
-        if kind != "zd":
-            errors.append("model: perturbed vectors require a zd lattice")
-        base = decoded("base", decode_vector)
-        dirs = decoded("directions", decode_matrix)
-        if dirs is not None and dirs.shape != (d_I, d):
-            errors.append(f"model.vectors.directions: shape {dirs.shape} != ({d_I}, {d})")
-        if base is not None and base.shape != (d,):
-            errors.append(f"model.vectors.base: length {base.shape[0]} != {d}")
-        eps = vectors.get("epsilon0", 6e-7)
-        decay = vectors.get("decay", 0.78)
-        near_amp = vectors.get("near_amplitude")
-        near_radius = vectors.get("near_radius", 3)
-        if not _is_number(eps) or eps <= 0:
-            errors.append(f"model.vectors.epsilon0: must be positive, got {eps!r}")
-        if not _is_number(decay) or not 0 < decay < 1:
-            errors.append(f"model.vectors.decay: must lie in (0, 1), got {decay!r}")
-        if near_amp is not None and not _is_number(near_amp):
-            errors.append(
-                f"model.vectors.near_amplitude: expected a number or null, got {near_amp!r}"
-            )
-        if lattice.json_int(near_radius) is None or near_radius < 0:
-            errors.append(
-                f"model.vectors.near_radius: expected an integer >= 0, got {near_radius!r}"
-            )
-        if not errors:
-            build = functools.partial(
-                decaying_perturbation_family,
-                nu=geometry.nu,
-                epsilon0=float(eps),
-                decay=float(decay),
-                near_amplitude=near_amp,
-                near_radius=int(near_radius),
-                base=base,
-                directions=dirs,
-            )
+        def build():
+            nonlocal certificate
+            gen = GeneratorSpec(*columns, tail_radius=int(vectors["tail"]["beyond_radius"]), nu=geometry.nu, d=d)
+            certificate = gen.summability_certificate()
+            return build_from_generators(gen)
 
-    else:
-        errors.append(
-            "model.vectors.mode: expected one of 'explicit', 'homogeneous', "
-            f"'generators', 'perturbed', got {mode!r}"
+    else:  # perturbed
+        dirs = matrix(("vectors", "directions"), (d_I, d))
+        base = matrix(("vectors", "base"), (d,))
+        build = functools.partial(
+            decaying_perturbation_family,
+            nu=geometry.nu,
+            epsilon0=float(vectors.get("epsilon0", 6e-7)),
+            decay=float(vectors.get("decay", 0.78)),
+            near_amplitude=vectors.get("near_amplitude"),
+            near_radius=int(vectors.get("near_radius", 3)),
+            base=base,
+            directions=dirs,
         )
-
-    normalized = data.get("normalized", False)
-    if not isinstance(normalized, bool):
-        errors.append("model.normalized: expected a boolean")
-        normalized = False
 
     if not errors:
         try:
             family = build()
         except ValidationError as exc:
             errors.append(f"model.vectors: {exc}")
-    if errors:
-        raise ValidationError(
-            "model validation failed:\n  " + "\n  ".join(errors)
-        )
-    if normalized:
+    _refuse("model", errors)
+    if data.get("normalized", False):
         _check_normalization(family)
     return ModelSpec(mode, geometry, family, reference, certificate)
 
@@ -381,13 +266,13 @@ GENERATOR_FIELDS = (
 )
 
 
-def _generator_columns(records: list, nu: int) -> tuple | None:
+def _generator_columns(records: list) -> tuple | None:
     """A generator site table as the columns of ``GeneratorSpec`` (sites,
     diagonals, U, W), each field flattened once and converted by one
-    array conversion; or None for a table that only ``_walk_generators``
-    reads: one that is ragged, holds anything but JSON numbers (a bool
-    included), or has a coordinate that is not a JSON integer literal
-    (2.0 included, which the walk reads as 2) or lies past int64."""
+    array conversion; or None, for the schema check to walk, for a table
+    that is ragged, holds anything but JSON numbers (a bool included), or
+    has a coordinate that is not an int literal (2.0 included) or lies
+    past int64.  Every table it takes is one the schema accepts."""
     try:
         sites, diag, u, w = columns = [
             _flattened([rec.get(key) for rec in records], depth, types)
@@ -395,7 +280,7 @@ def _generator_columns(records: list, nu: int) -> tuple | None:
         ]
     except (AttributeError, TypeError, ValueError, OverflowError):
         return None
-    if any(c is None for c in columns) or sites.shape[1] != nu or {u.shape[3], w.shape[3]} != {2}:
+    if any(c is None for c in columns) or {u.shape[3], w.shape[3]} != {2}:
         return None
     return sites, diag, *(m.view(np.complex128)[..., 0] for m in (u, w))
 
@@ -417,26 +302,24 @@ def _flattened(column: list, depth: int, types: set) -> np.ndarray | None:
     return np.array(column, dtype=np.int64 if types == {int} else np.float64).reshape(shape)
 
 
-def _walk_generators(records: list, geometry: lattice.Zd, errors: list) -> tuple:
-    """The columns of ``_generator_columns`` read record by record, with
-    a message in ``errors`` for every faulty field; the diagonal and
-    matrix columns are lists of per-record arrays."""
-    sites, diags, us, ws = [], [], [], []
-    for k, rec in enumerate(records):
-        where = f"model.vectors.sites[{k}]"
-        if not isinstance(rec, dict):
-            errors.append(f"{where}: expected an object")
-            continue
-        site = geometry.decode(rec.get("site"), f"{where}.site", errors)
-        diag_raw = rec.get("D_H")
-        if not isinstance(diag_raw, list) or not all(_is_number(v) for v in diag_raw):
-            errors.append(f"{where}.D_H: expected an array of reals")
-            continue
-        sites.append(site)
-        diags.append(np.asarray(diag_raw, float))
-        us.append(decode_matrix(rec.get("U"), f"{where}.U", errors))
-        ws.append(decode_matrix(rec.get("W"), f"{where}.W", errors))
-    return sites, diags, us, ws
+def _site(value):
+    """A site that plainly is one by its schema (a string, an int, or a
+    non-empty array of ints), as it is; None for any other, which the
+    schema check then walks."""
+    kind = type(value)
+    return value if kind is str or kind is int or (kind is list and value and set(map(type, value)) == {int}) else None
+
+
+#: The decoder of each ``$ref`` that the schema check hands a value to
+#: first: what it returns stands for the value, which is walked only when
+#: the decoder refuses it.
+DECODERS = {
+    "defs.schema.json#/$defs/complex": functools.partial(_pairs, depth=0),
+    "defs.schema.json#/$defs/vector": functools.partial(_pairs, depth=1),
+    "defs.schema.json#/$defs/matrix": functools.partial(_pairs, depth=2),
+    "defs.schema.json#/$defs/site": _site,
+    "model.schema.json#/$defs/generator_sites": _generator_columns,
+}
 
 
 def _read_json(path, what: str):
@@ -460,35 +343,24 @@ def _read_json(path, what: str):
         raise ValidationError(f"{what} file {path} nests too deeply to parse") from exc
 
 
-def _collector_paused(load: Callable) -> Callable:
-    """``load`` with the cyclic garbage collector paused while it runs,
-    and restored to its earlier state (enabled or not) however it ends.
-
-    A decoded JSON file is a tree of lists and dicts without reference
-    cycles, tens of thousands of them for a large model, which reference
-    counting frees when ``load`` returns.  Unpaused, the collector sweeps
-    them again and again while they are decoded and validated; a pause
-    that ended before the drop would leave it one whole-tree sweep.
-    """
-
-    @functools.wraps(load)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return load(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
+def _load(parse: Callable, path, what: str, *args):
+    """``parse`` of the JSON file ``path`` holding ``what``, with the cyclic
+    garbage collector paused from the decode until the decoded tree is
+    dropped, and left enabled or not as it was, however the load ends.
+    The tree holds no cycle, but tens of thousands of lists and dicts for
+    a large model, which an unpaused collector would sweep again and again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(_read_json(path, what), *args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
-@_collector_paused
 def load_model(path) -> ModelSpec:
-    """Read and validate a model file, with the collector paused from the
-    decode until the decoded tree is dropped (``_collector_paused``)."""
-    return parse_model(_read_json(path, "model"))
+    """Read and validate a model file (``_load``)."""
+    return _load(parse_model, path, "model")
 
 
 # ---------------------------------------------------------------------------
@@ -496,36 +368,22 @@ def load_model(path) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def parse_observable(data: dict, geometry) -> LocalObservable:
+def parse_observable(data, geometry) -> LocalObservable:
+    """Check raw JSON data against the observable schema, and its region's
+    sites against ``geometry``, collecting every fault."""
+    decoded = _checked(data, "observable")
     errors: list[str] = []
-    if not isinstance(data, dict):
-        raise ValidationError("observable: top level must be a JSON object")
-    region_raw = _require(data, "region", list, "observable", errors, [])
-    region = tuple(
-        geometry.decode(s, f"observable.region[{k}]", errors)
-        for k, s in enumerate(region_raw)
-    )
-    factors_raw = _require(data, "factors", list, "observable", errors, [])
-    factors = tuple(
-        decode_matrix(m, f"observable.factors[{k}]", errors)
-        for k, m in enumerate(factors_raw)
-    )
+    region = _sites(data["region"], geometry, "observable.region[{}]", errors)
+    factors = [_matrix(decoded, "observable", errors, ("factors", k)) for k in range(len(data["factors"]))]
     if len(region) != len(factors):
-        errors.append(
-            f"observable: {len(region)} region sites vs {len(factors)} factors"
-        )
-    if errors:
-        raise ValidationError(
-            "observable validation failed:\n  " + "\n  ".join(errors)
-        )
-    return LocalObservable(region, factors)
+        errors.append(f"observable: {len(region)} region sites vs {len(factors)} factors")
+    _refuse("observable", errors)
+    return LocalObservable(tuple(region), tuple(factors))
 
 
-@_collector_paused
 def load_observable(path, geometry) -> LocalObservable:
-    """Read and validate an observable file, with the collector paused as
-    ``load_model`` pauses it."""
-    return parse_observable(_read_json(path, "observable"), geometry)
+    """Read and validate an observable file (``_load``)."""
+    return _load(parse_observable, path, "observable", geometry)
 
 
 def parse_region(text: str, geometry) -> tuple:

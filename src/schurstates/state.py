@@ -50,7 +50,7 @@ class LocalObservable:
                     raise DimensionError(
                         f"factor at site {s!r} has shape {f.shape}, expected {(d, d)}"
                     )
-                if not np.all(np.isfinite(f)):
+                if not np.isfinite(f).all():
                     raise ValidationError(f"factor at site {s!r} has non-finite entries")
 
     def _place(self, region: tuple, factors: tuple) -> None:

@@ -143,9 +143,9 @@ class TestEval:
 
 class TestNonFiniteModelNumbers:
     """Python's JSON reader accepts NaN and Infinity; a model file holding
-    one is refused where its matrix or vector is decoded, before any norm
-    is formed, so stderr holds the validation error alone (no numpy
-    warning) and names the entry."""
+    one in a matrix or vector is refused by the schema check, which counts
+    neither as a number, before any norm is formed, so stderr holds the
+    validation error alone (no numpy warning) and names the entry."""
 
     @staticmethod
     def explicit():
@@ -159,7 +159,7 @@ class TestNonFiniteModelNumbers:
                 {"site": "w", "vectors": vectors},
                 {"site": "x", "vectors": encode_matrix(np.eye(2))},
             ]},
-        }, "model.vectors.by_site[0].vectors[1][1]: non-finite number in [inf, 0.0]"
+        }, "model.vectors.by_site[0].vectors[1][1][0]: expected number, got inf"
 
     @staticmethod
     def homogeneous():
@@ -170,7 +170,7 @@ class TestNonFiniteModelNumbers:
             "fiber_dim": 2,
             "index_size": 2,
             "vectors": {"mode": "homogeneous", "reference": reference},
-        }, "model.vectors.reference[0][1]: non-finite number in [0.0, nan]"
+        }, "model.vectors.reference[0][1][1]: expected number, got nan"
 
     @staticmethod
     def perturbed():
@@ -178,8 +178,8 @@ class TestNonFiniteModelNumbers:
         data["vectors"]["directions"][1][0] = [float("-inf"), 0.0]
         data["vectors"]["base"][1] = [0.0, float("nan")]
         return data, (
-            "model.vectors.base[1]: non-finite number in [0.0, nan]\n"
-            "  model.vectors.directions[1][0]: non-finite number in [-inf, 0.0]"
+            "model.vectors.base[1][1]: expected number, got nan\n"
+            "  model.vectors.directions[1][0][0]: expected number, got -inf"
         )
 
     @pytest.mark.parametrize("mode", ["explicit", "homogeneous", "perturbed"])

@@ -2,10 +2,11 @@
 models.
 
 The expected values were captured from the eigendecomposition build
-(two ``hermitian_function`` calls per site, per-entry decoding), and
-those of the site-field faults from the per-record loader, and are held
-fixed: the stacked closed-form build and the column loader must report
-the same first fault with the same text and exit code.  Two cases were
+(two ``hermitian_function`` calls per site, per-entry decoding) and are
+held fixed: the stacked closed-form build and the column loader must
+report the same first fault with the same text and exit code.  Those of
+the field faults are the schema check's, which walks a table that the
+column loader refuses and names every faulty field.  Two cases were
 faults of the per-record loader: ``diag_longer_than_fiber_dim`` built a
 three-dimensional family for ``fiber_dim`` 2 (and failed only on the
 observable), and ``diag_empty`` raised a traceback.
@@ -106,55 +107,55 @@ PAST_FLOAT = 10**400
 VALIDATION = {
     "u_entry_true": (
         set_entry(0, "U", 0, 0, True), 1,
-        FAILED + "model.vectors.sites[0].U[0][0]: expected [re, im], got True\n",
+        FAILED + "model.vectors.sites[0].U[0][0]: expected array, got boolean\n",
     ),
     "u_pair_with_true": (
         set_entry(0, "U", 0, 0, [True, 0.0]), 1,
-        FAILED + "model.vectors.sites[0].U[0][0]: expected [re, im], got [True, 0.0]\n",
+        FAILED + "model.vectors.sites[0].U[0][0][0]: expected number, got boolean\n",
     ),
     "u_pair_of_ints_with_false": (
         set_entry(0, "U", 1, 0, [0, False]), 1,
-        FAILED + "model.vectors.sites[0].U[1][0]: expected [re, im], got [0, False]\n",
+        FAILED + "model.vectors.sites[0].U[1][0][1]: expected number, got boolean\n",
     ),
     "u_entry_string": (
         set_entry(0, "U", 1, 1, "0.6"), 1,
-        FAILED + "model.vectors.sites[0].U[1][1]: expected [re, im], got '0.6'\n",
+        FAILED + "model.vectors.sites[0].U[1][1]: expected array, got string\n",
     ),
     "u_pair_with_string": (
         set_entry(0, "U", 1, 1, ["0.6", 0.0]), 1,
-        FAILED + "model.vectors.sites[0].U[1][1]: expected [re, im], got ['0.6', 0.0]\n",
+        FAILED + "model.vectors.sites[0].U[1][1][0]: expected number, got string\n",
     ),
     "u_pair_with_null": (
         set_entry(2, "U", 1, 0, [None, 0.0]), 1,
-        FAILED + "model.vectors.sites[2].U[1][0]: expected [re, im], got [None, 0.0]\n",
+        FAILED + "model.vectors.sites[2].U[1][0][0]: expected number, got null\n",
     ),
     "u_short_row": (
         drop_last_entry(1, "U", 1), 1,
-        FAILED + "model.vectors.sites[1].U: row 1 has length 1, expected 2\n",
+        FAILED + "model.vectors.sites[1].U: rows differ in length\n",
     ),
     "u_triple": (
         set_entry(0, "U", 0, 1, [0.0, 0.8, 0.0]), 1,
-        FAILED + "model.vectors.sites[0].U[0][1]: expected [re, im], got [0.0, 0.8, 0.0]\n",
+        FAILED + "model.vectors.sites[0].U[0][1]: length must be <= 2, got 3\n",
     ),
     "u_single": (
         set_entry(0, "U", 0, 1, [0.8]), 1,
-        FAILED + "model.vectors.sites[0].U[0][1]: expected [re, im], got [0.8]\n",
+        FAILED + "model.vectors.sites[0].U[0][1]: length must be >= 2, got 1\n",
     ),
     "u_entry_past_float": (
         set_entry(0, "U", 0, 0, [PAST_FLOAT, 0]), 1,
-        FAILED + f"model.vectors.sites[0].U[0][0]: expected [re, im], got [{PAST_FLOAT}, 0]\n",
+        FAILED + f"model.vectors.sites[0].U[0][0][0]: expected number, got {PAST_FLOAT}\n",
     ),
     "w_entry_true": (
         set_entry(2, "W", 1, 0, True), 1,
-        FAILED + "model.vectors.sites[2].W[1][0]: expected [re, im], got True\n",
+        FAILED + "model.vectors.sites[2].W[1][0]: expected array, got boolean\n",
     ),
     "u_not_nested": (
         set_field(0, "U", "identity"), 1,
-        FAILED + "model.vectors.sites[0].U: expected a non-empty nested array\n",
+        FAILED + "model.vectors.sites[0].U: expected array, got string\n",
     ),
     "u_empty": (
         set_field(0, "U", []), 1,
-        FAILED + "model.vectors.sites[0].U: expected a non-empty nested array\n",
+        FAILED + "model.vectors.sites[0].U: length must be >= 1, got 0\n",
     ),
     "u_wrong_shape": (
         set_field(1, "U", IDENTITY_3), 1,
@@ -166,8 +167,8 @@ VALIDATION = {
     ),
     "bad_w_early_bad_u_later_decode": (
         both(set_entry(0, "W", 0, 0, [1.0]), set_entry(2, "U", 1, 0, None)), 1,
-        FAILED + "model.vectors.sites[0].W[0][0]: expected [re, im], got [1.0]\n"
-        "  model.vectors.sites[2].U[1][0]: expected [re, im], got None\n",
+        FAILED + "model.vectors.sites[0].W[0][0]: length must be >= 2, got 1\n"
+        "  model.vectors.sites[2].U[1][0]: expected array, got null\n",
     ),
     "bad_w_early_bad_u_later_isometry": (
         both(set_field(0, "W", NOT_UNITARY), set_field(2, "U", NOT_UNITARY)), 1,
@@ -191,23 +192,23 @@ VALIDATION = {
     ),
     "diag_bool": (
         set_field(1, "D_H", [True, 0.2]), 1,
-        FAILED + "model.vectors.sites[1].D_H: expected an array of reals\n",
+        FAILED + "model.vectors.sites[1].D_H[0]: expected number, got boolean\n",
     ),
     "diag_past_float": (
         set_field(2, "D_H", [0.5, -PAST_FLOAT]), 1,
-        FAILED + "model.vectors.sites[2].D_H: expected an array of reals\n",
+        FAILED + f"model.vectors.sites[2].D_H[1]: expected number, got {-PAST_FLOAT}\n",
     ),
     "decode_error_and_beyond_radius": (
         both(set_entry(0, "U", 0, 0, "x"), set_field(1, "site", [5])), 1,
-        FAILED + "model.vectors.sites[0].U[0][0]: expected [re, im], got 'x'\n",
+        FAILED + "model.vectors.sites[0].U[0][0]: expected array, got string\n",
     ),
     "site_true": (
         set_field(1, "site", [True]), 1,
-        FAILED + "model.vectors.sites[1].site: expected 1 integer coordinates, got [True]\n",
+        FAILED + "model.vectors.sites[1].site[0]: expected integer, got boolean\n",
     ),
     "site_fraction": (
         set_field(1, "site", [1.5]), 1,
-        FAILED + "model.vectors.sites[1].site: expected 1 integer coordinates, got [1.5]\n",
+        FAILED + "model.vectors.sites[1].site[0]: expected integer, got number\n",
     ),
     "site_two_coordinates": (
         set_field(1, "site", [0, 0]), 1,
@@ -221,11 +222,11 @@ VALIDATION = {
     "site_integral_float": (set_field(1, "site", [2.0]), 0, ""),
     "site_missing": (
         drop_field(1, "site"), 1,
-        FAILED + "model.vectors.sites[1].site: expected 1 integer coordinates, got None\n",
+        FAILED + "model.vectors.sites[1]: missing required field 'site'\n",
     ),
     "record_not_object": (
         set_record(1, [0]), 1,
-        FAILED + "model.vectors.sites[1]: expected an object\n",
+        FAILED + "model.vectors.sites[1]: expected object, got array\n",
     ),
     "site_twice": (
         set_field(2, "site", [0]), 1,
@@ -233,7 +234,7 @@ VALIDATION = {
     ),
     "diag_string": (
         set_field(1, "D_H", "0.1"), 1,
-        FAILED + "model.vectors.sites[1].D_H: expected an array of reals\n",
+        FAILED + "model.vectors.sites[1].D_H: expected array, got string\n",
     ),
     "no_sites": (
         set_sites([]), 1,

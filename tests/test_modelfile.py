@@ -75,15 +75,15 @@ class TestLoadModel:
             "index_size": 2,
             "vectors": {"mode": "nonsense"},
         }
-        try:
+        with pytest.raises(ValidationError) as exc:
             load_model(write(tmp_path, "m.json", data))
-        except ValidationError as exc:
-            text = str(exc)
-            assert "empty site list" in text
-            assert "fiber_dim" in text
-            assert "mode" in text
-        else:
-            pytest.fail("expected a validation error")
+        assert str(exc.value) == (
+            "model validation failed:\n"
+            "  model.lattice.sites: length must be >= 1, got 0\n"
+            "  model.fiber_dim: must be >= 1, got 0\n"
+            "  model.vectors.mode: expected one of 'explicit', 'homogeneous', 'generators', "
+            "'perturbed', got 'nonsense'"
+        )
 
     def test_generator_roundtrip(self, tmp_path):
         from schurstates.modelfile import encode_matrix
@@ -265,12 +265,12 @@ class TestLoadModel:
                 ],
             },
         }
-        # refused where the block is decoded, without a stand-in zero vector
+        # refused by the schema check, as no number, without a stand-in zero vector
         with pytest.raises(ValidationError) as exc:
             load_model(write(tmp_path, "e.json", data))
         assert str(exc.value) == (
             "model validation failed:\n"
-            "  model.vectors.by_site[1].vectors[0][0]: non-finite number in [nan, 0.0]"
+            "  model.vectors.by_site[1].vectors[0][0][0]: expected number, got nan"
         )
 
 
@@ -289,8 +289,10 @@ class TestLoadModel:
         }
         with pytest.raises(ValidationError) as exc:
             load_model(write(tmp_path, "e.json", data))
-        assert str(exc.value).count("by_site[1].site") == 1
-        assert "site must be a string or int" in str(exc.value)
+        assert str(exc.value) == (
+            "model validation failed:\n"
+            "  model.vectors.by_site[1].site: expected a string or integer name, got [1]"
+        )
 
 
 def model_file(name):
@@ -328,7 +330,7 @@ STRUCTURE_FAULTS = {
     ),
     "by_site_not_object": (
         explicit_sites(["a"], [["a", EYE]]),
-        "model.vectors.by_site[0]: expected an object",
+        "model.vectors.by_site[0]: expected object, got array",
     ),
     "explicit_block_shape": (
         explicit_sites(["a"], [{"site": "a", "vectors": EYE[:1]}]),
@@ -336,27 +338,34 @@ STRUCTURE_FAULTS = {
     ),
     "explicit_block_not_array": (
         explicit_sites(["a"], [{"site": "a", "vectors": "x"}]),
-        "model.vectors.by_site[0].vectors: expected a non-empty nested array",
+        "model.vectors.by_site[0].vectors: expected array, got string",
     ),
     "reference_shape": (
         {**minimal_homogeneous(), "vectors": {"mode": "homogeneous", "reference": EYE[:1]}},
         "model.vectors.reference: shape (1, 2) != (2, 2)",
     ),
-    # a vector field that is not an array is reported once, by the field
+    # a vector field that is not an array is reported once, by the schema
     # check: it is neither decoded nor measured
     "perturbed_base_not_array": (
         {
             **model_file("perturbed_z2.json"),
             "vectors": {**model_file("perturbed_z2.json")["vectors"], "base": {"re": 1.0}},
         },
-        "model.vectors.base: expected list, got dict",
+        "model.vectors.base: expected array, got object",
     ),
     "perturbed_directions_not_array": (
         {
             **model_file("perturbed_z2.json"),
             "vectors": {**model_file("perturbed_z2.json")["vectors"], "directions": "x"},
         },
-        "model.vectors.directions: expected list, got str",
+        "model.vectors.directions: expected array, got string",
+    ),
+    "perturbed_base_length": (
+        {
+            **model_file("perturbed_z2.json"),
+            "vectors": {**model_file("perturbed_z2.json")["vectors"], "base": [[1.0, 0.0]]},
+        },
+        "model.vectors.base: shape (1,) != (2,)",
     ),
     "perturbed_base_missing": (
         {
@@ -367,12 +376,12 @@ STRUCTURE_FAULTS = {
     ),
     "reference_not_array": (
         {**minimal_homogeneous(), "vectors": {"mode": "homogeneous", "reference": 1.0}},
-        "model.vectors.reference: expected list, got float",
+        "model.vectors.reference: expected array, got number",
     ),
-    # a field that fails in its decoding is not measured either
+    # a field that fails its schema inside is not measured either
     "reference_not_decoded": (
         {**minimal_homogeneous(), "vectors": {"mode": "homogeneous", "reference": [1.0]}},
-        "model.vectors.reference: expected a non-empty nested array",
+        "model.vectors.reference[0]: expected array, got number",
     ),
 }
 
@@ -385,11 +394,13 @@ def test_structure_fault_refused(data, message):
 
 
 def test_top_level_array_refused():
-    with pytest.raises(ValidationError, match="^model: top level must be a JSON object$"):
+    with pytest.raises(ValidationError) as exc:
         modelfile.parse_model([minimal_homogeneous()])
+    assert str(exc.value) == "model validation failed:\n  model: expected object, got array"
     obs = {"region": ["a"], "factors": [EYE]}
-    with pytest.raises(ValidationError, match="^observable: top level must be a JSON object$"):
+    with pytest.raises(ValidationError) as exc:
         parse_observable([obs], Sites(("a",)))
+    assert str(exc.value) == "observable validation failed:\n  observable: expected object, got array"
 
 
 class TestCollectorPause:
@@ -487,14 +498,18 @@ class TestObservable:
             )
         assert str(exc.value) == (
             "observable validation failed:\n"
-            f"  observable.factors[0][0][1]: expected [re, im], got [0.0, {-big}]"
+            f"  observable.factors[0][0][1][1]: expected number, got {-big}"
         )
 
     def test_bad_complex_pair(self):
-        with pytest.raises(ValidationError, match=r"expected \[re, im\]"):
+        with pytest.raises(ValidationError) as exc:
             parse_observable(
                 {"region": [[0]], "factors": [[[1.0, [0, 0]]]]}, Zd(1)
             )
+        assert str(exc.value) == (
+            "observable validation failed:\n"
+            "  observable.factors[0][0][0]: expected array, got number"
+        )
 
 
 class TestParseRegion:
@@ -524,7 +539,7 @@ class TestParseRegion:
 
 class TestDecodeMatrix:
     """A numeric nest of [re, im] pairs takes one array conversion; the
-    entry-by-entry walk is its oracle and writes every message."""
+    schema check walks anything else, and alone writes messages."""
 
     @staticmethod
     def walked(rows):
@@ -537,21 +552,29 @@ class TestDecodeMatrix:
         rows = [
             [[0.1, -0.0], [3, -2], [2**60 + 1, 0.5]],
             [[1e300, 5e-324], [-7, 0.25], [-0.0, 1e-300]],
+            [[2**70, 0], [1, 2], [0.5, 0.25]],
         ]
-        errors = []
-        got = modelfile.decode_matrix(rows, "m", errors)
-        assert errors == []
-        assert got.dtype == np.complex128 and got.shape == (2, 3)
+        got = modelfile._pairs(rows, 2)
+        assert got.dtype == np.complex128 and got.shape == (3, 3) and got.flags.c_contiguous
         assert np.array_equal(got.view(np.int64), self.walked(rows).view(np.int64))
-        # one array owning its data, not a chain of views
-        assert got.base is None and got.flags.c_contiguous
+        # what a file holds reaches the parser as this array
+        obs = parse_observable({"region": [[0]], "factors": [rows]}, Zd(1))
+        assert obs.factors[0].tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("value", [True, False])
     def test_bools_are_walked(self, value):
-        for rows in ([[[1.0, value]]], [[[value, value]]], [[value]]):
-            errors = []
-            modelfile.decode_matrix(rows, "m", errors)
-            assert errors == [f"m[0][0]: expected [re, im], got {rows[0][0]!r}"]
+        cases = [
+            ([[[1.0, value]]], ["[0][0][1]: expected number"]),
+            ([[[value, value]]], ["[0][0][0]: expected number", "[0][0][1]: expected number"]),
+            ([[value]], ["[0][0]: expected array"]),
+        ]
+        for rows, faults in cases:
+            assert modelfile._pairs(rows, 2) is None
+            with pytest.raises(ValidationError) as exc:
+                parse_observable({"region": [[0]], "factors": [rows]}, Zd(1))
+            assert str(exc.value) == "observable validation failed:" + "".join(
+                f"\n  observable.factors[0]{fault}, got boolean" for fault in faults
+            )
 
 
 def generator_model(spec) -> dict:
@@ -596,36 +619,56 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+#: The ``$ref`` of the generator site table, and of a matrix.
+TABLE = "model.schema.json#/$defs/generator_sites"
+MATRIX = "defs.schema.json#/$defs/matrix"
+
+
+def counted(monkeypatch, ref) -> list:
+    """The values handed to the decoder of ``ref``, recorded."""
+    calls = []
+    decode = modelfile.DECODERS[ref]
+    monkeypatch.setitem(modelfile.DECODERS, ref, lambda value: calls.append(value) or decode(value))
+    return calls
+
+
+def outcome(data):
+    """``parse_model``'s verdict on ``data``: its message, or the certificate
+    and the table of the family it builds."""
+    try:
+        spec = modelfile.parse_model(copy.deepcopy(data))
+    except ValidationError as exc:
+        return str(exc)
+    table = spec.family().table
+    return (spec.summability_certificate, list(table.rows.items()),
+            *(a.tobytes() for a in (table.vectors, table.grams, table.radii)))
+
+
+def walked_outcome(data, monkeypatch):
+    """``outcome`` with the column conversion refusing every table, which
+    the schema check then walks and the parser reads record by record."""
+    with monkeypatch.context() as m:
+        m.setitem(modelfile.DECODERS, TABLE, lambda records: None)
+        return outcome(data)
+
+
 class TestGeneratorRoutes:
     """A generator table is read as columns, one array conversion per
-    field; the per-record walk, which alone writes per-field messages,
-    is its oracle."""
-
-    @staticmethod
-    def counted(monkeypatch, name) -> list:
-        """The second argument of every call of ``modelfile.<name>``."""
-        calls = []
-        original = getattr(modelfile, name)
-
-        def counted(*args):
-            calls.append(args[1])
-            return original(*args)
-
-        monkeypatch.setattr(modelfile, name, counted)
-        return calls
+    field, and not walked; the schema check's walk and the record-by-
+    record read, which alone write per-field messages, are its oracle."""
 
     @pytest.mark.parametrize(
         "model", [(1, 2), (2, 3), "limit_gen"], ids=["nu1", "nu2", "limit_gen"]
     )
     def test_walk_is_bit_identical(self, model, monkeypatch):
         data = limit_gen_model() if model == "limit_gen" else seeded_generator_model(*model)
-        walks = self.counted(monkeypatch, "_walk_generators")
-        entries = self.counted(monkeypatch, "decode_complex")
+        tables = counted(monkeypatch, TABLE)
+        matrices = counted(monkeypatch, MATRIX)
         stacked = modelfile.parse_model(data)
-        assert walks == entries == []
-        monkeypatch.setattr(modelfile, "_generator_columns", lambda records, nu: None)
+        assert len(tables) == 1 and matrices == []
+        monkeypatch.setitem(modelfile.DECODERS, TABLE, lambda records: None)
         walked = modelfile.parse_model(data)
-        assert len(walks) == 1
+        assert len(matrices) == 2 * len(data["vectors"]["sites"])
         assert walked.summability_certificate == stacked.summability_certificate
         fams = stacked.family(), walked.family()
         for rec in data["vectors"]["sites"]:
@@ -639,10 +682,13 @@ class TestGeneratorRoutes:
     def test_one_bool_sends_the_table_to_the_walk(self, monkeypatch):
         data = seeded_generator_model(1, 2)
         data["vectors"]["sites"][3]["U"][1][0] = [True, 0.0]
-        calls = self.counted(monkeypatch, "decode_complex")
-        with pytest.raises(ValidationError, match=r"sites\[3\]\.U\[1\]\[0\]: expected \[re, im\]"):
+        matrices = counted(monkeypatch, MATRIX)
+        with pytest.raises(ValidationError) as exc:
             modelfile.parse_model(data)
-        assert "model.vectors.sites[3].U[1][0]" in calls
+        assert str(exc.value) == (
+            "model validation failed:\n  model.vectors.sites[3].U[1][0][0]: expected number, got boolean"
+        )
+        assert len(matrices) == 2 * len(data["vectors"]["sites"])
 
 
 def _set(path, value):
@@ -707,22 +753,18 @@ TABLE_EDITS = {
 
 
 class TestColumnLoader:
-    """The flattening column loader against the per-record walk: on any
-    table it returns None, and the walk then writes its messages, or the
-    walk's columns bit for bit."""
+    """The flattening column loader against the schema check's walk and
+    the record-by-record read: on any table it returns None, and the
+    walk then writes its messages, or columns from which the parser
+    reaches the walk's verdict, or family, bit for bit."""
 
     @pytest.mark.parametrize("edit", TABLE_EDITS.values(), ids=TABLE_EDITS.keys())
-    def test_none_or_the_walks_columns(self, edit):
-        records = seeded_generator_model(2, 2)["vectors"]["sites"]
-        edit(records)
-        columns = modelfile._generator_columns(records, 2)
-        if columns is None:
+    def test_none_or_the_walks_columns(self, edit, monkeypatch):
+        data = seeded_generator_model(2, 2)
+        edit(data["vectors"]["sites"])
+        if modelfile._generator_columns(data["vectors"]["sites"]) is None:
             return
-        errors = []
-        walked = modelfile._walk_generators(records, Zd(2), errors)
-        assert errors == []
-        for got, want in zip(columns, walked):
-            assert same_bits(got, np.array(want))
+        assert outcome(data) == walked_outcome(data, monkeypatch)
 
     @pytest.mark.parametrize(
         "name, taken",
@@ -733,13 +775,26 @@ class TestColumnLoader:
     def test_which_tables_are_taken(self, name, taken):
         records = seeded_generator_model(2, 2)["vectors"]["sites"]
         TABLE_EDITS[name](records)
-        assert (modelfile._generator_columns(records, 2) is not None) == taken
+        assert (modelfile._generator_columns(records) is not None) == taken
 
-    def test_untouched_table_is_taken(self):
+    def test_untouched_table_is_taken(self, monkeypatch):
         data = seeded_generator_model(2, 2)
         records = data["vectors"]["sites"]
-        sites, diag, u, w = modelfile._generator_columns(records, 2)
-        walked = modelfile._walk_generators(records, Zd(2), [])
-        for got, want in zip((sites, diag, u, w), walked):
-            assert same_bits(got, np.array(want))
+        sites, diag, u, w = modelfile._generator_columns(records)
         assert sites.shape == (len(records), 2) and u.shape == (len(records), 2, 2)
+        assert isinstance(outcome(data), tuple)
+        assert outcome(data) == walked_outcome(data, monkeypatch)
+
+    def test_sites_of_another_dimension_are_named(self, monkeypatch):
+        # a table the columns take, but whose sites have one coordinate
+        # too many for the lattice: each is named, as the walk names it
+        data = seeded_generator_model(2, 2)
+        data["lattice"]["nu"] = 1
+        message = outcome(data)
+        assert message == walked_outcome(data, monkeypatch)
+        lines = message.split("\n  ")
+        assert lines[:2] == [
+            "model validation failed:",
+            f"model.vectors.sites[0].site: expected 1 integer coordinates, got {data['vectors']['sites'][0]['site']!r}",
+        ]
+        assert len(lines) == 1 + len(data["vectors"]["sites"])

@@ -1,5 +1,6 @@
 """numpy is the package's only runtime dependency: the CLI runs with every
-test-only package made unimportable."""
+test-only package made unimportable, on every README command that reads a
+model or observable file, so that the schema check needs no jsonschema."""
 
 import os
 import subprocess
@@ -41,8 +42,21 @@ sys.exit(main(sys.argv[1:]))
             "--observable", str(MODELS / "observable_site0_z1.json"),
             "--region", "0;1;-1", "--check-projectivity",
         ],
+        [
+            "eval",
+            "--model", str(MODELS / "orthonormal.json"),
+            "--observable", str(MODELS / "observable_identity.json"),
+            "--region", "w;x;y",
+        ],
+        [
+            "mixing-scan",
+            "--model", str(MODELS / "perturbed_z2.json"),
+            "--observable", str(MODELS / "observable_near.json"),
+            "--observable-far", str(MODELS / "observable_far.json"),
+            "--format", "csv", "--tmax", "40",
+        ],
     ],
-    ids=["selftest", "readme-limit"],
+    ids=["selftest", "readme-limit", "readme-eval", "readme-mixing-scan"],
 )
 def test_cli_runs_without_test_only_packages(argv, tmp_path):
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
