@@ -462,12 +462,15 @@ class FiberFamily:
         """The read-only (SHELL_BLOCK, d_I, d_I) stack whose row j is
         ``shell_grams(k)[j]`` to the power of the geometry's size of
         sphere k * SHELL_BLOCK + j: each whole shell's product, formed
-        the first time it is asked for and kept (radial families only)."""
+        the first time it is asked for and kept (radial families only);
+        one past the float range, or of an ``inf`` size, is past any site
+        cap, read by no walk, and formed without a warning."""
         powers = self._powers.get(k)
         if powers is None:
             start = k * SHELL_BLOCK
             sizes = self.geometry.sphere_sizes(start, start + SHELL_BLOCK)
-            powers = self._powers[k] = _frozen(self.shell_grams(k) ** sizes[:, None, None])
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers = self._powers[k] = _frozen(self.shell_grams(k) ** sizes[:, None, None])
         return powers
 
     # -- constructors -------------------------------------------------

@@ -27,6 +27,7 @@ import itertools
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -74,9 +75,12 @@ def shell_size(nu: int, r: int) -> int:
 @functools.lru_cache(maxsize=SHELL_CACHE_SIZE)
 def shell_sizes(nu: int, start: int, stop: int) -> np.ndarray:
     """``shell_size(nu, r)`` for r = start, ..., stop - 1, as one read-only
-    float64 array (cached): exact below 2**53, and a float so that no
-    count overflows."""
-    sizes = np.array([shell_size(nu, r) for r in range(start, stop)], dtype=float)
+    float64 array (cached): exact below 2**53, and ``inf`` from the first
+    count past the float range on, since the counts grow with r."""
+    counts = (shell_size(nu, r) for r in range(start, stop))
+    finite = list(itertools.takewhile(sys.float_info.max.__ge__, counts))
+    sizes = np.full(stop - start, math.inf)
+    sizes[: len(finite)] = finite
     sizes.setflags(write=False)
     return sizes
 

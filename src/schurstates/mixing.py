@@ -426,8 +426,9 @@ def decaying_perturbation_family(
     # shells.  The first stack, radii 0 to 255, is the family's own first
     # four blocks, built as one run (``FiberFamily.shell_gram_run``) that
     # a walk reads again; later ones are formed here and dropped.  A profile
-    # not that quiet by radius SITE_CAP, which no capped walk passes, gets
-    # no certificate; one whose near zone reaches that radius is not
+    # not that quiet by radius SITE_CAP, which no capped walk passes, or by
+    # the first sphere whose size is past the float range, gets no
+    # certificate; one whose near zone reaches radius SITE_CAP is not
     # tabulated at all.
     quiet_after = max(3, near_radius) if near_amplitude is not None else 3
     masses = []
@@ -440,14 +441,18 @@ def decaying_perturbation_family(
             grams = v @ v.conj().swapaxes(-1, -2)
         else:
             grams = family.shell_gram_run(0, size // SHELL_BLOCK)
-        radii = np.arange(start, stop)
-        chunk = family.geometry.sphere_sizes(start, stop) * np.abs(grams - 1.0).max(axis=(-2, -1))
-        quiet = np.flatnonzero((radii > quiet_after) & (chunk < 1e-30))
+        sizes = family.geometry.sphere_sizes(start, stop)
+        n = np.count_nonzero(np.isfinite(sizes))  # the sizes grow with the radius
+        with np.errstate(over="ignore"):  # a mass past the float range bounds as inf
+            chunk = sizes[:n] * np.abs(grams[:n] - 1.0).max(axis=(-2, -1))
+        quiet = np.flatnonzero((np.arange(start, start + n) > quiet_after) & (chunk < 1e-30))
         if quiet.size:
             masses.extend(chunk[: quiet[0] + 1].tolist())
             beyond = 1e-28
             break
         masses.extend(chunk.tolist())
+        if n < len(sizes):
+            break
         start, size = stop, min(2 * size, 4096)
 
     table = tail_remaining(masses, beyond)

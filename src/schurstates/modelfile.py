@@ -13,12 +13,15 @@ lattice family: a base vector, direction vectors and a decay profile).
 
 A file is checked against its schema first, which reports every fault
 of its structure as ``<JSON path>: <fault>``, as in
-``model.lattice.nu: must be >= 1, got 0``, and decodes its matrices,
-vectors and generator site table, each by one array conversion.  The
+``model.lattice.nu: must be >= 1, got 0``.  Its decoders are one array
+conversion (``_array``), for each matrix, vector and generator column:
+what that refuses, a NaN or Infinity included, the check walks and names
+by its path.  Sites are read as the file holds them (``_sites``).  The
 parser then judges only what a schema cannot say: shapes against
 ``fiber_dim``/``index_size``, declared and duplicate sites, a site's form
 for its geometry, ``d == d_I`` and the lattice kind each mode needs, and
-the generator columns.  A sound file builds its family once, here, and
+the generator columns; an observable's own checks are reported under
+``observable``.  A sound file builds its family once, here, and
 the values of its vectors are judged by that build alone
 (``kernel.check_vectors``), which names the first faulty vector under
 ``model.vectors``.
@@ -29,7 +32,6 @@ import functools
 import gc
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,24 +70,34 @@ def encode_matrix(m) -> list:
     return [[encode_complex(z) for z in row] for row in m]
 
 
-def _pairs(value, depth: int) -> np.ndarray | None:
-    """``value``, arrays nested ``depth`` deep around [re, im] pairs of
-    finite JSON numbers, as one complex array by one conversion; None for
-    anything else (a bool included), which the schema check then walks,
-    and for a matrix whose rows differ in length, which its schema allows."""
+def _array(value, depth: int, integer: bool = False) -> np.ndarray | None:
+    """``value``, lists nested ``depth`` deep around finite JSON numbers
+    (ints alone if ``integer``), as one float64 (int64) array: one
+    ``set(map(len, ...))`` per level, one check of the leaves' types
+    (numpy would read a bool as 1) and one conversion; None for anything
+    else, an int past the dtype included, which the schema check walks."""
+    leaves, shape = [value], []
     try:
-        leaves = value
         for _ in range(depth):
+            lengths = set(map(len, leaves))
+            # one length per level, and no str or dict where a list ends empty
+            if len(lengths) != 1 or 0 in lengths and set(map(type, leaves)) != {list}:
+                return None
+            shape.append(lengths.pop())
             leaves = list(itertools.chain.from_iterable(leaves))
-        # math.isfinite refuses every leaf but a number, a bool aside
-        if bool in map(type, leaves) or not all(map(math.isfinite, leaves)):
+        if not set(map(type, leaves)) <= ({int} if integer else {int, float}):
             return None
-        a = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+        a = np.array(leaves, dtype=np.int64 if integer else np.float64).reshape(shape)
+    except (TypeError, OverflowError):
         return None
-    if a.ndim != depth + 1 or a.shape[-1] != 2 or not a.size:
-        return None
-    return a.view(np.complex128)[..., 0]
+    return a if integer or np.count_nonzero(np.isfinite(a)) == a.size else None
+
+
+def _pairs(value, depth: int) -> np.ndarray | None:
+    """``value``, arrays nested ``depth`` deep around [re, im] pairs, as
+    one complex array (``_array``); None for anything else."""
+    a = _array(value, depth + 1)
+    return None if a is None or a.shape[-1] != 2 else a.view(np.complex128)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,67 +269,26 @@ def _check_normalization(family: FiberFamily) -> None:
         )
 
 
-#: (key, nesting depth, leaf types) of each field of a generator record.
-GENERATOR_FIELDS = (
-    ("site", 1, {int}),
-    ("D_H", 1, {int, float}),
-    ("U", 3, {int, float}),
-    ("W", 3, {int, float}),
-)
-
-
 def _generator_columns(records: list) -> tuple | None:
     """A generator site table as the columns of ``GeneratorSpec`` (sites,
-    diagonals, U, W), each field flattened once and converted by one
-    array conversion; or None, for the schema check to walk, for a table
-    that is ragged, holds anything but JSON numbers (a bool included), or
-    has a coordinate that is not an int literal (2.0 included) or lies
-    past int64.  Every table it takes is one the schema accepts."""
+    diagonals, U, W), each field converted by one ``_array`` call; or
+    None, for the schema check to walk, for a table that ``_array``
+    refuses in any field, a coordinate that is not an int literal (2.0
+    included) among them.  Every table it takes is one the schema accepts."""
     try:
-        sites, diag, u, w = columns = [
-            _flattened([rec.get(key) for rec in records], depth, types)
-            for key, depth, types in GENERATOR_FIELDS
-        ]
-    except (AttributeError, TypeError, ValueError, OverflowError):
+        sites, diag, u, w = ([rec.get(key) for rec in records] for key in ("site", "D_H", "U", "W"))
+    except (AttributeError, TypeError):
         return None
-    if any(c is None for c in columns) or {u.shape[3], w.shape[3]} != {2}:
-        return None
-    return sites, diag, *(m.view(np.complex128)[..., 0] for m in (u, w))
-
-
-def _flattened(column: list, depth: int, types: set) -> np.ndarray | None:
-    """A column of lists nested ``depth`` deep as one array: lists of one
-    length at each level, checked with one ``set(map(len, ...))`` per
-    level, and leaves all of the ``types`` (numpy would read a bool as 0
-    or 1); else None.  Integer leaves stay exact, past int64 refused."""
-    shape = [len(column)]
-    for _ in range(depth):
-        lengths = set(map(len, column))
-        if len(lengths) != 1:
-            return None
-        shape.append(lengths.pop())
-        column = list(itertools.chain.from_iterable(column))
-    if not set(map(type, column)) <= types:
-        return None
-    return np.array(column, dtype=np.int64 if types == {int} else np.float64).reshape(shape)
-
-
-def _site(value):
-    """A site that plainly is one by its schema (a string, an int, or a
-    non-empty array of ints), as it is; None for any other, which the
-    schema check then walks."""
-    kind = type(value)
-    return value if kind is str or kind is int or (kind is list and value and set(map(type, value)) == {int}) else None
+    columns = _array(sites, 2, integer=True), _array(diag, 2), _pairs(u, 3), _pairs(w, 3)
+    return None if any(c is None for c in columns) else columns
 
 
 #: The decoder of each ``$ref`` that the schema check hands a value to
 #: first: what it returns stands for the value, which is walked only when
 #: the decoder refuses it.
 DECODERS = {
-    "defs.schema.json#/$defs/complex": functools.partial(_pairs, depth=0),
     "defs.schema.json#/$defs/vector": functools.partial(_pairs, depth=1),
     "defs.schema.json#/$defs/matrix": functools.partial(_pairs, depth=2),
-    "defs.schema.json#/$defs/site": _site,
     "model.schema.json#/$defs/generator_sites": _generator_columns,
 }
 
@@ -370,15 +341,18 @@ def load_model(path) -> ModelSpec:
 
 def parse_observable(data, geometry) -> LocalObservable:
     """Check raw JSON data against the observable schema, and its region's
-    sites against ``geometry``, collecting every fault."""
+    sites against ``geometry``, collecting every fault; the observable's
+    own checks (``LocalObservable``: one factor per site, no site twice,
+    square factors of one size) report their fault under ``observable``."""
     decoded = _checked(data, "observable")
     errors: list[str] = []
     region = _sites(data["region"], geometry, "observable.region[{}]", errors)
     factors = [_matrix(decoded, "observable", errors, ("factors", k)) for k in range(len(data["factors"]))]
-    if len(region) != len(factors):
-        errors.append(f"observable: {len(region)} region sites vs {len(factors)} factors")
     _refuse("observable", errors)
-    return LocalObservable(tuple(region), tuple(factors))
+    try:
+        return LocalObservable(tuple(region), tuple(factors))
+    except ValidationError as exc:
+        _refuse("observable", [f"observable: {exc}"])
 
 
 def load_observable(path, geometry) -> LocalObservable:

@@ -3,8 +3,11 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -1084,6 +1087,52 @@ class TestPerturbedZ3AtSiteCap:
             "convergence error: boundary product did not settle within 1000000 sites\n"
         )
         assert elapsed < 1.0
+
+
+class TestSpheresPastTheFloatRange:
+    """On Z^400 and Z^(10^6) a sphere's site count passes the float range
+    at radius about 400 and 60: it reads as inf, the perturbed mass table
+    stops there with no certificate past it, and a walk stops at the site
+    cap as on Z^3, with no floating-point warning, which ``-W error``
+    would turn into a traceback.  On Z^(8 * 10^307) the sphere of radius
+    1 holds 1.6e308 sites, and its mass in a strong near zone is past the
+    float range too: it bounds as inf."""
+
+    CASES = {
+        "400": (400, {}, (
+            "[[1.+2.20116850e-12j 0.+0.00000000e+00j]\n"
+            " [0.+0.00000000e+00j 1.-4.38403102e-12j]]\n"
+            "tail estimate: 1.0142320548072504e+304\n"
+        )),
+        "10**6": (10**6, {}, (
+            "[[1.        +6.86147644e-18j 0.87509402+4.33706896e-01j]\n"
+            " [0.87509402-4.33706896e-01j 1.        -1.36658895e-17j]]\n"
+            "tail estimate: 1.0142320547350047e+304\n"
+        )),
+        "8*10**307": (8 * 10**307, {"near_amplitude": 10.0, "near_radius": 1}, (
+            "[[ 1.        -2.77679372e-18j -0.36465975+1.71604589e-01j]\n"
+            " [-0.36465975-1.71604589e-01j  1.        +1.18227552e-17j]]\n"
+            "tail estimate: 1.0142320547350045e+304\n"
+        )),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_limit_exits_2_at_the_site_cap(self, tmp_path, case):
+        nu, vectors, partial = self.CASES[case]
+        model = json.loads((MODELS / "perturbed_z2.json").read_text())
+        model["lattice"]["nu"] = nu
+        model["vectors"].update(vectors)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "schurstates.cli", "limit",
+             "--model", write_json(tmp_path, "model.json", model),
+             "--observable", write_json(tmp_path, "empty.json", {"region": [], "factors": []})],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(REPO / "src")), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "convergence error: boundary product did not settle within 1000000 sites\n"
+            "last partial result:\n" + partial
+        )
 
 
 class TestHomog:

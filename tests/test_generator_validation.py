@@ -273,11 +273,12 @@ PRECONDITION = {
 }
 
 #: Non-finite entries (Python's JSON reader accepts NaN and Infinity)
-#: exit 1; the messages now name the site and field.
+#: exit 1; the schema check names each by its path, as it names one in
+#: any other field.
 NON_FINITE = {
-    "nan_u": (set_entry(1, "U", 0, 0, [float("nan"), 0.0]), "site (-1,): U has non-finite entries"),
-    "inf_w": (set_entry(1, "W", 0, 0, [float("inf"), 0.0]), "site (-1,): W has non-finite entries"),
-    "nan_diag": (set_field(1, "D_H", [float("nan"), 0.0]), "site (-1,): diagonal has non-finite entries"),
+    "nan_u": (set_entry(1, "U", 0, 0, [float("nan"), 0.0]), "model.vectors.sites[1].U[0][0][0]: expected number, got nan"),
+    "inf_w": (set_entry(1, "W", 0, 0, [float("inf"), 0.0]), "model.vectors.sites[1].W[0][0][0]: expected number, got inf"),
+    "nan_diag": (set_field(1, "D_H", [float("nan"), 0.0]), "model.vectors.sites[1].D_H[0]: expected number, got nan"),
 }
 
 
@@ -319,4 +320,4 @@ def test_precondition_exit_code_without_warnings(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(NON_FINITE))
 def test_non_finite_entries_exit_1(name, tmp_path, capsys):
     edit, message = NON_FINITE[name]
-    assert run_limit(tmp_path, capsys, edit) == (1, FAILED + "model.vectors: " + message + "\n", [])
+    assert run_limit(tmp_path, capsys, edit) == (1, FAILED + message + "\n", [])

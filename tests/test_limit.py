@@ -597,6 +597,28 @@ class TestGeneratorBuild:
             GeneratorSpec(sites, *columns, tail_radius=1, nu=1, d=2)
 
     @pytest.mark.parametrize(
+        "column, entry, fault",
+        [
+            ("diag", (0,), "diagonal has non-finite entries"),
+            ("u", (1, 0), "U has non-finite entries"),
+            ("w", (0, 1), "W has non-finite entries"),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, column, entry, fault):
+        # a file never gets here (its schema check names the number), but
+        # the constructor is public and keeps its own refusal
+        from schurstates.limit import GeneratorSpec
+
+        eye = np.eye(2, dtype=complex)
+        columns = {"diag": [np.zeros(2)] * 3, "u": [eye] * 3, "w": [eye] * 3}
+        bad = columns[column][1].copy()
+        bad[entry] = np.inf if column == "u" else np.nan
+        columns[column] = [columns[column][0], bad, columns[column][2]]
+        with pytest.raises(ValidationError) as exc:
+            GeneratorSpec([(0,), (-1,), (1,)], **columns, tail_radius=1, nu=1, d=2)
+        assert str(exc.value) == f"site (-1,): {fault}"
+
+    @pytest.mark.parametrize(
         "site, tail_radius",
         [
             ((2**62, 2**62), 2),  # an int64 sum would wrap to a negative radius

@@ -480,7 +480,7 @@ class TestObservable:
         np.testing.assert_allclose(obs.factors[1], 1j * np.eye(2))
 
     def test_region_factor_count_mismatch(self):
-        with pytest.raises(ValidationError, match="1 region sites vs 2"):
+        with pytest.raises(ValidationError) as exc:
             parse_observable(
                 {
                     "region": [[0]],
@@ -488,6 +488,22 @@ class TestObservable:
                 },
                 Zd(1),
             )
+        assert str(exc.value) == "observable validation failed:\n  observable: 1 sites vs 2 factors"
+
+    @pytest.mark.parametrize(
+        "region, factors, fault",
+        [
+            ([[0]], [np.ones((2, 3))], "factor at site (0,) has shape (2, 3), expected (2, 2)"),
+            ([[0], [1]], [np.eye(2), np.eye(3)], "factor at site (1,) has shape (3, 3), expected (2, 2)"),
+            ([[0], [0]], [np.eye(2)] * 2, "observable region has duplicate sites"),
+        ],
+        ids=["not-square", "two-sizes", "duplicate-site"],
+    )
+    def test_observable_fault_is_named_under_the_header(self, region, factors, fault):
+        # the observable's own checks, reported as the parser's are
+        with pytest.raises(ValidationError) as exc:
+            parse_observable({"region": region, "factors": [encode_matrix(f) for f in factors]}, Zd(1))
+        assert str(exc.value) == f"observable validation failed:\n  observable: {fault}"
 
     def test_factor_entry_past_float(self):
         big = 10**400
@@ -746,6 +762,13 @@ TABLE_EDITS = {
     "record-not-object": _set((5,), [[0, 0], [0.1, 0.2]]),
     "missing-W": _drop(5, "W"),
     "empty-D_H": _every("D_H", []),
+    # an empty object or string where a list ends, in every record
+    "empty-object-D_H": _every("D_H", {}),
+    "empty-string-site": _every("site", ""),
+    # non-finite numbers, which Python's JSON reader gives
+    "nan-D_H": _set((5, "D_H", 0), float("nan")),
+    "inf-U": _set((5, "U", 1, 0, 0), float("inf")),
+    "nan-W-imag": _set((5, "W", 0, 1, 1), float("nan")),
     # well formed but for the declared sizes, which the spec checks
     "every-D_H-of-three": _every("D_H", [0.1, -0.2, 0.05]),
     "integer-entries": _set((5, "U"), [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
@@ -770,12 +793,29 @@ class TestColumnLoader:
         "name, taken",
         [("ragged-site", False), ("bool-U", False), ("float-coordinate", False),
          ("coordinate-past-int64", False), ("record-not-object", False), ("missing-W", False),
-         ("every-D_H-of-three", True), ("integer-entries", True)],
+         ("empty-object-D_H", False), ("empty-string-site", False),
+         ("nan-D_H", False), ("inf-U", False), ("nan-W-imag", False),
+         ("empty-D_H", True), ("every-D_H-of-three", True), ("integer-entries", True)],
     )
-    def test_which_tables_are_taken(self, name, taken):
-        records = seeded_generator_model(2, 2)["vectors"]["sites"]
+    def test_which_tables_are_taken(self, name, taken, monkeypatch):
+        data = seeded_generator_model(2, 2)
+        records = data["vectors"]["sites"]
         TABLE_EDITS[name](records)
         assert (modelfile._generator_columns(records) is not None) == taken
+        assert outcome(data) == walked_outcome(data, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("nan-D_H", "model.vectors.sites[5].D_H[0]: expected number, got nan"),
+            ("inf-U", "model.vectors.sites[5].U[1][0][0]: expected number, got inf"),
+            ("nan-W-imag", "model.vectors.sites[5].W[0][1][1]: expected number, got nan"),
+        ],
+    )
+    def test_non_finite_numbers_are_named_by_path(self, name, message):
+        data = seeded_generator_model(2, 2)
+        TABLE_EDITS[name](data["vectors"]["sites"])
+        assert outcome(data) == "model validation failed:\n  " + message
 
     def test_untouched_table_is_taken(self, monkeypatch):
         data = seeded_generator_model(2, 2)

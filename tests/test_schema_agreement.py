@@ -19,6 +19,7 @@ import re
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
@@ -401,11 +402,28 @@ def test_every_value_a_decoder_takes_its_schema_accepts(data):
     must be one that the schema of its ``$ref`` accepts."""
     ref = data.draw(st.sampled_from(sorted(r for r in modelfile.DECODERS if "generator" not in r)))
     name = ref.rsplit("/", 1)[1]
-    value = data.draw(LEAF | nest(0) if name == "site" else nest({"complex": 0, "vector": 1, "matrix": 2}[name]))
+    value = data.draw(nest({"vector": 1, "matrix": 2}[name]))
     taken = modelfile.DECODERS[ref](value) is not None
     event(f"{name} taken: {taken}")
     if taken:
         def_validator(ref).validate(value)
+
+
+@seed(33)
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_an_array_is_numpys_array_of_the_value(data):
+    """The one array conversion of every decoder: ``_array`` refuses a
+    value or gives what ``np.array`` makes of the whole nest in the dtype
+    it names, with the same shape and bits."""
+    depth, integer = data.draw(st.integers(0, 2)), data.draw(st.booleans())
+    value = data.draw(nest(depth))
+    got = modelfile._array(value, depth + 1, integer)
+    event(f"taken: {got is not None}")
+    if got is not None:
+        assert got.dtype == (np.int64 if integer else np.float64)
+        expected = np.array(value, dtype=got.dtype)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 #: Values an edit puts into a file: of every JSON type, and the consts,
