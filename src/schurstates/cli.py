@@ -11,8 +11,8 @@ Subcommands map one-to-one onto the library surface:
 
 Output is deterministic for fixed (model, flags, seed): JSON is dumped
 with sorted keys, CSV uses LF line endings and 17-significant-digit
-doubles.  Exit codes: 0 success, 1 validation failure or failed check,
-2 convergence failure, 3 precondition violation.
+doubles.  Exit codes: 0 success, 1 validation failure (a usage error too)
+or failed check, 2 convergence failure, 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -447,7 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's exit: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         for flag, value in (("--tol", args.tol), ("--tail-tol", args.tail_tol)):
             if not (math.isfinite(value) and value >= 0):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
 from .kernel import Dominance, FiberFamily, dominance, product_kernel_matrix
-from .lattice import Sites, require_inside
+from .lattice import Sites
 from .state import LocalObservable
 
 
@@ -69,65 +69,55 @@ def overlaps(model: HomogeneousModel) -> OverlapMatrix:
     )
 
 
-def _local_products(model: HomogeneousModel, obs: LocalObservable) -> np.ndarray:
-    """prod_x Tr(h_i h_j* b_x) over the observable factors, as a matrix."""
+def _power(u: np.ndarray, n: int) -> np.ndarray:
+    """u's entries to the power n by repeated squaring: an entry of
+    modulus 1 drifts by about log2(n) roundings (-1 and i by none), not
+    by the n of ``np.power``'s complex route past n = 100."""
+    out = np.ones_like(u)
+    while n:
+        out, u, n = out * u if n & 1 else out, u * u, n >> 1
+    return out
+
+
+def _ratio(model: HomogeneousModel, obs: LocalObservable, a, weight, beta_max: float) -> complex:
+    """sum(local * a) / weight / beta_max^|region|, ``local`` the observable's
+    site products prod_x Tr(h_i h_j* b_x): the one normalized ratio of the
+    finite volumes and their limit, inf or NaN past the float range."""
     family = FiberFamily.homogeneous(model.vectors, Sites(obs.region))
-    return product_kernel_matrix(family, obs.region, obs.factors)
-
-
-def finite_volume_normalized(
-    model: HomogeneousModel, full_region, obs: LocalObservable
-) -> complex:
-    """Normalized finite-volume expectation on a superset region.
-
-    ``full_region`` may be a site list containing the observable region,
-    or an integer total site count.  Equal overlap powers make the value
-    depend on the region only through |full| and |full minus observed|.
-    """
-    if isinstance(full_region, (int, np.integer)):
-        n_total = int(full_region)
-        if n_total < len(obs.region):
-            raise PreconditionError(
-                f"total volume {n_total} smaller than the observable region "
-                f"({len(obs.region)} sites)"
-            )
-    else:
-        full = tuple(full_region)
-        require_inside(obs.region, full)
-        n_total = len(full)
-    n_out = n_total - len(obs.region)
-    ov = overlaps(model)
-    local = _local_products(model, obs)
-    # a volume past the float64 range gives inf or NaN, refused below
+    local = product_kernel_matrix(family, obs.region, obs.factors)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = complex((local * ov.matrix**n_out).sum())
-        weight = complex((ov.matrix**n_total).sum())
-        # the natural magnitude of the weight is beta_max^n; judge degeneracy
-        # against that so uniformly small overlaps are not misread as zero
-        scale = np.float64(ov.beta_max) ** n_total
-    if not (np.isfinite(scale) and np.isfinite(weight) and np.isfinite(value)):
+        return complex((local * a).sum()) / weight / np.float64(beta_max) ** len(obs.region)
+
+
+def finite_volume_normalized(model: HomogeneousModel, n_total: int, obs: LocalObservable) -> complex:
+    """Normalized finite-volume expectation on ``n_total`` sites, the
+    observable's among them: the ratio with a = U^(n - |region|) and
+    weight sum(U^n), entrywise powers of U = M / beta_max, whose largest
+    entries have modulus 1, so that no volume leaves the float range.  A
+    weight that cancels is refused."""
+    if n_total < len(obs.region):
         raise PreconditionError(
-            f"volume {n_total} overflows the overlap scale {ov.beta_max}"
+            f"total volume {n_total} smaller than the observable region "
+            f"({len(obs.region)} sites)"
         )
-    if abs(weight) <= 1e-14 * scale:
-        raise PreconditionError(
-            f"normalization weight {weight} is degenerate for volume {n_total}"
-        )
-    return value / weight
+    ov = overlaps(model)
+    u = ov.matrix / ov.beta_max
+    weight = complex(_power(u, n_total).sum())
+    if abs(weight) <= 1e-14:
+        raise PreconditionError(f"normalization weight {weight} is degenerate for volume {n_total}")
+    value = _ratio(model, obs, _power(u, n_total - len(obs.region)), weight, ov.beta_max)
+    if not np.isfinite(value):
+        raise PreconditionError(f"volume {n_total} overflows the overlap scale {ov.beta_max}")
+    return value
 
 
 def generic_limit(model: HomogeneousModel, obs: LocalObservable) -> complex:
-    """Normalized infinite-volume limit: the uniform mixture over the
-    model's dominant pattern P (``HomogeneousModel.dominance``),
-
-        sum over (i, j) in P of the local products
-        / (beta_max^|region| * |P|),
-
-    the product states of the largest-norm vectors when no two distinct
-    vectors are parallel.  Where two largest-norm vectors differ by a
-    factor c != 1 of modulus 1 the finite-volume ratio oscillates and
-    there is no limit.
-    """
+    """Normalized infinite-volume limit: the finite volumes' ratio at the
+    limit of U's powers, the dominant pattern P (``HomogeneousModel.dominance``):
+    a = P and weight |P|, the uniform mixture of the product states of the
+    largest-norm vectors when no two distinct vectors are parallel.  Where two
+    largest-norm vectors differ by a factor c != 1 of modulus 1 the finite-volume
+    ratio oscillates and there is no limit."""
     dom = model.dominance
     if dom.diverging is not None:
         i, j = dom.diverging
@@ -136,11 +126,7 @@ def generic_limit(model: HomogeneousModel, obs: LocalObservable) -> complex:
             "factor of modulus 1 other than 1; the finite-volume ratio oscillates "
             "and has no limit"
         )
-    ov = overlaps(model)
-    pairs = np.argwhere(dom.pattern).tolist()
-    local = _local_products(model, obs)
-    total = sum(local[i, j] for i, j in pairs)
-    return complex(total / (ov.beta_max ** len(obs.region) * len(pairs)))
+    return _ratio(model, obs, dom.pattern, int(dom.pattern.sum()), overlaps(model).beta_max)
 
 
 def constant_offdiagonal_vectors(p: int, c: float, dim: int | None = None) -> np.ndarray:

@@ -213,6 +213,8 @@ def _walk(
     and the certificate's bound there (``inf`` if none was computed, as
     on a finite walk).  A step builds products only through the last
     label some region takes, and nothing if none takes one."""
+    if not (math.isfinite(tail_tol) and tail_tol >= 0):
+        raise ValidationError(f"tail_tol must be a finite number >= 0, got {tail_tol}")
     tail = family.tail
     walk = family.geometry if exhaustion is None else exhaustion
     if tail is None and not walk.finite:

@@ -362,8 +362,11 @@ def load_observable(path, geometry) -> LocalObservable:
 
 def parse_region(text: str, geometry) -> tuple:
     """Parse the --region flag: sites separated by ';' (lattice
-    coordinates by ',')."""
+    coordinates by ','), each named once."""
     sites = tuple(geometry.parse(part.strip()) for part in text.split(";") if part.strip())
     if not sites:
         raise ValidationError(f"region {text!r} contains no sites")
+    if len(set(sites)) < len(sites):
+        repeated = next(x for i, x in enumerate(sites) if x in sites[:i])
+        raise ValidationError(f"region {text!r} names site {repeated!r} twice")
     return sites

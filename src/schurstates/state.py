@@ -55,7 +55,7 @@ class LocalObservable:
 
     def _place(self, region: tuple, factors: tuple) -> None:
         if len(set(region)) != len(region):
-            raise ValidationError("observable region has duplicate sites")
+            raise ValidationError("region has duplicate sites")
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "factors", factors)
 

@@ -92,6 +92,14 @@ class TestEval:
         assert (code, out) == (3, "")
         assert err == "precondition error: observable sites ['b'] outside region\n"
 
+    def test_repeated_region_site_exits_1(self, capsys):
+        model, obs = (str(MODELS / name) for name in ("orthonormal.json", "observable_identity.json"))
+        code, out, err = run_cli(
+            ["eval", "--model", model, "--observable", obs, "--region", "w;w;x"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "validation error: region 'w;w;x' names site 'w' twice\n"
+
     def test_model_files_validate_against_schema(self):
         for name in ("orthonormal.json", "generator_decay.json", "perturbed_z2.json"):
             payload = json.loads((MODELS / name).read_text())
@@ -720,6 +728,14 @@ class TestProjectivityWalk:
         assert err == "precondition error: observable sites [(0,)] outside region\n"
         assert walks == [[((0,),)]]
 
+    def test_repeated_region_site_is_not_walked(self, walks, capsys):
+        # refused as the region flag's fault, after the observable region's
+        # own walk, as every faulty superset is
+        code, out, err = run_cli(README_LIMIT[:6] + ["0;1;1"] + README_LIMIT[7:], capsys)
+        assert (code, out) == (1, "")
+        assert err == "validation error: region '0;1;1' names site (1,) twice\n"
+        assert walks == [[((0,),)]]
+
     @staticmethod
     def far_model(tmp_path):
         """A model whose declared site at 1-norm 800 of Z^2 keeps the tail
@@ -859,6 +875,45 @@ class TestSeed:
             args += ["--observable-far", "x.json"]
         code, out, err = run_cli(args, capsys)
         assert (code, out, err) == (1, "", "validation error: --seed must be an integer >= 0\n")
+
+
+class TestUsageErrors:
+    """A command line argparse cannot read is a validation failure, exit
+    1, with argparse's usage text and its error line on stderr."""
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["selftest", "--tol", "abc"], "schurstates selftest: error: argument --tol: invalid float value: 'abc'"),
+            (["selftest", "--seed", "x"], "schurstates selftest: error: argument --seed: invalid int value: 'x'"),
+            (
+                ["limit", "--model", "m.json"],
+                "schurstates limit: error: the following arguments are required: --observable",
+            ),
+        ],
+        ids=["tol", "seed", "missing-observable"],
+    )
+    def test_exits_1_with_usage(self, capsys, args, error):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: schurstates {args[0]} [-h]")
+        assert err.endswith(f"\n{error}\n")
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run_cli(["selftest", "--help"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: schurstates selftest [-h]")
+
+    def test_process_exit_codes(self):
+        # the console entry point exits with what main returns
+        run = functools.partial(
+            subprocess.run, capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        )
+        usage = run([sys.executable, "-m", "schurstates.cli", "selftest", "--tol", "abc"])
+        assert (usage.returncode, usage.stdout) == (1, "")
+        assert usage.stderr.endswith("error: argument --tol: invalid float value: 'abc'\n")
+        assert run([sys.executable, "-m", "schurstates.cli", "--help"]).returncode == 0
 
 
 def readme_command_lines():
@@ -1146,23 +1201,44 @@ class TestHomog:
         assert res["argmax"] == [0, 1]
         assert res["generic"] is True
 
-    def test_volume_past_the_float_range_exits_3(self, tmp_path, capsys):
-        model = write_json(
-            tmp_path,
-            "big.json",
-            {
-                "lattice": {"kind": "sites", "sites": ["a"]},
-                "fiber_dim": 2,
-                "index_size": 2,
-                "vectors": {"mode": "homogeneous", "reference": encode_matrix(2 * np.eye(2))},
-            },
-        )
-        obs = write_json(tmp_path, "obs.json", {"region": ["a"], "factors": [encode_matrix(np.eye(2))]})
+    @pytest.mark.parametrize(
+        "reference, beta, volume",
+        # 1/sqrt(2) rounds down, and its square to 0.4999999999999999
+        [(2 * np.eye(2), 4.0, "600"), (2 * np.eye(2), 4.0, "2000"), (np.eye(2) / math.sqrt(2), 0.4999999999999999, "100000")],
+        ids=["2I-600", "2I-2000", "halves-100000"],
+    )
+    def test_volume_past_the_float_range(self, tmp_path, capsys, reference, beta, volume):
+        # M^N overflows (2I) or underflows to 0 (e_0/sqrt2, e_1/sqrt2), but
+        # (M / beta_max)^N = I: the net at N is its limit, 1/2 on P_0
+        model, obs = TestHomogeneousLatticeReports.files(tmp_path, reference)
         code, out, err = run_cli(
-            ["homog", "--model", model, "--observable", obs, "--total-sites", "2000"], capsys
+            ["homog", "--model", model, "--observable", obs, "--total-sites", volume], capsys
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "command": "homog",
+            "model": model,
+            "seed": 0,
+            "results": {
+                "beta": [[[beta, 0.0], [0.0, 0.0]], [[0.0, 0.0], [beta, 0.0]]],
+                "beta_max": beta,
+                "argmax": [0, 1],
+                "generic": True,
+                "constant_overlap": False,
+                "finite_normalized": [0.5, 0.0],
+                "generic_limit": [0.5, 0.0],
+            },
+        }
+
+    @pytest.mark.parametrize("volume", ["5", "101", "100001"])
+    def test_cancelling_weight_exits_3(self, tmp_path, capsys, volume):
+        # (h, -h): the weight 2 + 2 (-1)^N is exactly 0 at every odd N
+        model, obs = TestHomogeneousLatticeReports.files(tmp_path, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        code, out, err = run_cli(
+            ["homog", "--model", model, "--observable", obs, "--total-sites", volume], capsys
         )
         assert (code, out) == (3, "")
-        assert err == "precondition error: volume 2000 overflows the overlap scale 4.0\n"
+        assert err == f"precondition error: normalization weight 0j is degenerate for volume {volume}\n"
 
     @pytest.mark.parametrize("volume", ["0", "-3", "1"])
     def test_volume_below_the_region_exits_3(self, volume, capsys):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
-from schurstates.errors import DimensionError, GeometryError, PreconditionError, ValidationError
+from schurstates.errors import DimensionError, PreconditionError, ValidationError
 from schurstates.homogeneous import (
     HomogeneousModel,
     constant_offdiagonal_vectors,
@@ -148,13 +150,6 @@ class TestFiniteVolumeNormalized:
             fv = finite_volume_normalized(model, size, obs)
             assert abs(fv - num / den) <= 1e-10 * max(1.0, abs(fv))
 
-    def test_region_form_accepted(self, rng):
-        model = HomogeneousModel(complex_gaussian(rng, (2, 2)))
-        obs = LocalObservable((0,), (random_observable(rng, 2),))
-        by_count = finite_volume_normalized(model, 4, obs)
-        by_region = finite_volume_normalized(model, (0, 1, 2, 3), obs)
-        assert by_count == pytest.approx(by_region)
-
     def test_too_small_volume(self, rng):
         model = HomogeneousModel(complex_gaussian(rng, (2, 2)))
         obs = LocalObservable.identity((0, 1), 2)
@@ -164,19 +159,38 @@ class TestFiniteVolumeNormalized:
         ):
             finite_volume_normalized(model, 1, obs)
 
-    def test_region_missing_an_observable_site(self):
-        obs = LocalObservable.identity((0, 1), 2)
-        with pytest.raises(GeometryError, match=r"^observable sites \[1\] outside region$"):
-            finite_volume_normalized(HomogeneousModel(np.eye(2)), (0, 2, 3), obs)
-
     @pytest.mark.parametrize("n", [600, 2000])
     def test_volume_past_the_float_range(self, n):
-        # 4^n overflows: refused, with no numpy warning and no OverflowError
-        obs = LocalObservable.identity((0,), 2)
-        with pytest.raises(
-            PreconditionError, match=rf"^volume {n} overflows the overlap scale 4\.0$"
-        ):
-            finite_volume_normalized(HomogeneousModel(2 * np.eye(2)), n, obs)
+        # M^n = 4^n I overflows, but (M / beta_max)^n = I: the net is its
+        # limit at every volume, with no numpy warning
+        model = HomogeneousModel(2 * np.eye(2))
+        obs = LocalObservable((0,), (np.diag([1.0, 0.0]),))
+        assert finite_volume_normalized(model, n, obs) == generic_limit(model, obs) == 0.5
+
+    def test_weight_below_the_float_range(self):
+        # M^n = 2^-n I underflows to 0 at n = 100000, where the weight was
+        # once read as degenerate; (M / beta_max)^n = I
+        model = HomogeneousModel(np.eye(2) / math.sqrt(2))
+        obs = LocalObservable((0,), (np.diag([1.0, 0.0]),))
+        assert finite_volume_normalized(model, 100000, obs) == generic_limit(model, obs) == 0.5
+
+    def test_local_products_past_the_float_range(self):
+        # beta_max = 1e154 on two sites: each local product is 1e308, and
+        # their sum overflows, refused with no numpy warning
+        model = HomogeneousModel(1e77 * np.eye(2))
+        obs = LocalObservable.identity((0, 1), 2)
+        with pytest.raises(PreconditionError, match=r"^volume 4 overflows the overlap scale 1e\+154$"):
+            finite_volume_normalized(model, 4, obs)
+
+    @pytest.mark.parametrize("c, n", [(-1, 101), (-1, 100001), (1j, 100002)])
+    def test_cancelling_weight_is_degenerate(self, c, n):
+        # (h, c h) with c = -1 at odd n, or c = i at n = 2 mod 4: the
+        # weight 2 + c^n + conj(c)^n is exactly 0, and the powers keep it 0
+        # past n = 100, where a complex np.power drifts by n roundings
+        model = HomogeneousModel(np.array([[1.0, 0.0], [c, 0.0]]))
+        obs = LocalObservable((0,), (np.diag([1.0, 0.0]),))
+        with pytest.raises(PreconditionError, match=rf"^normalization weight 0j is degenerate for volume {n}$"):
+            finite_volume_normalized(model, n, obs)
 
 
 class TestGenericLimit:
@@ -326,6 +340,42 @@ class TestRealOverlapLimit:
             generic_limit(model, obs)
         with pytest.raises(PreconditionError, match="degenerate"):
             finite_volume_normalized(model, 5, obs)
+
+
+ENTRY = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@seed(34)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(ENTRY, min_size=4, max_size=4),
+    st.lists(ENTRY, min_size=8, max_size=8),
+    st.integers(1, 2),
+)
+def test_net_within_its_decay_of_the_limit(entries, factors, size):
+    """For two vectors, no two parallel, the net at N = 200 lies within
+    C * rho^(N - |region|) of the limit, where rho < 1 is the largest
+    off-pattern |M_ij| / beta_max: with U = M / beta_max the net is
+    (sum_P local + e) / beta_max^|region| / (|P| + e'), with |e| at most
+    the off-pattern sum of |local| times rho^(N - |region|), and |e'| at
+    most the off-pattern count times rho^N."""
+    v = np.array(entries).reshape(2, 2)
+    assume(np.linalg.norm(v, axis=1).min() >= 0.1)
+    model = HomogeneousModel(v)
+    assume(not model.dominance.parallel)
+    m = v @ v.conj().T
+    beta = m.diagonal().real.max()
+    pattern = model.dominance.pattern
+    rest = ~pattern
+    rho = np.abs(m[rest]).max() / beta
+    n = 200
+    assume(rest.sum() * rho**n <= 0.5)
+    obs = LocalObservable(tuple(range(size)), tuple(np.array(factors).reshape(2, 2, 2)[:size]))
+    local = np.prod([v @ b.T @ v.conj().T for b in obs.factors], axis=0)  # <h_j, b h_i> at [i, j]
+    lim = generic_limit(model, obs)
+    c = (np.abs(local[rest]).sum() / beta**size + abs(lim) * rest.sum()) / (pattern.sum() - rest.sum() * rho**n)
+    gap = abs(finite_volume_normalized(model, n, obs) - lim)
+    assert gap <= c * rho ** (n - size) + 1e-12 * max(1.0, abs(lim)), (gap, c, rho)
 
 
 class TestConstantOffdiagonal:

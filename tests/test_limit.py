@@ -344,6 +344,30 @@ class TestBoundaryMatrix:
             boundary_matrix(fam, (), site_cap=60)
 
 
+class TestTailTolerance:
+    """Every walk refuses a ``tail_tol`` that is not a finite number >= 0,
+    the rule of ``--tail-tol``, before it walks: a finite walk would
+    otherwise stop at inf with no matrix to report, and a shell walk
+    never settle at NaN or below 0."""
+
+    WALKS = {
+        "finite": lambda tol: boundary_matrix(
+            FiberFamily.explicit({"a": np.eye(2), "b": np.eye(2)}), ("a",), tail_tol=tol
+        ),
+        "shell": lambda tol: boundary_matrix(decaying_perturbation_family(), (), tail_tol=tol),
+        "oracle": lambda tol: boundary_matrix(
+            decaying_perturbation_family(), (), exhaustion=Zd(2), tail_tol=tol
+        ),
+    }
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, math.inf], ids=["nan", "negative", "inf"])
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_refused(self, walk, tol):
+        with pytest.raises(ValidationError) as exc:
+            self.WALKS[walk](tol)
+        assert str(exc.value) == f"tail_tol must be a finite number >= 0, got {tol}"
+
+
 class TestLimitState:
     def test_orthonormal_reduction(self, rng):
         fam = orthonormal_lattice_family()

@@ -495,7 +495,7 @@ class TestObservable:
         [
             ([[0]], [np.ones((2, 3))], "factor at site (0,) has shape (2, 3), expected (2, 2)"),
             ([[0], [1]], [np.eye(2), np.eye(3)], "factor at site (1,) has shape (3, 3), expected (2, 2)"),
-            ([[0], [0]], [np.eye(2)] * 2, "observable region has duplicate sites"),
+            ([[0], [0]], [np.eye(2)] * 2, "region has duplicate sites"),
         ],
         ids=["not-square", "two-sizes", "duplicate-site"],
     )
@@ -551,6 +551,19 @@ class TestParseRegion:
     def test_empty(self):
         with pytest.raises(ValidationError):
             parse_region(" ; ", Zd(2))
+
+    @pytest.mark.parametrize(
+        "text, geometry, message",
+        [
+            ("0;1;+1", Zd(1), "region '0;1;+1' names site (1,) twice"),
+            ("a;b;a;a", Sites(("a", "b")), "region 'a;b;a;a' names site 'a' twice"),
+        ],
+        ids=["lattice", "named"],
+    )
+    def test_repeated_site(self, text, geometry, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_region(text, geometry)
+        assert str(exc.value) == message
 
 
 class TestDecodeMatrix:
