@@ -56,7 +56,6 @@ from .linalg import (
 )
 from .mixing import (
     AlphaLimitReport,
-    Embedding,
     alpha_limit,
     decaying_perturbation_family,
     embed,
@@ -65,7 +64,6 @@ from .mixing import (
 )
 from .modelfile import ModelSpec, load_model, load_observable, parse_model
 from .state import (
-    DenseState,
     LocalObservable,
     expectation_dense,
     expectation_extended,

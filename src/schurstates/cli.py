@@ -248,9 +248,9 @@ def cmd_limit(args, out) -> int:
             family, regions[1], obs, tol=args.tol, tail_tol=args.tail_tol
         )
         results["projectivity"] = {
-            "region": [str(s) for s in rep.region],
+            "region": [str(s) for s in regions[1]],
             "gap": rep.gap,
-            "tol": rep.tol,
+            "tol": args.tol,
             "pass": rep.passed,
         }
         emit(_envelope(args, "limit", results), args.format, out)
@@ -275,7 +275,7 @@ def cmd_homog(args, out) -> int:
     results = {
         "beta": encode_matrix(ov.matrix),
         "beta_max": ov.beta_max,
-        "argmax": list(ov.argmax),
+        "argmax": list(dom.largest),
         "generic": not dom.parallel,
         "constant_overlap": bool(dom.pattern.all()),
     }

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
-from .kernel import Dominance, FiberFamily, dominance, product_kernel_matrix
+from .kernel import Dominance, FiberFamily, dominance, product_kernel_matrix, unit_tuple
 from .lattice import Sites
 from .state import LocalObservable
 
@@ -50,13 +50,12 @@ class OverlapMatrix:
     """Pairwise overlaps of the reference vectors plus their maximum.
 
     ``matrix[i, j] = <h_j, h_i>``; the maximum modulus is always attained
-    on the diagonal, and ``argmax`` lists the indices of largest norm,
-    decided exactly (``HomogeneousModel.dominance``).
+    on the diagonal, at the indices of largest norm, which
+    ``HomogeneousModel.dominance`` lists, decided exactly.
     """
 
     matrix: np.ndarray
     beta_max: float
-    argmax: tuple
 
 
 def overlaps(model: HomogeneousModel) -> OverlapMatrix:
@@ -64,9 +63,7 @@ def overlaps(model: HomogeneousModel) -> OverlapMatrix:
     v = model.vectors
     m = v @ v.conj().T
     m.setflags(write=False)
-    return OverlapMatrix(
-        matrix=m, beta_max=float(np.max(np.real(np.diag(m)))), argmax=model.dominance.largest
-    )
+    return OverlapMatrix(matrix=m, beta_max=float(np.max(np.real(np.diag(m)))))
 
 
 def _power(u: np.ndarray, n: int) -> np.ndarray:
@@ -79,35 +76,39 @@ def _power(u: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _ratio(model: HomogeneousModel, obs: LocalObservable, a, weight, beta_max: float) -> complex:
-    """sum(local * a) / weight / beta_max^|region|, ``local`` the observable's
-    site products prod_x Tr(h_i h_j* b_x): the one normalized ratio of the
-    finite volumes and their limit, inf or NaN past the float range."""
-    family = FiberFamily.homogeneous(model.vectors, Sites(obs.region))
-    local = product_kernel_matrix(family, obs.region, obs.factors)
+def _ratio(unit: np.ndarray, obs: LocalObservable, a, weight) -> complex:
+    """sum(local * a) / weight, ``local`` the observable's site products
+    prod_x Tr(u_i u_j* b_x) of the ``unit_tuple`` u: the one normalized
+    ratio of the finite volumes and their limit, inf or NaN only where the
+    observable's factors take it past the float range."""
+    family = FiberFamily.homogeneous(unit, Sites(obs.region))
     with np.errstate(over="ignore", invalid="ignore"):
-        return complex((local * a).sum()) / weight / np.float64(beta_max) ** len(obs.region)
+        local = product_kernel_matrix(family, obs.region, obs.factors)
+        return complex((local * a).sum()) / weight
 
 
 def finite_volume_normalized(model: HomogeneousModel, n_total: int, obs: LocalObservable) -> complex:
     """Normalized finite-volume expectation on ``n_total`` sites, the
     observable's among them: the ratio with a = U^(n - |region|) and
-    weight sum(U^n), entrywise powers of U = M / beta_max, whose largest
-    entries have modulus 1, so that no volume leaves the float range.  A
-    weight that cancels is refused."""
+    weight sum(U^n), entrywise powers of U, the Gram matrix of the
+    ``unit_tuple`` (M / beta_max up to rounding), whose largest entries
+    have modulus 1, so that no volume leaves the float range.  A weight
+    that cancels is refused: one no larger than the rounding of the powers,
+    n * eps * sum|U^n|, which grows with n, has no significant digit."""
     if n_total < len(obs.region):
         raise PreconditionError(
             f"total volume {n_total} smaller than the observable region "
             f"({len(obs.region)} sites)"
         )
-    ov = overlaps(model)
-    u = ov.matrix / ov.beta_max
-    weight = complex(_power(u, n_total).sum())
-    if abs(weight) <= 1e-14:
+    unit = unit_tuple(model.vectors)
+    u = unit @ unit.conj().T
+    powers = _power(u, n_total)
+    weight = complex(powers.sum())
+    if abs(weight) <= n_total * np.finfo(float).eps * np.abs(powers).sum():
         raise PreconditionError(f"normalization weight {weight} is degenerate for volume {n_total}")
-    value = _ratio(model, obs, _power(u, n_total - len(obs.region)), weight, ov.beta_max)
+    value = _ratio(unit, obs, _power(u, n_total - len(obs.region)), weight)
     if not np.isfinite(value):
-        raise PreconditionError(f"volume {n_total} overflows the overlap scale {ov.beta_max}")
+        raise PreconditionError(f"volume {n_total} overflows the overlap scale {overlaps(model).beta_max}")
     return value
 
 
@@ -126,7 +127,7 @@ def generic_limit(model: HomogeneousModel, obs: LocalObservable) -> complex:
             "factor of modulus 1 other than 1; the finite-volume ratio oscillates "
             "and has no limit"
         )
-    return _ratio(model, obs, dom.pattern, int(dom.pattern.sum()), overlaps(model).beta_max)
+    return _ratio(unit_tuple(model.vectors), obs, dom.pattern, int(dom.pattern.sum()))
 
 
 def constant_offdiagonal_vectors(p: int, c: float, dim: int | None = None) -> np.ndarray:

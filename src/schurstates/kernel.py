@@ -12,8 +12,8 @@ matrix by ``linalg.psd_report``, Gram matrices over observable tuples by
 ``product_kernel_gram_matrix``) and owns both forms of their multi-site
 entrywise (Schur) products: ``product_kernel_matrix`` with one
 observable factor per site, and ``transfer_matrix``, the product of
-plain overlaps (kernels at the identity) over a region minus a
-subregion.  Both are the one running product ``schur_product`` seeded
+plain overlaps (kernels at the identity) over a region minus a part of
+it.  Both are the one running product ``schur_product`` seeded
 with ones; every other module builds its site products from these, and
 a caller that keeps a region's site kernels extends their product with
 ``schur_product`` bit for bit.
@@ -214,8 +214,10 @@ def dominance(vectors: np.ndarray) -> Dominance:
     power of two, so each overlap <h_j, h_i> and squared norm is an
     exact integer: |<h_j, h_i>| reaches the largest squared norm only
     where h_i and h_j both have the largest norm and are parallel, and
-    then <h_j, h_i> = c |h_j|^2 with |c| = 1.  A faulty vector is
-    refused by ``check_vectors``, named by its index."""
+    then <h_j, h_i> = c |h_j|^2 with |c| = 1.  An empty tuple is refused,
+    and a faulty vector by ``check_vectors``, named by its index."""
+    if not len(vectors):
+        raise DimensionError("reference vectors: the tuple holds no vector")
     check_vectors(vectors, lambda k: "reference vectors")
     entries = np.concatenate((vectors.real, vectors.imag), axis=1)  # row i: re h_i, im h_i
     ratios = [x.as_integer_ratio() for x in entries.ravel().tolist()]
@@ -238,6 +240,13 @@ def dominance(vectors: np.ndarray) -> Dominance:
         diverging=divmod(diverging[0], len(squares)) if diverging else None,
         parallel=int(parallel.sum()) > len(squares),  # the diagonal is always parallel
     )
+
+
+def unit_tuple(vectors: np.ndarray) -> np.ndarray:
+    """A (p, d) vector tuple divided by its largest norm: the tuple of
+    every shell of a homogeneous lattice family, whose largest overlaps
+    have modulus 1."""
+    return vectors / np.linalg.norm(vectors, axis=1).max()
 
 
 class Table(NamedTuple):
@@ -304,7 +313,6 @@ class FiberFamily:
         provider: Callable[[object], np.ndarray] | None,
         geometry: lattice.Zd | lattice.Sites,
         tail=None,
-        label: str = "",
         radial: Callable[[int, int], np.ndarray] | None = None,
     ):
         if d < 1 or d_I < 1:
@@ -318,7 +326,6 @@ class FiberFamily:
         self._provider = provider
         self.geometry = geometry
         self.tail = tail
-        self.label = label
         self.radial = radial
         self._by_site: dict = {}  # site -> its (vectors, Gram) entry
         self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
@@ -476,7 +483,7 @@ class FiberFamily:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def explicit(cls, vectors_by_site: dict, label: str = "") -> "FiberFamily":
+    def explicit(cls, vectors_by_site: dict) -> "FiberFamily":
         """Finite family from a site -> (d_I, d) array mapping, its sites in
         the mapping's order.  Every array goes into one table (``preload``),
         so a zero or non-finite vector is refused here, named by its site."""
@@ -493,12 +500,12 @@ class FiberFamily:
                 )
         sites = lattice.Sites(tuple(vectors_by_site))
         # every site is on the table, so the provider is never asked
-        family = cls(d, d_I, vectors_by_site.__getitem__, sites, label=label)
+        family = cls(d, d_I, vectors_by_site.__getitem__, sites)
         family.preload(sites.sites, arrays)
         return family
 
     @classmethod
-    def homogeneous(cls, vectors, geometry, label: str = "") -> "FiberFamily":
+    def homogeneous(cls, vectors, geometry) -> "FiberFamily":
         """Same vector tuple at every site of ``geometry``.  On a site list
         it is the ``explicit`` family with that tuple at every site.  On a
         lattice every vector is divided by the largest norm, every shell
@@ -512,10 +519,10 @@ class FiberFamily:
         if v.ndim != 2:
             raise DimensionError("homogeneous reference vectors must be a 2-D array")
         if geometry.finite:
-            return cls.explicit(dict.fromkeys(geometry.sites, v), label=label)
+            return cls.explicit(dict.fromkeys(geometry.sites, v))
         d_I, d = v.shape
         dom = dominance(v)
-        unit = v / np.linalg.norm(v, axis=1).max()
+        unit = unit_tuple(v)
         remaining = tail_remaining([])
         if dom.diverging is not None:
             i, j = dom.diverging
@@ -530,7 +537,7 @@ class FiberFamily:
                 )
 
         return cls(
-            d, d_I, None, geometry, tail=FarFieldTail(dom.pattern, remaining, exact_beyond=-1), label=label,
+            d, d_I, None, geometry, tail=FarFieldTail(dom.pattern, remaining, exact_beyond=-1),
             radial=lambda start, stop: np.broadcast_to(unit, (stop - start, d_I, d)),
         )
 
@@ -673,18 +680,19 @@ def product_kernel_matrix(family: FiberFamily, sites, bs) -> np.ndarray:
     )
 
 
-def transfer_matrix(family: FiberFamily, region, subregion) -> np.ndarray:
-    """Entrywise product of overlaps over region minus subregion.
+def transfer_matrix(family: FiberFamily, region, inner) -> np.ndarray:
+    """Entrywise product of overlaps over ``region`` minus its part
+    ``inner``.
 
     Equal regions give the all-ones matrix (empty product).
     """
     region = tuple(region)
-    subregion = tuple(subregion)
-    lattice.require_inside(subregion, region)
-    sub = set(subregion)
+    inner = tuple(inner)
+    lattice.require_inside(inner, region)
+    inside = set(inner)
     return schur_product(
         np.ones((family.d_I, family.d_I), dtype=np.complex128),
-        (family.gram(x) for x in region if x not in sub),
+        (family.gram(x) for x in region if x not in inside),
     )
 
 

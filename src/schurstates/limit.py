@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class BoundaryMatrix:
     ``inf``, and ``rigorous`` false, only for a truncated finite walk.
     """
 
-    region: tuple
     matrix: np.ndarray
     tail_bound: float
     sites_consumed: int
@@ -150,9 +149,10 @@ def boundary_matrices(
     is walked once, all of them side by side in one pass over the
     shells, each stopping at its own first settled radius; every result
     is kept in the family's boundary cache, read-only, since every caller
-    asking for the region shares it.  If some regions cross ``site_cap``,
-    the others are still cached, and the ``ConvergenceError`` that the
-    first of them in list order raises alone is raised.
+    asking for the same site set, in any order, shares it.  If some
+    regions cross ``site_cap``, the others are still cached, and the
+    ``ConvergenceError`` that the first of them in list order raises
+    alone is raised.
     """
     regions = [tuple(region) for region in regions]
     for region in regions:
@@ -175,8 +175,7 @@ def boundary_matrices(
     for hit in walked:
         if isinstance(hit, ConvergenceError):
             raise hit
-    hits = (cache[key] for key in keys)
-    return [hit if hit.region == region else replace(hit, region=region) for hit, region in zip(hits, regions)]
+    return [cache[key] for key in keys]
 
 
 def _boundary_walk(
@@ -219,8 +218,8 @@ def _walk(
     walk = family.geometry if exhaustion is None else exhaustion
     if tail is None and not walk.finite:
         raise PreconditionError(
-            f"{family.label or 'family'} has infinitely many sites but no tail "
-            "certificate: its boundary products cannot be stopped rigorously"
+            "family has infinitely many sites but no tail certificate: "
+            "its boundary products cannot be stopped rigorously"
         )
     skips = [set(region) for region in regions]
     n, d_I, table = len(regions), family.d_I, family.table
@@ -276,9 +275,7 @@ def _walk(
             j, t = live[i], int(m[i])
             if hit[i]:
                 s = int(settled[i].argmax())
-                results[j] = BoundaryMatrix(
-                    regions[j], matrices[i, s], float(bounds[i, s]), int(totals[i, s]), True
-                )
+                results[j] = BoundaryMatrix(matrices[i, s], float(bounds[i, s]), int(totals[i, s]), True)
             else:  # the cap stops it after t labels of the step
                 results[j] = ConvergenceError(
                     f"boundary product did not settle within {site_cap} sites",
@@ -297,7 +294,7 @@ def _walk(
         exact = family.geometry.finite and (
             int(consumed[i]) == len(family.geometry.site_set - skips[j])
         )
-        results[j] = BoundaryMatrix(regions[j], p[i], 0.0 if exact else math.inf, int(consumed[i]), exact)
+        results[j] = BoundaryMatrix(p[i], 0.0 if exact else math.inf, int(consumed[i]), exact)
     return results
 
 
@@ -416,12 +413,9 @@ def superset_region(region, obs: LocalObservable) -> tuple:
 
 @dataclass(frozen=True)
 class ProjectivityReport:
-    region: tuple
-    subregion: tuple
     value_large: complex
     value_small: complex
     gap: float
-    tol: float
     passed: bool
 
 
@@ -450,15 +444,7 @@ def check_projectivity(
     small = limit_state_eval(family, obs, tail_tol)
     gap = abs(large - small)
     scale = max(1.0, abs(small), abs(large))
-    return ProjectivityReport(
-        region=region,
-        subregion=tuple(obs.region),
-        value_large=large,
-        value_small=small,
-        gap=gap,
-        tol=tol,
-        passed=gap <= tol * scale,
-    )
+    return ProjectivityReport(large, small, gap, gap <= tol * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +566,12 @@ class GeneratorSpec:
     d: int
 
     def __post_init__(self):
-        sites = np.asarray(self.sites)
+        if self.d < 1:
+            raise ValidationError(f"fiber dimension must be positive, got d={self.d}")
+        try:
+            sites = np.asarray(self.sites)
+        except ValueError:  # sites of differing lengths
+            raise ValidationError(f"generator sites differ in length, expected (N, {self.nu})") from None
         if not sites.size:
             raise ValidationError("generator model declares no sites")
         if sites.ndim != 2:
@@ -712,7 +703,6 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
         None,
         lattice.Zd(spec.nu),
         tail=FarFieldTail(np.eye(d, dtype=bool), remaining, exact_beyond=spec.tail_radius),
-        label="generator model",
         radial=lambda start, stop: np.broadcast_to(eye, (stop - start, d, d)),
     )
     family.preload(spec.sites, vecs, walk=spec.walk)

@@ -8,9 +8,10 @@ replaces the transported factor by its limiting tail value, which must
 be independent of the fiber index pair for the comparison to be
 meaningful.
 
-Embeddings come in two strategies: a deterministic translation along
-the first axis, and a seeded random injection into shells just outside
-the excluded ball.  Both guarantee the image clears the ball.
+A region is placed far away (``embed``) by one of two strategies: a
+deterministic translation along the first axis, or a seeded random
+injection into shells just outside the excluded ball.  Both give an image
+of the region's length, with no site repeated, that clears the ball.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from . import lattice
 from .errors import (
     ConvergenceError,
+    DimensionError,
     GeometryError,
     PreconditionError,
     ValidationError,
@@ -49,41 +51,16 @@ DEFAULT_T_SEQUENCE = (5, 10, 20, 40)
 #: the product of the far factors' operator norms once that exceeds 1.
 DEFAULT_ALPHA_TOL = 1e-8
 
-@dataclass(frozen=True)
-class Embedding:
-    """An injective placement of a region outside the ball of radius t."""
 
-    source: tuple
-    image: tuple
-    clearance: int
-    geometry: lattice.Zd
-
-    def __post_init__(self):
-        if len(self.source) != len(self.image):
-            raise GeometryError("embedding must preserve the number of sites")
-        if len(set(self.image)) != len(self.image):
-            raise GeometryError("embedding image has repeated sites")
-        inside = [z for z in self.image if self.geometry.distance(z) <= self.clearance]
-        if inside:
-            raise GeometryError(
-                f"embedded sites {inside!r} lie inside the excluded ball "
-                f"of radius {self.clearance}"
-            )
-
-    def transport(self, obs: LocalObservable) -> LocalObservable:
-        """The observable carried to the embedded region."""
-        if tuple(obs.region) != self.source:
-            raise GeometryError("observable region does not match the embedding source")
-        return LocalObservable.of_checked(self.image, obs.factors)
-
-
-def embed(region, t: int, geometry: lattice.Zd, strategy: str = "translate", seed: int = 0) -> Embedding:
-    """Embed a finite lattice region into the complement of the t-ball.
+def embed(region, t: int, geometry: lattice.Zd, strategy: str = "translate", seed: int = 0) -> tuple:
+    """The image of a finite lattice region in the complement of the
+    t-ball, site k of the image for site k of the region.
 
     ``translate`` shifts by (t + 1 + R) along the first axis, R being the
     largest distance in the region, which always clears the ball.
     ``random`` draws distinct sites from the spheres just outside the
-    ball with a seeded generator.  Every site is checked by ``geometry``.
+    ball with a seeded generator.  Every site of the region is checked by
+    ``geometry``.
     """
     region = tuple(tuple(int(c) for c in z) for z in region)
     if not region:
@@ -107,7 +84,7 @@ def embed(region, t: int, geometry: lattice.Zd, strategy: str = "translate", see
         image = tuple(candidates[int(k)] for k in order[: len(region)])
     else:
         raise ValidationError(f"unknown embedding strategy {strategy!r}")
-    return Embedding(region, image, t, geometry)
+    return image
 
 
 @dataclass(frozen=True)
@@ -119,7 +96,6 @@ class AlphaLimitReport:
     value: complex | None     # the common limit when independent
     spread: float             # max pairwise deviation among limits
     last_step: float          # final Cauchy increment
-    t_sequence: tuple
 
 
 def _site_kernels(family: FiberFamily, obs: LocalObservable, known: dict) -> list:
@@ -168,7 +144,7 @@ def alpha_limit(
     require_lattice(family)
     ts = DEFAULT_T_SEQUENCE
     known = {} if kernels is None else kernels
-    fars = (embed(obs.region, t, family.geometry).transport(obs) for t in ts[-2:])
+    fars = (LocalObservable.of_checked(embed(obs.region, t, family.geometry), obs.factors) for t in ts[-2:])
     before, limits = (schur_product(_ones(family), _site_kernels(family, far, known)) for far in fars)
     step = float(np.max(np.abs(limits - before)))
     spread = float(np.max(np.abs(limits - limits.ravel()[0])))
@@ -189,14 +165,7 @@ def alpha_limit(
         )
     independent = spread <= tol
     value = complex(limits.mean()) if independent else None
-    return AlphaLimitReport(
-        limits=limits,
-        independent=independent,
-        value=value,
-        spread=spread,
-        last_step=step,
-        t_sequence=ts,
-    )
+    return AlphaLimitReport(limits, independent, value, spread, step)
 
 
 def _placed(family, obs_a, obs_b, t, strategy, seed):
@@ -208,7 +177,7 @@ def _placed(family, obs_a, obs_b, t, strategy, seed):
         raise GeometryError(
             f"near-region sites {outside!r} are not inside the ball of radius {t - 1}"
         )
-    far = embed(obs_b.region, t, family.geometry, strategy, seed).transport(obs_b)
+    far = LocalObservable.of_checked(embed(obs_b.region, t, family.geometry, strategy, seed), obs_b.factors)
     joint = LocalObservable.of_checked(obs_a.region + far.region, obs_a.factors + far.factors)
     return joint, far
 
@@ -374,6 +343,9 @@ def decaying_perturbation_family(
         raise ValidationError(f"decay must lie in (0, 1), got {decay}")
     if epsilon0 <= 0:
         raise ValidationError(f"epsilon0 must be positive, got {epsilon0}")
+    for name, value in (("epsilon0", epsilon0), ("near_amplitude", near_amplitude)):
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     if base is None:
         base = np.array([1.0, 0.0], dtype=np.complex128)
     h = np.asarray(base, dtype=np.complex128)
@@ -387,6 +359,8 @@ def decaying_perturbation_family(
         v2[1 % d] += 0.25
         directions = [v1, v2]
     dirs = np.asarray(directions, dtype=np.complex128)
+    if dirs.ndim != 2:
+        raise DimensionError(f"directions form an array of shape {dirs.shape}, expected (d_I, d)")
     d_I, d = dirs.shape
     if h.shape != (d,):
         raise ValidationError(
@@ -416,7 +390,7 @@ def decaying_perturbation_family(
 
     family = FiberFamily(
         d, d_I, None, lattice.Zd(nu), tail=FarFieldTail(np.ones((d_I, d_I), dtype=bool), remaining),
-        label="decaying perturbation", radial=vectors,
+        radial=vectors,
     )
     # every per-site quantity depends on the site only through |x|_1, so
     # the family is radial, built SHELL_BLOCK radii at a time, and the

@@ -57,11 +57,8 @@ def random_positive_definite(
     return m @ m.conj().T + floor * np.eye(n)
 
 
-def random_observable(
-    rng: np.random.Generator, d: int, hermitian: bool = False
-) -> np.ndarray:
-    m = complex_gaussian(rng, (d, d))
-    return 0.5 * (m + m.conj().T) if hermitian else m
+def random_observable(rng: np.random.Generator, d: int) -> np.ndarray:
+    return complex_gaussian(rng, (d, d))
 
 
 def random_family(
@@ -69,7 +66,7 @@ def random_family(
 ) -> FiberFamily:
     """Explicit family with independent complex Gaussian fiber vectors."""
     vecs = {s: complex_gaussian(rng, (d_I, d)) for s in sites}
-    return FiberFamily.explicit(vecs, label="random family")
+    return FiberFamily.explicit(vecs)
 
 
 def decaying_generator_spec(seed: int, radius: int = 6, d: int = 2, nu: int = 1):

@@ -157,7 +157,7 @@ def _homogeneous_section(seed: int) -> dict:
         if model.dominance.parallel:
             continue
         ov = overlaps(model)
-        diag_max = {(i, i) for i in ov.argmax}
+        diag_max = {(i, i) for i in model.dominance.largest}
         ratio = max(
             abs(ov.matrix[i, j]) / ov.beta_max
             for i in range(2)

@@ -9,9 +9,10 @@ tensor-product observables are computed two ways:
 * the entrywise-product form, linear in the region size: the sum of all
   entries of the multi-site kernel matrix.
 
-Tensor index ordering is site-major: amplitudes are indexed by one
-fiber index per site, in region order, flattened C-style (the fiber
-index of the last site varies fastest).
+``superposition_vector`` returns the vector as one flat array of
+amplitudes in site-major order: one fiber index per site, in region
+order, flattened C-style (the fiber index of the last site varies
+fastest).
 """
 
 from __future__ import annotations
@@ -74,39 +75,20 @@ class LocalObservable:
         return cls(tuple(region), tuple(eye for _ in region))
 
 
-@dataclass(frozen=True)
-class DenseState:
-    """Explicit amplitudes of a superposition vector on a finite region."""
-
-    region: tuple
-    d: int
-    amplitudes: np.ndarray  # flat, length d**len(region), site-major
-
-    def norm_squared(self) -> float:
-        return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
-
-    def as_tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((self.d,) * len(self.region))
-
-
-def _check_cap(region, d: int):
-    k = len(region)
-    if k > DEFAULT_DENSE_CAP:
-        raise ResourceLimitError(
-            f"dense path refused: region of {k} sites needs {d}^{k} = {d**k} "
-            f"amplitudes (cap is {DEFAULT_DENSE_CAP} sites)"
-        )
-
-
-def superposition_vector(family: FiberFamily, region) -> DenseState:
-    """Dense amplitudes of sum_i  h(x1,i) (x) ... (x) h(xk,i), on at most
-    ``DEFAULT_DENSE_CAP`` sites."""
+def superposition_vector(family: FiberFamily, region) -> np.ndarray:
+    """The flat amplitudes of sum_i  h(x1,i) (x) ... (x) h(xk,i), length
+    d**k in site-major order, on at most ``DEFAULT_DENSE_CAP`` sites."""
     region = tuple(region)
     if not region:
         raise ValidationError("empty region")
     if len(set(region)) != len(region):
         raise ValidationError("region has duplicate sites")
-    _check_cap(region, family.d)
+    k, d = len(region), family.d
+    if k > DEFAULT_DENSE_CAP:
+        raise ResourceLimitError(
+            f"dense path refused: region of {k} sites needs {d}^{k} = {d**k} "
+            f"amplitudes (cap is {DEFAULT_DENSE_CAP} sites)"
+        )
     # terms[i] is the flat product h(x1,i) (x) ... (x) h(xk,i), grown one
     # site at a time for every index at once
     terms = np.ones((family.d_I, 1), dtype=np.complex128)
@@ -115,7 +97,7 @@ def superposition_vector(family: FiberFamily, region) -> DenseState:
     amp = np.zeros(terms.shape[1], dtype=np.complex128)
     for term in terms:
         amp = amp + term
-    return DenseState(region=region, d=family.d, amplitudes=amp)
+    return amp
 
 
 def expectation_dense(family: FiberFamily, full_region, obs: LocalObservable) -> complex:
@@ -126,7 +108,7 @@ def expectation_dense(family: FiberFamily, full_region, obs: LocalObservable) ->
     """
     full_region = tuple(full_region)
     require_inside(obs.region, full_region)
-    psi = superposition_vector(family, full_region).amplitudes
+    psi = superposition_vector(family, full_region)
     d = family.d
     acted = psi
     for s, f in zip(obs.region, obs.factors):

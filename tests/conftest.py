@@ -69,8 +69,7 @@ def rescaled_origin_family(nu=2, **kwargs):
         return raw.tail.remaining(r) + np.where(np.less(r, 0), mass, 0.0)
 
     family = FiberFamily(
-        raw.d, raw.d_I, None, raw.geometry, tail=FarFieldTail(raw.tail.pattern, remaining),
-        label="rescaled origin", radial=raw.radial,
+        raw.d, raw.d_I, None, raw.geometry, tail=FarFieldTail(raw.tail.pattern, remaining), radial=raw.radial,
     )
     family.preload([origin], vectors[None])
     return family

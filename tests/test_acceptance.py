@@ -191,7 +191,7 @@ def _generic_candidate(seed):
     if model.dominance.parallel:
         return None
     ov = overlaps(model)
-    diag_max = {(i, i) for i in ov.argmax}
+    diag_max = {(i, i) for i in model.dominance.largest}
     ratios = sorted(
         abs(ov.matrix[i, j]) / ov.beta_max
         for i in range(p)
@@ -242,7 +242,8 @@ def test_criterion_4_homogeneous_limit():
             failures.append(("rate", seed - 1, r_pred, r_fit))
 
         # convex combination of multiplicative product components
-        weights = [1.0 / len(ov.argmax)] * len(ov.argmax)
+        largest = model.dominance.largest
+        weights = [1.0 / len(largest)] * len(largest)
         if abs(sum(weights) - 1.0) > 1e-12 or any(w <= 0 for w in weights):
             failures.append(("weights", seed - 1))
         recomposed = sum(
@@ -253,14 +254,14 @@ def test_criterion_4_homogeneous_limit():
                     for f in obs.factors
                 ]
             )
-            for w, i in zip(weights, ov.argmax)
+            for w, i in zip(weights, largest)
         )
         if abs(recomposed - lim) > 1e-10 * scale:
             failures.append(("mixture", seed - 1, abs(recomposed - lim)))
         a_rng = rng_from_seed(seed - 1, 902)
         a = random_observable(a_rng, model.d)
         b = random_observable(a_rng, model.d)
-        for i in ov.argmax:
+        for i in largest:
             v = model.vectors[i]
             comp_a = np.vdot(v, a @ v) / ov.beta_max
             comp_b = np.vdot(v, b @ v) / ov.beta_max

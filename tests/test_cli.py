@@ -792,6 +792,13 @@ README_REPORTS = {
         "--observable", "models/observable_identity.json", "--total-sites", "6",
     ],
     "selftest_seed0.json": ["selftest", "--seed", "0"],
+    # both placements of the far region; nothing else pins the random one
+    "mixing_scan_perturbed_z2_both.json": [
+        "mixing-scan", "--model", "models/perturbed_z2.json",
+        "--observable", "models/observable_near.json",
+        "--observable-far", "models/observable_far.json",
+        "--strategies", "translate,random", "--format", "json", "--seed", "3",
+    ],
 }
 
 
@@ -1229,6 +1236,27 @@ class TestHomog:
                 "generic_limit": [0.5, 0.0],
             },
         }
+
+    @pytest.mark.parametrize("volume", [[], ["--total-sites", "4"]], ids=["limit", "volume-4"])
+    def test_large_norms(self, tmp_path, capsys, volume):
+        # 1e150 I on two sites: the identity's raw local products, 1e600,
+        # would overflow; over the largest norm they are 1, with no warning
+        model = write_json(
+            tmp_path,
+            "large.json",
+            {
+                "lattice": {"kind": "sites", "sites": ["a", "b"]},
+                "fiber_dim": 2,
+                "index_size": 2,
+                "vectors": {"mode": "homogeneous", "reference": encode_matrix(1e150 * np.eye(2))},
+            },
+        )
+        obs = write_json(tmp_path, "identity.json", {"region": ["a", "b"], "factors": [encode_matrix(np.eye(2))] * 2})
+        code, out, err = run_cli(["homog", "--model", model, "--observable", obs, *volume], capsys)
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert results["generic_limit"] == [1.0, 0.0]
+        assert results.get("finite_normalized") == ([1.0, 0.0] if volume else None)
 
     @pytest.mark.parametrize("volume", ["5", "101", "100001"])
     def test_cancelling_weight_exits_3(self, tmp_path, capsys, volume):

@@ -83,7 +83,7 @@ def star_family(k: int) -> FiberFamily:
     star = Star(k)
     masses = star.sphere_sizes(0, QUIET + 1) * np.abs(star_grams(QUIET + 1) - 1.0).max(axis=(-2, -1))
     tail = FarFieldTail(np.ones((2, 2), dtype=bool), tail_remaining(masses.tolist()))
-    return FiberFamily(2, 2, None, star, tail=tail, label="star", radial=star_vectors)
+    return FiberFamily(2, 2, None, star, tail=tail, radial=star_vectors)
 
 
 def closed_form(star: Star, region) -> np.ndarray:

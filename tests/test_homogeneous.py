@@ -14,39 +14,40 @@ from schurstates.homogeneous import (
     overlaps,
 )
 from schurstates.kernel import FiberFamily
-from schurstates.lattice import Sites
+from schurstates.lattice import Sites, Zd
 from schurstates.sampling import complex_gaussian, random_observable, rng_from_seed
 from schurstates.state import LocalObservable, expectation_dense, expectation_schur
 
 
-def obs_on(rng, size, d=2, hermitian=False):
+def obs_on(rng, size, d=2):
     region = tuple(range(size))
-    return LocalObservable(
-        region, tuple(random_observable(rng, d, hermitian) for _ in region)
-    )
+    return LocalObservable(region, tuple(random_observable(rng, d) for _ in region))
 
 
 class TestOverlaps:
     def test_orthonormal(self):
-        ov = overlaps(HomogeneousModel(np.eye(3, dtype=complex)))
+        model = HomogeneousModel(np.eye(3, dtype=complex))
+        ov = overlaps(model)
         np.testing.assert_allclose(ov.matrix, np.eye(3))
         assert ov.beta_max == pytest.approx(1.0)
-        assert ov.argmax == (0, 1, 2)
+        assert model.dominance.largest == (0, 1, 2)
 
     def test_two_vector_example(self):
         # s = float(1/sqrt(2)) has 2 s^2 = 1 - 1.8e-16 exactly, so only
         # the first vector has the largest norm
         s = 1 / math.sqrt(2)
-        ov = overlaps(HomogeneousModel(np.array([[1.0, 0.0], [s, s]])))
+        model = HomogeneousModel(np.array([[1.0, 0.0], [s, s]]))
+        ov = overlaps(model)
         np.testing.assert_allclose(ov.matrix, [[1.0, s], [s, 1.0]], atol=1e-15)
         assert ov.beta_max == pytest.approx(1.0)
-        assert ov.argmax == (0,)
+        assert model.dominance.largest == (0,)
 
     def test_proportional_vectors(self):
-        ov = overlaps(HomogeneousModel(np.array([[1.0, 0.0], [2.0, 0.0]])))
+        model = HomogeneousModel(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        ov = overlaps(model)
         np.testing.assert_allclose(ov.matrix, [[1.0, 2.0], [2.0, 4.0]])
         assert ov.beta_max == pytest.approx(4.0)
-        assert ov.argmax == (1,)
+        assert model.dominance.largest == (1,)
 
     def test_max_on_diagonal(self):
         rng = rng_from_seed(5)
@@ -71,6 +72,12 @@ class TestOverlaps:
     def test_vectors_must_form_a_2d_array(self):
         with pytest.raises(DimensionError, match="^reference vectors must form a 2-D array$"):
             HomogeneousModel(np.ones(2))
+
+    @pytest.mark.parametrize("make", [HomogeneousModel, lambda v: FiberFamily.homogeneous(v, Zd(1))],
+                             ids=["model", "lattice-family"])
+    def test_empty_tuple_refused(self, make):
+        with pytest.raises(DimensionError, match="^reference vectors: the tuple holds no vector$"):
+            make(np.zeros((0, 2)))
 
 
 class TestGenericCondition:
@@ -175,12 +182,34 @@ class TestFiniteVolumeNormalized:
         assert finite_volume_normalized(model, 100000, obs) == generic_limit(model, obs) == 0.5
 
     def test_local_products_past_the_float_range(self):
-        # beta_max = 1e154 on two sites: each local product is 1e308, and
-        # their sum overflows, refused with no numpy warning
+        # factors 1e155 I on two sites: each local product of the tuple over
+        # its largest norm is 1e310, past the float range, refused with no
+        # numpy warning
         model = HomogeneousModel(1e77 * np.eye(2))
-        obs = LocalObservable.identity((0, 1), 2)
+        obs = LocalObservable((0, 1), (1e155 * np.eye(2),) * 2)
         with pytest.raises(PreconditionError, match=r"^volume 4 overflows the overlap scale 1e\+154$"):
             finite_volume_normalized(model, 4, obs)
+
+    def test_large_norms(self):
+        # beta_max = 1e300: the raw local products of the identity on two
+        # sites, 1e600, would overflow; those of the tuple over its largest
+        # norm are 1, and the net and its limit are 1, with no numpy warning
+        model = HomogeneousModel(1e150 * np.eye(2))
+        obs = LocalObservable.identity((0, 1), 2)
+        assert finite_volume_normalized(model, 4, obs) == generic_limit(model, obs) == 1.0
+
+    @pytest.mark.parametrize("n", [4, 100, 1000, 10**6 + 1])
+    def test_weight_within_its_rounding_is_degenerate(self, n):
+        # (h, w h, w^2 h) with w = e^(2 pi i / 3): the weight 3 (1 + w^n +
+        # w^2n) is exactly 0 unless 3 divides n, but float64 w leaves a
+        # residue that grows with n, about 0.05 n eps sum|U^n|
+        w = np.exp(2j * np.pi / 3)
+        model = HomogeneousModel(np.array([[1.0, 0.0], [w, 0.0], [w * w, 0.0]]))
+        obs = LocalObservable((0,), (np.diag([1.0, 0.0]),))
+        with pytest.raises(PreconditionError, match=rf"^normalization weight .* is degenerate for volume {n}$"):
+            finite_volume_normalized(model, n, obs)
+        # at n = 999 the weight is 9, and the projection's value 1
+        assert finite_volume_normalized(model, 999, obs) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("c, n", [(-1, 101), (-1, 100001), (1j, 100002)])
     def test_cancelling_weight_is_degenerate(self, c, n):
@@ -228,7 +257,7 @@ class TestGenericLimit:
                 continue
             # decay rate is the largest overlap ratio off the argmax
             # diagonal; pick the volume from it
-            diag_max = {(i, i) for i in ov.argmax}
+            diag_max = {(i, i) for i in model.dominance.largest}
             ratio = max(
                 abs(ov.matrix[i, j]) / ov.beta_max
                 for i in range(2)
@@ -267,7 +296,7 @@ class TestGenericLimit:
         base = complex_gaussian(rng, (2, 3))
         model = HomogeneousModel(base)
         scaled = HomogeneousModel(1.7 * base)
-        assert overlaps(model).argmax == overlaps(scaled).argmax
+        assert model.dominance.largest == scaled.dominance.largest
         obs = LocalObservable((0, 1), (random_observable(rng, 3), random_observable(rng, 3)))
         if not model.dominance.parallel:
             a = generic_limit(model, obs)
