@@ -19,7 +19,6 @@ from .errors import (
 from .homogeneous import (
     HomogeneousModel,
     OverlapMatrix,
-    constant_offdiagonal_vectors,
     finite_volume_normalized,
     generic_limit,
     overlaps,
@@ -27,7 +26,6 @@ from .homogeneous import (
 from .kernel import (
     FarFieldTail,
     FiberFamily,
-    SchurKernelMap,
     certify_cp,
     choi_matrix,
     kernel_gram_matrix,
@@ -43,17 +41,9 @@ from .limit import (
     build_from_generators,
     check_projectivity,
     limit_state_eval,
-    right_square_root,
 )
 from .lattice import Sites, Zd
-from .linalg import (
-    PsdReport,
-    hadamard,
-    hermitian_function,
-    matrix_exp,
-    matrix_log,
-    psd_report,
-)
+from .linalg import PsdReport, hermitian_function, psd_report
 from .mixing import (
     AlphaLimitReport,
     alpha_limit,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError, ValidationError
+from .errors import DimensionError, PreconditionError
 from .kernel import Dominance, FiberFamily, dominance, product_kernel_matrix, unit_tuple
 from .lattice import Sites
 from .state import LocalObservable
@@ -79,12 +79,21 @@ def _power(u: np.ndarray, n: int) -> np.ndarray:
 def _ratio(unit: np.ndarray, obs: LocalObservable, a, weight) -> complex:
     """sum(local * a) / weight, ``local`` the observable's site products
     prod_x Tr(u_i u_j* b_x) of the ``unit_tuple`` u: the one normalized
-    ratio of the finite volumes and their limit, inf or NaN only where the
-    observable's factors take it past the float range."""
+    ratio of the finite volumes and their limit.  On an empty region every
+    local product is the empty product 1 and the ratio is sum(a) / weight,
+    which is 1; a ratio that the local products take past the float range
+    is refused."""
+    if not obs.region:
+        return 1.0 + 0.0j
     family = FiberFamily.homogeneous(unit, Sites(obs.region))
     with np.errstate(over="ignore", invalid="ignore"):
         local = product_kernel_matrix(family, obs.region, obs.factors)
-        return complex((local * a).sum()) / weight
+        value = complex((local * a).sum()) / weight
+    if not np.isfinite(value):
+        raise PreconditionError(
+            f"the observable's local products on {len(obs.region)} sites pass the float range"
+        )
+    return value
 
 
 def finite_volume_normalized(model: HomogeneousModel, n_total: int, obs: LocalObservable) -> complex:
@@ -106,10 +115,7 @@ def finite_volume_normalized(model: HomogeneousModel, n_total: int, obs: LocalOb
     weight = complex(powers.sum())
     if abs(weight) <= n_total * np.finfo(float).eps * np.abs(powers).sum():
         raise PreconditionError(f"normalization weight {weight} is degenerate for volume {n_total}")
-    value = _ratio(unit, obs, _power(u, n_total - len(obs.region)), weight)
-    if not np.isfinite(value):
-        raise PreconditionError(f"volume {n_total} overflows the overlap scale {overlaps(model).beta_max}")
-    return value
+    return _ratio(unit, obs, _power(u, n_total - len(obs.region)), weight)
 
 
 def generic_limit(model: HomogeneousModel, obs: LocalObservable) -> complex:
@@ -129,29 +135,3 @@ def generic_limit(model: HomogeneousModel, obs: LocalObservable) -> complex:
         )
     return _ratio(unit_tuple(model.vectors), obs, dom.pattern, int(dom.pattern.sum()))
 
-
-def constant_offdiagonal_vectors(p: int, c: float, dim: int | None = None) -> np.ndarray:
-    """Linearly independent vectors whose pairwise overlaps all equal c.
-
-    Builds h_1 = e_1 and h_j = a_1 e_1 + ... + a_{j-1} e_{j-1} + e_j with
-    the recursion a_1 = c, a_j = c - (a_1^2 + ... + a_{j-1}^2), which
-    pins every distinct-pair inner product to c while keeping the set
-    full rank.  Needs p coordinates, so p must not exceed ``dim``.
-    """
-    if p < 2:
-        raise ValidationError(f"need at least two vectors, got p={p}")
-    if not isinstance(c, (int, float)) or not (0.0 < float(c) <= 1.0):
-        raise ValidationError(f"constant overlap must be real in (0, 1], got {c!r}")
-    dim = p if dim is None else int(dim)
-    if p > dim:
-        raise DimensionError(f"p={p} vectors need at least {p} dims, got {dim}")
-    c = float(c)
-    alphas = [c]
-    for _ in range(2, p):
-        alphas.append(c - sum(a * a for a in alphas))
-    out = np.zeros((p, dim), dtype=np.complex128)
-    out[0, 0] = 1.0
-    for j in range(1, p):
-        out[j, :j] = alphas[:j]
-        out[j, j] = 1.0
-    return out

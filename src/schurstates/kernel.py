@@ -576,32 +576,6 @@ def kernel_matrix(family: FiberFamily, site, b) -> np.ndarray:
     return _kernel_stack(family.vectors(site), m)
 
 
-@dataclass(frozen=True)
-class SchurKernelMap:
-    """Explicit rank-one operator table h_i h_j* for one site.
-
-    ``operators[i, j]`` is the d x d matrix h(x,i) h(x,j)*; the entry at
-    (j, i) is always the adjoint of the entry at (i, j).  This is the
-    slow, literal form of the per-site kernel; ``kernel_matrix`` is the
-    fast path, and the two are cross-checked in tests.
-    """
-
-    site: object
-    operators: np.ndarray  # shape (d_I, d_I, d, d)
-
-    @classmethod
-    def from_family(cls, family: FiberFamily, site) -> "SchurKernelMap":
-        v = family.vectors(site)
-        ops = np.einsum("ip,jq->ijpq", v, v.conj())
-        ops.setflags(write=False)
-        return cls(site=site, operators=ops)
-
-    def apply(self, b) -> np.ndarray:
-        """Evaluate every index-pair functional on b via explicit traces."""
-        m = as_cmatrix(b)
-        return np.einsum("ijpq,qp->ij", self.operators, m)
-
-
 def choi_matrix(family: FiberFamily, site) -> np.ndarray:
     """Choi matrix of the per-site kernel map on the standard fiber basis.
 

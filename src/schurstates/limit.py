@@ -51,8 +51,7 @@ A generator model's site data is already an eigendecomposition of its
 Gram matrix, u* exp(D) u, so ``build_from_generators`` writes every
 site's right root u* exp(D/2) u w* in closed form, in one stacked pass
 over the columns of a ``GeneratorSpec`` (sites, diagonals, U, W), which
-are checked once, as whole arrays; ``right_square_root`` is the general
-primitive, and the closed form's test oracle.
+are checked once, as whole arrays.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ import numpy as np
 from . import lattice
 from .errors import (
     ConvergenceError,
-    DimensionError,
     DomainError,
     PreconditionError,
     ValidationError,
@@ -80,7 +78,6 @@ from .kernel import (
     product_kernel_matrix,
     tail_remaining,
 )
-from .linalg import as_cmatrix, hermitian_function, require_hermitian
 from .state import LocalObservable
 
 #: Hard cap on the number of sites a tail product may consume.
@@ -448,37 +445,13 @@ def check_projectivity(
 
 
 # ---------------------------------------------------------------------------
-# Right square roots and generator-built models
+# Generator-built models
 # ---------------------------------------------------------------------------
 
 
-#: ``right_square_root`` refuses a matrix whose smallest eigenvalue is at
-#: or below this share of its largest.
+#: ``build_from_generators`` refuses a site whose Gram matrix has an
+#: eigenvalue at or below this share of its largest.
 ROOT_EIG_FLOOR = 1e-12
-
-
-def right_square_root(t, w) -> np.ndarray:
-    """A matrix h with h h* = t, parametrized by an isometry.
-
-    Returns exp(log(t)/2) w*.  Row i of the result, read as a fiber
-    vector, satisfies <h_j, h_i> = t[i, j].  ``DomainError`` unless t is
-    Hermitian within 1e-12 and every eigenvalue of t exceeds
-    ``ROOT_EIG_FLOOR`` times the largest; ``PreconditionError`` unless
-    W*W deviates from the identity by at most 1e-12.
-    """
-    tm = require_hermitian(t, 1e-12, "right_square_root input")
-    half = hermitian_function(tm, np.sqrt, eig_floor=ROOT_EIG_FLOOR)
-    wm = as_cmatrix(w, "isometry")
-    if wm.shape != tm.shape:
-        raise DimensionError(
-            f"isometry shape {wm.shape} does not match matrix shape {tm.shape}"
-        )
-    defect = float(np.max(np.abs(wm.conj().T @ wm - np.eye(wm.shape[1]))))
-    if defect > 1e-12:
-        raise PreconditionError(
-            f"right_square_root: W*W deviates from identity by {defect:.3e}"
-        )
-    return half @ wm.conj().T
 
 
 def _column(values, shape) -> tuple[np.ndarray, np.ndarray]:
@@ -646,10 +619,10 @@ def build_from_generators(spec: GeneratorSpec) -> FiberFamily:
     u* exp(D/2) u w*, formed for every site in one stacked pass over the
     spec's columns with no eigendecomposition and kept as the family's
     table; every undeclared site carries the standard orthonormal basis,
-    the family's radial shells.  As ``right_square_root`` would, a
-    site is refused (``DomainError``) when its exp(D) leaves the float64
-    range or has an eigenvalue at or below ``ROOT_EIG_FLOOR`` times its
-    largest, that is when max D - min D >= -ln(ROOT_EIG_FLOOR).  It is
+    the family's radial shells.  A site is refused (``DomainError``)
+    when its exp(D) leaves the float64 range or has an eigenvalue at or
+    below ``ROOT_EIG_FLOOR`` times its largest, that is when
+    max D - min D >= -ln(ROOT_EIG_FLOOR).  It is
     refused the same way when one of its fiber vectors has a norm at or
     below ``ZERO_VECTOR_TOL``, which the table would take for a zero
     vector (a row's squared norm is a weighted mean of exp(D), so some

@@ -1,5 +1,5 @@
-"""Dense complex matrix kernel: entrywise products, Hermitian spectral
-calculus and positive-semidefiniteness certification.
+"""Dense complex matrix kernel: positive-semidefiniteness certification
+and Hermitian spectral calculus.
 
 Everything in this module is a pure function of small, dense
 ``complex128`` arrays.  Matrices stay well inside the 64x64 range, so a
@@ -23,9 +23,6 @@ from .errors import DimensionError, DomainError, ValidationError
 #: Default relative tolerance for positivity / hermiticity verdicts.
 PSD_TOL = 1e-10
 
-#: Relative eigenvalue floor below which a matrix logarithm is refused.
-LOG_EIG_FLOOR = 1e-14
-
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D complex128 array."""
@@ -35,21 +32,6 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError(f"{name}: non-finite entries")
     return m
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise (Schur) product of two equal-shape matrices.
-
-    The identity element of this product is the all-ones matrix, not the
-    identity matrix.
-    """
-    am = as_cmatrix(a, "hadamard lhs")
-    bm = as_cmatrix(b, "hadamard rhs")
-    if am.shape != bm.shape:
-        raise DimensionError(
-            f"hadamard: shape mismatch {am.shape} vs {bm.shape}"
-        )
-    return am * bm
 
 
 @dataclass(frozen=True)
@@ -129,12 +111,3 @@ def hermitian_function(
     # result of a real spectral function is Hermitian; symmetrize roundoff
     return 0.5 * (out + out.conj().T)
 
-
-def matrix_exp(a) -> np.ndarray:
-    """exp of a Hermitian matrix."""
-    return hermitian_function(a, np.exp)
-
-
-def matrix_log(a) -> np.ndarray:
-    """Principal log of a Hermitian positive-definite matrix."""
-    return hermitian_function(a, np.log, eig_floor=LOG_EIG_FLOOR)

@@ -44,19 +44,6 @@ def _fixed_phases(z: np.ndarray) -> np.ndarray:
     return q * phases[..., None, :]
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish unitary from the QR decomposition with fixed phases."""
-    return _fixed_phases(complex_gaussian(rng, (n, n)))
-
-
-def random_positive_definite(
-    rng: np.random.Generator, n: int, floor: float = 0.1
-) -> np.ndarray:
-    """Hermitian PD matrix with spectrum bounded away from zero."""
-    m = complex_gaussian(rng, (n, n))
-    return m @ m.conj().T + floor * np.eye(n)
-
-
 def random_observable(rng: np.random.Generator, d: int) -> np.ndarray:
     return complex_gaussian(rng, (d, d))
 
@@ -85,8 +72,8 @@ def decaying_generator_spec(seed: int, radius: int = 6, d: int = 2, nu: int = 1)
     sites = [site for r in range(radius + 1) for site in zd.sphere(r)]
     diag = np.empty((len(sites), d))
     # site k draws its diagonal, then the matrices behind U and W; their
-    # unitaries come from one stacked QR, bit for bit those of
-    # ``random_unitary`` drawn in the same order
+    # unitaries come from one stacked QR, bit for bit those of one
+    # fixed-phase QR per matrix drawn in the same order
     z = np.empty((2, len(sites), d, d), dtype=np.complex128)
     for k, site in enumerate(sites):
         raw = rng.standard_normal(d)

@@ -13,7 +13,6 @@ import pytest
 
 from schurstates.homogeneous import (
     HomogeneousModel,
-    constant_offdiagonal_vectors,
     finite_volume_normalized,
     generic_limit,
     overlaps,
@@ -29,10 +28,8 @@ from schurstates.limit import (
     boundary_matrix,
     build_from_generators,
     check_projectivity,
-    right_square_root,
 )
 from schurstates.lattice import Sites, Zd
-from schurstates.linalg import matrix_log
 from schurstates.mixing import (
     alpha_limit,
     decaying_perturbation_family,
@@ -44,8 +41,6 @@ from schurstates.sampling import (
     decaying_generator_spec,
     random_family,
     random_observable,
-    random_positive_definite,
-    random_unitary,
     rng_from_seed,
 )
 from schurstates.state import (
@@ -53,6 +48,14 @@ from schurstates.state import (
     expectation_dense,
     expectation_extended,
     expectation_schur,
+)
+
+from oracles import (
+    constant_offdiagonal_vectors,
+    matrix_log,
+    random_positive_definite,
+    random_unitary,
+    right_square_root,
 )
 
 

@@ -1258,6 +1258,39 @@ class TestHomog:
         assert results["generic_limit"] == [1.0, 0.0]
         assert results.get("finite_normalized") == ([1.0, 0.0] if volume else None)
 
+    @pytest.mark.parametrize("volume", [[], ["--total-sites", "6"]], ids=["limit", "volume-6"])
+    def test_empty_region_is_one(self, tmp_path, capsys, volume):
+        # the empty product over the weight, as ``limit`` takes an empty
+        # region: the net and its limit are exactly 1
+        model = str(MODELS / "orthonormal.json")
+        obs = write_json(tmp_path, "empty.json", {"region": [], "factors": []})
+        code, out, err = run_cli(["homog", "--model", model, "--observable", obs, *volume], capsys)
+        assert (code, err) == (0, "")
+        results = {
+            "beta": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            "beta_max": 1.0,
+            "argmax": [0, 1],
+            "generic": True,
+            "constant_overlap": False,
+            "generic_limit": [1.0, 0.0],
+        }
+        if volume:
+            results["finite_normalized"] = [1.0, 0.0]
+        payload = {"command": "homog", "model": model, "seed": 0, "results": results}
+        assert out == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+    @pytest.mark.parametrize("volume", [[], ["--total-sites", "4"]], ids=["limit", "volume-4"])
+    def test_local_products_past_the_float_range_exit_3(self, tmp_path, capsys, volume):
+        # factors 1e155 I on two sites of the identity tuple: the local
+        # products, 1e310, pass the float range; the net and its limit are
+        # refused alike, naming them
+        model = str(MODELS / "orthonormal.json")
+        factor = encode_matrix(1e155 * np.eye(2))
+        obs = write_json(tmp_path, "large.json", {"region": ["w", "x"], "factors": [factor] * 2})
+        code, out, err = run_cli(["homog", "--model", model, "--observable", obs, *volume], capsys)
+        assert (code, out) == (3, "")
+        assert err == "precondition error: the observable's local products on 2 sites pass the float range\n"
+
     @pytest.mark.parametrize("volume", ["5", "101", "100001"])
     def test_cancelling_weight_exits_3(self, tmp_path, capsys, volume):
         # (h, -h): the weight 2 + 2 (-1)^N is exactly 0 at every odd N

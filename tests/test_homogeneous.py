@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from schurstates.errors import DimensionError, PreconditionError, ValidationError
 from schurstates.homogeneous import (
     HomogeneousModel,
-    constant_offdiagonal_vectors,
     finite_volume_normalized,
     generic_limit,
     overlaps,
@@ -17,6 +16,8 @@ from schurstates.kernel import FiberFamily
 from schurstates.lattice import Sites, Zd
 from schurstates.sampling import complex_gaussian, random_observable, rng_from_seed
 from schurstates.state import LocalObservable, expectation_dense, expectation_schur
+
+from oracles import constant_offdiagonal_vectors
 
 
 def obs_on(rng, size, d=2):
@@ -184,11 +185,22 @@ class TestFiniteVolumeNormalized:
     def test_local_products_past_the_float_range(self):
         # factors 1e155 I on two sites: each local product of the tuple over
         # its largest norm is 1e310, past the float range, refused with no
-        # numpy warning
+        # numpy warning, by the net and by its limit alike
         model = HomogeneousModel(1e77 * np.eye(2))
         obs = LocalObservable((0, 1), (1e155 * np.eye(2),) * 2)
-        with pytest.raises(PreconditionError, match=r"^volume 4 overflows the overlap scale 1e\+154$"):
+        message = r"^the observable's local products on 2 sites pass the float range$"
+        with pytest.raises(PreconditionError, match=message):
             finite_volume_normalized(model, 4, obs)
+        with pytest.raises(PreconditionError, match=message):
+            generic_limit(model, obs)
+
+    @pytest.mark.parametrize("volume", [0, 1, 6, 1001])
+    def test_empty_region_is_one(self, volume):
+        # the empty product over the weight: exactly 1 for the net at every
+        # volume and for its limit, with a complex overlap in the weight
+        model = HomogeneousModel(np.array([[1.0, 0.0], [0.5j, 1.0]]))
+        obs = LocalObservable((), ())
+        assert finite_volume_normalized(model, volume, obs) == generic_limit(model, obs) == 1.0 + 0.0j
 
     def test_large_norms(self):
         # beta_max = 1e300: the raw local products of the identity on two

@@ -23,22 +23,25 @@ from schurstates.limit import (
     build_from_generators,
     check_projectivity,
     limit_state_eval,
-    right_square_root,
 )
-from schurstates.linalg import matrix_exp
 from schurstates.mixing import decaying_perturbation_family
 from schurstates.modelfile import encode_matrix, load_model, parse_model
 from schurstates.sampling import (
     complex_gaussian,
     decaying_generator_spec,
     random_observable,
-    random_positive_definite,
-    random_unitary,
     rng_from_seed,
 )
 from schurstates.state import LocalObservable, expectation_extended
 
 from conftest import ball, ball_size, rescaled_origin_family, shell_loop
+from oracles import (
+    matrix_exp,
+    matrix_log,
+    random_positive_definite,
+    random_unitary,
+    right_square_root,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -485,8 +488,6 @@ class TestRightSquareRoot:
             t = random_positive_definite(rng, n, floor=0.1)
             eigs = np.linalg.eigvalsh(t)
             trace_abs = float(np.sum(np.abs(np.log(eigs))))
-            from schurstates.linalg import matrix_log
-
             h_log = matrix_log(t)
             assert float(np.max(np.abs(h_log))) <= trace_abs + 1e-12
 

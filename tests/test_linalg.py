@@ -4,40 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurstates.errors import DimensionError, DomainError
-from schurstates.linalg import (
-    PsdReport,
-    hadamard,
-    hermitian_function,
-    matrix_exp,
-    matrix_log,
-    psd_report,
-    require_hermitian,
-)
+from schurstates.linalg import PsdReport, hermitian_function, psd_report, require_hermitian
 from schurstates.sampling import complex_gaussian, rng_from_seed
 
 from conftest import gram_psd_matrix
-
-
-class TestHadamard:
-    def test_all_ones_is_identity(self, rng):
-        a = complex_gaussian(rng, (3, 3))
-        j = np.ones((3, 3))
-        np.testing.assert_allclose(hadamard(j, a), a)
-        np.testing.assert_allclose(hadamard(a, j), a)
-
-    def test_entrywise_values(self):
-        a = [[1, 2], [3, 4]]
-        b = [[5, 6], [7, 8]]
-        np.testing.assert_allclose(hadamard(a, b), [[5, 12], [21, 32]])
-
-    def test_commutes(self, rng):
-        a = complex_gaussian(rng, (4, 4))
-        b = complex_gaussian(rng, (4, 4))
-        np.testing.assert_allclose(hadamard(a, b), hadamard(b, a))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
+from oracles import matrix_exp, matrix_log, random_unitary
 
 
 class TestPsd:
@@ -67,8 +38,6 @@ class TestPsd:
         assert not rep.is_psd
 
     def test_unitary_conjugation_invariance(self, rng):
-        from schurstates.sampling import random_unitary
-
         g = gram_psd_matrix(rng, 4)
         u = random_unitary(rng, 4)
         assert psd_report(g).is_psd == psd_report(u @ g @ u.conj().T).is_psd
@@ -126,7 +95,7 @@ def test_hadamard_of_psd_is_psd(seed, n):
     rng = rng_from_seed(seed)
     a = gram_psd_matrix(rng, n)
     b = gram_psd_matrix(rng, n)
-    rep = psd_report(hadamard(a, b))
+    rep = psd_report(a * b)
     assert rep.min_eigenvalue >= -1e-10 * max(1.0, rep.max_abs_eigenvalue)
 
 

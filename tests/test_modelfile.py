@@ -629,11 +629,17 @@ def limit_gen_model() -> dict:
     import sys
 
     perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    # the benchmark's workloads import their own ``oracles``, which shares
+    # its name with the tests' module; each sees its own
+    tests_oracles = sys.modules.pop("oracles", None)
     sys.path.insert(0, perfbench)
     try:
         from workloads import LimitGen
     finally:
         sys.path.remove(perfbench)
+        sys.modules.pop("oracles", None)
+        if tests_oracles is not None:
+            sys.modules["oracles"] = tests_oracles
     return LimitGen.generate(1)[0]
 
 

@@ -8,9 +8,10 @@ from schurstates import lattice
 from schurstates.sampling import (
     complex_gaussian,
     decaying_generator_spec,
-    random_unitary,
     rng_from_seed,
 )
+
+from oracles import random_unitary
 
 
 def bits(a):
