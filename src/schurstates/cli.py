@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library surface:
+Subcommands map one-to-one onto the library surface, each a ``cmd_*``
+function of the arguments and the loaded model that returns its results
+and exit code; ``main`` loads the model, and checks and writes the report:
 
 * ``check-kernel``  — Choi and observable-tuple positivity report;
 * ``eval``          — finite-volume expectations, dense vs fast paths;
@@ -18,13 +20,12 @@ or failed check, 2 convergence failure, 3 precondition violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import json
 import math
 import sys
-
-import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -98,20 +99,26 @@ def emit_csv_flat(payload: dict, stream) -> None:
         stream.write(f"{key},{val}\n")
 
 
-def emit(payload: dict, fmt_name: str, stream) -> None:
-    if fmt_name == "csv":
-        emit_csv_flat(payload, stream)
-    else:
+def emit(payload: dict, fmt_name: str, stream, table=None) -> None:
+    """The report as JSON, or as CSV by the command's own ``table`` writer
+    where its subparser registers one, else as flat key/value rows."""
+    if fmt_name == "json":
         emit_json(payload, stream)
+    else:
+        (table or emit_csv_flat)(payload, stream)
 
 
-def _envelope(args, command: str, results: dict) -> dict:
-    return {
-        "command": command,
-        "model": getattr(args, "model", None),
-        "seed": getattr(args, "seed", None),
-        "results": results,
-    }
+def emit_scan_table(payload: dict, stream) -> None:
+    """A mixing scan's rows as a CSV table, a missing alpha gap as ``nan``;
+    ``flatten`` first refuses any non-finite number, naming its key."""
+    flatten("", payload, [])
+    stream.write("t,strategy,mixing_gap,alpha_mixing_gap\n")
+    for row in payload["results"]["rows"]:
+        alpha = row["alpha_mixing_gap"]
+        stream.write(
+            f"{row['t']},{row['strategy']},{fmt(row['mixing_gap'])},"
+            f"{'nan' if alpha is None else fmt(alpha)}\n"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +126,7 @@ def _envelope(args, command: str, results: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check_kernel(args, out) -> int:
-    spec = load_model(args.model)
+def cmd_check_kernel(args, spec) -> tuple[dict, int]:
     family = spec.family()
     sites = spec.geometry.first(4)
     rng = rng_from_seed(args.seed, 11)
@@ -163,24 +169,15 @@ def cmd_check_kernel(args, out) -> int:
                 "pass": prod.is_psd,
             }
         )
-    emit(
-        _envelope(
-            args,
-            "check-kernel",
-            {
-                "sites": site_reports,
-                "products": product_reports,
-                "pass": all_pass,
-            },
-        ),
-        args.format,
-        out,
-    )
-    return 0 if all_pass else 1
+    results = {
+        "sites": site_reports,
+        "products": product_reports,
+        "pass": all_pass,
+    }
+    return results, 0 if all_pass else 1
 
 
-def cmd_eval(args, out) -> int:
-    spec = load_model(args.model)
+def cmd_eval(args, spec) -> tuple[dict, int]:
     family = spec.family()
     obs = load_observable(args.observable, spec.geometry)
     region = parse_region(args.region, spec.geometry) if args.region else obs.region
@@ -198,11 +195,10 @@ def cmd_eval(args, out) -> int:
         results["dense"] = encode_complex(dense)
         results["schur_vs_dense"] = abs(fast - dense_small)
         results["extended_vs_dense"] = abs(extended - dense)
-    emit(_envelope(args, "eval", results), args.format, out)
-    return 0
+    return results, 0
 
 
-def cmd_limit(args, out) -> int:
+def cmd_limit(args, spec) -> tuple[dict, int]:
     """The observable's boundary matrix and limit value, the total weight
     Z and the normalized value psi = value / Z, and with
     ``--check-projectivity`` the projectivity gap on the ``--region``
@@ -213,7 +209,6 @@ def cmd_limit(args, out) -> int:
     (Z's) side by side, and ``check_projectivity`` reads them from the
     cache.  A faulty superset is reported without a walk of it, after the
     observable region's own walk, whose faults come first."""
-    spec = load_model(args.model)
     family = spec.family()
     obs = load_observable(args.observable, spec.geometry)
     regions = [obs.region]
@@ -243,28 +238,25 @@ def cmd_limit(args, out) -> int:
     }
     if spec.summability_certificate is not None:
         results["summability_certificate"] = spec.summability_certificate
-    if args.check_projectivity:
-        rep = check_projectivity(
-            family, regions[1], obs, tol=args.tol, tail_tol=args.tail_tol
-        )
-        results["projectivity"] = {
-            "region": [str(s) for s in regions[1]],
-            "gap": rep.gap,
-            "tol": args.tol,
-            "pass": rep.passed,
-        }
-        emit(_envelope(args, "limit", results), args.format, out)
-        return 0 if rep.passed else 1
-    emit(_envelope(args, "limit", results), args.format, out)
-    return 0
+    if not args.check_projectivity:
+        return results, 0
+    rep = check_projectivity(
+        family, regions[1], obs, tol=args.tol, tail_tol=args.tail_tol
+    )
+    results["projectivity"] = {
+        "region": [str(s) for s in regions[1]],
+        "gap": rep.gap,
+        "tol": args.tol,
+        "pass": rep.passed,
+    }
+    return results, 0 if rep.passed else 1
 
 
-def cmd_homog(args, out) -> int:
+def cmd_homog(args, spec) -> tuple[dict, int]:
     """The overlap analysis of a homogeneous model, every verdict from its
     one exact ``dominance`` reading, and with ``--observable`` its
     normalized limit as ``generic_limit``, refused (exit 3) where no
     limit exists."""
-    spec = load_model(args.model)
     if spec.reference is None:
         raise PreconditionError(
             f"the homog command needs a homogeneous model, got mode {spec.mode!r}"
@@ -286,12 +278,17 @@ def cmd_homog(args, out) -> int:
                 finite_volume_normalized(model, args.total_sites, obs)
             )
         results["generic_limit"] = encode_complex(generic_limit(model, obs))
-    emit(_envelope(args, "homog", results), args.format, out)
-    return 0
+    return results, 0
 
 
-def cmd_mixing_scan(args, out) -> int:
-    spec = load_model(args.model)
+def _missing(value: float):
+    """A value the library gives as NaN where none exists, as None."""
+    return None if math.isnan(value) else value
+
+
+def cmd_mixing_scan(args, spec) -> tuple[dict, int]:
+    """The scan's rows, a missing alpha gap or decrease fraction as None;
+    its CSV form is ``emit_scan_table``."""
     family = spec.family()
     require_lattice(family)
     obs_a = load_observable(args.observable, spec.geometry)
@@ -309,48 +306,20 @@ def cmd_mixing_scan(args, out) -> int:
         seed=args.seed,
         tail_tol=args.tail_tol,
     )
-    if args.format == "csv":
-        out.write("t,strategy,mixing_gap,alpha_mixing_gap\n")
-        for row in result.rows:
-            out.write(
-                f"{row.t},{row.strategy},{fmt(row.mixing_gap)},"
-                f"{fmt(row.alpha_mixing_gap)}\n"
-            )
-    else:
-        emit_json(
-            _envelope(
-                args,
-                "mixing-scan",
-                {
-                    "rows": [
-                        {
-                            "t": row.t,
-                            "strategy": row.strategy,
-                            "mixing_gap": row.mixing_gap,
-                            "alpha_mixing_gap": (
-                                None
-                                if np.isnan(row.alpha_mixing_gap)
-                                else row.alpha_mixing_gap
-                            ),
-                        }
-                        for row in result.rows
-                    ],
-                    "alpha_independent": result.alpha_independent,
-                    "decrease_fraction": {
-                        k: (None if np.isnan(v) else v)
-                        for k, v in result.decrease_fraction.items()
-                    },
-                },
-            ),
-            out,
-        )
-    return 0
+    results = {
+        "rows": [
+            {**vars(row), "alpha_mixing_gap": _missing(row.alpha_mixing_gap)}
+            for row in result.rows
+        ],
+        "alpha_independent": result.alpha_independent,
+        "decrease_fraction": {k: _missing(v) for k, v in result.decrease_fraction.items()},
+    }
+    return results, 0
 
 
-def cmd_selftest(args, out) -> int:
+def cmd_selftest(args, spec) -> tuple[dict, int]:
     report = run_selftest(seed=args.seed)
-    emit(_envelope(args, "selftest", report), args.format, out)
-    return 0 if report["pass"] else 1
+    return report, 0 if report["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +339,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
+    def command(name, func, help, model=True, **defaults):
+        """One command's subparser, with the options every command takes."""
+        p = sub.add_parser(name, help=help)
         if model:
             p.add_argument("--model", required=True, help="model file (JSON)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -387,38 +358,35 @@ def _parser() -> argparse.ArgumentParser:
             help="worker hint; evaluation is deterministic regardless",
         )
         p.add_argument("--output", help="write the report here instead of stdout")
+        p.set_defaults(func=func, model=None, table=None)
+        p.set_defaults(**defaults)
+        return p
 
-    p = sub.add_parser("check-kernel", help="Choi and observable-tuple positivity report")
-    common(p)
-    p.set_defaults(func=cmd_check_kernel)
+    command("check-kernel", cmd_check_kernel, "Choi and observable-tuple positivity report")
 
-    p = sub.add_parser("eval", help="finite-volume expectations, dense vs fast paths")
-    common(p)
+    p = command("eval", cmd_eval, "finite-volume expectations, dense vs fast paths")
     p.add_argument("--observable", required=True, help="observable file (JSON)")
     p.add_argument("--region", help="evaluation region, sites ';'-separated")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("limit", help="boundary matrix and limit expectation")
-    common(p)
+    p = command("limit", cmd_limit, "boundary matrix and limit expectation", tol=1e-9)
     p.add_argument("--observable", required=True)
     p.add_argument("--region", help="superset region for the projectivity check")
     p.add_argument(
         "--check-projectivity", action="store_true",
         help="compare the limit on --region (observable extended by identity)",
     )
-    p.set_defaults(func=cmd_limit, tol=1e-9)
 
-    p = sub.add_parser("homog", help="overlap analysis and normalized limits")
-    common(p)
+    p = command("homog", cmd_homog, "overlap analysis and normalized limits")
     p.add_argument("--observable")
     p.add_argument(
         "--total-sites", dest="total_sites", type=int,
         help="finite volume size for the normalized expectation",
     )
-    p.set_defaults(func=cmd_homog)
 
-    p = sub.add_parser("mixing-scan", help="gap table over clearances")
-    common(p)
+    p = command(
+        "mixing-scan", cmd_mixing_scan, "gap table over clearances",
+        tail_tol=1e-14, table=emit_scan_table,
+    )
     p.add_argument("--observable", required=True, help="near-region observable")
     p.add_argument(
         "--observable-far", dest="observable_far", required=True,
@@ -429,11 +397,8 @@ def _parser() -> argparse.ArgumentParser:
         "--strategies", default="translate",
         help="comma-separated embedding strategies (translate, random)",
     )
-    p.set_defaults(func=cmd_mixing_scan, tail_tol=1e-14)
 
-    p = sub.add_parser("selftest", help="seeded invariant battery")
-    common(p, model=False)
-    p.set_defaults(func=cmd_selftest)
+    command("selftest", cmd_selftest, "seeded invariant battery", model=False)
 
     return parser
 
@@ -457,10 +422,20 @@ def main(argv=None) -> int:
                 raise ValidationError(f"{flag} must be a finite number >= 0, got {value}")
         if args.seed < 0:
             raise ValidationError("--seed must be an integer >= 0")
+        output = contextlib.nullcontext(sys.stdout)
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
+            output = open(args.output, "w", encoding="utf-8", newline="")
+        with output as out:
+            spec = None if args.model is None else load_model(args.model)
+            results, code = args.func(args, spec)
+            payload = {
+                "command": args.command,
+                "model": args.model,
+                "seed": args.seed,
+                "results": results,
+            }
+            emit(payload, args.format, out, args.table)
+            return code
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

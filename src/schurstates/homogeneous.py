@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .kernel import Dominance, FiberFamily, dominance, product_kernel_matrix, unit_tuple
+from .kernel import (
+    Dominance,
+    FiberFamily,
+    dominance,
+    product_kernel_matrix,
+    require_finite_products,
+    unit_tuple,
+)
 from .lattice import Sites
 from .state import LocalObservable
 
@@ -82,18 +89,14 @@ def _ratio(unit: np.ndarray, obs: LocalObservable, a, weight) -> complex:
     ratio of the finite volumes and their limit.  On an empty region every
     local product is the empty product 1 and the ratio is sum(a) / weight,
     which is 1; a ratio that the local products take past the float range
-    is refused."""
+    is refused (``require_finite_products``)."""
     if not obs.region:
         return 1.0 + 0.0j
     family = FiberFamily.homogeneous(unit, Sites(obs.region))
     with np.errstate(over="ignore", invalid="ignore"):
         local = product_kernel_matrix(family, obs.region, obs.factors)
         value = complex((local * a).sum()) / weight
-    if not np.isfinite(value):
-        raise PreconditionError(
-            f"the observable's local products on {len(obs.region)} sites pass the float range"
-        )
-    return value
+    return require_finite_products(value, len(obs.region))
 
 
 def finite_volume_normalized(model: HomogeneousModel, n_total: int, obs: LocalObservable) -> complex:

@@ -30,9 +30,9 @@ consecutive shells at a time as one stack, or a run of such blocks as
 one, checked and squared in one pass (a generator model's identity, a
 homogeneous family's tuple over its largest norm, a perturbed family's
 tuple per radius).  So a
-boundary walk takes a whole block of shell Gram matrices, and each
-shell's power to its full size from a stack the family keeps per block,
-without visiting the shells' sites.  A perturbed family is radial
+boundary walk takes a whole block of shell Gram matrices, and raises
+each to the power of its shell's size, without visiting the shells'
+sites.  A perturbed family is radial
 shells alone.
 An explicit family (``FiberFamily.explicit``: every random family,
 every explicit model file and a homogeneous family on a site list) is a
@@ -53,6 +53,7 @@ Index layout, fixed once for the whole package:
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -61,7 +62,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import lattice
-from .errors import ConvergenceError, DimensionError, ValidationError
+from .errors import ConvergenceError, DimensionError, PreconditionError, ValidationError
 from .linalg import PsdReport, as_cmatrix, psd_report
 
 #: Vectors with norm at or below this are rejected as zero.
@@ -293,10 +294,7 @@ class FiberFamily:
     is validated and squared once); ``shell_grams(k)`` serves the Gram
     stack of block k, and
     ``shell_gram(r)`` and every site of sphere r off the table read row r
-    of their block.  The family also owns each block's full-shell powers
-    (``shell_powers(k)``), each Gram matrix raised to its ``sphere_sizes``,
-    which a boundary walk forms the first time it takes the block: at
-    most one stack per block built, kept as long as the family.  On a lattice, a canonical boundary walk takes every
+    of their block.  On a lattice, a canonical boundary walk takes every
     family with radial shells a block of shells at a time: each shell's
     table rows, then its Gram matrix for the sites off the table.
 
@@ -329,7 +327,6 @@ class FiberFamily:
         self.radial = radial
         self._by_site: dict = {}  # site -> its (vectors, Gram) entry
         self._blocks: dict = {}  # k -> (vectors, Grams) of radial block k
-        self._powers: dict = {}  # k -> full-shell powers of radial block k
         self.table: Table | None = None  # set once, by ``preload``
         # owned here, filled by ``limit.boundary_matrix``
         self._boundary_cache: dict = {}
@@ -464,21 +461,6 @@ class FiberFamily:
         """The Gram matrix shared by every site of 1-norm r off the table
         (radial families only)."""
         return self.shell_grams(r // SHELL_BLOCK)[r % SHELL_BLOCK]
-
-    def shell_powers(self, k: int) -> np.ndarray:
-        """The read-only (SHELL_BLOCK, d_I, d_I) stack whose row j is
-        ``shell_grams(k)[j]`` to the power of the geometry's size of
-        sphere k * SHELL_BLOCK + j: each whole shell's product, formed
-        the first time it is asked for and kept (radial families only);
-        one past the float range, or of an ``inf`` size, is past any site
-        cap, read by no walk, and formed without a warning."""
-        powers = self._powers.get(k)
-        if powers is None:
-            start = k * SHELL_BLOCK
-            sizes = self.geometry.sphere_sizes(start, start + SHELL_BLOCK)
-            with np.errstate(over="ignore", invalid="ignore"):
-                powers = self._powers[k] = _frozen(self.shell_grams(k) ** sizes[:, None, None])
-        return powers
 
     # -- constructors -------------------------------------------------
 
@@ -652,6 +634,18 @@ def product_kernel_matrix(family: FiberFamily, sites, bs) -> np.ndarray:
         np.ones((family.d_I, family.d_I), dtype=np.complex128),
         (kernel_matrix(family, x, b) for x, b in zip(sites, bs)),
     )
+
+
+def require_finite_products(value, sites: int):
+    """``value``, a number formed from an observable's local products on
+    ``sites`` sites, unless it is not finite, as products past the float
+    range leave it: then ``PreconditionError``, the one refusal of such
+    products wherever a value is formed from them."""
+    if not cmath.isfinite(value):
+        raise PreconditionError(
+            f"the observable's local products on {sites} sites pass the float range"
+        )
+    return value
 
 
 def transfer_matrix(family: FiberFamily, region, inner) -> np.ndarray:

@@ -35,9 +35,14 @@ import numpy as np
 
 from .errors import GeometryError, ValidationError
 
-#: Most (nu, r) shells ``shell`` keeps at once, and most shell sizes
-#: ``shell_size`` (and ranges of them ``shell_sizes``) keeps.
+#: Most (nu, r) shells ``shell`` keeps at once, and most ranges of
+#: shell sizes ``shell_sizes`` keeps.
 SHELL_CACHE_SIZE = 1024
+
+#: Per lattice dimension nu, the furthest radius r that ``shell_sizes``
+#: has counted to within the float range, as (r, S(r - 1), S(r)), where
+#: its recurrence resumes, so that a walk outward counts each radius once.
+_RESUME: dict = {}
 
 #: A ``--region`` coordinate: optional sign, then ASCII digits.
 INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -59,28 +64,25 @@ def norm1(site) -> int:
 
 
 @functools.lru_cache(maxsize=SHELL_CACHE_SIZE)
-def shell_size(nu: int, r: int) -> int:
-    """Number of lattice sites with 1-norm exactly r (exact count, cached)."""
-    if r < 0:
-        return 0
-    if r == 0:
-        return 1
-    # choose k nonzero coordinates, sign them, compose r into k positive parts
-    return sum(
-        (2**k) * math.comb(nu, k) * math.comb(r - 1, k - 1)
-        for k in range(1, min(nu, r) + 1)
-    )
-
-
-@functools.lru_cache(maxsize=SHELL_CACHE_SIZE)
 def shell_sizes(nu: int, start: int, stop: int) -> np.ndarray:
-    """``shell_size(nu, r)`` for r = start, ..., stop - 1, as one read-only
-    float64 array (cached): exact below 2**53, and ``inf`` from the first
-    count past the float range on, since the counts grow with r."""
-    counts = (shell_size(nu, r) for r in range(start, stop))
-    finite = list(itertools.takewhile(sys.float_info.max.__ge__, counts))
+    """The numbers S(r) of sites of Z^nu with 1-norm r, for r = start, ...,
+    stop - 1, as one read-only float64 array (cached): 0 at a negative r,
+    exact below 2**53, and ``inf`` from the first count past the float
+    range on, since the counts grow with r.  Python ints from the exact
+    recurrence r S(r) = 2 nu S(r - 1) + (r - 2) S(r - 2), S(0) = 1 and
+    S(-1) = 0, resumed at ``_RESUME`` if that is no further out than start."""
+    r, before, size = _RESUME.get(nu, (0, 0, 1))
+    if r > max(start, 0):
+        r, before, size = 0, 0, 1
     sizes = np.full(stop - start, math.inf)
-    sizes[: len(finite)] = finite
+    sizes[: max(0, -start)] = 0.0
+    while r < stop and size <= sys.float_info.max:
+        if r >= start:
+            sizes[r - start] = size
+        r += 1
+        before, size = size, (2 * nu * size + (r - 2) * before) // r
+    if r > _RESUME.get(nu, (0,))[0]:
+        _RESUME[nu] = (r, before, size)
     sizes.setflags(write=False)
     return sizes
 

@@ -20,8 +20,7 @@ radial shells takes, after the empty shell at radius -1,
 walk reads a geometry only through ``distance`` and its spheres.  Each
 shell multiplies in its table rows outside the region, in walk order, and then
 its Gram matrix to the power of its sites off the table outside the
-region: the kept full-shell power (``FiberFamily.shell_powers``) where
-that is the whole shell, else raised afresh with ``np.power``.  Every
+region, raised with ``np.power`` in the step that takes it.  Every
 region takes a step's factors in one ``np.multiply.accumulate`` along
 the factor axis of a (region, factor) stack, seeded with each region's
 product so far.  (The accumulate rounds differently from multiplying
@@ -76,6 +75,8 @@ from .kernel import (
     FarFieldTail,
     FiberFamily,
     product_kernel_matrix,
+    require_finite_products,
+    schur_product,
     tail_remaining,
 )
 from .state import LocalObservable
@@ -251,8 +252,7 @@ def _walk(
             if sites is not None:  # one block: each site outside a region is one factor
                 rows = p[:, None].copy()
                 for i in np.flatnonzero(m).tolist():
-                    for x in sites[live[i]]:
-                        rows[i, 0] = rows[i, 0] * family.gram(x)
+                    rows[i, 0] = schur_product(rows[i, 0], map(family.gram, sites[live[i]]))
             else:
                 rows = _shell_products(family, p, labels[0], counts[:, :top], inside)
             # the certificate settles, in one call, every label a region took
@@ -330,16 +330,16 @@ def _shell_products(family: FiberFamily, p: np.ndarray, start: int, counts: np.n
     outside it per shell and ``inside`` its mask over the table (True at
     the rows inside it).  Each shell takes its table rows outside the
     region, in walk order, then its Gram matrix to the power of its other
-    sites outside the region: the kept full-shell power
-    (``FiberFamily.shell_powers``) where they are the whole shell, else
-    raised here.  Every region's factors take the same slots, where a
+    sites outside the region: the whole shell's power, raised once for
+    every region that holds none of those sites, else raised for that
+    region alone.  Every region's factors take the same slots, where a
     row inside the region is an exact factor of one, so a step with no
     table row takes one slot per shell."""
     block, m = start // SHELL_BLOCK, counts.shape[1]
     # the order matters for speed on x86-64: squaring a new block (a BLAS
     # product) slows libm's scalar complex power, which the full-shell
     # powers use, about tenfold until a numpy loop such as the comparison
-    # below has run
+    # below has run, so the powers are raised after it
     grams = family.shell_grams(block)
     sizes = family.geometry.sphere_sizes(start, start + SHELL_BLOCK)[:m]
     table, off = family.table, counts  # off[i, j]: shell j's sites off the table outside region i
@@ -362,7 +362,10 @@ def _shell_products(family: FiberFamily, p: np.ndarray, start: int, counts: np.n
     j, r = np.nonzero(off != sizes)
     seq = np.empty((len(p), ends[-1] + 1) + p.shape[1:], dtype=np.complex128)
     seq[:, 0] = p
-    seq[:, closes] = family.shell_powers(block)[:m]
+    # a power past the float range, or to an ``inf`` size, is past any
+    # site cap and read by no walk
+    with np.errstate(over="ignore", invalid="ignore"):
+        seq[:, closes] = grams[:m] ** sizes[:, None, None]
     if j.size:
         seq[j, ends[r]] = grams[r] ** off[j, r][:, None, None]
     if hi > lo:
@@ -381,11 +384,14 @@ def limit_state_eval(
 
     sum_{i,j} [prod_{x in region} Tr(h_i h_j* b_x)] * boundary[i, j],
     with the boundary matrix of the observable's region read from the
-    family's cache when a caller has walked it, else formed here.
+    family's cache when a caller has walked it, else formed here; one that
+    local products take past the float range is refused.
     """
     beta = boundary_matrix(family, obs.region, tail_tol=tail_tol)
-    m = product_kernel_matrix(family, obs.region, obs.factors)
-    return complex((m * beta.matrix).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = product_kernel_matrix(family, obs.region, obs.factors)
+        value = complex((m * beta.matrix).sum())
+    return require_finite_products(value, len(obs.region))
 
 
 def total_weight(empty: BoundaryMatrix) -> float:

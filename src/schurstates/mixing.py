@@ -36,6 +36,7 @@ from .kernel import (
     FiberFamily,
     kernel_matrix,
     product_kernel_matrix,
+    require_finite_products,
     schur_product,
     tail_remaining,
 )
@@ -140,13 +141,17 @@ def alpha_limit(
     ``kernels`` maps translated regions of ``obs`` to their sites' kernel
     matrices: those a caller holds are read from it, and those formed
     here are kept in it (``mixing_scan`` shares it with its rows).
+    Products past the float range are refused.
     """
     require_lattice(family)
     ts = DEFAULT_T_SEQUENCE
     known = {} if kernels is None else kernels
     fars = (LocalObservable.of_checked(embed(obs.region, t, family.geometry), obs.factors) for t in ts[-2:])
-    before, limits = (schur_product(_ones(family), _site_kernels(family, far, known)) for far in fars)
-    step = float(np.max(np.abs(limits - before)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        before, limits = (schur_product(_ones(family), _site_kernels(family, far, known)) for far in fars)
+        step = float(np.max(np.abs(limits - before)))
+    # the increment is finite only where both products are
+    require_finite_products(step, len(obs.region))
     spread = float(np.max(np.abs(limits - limits.ravel()[0])))
     tol = DEFAULT_ALPHA_TOL
     # past 1e-8 the factors' scale decides; below it every scale gives the
@@ -248,7 +253,8 @@ def mixing_scan(
     the far kernels in region order, which is ``product_kernel_matrix``
     of the joint region bit for bit; so every row's gap equals the
     one-region ``mixing_gap`` bit for bit, and its alpha gap is
-    |psi(a . transported b) - psi(a) alpha| from the same values.
+    |psi(a . transported b) - psi(a) alpha| from the same values.  A value
+    that local products take past the float range is refused.
     """
     ts = tuple(int(t) for t in t_list)
     strategies = tuple(strategies)
@@ -275,20 +281,24 @@ def mixing_scan(
     ones = _ones(family)
     m_a = None
     rows = []
-    for t, strategy, joint, far in placed:
-        beta_joint, beta_a, beta_far = next(walked), next(walked), next(walked)
-        if m_a is None:  # psi(a)'s product and value serve every row
-            m_a = product_kernel_matrix(family, obs_a.region, obs_a.factors)
-            v_a = complex((m_a * beta_a.matrix).sum()) / z
-        far_kernels = _site_kernels(family, far, kernels)
-        v_joint = complex((schur_product(m_a, far_kernels) * beta_joint.matrix).sum()) / z
-        v_far = complex((schur_product(ones, far_kernels) * beta_far.matrix).sum()) / z
-        gap = abs(v_joint - v_a * v_far)
-        if report is not None and report.independent:
-            agap = abs(v_joint - v_a * report.value)
-        else:
-            agap = float("nan")
-        rows.append(ScanRow(t=t, strategy=strategy, mixing_gap=gap, alpha_mixing_gap=agap))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, strategy, joint, far in placed:
+            beta_joint, beta_a, beta_far = next(walked), next(walked), next(walked)
+            if m_a is None:  # psi(a)'s product and value serve every row
+                m_a = product_kernel_matrix(family, obs_a.region, obs_a.factors)
+                v_a = complex((m_a * beta_a.matrix).sum()) / z
+                require_finite_products(v_a, len(obs_a.region))
+            far_kernels = _site_kernels(family, far, kernels)
+            v_joint = complex((schur_product(m_a, far_kernels) * beta_joint.matrix).sum()) / z
+            v_far = complex((schur_product(ones, far_kernels) * beta_far.matrix).sum()) / z
+            require_finite_products(v_far, len(far.region))
+            require_finite_products(v_joint, len(joint.region))
+            gap = abs(v_joint - v_a * v_far)
+            if report is not None and report.independent:
+                agap = abs(v_joint - v_a * report.value)
+            else:
+                agap = float("nan")
+            rows.append(ScanRow(t=t, strategy=strategy, mixing_gap=gap, alpha_mixing_gap=agap))
     fractions = {}
     for strategy in strategies:
         gaps = [r.mixing_gap for r in rows if r.strategy == strategy]

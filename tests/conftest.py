@@ -14,6 +14,8 @@ from schurstates.limit import SITE_CAP, boundary_matrix, total_weight
 from schurstates.mixing import decaying_perturbation_family
 from schurstates.sampling import complex_gaussian, random_family, rng_from_seed
 
+from oracles import shell_size
+
 
 @pytest.fixture
 def rng():
@@ -31,7 +33,7 @@ def ball(nu, r):
 
 def ball_size(nu, r):
     """Number of sites of Z^nu with 1-norm at most r."""
-    return sum(lattice.shell_size(nu, k) for k in range(r + 1))
+    return sum(shell_size(nu, k) for k in range(r + 1))
 
 
 def perturbed_ball_product(
@@ -48,7 +50,7 @@ def perturbed_ball_product(
         near = near_amplitude is not None and r <= near_radius
         h = base + (near_amplitude if near else epsilon0 * decay**r) * dirs
         h /= np.linalg.norm(h, axis=1, keepdims=True)
-        p *= (h @ h.conj().T) ** lattice.shell_size(nu, r)
+        p *= (h @ h.conj().T) ** shell_size(nu, r)
     return p
 
 
@@ -107,7 +109,7 @@ def shell_loop(fam, region, tail_tol, site_cap=SITE_CAP):
     p = np.ones((fam.d_I, fam.d_I), dtype=complex)
     consumed, bound = 0, math.inf
     for r in range(-1, SITE_CAP):
-        n = lattice.shell_size(nu, r) - held.count(r)
+        n = shell_size(nu, r) - held.count(r)
         if consumed + n > site_cap:
             return "cap", r, consumed, p, bound
         consumed += n

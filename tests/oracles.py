@@ -2,10 +2,12 @@
 the engine against them: the spectral calculus and right square roots
 behind ``build_from_generators``' closed form, the literal rank-one
 operator table behind ``kernel_matrix``, the constant-overlap builder,
-and the seeded unitary and positive-definite draws."""
+the seeded unitary and positive-definite draws, and the closed-form
+sphere sizes behind ``lattice.shell_sizes``' recurrence."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +107,20 @@ def constant_offdiagonal_vectors(p: int, c: float, dim: int | None = None) -> np
         out[j, :j] = alphas[:j]
         out[j, j] = 1.0
     return out
+
+
+def shell_size(nu: int, r: int) -> int:
+    """Number of sites of Z^nu with 1-norm exactly r, in closed form:
+    choose k nonzero coordinates, sign them, and compose r into k
+    positive parts."""
+    if r < 0:
+        return 0
+    if r == 0:
+        return 1
+    return sum(
+        (2**k) * math.comb(nu, k) * math.comb(r - 1, k - 1)
+        for k in range(1, min(nu, r) + 1)
+    )
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from schurstates.cli import _parser, build_parser, emit_csv_flat, emit_json, main
 from schurstates.errors import ValidationError
+from schurstates.mixing import ScanResult, ScanRow
 from schurstates.modelfile import encode_matrix, load_model
 
 from conftest import perturbed_ball_product, validate_against
@@ -1028,6 +1029,20 @@ class TestReportsHoldOnlyNumbers:
                 emit({"results": {"a": 1.0, "z": [0.0, bad]}}, out)
             assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_scan_row_with_a_nan_gap_refused(self, fmt, monkeypatch, capsys):
+        # the scan's own CSV table passes the check every report passes
+        row = ScanRow(t=5, strategy="translate", mixing_gap=math.nan, alpha_mixing_gap=math.nan)
+        result = ScanResult(rows=(row,), alpha_independent=False, decrease_fraction={"translate": math.nan})
+        monkeypatch.setattr("schurstates.cli.mixing_scan", lambda *args, **kwargs: result)
+        code, out, err = run_cli([
+            "mixing-scan", "--model", str(MODELS / "perturbed_z2.json"),
+            "--observable", str(MODELS / "observable_near.json"),
+            "--observable-far", str(MODELS / "observable_far.json"), "--tmax", "5", "--format", fmt,
+        ], capsys)
+        assert (code, out) == (1, "")
+        assert err == "validation error: report key 'results.rows[0].mixing_gap' holds the non-finite number nan\n"
+
     def test_scan_keeps_its_missing_values(self, capsys):
         # a generator model does not mix: alpha is missing at every row,
         # and one row leaves no decrease fraction
@@ -1043,6 +1058,40 @@ class TestReportsHoldOnlyNumbers:
         assert report["decrease_fraction"] == {"translate": None}
         code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
         assert code == 0 and out.splitlines()[1].endswith(",nan")
+
+
+class TestLocalProductsPastTheFloatRange:
+    """Every command that forms a value from an observable's local products
+    refuses products past the float range as ``homog`` does: exit 3, naming
+    them, with no numpy warning (pytest's error filter would fail the test)."""
+
+    MESSAGE = "precondition error: the observable's local products on 2 sites pass the float range\n"
+
+    @pytest.mark.parametrize("command", ["limit", "homog"])
+    def test_homogeneous_lattice(self, command, tmp_path, capsys):
+        # 1e155 I at (0,) and (1,) of the identity tuple on Z^1: 1e310
+        model, _ = TestHomogeneousLatticeReports.files(tmp_path, np.eye(2))
+        factor = encode_matrix(1e155 * np.eye(2))
+        obs = write_json(tmp_path, "large.json", {"region": [[0], [1]], "factors": [factor] * 2})
+        code, out, err = run_cli([command, "--model", model, "--observable", obs], capsys)
+        assert (code, out, err) == (3, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("scaled", ["near-and-far", "near"])
+    def test_scan(self, scaled, fmt, tmp_path, capsys):
+        # near and far: alpha's transported far products (1e200 I at two
+        # sites) pass the range; near alone: psi(a)'s (1e155 I at two
+        # sites) do, in the rows
+        near = {"region": [[0, 0], [1, 0]], "factors": [encode_matrix(1e155 * np.eye(2))] * 2}
+        far = json.loads((MODELS / "observable_far.json").read_text())
+        if scaled == "near-and-far":
+            far["factors"] = [encode_matrix(1e200 * np.eye(2))] * len(far["region"])
+        code, out, err = run_cli([
+            "mixing-scan", "--model", str(MODELS / "perturbed_z2.json"),
+            "--observable", write_json(tmp_path, "near.json", near),
+            "--observable-far", write_json(tmp_path, "far.json", far), "--format", fmt,
+        ], capsys)
+        assert (code, out, err) == (3, "", self.MESSAGE)
 
 
 class TestFaultyVectorsRefusedAtLoad:

@@ -18,7 +18,7 @@ from schurstates.limit import boundary_matrix
 SRC = Path(__file__).resolve().parent.parent / "src" / "schurstates"
 
 #: The 1-norm primitives that ``lattice.Zd`` serves its spheres from.
-PRIMITIVES = {"norm1", "shell", "shell_size", "shell_sizes"}
+PRIMITIVES = {"norm1", "shell", "shell_sizes"}
 
 #: Past this radius every fiber tuple is exactly the base tuple, so its
 #: Gram matrix is exactly all ones and the certificate's mass ends there.

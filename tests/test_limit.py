@@ -1154,16 +1154,16 @@ class TestStackedWalk:
         # blocks the family holds before the walk (block 0 if none: a raw
         # perturbed family holds the blocks its mass table read), so the
         # walk takes those blocks and fails at the next without building
-        # its shells or their powers
+        # its shells
         fam = STACKED_FAMILIES[name]()
         nu = fam.geometry.nu
         held = len(fam._blocks) or 1
-        assert set(fam._blocks) <= set(range(held)) and not fam._powers
+        assert set(fam._blocks) <= set(range(held))
         cap = int(lattice.shell_sizes(nu, 0, held * SHELL_BLOCK).sum()) - 1
         origin, far = (0,) * nu, (held * SHELL_BLOCK,) + (0,) * (nu - 1)
         with pytest.raises(ConvergenceError):
             boundary_matrices(fam, [(origin,), (origin, far)], tail_tol=0.0, site_cap=cap)
-        assert set(fam._blocks) == set(fam._powers) == set(range(held))
+        assert set(fam._blocks) == set(range(held))
 
 
 SHELL_LOOP_FAMILIES = {

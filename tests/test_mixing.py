@@ -45,6 +45,7 @@ from conftest import (
     rescaled_origin_family,
     shell_loop,
 )
+from oracles import shell_size
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -225,6 +226,14 @@ class TestAlphaLimit:
             assert scan.alpha_independent
             assert all(math.isfinite(row.alpha_mixing_gap) for row in scan.rows)
 
+    def test_products_past_the_float_range_refused(self, eps_family):
+        # 1e200 I at two sites: the transported products, 1e400, pass the
+        # float range, and are refused with no warning (pytest's error
+        # filter), not compared as NaN increments
+        obs = LocalObservable(((0, 0), (1, 0)), (1e200 * np.eye(2, dtype=complex),) * 2)
+        with pytest.raises(PreconditionError, match=r"^the observable's local products on 2 sites pass the float range$"):
+            alpha_limit(eps_family, obs)
+
     def test_positive_on_positive(self, eps_family, rng):
         c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
         square = c.conj().T @ c
@@ -329,6 +338,13 @@ class TestMixingScan:
         assert gaps == sorted(gaps, reverse=True)
         assert result.alpha_independent
         assert result.decrease_fraction["translate"] == 1.0
+
+    def test_near_products_past_the_float_range_refused(self, eps_family, obs_pair):
+        # 1e155 I at two near sites: psi(a)'s local products, 1e310, pass
+        # the float range; alpha's far products do not, so the rows refuse
+        near = LocalObservable(((0, 0), (1, 0)), (1e155 * np.eye(2, dtype=complex),) * 2)
+        with pytest.raises(PreconditionError, match=r"^the observable's local products on 2 sites pass the float range$"):
+            mixing_scan(eps_family, near, obs_pair[1], t_list=(5, 10))
 
     def test_non_cauchy_alpha_leaves_every_alpha_gap_missing(self, obs_pair):
         # a larger perturbation whose transported products are not Cauchy:
@@ -581,7 +597,7 @@ class TestPerturbationFamilyCaches:
             assert np.array_equal(fam.gram(site), fam.shell_grams(r // SHELL_BLOCK)[r % SHELL_BLOCK])
             assert np.shares_memory(fam.gram(site), fam.shell_grams(r // SHELL_BLOCK))
         assert set(fam._by_site) == set(region)
-        # nothing is built again, and each walked block's powers once
+        # nothing is built again
         radius = max(
             next(r for r in range(1000) if ball_size(2, r) == w.sites_consumed + held)
             for w, held in ((near, len(region)), (other, 1))
@@ -589,13 +605,11 @@ class TestPerturbationFamilyCaches:
         assert radius < len(first)
         assert calls == [(0, len(first))]
         assert validated == Counter(f"radius {r}" for r in first)
-        assert sorted(fam._powers) == list(range(radius // SHELL_BLOCK + 1))
         assert len(walks) == 2
 
     def test_readme_scan_builds_no_block(self, builds, monkeypatch, tmp_path):
         # after the load's one ``radial`` call, for radii 0-255, the README
-        # scan builds no block, and the full-shell powers of blocks 0 and
-        # 1 only, the blocks its walks reach
+        # scan builds no block
         spec = load_model(MODELS / "perturbed_z2.json")
         ((calls, _),) = builds
         assert calls == [(0, 4 * SHELL_BLOCK)]
@@ -612,7 +626,7 @@ class TestPerturbationFamilyCaches:
         )
         assert code == 0 and len(builds) == 1
         assert calls == [(0, 4 * SHELL_BLOCK)]
-        assert sorted(spec.family()._powers) == [0, 1]
+        assert sorted(spec.family()._blocks) == [0, 1, 2, 3]
 
     def test_remaining_does_not_depend_on_call_order(self):
         fam = decaying_perturbation_family()
@@ -661,7 +675,19 @@ class TestRunBuild:
             for got, want in zip(fam._block(k), ref._block(k)):
                 assert _bits(got) == _bits(want)
                 assert not got.flags.writeable
-            assert _bits(fam.shell_powers(k)) == _bits(ref.shell_powers(k))
+
+    @staticmethod
+    def assert_walks_match(fam, ref):
+        # the walks that raise the blocks to their shells' sizes, up to
+        # the site cap where they cross it (Z^3)
+        regions = [(), ((0,) * fam.geometry.nu,)]
+        walks = (limit._walk(f, regions, None, 1e-14, SITE_CAP) for f in (fam, ref))
+        for got, want in zip(*walks):
+            if isinstance(want, ConvergenceError):
+                assert _bits(got.last_partial) == _bits(want.last_partial)
+            else:
+                assert _bits(got.matrix) == _bits(want.matrix)
+                assert got.sites_consumed == want.sites_consumed
 
     @pytest.mark.parametrize("near_amplitude", [0.3, None])
     @pytest.mark.parametrize("decay", [0.5, 0.78, 0.95])
@@ -671,6 +697,7 @@ class TestRunBuild:
         assert sorted(fam._blocks) == list(range(self.RUN))
         ref = _one_block_family(fam)
         self.assert_blocks_match(fam, ref, range(self.RUN + 1))
+        self.assert_walks_match(fam, ref)
         radii = np.arange(-1, 5001)
         want = _one_block_remaining(fam)(radii)
         assert _bits(fam.tail.remaining(radii)) == _bits(want)
@@ -750,7 +777,7 @@ class TestTailTable:
         for r in itertools.count():
             v = fam.vectors((r,) + (0,) * (nu - 1))
             size = self.SHELL_SIZE[nu](r) if r else 1
-            assert size == lattice.shell_size(nu, r)
+            assert size == shell_size(nu, r)
             masses.append(size * float(np.max(np.abs(v @ v.conj().T - 1.0))))
             if r > 3 and masses[-1] < 1e-30:
                 break

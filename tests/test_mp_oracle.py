@@ -23,6 +23,7 @@ from schurstates.mixing import decaying_perturbation_family
 from schurstates.modelfile import load_model, load_observable
 
 from conftest import ball_size
+from oracles import shell_size
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -57,7 +58,7 @@ def ball_product(grams, nu: int) -> list:
     d_I = len(grams[0])
     out = [[mpmath.mpc(1)] * d_I for _ in range(d_I)]
     for r, g in enumerate(grams):
-        n = lattice.shell_size(nu, r)
+        n = shell_size(nu, r)
         out = entrywise(out, [[z**n for z in row] for row in g])
     return out
 
@@ -155,9 +156,14 @@ def exact_gaps(exact):
     return out
 
 
+def scan_gaps(path) -> dict:
+    """t -> mixing gap of a scan's CSV table."""
+    rows = Path(path).read_text().splitlines()[1:]
+    return {int(r.split(",")[0]): float(r.split(",")[2]) for r in rows}
+
+
 def test_golden_scan_within_certified_error_of_exact_gaps(exact):
-    rows = GOLDEN.read_text().splitlines()[1:]
-    golden = {int(r.split(",")[0]): float(r.split(",")[2]) for r in rows}
+    golden = scan_gaps(GOLDEN)
     for t, gap, tol in exact_gaps(exact):
         assert abs(golden[t] - gap) <= tol, (t, golden[t], gap, tol)
 
@@ -165,9 +171,26 @@ def test_golden_scan_within_certified_error_of_exact_gaps(exact):
 def test_golden_t40_gap_is_the_exact_one_to_four_digits(exact):
     # 50-digit t=40 gap 2.72533e-14: the scan cancels about 13 digits, and
     # the walked values keep 4 of the remaining ones
-    rows = GOLDEN.read_text().splitlines()[1:]
-    golden = {int(r.split(",")[0]): float(r.split(",")[2]) for r in rows}
-    assert abs(golden[40] - 2.72533e-14) <= 1e-4 * 2.72533e-14
+    assert abs(scan_gaps(GOLDEN)[40] - 2.72533e-14) <= 1e-4 * 2.72533e-14
+
+
+def test_live_scan_within_certified_error_of_exact_gaps(exact, tmp_path):
+    # the README scan run here, on whatever numpy code path this machine
+    # takes: the checks above read only the captured golden table, whose
+    # bytes hold on one code path alone
+    out = tmp_path / "scan.csv"
+    code = main([
+        "mixing-scan", "--model", str(MODELS / "perturbed_z2.json"),
+        "--observable", str(MODELS / "observable_near.json"),
+        "--observable-far", str(MODELS / "observable_far.json"),
+        "--format", "csv", "--tmax", "40", "--tail-tol", repr(TAIL_TOL), "--output", str(out),
+    ])
+    assert code == 0
+    live = scan_gaps(out)
+    assert sorted(live) == list(T_LIST)
+    for t, gap, tol in exact_gaps(exact):
+        assert abs(live[t] - gap) <= tol, (t, live[t], gap, tol)
+    assert abs(live[40] - 2.72533e-14) <= 1e-4 * 2.72533e-14
 
 
 def test_limit_weight_and_psi_within_certified_error_of_exact(exact, tmp_path):
